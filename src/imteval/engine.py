@@ -214,7 +214,8 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     dl_branches = config.antenna_ue.n_ports
     dl_serving_mw = rx_mw[idx, serving] * dl_branches  # MRC array gain on the signal
     dl_interf_mw = rx_mw.sum(axis=1) - rx_mw[idx, serving]
-    dl_noise_dbm = noise_power(config.bandwidth, config.ue_noise_figure)
+    dl_noise_dbm = noise_power(config.bandwidth, config.ue_noise_figure,
+                               config.thermal_noise_density)
     dl_noise_mw = float(_dbm_to_mw(dl_noise_dbm))
     dl_sinr = dl_serving_mw / (dl_interf_mw + dl_noise_mw)
 
@@ -224,7 +225,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
         config.bandwidth / config.link.mu_layers_ul
     cl_serving = budget.coupling_db[idx, serving]
     p_ue = np.minimum(config.ue_tx_power, config.link.ul_p0_dbm + config.link.ul_alpha * cl_serving)
-    ul_noise_dbm = noise_power(ul_user_bw, config.bs_noise_figure)
+    ul_noise_dbm = noise_power(ul_user_bw, config.bs_noise_figure, config.thermal_noise_density)
     ul_noise_mw = float(_dbm_to_mw(ul_noise_dbm))
     ul_branches = config.antenna_bs.n_ports
 
@@ -280,29 +281,41 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     backoff = lk.csi_backoff_db
     n_intervals = max(1, int(round(config.duration_t / 1e-3)))
     dt = config.duration_t / n_intervals
+    rates_dl = np.asarray(sinr_to_se(lk.abstraction(DOWNLINK), result.dl_sinr_db - backoff)) \
+        * config.bandwidth
+    rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
+        * ul_user_bw
+    ul_resources = int(config.traffic.eval_bandwidth_hz // config.traffic.w_user_hz) \
+        if is_mmtc_style else lk.mu_layers_ul
+
+    # one PF scheduler per (direction, non-empty cell): the DL rows (eMBB
+    # only) then the UL rows, each cell's UEs in ascending id order and
+    # padded with zero rates, all run in a single batch
+    by_cell = np.argsort(serving, kind="stable")
+    sizes = np.bincount(serving, minlength=n_t)
+    sizes = sizes[sizes > 0]
+    n_cells = len(sizes)
+    cell_row = np.repeat(np.arange(n_cells), sizes)
+    slot = np.arange(n_ue) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    n_dl_rows = n_cells if config.environment in EMBB_ENVIRONMENTS else 0
+    row_rates = np.zeros((n_dl_rows + n_cells, sizes.max(initial=0)))
+    row_rates[n_dl_rows + cell_row, slot] = rates_ul[by_cell]
+    resources = np.full(n_dl_rows + n_cells, ul_resources)
+    if n_dl_rows:
+        row_rates[cell_row, slot] = rates_dl[by_cell]
+        resources[:n_dl_rows] = lk.mu_layers_dl
+    counts, mux = pf_run(row_rates, n_intervals, resources)
+
     dl_bits = np.zeros(n_ue)
     ul_bits = np.zeros(n_ue)
-    mux_samples = []
-    for c in range(n_t):
-        members = cell_ues[c]
-        if not len(members):
-            continue
-        se_dl = sinr_to_se(lk.abstraction(DOWNLINK), result.dl_sinr_db[members] - backoff)
-        se_ul = sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db[members] - backoff)
-        rates_dl = np.asarray(se_dl) * config.bandwidth
-        rates_ul = np.asarray(se_ul) * ul_user_bw
-        if config.environment in EMBB_ENVIRONMENTS:
-            counts_dl, _ = pf_run(rates_dl, n_intervals, lk.mu_layers_dl)
-            dl_bits[members] = counts_dl * dt * rates_dl
-        ul_resources = int(config.traffic.eval_bandwidth_hz // config.traffic.w_user_hz) \
-            if is_mmtc_style else lk.mu_layers_ul
-        counts_ul, mux = pf_run(rates_ul, n_intervals, ul_resources)
-        ul_bits[members] = counts_ul * dt * rates_ul
-        mux_samples.append(mux)
+    if n_dl_rows:
+        dl_bits[by_cell] = counts[cell_row, slot] * dt * rates_dl[by_cell]
+    ul_bits[by_cell] = counts[n_dl_rows + cell_row, slot] * dt * rates_ul[by_cell]
+    mux_samples = mux[n_dl_rows:]
 
     result.dl_bits = dl_bits
     result.ul_bits = ul_bits
-    result.n_mux_ul = float(np.mean(mux_samples)) if mux_samples else 0.0
+    result.n_mux_ul = float(np.mean(mux_samples)) if len(mux_samples) else 0.0
     if is_mmtc_style:
         served = ul_bits > 0
         b_vals = np.full(n_ue, np.nan)

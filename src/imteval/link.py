@@ -39,11 +39,13 @@ class SinrSample:
     noise_dbm: float
 
 
-def noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power in dBm over the given bandwidth."""
+def noise_power(bandwidth_hz: float, noise_figure_db: float,
+                density_dbm_hz: float = THERMAL_NOISE_DBM_HZ) -> float:
+    """Noise power in dBm over the given bandwidth at the given thermal
+    noise density."""
     if bandwidth_hz <= 0:
         raise DomainError("bandwidth must be positive")
-    return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+    return density_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
 def compute_sinr(

@@ -22,35 +22,43 @@ class CdfEstimator:
 
     Quantiles interpolate linearly between order statistics at positions
     p*(n-1)+1 (one-indexed), so quantile(0) is the minimum sample and
-    quantile(1) the maximum.
+    quantile(1) the maximum. Added chunks are kept aside and joined onto
+    the buffer once, at the next read, so n adds cost O(total samples).
     """
 
     def __init__(self, samples=None):
         self._samples = np.array([] if samples is None else samples, dtype=float)
+        self._pending = []
         self._sorted = False
 
     def add(self, samples) -> None:
-        arr = np.atleast_1d(np.asarray(samples, dtype=float))
-        self._samples = np.concatenate([self._samples, arr])
+        self._pending.append(np.array(samples, dtype=float, ndmin=1))
         self._sorted = False
 
     def merge(self, other: "CdfEstimator") -> None:
-        self.add(other._samples)
+        self.add(other.samples)
+
+    def _buffer(self) -> np.ndarray:
+        if self._pending:
+            self._samples = np.concatenate([self._samples, *self._pending])
+            self._pending = []
+        return self._samples
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return len(self._buffer())
 
     @property
     def samples(self) -> np.ndarray:
         """The raw sample buffer (a view; treat as read-only)."""
-        return self._samples
+        return self._buffer()
 
     def _ensure_sorted(self) -> np.ndarray:
+        data = self._buffer()
         if not self._sorted:
-            self._samples.sort()
+            data.sort()
             self._sorted = True
-        return self._samples
+        return data
 
     def quantile(self, p) -> float:
         if self.count == 0:
@@ -61,7 +69,7 @@ class CdfEstimator:
     def mean(self) -> float:
         if self.count == 0:
             raise InsufficientSamples("empty CDF estimator")
-        return float(self._samples.mean())
+        return float(self._buffer().mean())
 
     def percentile_rows(self, step: float = 0.1):
         """(percentile, value) rows from 0 to 100 for CSV export."""

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import SchemaError
+from .errors import SchemaError, UnknownRequirement
 from .scenario import Requirement, RequirementSet, TestEnvironment, builtin_requirements
 from .engine import RunResult
 
@@ -269,7 +269,7 @@ def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceRepo
     for kpi in result.kpis:
         try:
             req = reqs.lookup(env, kpi.direction, kpi.metric, kpi.speed_kmh)
-        except Exception:
+        except UnknownRequirement:
             continue  # informational KPI without a requirement row
         covered.add(id(req))
         footnotes = kpi.note
@@ -311,7 +311,7 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
                 builtin = reqs.lookup(env, r.direction or None, r.metric, r.speed_kmh)
                 requirement = builtin.value / scale
                 source = builtin.source_table
-            except Exception:
+            except UnknownRequirement:
                 requirement = None
         if r.metric == "snr_margin" and requirement is None:
             requirement = 0.0  # a margin is met when it is non-negative

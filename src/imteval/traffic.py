@@ -172,33 +172,58 @@ def n_mux(allocation_log) -> float:
     return float(np.mean([len(s) for s in allocation_log]))
 
 
-def pf_run(instantaneous_rates, n_intervals: int, resources: int, beta: float = 0.01):
-    """Vectorized proportional-fair run over a fixed rate vector.
+def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01):
+    """Proportional-fair runs over fixed rates, many schedulers at once.
 
-    Produces exactly the same allocations as repeated schedule_pf calls on
-    an all-backlogged population (same metric, same tie-breaking), returning
-    (scheduled counts per UE, average scheduled UEs per interval).
+    ``instantaneous_rates`` is a padded (rows x max_members) matrix, one
+    independent scheduler per row; ``resources`` is one grant count per row
+    (or a single count for every row). Pad short rows with zero rates at the
+    end: zero-rate entries are never scheduled. A 1-D rate vector is one row,
+    and then the result is 1-D too.
+
+    Each row gets exactly the allocations of repeated schedule_pf calls on
+    an all-backlogged population: per interval, up to its resource count of
+    UEs with positive metric rate/average are chosen in descending metric
+    order, never-served UEs (average 0) first and ties to the lower index.
+    Returns (scheduled counts per UE, average scheduled UEs per interval per
+    row).
     """
     rates = np.asarray(instantaneous_rates, dtype=float)
-    n = len(rates)
-    avg = np.zeros(n)
-    counts = np.zeros(n, dtype=int)
-    eligible = rates > 0.0
-    k = max(int(resources), 0)
-    mux_total = 0
+    single = rates.ndim == 1
+    n_rows, width = np.atleast_2d(rates).shape
+    k = np.maximum(np.broadcast_to(np.asarray(resources, dtype=int), (n_rows,)), 0)
+    k_max = min(int(k.max(initial=0)), width)
+    slots = np.arange(k_max)
+    row_start = np.arange(n_rows)[:, None] * width
+    # flat (row-major) state; -rate/average equals -(rate/average) exactly
+    flat_rates = rates.reshape(-1)
+    neg_rates = -flat_rates
+    ineligible = ~(flat_rates > 0.0)
+    avg = np.zeros(n_rows * width)
+    counts = np.zeros(n_rows * width, dtype=int)
+    neg_metric = np.empty(n_rows * width)
+    mux_total = np.zeros(n_rows, dtype=int)
     for _ in range(n_intervals):
-        with np.errstate(divide="ignore"):
-            metric = np.where(avg > 0.0, rates / np.where(avg > 0.0, avg, 1.0), np.inf)
-        metric = np.where(eligible, metric, -np.inf)
-        order = np.lexsort((np.arange(n), -metric))
-        chosen = order[:k]
-        chosen = chosen[metric[chosen] > 0.0]
-        served = np.zeros(n)
-        served[chosen] = rates[chosen]
-        avg = (1.0 - beta) * avg + beta * served
-        counts[chosen] += 1
-        mux_total += len(chosen)
-    return counts, (mux_total / n_intervals if n_intervals > 0 else 0.0)
+        # never-served UEs (average 0) get -inf, zero-rate UEs +inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(neg_rates, avg, out=neg_metric)
+        neg_metric[ineligible] = np.inf
+        by_metric = neg_metric.reshape(n_rows, width)
+        # the stable sort sends ties to the lower index and puts every UE
+        # with a positive metric first, so a row grants its first
+        # min(resources, positive-metric UEs) entries
+        top = np.argsort(by_metric, axis=1, kind="stable")[:, :k_max]
+        n_granted = np.minimum(k, np.count_nonzero(by_metric < 0.0, axis=1))
+        granted = (top + row_start)[slots < n_granted[:, None]]
+        avg *= 1.0 - beta
+        avg[granted] += beta * flat_rates[granted]
+        counts[granted] += 1
+        mux_total += n_granted
+    counts = counts.reshape(n_rows, width)
+    mux = mux_total / n_intervals if n_intervals > 0 else np.zeros(n_rows)
+    if single:
+        return counts[0], float(mux[0])
+    return counts, mux
 
 
 def serve_fifo(arrivals, service_times, n_servers: int):

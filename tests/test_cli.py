@@ -1,6 +1,8 @@
 """Command-line surface: run, list-scenarios, check, dump-profile."""
 
+import csv
 import json
+import math
 import os
 
 import pytest
@@ -38,6 +40,32 @@ class TestRun:
         assert code in (0, 1)
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["master_seed"] == 777
+
+    def test_thermal_noise_density_override_lowers_sinr(self, tmp_path):
+        # -170 dBm/Hz lifts the noise floor by 4 dB in both directions and
+        # leaves signal and interference alone
+        def dump_sinr(name, *extra):
+            out_dir = tmp_path / name
+            main(["run", "--scenario", "IndoorHotspot_eMBB", "--drops", "1", "--sinr-only",
+                  "--dump-sinr", "--out", str(out_dir), *extra])
+            with open(out_dir / "sinr_drop0.csv") as fh:
+                return list(csv.DictReader(fh))
+
+        default = dump_sinr("default")
+        raised = dump_sinr("raised", "--set", "scenario.thermal_noise_density=-170")
+        assert len(raised) == len(default) > 0
+        assert {row["direction"] for row in raised} == {"downlink", "uplink"}
+        for old, new in zip(default, raised):
+            assert (new["ue_id"], new["direction"]) == (old["ue_id"], old["direction"])
+            signal, interference = float(new["signal_dbm"]), float(new["interference_dbm"])
+            assert (signal, interference) == (float(old["signal_dbm"]),
+                                              float(old["interference_dbm"]))
+            noise = float(new["noise_dbm"])
+            assert noise == pytest.approx(float(old["noise_dbm"]) + 4.0, abs=1e-9)
+            expected = signal - 10.0 * math.log10(10.0 ** (interference / 10.0)
+                                                  + 10.0 ** (noise / 10.0))
+            assert float(new["sinr_db"]) == pytest.approx(expected, abs=1e-9)
+            assert float(new["sinr_db"]) < float(old["sinr_db"])
 
     def test_dump_flags_write_csvs(self, tmp_path):
         out_dir = tmp_path / "results"

@@ -29,6 +29,10 @@ class TestNoisePower:
     def test_one_hz_reference(self):
         assert noise_power(1.0, 0.0) == -174.0
 
+    def test_noise_density_argument(self):
+        assert noise_power(1.0, 0.0, -170.0) == -170.0
+        assert noise_power(10e6, 5.0, -174.0) == noise_power(10e6, 5.0)
+
     def test_doubling_bandwidth_adds_3db(self):
         delta = noise_power(2e6, 0.0) - noise_power(1e6, 0.0)
         assert delta == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)

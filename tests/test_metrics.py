@@ -54,6 +54,31 @@ class TestCdfEstimator:
         pooled = CdfEstimator(np.concatenate([a, b]))
         assert left.quantile(0.37) == pooled.quantile(0.37)
 
+    def test_chunked_adds_equal_one_pooled_add(self):
+        rng = np.random.default_rng(5)
+        chunks = [rng.normal(size=n) for n in (570, 0, 1, 333, 570)] + [2.5]
+        chunked, pooled = CdfEstimator(), CdfEstimator()
+        for chunk in chunks:
+            chunked.add(chunk)
+        pooled.add(np.concatenate([np.atleast_1d(c) for c in chunks]))
+        assert chunked.count == pooled.count == 1475
+        assert chunked.samples.tobytes() == pooled.samples.tobytes()
+        assert chunked.mean() == pooled.mean()
+        assert chunked.quantile(0.05) == pooled.quantile(0.05)
+        # adds after a sorting read append to the sorted buffer, as pooling would
+        tail = rng.normal(size=40)
+        chunked.add(tail)
+        pooled.add(tail)
+        assert chunked.samples.tobytes() == pooled.samples.tobytes()
+        assert chunked.percentile_rows(1.0) == pooled.percentile_rows(1.0)
+
+    def test_added_chunk_is_copied(self):
+        chunk = np.array([3.0, 1.0, 2.0])
+        est = CdfEstimator()
+        est.add(chunk)
+        chunk[:] = 0.0
+        assert est.samples.tolist() == [3.0, 1.0, 2.0]
+
     def test_empty_estimator_raises(self):
         with pytest.raises(InsufficientSamples):
             CdfEstimator().quantile(0.5)

@@ -20,11 +20,22 @@ from imteval.report import (
     parse_percent,
     save_requirements_csv,
 )
-from imteval.scenario import TestEnvironment, builtin_requirements, preset
+from imteval.scenario import RequirementSet, TestEnvironment, builtin_requirements, preset
 
 HEADER = ("table,environment,direction,metric,channel_condition,speed_kmh,rit,"
           "antenna_config,tx_scheme,numerology,evaluator,requirement,value_raw,"
           "value,unit,bandwidth_khz,qualifier,suspect,note")
+
+
+class _FailingLookup(RequirementSet):
+    """Builtin rows whose lookup breaks with an error other than UnknownRequirement."""
+
+    def lookup(self, *args, **kwargs):
+        raise ValueError("corrupt requirement row")
+
+
+def _failing_requirements():
+    return _FailingLookup(rows=builtin_requirements().rows)
 
 
 class TestParsePercent:
@@ -133,6 +144,15 @@ class TestComplianceExternal:
         stray = [r for r in report.rows if r.measured is None and "stray" in r.footnotes]
         assert len(stray) == 6
 
+    def test_lookup_errors_propagate(self):
+        # only a missing requirement makes a row informational; this row
+        # leaves its requirement blank, so the builtin one is looked up
+        text = HEADER + "\nI,IndoorHotspot_eMBB,downlink,pct5_se,,,NR,,,,Acme,,0.29,0.29,bit/s/Hz,,,0,\n"
+        table = ingest_table(text=text)
+        assert check_compliance(table).rows[0].requirement == 0.3
+        with pytest.raises(ValueError, match="corrupt requirement row"):
+            check_compliance(table, _failing_requirements())
+
     def test_report_is_pure_function(self):
         table = load_fixture("mobility.csv")
         a = check_compliance(table).to_csv_text()
@@ -159,6 +179,10 @@ class TestComplianceRunResult:
         assert cd[0].requirement == 1_000_000.0
         assert cd[0].passed is (cd[0].measured >= 1_000_000.0)
         assert cd[0].source_table == "II.C.2"
+
+    def test_lookup_errors_propagate(self, mmtc_result):
+        with pytest.raises(ValueError, match="corrupt requirement row"):
+            check_compliance(mmtc_result, _failing_requirements())
 
     def test_boundary_inclusive(self, mmtc_result):
         report = check_compliance(mmtc_result)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from imteval.errors import ConfigInvalid, InternalError
@@ -120,6 +122,47 @@ class TestPfRunEquivalence:
         counts, mux = pf_run(rates, n_intervals, resources, beta)
         assert np.array_equal(counts, ref_counts)
         assert mux == pytest.approx(mux_total / n_intervals)
+
+
+# few distinct rate values make ties in rate/average frequent
+_RATES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                   st.floats(0.0, 10.0, allow_nan=False, allow_subnormal=False))
+
+
+class TestPfRunBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.lists(_RATES, max_size=8), st.integers(0, 5)),
+                         min_size=1, max_size=6),
+           n_intervals=st.integers(0, 40),
+           beta=st.sampled_from([0.01, 0.1, 0.5]))
+    def test_every_row_matches_schedule_pf(self, rows, n_intervals, beta):
+        width = max(len(rates) for rates, _ in rows)
+        padded = np.zeros((len(rows), width))
+        for r, (rates, _) in enumerate(rows):
+            padded[r, :len(rates)] = rates
+        resources = [k for _, k in rows]
+        counts, mux = pf_run(padded, n_intervals, resources, beta)
+        assert counts.shape == padded.shape and mux.shape == (len(rows),)
+
+        for r, (rates, k) in enumerate(rows):
+            n = len(rates)
+            state = SchedulerState(n_ues=n, beta=beta)
+            ref_counts = np.zeros(width, dtype=int)
+            mux_total = 0
+            for _ in range(n_intervals):
+                alloc = schedule_pf(set(range(n)), rates, state, k)
+                for ue in alloc:
+                    ref_counts[ue] += 1
+                mux_total += len(alloc)
+            assert np.array_equal(counts[r], ref_counts)  # padding is never served
+            assert mux[r] == (mux_total / n_intervals if n_intervals else 0.0)
+
+    def test_one_dimensional_input_is_one_row(self):
+        rates = np.array([1.0, 0.0, 1.0, 3.0])
+        counts, mux = pf_run(rates, 50, 2)
+        batch_counts, batch_mux = pf_run(rates[None, :], 50, [2])
+        assert counts.shape == (4,) and isinstance(mux, float)
+        assert np.array_equal(counts, batch_counts[0]) and mux == batch_mux[0]
 
 
 class TestDelays:
