@@ -14,6 +14,7 @@ import hashlib
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .geometry import (
     drop_ues,
     wrap_displacements,
 )
-from .link import SinrSample, noise_power, sinr_to_se
+from .link import SinrSample, bler, noise_power, sinr_to_se
 from .scenario import DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, config_hash
 from .traffic import TrafficKind, pf_run, serve_fifo, track_delays
 
@@ -585,8 +586,17 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     co-channel interference level comes from the same budget machinery as
     the full-buffer runs (saturated-neighbor assumption).
 
+    Per-message data stays in 1-D arrays from the arrival draw to the
+    percentile. The link maps are elementwise, so each drop evaluates them
+    once over its UEs and gathers them per message; the per-cell loop is
+    kept only for the random draws, whose order (``poisson``, ``uniform``,
+    ``integers``, ``geometric`` per cell) fixes the results of a seed. An
+    undelivered message counts as an infinite delay (see metrics.p99_delay
+    for the percentile rule around ``inf``).
+
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
-    service start, completion, transmissions, delivered) are appended to it.
+    service start, completion, transmissions, delivered) are appended to it
+    as Python (int, int, float, float, float, int, bool) tuples.
     """
     spec = config.traffic
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
@@ -603,45 +613,36 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
         rng = derive_stream(config.master_seed, d, "density")
         probe = run_drop(config, layout, d, sinr_only=True)
         # saturated-neighbor interference: reuse the drop's per-victim level
+        sinr = probe.ul_sinr_db - lk.csi_backoff_db
+        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+        # undecodable messages still occupy the channel at the slowest
+        # rate for the full retransmission budget, then count as lost
+        tx_time = pdu_bits / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
+        p_success = np.clip(1.0 - np.asarray(bler(bler_model, sinr)), 1e-9, 1.0)
         for c in range(layout.n_trxps):
             n_msgs = rng.poisson(rate_per_cell * horizon_s)
             if n_msgs == 0:
                 continue
-            arrivals = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
+            arrival = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
             # sample message SINRs from this drop's UE population of the cell
             members = np.flatnonzero(probe.serving == c)
             if len(members) == 0:
                 continue
             chosen = members[rng.integers(len(members), size=n_msgs)]
-            sinr = probe.ul_sinr_db[chosen] - lk.csi_backoff_db
-            se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-            # undecodable messages still occupy the channel at the slowest
-            # rate for the full retransmission budget, then count as lost
-            tx_time = pdu_bits / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
-            e1 = _bler_vec(bler_model, sinr)
-            first_success = rng.geometric(np.clip(1.0 - e1, 1e-9, 1.0))
-            delivered = (se > 0.0) & (first_success <= _MAX_MESSAGE_ATTEMPTS)
+            first_success = rng.geometric(p_success[chosen])
+            delivered = (se[chosen] > 0.0) & (first_success <= _MAX_MESSAGE_ATTEMPTS)
             n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
-            busy = spec.overhead_s + n_tx * tx_time
-            log = [(ue, t, start, done, int(k)) for (ue, t, start, done, _), k in
-                   zip(serve_fifo(list(zip(arrivals.tolist(), range(n_msgs))),
-                                  busy.tolist(), n_servers), n_tx)]
-            records, _ = track_delays(None, log)
-            for rec, good in zip(records, delivered):
-                delays.append(rec.delay if good else math.inf)
-                if record_sink is not None:
-                    record_sink.append((d, c, rec.arrival_time, rec.service_start,
-                                        rec.completion_time, rec.transmissions_used,
-                                        bool(good)))
+            busy = spec.overhead_s + n_tx * tx_time[chosen]
+            start = serve_fifo(arrival, busy, n_servers)
+            done = start + busy
+            delays.append(np.where(delivered, track_delays(arrival, start, done), np.inf))
+            if record_sink is not None:
+                record_sink.extend(zip(repeat(d), repeat(c), arrival.tolist(), start.tolist(),
+                                       done.tolist(), n_tx.tolist(), delivered.tolist()))
 
     if not delays:
         return 0.0
-    return float(np.quantile(np.asarray(delays), 0.99, method="linear"))
-
-
-def _bler_vec(model, sinr_db):
-    from .link import bler
-    return np.asarray(bler(model, sinr_db))
+    return metrics.p99_delay(np.concatenate(delays))
 
 
 def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamples
+from .errors import DomainError, InsufficientSamples, InternalError
 from .link import BlerModel, HarqConfig, LinkAbstraction, harq_outcome, sinr_to_se
 
 
@@ -154,6 +154,31 @@ def connection_density_fullbuffer(inputs: CdInputs) -> float:
     return supported / sector_area_km2
 
 
+def p99_delay(delays) -> float:
+    """Linear-interpolated 99th percentile of message delays, where an
+    undelivered message counts as an infinite delay.
+
+    Returns numpy's ``method="linear"`` quantile whenever that is not NaN.
+    numpy gives NaN when it interpolates towards an ``inf`` neighbour with
+    weight 0 (0 x inf) or between two ``inf`` neighbours; then the answer
+    is the lower order statistic at weight 0 and ``inf`` otherwise.
+    """
+    delays = np.asarray(delays, dtype=float)
+    if delays.size == 0:
+        raise InsufficientSamples("p99 of no messages")
+    if np.isnan(delays).any():
+        raise InternalError("NaN message delay")
+    with np.errstate(invalid="ignore"):
+        q = float(np.quantile(delays, 0.99, method="linear"))
+    if not math.isnan(q):
+        return q
+    position = (delays.size - 1) * 0.99  # numpy's linear virtual index
+    lower = math.floor(position)
+    if position - lower == 0.0:
+        return float(np.partition(delays, lower)[lower])
+    return math.inf
+
+
 @dataclass(frozen=True)
 class DensitySearchResult:
     density_per_km2: float  # largest tested density meeting the QoS
@@ -174,7 +199,8 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
     return the 99th-percentile per-user delay in seconds. Returns the
     largest tested density whose delay met the QoS bound (boundary
     inclusive). Non-monotone samples are reported with the widest
-    bracketing interval rather than hidden.
+    bracketing interval rather than hidden. A NaN delay raises
+    InternalError: it would neither pass nor fail the bound honestly.
     """
     if not (0 < lo_per_km2 < hi_per_km2):
         raise DomainError("need 0 < lo < hi for the density search")
@@ -182,6 +208,8 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
 
     def probe(density):
         delay = float(evaluate_p99_delay(density))
+        if math.isnan(delay):
+            raise InternalError(f"density probe at {density:g} /km^2 gave a NaN p99 delay")
         evals.append((density, delay))
         return delay
 

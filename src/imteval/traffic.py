@@ -129,40 +129,24 @@ def schedule_pf(backlogged, instantaneous_rates, state: SchedulerState, resource
     return allocation
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    ue_id: int
-    arrival_time: float
-    service_start: float
-    completion_time: float
-    transmissions_used: int = 1
+def track_delays(arrival, start, done):
+    """Per-message delays ``done - arrival`` of a served FIFO queue.
 
-    @property
-    def delay(self) -> float:
-        return self.completion_time - self.arrival_time
-
-
-def track_delays(arrivals, service_log):
-    """Build PacketRecords and per-UE delay lists from a service log.
-
-    ``service_log`` rows are (ue_id, arrival_time, service_start,
-    completion_time, transmissions). Raises InternalError if the log is
-    inconsistent (service before arrival or completion before start).
+    Takes three equal-length 1-D float arrays (arrival, service start and
+    completion time of each message) and returns the delay array. Raises
+    InternalError naming the first message that starts before it arrives or
+    completes before it starts (1e-12 s slack).
     """
-    records = []
-    per_ue: dict[int, list[float]] = {}
-    for ue_id, arr, start, done, ntx in service_log:
-        if start < arr - 1e-12 or done < start - 1e-12:
-            raise InternalError(
-                f"inconsistent service log for ue {ue_id}: arrival={arr} start={start} done={done}"
-            )
-        rec = PacketRecord(ue_id, arr, start, done, ntx)
-        records.append(rec)
-        per_ue.setdefault(ue_id, []).append(rec.delay)
-    if arrivals is not FULL_BUFFER and arrivals is not None:
-        if len(records) > len(arrivals):
-            raise InternalError("more completions than arrivals")
-    return records, per_ue
+    arrival, start, done = (np.asarray(a, dtype=float) for a in (arrival, start, done))
+    if not arrival.shape == start.shape == done.shape:
+        raise InternalError(f"service log shapes differ: arrival {arrival.shape}, "
+                            f"start {start.shape}, done {done.shape}")
+    bad = (start < arrival - 1e-12) | (done < start - 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalError(f"inconsistent service log for message {i}: "
+                            f"arrival={arrival[i]} start={start[i]} done={done[i]}")
+    return done - arrival
 
 
 def n_mux(allocation_log) -> float:
@@ -226,22 +210,24 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     return counts, mux
 
 
-def serve_fifo(arrivals, service_times, n_servers: int):
+def serve_fifo(arrival_times, service_times, n_servers: int):
     """Multi-server FIFO queue with infinite buffer.
 
-    ``arrivals`` is a time-sorted list of (time, ue_id); ``service_times``
-    gives the busy-time of each message in arrival order (retransmissions
-    folded in). Returns the service log consumed by track_delays.
+    ``arrival_times`` is a sorted 1-D float array of message arrivals and
+    ``service_times`` the busy time of each message in the same order
+    (retransmissions folded in). Each message takes the server that frees
+    up first, in arrival order. Returns the 1-D array of service start
+    times, one per message; a message completes at start + service time.
     """
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
-    free_at = [0.0] * n_servers
-    heapq.heapify(free_at)
-    log = []
-    for (t, ue), svc in zip(arrivals, service_times):
-        server_free = heapq.heappop(free_at)
-        start = max(t, server_free)
-        done = start + svc
-        heapq.heappush(free_at, done)
-        log.append((ue, t, start, done, 1))
-    return log
+    free_at = [0.0] * n_servers  # a heap of the times each server frees up
+    starts = []
+    replace_earliest, record = heapq.heapreplace, starts.append  # hot loop: local names
+    for t, svc in zip(np.asarray(arrival_times, dtype=float).tolist(),
+                      np.asarray(service_times, dtype=float).tolist()):
+        free = free_at[0]
+        start = free if free > t else t  # max(t, free), as a faster expression
+        replace_earliest(free_at, start + svc)
+        record(start)
+    return np.array(starts, dtype=float)

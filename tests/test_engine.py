@@ -208,6 +208,30 @@ class TestDensityRoute:
         assert search.bracket[0] <= search.density_per_km2 <= search.bracket[1]
         assert cal_config.link.ul_p0_dbm <= cfg.link.ul_p0_dbm
 
+    def test_uncalibrated_p99_is_never_nan(self):
+        # uncalibrated UL power loses more than 1% of messages here, so the
+        # p99 sits among the infinite delays of undelivered messages
+        cfg = small(MMTC_A, drops=2)
+        delay = evaluate_p99_delay(cfg, build_layout(cfg), 2e5, n_drops=1)
+        assert not math.isnan(delay)
+        assert delay == math.inf
+
+    def test_p99_equals_percentile_of_packet_rows(self):
+        cfg = small(MMTC_A, drops=2)
+        layout = build_layout(cfg)
+        rows = []
+        delay = evaluate_p99_delay(cfg, layout, 2e5, n_drops=2, horizon_s=10.0,
+                                   record_sink=rows)
+        assert len(rows) > 100
+        for row in rows:
+            assert tuple(type(x) for x in row) == (int, int, float, float, float, int, bool)
+        assert {row[0] for row in rows} == {0, 1}
+        assert any(not row[6] for row in rows)  # some messages are lost
+        delays = np.array([done - arrival if ok else math.inf
+                           for _, _, arrival, _, done, _, ok in rows])
+        assert delay == float(np.quantile(delays, 0.99, method="linear"))
+        assert math.isfinite(delay)
+
     def test_requires_messaging_traffic(self):
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "A"), drops=2)
         layout = build_layout(cfg)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imteval.errors import DomainError, InsufficientSamples
+from imteval.errors import DomainError, InsufficientSamples, InternalError
 from imteval.link import BlerModel, HarqConfig, LinkAbstraction, ZERO_BLER, bler
 from imteval.metrics import (
     CAPPED,
@@ -22,6 +24,7 @@ from imteval.metrics import (
     converged,
     doppler_backoff_db,
     mobility_check,
+    p99_delay,
     pct5_user_se,
     reliability,
     user_experienced_data_rate,
@@ -198,6 +201,56 @@ class TestDensitySearch:
         result = connection_density_search(lambda d: 99.0, 1e5, 1e7)
         assert not result.passed
         assert result.density_per_km2 == 0.0
+
+    def test_nan_probe_raises(self):
+        with pytest.raises(InternalError, match="NaN"):
+            connection_density_search(lambda d: math.nan, 1e5, 1e7)
+        # a NaN later in the bisection is not read as passing either
+        with pytest.raises(InternalError, match="NaN"):
+            connection_density_search(lambda d: 1.0 if d <= 1e5 else
+                                      (99.0 if d >= 1e7 else math.nan), 1e5, 1e7)
+
+
+class TestP99Delay:
+    def test_finite_sample_is_numpy_linear_quantile(self):
+        delays = np.random.default_rng(8).exponential(1.0, 977)
+        assert p99_delay(delays) == float(np.quantile(delays, 0.99, method="linear"))
+
+    def test_zero_weight_next_to_inf_takes_lower_order_statistic(self):
+        # 101 samples: position 0.99 * 100 = 99 exactly, upper neighbour inf
+        delays = np.append(np.arange(100.0), math.inf)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(np.quantile(delays, 0.99, method="linear"))
+        assert p99_delay(delays) == 99.0
+
+    def test_positive_weight_towards_inf_is_inf(self):
+        # 51 samples: position 49.5, between a finite and an infinite delay
+        delays = np.append(np.arange(50.0), math.inf)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(np.quantile(delays, 0.99, method="linear"))
+        assert p99_delay(delays) == math.inf
+
+    def test_all_lost_is_inf(self):
+        assert p99_delay([math.inf] * 7) == math.inf
+
+    def test_empty_and_nan_samples_rejected(self):
+        with pytest.raises(InsufficientSamples):
+            p99_delay([])
+        with pytest.raises(InternalError):
+            p99_delay([1.0, math.nan])
+
+    @settings(max_examples=200, deadline=None)
+    @given(delivered=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=300),
+           n_lost=st.integers(1, 40))
+    def test_losses_never_give_nan_or_lower_p99(self, delivered, n_lost):
+        delays = list(delivered)
+        previous = p99_delay(delays)
+        for _ in range(n_lost):
+            delays.append(math.inf)
+            p99 = p99_delay(delays)
+            assert not math.isnan(p99)
+            assert p99 >= previous
+            previous = p99
 
 
 class TestReliability:

@@ -1,5 +1,6 @@
 """Traffic generation, PF scheduling, delay tracking and multiplexing."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy import stats
 from imteval.errors import ConfigInvalid, InternalError
 from imteval.traffic import (
     FULL_BUFFER,
-    PacketRecord,
     SchedulerState,
     TrafficKind,
     TrafficModelSpec,
@@ -167,35 +167,32 @@ class TestPfRunBatch:
 
 class TestDelays:
     def test_immediate_service_delay_is_service_time(self):
-        log = [(0, 1.0, 1.0, 1.25, 1)]
-        records, per_ue = track_delays([(1.0, 0)], log)
-        assert records[0].delay == pytest.approx(0.25)
-        assert per_ue[0] == [pytest.approx(0.25)]
+        delays = track_delays([1.0], [1.0], [1.25])
+        assert delays.shape == (1,)
+        assert delays[0] == pytest.approx(0.25)
 
     def test_two_back_to_back_jobs_single_server(self):
         # M/D/1 hand case: two arrivals at t=0, 0.1; service 0.5 each
-        arrivals = [(0.0, 0), (0.1, 1)]
-        log = serve_fifo(arrivals, [0.5, 0.5], n_servers=1)
-        records, _ = track_delays(arrivals, log)
-        d1, d2 = records[0].delay, records[1].delay
+        arrival, busy = np.array([0.0, 0.1]), np.array([0.5, 0.5])
+        start = serve_fifo(arrival, busy, n_servers=1)
+        d1, d2 = track_delays(arrival, start, start + busy)
         assert d1 == pytest.approx(0.5)
         # second job waits for the first: delay = (first completion - own
         # arrival) + own service = 0.4 + 0.5
         assert d2 == pytest.approx(d1 + 0.5 - 0.1)
 
     def test_empty_arrivals_empty_records(self):
-        records, per_ue = track_delays([], [])
-        assert records == [] and per_ue == {}
+        start = serve_fifo([], [], n_servers=1)
+        assert start.shape == (0,) and start.dtype == float
+        assert track_delays([], start, start).shape == (0,)
 
     def test_inconsistent_log_rejected(self):
+        with pytest.raises(InternalError, match="message 0"):
+            track_delays([1.0], [0.5], [2.0])  # starts before arrival
+        with pytest.raises(InternalError, match="message 1"):
+            track_delays([0.0, 1.0], [0.0, 1.5], [0.5, 1.2])  # ends before start
         with pytest.raises(InternalError):
-            track_delays([(1.0, 0)], [(0, 1.0, 0.5, 2.0, 1)])  # starts before arrival
-        with pytest.raises(InternalError):
-            track_delays([(1.0, 0)], [(0, 1.0, 1.5, 1.2, 1)])  # ends before start
-
-    def test_record_invariants(self):
-        rec = PacketRecord(3, 1.0, 2.0, 4.5, 2)
-        assert rec.delay == pytest.approx(3.5)
+            track_delays([0.0, 1.0], [0.0], [0.5])  # lengths differ
 
 
 class TestNMux:
@@ -219,17 +216,59 @@ class TestNMux:
             n_mux([])
 
 
+def serve_fifo_reference(arrivals, service_times, n_servers):
+    """Scalar oracle for serve_fifo: the tuple-based heap queue.
+
+    ``arrivals`` is a time-sorted list of (time, ue_id); returns one
+    (ue_id, arrival, start, completion, transmissions) row per message.
+    """
+    free_at = [0.0] * n_servers
+    heapq.heapify(free_at)
+    log = []
+    for (t, ue), svc in zip(arrivals, service_times):
+        server_free = heapq.heappop(free_at)
+        start = max(t, server_free)
+        done = start + svc
+        heapq.heappush(free_at, done)
+        log.append((ue, t, start, done, 1))
+    return log
+
+
+# a handful of values makes tied arrivals and equal service times frequent
+_TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                   st.floats(0.0, 100.0, allow_nan=False, allow_subnormal=False))
+_SERVICE = st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                     st.floats(0.0, 10.0, allow_nan=False, allow_subnormal=False))
+
+
 class TestServeFifo:
     def test_parallel_servers(self):
-        arrivals = [(0.0, 0), (0.0, 1), (0.0, 2)]
-        log = serve_fifo(arrivals, [1.0, 1.0, 1.0], n_servers=2)
-        records, _ = track_delays(arrivals, log)
-        delays = sorted(r.delay for r in records)
+        arrival, busy = np.zeros(3), np.ones(3)
+        start = serve_fifo(arrival, busy, n_servers=2)
+        delays = sorted(track_delays(arrival, start, start + busy))
         assert delays == [pytest.approx(1.0), pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_conservation(self):
         rng = np.random.default_rng(7)
-        arrivals = sorted((float(t), i) for i, t in enumerate(rng.uniform(0, 10, 200)))
+        arrival = np.sort(rng.uniform(0, 10, 200))
         services = rng.uniform(0.01, 0.2, 200)
-        log = serve_fifo(arrivals, services.tolist(), n_servers=3)
-        assert len(log) == len(arrivals)  # infinite queue: all complete
+        start = serve_fifo(arrival, services, n_servers=3)
+        assert start.shape == arrival.shape  # infinite queue: all complete
+
+    def test_zero_servers_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            serve_fifo([0.0], [1.0], n_servers=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jobs=st.lists(st.tuples(_TIMES, _SERVICE), max_size=60),
+           n_servers=st.integers(1, 16))
+    def test_matches_tuple_heap_bit_for_bit(self, jobs, n_servers):
+        arrival = np.sort(np.array([t for t, _ in jobs], dtype=float))
+        busy = np.array([svc for _, svc in jobs], dtype=float)
+        start = serve_fifo(arrival, busy, n_servers)
+        done = start + busy
+        log = serve_fifo_reference(list(zip(arrival.tolist(), range(len(jobs)))),
+                                   busy.tolist(), n_servers)
+        assert [row[2] for row in log] == start.tolist()
+        assert [row[3] for row in log] == done.tolist()
+        assert [row[3] - row[1] for row in log] == track_delays(arrival, start, done).tolist()
