@@ -154,33 +154,9 @@ def array_response(config: ArrayConfig, carrier_hz: float, azimuth_deg, zenith_d
     return resp
 
 
-def directivity(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float = 1.0) -> float:
-    """Peak-over-average gain of the uniformly fed array, in dBi.
-
-    Integrates the combined element x array power pattern over the sphere on
-    a midpoint grid. ``grid_resolution_deg`` must divide 180.
-    """
-    if abs(180.0 / grid_resolution_deg - round(180.0 / grid_resolution_deg)) > 1e-9:
-        raise DomainError("grid_resolution_deg must divide 180")
-    step = grid_resolution_deg
-    zen = np.arange(step / 2.0, 180.0, step)
-    az = np.arange(-180.0 + step / 2.0, 180.0, step)
-    zz, aa = np.meshgrid(zen, az, indexing="ij")
-    elem_db = element_gain(pattern, aa, zz)
-    elem_lin = 10.0 ** (np.asarray(elem_db) / 10.0)
-
-    n = config.n_elements
-    resp = array_response(config, 1e9, aa.ravel(), zz.ravel())  # (n, k)
-    af = np.abs(resp.sum(axis=0)) ** 2 / n  # uniform weights 1/sqrt(n)
-    u = elem_lin * af.reshape(zz.shape)
-
-    d_omega = np.sin(np.radians(zz)) * np.radians(step) ** 2
-    total = float(np.sum(u * d_omega))
-    return 10.0 * np.log10(4.0 * np.pi * float(u.max()) / total)
-
-
-def total_radiated_power(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float) -> float:
-    """Sphere integral of the combined power pattern (linear, steradian-weighted)."""
+def _power_pattern(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float):
+    """Combined element x array power pattern of the uniformly fed array on a
+    midpoint sphere grid, with the solid angle of each grid cell."""
     if abs(180.0 / grid_resolution_deg - round(180.0 / grid_resolution_deg)) > 1e-9:
         raise DomainError("grid_resolution_deg must divide 180")
     step = grid_resolution_deg
@@ -188,10 +164,27 @@ def total_radiated_power(config: ArrayConfig, pattern: ElementPattern, grid_reso
     az = np.arange(-180.0 + step / 2.0, 180.0, step)
     zz, aa = np.meshgrid(zen, az, indexing="ij")
     elem_lin = 10.0 ** (np.asarray(element_gain(pattern, aa, zz)) / 10.0)
-    resp = array_response(config, 1e9, aa.ravel(), zz.ravel())
-    af = np.abs(resp.sum(axis=0)) ** 2 / config.n_elements
-    u = elem_lin * af.reshape(zz.shape)
+    resp = array_response(config, 1e9, aa.ravel(), zz.ravel())  # (n, k)
+    af = np.abs(resp.sum(axis=0)) ** 2 / config.n_elements  # uniform weights 1/sqrt(n)
     d_omega = np.sin(np.radians(zz)) * np.radians(step) ** 2
+    return elem_lin * af.reshape(zz.shape), d_omega
+
+
+def directivity(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float = 1.0) -> float:
+    """Peak-over-average gain of the uniformly fed array, in dBi.
+
+    The peak is taken over the same midpoint grid that
+    ``total_radiated_power`` integrates on. ``grid_resolution_deg`` must
+    divide 180.
+    """
+    u, _ = _power_pattern(config, pattern, grid_resolution_deg)
+    total = total_radiated_power(config, pattern, grid_resolution_deg)
+    return 10.0 * np.log10(4.0 * np.pi * float(u.max()) / total)
+
+
+def total_radiated_power(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float) -> float:
+    """Sphere integral of the combined power pattern (linear, steradian-weighted)."""
+    u, d_omega = _power_pattern(config, pattern, grid_resolution_deg)
     return float(np.sum(u * d_omega))
 
 

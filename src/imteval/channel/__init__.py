@@ -1,4 +1,13 @@
-"""Geometry-based stochastic channel: profiles plus the per-link generator."""
+"""Geometry-based stochastic channel: profiles plus the per-link generator.
+
+The drop loop (``engine.compute_coupling``) uses the LOS probability,
+pathloss and shadow-fading parts of this package, plus the antenna element
+gain, and nothing else. The small-scale generator (``realize_link``,
+``gen_clusters``, ``channel_coeff``) is checked by acceptance criterion 3
+but the engine never calls it, so the UE speeds (``ue_speed_indoor``,
+``ue_speed_outdoor``) and the UE direction it would take for Doppler change
+no KPI today.
+"""
 
 from .model import (
     ChannelRealization,

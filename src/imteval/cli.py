@@ -166,10 +166,14 @@ def _dump_ues(drop, path):
 def _dump_sinr(drop, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ue_id,direction,signal_dbm,interference_dbm,noise_dbm,sinr_db\n")
-        for direction in ("downlink", "uplink"):
-            for s in drop.sinr_samples(direction):
-                fh.write(f"{s.ue_id},{s.direction},{s.signal_dbm!r},{s.interference_dbm!r},"
-                         f"{s.noise_dbm!r},{s.sinr_db!r}\n")
+        for direction, signal, interference, noise, sinr in (
+                ("downlink", drop.dl_signal_dbm, drop.dl_interf_dbm, drop.dl_noise_dbm,
+                 drop.dl_sinr_db),
+                ("uplink", drop.ul_signal_dbm, drop.ul_interf_dbm, drop.ul_noise_dbm,
+                 drop.ul_sinr_db)):
+            for i, (sig, itf, snr) in enumerate(zip(signal.tolist(), interference.tolist(),
+                                                    sinr.tolist())):
+                fh.write(f"{i},{direction},{sig!r},{itf!r},{float(noise)!r},{snr!r}\n")
 
 
 def _cmd_list(_args) -> int:

@@ -27,11 +27,12 @@ from .geometry import (
     MICRO_TX_OFFSET_DB,
     LayoutKind,
     NetworkLayout,
+    UeDrop,
     build_layout,
     drop_ues,
     wrap_displacements,
 )
-from .link import SinrSample, bler, noise_power, sinr_to_se
+from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
 from .scenario import DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, config_hash
 from .traffic import TrafficKind, pf_run, serve_fifo, track_delays
 
@@ -92,18 +93,14 @@ def _trxp_gain_db(config: EvaluationConfig, layout: NetworkLayout, delta: np.nda
     return gain
 
 
-def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues,
+def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDrop,
                      rng: np.random.Generator) -> LinkBudget:
     """Pathloss + shadowing - antenna gain for every UE x TRxP pair.
 
     LOS conditions and shadow fading are drawn here, once per link per
     drop. The dense-urban micro layer uses its own profile.
     """
-    ue_pos = np.array([ue.position[:2] for ue in ues])
-    indoor = np.array([ue.indoor for ue in ues])
-    high = np.array([ue.high_loss for ue in ues])
-
-    delta, d2d = wrap_displacements(layout, ue_pos, layout.trxp_pos)
+    delta, d2d = wrap_displacements(layout, ues.positions, layout.trxp_pos)
     n_ue, n_t = d2d.shape
     h_bs = layout.trxp_height[None, :]
     dz = h_bs - config.ue_height
@@ -130,8 +127,8 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues,
         part = np.where(los_part, pl_los, pl_nlos)
         sf_sigma = np.where(los_part, profile.los.sf_sigma_db, profile.nlos.sf_sigma_db)
         part = part + sf_sigma * sf_z[:, mask]
-        pen = np.where(high, profile.pen_high_db, profile.pen_low_db)
-        part = part + np.where(indoor, pen, 0.0)[:, None]
+        pen = np.where(ues.high_loss, profile.pen_high_db, profile.pen_low_db)
+        part = part + np.where(ues.indoor, pen, 0.0)[:, None]
         pl[:, mask] = part
         los[:, mask] = los_part
 
@@ -171,25 +168,6 @@ class DropResult:
     n_mux_ul: float = 0.0
     b_values_ul: np.ndarray | None = None
 
-    def sinr_samples(self, direction: str):
-        if direction == DOWNLINK:
-            sig, itf, noise, sinr = (self.dl_signal_dbm, self.dl_interf_dbm,
-                                     self.dl_noise_dbm, self.dl_sinr_db)
-        else:
-            sig, itf, noise, sinr = (self.ul_signal_dbm, self.ul_interf_dbm,
-                                     self.ul_noise_dbm, self.ul_sinr_db)
-        return [SinrSample(i, direction, float(sinr[i]), float(sig[i]),
-                           float(itf[i]), float(noise)) for i in range(len(sinr))]
-
-
-def _dbm_to_mw(dbm):
-    return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def _mw_to_dbm(mw):
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(np.asarray(mw, dtype=float))
-
 
 def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
              sinr_only: bool = False) -> DropResult:
@@ -204,20 +182,20 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     budget = compute_coupling(config, layout, ues, rng_links)
     n_ue, n_t = budget.coupling_db.shape
     serving = budget.serving
-    coupling_mw_dl = _dbm_to_mw(-budget.coupling_db)  # unit-power coupling gain
+    coupling_mw_dl = db_to_lin(-budget.coupling_db)  # unit-power coupling gain
 
     # --- downlink: every co-channel TRxP transmits at full configured power
     tx_dbm = np.full(n_t, config.bs_tx_power)
     if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
         tx_dbm[layout.trxp_is_micro] += MICRO_TX_OFFSET_DB
-    rx_mw = _dbm_to_mw(tx_dbm)[None, :] * coupling_mw_dl
+    rx_mw = db_to_lin(tx_dbm)[None, :] * coupling_mw_dl
     idx = np.arange(n_ue)
     dl_branches = config.antenna_ue.n_ports
     dl_serving_mw = rx_mw[idx, serving] * dl_branches  # MRC array gain on the signal
     dl_interf_mw = rx_mw.sum(axis=1) - rx_mw[idx, serving]
     dl_noise_dbm = noise_power(config.bandwidth, config.ue_noise_figure,
                                config.thermal_noise_density)
-    dl_noise_mw = float(_dbm_to_mw(dl_noise_dbm))
+    dl_noise_mw = float(db_to_lin(dl_noise_dbm))
     dl_sinr = dl_serving_mw / (dl_interf_mw + dl_noise_mw)
 
     # --- uplink: open-loop power control, one co-scheduled UE per other cell
@@ -225,9 +203,10 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     ul_user_bw = config.traffic.w_user_hz if is_mmtc_style else \
         config.bandwidth / config.link.mu_layers_ul
     cl_serving = budget.coupling_db[idx, serving]
-    p_ue = np.minimum(config.ue_tx_power, config.link.ul_p0_dbm + config.link.ul_alpha * cl_serving)
+    p_ue = uplink_power_control(cl_serving, config.link.ul_p0_dbm, config.link.ul_alpha,
+                                config.ue_tx_power)
     ul_noise_dbm = noise_power(ul_user_bw, config.bs_noise_figure, config.thermal_noise_density)
-    ul_noise_mw = float(_dbm_to_mw(ul_noise_dbm))
+    ul_noise_mw = float(db_to_lin(ul_noise_dbm))
     ul_branches = config.antenna_bs.n_ports
 
     # pick the transmitting UE of each cell for the co-channel resource
@@ -241,7 +220,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
         # received power of every cell's active UE at every TRxP: (n_active, n_t)
         act_idx = pick[active]
         own_cell = np.flatnonzero(active)
-        act_rx_mw = _dbm_to_mw(p_ue[act_idx, None] - budget.coupling_db[act_idx, :])
+        act_rx_mw = db_to_lin(p_ue[act_idx, None] - budget.coupling_db[act_idx, :])
         total = act_rx_mw.sum(axis=0)
         own_contrib = np.zeros(n_t)
         own_contrib[own_cell] = act_rx_mw[np.arange(len(own_cell)), own_cell]
@@ -249,31 +228,28 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     else:
         interf_at = np.zeros(n_t)
 
-    ul_serving_mw = _dbm_to_mw(p_ue - cl_serving) * ul_branches
+    ul_serving_mw = db_to_lin(p_ue - cl_serving) * ul_branches
     ul_interf_mw = interf_at[serving]
     ul_sinr = ul_serving_mw / (ul_interf_mw + ul_noise_mw)
 
     # mean cell IoT taken over per-TRxP values in dB
-    with np.errstate(divide="ignore"):
-        iot_db = float(np.mean(10.0 * np.log10(np.maximum(interf_at, 1e-30) / ul_noise_mw)))
+    iot_db = float(np.mean(lin_to_db(np.maximum(interf_at, 1e-30) / ul_noise_mw)))
 
     result = DropResult(
         drop_index=drop_index,
         serving=serving,
-        dl_signal_dbm=_mw_to_dbm(dl_serving_mw),
-        dl_interf_dbm=_mw_to_dbm(dl_interf_mw),
+        dl_signal_dbm=lin_to_db(dl_serving_mw),
+        dl_interf_dbm=lin_to_db(dl_interf_mw),
         dl_noise_dbm=dl_noise_dbm,
-        dl_sinr_db=_mw_to_dbm(dl_sinr),
-        ul_signal_dbm=_mw_to_dbm(ul_serving_mw),
-        ul_interf_dbm=_mw_to_dbm(ul_interf_mw),
+        dl_sinr_db=lin_to_db(dl_sinr),
+        ul_signal_dbm=lin_to_db(ul_serving_mw),
+        ul_interf_dbm=lin_to_db(ul_interf_mw),
         ul_noise_dbm=ul_noise_dbm,
-        ul_sinr_db=_mw_to_dbm(ul_sinr),
+        ul_sinr_db=lin_to_db(ul_sinr),
         mean_iot_db=iot_db,
-        ue_positions=np.array([ue.position for ue in ues]),
-        ue_indoor=np.array([ue.indoor for ue in ues]),
+        ue_positions=ues.positions,
+        ue_indoor=ues.indoor,
     )
-    for ue, trxp in zip(ues, serving):
-        ue.serving_trxp = int(trxp)
     if sinr_only:
         return result
 
@@ -320,7 +296,8 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     if is_mmtc_style:
         served = ul_bits > 0
         b_vals = np.full(n_ue, np.nan)
-        b_vals[served] = config.duration_t / (ul_bits[served] / config.traffic.w_user_hz)
+        b_vals[served] = metrics.b_value(config.duration_t, ul_bits[served],
+                                         config.traffic.w_user_hz)
         result.b_values_ul = b_vals
     return result
 
@@ -332,6 +309,10 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
 def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
                        probes: int = 3, max_iterations: int = 8):
     """Adjust the open-loop P0 until the mean uplink IoT meets the target.
+
+    Calibration only ever lowers P0. The IoT target is a cap, not a set
+    point: a config whose mean IoT already meets it keeps its configured P0,
+    and each step lowers P0 by the excess IoT plus a 0.5 dB margin.
 
     Returns (adjusted config, achieved mean IoT dB, warnings). Probe drops
     use reserved stream indices so they never collide with run drops.
@@ -545,8 +526,8 @@ def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
         if env is TestEnvironment.DENSE_URBAN_EMBB:
             for direction in (DOWNLINK, UPLINK):
                 tput_cdf = cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_user_tput_bps"]
-                value = float(np.quantile(tput_cdf.samples, 0.05, method="linear"))
-                kpis.append(KpiValue("ued_rate", direction, value, "bit/s"))
+                kpis.append(KpiValue("ued_rate", direction,
+                                     metrics.pct5_user_se(tput_cdf.samples), "bit/s"))
 
     if env is TestEnvironment.URBAN_MACRO_MMTC and n_mux_values and b_pool:
         all_b = np.concatenate(b_pool)

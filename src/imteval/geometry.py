@@ -1,4 +1,4 @@
-"""Network layouts, wrap-around services, UE drops and cell attachment.
+"""Network layouts, wrap-around services and UE drops.
 
 Three layout families: the 19-site / 57-sector hexagonal macro grid with
 toroidal wrap-around, the 12-point indoor floor (no wrap-around), and the
@@ -282,17 +282,17 @@ def wrap_displacements(layout: NetworkLayout, from_pos: np.ndarray, to_pos: np.n
 
 
 @dataclass
-class UePlacement:
-    ue_id: int
-    position: np.ndarray  # (3,) meters
-    indoor: bool
-    high_loss: bool
-    speed_kmh: float
-    direction_rad: float
-    serving_trxp: int | None = None
+class UeDrop:
+    """The UEs of one drop as parallel arrays; row i is UE i."""
+
+    positions: np.ndarray  # (n, 3) meters
+    indoor: np.ndarray  # (n,) bool
+    high_loss: np.ndarray  # (n,) bool, only ever set for indoor UEs
+    speed_kmh: np.ndarray  # (n,)
+    direction_rad: np.ndarray  # (n,) uniform in [0, 2 pi)
 
 
-def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Generator):
+def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Generator) -> UeDrop:
     """Drop ues_per_trxp x n_trxps UEs uniformly over the wrapped region.
 
     Indoor/outdoor flags follow the configured fraction; indoor UEs draw a
@@ -324,20 +324,13 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     indoor = rng.uniform(size=n) < config.indoor_fraction
     high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)
     direction = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    ues = []
-    for i in range(n):
-        speed = config.ue_speed_indoor if indoor[i] else config.ue_speed_outdoor
-        ues.append(
-            UePlacement(
-                ue_id=i,
-                position=np.array([pos[i, 0], pos[i, 1], config.ue_height]),
-                indoor=bool(indoor[i]),
-                high_loss=bool(high_loss[i]),
-                speed_kmh=float(speed),
-                direction_rad=float(direction[i]),
-            )
-        )
-    return ues
+    return UeDrop(
+        positions=np.column_stack([pos, np.full(n, config.ue_height)]),
+        indoor=indoor,
+        high_loss=high_loss,
+        speed_kmh=np.where(indoor, float(config.ue_speed_indoor), float(config.ue_speed_outdoor)),
+        direction_rad=direction,
+    )
 
 
 def _sample_positions(layout: NetworkLayout, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -346,14 +339,6 @@ def _sample_positions(layout: NetworkLayout, n: int, rng: np.random.Generator) -
         return np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
     uv = rng.uniform(size=(n, 2))
     return layout.drop_origin[None, :] + uv @ layout.drop_basis.T
-
-
-def attach(ue: UePlacement, layout: NetworkLayout, coupling_loss_fn) -> int:
-    """Serving TRxP index: minimum coupling loss, ties to the lowest index."""
-    losses = np.array([coupling_loss_fn(ue, k) for k in range(layout.n_trxps)], dtype=float)
-    if not np.all(np.isfinite(losses)):
-        raise DomainError("coupling_loss_fn returned a non-finite loss")
-    return int(np.argmin(losses))
 
 
 def export_layout_csv(layout: NetworkLayout, path) -> None:

@@ -1,5 +1,5 @@
-"""Link budget arithmetic: noise, SINR, branch combining, uplink power
-control and the SINR-to-rate / SINR-to-BLER abstraction with HARQ.
+"""Link budget arithmetic: dB conversions, noise, uplink power control and
+the SINR-to-rate / SINR-to-BLER abstraction with HARQ.
 
 The link abstraction (truncated-capacity map plus a parametric BLER
 waterfall) stands in for proprietary link-level simulators; its parameters
@@ -27,18 +27,6 @@ def lin_to_db(lin):
         return 10.0 * np.log10(np.asarray(lin, dtype=float))
 
 
-@dataclass(frozen=True)
-class SinrSample:
-    """One per-UE SINR observation with its budget components in dBm."""
-
-    ue_id: int
-    direction: str  # "downlink" | "uplink"
-    sinr_db: float
-    signal_dbm: float
-    interference_dbm: float  # -inf when no interferer exists
-    noise_dbm: float
-
-
 def noise_power(bandwidth_hz: float, noise_figure_db: float,
                 density_dbm_hz: float = THERMAL_NOISE_DBM_HZ) -> float:
     """Noise power in dBm over the given bandwidth at the given thermal
@@ -48,59 +36,14 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float,
     return density_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def compute_sinr(
-    serving_mw: float,
-    interferer_mw,
-    noise_mw: float,
-    ue_id: int = -1,
-    direction: str = "downlink",
-) -> SinrSample:
-    """SINR from linear powers; interferers are summed explicitly."""
-    if serving_mw < 0 or noise_mw <= 0:
-        raise DomainError("serving power must be >= 0 and noise > 0")
-    interference = float(np.sum(np.asarray(interferer_mw, dtype=float))) if len(interferer_mw) else 0.0
-    if interference < 0:
-        raise DomainError("interferer powers must be >= 0")
-    sinr = serving_mw / (interference + noise_mw)
-    return SinrSample(
-        ue_id=ue_id,
-        direction=direction,
-        sinr_db=float(lin_to_db(sinr)),
-        signal_dbm=float(lin_to_db(serving_mw)),
-        interference_dbm=float(lin_to_db(interference)),
-        noise_dbm=float(lin_to_db(noise_mw)),
-    )
-
-
-def combine_mrc(branch_sinrs_linear) -> float:
-    """Maximum-ratio combining of per-branch linear SINRs.
-
-    Interference is treated as spatially white, so the effective SINR is
-    the plain sum of branch SINRs.
-    """
-    branches = np.asarray(branch_sinrs_linear, dtype=float)
-    if branches.size == 0:
-        raise DomainError("combine_mrc needs at least one branch")
-    if np.any(branches < 0):
-        raise DomainError("branch SINRs must be >= 0")
-    return float(branches.sum())
-
-
-@dataclass(frozen=True)
-class PowerControlParams:
-    """Open-loop uplink power control: min(p_max, p0 + alpha * PL)."""
-
-    p0_dbm: float = -90.0
-    alpha: float = 1.0
-    p_max_dbm: float = 23.0
-    iot_target_db: float = 10.0
-
-
-def uplink_power_control(pathloss_db: float, params: PowerControlParams) -> float:
-    """Open-loop UE transmit power in dBm for the given coupling loss."""
-    if not math.isfinite(pathloss_db):
-        raise DomainError("pathloss must be finite")
-    return min(params.p_max_dbm, params.p0_dbm + params.alpha * pathloss_db)
+def uplink_power_control(coupling_db, p0_dbm: float, alpha: float, p_max_dbm: float):
+    """Open-loop UE transmit power in dBm, min(p_max, p0 + alpha * coupling
+    loss), elementwise over the serving coupling losses."""
+    coupling = np.asarray(coupling_db, dtype=float)
+    if not np.isfinite(coupling).all():
+        raise DomainError("coupling loss must be finite")
+    p = np.minimum(p_max_dbm, p0_dbm + alpha * coupling)
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -246,6 +189,3 @@ class LinkParams:
 
     def harq(self) -> HarqConfig:
         return HarqConfig(self.harq_max_transmissions, self.harq_tx_time_s, self.harq_combining_gain_db)
-
-    def power_control(self) -> PowerControlParams:
-        return PowerControlParams(self.ul_p0_dbm, self.ul_alpha, 23.0, self.ul_iot_target_db)

@@ -116,7 +116,8 @@ def avg_spectral_efficiency(inputs: SeInputs) -> float:
 
 def pct5_user_se(per_user_normalized_throughputs) -> float:
     """Linear-interpolated empirical 5 percent quantile of user spectral
-    efficiency; requires at least 20 samples."""
+    efficiency; requires at least 20 samples. On user throughputs in bit/s
+    the same quantile is the user-experienced data rate."""
     arr = np.asarray(per_user_normalized_throughputs, dtype=float)
     if arr.size < 20:
         raise InsufficientSamples(f"need >= 20 samples for the 5th percentile, got {arr.size}")
@@ -139,11 +140,14 @@ class CdInputs:
             raise DomainError("mean(B_i) must be positive")
 
 
-def b_value(duration_s: float, received_bits: float, w_user_hz: float) -> float:
-    """Per-user bandwidth-time value B_i = T / (R_i / W_user)."""
-    if received_bits <= 0:
+def b_value(duration_s: float, received_bits, w_user_hz: float):
+    """Per-user bandwidth-time value B_i = T / (R_i / W_user), elementwise
+    over the users' received bits."""
+    bits = np.asarray(received_bits, dtype=float)
+    if not (bits > 0).all():
         raise DomainError("received bits must be positive for B_i")
-    return duration_s / (received_bits / w_user_hz)
+    b = duration_s / (bits / w_user_hz)
+    return b if b.ndim else float(b)
 
 
 def connection_density_fullbuffer(inputs: CdInputs) -> float:
@@ -273,15 +277,6 @@ def mobility_check(sinr_cdf: CdfEstimator, speed_kmh: float, carrier_hz: float,
     penalty = doppler_backoff_db(speed_kmh, carrier_hz, backoff_table) + extra_backoff_db
     rate = float(sinr_to_se(abstraction, median - penalty))
     return rate, rate >= requirement
-
-
-def user_experienced_data_rate(throughput_samples_bps, requirement_bps: float):
-    """5 percent point of the user-throughput CDF. Returns (bit/s, pass)."""
-    arr = np.asarray(throughput_samples_bps, dtype=float)
-    if arr.size < 20:
-        raise InsufficientSamples(f"need >= 20 throughput samples, got {arr.size}")
-    rate = float(np.quantile(arr, 0.05, method="linear"))
-    return rate, rate >= requirement_bps
 
 
 CONTINUE = "continue"

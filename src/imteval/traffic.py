@@ -1,16 +1,15 @@
-"""Traffic generation, proportional-fair scheduling and packet delay tracking.
+"""Traffic models, proportional-fair scheduling and the FIFO message queue.
 
 Two traffic models exist: full buffer (every UE always backlogged, used for
 SINR CDF derivation and spectral-efficiency runs) and Poisson messaging with a
 fixed layer-2 PDU size (used for the non-full-buffer connection-density
-route).
+route, whose arrivals `engine.evaluate_p99_delay` draws per cell).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,78 +56,6 @@ class TrafficModelSpec:
             raise ConfigInvalid("traffic.overhead_s", "must be >= 0")
 
 
-class FullBufferArrivals:
-    """Sentinel meaning every UE always has data queued."""
-
-    def __repr__(self):
-        return "FullBufferArrivals()"
-
-
-FULL_BUFFER = FullBufferArrivals()
-
-
-def gen_arrivals(spec: TrafficModelSpec, n_ues: int, horizon_s: float, rng: np.random.Generator):
-    """Per-UE independent Poisson arrivals over [0, horizon).
-
-    Returns a time-ordered list of (arrival_time, ue_id), or the
-    FULL_BUFFER sentinel for the full-buffer model.
-    """
-    if horizon_s <= 0:
-        raise ConfigInvalid("horizon", "must be > 0")
-    if spec.kind is TrafficKind.FULL_BUFFER:
-        return FULL_BUFFER
-    arrivals = []
-    for ue in range(n_ues):
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / spec.rate_per_s)
-            if t >= horizon_s:
-                break
-            arrivals.append((t, ue))
-    arrivals.sort()
-    return arrivals
-
-
-@dataclass
-class SchedulerState:
-    """Exponentially averaged per-UE throughput for the PF metric."""
-
-    n_ues: int
-    beta: float = 0.01
-    avg_rate: np.ndarray = None
-    allocation_log: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.avg_rate is None:
-            self.avg_rate = np.zeros(self.n_ues)
-
-
-def schedule_pf(backlogged, instantaneous_rates, state: SchedulerState, resources: int):
-    """One proportional-fair scheduling interval.
-
-    Grants one resource unit each to up to ``resources`` backlogged UEs in
-    descending rate/average order (ties broken by lower ue_id; UEs that have
-    never been served sort first). UEs with zero instantaneous rate are
-    never scheduled. Updates the state averages once and appends the set of
-    scheduled UEs to the allocation log.
-    """
-    rates = np.asarray(instantaneous_rates, dtype=float)
-    candidates = [ue for ue in sorted(backlogged) if rates[ue] > 0.0]
-    # metric: rate / average; unserved UEs (avg == 0) get priority
-    scored = sorted(
-        candidates,
-        key=lambda ue: (-math.inf if state.avg_rate[ue] == 0.0 else -rates[ue] / state.avg_rate[ue], ue),
-    )
-    chosen = scored[: max(resources, 0)]
-    allocation = {ue: 1 for ue in chosen}
-    served = np.zeros(state.n_ues)
-    for ue in chosen:
-        served[ue] = rates[ue]
-    state.avg_rate = (1.0 - state.beta) * state.avg_rate + state.beta * served
-    state.allocation_log.append(frozenset(chosen))
-    return allocation
-
-
 def track_delays(arrival, start, done):
     """Per-message delays ``done - arrival`` of a served FIFO queue.
 
@@ -149,13 +76,6 @@ def track_delays(arrival, start, done):
     return done - arrival
 
 
-def n_mux(allocation_log) -> float:
-    """Average number of distinct UEs holding resources per scheduling interval."""
-    if not allocation_log:
-        raise InternalError("n_mux of an empty allocation log")
-    return float(np.mean([len(s) for s in allocation_log]))
-
-
 def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01):
     """Proportional-fair runs over fixed rates, many schedulers at once.
 
@@ -165,10 +85,11 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     end: zero-rate entries are never scheduled. A 1-D rate vector is one row,
     and then the result is 1-D too.
 
-    Each row gets exactly the allocations of repeated schedule_pf calls on
-    an all-backlogged population: per interval, up to its resource count of
-    UEs with positive metric rate/average are chosen in descending metric
-    order, never-served UEs (average 0) first and ties to the lower index.
+    Every UE of a row is always backlogged. Per interval, a row grants one
+    resource unit each to up to its resource count of UEs with positive
+    rate, in descending rate/average order: never-served UEs (average 0)
+    first, ties to the lower index. Each average then moves by ``beta``
+    towards the rate the UE was served in that interval (0 if not granted).
     Returns (scheduled counts per UE, average scheduled UEs per interval per
     row).
     """

@@ -9,13 +9,14 @@ import pytest
 
 from imteval.engine import (
     calibrate_ul_power,
+    compute_coupling,
     density_search,
     derive_stream,
     evaluate_p99_delay,
     run,
     run_drop,
 )
-from imteval.geometry import LayoutKind, NetworkLayout, build_layout
+from imteval.geometry import LayoutKind, NetworkLayout, build_layout, drop_ues
 from imteval.scenario import DOWNLINK, UPLINK, TestEnvironment, preset
 
 MMTC_A = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_MMTC, "A"), drops=5)
@@ -71,6 +72,13 @@ def _single_trxp_layout():
     )
 
 
+def _budget(config, layout, drop_index):
+    """The coupling run_drop computes for this drop, from the same streams."""
+    ues = drop_ues(layout, config, derive_stream(config.master_seed, drop_index, "ues"))
+    return compute_coupling(config, layout, ues,
+                            derive_stream(config.master_seed, drop_index, "links"))
+
+
 class TestRunDrop:
     def test_bit_identical_repeat(self):
         layout = build_layout(MMTC_A)
@@ -103,18 +111,58 @@ class TestRunDrop:
     def test_linear_consistency_of_samples(self):
         layout = build_layout(MMTC_A)
         drop = run_drop(MMTC_A, layout, 1, sinr_only=True)
-        for direction in (DOWNLINK, UPLINK):
-            for s in drop.sinr_samples(direction):
-                lin = 10 ** (s.sinr_db / 10)
-                expected = 10 ** (s.signal_dbm / 10) / (
-                    10 ** (s.interference_dbm / 10) + 10 ** (s.noise_dbm / 10))
-                assert lin == pytest.approx(expected, rel=1e-9)
+        for signal, interference, noise, sinr in (
+                (drop.dl_signal_dbm, drop.dl_interf_dbm, drop.dl_noise_dbm, drop.dl_sinr_db),
+                (drop.ul_signal_dbm, drop.ul_interf_dbm, drop.ul_noise_dbm, drop.ul_sinr_db)):
+            assert signal.shape == interference.shape == sinr.shape == (570,)
+            expected = 10 ** (signal / 10) / (10 ** (interference / 10) + 10 ** (noise / 10))
+            assert np.allclose(10 ** (sinr / 10), expected, rtol=1e-9, atol=0.0)
 
     def test_serving_is_coupling_argmin(self):
         layout = build_layout(MMTC_A)
         drop = run_drop(MMTC_A, layout, 2, sinr_only=True)
-        assert drop.serving.shape == (570,)
-        assert np.all((drop.serving >= 0) & (drop.serving < 57))
+        budget = _budget(MMTC_A, layout, 2)
+        assert budget.serving.shape == (570,)
+        assert np.array_equal(budget.serving, np.argmin(budget.coupling_db, axis=1))
+        assert np.array_equal(drop.serving, budget.serving)
+
+
+    def test_doubling_ue_ports_adds_3db_to_downlink_signal(self):
+        layout = build_layout(MMTC_A)
+        ue = MMTC_A.antenna_ue
+        doubled = dataclasses.replace(MMTC_A, antenna_ue=dataclasses.replace(ue, p=2 * ue.p))
+        assert doubled.antenna_ue.n_ports == 2 * ue.n_ports
+        base = run_drop(MMTC_A, layout, 4, sinr_only=True)
+        more = run_drop(doubled, layout, 4, sinr_only=True)
+        assert np.array_equal(more.serving, base.serving)
+        assert np.allclose(more.dl_signal_dbm - base.dl_signal_dbm, 10 * math.log10(2.0),
+                           rtol=0.0, atol=1e-9)
+        assert np.array_equal(more.dl_interf_dbm, base.dl_interf_dbm)
+        assert np.array_equal(more.ul_signal_dbm, base.ul_signal_dbm)
+
+    def test_doubling_bs_ports_adds_3db_to_uplink_signal(self):
+        layout = build_layout(MMTC_A)
+        bs = MMTC_A.antenna_bs
+        doubled = dataclasses.replace(MMTC_A, antenna_bs=dataclasses.replace(bs, p=2 * bs.p))
+        assert doubled.antenna_bs.n_ports == 2 * bs.n_ports
+        base = run_drop(MMTC_A, layout, 4, sinr_only=True)
+        more = run_drop(doubled, layout, 4, sinr_only=True)
+        assert np.array_equal(more.serving, base.serving)
+        assert np.allclose(more.ul_signal_dbm - base.ul_signal_dbm, 10 * math.log10(2.0),
+                           rtol=0.0, atol=1e-9)
+        assert np.array_equal(more.ul_interf_dbm, base.ul_interf_dbm)
+        assert np.array_equal(more.dl_signal_dbm, base.dl_signal_dbm)
+
+    def test_ue_transmit_power_capped_at_configured_maximum(self):
+        layout = build_layout(MMTC_A)
+        capped = dataclasses.replace(MMTC_A, ue_tx_power=0.0)
+        drop = run_drop(capped, layout, 5, sinr_only=True)
+        budget = _budget(capped, layout, 5)
+        coupling = budget.coupling_db[np.arange(570), drop.serving]
+        mrc_gain_db = 10 * math.log10(capped.antenna_bs.n_ports)
+        p_ue = drop.ul_signal_dbm - mrc_gain_db + coupling
+        assert np.all(p_ue <= 0.0 + 1e-9)
+        assert np.isclose(p_ue, 0.0, atol=1e-9).sum() > 10  # the cap binds
 
 
 class TestCalibration:
@@ -124,6 +172,13 @@ class TestCalibration:
         assert achieved <= MMTC_A.link.ul_iot_target_db
         assert warnings == []
         assert cal.link.ul_p0_dbm <= MMTC_A.link.ul_p0_dbm
+
+    def test_target_already_met_keeps_p0(self):
+        cfg = dataclasses.replace(
+            MMTC_A, link=dataclasses.replace(MMTC_A.link, ul_iot_target_db=60.0))
+        cal, achieved, warnings = calibrate_ul_power(cfg, build_layout(cfg), probes=1)
+        assert achieved <= 60.0 and warnings == []
+        assert cal.link.ul_p0_dbm == cfg.link.ul_p0_dbm
 
     def test_impossible_target_warns(self):
         cfg = dataclasses.replace(

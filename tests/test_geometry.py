@@ -1,24 +1,26 @@
 """Layout construction, wrap-around services, UE drops and attachment."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from imteval.errors import DomainError
 from imteval.geometry import (
     MICRO_MIN_SEPARATION_M,
     MIN_UE_DISTANCE_MACRO_M,
     LayoutKind,
-    attach,
+    NetworkLayout,
     build_layout,
     drop_ues,
     wrap_displacements,
     wrap_distance,
 )
 from imteval.scenario import TestEnvironment, preset
-from imteval.engine import derive_stream
+from imteval.engine import compute_coupling, derive_stream
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
 MMTC_B = preset(TestEnvironment.URBAN_MACRO_MMTC, "B")
@@ -154,8 +156,7 @@ class TestWrapDistance:
         edge = (layout.drop_origin + 0.98 * (layout.drop_basis[:, 0] + layout.drop_basis[:, 1]))[None, :]
         counts = {"center": [], "edge": []}
         for d in range(150):
-            ues = drop_ues(layout, MMTC_A, derive_stream(99, d, "ues"))
-            pos = np.array([ue.position[:2] for ue in ues])
+            pos = drop_ues(layout, MMTC_A, derive_stream(99, d, "ues")).positions[:, :2]
             for name, probe in (("center", center), ("edge", edge)):
                 _, dist = wrap_displacements(layout, probe, pos)
                 counts[name].append(int((dist <= 600.0).sum()))
@@ -165,34 +166,69 @@ class TestWrapDistance:
         assert abs(c.mean() - e.mean()) < 3.0 * sigma_diff
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(env):
+    return build_layout(preset(env, "A"))
+
+
+# coordinates well beyond the wrapped regions, so images on every side matter
+_POINTS = st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0)),
+                   min_size=1, max_size=5)
+
+
+class TestWrapDisplacements:
+    @settings(max_examples=100, deadline=None)
+    @given(env=st.sampled_from([TestEnvironment.URBAN_MACRO_MMTC,
+                                TestEnvironment.DENSE_URBAN_EMBB]),
+           a=_POINTS, b=_POINTS)
+    def test_matches_scalar_wrap_distance(self, env, a, b):
+        layout = _layout(env)
+        a, b = np.array(a), np.array(b)
+        delta, dist = wrap_displacements(layout, a, b)
+        assert delta.shape == (len(a), len(b), 2) and dist.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                d, t = wrap_distance(layout, a[i], b[j])
+                assert dist[i, j] == pytest.approx(d, abs=1e-9)
+                # the displacement is b + t - a; only where two images tie for
+                # the minimum may it take the other tied translation
+                images = b[j] + layout.wrap_translations - a[i]
+                tied = images[np.linalg.norm(images, axis=1) <= d + 1e-9]
+                assert any(np.allclose(delta[i, j], image, rtol=0.0, atol=1e-9)
+                           for image in tied)
+                assert len(tied) > 1 or np.allclose(delta[i, j], b[j] + t - a[i],
+                                                    rtol=0.0, atol=1e-9)
+
+
 class TestDropUes:
     def test_count_is_ues_per_trxp_times_trxps(self):
         layout = build_layout(MMTC_A)
         ues = drop_ues(layout, MMTC_A, derive_stream(1, 0, "ues"))
-        assert len(ues) == 10 * 57 == 570
+        assert ues.positions.shape == (10 * 57, 3) == (570, 3)
+        for column in (ues.indoor, ues.high_loss, ues.speed_kmh, ues.direction_rad):
+            assert column.shape == (570,)
+        assert np.all(ues.positions[:, 2] == MMTC_A.ue_height)
 
     def test_degenerate_indoor_fraction(self):
         import dataclasses
         cfg = dataclasses.replace(MMTC_A, indoor_fraction=1.0)
         layout = build_layout(cfg)
         ues = drop_ues(layout, cfg, derive_stream(2, 0, "ues"))
-        assert all(ue.indoor for ue in ues)
+        assert ues.indoor.dtype == bool and ues.indoor.all()
 
     def test_indoor_fraction_within_binomial_3_sigma(self):
         layout = build_layout(MMTC_A)
-        ues = []
-        for d in range(10):
-            ues.extend(drop_ues(layout, MMTC_A, derive_stream(3, d, "ues")))
-        n = len(ues)
-        k = sum(ue.indoor for ue in ues)
+        indoor = np.concatenate([drop_ues(layout, MMTC_A, derive_stream(3, d, "ues")).indoor
+                                 for d in range(10)])
+        n = len(indoor)
+        k = int(indoor.sum())
         p = MMTC_A.indoor_fraction
         assert abs(k - n * p) < 3.0 * math.sqrt(n * p * (1 - p))
 
     def test_minimum_bs_distance_enforced(self):
         layout = build_layout(MMTC_A)
         ues = drop_ues(layout, MMTC_A, derive_stream(4, 0, "ues"))
-        pos = np.array([ue.position[:2] for ue in ues])
-        _, d = wrap_displacements(layout, pos, layout.site_positions)
+        _, d = wrap_displacements(layout, ues.positions, layout.site_positions)
         assert d.min() >= MIN_UE_DISTANCE_MACRO_M - 1e-9
 
     def test_positions_uniform_chi_square(self):
@@ -200,14 +236,10 @@ class TestDropUes:
         # region and test uniformity on a 10x10 grid at significance 0.01
         layout = build_layout(MMTC_A)
         cfg = MMTC_A
-        pos = []
-        rng = derive_stream(5, 0, "ues")
         import dataclasses
         cfg_many = dataclasses.replace(cfg, ues_per_trxp=100)
-        for d in range(2):
-            ues = drop_ues(layout, cfg_many, derive_stream(5, d, "ues"))
-            pos.extend(ue.position[:2] for ue in ues)
-        pos = np.array(pos)
+        pos = np.vstack([drop_ues(layout, cfg_many, derive_stream(5, d, "ues")).positions[:, :2]
+                         for d in range(2)])
         inv = np.linalg.inv(layout.drop_basis)
         uv = (pos - layout.drop_origin[None, :]) @ inv.T
         # the exclusion radius carves holes, so keep the test coarse: bins
@@ -222,15 +254,13 @@ class TestDropUes:
         cfg = dataclasses.replace(MMTC_A, ue_speed_indoor=3.0, ue_speed_outdoor=30.0)
         layout = build_layout(cfg)
         ues = drop_ues(layout, cfg, derive_stream(6, 0, "ues"))
-        for ue in ues:
-            assert ue.speed_kmh == (3.0 if ue.indoor else 30.0)
+        assert ues.indoor.any() and not ues.indoor.all()
+        assert np.array_equal(ues.speed_kmh, np.where(ues.indoor, 3.0, 30.0))
 
     def test_direction_uniform(self):
         layout = build_layout(MMTC_A)
-        dirs = []
-        for d in range(20):
-            dirs.extend(ue.direction_rad for ue in drop_ues(layout, MMTC_A, derive_stream(7, d, "ues")))
-        dirs = np.asarray(dirs)
+        dirs = np.concatenate([drop_ues(layout, MMTC_A, derive_stream(7, d, "ues")).direction_rad
+                               for d in range(20)])
         assert dirs.min() >= 0.0 and dirs.max() < 2.0 * math.pi
         _, p_value = stats.kstest(dirs / (2.0 * math.pi), "uniform")
         assert p_value > 0.01
@@ -238,58 +268,58 @@ class TestDropUes:
     def test_high_loss_only_for_indoor(self):
         layout = build_layout(MMTC_A)
         ues = drop_ues(layout, MMTC_A, derive_stream(8, 0, "ues"))
-        assert all(ue.indoor for ue in ues if ue.high_loss)
+        assert ues.high_loss.any()
+        assert np.all(ues.indoor[ues.high_loss])
+
+
+class _NoFading:
+    """Link stream stand-in: every LOS draw 0.5 and no shadow fading, so
+    identical links get identical coupling."""
+
+    def uniform(self, size):
+        return np.full(size, 0.5)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def _colocated_layout(n):
+    """n identical indoor ceiling points at the same place."""
+    return NetworkLayout(
+        layout_kind=LayoutKind.INDOOR_12,
+        isd=20.0,
+        site_positions=np.array([[60.0, 25.0]]),
+        trxp_site=np.zeros(n, dtype=int),
+        trxp_pos=np.tile([60.0, 25.0], (n, 1)),
+        trxp_sector=np.zeros(n, dtype=int),
+        trxp_boresight_deg=np.zeros(n),
+        trxp_height=np.full(n, 3.0),
+        trxp_is_micro=np.ones(n, dtype=bool),
+        wrap_translations=np.zeros((1, 2)),
+        drop_bbox=((0.0, 0.0), (120.0, 50.0)),
+    )
 
 
 class TestAttach:
-    def test_single_candidate(self):
-        layout = build_layout(INDOOR)
-        ues = drop_ues(layout, INDOOR, derive_stream(9, 0, "ues"))
-        assert attach(ues[0], layout, lambda ue, k: 0.0 if k == 0 else 1e9) == 0
+    """Each UE is served by the TRxP of least coupling loss, as
+    compute_coupling decides it."""
 
     def test_colocated_ue_attaches_to_its_site(self):
         layout = build_layout(MMTC_A)
-
-        def loss(ue, k):
-            d, _ = wrap_distance(layout, ue.position[:2], layout.trxp_pos[k])
-            return 30.0 * math.log10(max(d, 1.0))
-
         ues = drop_ues(layout, MMTC_A, derive_stream(10, 0, "ues"))
-        ue = ues[0]
         site = 7
-        ue.position[:2] = layout.site_positions[site] + np.array([1.0, 1.0])
-        serving = attach(ue, layout, loss)
+        ues.positions[0, :2] = layout.site_positions[site] + np.array([1.0, 1.0])
+        budget = compute_coupling(MMTC_A, layout, ues, _NoFading())
         # brute-force oracle over all 57: same answer, and it is a sector of
         # the nearest site
-        oracle = min(range(layout.n_trxps), key=lambda k: loss(ue, k))
-        assert serving == oracle
-        assert layout.trxp_site[serving] == site
+        oracle = [min(range(layout.n_trxps), key=lambda k: budget.coupling_db[i, k])
+                  for i in range(len(budget.serving))]
+        assert np.array_equal(budget.serving, oracle)
+        assert layout.trxp_site[budget.serving[0]] == site
 
     def test_tie_breaks_to_lower_index(self):
-        layout = build_layout(INDOOR)
+        layout = _colocated_layout(3)
         ues = drop_ues(layout, INDOOR, derive_stream(11, 0, "ues"))
-        assert attach(ues[0], layout, lambda ue, k: 42.0) == 0
-
-    def test_translation_invariance(self):
-        layout = build_layout(MMTC_A)
-        ues = drop_ues(layout, MMTC_A, derive_stream(12, 0, "ues"))
-        shift = np.array([123.4, -77.7])
-
-        def loss_factory(trxp_pos):
-            def loss(ue, k):
-                d, _ = wrap_distance(layout, ue.position[:2], trxp_pos[k])
-                return 35.0 * math.log10(max(d, 1.0))
-            return loss
-
-        for ue in ues[:50]:
-            before = attach(ue, layout, loss_factory(layout.trxp_pos))
-            moved = type(ue)(ue.ue_id, ue.position + np.array([*shift, 0.0]), ue.indoor,
-                             ue.high_loss, ue.speed_kmh, ue.direction_rad)
-            after = attach(moved, layout, loss_factory(layout.trxp_pos + shift[None, :]))
-            assert before == after
-
-    def test_non_finite_loss_rejected(self):
-        layout = build_layout(INDOOR)
-        ues = drop_ues(layout, INDOOR, derive_stream(13, 0, "ues"))
-        with pytest.raises(DomainError):
-            attach(ues[0], layout, lambda ue, k: float("nan"))
+        budget = compute_coupling(INDOOR, layout, ues, _NoFading())
+        assert np.all(budget.coupling_db == budget.coupling_db[:, :1])
+        assert np.all(budget.serving == 0)

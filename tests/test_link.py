@@ -1,25 +1,25 @@
-"""Link budget arithmetic, combining, power control, abstraction and HARQ."""
+"""Link budget arithmetic, power control, abstraction and HARQ."""
 
 import math
 
 import numpy as np
 import pytest
 
+from imteval.engine import run_drop
 from imteval.errors import DomainError
+from imteval.geometry import build_layout
 from imteval.link import (
     BlerModel,
     HarqConfig,
     LinkAbstraction,
-    PowerControlParams,
     ZERO_BLER,
     bler,
-    combine_mrc,
-    compute_sinr,
     harq_outcome,
     noise_power,
     sinr_to_se,
     uplink_power_control,
 )
+from imteval.scenario import TestEnvironment, preset
 
 
 class TestNoisePower:
@@ -43,74 +43,43 @@ class TestNoisePower:
 
 
 class TestComputeSinr:
-    def test_no_interferers_gives_snr(self):
-        s = compute_sinr(2.0, [], 0.5)
-        assert s.sinr_db == pytest.approx(10.0 * math.log10(4.0))
-        assert s.interference_dbm == -math.inf
-
-    def test_serving_equals_noise_is_zero_db(self):
-        assert compute_sinr(0.5, [], 0.5).sinr_db == pytest.approx(0.0, abs=1e-12)
-
-    def test_explicit_sum(self):
-        s = compute_sinr(1.0, [0.5], 0.5)
-        assert s.sinr_db == pytest.approx(0.0, abs=1e-12)
-
     def test_linear_consistency_invariant(self):
-        rng = np.random.default_rng(8)
-        for _ in range(500):
-            serving = rng.uniform(1e-9, 10.0)
-            interferers = rng.uniform(0.0, 1.0, rng.integers(0, 6))
-            noise = rng.uniform(1e-9, 1.0)
-            s = compute_sinr(serving, interferers, noise)
-            lin_sinr = 10 ** (s.sinr_db / 10)
-            lin_sig = 10 ** (s.signal_dbm / 10)
-            lin_int = 10 ** (s.interference_dbm / 10)
-            lin_noise = 10 ** (s.noise_dbm / 10)
-            assert lin_sinr == pytest.approx(lin_sig / (lin_int + lin_noise), rel=1e-9)
-
-    def test_adding_interference_never_helps(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            base = list(rng.uniform(0, 1, 3))
-            extra = base + [float(rng.uniform(0, 1))]
-            assert compute_sinr(1.0, extra, 0.1).sinr_db <= compute_sinr(1.0, base, 0.1).sinr_db
-
-
-class TestMrc:
-    def test_single_branch_identity(self):
-        assert combine_mrc([3.7]) == 3.7
-
-    def test_two_equal_branches_double(self):
-        combined = combine_mrc([2.0, 2.0])
-        gain_db = 10 * math.log10(combined / 2.0)
-        assert gain_db == pytest.approx(10 * math.log10(2.0), abs=1e-12)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(10)
-        branches = rng.uniform(0, 5, 6)
-        assert combine_mrc(branches) == pytest.approx(combine_mrc(branches[::-1]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            combine_mrc([])
+        # SINR = S / (I + N) in linear units, on every UE and both directions,
+        # including the uplink UEs whose interference is empty (-inf dBm)
+        config = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
+        layout = build_layout(config)
+        for d in range(3):
+            drop = run_drop(config, layout, d, sinr_only=True)
+            for signal, interference, noise, sinr in (
+                    (drop.dl_signal_dbm, drop.dl_interf_dbm, drop.dl_noise_dbm, drop.dl_sinr_db),
+                    (drop.ul_signal_dbm, drop.ul_interf_dbm, drop.ul_noise_dbm, drop.ul_sinr_db)):
+                lin_sinr = 10 ** (sinr / 10)
+                lin_sig = 10 ** (signal / 10)
+                lin_int = 10 ** (interference / 10)
+                lin_noise = 10 ** (noise / 10)
+                assert np.allclose(lin_sinr, lin_sig / (lin_int + lin_noise), rtol=1e-9, atol=0.0)
 
 
 class TestPowerControl:
     def test_floors_at_p0(self):
-        params = PowerControlParams(p0_dbm=-100.0, alpha=1.0)
-        assert uplink_power_control(0.0, params) == -100.0
+        assert uplink_power_control(0.0, -100.0, 1.0, 23.0) == -100.0
 
     def test_caps_at_23_dbm(self):
-        params = PowerControlParams(p0_dbm=-100.0, alpha=1.0)
-        assert uplink_power_control(200.0, params) == 23.0
+        assert uplink_power_control(200.0, -100.0, 1.0, 23.0) == 23.0
+        # the cap is the argument, not a constant
+        assert uplink_power_control(200.0, -100.0, 1.0, 0.0) == 0.0
 
     def test_open_loop_slope(self):
-        params = PowerControlParams(p0_dbm=-100.0, alpha=0.8)
-        assert uplink_power_control(100.0, params) == pytest.approx(-20.0)
+        assert uplink_power_control(100.0, -100.0, 0.8, 23.0) == pytest.approx(-20.0)
+        p = uplink_power_control(np.array([90.0, 100.0, 110.0]), -100.0, 0.8, 23.0)
+        assert np.allclose(np.diff(p), 0.8 * 10.0)
 
     def test_requires_finite_pathloss(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                uplink_power_control(bad, -90.0, 1.0, 23.0)
         with pytest.raises(DomainError):
-            uplink_power_control(math.inf, PowerControlParams())
+            uplink_power_control(np.array([100.0, math.inf]), -90.0, 1.0, 23.0)
 
 
 class TestLinkAbstraction:

@@ -27,7 +27,6 @@ from imteval.metrics import (
     p99_delay,
     pct5_user_se,
     reliability,
-    user_experienced_data_rate,
 )
 
 
@@ -149,6 +148,11 @@ class TestConnectionDensityFullBuffer:
 
     def test_b_value_spot_check(self):
         assert b_value(10.0, 1000.0, 100.0) == pytest.approx(1.0, abs=1e-15)
+        bits = np.array([1000.0, 500.0, 250.0])
+        assert np.array_equal(b_value(10.0, bits, 100.0), 10.0 / (bits / 100.0))
+        for bad in (0.0, np.array([1000.0, 0.0]), np.array([math.nan])):
+            with pytest.raises(DomainError):
+                b_value(10.0, bad, 100.0)
 
     def test_doubling_isd_quarters_density(self):
         a = CdInputs(10.0, 180e3, np.array([1.8e3]), 500.0)
@@ -325,19 +329,19 @@ class TestMobility:
 
 
 class TestUserExperiencedRate:
+    # the ued_rate KPI is pct5_user_se over per-user throughputs in bit/s
     def test_constant_samples(self):
-        rate, ok = user_experienced_data_rate([60e6] * 100, 50e6)
-        assert rate == 60e6 and ok
+        assert pct5_user_se([60e6] * 100) == 60e6
 
     def test_boundary_pass_inclusive(self):
         # 5th-percentile spectral efficiency 0.5 bit/s/Hz on 100 MHz
-        rate, ok = user_experienced_data_rate([0.5 * 100e6] * 100, 50e6)
+        rate = pct5_user_se([0.5 * 100e6] * 100)
         assert rate == pytest.approx(50e6)
-        assert ok
+        assert rate >= 50e6
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamples):
-            user_experienced_data_rate([1e8] * 19, 100e6)
+            pct5_user_se([1e8] * 19)
 
 
 class TestConvergenceMonitor:

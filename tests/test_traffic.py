@@ -1,58 +1,76 @@
-"""Traffic generation, PF scheduling, delay tracking and multiplexing."""
+"""Traffic model validation, PF scheduling against its scalar oracle, the
+FIFO queue and delay tracking."""
 
 import heapq
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from imteval.errors import ConfigInvalid, InternalError
 from imteval.traffic import (
-    FULL_BUFFER,
-    SchedulerState,
     TrafficKind,
     TrafficModelSpec,
-    gen_arrivals,
-    n_mux,
     pf_run,
-    schedule_pf,
     serve_fifo,
     track_delays,
 )
 
-POISSON = TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, pdu_size_bytes=32,
-                           rate_per_s=0.5)
-
 
 class TestArrivals:
-    def test_full_buffer_sentinel(self):
-        spec = TrafficModelSpec(kind=TrafficKind.FULL_BUFFER)
-        assert gen_arrivals(spec, 10, 1.0, np.random.default_rng(0)) is FULL_BUFFER
-
     def test_zero_rate_rejected_at_validation(self):
         with pytest.raises(ConfigInvalid):
             TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, rate_per_s=0.0).validate()
 
-    def test_mean_count_matches_poisson(self):
-        rng = np.random.default_rng(1)
-        n_ues, horizon = 2000, 10.0
-        arrivals = gen_arrivals(POISSON, n_ues, horizon, rng)
-        expected = n_ues * POISSON.rate_per_s * horizon
-        assert abs(len(arrivals) - expected) < 3.0 * math.sqrt(expected)
-        assert arrivals == sorted(arrivals)
 
-    def test_interarrival_times_exponential(self):
-        rng = np.random.default_rng(2)
-        spec = TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, rate_per_s=2.0)
-        arrivals = gen_arrivals(spec, 1, 60_000.0, rng)
-        times = np.array([t for t, _ in arrivals])
-        gaps = np.diff(times)
-        assert len(gaps) > 50_000
-        _, p_value = stats.kstest(gaps, "expon", args=(0.0, 1.0 / spec.rate_per_s))
-        assert p_value > 0.01
+@dataclass
+class SchedulerState:
+    """Exponentially averaged per-UE throughput for the PF metric."""
+
+    n_ues: int
+    beta: float = 0.01
+    avg_rate: np.ndarray = None
+    allocation_log: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.avg_rate is None:
+            self.avg_rate = np.zeros(self.n_ues)
+
+
+def schedule_pf(backlogged, instantaneous_rates, state: SchedulerState, resources: int):
+    """Scalar oracle for pf_run: one proportional-fair scheduling interval.
+
+    Grants one resource unit each to up to ``resources`` backlogged UEs in
+    descending rate/average order (ties broken by lower ue_id; UEs that have
+    never been served sort first). UEs with zero instantaneous rate are
+    never scheduled. Updates the state averages once and appends the set of
+    scheduled UEs to the allocation log.
+    """
+    rates = np.asarray(instantaneous_rates, dtype=float)
+    candidates = [ue for ue in sorted(backlogged) if rates[ue] > 0.0]
+    # metric: rate / average; unserved UEs (avg == 0) get priority
+    scored = sorted(
+        candidates,
+        key=lambda ue: (-math.inf if state.avg_rate[ue] == 0.0 else -rates[ue] / state.avg_rate[ue], ue),
+    )
+    chosen = scored[: max(resources, 0)]
+    allocation = {ue: 1 for ue in chosen}
+    served = np.zeros(state.n_ues)
+    for ue in chosen:
+        served[ue] = rates[ue]
+    state.avg_rate = (1.0 - state.beta) * state.avg_rate + state.beta * served
+    state.allocation_log.append(frozenset(chosen))
+    return allocation
+
+
+def n_mux(allocation_log) -> float:
+    """Average number of distinct UEs holding resources per scheduling interval."""
+    if not allocation_log:
+        raise InternalError("n_mux of an empty allocation log")
+    return float(np.mean([len(s) for s in allocation_log]))
 
 
 class TestSchedulePf:
