@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics
 from .antenna import element_gain
 from .channel.model import los_probability, pathloss_curves
-from .channel.profiles import ChannelProfile, profile_for
+from .channel.profiles import profile_for
 from .errors import DomainError
 from .geometry import (
     MICRO_TX_OFFSET_DB,
@@ -71,77 +71,70 @@ class LinkBudget:
     """Per-drop coupling state for all UE x TRxP pairs."""
 
     coupling_db: np.ndarray  # (n_ue, n_trxp) pathloss + shadow - antenna gains
-    los: np.ndarray  # (n_ue, n_trxp) bool
-    d2d_m: np.ndarray
     serving: np.ndarray  # (n_ue,) argmin coupling
-
-
-def _trxp_gain_db(config: EvaluationConfig, layout: NetworkLayout, delta: np.ndarray,
-                  d2d: np.ndarray) -> np.ndarray:
-    """BS-side element gain toward each UE (n_ue, n_trxp)."""
-    pattern = config.bs_pattern()
-    az = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
-    az_rel = (az - layout.trxp_boresight_deg[None, :] + 180.0) % 360.0 - 180.0
-    dz = config.ue_height - layout.trxp_height[None, :]
-    zen = np.degrees(np.arctan2(d2d, -dz))  # zenith of the UE seen from the BS
-    downtilt = config.antenna_bs.downtilt_deg
-    zen_eff = np.clip(zen - downtilt, 0.0, 180.0)
-    gain = np.asarray(element_gain(pattern, az_rel, zen_eff))
-    if layout.trxp_is_micro.any():
-        # micro/indoor points are omnidirectional at their element gain
-        gain = np.where(layout.trxp_is_micro[None, :], config.bs_element_gain, gain)
-    return gain
 
 
 def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDrop,
                      rng: np.random.Generator) -> LinkBudget:
     """Pathloss + shadowing - antenna gain for every UE x TRxP pair.
 
-    LOS conditions and shadow fading are drawn here, once per link per
-    drop. The dense-urban micro layer uses its own profile.
+    Distance, LOS probability, both pathloss curves and the UE's azimuth and
+    zenith depend only on the site, so they are computed once per site and
+    gathered to the site's TRxPs. LOS conditions and shadow fading are drawn
+    here, once per link per drop, and the element gain is taken per TRxP
+    boresight. The dense-urban micro layer uses its own profile.
     """
-    delta, d2d = wrap_displacements(layout, ues.positions, layout.trxp_pos)
-    n_ue, n_t = d2d.shape
-    h_bs = layout.trxp_height[None, :]
-    dz = h_bs - config.ue_height
-    d3d = np.sqrt(d2d ** 2 + dz ** 2)
-    d3d = np.maximum(d3d, 1.0)
+    delta, d2d = wrap_displacements(layout, ues.positions, layout.site_positions)
+    n_ue, n_t = len(ues.positions), layout.n_trxps
+    site = layout.trxp_site
+    dz = layout.site_values(layout.trxp_height) - config.ue_height
+    d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
-    macro_profile = profile_for(config.environment, config.config_variant)
-    micro_mask = layout.trxp_is_micro if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER \
-        else np.zeros(n_t, dtype=bool)
+    profiles = [profile_for(config.environment, config.config_variant)]
+    trxp_profile = np.zeros(n_t, dtype=np.intp)
+    if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+        profiles.append(profile_for(config.environment, config.config_variant, micro=True))
+        trxp_profile = layout.trxp_is_micro.astype(np.intp)
+    site_profile = layout.site_values(trxp_profile)
 
-    los_u = rng.uniform(size=(n_ue, n_t))
+    p_los = np.empty_like(d2d)
+    pl_los = np.empty_like(d2d)
+    pl_nlos = np.empty_like(d2d)
+    for k, profile in enumerate(profiles):
+        cols = np.flatnonzero(site_profile == k)
+        h_ref = float(layout.trxp_height[trxp_profile == k][0])
+        p_los[:, cols] = los_probability(profile.plos_model, d2d[:, cols])
+        pl_los[:, cols], pl_nlos[:, cols] = pathloss_curves(
+            profile, config.carrier_frequency, d3d[:, cols], h_ref, config.ue_height)
+
+    # per-TRxP shadowing sigma and penetration loss of each column's profile
+    sf_los, sf_nlos, pen_high, pen_low = np.array(
+        [(p.los.sf_sigma_db, p.nlos.sf_sigma_db, p.pen_high_db, p.pen_low_db)
+         for p in profiles])[trxp_profile].T
+
+    los = rng.uniform(size=(n_ue, n_t)) < p_los[:, site]
     sf_z = rng.standard_normal((n_ue, n_t))
+    pl = np.where(los, pl_los[:, site], pl_nlos[:, site])
+    pl += np.where(los, sf_los, sf_nlos) * sf_z
+    pen = np.where(ues.high_loss[:, None], pen_high, pen_low)
+    pl += np.where(ues.indoor[:, None], pen, 0.0)
 
-    pl = np.zeros((n_ue, n_t))
-    los = np.zeros((n_ue, n_t), dtype=bool)
-    for profile, mask in _profile_columns(config, macro_profile, micro_mask):
-        if not mask.any():
-            continue
-        p_los = los_probability(profile.plos_model, d2d[:, mask])
-        los_part = los_u[:, mask] < p_los
-        h_ref = float(layout.trxp_height[mask][0])
-        pl_los, pl_nlos = pathloss_curves(profile, config.carrier_frequency,
-                                          d3d[:, mask], h_ref, config.ue_height)
-        part = np.where(los_part, pl_los, pl_nlos)
-        sf_sigma = np.where(los_part, profile.los.sf_sigma_db, profile.nlos.sf_sigma_db)
-        part = part + sf_sigma * sf_z[:, mask]
-        pen = np.where(ues.high_loss, profile.pen_high_db, profile.pen_low_db)
-        part = part + np.where(ues.indoor, pen, 0.0)[:, None]
-        pl[:, mask] = part
-        los[:, mask] = los_part
+    # BS-side element gain toward each UE. x lies in [-270, 360]: below 0
+    # numpy's float remainder mod 360 is exactly x + 360; at 360 (boresight
+    # 0, UE due west) it would give -180 where this gives +180, which has
+    # the same gain
+    az = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
+    x = az[:, site] - layout.trxp_boresight_deg + 180.0
+    az_rel = np.where(x < 0.0, x + 360.0, x) - 180.0
+    zen = np.degrees(np.arctan2(d2d, dz))  # zenith of the UE seen from the BS
+    zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
+    gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff[:, site]))
+    if layout.trxp_is_micro.any():
+        # micro/indoor points are omnidirectional at their element gain
+        gain = np.where(layout.trxp_is_micro, config.bs_element_gain, gain)
 
-    gain = _trxp_gain_db(config, layout, delta, d2d)
     coupling = pl - gain - config.ue_element_gain
-    serving = np.argmin(coupling, axis=1)
-    return LinkBudget(coupling_db=coupling, los=los, d2d_m=d2d, serving=serving)
-
-
-def _profile_columns(config: EvaluationConfig, macro_profile: ChannelProfile, micro_mask):
-    yield macro_profile, ~micro_mask
-    if micro_mask.any():
-        yield profile_for(config.environment, config.config_variant, micro=True), micro_mask
+    return LinkBudget(coupling_db=coupling, serving=np.argmin(coupling, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +202,14 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     ul_noise_mw = float(db_to_lin(ul_noise_dbm))
     ul_branches = config.antenna_bs.n_ports
 
-    # pick the transmitting UE of each cell for the co-channel resource
-    cell_ues = [np.flatnonzero(serving == c) for c in range(n_t)]
+    # pick the transmitting UE of each cell for the co-channel resource: the
+    # UEs of cell c are by_cell[start[c]:start[c] + size[c]] in ascending id
+    by_cell = np.argsort(serving, kind="stable")
+    cell_sizes = np.bincount(serving, minlength=n_t)
+    cell_start = np.cumsum(cell_sizes) - cell_sizes
     pick = np.full(n_t, -1, dtype=int)
-    for c in range(n_t):
-        if len(cell_ues[c]):
-            pick[c] = cell_ues[c][int(rng_sched.integers(len(cell_ues[c])))]
+    for c in np.flatnonzero(cell_sizes).tolist():
+        pick[c] = by_cell[cell_start[c] + int(rng_sched.integers(int(cell_sizes[c])))]
     active = pick >= 0
     if active.any():
         # received power of every cell's active UE at every TRxP: (n_active, n_t)
@@ -268,9 +263,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     # one PF scheduler per (direction, non-empty cell): the DL rows (eMBB
     # only) then the UL rows, each cell's UEs in ascending id order and
     # padded with zero rates, all run in a single batch
-    by_cell = np.argsort(serving, kind="stable")
-    sizes = np.bincount(serving, minlength=n_t)
-    sizes = sizes[sizes > 0]
+    sizes = cell_sizes[cell_sizes > 0]
     n_cells = len(sizes)
     cell_row = np.repeat(np.arange(n_cells), sizes)
     slot = np.arange(n_ue) - np.repeat(np.cumsum(sizes) - sizes, sizes)

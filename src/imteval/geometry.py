@@ -62,6 +62,23 @@ class NetworkLayout:
     drop_origin: np.ndarray | None = None  # (2,)
     drop_bbox: tuple | None = None  # ((x0, y0), (x1, y1)) for indoor
 
+    def __post_init__(self):
+        # the coupling step computes geometry once per site and gathers it to
+        # the TRxPs, so every TRxP must share its site's position, height and
+        # layer
+        if not np.array_equal(self.trxp_pos, self.site_positions[self.trxp_site]):
+            raise DomainError("every TRxP must sit at its site's position")
+        for name in ("trxp_height", "trxp_is_micro"):
+            per_trxp = getattr(self, name)
+            if np.any(self.site_values(per_trxp)[self.trxp_site] != per_trxp):
+                raise DomainError(f"{name} must be the same for every TRxP of a site")
+
+    def site_values(self, per_trxp: np.ndarray) -> np.ndarray:
+        """Per-site copy of a per-TRxP array that is constant within each site."""
+        out = np.zeros(self.n_sites, dtype=per_trxp.dtype)
+        out[self.trxp_site] = per_trxp
+        return out
+
     @property
     def n_trxps(self) -> int:
         return len(self.trxp_pos)
@@ -266,19 +283,23 @@ def wrap_displacements(layout: NetworkLayout, from_pos: np.ndarray, to_pos: np.n
     t = np.asarray(to_pos, dtype=float)[:, :2]
     base_x = t[None, :, 0] - f[:, 0, None]
     base_y = t[None, :, 1] - f[:, 1, None]
+    best = np.empty((2,) + base_x.shape)  # x and y planes of delta
+    best_x, best_y = best
     best_d2 = None
-    best_k = None
-    for k, (tx, ty) in enumerate(layout.wrap_translations):
-        d2 = (base_x + tx) ** 2 + (base_y + ty) ** 2
+    for tx, ty in layout.wrap_translations:
+        x = base_x + tx
+        y = base_y + ty
+        d2 = x ** 2 + y ** 2
         if best_d2 is None:
-            best_d2, best_k = d2, np.zeros(d2.shape, dtype=np.intp)
+            best_d2 = d2
+            best_x[...] = x
+            best_y[...] = y
         else:
             closer = d2 < best_d2
             np.copyto(best_d2, d2, where=closer)
-            best_k[closer] = k
-    shift = layout.wrap_translations[best_k]  # (n_from, n_to, 2)
-    delta = np.stack([base_x + shift[..., 0], base_y + shift[..., 1]], axis=-1)
-    return delta, np.sqrt(best_d2)
+            np.copyto(best_x, x, where=closer)
+            np.copyto(best_y, y, where=closer)
+    return np.moveaxis(best, 0, -1), np.sqrt(best_d2)
 
 
 @dataclass
@@ -308,16 +329,20 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
     if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
         macro_sites = layout.macro_site_positions()
-        micro_pos = layout.trxp_pos[layout.trxp_is_micro]
+        micro_pos = layout.site_positions[layout.site_values(layout.trxp_is_micro)]
+        # the first round tests every UE, each later one only the rows it redrew
+        rows = np.arange(n)
         for _ in range(1000):
-            _, d_macro = wrap_displacements(layout, pos, macro_sites)
+            tested = pos[rows]
+            _, d_macro = wrap_displacements(layout, tested, macro_sites)
             bad = d_macro.min(axis=1) < min_macro
             if len(micro_pos):
-                _, d_micro = wrap_displacements(layout, pos, micro_pos)
+                _, d_micro = wrap_displacements(layout, tested, micro_pos)
                 bad |= d_micro.min(axis=1) < MIN_UE_DISTANCE_MICRO_M
-            if not bad.any():
+            rows = rows[bad]
+            if not len(rows):
                 break
-            pos[bad] = _sample_positions(layout, int(bad.sum()), rng)
+            pos[rows] = _sample_positions(layout, len(rows), rng)
         else:
             raise DomainError("could not place UEs outside the exclusion radius")
 

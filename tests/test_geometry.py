@@ -9,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from imteval.antenna import element_gain
+from imteval.channel.model import los_probability, pathloss_curves
+from imteval.channel.profiles import profile_for
+from imteval.errors import ConfigInvalid, DomainError
 from imteval.geometry import (
+    MIN_UE_DISTANCE_MICRO_M,
     MICRO_MIN_SEPARATION_M,
     MIN_UE_DISTANCE_MACRO_M,
     LayoutKind,
     NetworkLayout,
+    UeDrop,
+    _sample_positions,
     build_layout,
     drop_ues,
     wrap_displacements,
@@ -109,6 +116,55 @@ class TestDenseUrbanLayout:
         assert np.array_equal(layout.trxp_pos, layout2.trxp_pos)
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(env):
+    return build_layout(preset(env, "A"))
+
+
+_WRAPPED_ENVS = st.sampled_from([TestEnvironment.URBAN_MACRO_MMTC,
+                                 TestEnvironment.DENSE_URBAN_EMBB])
+# coordinates well beyond the wrapped regions, so images on every side matter
+_POINTS = st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0)),
+                   min_size=1, max_size=5)
+
+
+class TestLayoutInvariant:
+    """Every TRxP shares its site's position, height and layer."""
+
+    @staticmethod
+    def _two_sector_layout(**overrides):
+        fields = dict(
+            layout_kind=LayoutKind.HEX_MACRO_19,
+            isd=500.0,
+            site_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
+            trxp_site=np.array([0, 0, 1]),
+            trxp_pos=np.array([[0.0, 0.0], [0.0, 0.0], [500.0, 0.0]]),
+            trxp_sector=np.array([0, 1, 0]),
+            trxp_boresight_deg=np.array([30.0, 150.0, 30.0]),
+            trxp_height=np.array([25.0, 25.0, 25.0]),
+            trxp_is_micro=np.array([False, False, False]),
+            wrap_translations=np.zeros((1, 2)),
+        )
+        fields.update(overrides)
+        return NetworkLayout(**fields)
+
+    def test_consistent_layout_builds(self):
+        layout = self._two_sector_layout()
+        assert np.array_equal(layout.site_values(layout.trxp_height), [25.0, 25.0])
+
+    def test_trxp_away_from_its_site_rejected(self):
+        with pytest.raises(DomainError, match="position"):
+            self._two_sector_layout(trxp_pos=np.array([[0.0, 0.0], [1.0, 0.0], [500.0, 0.0]]))
+
+    def test_sectors_of_different_height_rejected(self):
+        with pytest.raises(DomainError, match="trxp_height"):
+            self._two_sector_layout(trxp_height=np.array([25.0, 10.0, 25.0]))
+
+    def test_sectors_of_different_layer_rejected(self):
+        with pytest.raises(DomainError, match="trxp_is_micro"):
+            self._two_sector_layout(trxp_is_micro=np.array([False, True, False]))
+
+
 class TestWrapDistance:
     def test_identity(self):
         layout = build_layout(MMTC_A)
@@ -116,25 +172,28 @@ class TestWrapDistance:
         assert d == 0.0
         assert np.all(t == 0.0)
 
-    def test_symmetry_on_random_pairs(self):
-        layout = build_layout(MMTC_A)
-        rng = np.random.default_rng(11)
-        span = 1500.0
-        for _ in range(1000):
-            a = rng.uniform(-span, span, 2)
-            b = rng.uniform(-span, span, 2)
-            d_ab, _ = wrap_distance(layout, a, b)
-            d_ba, _ = wrap_distance(layout, b, a)
-            assert d_ab == pytest.approx(d_ba, abs=1e-9)
+    @settings(max_examples=100, deadline=None)
+    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS)
+    def test_symmetry_on_random_pairs(self, env, a, b):
+        layout = _layout(env)
+        a, b = np.array(a), np.array(b)
+        _, d_ab = wrap_displacements(layout, a, b)
+        _, d_ba = wrap_displacements(layout, b, a)
+        # the translation set is closed under exact negation
+        assert np.array_equal(d_ab, d_ba.T)
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert wrap_distance(layout, a[i], b[j])[0] == pytest.approx(
+                    wrap_distance(layout, b[j], a[i])[0], abs=1e-9)
 
-    def test_wrapped_never_exceeds_direct(self):
-        layout = build_layout(MMTC_A)
-        rng = np.random.default_rng(12)
-        a = rng.uniform(-2000, 2000, (500, 2))
-        b = rng.uniform(-2000, 2000, (500, 2))
+    @settings(max_examples=100, deadline=None)
+    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS)
+    def test_wrapped_never_exceeds_direct(self, env, a, b):
+        layout = _layout(env)
+        a, b = np.array(a), np.array(b)
         _, d = wrap_displacements(layout, a, b)
-        direct = np.linalg.norm(a - b, axis=1)
-        assert np.all(np.diagonal(d) <= direct + 1e-9)
+        direct = np.linalg.norm(b[None, :, :] - a[:, None, :], axis=-1)
+        assert np.all(d <= direct + 1e-9)
 
     def test_far_points_wrap_closer(self):
         layout = build_layout(MMTC_A)
@@ -166,21 +225,9 @@ class TestWrapDistance:
         assert abs(c.mean() - e.mean()) < 3.0 * sigma_diff
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(env):
-    return build_layout(preset(env, "A"))
-
-
-# coordinates well beyond the wrapped regions, so images on every side matter
-_POINTS = st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500.0)),
-                   min_size=1, max_size=5)
-
-
 class TestWrapDisplacements:
     @settings(max_examples=100, deadline=None)
-    @given(env=st.sampled_from([TestEnvironment.URBAN_MACRO_MMTC,
-                                TestEnvironment.DENSE_URBAN_EMBB]),
-           a=_POINTS, b=_POINTS)
+    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS)
     def test_matches_scalar_wrap_distance(self, env, a, b):
         layout = _layout(env)
         a, b = np.array(a), np.array(b)
@@ -323,3 +370,148 @@ class TestAttach:
         budget = compute_coupling(INDOOR, layout, ues, _NoFading())
         assert np.all(budget.coupling_db == budget.coupling_db[:, :1])
         assert np.all(budget.serving == 0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracles: the per-TRxP coupling and the re-test-all UE drop that
+# the per-site versions replace
+
+
+def wrap_displacements_reference(layout, from_pos, to_pos):
+    """Oracle for wrap_displacements: gathers the minimizing translation."""
+    f = np.asarray(from_pos, dtype=float)[:, :2]
+    t = np.asarray(to_pos, dtype=float)[:, :2]
+    base_x = t[None, :, 0] - f[:, 0, None]
+    base_y = t[None, :, 1] - f[:, 1, None]
+    best_d2 = None
+    best_k = None
+    for k, (tx, ty) in enumerate(layout.wrap_translations):
+        d2 = (base_x + tx) ** 2 + (base_y + ty) ** 2
+        if best_d2 is None:
+            best_d2, best_k = d2, np.zeros(d2.shape, dtype=np.intp)
+        else:
+            closer = d2 < best_d2
+            np.copyto(best_d2, d2, where=closer)
+            best_k[closer] = k
+    shift = layout.wrap_translations[best_k]
+    delta = np.stack([base_x + shift[..., 0], base_y + shift[..., 1]], axis=-1)
+    return delta, np.sqrt(best_d2)
+
+
+def drop_ues_reference(layout, config, rng):
+    """Oracle for drop_ues: every rejection round re-tests every UE."""
+    if config.ues_per_trxp < 1:
+        raise ConfigInvalid("ues_per_trxp", "must be >= 1")
+    n = config.ues_per_trxp * layout.n_trxps
+    pos = _sample_positions(layout, n, rng)
+
+    min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
+    if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+        macro_sites = layout.macro_site_positions()
+        micro_pos = layout.trxp_pos[layout.trxp_is_micro]
+        for _ in range(1000):
+            _, d_macro = wrap_displacements_reference(layout, pos, macro_sites)
+            bad = d_macro.min(axis=1) < min_macro
+            if len(micro_pos):
+                _, d_micro = wrap_displacements_reference(layout, pos, micro_pos)
+                bad |= d_micro.min(axis=1) < MIN_UE_DISTANCE_MICRO_M
+            if not bad.any():
+                break
+            pos[bad] = _sample_positions(layout, int(bad.sum()), rng)
+        else:
+            raise DomainError("could not place UEs outside the exclusion radius")
+
+    indoor = rng.uniform(size=n) < config.indoor_fraction
+    high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)
+    direction = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return UeDrop(
+        positions=np.column_stack([pos, np.full(n, config.ue_height)]),
+        indoor=indoor,
+        high_loss=high_loss,
+        speed_kmh=np.where(indoor, float(config.ue_speed_indoor), float(config.ue_speed_outdoor)),
+        direction_rad=direction,
+    )
+
+
+def compute_coupling_reference(config, layout, ues, rng):
+    """Oracle for compute_coupling: every quantity on all TRxP columns.
+
+    Returns (coupling_db, serving).
+    """
+    delta, d2d = wrap_displacements_reference(layout, ues.positions, layout.trxp_pos)
+    n_ue, n_t = d2d.shape
+    dz = layout.trxp_height[None, :] - config.ue_height
+    d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
+
+    micro_mask = layout.trxp_is_micro if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER \
+        else np.zeros(n_t, dtype=bool)
+    los_u = rng.uniform(size=(n_ue, n_t))
+    sf_z = rng.standard_normal((n_ue, n_t))
+
+    pl = np.zeros((n_ue, n_t))
+    profiles = [(profile_for(config.environment, config.config_variant), ~micro_mask),
+                (profile_for(config.environment, config.config_variant, micro=True), micro_mask)]
+    for profile, mask in profiles:
+        if not mask.any():
+            continue
+        p_los = los_probability(profile.plos_model, d2d[:, mask])
+        los_part = los_u[:, mask] < p_los
+        h_ref = float(layout.trxp_height[mask][0])
+        pl_los, pl_nlos = pathloss_curves(profile, config.carrier_frequency,
+                                          d3d[:, mask], h_ref, config.ue_height)
+        part = np.where(los_part, pl_los, pl_nlos)
+        sf_sigma = np.where(los_part, profile.los.sf_sigma_db, profile.nlos.sf_sigma_db)
+        part = part + sf_sigma * sf_z[:, mask]
+        pen = np.where(ues.high_loss, profile.pen_high_db, profile.pen_low_db)
+        part = part + np.where(ues.indoor, pen, 0.0)[:, None]
+        pl[:, mask] = part
+
+    az = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
+    az_rel = (az - layout.trxp_boresight_deg[None, :] + 180.0) % 360.0 - 180.0
+    zen = np.degrees(np.arctan2(d2d, -(config.ue_height - layout.trxp_height[None, :])))
+    zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
+    gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff))
+    if layout.trxp_is_micro.any():
+        gain = np.where(layout.trxp_is_micro[None, :], config.bs_element_gain, gain)
+    coupling = pl - gain - config.ue_element_gain
+    return coupling, np.argmin(coupling, axis=1)
+
+
+_ORACLE_CASES = {
+    "hex19": (MMTC_A, lambda: _layout(TestEnvironment.URBAN_MACRO_MMTC)),
+    "dense_urban": (preset(TestEnvironment.DENSE_URBAN_EMBB, "A"),
+                    lambda: _layout(TestEnvironment.DENSE_URBAN_EMBB)),
+    "indoor": (INDOOR, lambda: _layout(TestEnvironment.INDOOR_HOTSPOT_EMBB)),
+    "colocated": (INDOOR, lambda: _colocated_layout(3)),
+}
+
+
+class TestPerSiteGeometryOracle:
+    """The per-site drop and coupling give the bytes of the per-TRxP ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(sorted(_ORACLE_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+           drop=st.integers(0, 2 ** 20))
+    def test_drop_and_coupling_match_per_trxp_reference(self, case, seed, drop):
+        config, make_layout = _ORACLE_CASES[case]
+        layout = make_layout()
+        ues = drop_ues(layout, config, derive_stream(seed, drop, "ues"))
+        ref_ues = drop_ues_reference(layout, config, derive_stream(seed, drop, "ues"))
+        for name in ("positions", "indoor", "high_loss", "speed_kmh", "direction_rad"):
+            assert np.array_equal(getattr(ues, name), getattr(ref_ues, name)), name
+
+        budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
+        coupling, serving = compute_coupling_reference(config, layout, ues,
+                                                       derive_stream(seed, drop, "links"))
+        assert np.array_equal(budget.coupling_db, coupling)
+        assert np.array_equal(budget.serving, serving)
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS)
+    def test_wrap_displacements_match_gathered_translation(self, env, a, b):
+        layout = _layout(env)
+        a, b = np.array(a), np.array(b)
+        delta, dist = wrap_displacements(layout, a, b)
+        ref_delta, ref_dist = wrap_displacements_reference(layout, a, b)
+        assert np.array_equal(delta, ref_delta)
+        assert np.array_equal(dist, ref_dist)
