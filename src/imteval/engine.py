@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
 from .scenario import DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, config_hash
-from .traffic import TrafficKind, pf_run, serve_fifo, track_delays
+from .traffic import TrafficKind, pf_run, serve_fifo
 
 STREAM_ALGORITHM = (
     "numpy PCG64 seeded by SeedSequence(master_seed, spawn_key=(drop_index, "
@@ -119,19 +119,26 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     pen = np.where(ues.high_loss[:, None], pen_high, pen_low)
     pl += np.where(ues.indoor[:, None], pen, 0.0)
 
-    # BS-side element gain toward each UE. x lies in [-270, 360]: below 0
-    # numpy's float remainder mod 360 is exactly x + 360; at 360 (boresight
-    # 0, UE due west) it would give -180 where this gives +180, which has
-    # the same gain
-    az = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
-    x = az[:, site] - layout.trxp_boresight_deg + 180.0
+    # BS-side element gain toward each UE, evaluated on the macro TRxPs and
+    # their sites only: micro/indoor points are omnidirectional at their
+    # element gain. x lies in [-270, 360]: below 0 numpy's float remainder
+    # mod 360 is exactly x + 360; at 360 (boresight 0, UE due west) it would
+    # give -180 where this gives +180, which has the same gain
+    macro = ~layout.trxp_is_micro
+    macro_sites, col = (slice(None), site) if macro.all() else \
+        np.unique(site[macro], return_inverse=True)
+    to_site = delta[:, macro_sites]
+    az = np.degrees(np.arctan2(to_site[..., 1], to_site[..., 0]))
+    x = az[:, col] - layout.trxp_boresight_deg[macro] + 180.0
     az_rel = np.where(x < 0.0, x + 360.0, x) - 180.0
-    zen = np.degrees(np.arctan2(d2d, dz))  # zenith of the UE seen from the BS
+    # zenith of the UE seen from the BS
+    zen = np.degrees(np.arctan2(d2d[:, macro_sites], dz[macro_sites]))
     zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
-    gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff[:, site]))
-    if layout.trxp_is_micro.any():
-        # micro/indoor points are omnidirectional at their element gain
-        gain = np.where(layout.trxp_is_micro, config.bs_element_gain, gain)
+    gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff[:, col]))
+    if not macro.all():
+        omni = np.full((n_ue, n_t), float(config.bs_element_gain))
+        omni[:, macro] = gain
+        gain = omni
 
     coupling = pl - gain - config.ue_element_gain
     return LinkBudget(coupling_db=coupling, serving=np.argmin(coupling, axis=1))
@@ -548,9 +555,43 @@ def _mobility_speeds(env: TestEnvironment):
 # non-full-buffer connection density route
 
 
+@dataclass(frozen=True)
+class MessageLinks:
+    """Per-UE uplink message service of one drop: the same at every density."""
+
+    members: list  # per TRxP, the ascending ids of the UEs it serves
+    se: np.ndarray  # (n_ue,) spectral efficiency after the CSI backoff
+    tx_time: np.ndarray  # (n_ue,) seconds per transmission of one PDU
+    p_success: np.ndarray  # (n_ue,) probability that one transmission decodes
+
+
+def message_links(config: EvaluationConfig, layout: NetworkLayout,
+                  drop_index: int) -> MessageLinks:
+    """Run drop ``drop_index`` SINR-only and map each UE's uplink SINR to
+    its message service (saturated-neighbor interference: the drop's
+    per-victim level)."""
+    spec, lk = config.traffic, config.link
+    probe = run_drop(config, layout, drop_index, sinr_only=True)
+    sinr = probe.ul_sinr_db - lk.csi_backoff_db
+    se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+    # undecodable messages still occupy the channel at the slowest rate for
+    # the full retransmission budget, then count as lost
+    tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
+    p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+    by_cell = np.argsort(probe.serving, kind="stable")
+    bounds = np.cumsum(np.bincount(probe.serving, minlength=layout.n_trxps))[:-1]
+    return MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
+
+
+def _queue_capacity(mean_messages: float) -> int:
+    """Rows to allocate for Poisson(mean) queues; longer ones grow the arrays."""
+    return int(mean_messages + 6.0 * math.sqrt(mean_messages)) + 16
+
+
 def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
                        density_per_km2: float, n_drops: int = 3,
-                       horizon_s: float = 20.0, record_sink: list | None = None) -> float:
+                       horizon_s: float = 20.0, record_sink: list | None = None,
+                       links: list | None = None) -> float:
     """99th-percentile message delay at the given device density.
 
     Messages arrive per cell as aggregate Poisson traffic (device density x
@@ -560,13 +601,14 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     co-channel interference level comes from the same budget machinery as
     the full-buffer runs (saturated-neighbor assumption).
 
-    Per-message data stays in 1-D arrays from the arrival draw to the
-    percentile. The link maps are elementwise, so each drop evaluates them
-    once over its UEs and gathers them per message; the per-cell loop is
-    kept only for the random draws, whose order (``poisson``, ``uniform``,
-    ``integers``, ``geometric`` per cell) fixes the results of a seed. An
-    undelivered message counts as an infinite delay (see metrics.p99_delay
-    for the percentile rule around ``inf``).
+    ``links`` holds ``message_links`` of drops 0 .. n_drops - 1 (and then
+    sets the drop count); a search computes them once for all its probes,
+    and they are computed here when it is None. The per-cell loop only
+    draws (``poisson``, ``uniform``, ``integers``, ``geometric`` per cell,
+    an order that fixes the results of a seed) into padded (messages x
+    queues) arrays, one queue per drop and cell, and ``serve_fifo`` serves
+    every queue at once. An undelivered message counts as an infinite delay
+    (see metrics.p99_delay for the percentile rule around ``inf``).
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
     service start, completion, transmissions, delivered) are appended to it
@@ -575,48 +617,61 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     spec = config.traffic
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
         raise DomainError("density evaluation needs the Poisson messaging traffic model")
+    if links is None:
+        links = [message_links(config, layout, d) for d in range(n_drops)]
     area_km2 = layout.sector_area_m2 / 1e6
-    rate_per_cell = density_per_km2 * area_km2 * spec.rate_per_s
+    mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
     n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
-    pdu_bits = spec.pdu_size_bytes * 8
-    lk = config.link
-    bler_model = lk.bler_model()
-    delays = []
+    n_t = layout.n_trxps
+    shape = (_queue_capacity(mean_messages), len(links) * n_t)
+    arrival, busy = np.zeros(shape), np.zeros(shape)
+    delivered = np.zeros(shape, dtype=bool)
+    lengths = np.zeros(shape[1], dtype=np.intp)
+    transmissions = {}  # queue -> transmissions per message, kept for record_sink
 
-    for d in range(n_drops):
+    for d, link in enumerate(links):
         rng = derive_stream(config.master_seed, d, "density")
-        probe = run_drop(config, layout, d, sinr_only=True)
-        # saturated-neighbor interference: reuse the drop's per-victim level
-        sinr = probe.ul_sinr_db - lk.csi_backoff_db
-        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-        # undecodable messages still occupy the channel at the slowest
-        # rate for the full retransmission budget, then count as lost
-        tx_time = pdu_bits / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
-        p_success = np.clip(1.0 - np.asarray(bler(bler_model, sinr)), 1e-9, 1.0)
-        for c in range(layout.n_trxps):
-            n_msgs = rng.poisson(rate_per_cell * horizon_s)
+        for c, members in enumerate(link.members):
+            n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
                 continue
-            arrival = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
+            times = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
             # sample message SINRs from this drop's UE population of the cell
-            members = np.flatnonzero(probe.serving == c)
             if len(members) == 0:
                 continue
             chosen = members[rng.integers(len(members), size=n_msgs)]
-            first_success = rng.geometric(p_success[chosen])
-            delivered = (se[chosen] > 0.0) & (first_success <= _MAX_MESSAGE_ATTEMPTS)
+            first_success = rng.geometric(link.p_success[chosen])
             n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
-            busy = spec.overhead_s + n_tx * tx_time[chosen]
-            start = serve_fifo(arrival, busy, n_servers)
-            done = start + busy
-            delays.append(np.where(delivered, track_delays(arrival, start, done), np.inf))
+            if n_msgs > len(arrival):
+                arrival, busy, delivered = (
+                    np.concatenate([a, np.zeros((n_msgs - len(a), a.shape[1]), a.dtype)])
+                    for a in (arrival, busy, delivered))
+            q = d * n_t + c
+            lengths[q] = n_msgs
+            arrival[:n_msgs, q] = times
+            busy[:n_msgs, q] = spec.overhead_s + n_tx * link.tx_time[chosen]
+            delivered[:n_msgs, q] = (link.se[chosen] > 0.0) & \
+                (first_success <= _MAX_MESSAGE_ATTEMPTS)
             if record_sink is not None:
-                record_sink.extend(zip(repeat(d), repeat(c), arrival.tolist(), start.tolist(),
-                                       done.tolist(), n_tx.tolist(), delivered.tolist()))
+                transmissions[q] = n_tx
 
-    if not delays:
+    rows = int(lengths.max(initial=0))
+    if rows == 0:
         return 0.0
-    return metrics.p99_delay(np.concatenate(delays))
+    arrival, busy, delivered = arrival[:rows], busy[:rows], delivered[:rows]
+    starts = np.empty_like(arrival) if record_sink is not None else None
+    delays = serve_fifo(arrival, busy, n_servers, lengths, starts)
+    # serve_fifo orders delays by position, then queue: gather delivered alike
+    delays[~delivered[np.arange(rows)[:, None] < lengths]] = np.inf
+    if record_sink is not None:
+        for q in np.flatnonzero(lengths).tolist():
+            n, (d, c) = int(lengths[q]), divmod(q, n_t)
+            start = starts[:n, q]
+            record_sink.extend(zip(repeat(d), repeat(c), arrival[:n, q].tolist(),
+                                   start.tolist(), (start + busy[:n, q]).tolist(),
+                                   transmissions[q].tolist(), delivered[:n, q].tolist()))
+    del arrival, busy, delivered, starts  # freed before the percentile copies delays
+    return metrics.p99_delay(delays)
 
 
 def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
@@ -628,7 +683,9 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     if calibrate:
         config, _, _ = calibrate_ul_power(config, layout)
 
+    links = [message_links(config, layout, d) for d in range(n_drops)]
+
     def probe(density):
-        return evaluate_p99_delay(config, layout, density, n_drops=n_drops)
+        return evaluate_p99_delay(config, layout, density, n_drops=n_drops, links=links)
 
     return metrics.connection_density_search(probe, lo_per_km2, hi_per_km2, steps=steps), config

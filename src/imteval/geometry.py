@@ -309,8 +309,6 @@ class UeDrop:
     positions: np.ndarray  # (n, 3) meters
     indoor: np.ndarray  # (n,) bool
     high_loss: np.ndarray  # (n,) bool, only ever set for indoor UEs
-    speed_kmh: np.ndarray  # (n,)
-    direction_rad: np.ndarray  # (n,) uniform in [0, 2 pi)
 
 
 def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Generator) -> UeDrop:
@@ -348,13 +346,10 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
 
     indoor = rng.uniform(size=n) < config.indoor_fraction
     high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)
-    direction = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return UeDrop(
         positions=np.column_stack([pos, np.full(n, config.ue_height)]),
         indoor=indoor,
         high_loss=high_loss,
-        speed_kmh=np.where(indoor, float(config.ue_speed_indoor), float(config.ue_speed_outdoor)),
-        direction_rad=direction,
     )
 
 

@@ -8,7 +8,6 @@ route, whose arrivals `engine.evaluate_p99_delay` draws per cell).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,24 +130,66 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     return counts, mux
 
 
-def serve_fifo(arrival_times, service_times, n_servers: int):
-    """Multi-server FIFO queue with infinite buffer.
+# message positions served between two delay checks; bounds the start-time
+# buffer to this many rows of the padded queue arrays
+_FIFO_BLOCK = 256
 
-    ``arrival_times`` is a sorted 1-D float array of message arrivals and
-    ``service_times`` the busy time of each message in the same order
-    (retransmissions folded in). Each message takes the server that frees
-    up first, in arrival order. Returns the 1-D array of service start
-    times, one per message; a message completes at start + service time.
+
+def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, starts=None):
+    """Independent multi-server FIFO queues with infinite buffers, all
+    served in lockstep.
+
+    ``arrival_times`` and ``service_times`` are padded (messages x queues)
+    arrays: column q holds queue q's first ``lengths[q]`` messages (every
+    row when ``lengths`` is None) in arrival order, each with its busy time
+    (retransmissions folded in); entries past a queue's length change no
+    result. 1-D arrays are one queue. Each message takes the server of its
+    queue that frees up first. Returns the delay (completion - arrival) of
+    every message as a 1-D array, ordered by position and then by queue.
+    When ``starts`` is given, an array shaped like ``arrival_times``, every
+    service start time is written into it; a message completes at start +
+    service time.
+
+    Each step serves one message position of every queue with a handful of
+    numpy calls. The server chosen is the first one holding the smallest
+    free time, which is the value a heap of free times would pop, so every
+    start and completion equals the heap queue's (tests keep that loop as
+    the oracle).
     """
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
-    free_at = [0.0] * n_servers  # a heap of the times each server frees up
-    starts = []
-    replace_earliest, record = heapq.heapreplace, starts.append  # hot loop: local names
-    for t, svc in zip(np.asarray(arrival_times, dtype=float).tolist(),
-                      np.asarray(service_times, dtype=float).tolist()):
-        free = free_at[0]
-        start = free if free > t else t  # max(t, free), as a faster expression
-        replace_earliest(free_at, start + svc)
-        record(start)
-    return np.array(starts, dtype=float)
+    arrival = np.asarray(arrival_times, dtype=float)
+    service = np.asarray(service_times, dtype=float)
+    if arrival.ndim == 1:
+        arrival, service = arrival[:, None], service[:, None]
+        if starts is not None:
+            starts = starts[:, None]
+    n_rows, n_queues = arrival.shape
+    lengths = np.full(n_queues, n_rows) if lengths is None else np.asarray(lengths)
+    if service.shape != arrival.shape or lengths.shape != (n_queues,) \
+            or (lengths > n_rows).any():
+        raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
+                            f"{service.shape}, lengths {lengths.shape} (longest "
+                            f"{lengths.max(initial=0)})")
+    free = np.zeros(n_queues * n_servers)  # (queue, server) free times, flat
+    earliest = free.reshape(n_queues, n_servers).argmin  # hot loop: local names
+    take, put, maximum, add = free.take, free.put, np.maximum, np.add
+    base = np.arange(n_queues) * n_servers
+    delays = np.empty(int(lengths.sum()))
+    buffer = np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
+    done, filled = np.empty(n_queues), 0
+    for b0 in range(0, n_rows, _FIFO_BLOCK):
+        b1 = min(b0 + _FIFO_BLOCK, n_rows)
+        block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
+        for i in range(b0, b1):
+            slot = earliest(axis=1)
+            slot += base
+            start = block[i - b0]
+            maximum(arrival[i], take(slot), out=start)
+            put(slot, add(start, service[i], out=done))
+        valid = np.arange(b0, b1)[:, None] < lengths
+        a, s = arrival[b0:b1][valid], block[valid]
+        checked = track_delays(a, s, s + service[b0:b1][valid])
+        delays[filled:filled + len(checked)] = checked
+        filled += len(checked)
+    return delays

@@ -3,10 +3,13 @@ calibration and parallel-merge identity."""
 
 import dataclasses
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
+from test_traffic import serve_fifo_reference
 
+from imteval import engine, metrics
 from imteval.engine import (
     calibrate_ul_power,
     compute_coupling,
@@ -17,7 +20,9 @@ from imteval.engine import (
     run_drop,
 )
 from imteval.geometry import LayoutKind, NetworkLayout, build_layout, drop_ues
+from imteval.link import bler, sinr_to_se
 from imteval.scenario import DOWNLINK, UPLINK, TestEnvironment, preset
+from imteval.traffic import track_delays
 
 MMTC_A = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_MMTC, "A"), drops=5)
 
@@ -247,7 +252,110 @@ class TestRun:
         assert np.array_equal(stopped.per_drop_mean_ul_sinr, full.per_drop_mean_ul_sinr[:n])
 
 
+def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
+                                 horizon_s=20.0, record_sink=None):
+    """Oracle for evaluate_p99_delay: runs every drop again, then serves
+    each cell's messages through its own heap queue as they are drawn."""
+    spec = config.traffic
+    area_km2 = layout.sector_area_m2 / 1e6
+    rate_per_cell = density_per_km2 * area_km2 * spec.rate_per_s
+    n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
+    pdu_bits = spec.pdu_size_bytes * 8
+    lk = config.link
+    max_attempts = engine._MAX_MESSAGE_ATTEMPTS
+    delays = []
+    for d in range(n_drops):
+        rng = derive_stream(config.master_seed, d, "density")
+        probe = run_drop(config, layout, d, sinr_only=True)
+        sinr = probe.ul_sinr_db - lk.csi_backoff_db
+        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+        tx_time = pdu_bits / np.maximum(se, engine._SE_CHANNEL_FLOOR) / spec.w_user_hz
+        p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+        for c in range(layout.n_trxps):
+            n_msgs = rng.poisson(rate_per_cell * horizon_s)
+            if n_msgs == 0:
+                continue
+            arrival = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
+            members = np.flatnonzero(probe.serving == c)
+            if len(members) == 0:
+                continue
+            chosen = members[rng.integers(len(members), size=n_msgs)]
+            first_success = rng.geometric(p_success[chosen])
+            delivered = (se[chosen] > 0.0) & (first_success <= max_attempts)
+            n_tx = np.minimum(first_success, max_attempts)
+            busy = spec.overhead_s + n_tx * tx_time[chosen]
+            log = serve_fifo_reference(list(zip(arrival.tolist(), range(n_msgs))),
+                                       busy.tolist(), n_servers)
+            start = np.array([row[2] for row in log])
+            done = start + busy
+            delays.append(np.where(delivered, track_delays(arrival, start, done), np.inf))
+            if record_sink is not None:
+                record_sink.extend(zip(repeat(d), repeat(c), arrival.tolist(), start.tolist(),
+                                       done.tolist(), n_tx.tolist(), delivered.tolist()))
+    if not delays:
+        return 0.0
+    return metrics.p99_delay(np.concatenate(delays))
+
+
+@pytest.fixture(scope="module")
+def mmtc_calibrated():
+    cfg = small(MMTC_A, drops=2)
+    layout = build_layout(cfg)
+    return calibrate_ul_power(cfg, layout)[0], layout
+
+
 class TestDensityRoute:
+    @pytest.mark.parametrize("seed, density, n_drops, calibrated", [
+        (20200101, 2e5, 1, True),
+        (7, 4e6, 2, True),
+        (11, 3e7, 1, True),
+        (3, 1e6, 2, False),
+        (5, 1e3, 2, True),  # most cells draw no message
+    ])
+    def test_matches_per_cell_heap_reference(self, mmtc_calibrated, seed, density, n_drops,
+                                             calibrated):
+        cal, layout = mmtc_calibrated
+        cfg = dataclasses.replace(cal if calibrated else small(MMTC_A, drops=2),
+                                  master_seed=seed)
+        rows, ref_rows = [], []
+        delay = evaluate_p99_delay(cfg, layout, density, n_drops=n_drops, horizon_s=10.0,
+                                   record_sink=rows)
+        expected = evaluate_p99_delay_reference(cfg, layout, density, n_drops=n_drops,
+                                                horizon_s=10.0, record_sink=ref_rows)
+        assert delay == expected
+        assert rows == ref_rows
+        assert evaluate_p99_delay(cfg, layout, density, n_drops=n_drops,
+                                  horizon_s=10.0) == delay
+
+    def test_queues_longer_than_first_capacity_grow(self, mmtc_calibrated, monkeypatch):
+        cal, layout = mmtc_calibrated
+        monkeypatch.setattr(engine, "_queue_capacity", lambda mean: 2)
+        rows, ref_rows = [], []
+        delay = evaluate_p99_delay(cal, layout, 2e6, n_drops=2, horizon_s=10.0,
+                                   record_sink=rows)
+        expected = evaluate_p99_delay_reference(cal, layout, 2e6, n_drops=2, horizon_s=10.0,
+                                                record_sink=ref_rows)
+        assert max(sum(1 for r in rows if r[:2] == key) for key in {r[:2] for r in rows}) > 2
+        assert delay == expected and rows == ref_rows
+
+    def test_search_runs_each_drop_once(self, monkeypatch):
+        cfg = small(MMTC_A, drops=2)
+        run_drop_indices = []
+
+        def counting_run_drop(config, layout, drop_index, sinr_only=False):
+            run_drop_indices.append(drop_index)
+            return run_drop(config, layout, drop_index, sinr_only)
+
+        monkeypatch.setattr(engine, "run_drop", counting_run_drop)
+        search, cal = density_search(cfg, steps=3, n_drops=2)
+        monkeypatch.undo()
+        assert [d for d in run_drop_indices if d < engine._CALIBRATION_DROP_BASE] == [0, 1]
+        layout = build_layout(cfg)
+        reference = metrics.connection_density_search(
+            lambda density: evaluate_p99_delay_reference(cal, layout, density, n_drops=2),
+            2e5, 4e7, steps=3)
+        assert search.evaluations == reference.evaluations
+
     def test_p99_delay_increases_with_density(self):
         cfg = small(MMTC_A, drops=2)
         layout = build_layout(cfg)

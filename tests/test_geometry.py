@@ -252,7 +252,7 @@ class TestDropUes:
         layout = build_layout(MMTC_A)
         ues = drop_ues(layout, MMTC_A, derive_stream(1, 0, "ues"))
         assert ues.positions.shape == (10 * 57, 3) == (570, 3)
-        for column in (ues.indoor, ues.high_loss, ues.speed_kmh, ues.direction_rad):
+        for column in (ues.indoor, ues.high_loss):
             assert column.shape == (570,)
         assert np.all(ues.positions[:, 2] == MMTC_A.ue_height)
 
@@ -294,22 +294,6 @@ class TestDropUes:
         assert np.all(uv > -1e-9) and np.all(uv < 1.0 + 1e-9)
         counts, _, _ = np.histogram2d(uv[:, 0], uv[:, 1], bins=10, range=[[0, 1], [0, 1]])
         chi2, p_value = stats.chisquare(counts.ravel())
-        assert p_value > 0.01
-
-    def test_speed_follows_indoor_flag(self):
-        import dataclasses
-        cfg = dataclasses.replace(MMTC_A, ue_speed_indoor=3.0, ue_speed_outdoor=30.0)
-        layout = build_layout(cfg)
-        ues = drop_ues(layout, cfg, derive_stream(6, 0, "ues"))
-        assert ues.indoor.any() and not ues.indoor.all()
-        assert np.array_equal(ues.speed_kmh, np.where(ues.indoor, 3.0, 30.0))
-
-    def test_direction_uniform(self):
-        layout = build_layout(MMTC_A)
-        dirs = np.concatenate([drop_ues(layout, MMTC_A, derive_stream(7, d, "ues")).direction_rad
-                               for d in range(20)])
-        assert dirs.min() >= 0.0 and dirs.max() < 2.0 * math.pi
-        _, p_value = stats.kstest(dirs / (2.0 * math.pi), "uniform")
         assert p_value > 0.01
 
     def test_high_loss_only_for_indoor(self):
@@ -423,13 +407,10 @@ def drop_ues_reference(layout, config, rng):
 
     indoor = rng.uniform(size=n) < config.indoor_fraction
     high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)
-    direction = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return UeDrop(
         positions=np.column_stack([pos, np.full(n, config.ue_height)]),
         indoor=indoor,
         high_loss=high_loss,
-        speed_kmh=np.where(indoor, float(config.ue_speed_indoor), float(config.ue_speed_outdoor)),
-        direction_rad=direction,
     )
 
 
@@ -497,9 +478,23 @@ class TestPerSiteGeometryOracle:
         layout = make_layout()
         ues = drop_ues(layout, config, derive_stream(seed, drop, "ues"))
         ref_ues = drop_ues_reference(layout, config, derive_stream(seed, drop, "ues"))
-        for name in ("positions", "indoor", "high_loss", "speed_kmh", "direction_rad"):
+        for name in ("positions", "indoor", "high_loss"):
             assert np.array_equal(getattr(ues, name), getattr(ref_ues, name)), name
 
+        budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
+        coupling, serving = compute_coupling_reference(config, layout, ues,
+                                                       derive_stream(seed, drop, "links"))
+        assert np.array_equal(budget.coupling_db, coupling)
+        assert np.array_equal(budget.serving, serving)
+
+    @pytest.mark.parametrize("seed, drop", [(20200101, 0), (3, 17)])
+    def test_dense_urban_coupling_matches_gain_on_every_column(self, seed, drop):
+        """Element gain taken on the macro columns only gives the bytes of
+        the gain taken on all 228 columns with the micro ones overwritten."""
+        config, make_layout = _ORACLE_CASES["dense_urban"]
+        layout = make_layout()
+        assert layout.trxp_is_micro.any() and not layout.trxp_is_micro.all()
+        ues = drop_ues(layout, config, derive_stream(seed, drop, "ues"))
         budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
         coupling, serving = compute_coupling_reference(config, layout, ues,
                                                        derive_stream(seed, drop, "links"))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imteval import traffic
 from imteval.errors import ConfigInvalid, InternalError
 from imteval.traffic import (
     TrafficKind,
@@ -192,17 +193,18 @@ class TestDelays:
     def test_two_back_to_back_jobs_single_server(self):
         # M/D/1 hand case: two arrivals at t=0, 0.1; service 0.5 each
         arrival, busy = np.array([0.0, 0.1]), np.array([0.5, 0.5])
-        start = serve_fifo(arrival, busy, n_servers=1)
-        d1, d2 = track_delays(arrival, start, start + busy)
+        start = np.empty(2)
+        d1, d2 = serve_fifo(arrival, busy, n_servers=1, starts=start)
+        assert start.tolist() == [0.0, 0.5]
         assert d1 == pytest.approx(0.5)
         # second job waits for the first: delay = (first completion - own
         # arrival) + own service = 0.4 + 0.5
         assert d2 == pytest.approx(d1 + 0.5 - 0.1)
 
     def test_empty_arrivals_empty_records(self):
-        start = serve_fifo([], [], n_servers=1)
-        assert start.shape == (0,) and start.dtype == float
-        assert track_delays([], start, start).shape == (0,)
+        delays = serve_fifo([], [], n_servers=1)
+        assert delays.shape == (0,) and delays.dtype == float
+        assert track_delays([], delays, delays).shape == (0,)
 
     def test_inconsistent_log_rejected(self):
         with pytest.raises(InternalError, match="message 0"):
@@ -262,20 +264,23 @@ _SERVICE = st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
 class TestServeFifo:
     def test_parallel_servers(self):
         arrival, busy = np.zeros(3), np.ones(3)
-        start = serve_fifo(arrival, busy, n_servers=2)
-        delays = sorted(track_delays(arrival, start, start + busy))
+        delays = sorted(serve_fifo(arrival, busy, n_servers=2))
         assert delays == [pytest.approx(1.0), pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_conservation(self):
         rng = np.random.default_rng(7)
         arrival = np.sort(rng.uniform(0, 10, 200))
         services = rng.uniform(0.01, 0.2, 200)
-        start = serve_fifo(arrival, services, n_servers=3)
-        assert start.shape == arrival.shape  # infinite queue: all complete
+        delays = serve_fifo(arrival, services, n_servers=3)
+        assert delays.shape == arrival.shape  # infinite queue: all complete
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ConfigInvalid):
             serve_fifo([0.0], [1.0], n_servers=0)
+
+    def test_queue_longer_than_lengths_rejected(self):
+        with pytest.raises(InternalError):
+            serve_fifo(np.zeros((2, 2)), np.zeros((2, 2)), 1, lengths=[2, 3])
 
     @settings(max_examples=200, deadline=None)
     @given(jobs=st.lists(st.tuples(_TIMES, _SERVICE), max_size=60),
@@ -283,10 +288,44 @@ class TestServeFifo:
     def test_matches_tuple_heap_bit_for_bit(self, jobs, n_servers):
         arrival = np.sort(np.array([t for t, _ in jobs], dtype=float))
         busy = np.array([svc for _, svc in jobs], dtype=float)
-        start = serve_fifo(arrival, busy, n_servers)
+        start = np.empty_like(arrival)
+        delays = serve_fifo(arrival, busy, n_servers, starts=start)
         done = start + busy
         log = serve_fifo_reference(list(zip(arrival.tolist(), range(len(jobs)))),
                                    busy.tolist(), n_servers)
         assert [row[2] for row in log] == start.tolist()
         assert [row[3] for row in log] == done.tolist()
-        assert [row[3] - row[1] for row in log] == track_delays(arrival, start, done).tolist()
+        assert [row[3] - row[1] for row in log] == delays.tolist()
+        assert delays.tolist() == track_delays(arrival, start, done).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(queues=st.lists(st.lists(st.tuples(_TIMES, _SERVICE), max_size=40),
+                           min_size=1, max_size=8),
+           n_servers=st.integers(1, 16), block=st.integers(1, 9),
+           pad=st.sampled_from([0.0, -1.0, 1e300]))
+    def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, queues, n_servers, block, pad):
+        """Ragged queues served together, over several start-time blocks,
+        give each queue the bytes of its own heap queue; padding, even with
+        negative service times, changes no result."""
+        lengths = [len(jobs) for jobs in queues]
+        rows = max(lengths)
+        arrival = np.full((rows, len(queues)), pad)
+        busy = np.full((rows, len(queues)), -pad)
+        logs = []
+        for q, jobs in enumerate(queues):
+            times = sorted(t for t, _ in jobs)
+            arrival[:len(jobs), q] = times
+            busy[:len(jobs), q] = [svc for _, svc in jobs]
+            logs.append(serve_fifo_reference(list(zip(times, range(len(jobs)))),
+                                             busy[:len(jobs), q].tolist(), n_servers))
+        start = np.empty_like(arrival)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traffic, "_FIFO_BLOCK", block)
+            delays = serve_fifo(arrival, busy, n_servers, lengths, start)
+        expected = [logs[q][i][3] - logs[q][i][1]
+                    for i in range(rows) for q in range(len(queues)) if i < lengths[q]]
+        assert delays.tolist() == expected
+        for q, log in enumerate(logs):
+            n = lengths[q]
+            assert start[:n, q].tolist() == [row[2] for row in log]
+            assert (start[:n, q] + busy[:n, q]).tolist() == [row[3] for row in log]
