@@ -136,6 +136,8 @@ class CdInputs:
     def validate(self):
         if self.isd_m <= 0:
             raise DomainError("ISD must be positive")
+        if np.size(self.b_values) == 0 or not np.isfinite(self.b_values).all():
+            raise DomainError("B_i values must be non-empty and finite")
         if float(np.mean(self.b_values)) <= 0:
             raise DomainError("mean(B_i) must be positive")
 
@@ -244,8 +246,8 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
 
 
 def reliability(sinr_cdf: CdfEstimator, bler: BlerModel, harq: HarqConfig,
-                latency_budget_s: float = 1e-3, pdu_bytes: int = 32,
-                requirement: float = 0.99999, extra_backoff_db: float = 0.0):
+                latency_budget_s: float = 1e-3, requirement: float = 0.99999,
+                extra_backoff_db: float = 0.0):
     """Success probability of delivering the PDU within the budget at the
     coverage edge (5th-percentile SINR). Returns (probability, pass)."""
     edge_sinr = sinr_cdf.quantile(0.05) - extra_backoff_db
@@ -316,10 +318,6 @@ class ConvergenceMonitor:
     @property
     def drops_seen(self) -> int:
         return self._count
-
-    @property
-    def running_means(self):
-        return list(self._running_means)
 
 
 def converged(monitor: ConvergenceMonitor, next_drop_mean: float) -> str:

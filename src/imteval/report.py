@@ -15,11 +15,11 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
-from .errors import SchemaError, UnknownRequirement
-from .scenario import Requirement, RequirementSet, TestEnvironment, builtin_requirements
+from .errors import InternalError, SchemaError, UnknownRequirement
+from .scenario import Requirement, RequirementSet, TestEnvironment, builtin_requirements, _fmt
 from .engine import RunResult
 
 FIXTURE_FILES = (
@@ -70,33 +70,37 @@ class ExternalResultTable:
     source: str
     rows: list
 
-    def evaluators(self):
-        return sorted({r.evaluator for r in self.rows})
 
-    def select(self, evaluator: str | None = None, suspect: bool | None = None):
-        out = self.rows
-        if evaluator is not None:
-            out = [r for r in out if r.evaluator == evaluator]
-        if suspect is not None:
-            out = [r for r in out if r.suspect == suspect]
-        return out
+_EXPECTED_HEADER = [f.name for f in fields(ExternalRow)]
 
 
-_EXPECTED_HEADER = [
-    "table", "environment", "direction", "metric", "channel_condition",
-    "speed_kmh", "rit", "antenna_config", "tx_scheme", "numerology",
-    "evaluator", "requirement", "value_raw", "value", "unit",
-    "bandwidth_khz", "qualifier", "suspect", "note",
-]
+def _records(text: str, header: list):
+    """Yield (line number, {column: cell}) for each non-blank row of a CSV
+    whose first row must be ``header``."""
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None:
+        raise SchemaError("empty file: missing header")
+    if first != header:
+        raise SchemaError(f"unexpected header {first}; expected {header}")
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells or all(c == "" for c in cells):
+            continue
+        if len(cells) != len(header):
+            raise SchemaError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
+        yield lineno, dict(zip(header, cells))
 
 
 def _opt_float(text: str, line: int, column: str):
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise SchemaError(f"line {line}: column '{column}' is not numeric: '{text}'") from exc
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line}: column '{column}' is not finite: '{text}'")
+    return value
 
 
 def ingest_table(path=None, text: str | None = None, source: str = "") -> ExternalResultTable:
@@ -105,46 +109,16 @@ def ingest_table(path=None, text: str | None = None, source: str = "") -> Extern
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         source = source or os.path.basename(str(path))
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file: missing header")
-    if header != _EXPECTED_HEADER:
-        raise SchemaError(f"unexpected header {header}; expected {_EXPECTED_HEADER}")
     rows = []
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells or all(c == "" for c in cells):
-            continue
-        if len(cells) != len(_EXPECTED_HEADER):
-            raise SchemaError(f"line {lineno}: expected {len(_EXPECTED_HEADER)} cells, got {len(cells)}")
-        rec = dict(zip(_EXPECTED_HEADER, cells))
+    for lineno, rec in _records(text, _EXPECTED_HEADER):
         if rec["metric"] not in _KNOWN_METRICS:
             raise SchemaError(f"line {lineno}: unknown metric '{rec['metric']}'")
-        value = _opt_float(rec["value"], lineno, "value")
-        if value is not None and value < 0:
-            raise SchemaError(f"line {lineno}: negative value {value}")
-        rows.append(ExternalRow(
-            table=rec["table"],
-            environment=rec["environment"],
-            direction=rec["direction"],
-            metric=rec["metric"],
-            channel_condition=rec["channel_condition"],
-            speed_kmh=_opt_float(rec["speed_kmh"], lineno, "speed_kmh"),
-            rit=rec["rit"],
-            antenna_config=rec["antenna_config"],
-            tx_scheme=rec["tx_scheme"],
-            numerology=rec["numerology"],
-            evaluator=rec["evaluator"],
-            requirement=_opt_float(rec["requirement"], lineno, "requirement"),
-            value_raw=rec["value_raw"],
-            value=value,
-            unit=rec["unit"],
-            bandwidth_khz=_opt_float(rec["bandwidth_khz"], lineno, "bandwidth_khz"),
-            qualifier=rec["qualifier"],
-            suspect=rec["suspect"] == "1",
-            note=rec["note"],
-        ))
+        for column in ("value", "speed_kmh", "requirement", "bandwidth_khz"):
+            rec[column] = _opt_float(rec[column], lineno, column)
+        if rec["value"] is not None and rec["value"] < 0:
+            raise SchemaError(f"line {lineno}: negative value {rec['value']}")
+        rec["suspect"] = rec["suspect"] == "1"
+        rows.append(ExternalRow(**rec))
     return ExternalResultTable(source=source, rows=rows)
 
 
@@ -167,8 +141,7 @@ def load_all_fixtures() -> ExternalResultTable:
 # requirement CSV round-trip
 
 
-_REQ_HEADER = ["environment", "direction", "metric", "value", "unit",
-               "source_table", "speed_kmh", "note"]
+_REQ_HEADER = [f.name for f in fields(Requirement)]
 
 
 def save_requirements_csv(reqs: RequirementSet, path) -> None:
@@ -176,36 +149,23 @@ def save_requirements_csv(reqs: RequirementSet, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_REQ_HEADER)
         for r in reqs.rows:
-            writer.writerow([
-                r.environment.value, r.direction or "", r.metric, repr(r.value),
-                r.unit, r.source_table,
-                "" if r.speed_kmh is None else repr(r.speed_kmh), r.note,
-            ])
+            writer.writerow(["" if getattr(r, name) is None else _fmt(getattr(r, name))
+                             for name in _REQ_HEADER])
 
 
 def load_requirements_csv(path=None, text: str | None = None) -> RequirementSet:
     if text is None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _REQ_HEADER:
-        raise SchemaError(f"unexpected requirements header {header}")
     rows = []
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells or all(c == "" for c in cells):
-            continue
-        rec = dict(zip(_REQ_HEADER, cells))
-        rows.append(Requirement(
-            environment=TestEnvironment.parse(rec["environment"]),
-            direction=rec["direction"] or None,
-            metric=rec["metric"],
-            value=float(rec["value"]),
-            unit=rec["unit"],
-            source_table=rec["source_table"],
-            speed_kmh=float(rec["speed_kmh"]) if rec["speed_kmh"] else None,
-            note=rec["note"],
-        ))
+    for lineno, rec in _records(text, _REQ_HEADER):
+        rec["value"] = _opt_float(rec["value"], lineno, "value")
+        if rec["value"] is None:
+            raise SchemaError(f"line {lineno}: column 'value' is blank")
+        rec["speed_kmh"] = _opt_float(rec["speed_kmh"], lineno, "speed_kmh")
+        rec["environment"] = TestEnvironment.parse(rec["environment"])
+        rec["direction"] = rec["direction"] or None
+        rows.append(Requirement(**rec))
     return RequirementSet(tuple(rows))
 
 
@@ -267,6 +227,9 @@ def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceRepo
     variant = result.config.config_variant
     covered = set()
     for kpi in result.kpis:
+        if not math.isfinite(kpi.value):
+            raise InternalError(f"KPI {kpi.metric} ({kpi.direction or 'both'}) is not finite: "
+                                f"{kpi.value}")
         try:
             req = reqs.lookup(env, kpi.direction, kpi.metric, kpi.speed_kmh)
         except UnknownRequirement:

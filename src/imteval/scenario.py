@@ -3,8 +3,8 @@
 Configs are immutable after validation and safe to share across drop
 workers. The config file format is a sectioned key-value text
 (``[scenario]``, ``[antenna.bs]``, ``[antenna.ue]``, ``[traffic]``,
-``[run]``, ``[link]``) whose keys match the EvaluationConfig field names,
-so presets can be diffed and overridden file-side.
+``[run]``, ``[link]``) whose keys are the fields of EvaluationConfig and
+its nested dataclasses, so presets can be diffed and overridden file-side.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
 import math
+import typing
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -99,9 +99,6 @@ class EvaluationConfig:
             sidelobe_db=self.bs_sidelobe,
         )
 
-    def ue_pattern(self) -> ElementPattern:
-        return ElementPattern(max_gain_dbi=self.ue_element_gain, isotropic=self.ue_isotropic)
-
 
 # documented validation ranges; a None bound is unconstrained
 _RANGES = {
@@ -141,27 +138,25 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
     return config
 
 
+_COMMON = dict(ue_height=1.5, ue_tx_power=23.0, bs_noise_figure=5.0, ue_noise_figure=7.0,
+               ue_element_gain=0.0, thermal_noise_density=-174.0, ue_speed_indoor=3.0,
+               ues_per_trxp=10)
+
+
 def _mmtc_preset(variant: str) -> EvaluationConfig:
     bandwidth = 10e6 if variant == "A" else 50e6
     return EvaluationConfig(
+        **_COMMON,
         environment=TestEnvironment.URBAN_MACRO_MMTC,
         config_variant=variant,
         carrier_frequency=700e6,
         isd=500.0 if variant == "A" else 1732.0,
         bs_height=25.0,
-        ue_height=1.5,
         bs_tx_power=total_tx_power_dbm(bandwidth),
-        ue_tx_power=23.0,
-        bs_noise_figure=5.0,
-        ue_noise_figure=7.0,
         bs_element_gain=8.0,
-        ue_element_gain=0.0,
-        thermal_noise_density=-174.0,
         bandwidth=bandwidth,
         indoor_fraction=0.8,
-        ue_speed_indoor=3.0,
         ue_speed_outdoor=3.0,
-        ues_per_trxp=10,
         high_loss_fraction=0.2,
         traffic=TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, pdu_size_bytes=32,
                                  rate_per_s=1.0 / 7200.0),
@@ -173,24 +168,17 @@ def _mmtc_preset(variant: str) -> EvaluationConfig:
 def _urllc_preset(variant: str) -> EvaluationConfig:
     bandwidth = 100e6 if variant == "A" else 40e6
     return EvaluationConfig(
+        **_COMMON,
         environment=TestEnvironment.URBAN_MACRO_URLLC,
         config_variant=variant,
         carrier_frequency=4e9 if variant == "A" else 700e6,
         isd=500.0,
         bs_height=25.0,
-        ue_height=1.5,
         bs_tx_power=total_tx_power_dbm(bandwidth),
-        ue_tx_power=23.0,
-        bs_noise_figure=5.0,
-        ue_noise_figure=7.0,
         bs_element_gain=8.0,
-        ue_element_gain=0.0,
-        thermal_noise_density=-174.0,
         bandwidth=bandwidth,
         indoor_fraction=0.2,  # 80% outdoor
-        ue_speed_indoor=3.0,
         ue_speed_outdoor=30.0,
-        ues_per_trxp=10,
         high_loss_fraction=0.0,  # 100% low loss
         traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=16, n=16, mp=4, np=4, downtilt_deg=10.0) if variant == "A"
@@ -201,24 +189,17 @@ def _urllc_preset(variant: str) -> EvaluationConfig:
 
 def _indoor_preset(variant: str) -> EvaluationConfig:
     return EvaluationConfig(
+        **_COMMON,
         environment=TestEnvironment.INDOOR_HOTSPOT_EMBB,
         config_variant=variant,
         carrier_frequency=4e9,
         isd=20.0,
         bs_height=3.0,
-        ue_height=1.5,
         bs_tx_power=24.0,  # indoor access points, not the macro power rule
-        ue_tx_power=23.0,
-        bs_noise_figure=5.0,
-        ue_noise_figure=7.0,
         bs_element_gain=5.0,
-        ue_element_gain=0.0,
-        thermal_noise_density=-174.0,
         bandwidth=20e6,
         indoor_fraction=1.0,
-        ue_speed_indoor=3.0,
         ue_speed_outdoor=3.0,
-        ues_per_trxp=10,
         high_loss_fraction=0.0,
         traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=4, n=4, p=2, mp=4, np=4),
@@ -228,24 +209,17 @@ def _indoor_preset(variant: str) -> EvaluationConfig:
 
 def _dense_urban_preset(variant: str) -> EvaluationConfig:
     return EvaluationConfig(
+        **_COMMON,
         environment=TestEnvironment.DENSE_URBAN_EMBB,
         config_variant=variant,
         carrier_frequency=4e9,
         isd=200.0,
         bs_height=25.0,
-        ue_height=1.5,
         bs_tx_power=total_tx_power_dbm(20e6),
-        ue_tx_power=23.0,
-        bs_noise_figure=5.0,
-        ue_noise_figure=7.0,
         bs_element_gain=8.0,
-        ue_element_gain=0.0,
-        thermal_noise_density=-174.0,
         bandwidth=20e6,
         indoor_fraction=0.8,
-        ue_speed_indoor=3.0,
         ue_speed_outdoor=30.0,
-        ues_per_trxp=10,
         high_loss_fraction=0.2,
         traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=8, n=8, p=2, mp=2, np=8, downtilt_deg=10.0),
@@ -255,24 +229,17 @@ def _dense_urban_preset(variant: str) -> EvaluationConfig:
 
 def _rural_preset(variant: str) -> EvaluationConfig:
     return EvaluationConfig(
+        **_COMMON,
         environment=TestEnvironment.RURAL_EMBB,
         config_variant=variant,
         carrier_frequency=700e6,
         isd=1732.0,
         bs_height=35.0,
-        ue_height=1.5,
         bs_tx_power=total_tx_power_dbm(20e6),
-        ue_tx_power=23.0,
-        bs_noise_figure=5.0,
-        ue_noise_figure=7.0,
         bs_element_gain=8.0,
-        ue_element_gain=0.0,
-        thermal_noise_density=-174.0,
         bandwidth=20e6,
         indoor_fraction=0.5,
-        ue_speed_indoor=3.0,
         ue_speed_outdoor=120.0,
-        ues_per_trxp=10,
         high_loss_fraction=0.2,
         traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=8, n=4, p=2, mp=1, np=4, downtilt_deg=6.0),
@@ -318,35 +285,49 @@ def list_presets():
 
 # ---------------------------------------------------------------------------
 # config file round-trip
+#
+# The file's keys are the dataclass fields: [scenario] holds the scalar
+# EvaluationConfig fields, [run] the run-length ones, and each nested
+# dataclass has a section of its own. The element-pattern constants are
+# EvaluationConfig fields that the file keeps under their antenna section.
+
+_NESTED = {"antenna.bs": "antenna_bs", "antenna.ue": "antenna_ue", "traffic": "traffic",
+           "link": "link"}
+_RUN_KEYS = ("drops", "master_seed", "duration_t")
+_PATTERN_KEYS = {
+    "antenna.bs": {"h_3db": "bs_h_3db", "v_3db": "bs_v_3db", "front_back": "bs_front_back",
+                   "sidelobe": "bs_sidelobe"},
+    "antenna.ue": {"isotropic": "ue_isotropic"},
+}
+_SECTIONS = ("scenario", "antenna.bs", "antenna.ue", "traffic", "run", "link")
 
 
-_SCENARIO_FIELDS = [
-    "environment", "config_variant", "carrier_frequency", "isd", "bs_height",
-    "ue_height", "bs_tx_power", "ue_tx_power", "bs_noise_figure",
-    "ue_noise_figure", "bs_element_gain", "ue_element_gain",
-    "thermal_noise_density", "bandwidth", "indoor_fraction",
-    "ue_speed_indoor", "ue_speed_outdoor", "ues_per_trxp",
-    "high_loss_fraction",
-]
-_ANTENNA_FIELDS = ["m", "n", "p", "mg", "ng", "mp", "np",
-                   "element_spacing_h", "element_spacing_v", "bearing_deg", "downtilt_deg"]
-_BS_PATTERN_FIELDS = {"h_3db": "bs_h_3db", "v_3db": "bs_v_3db",
-                      "front_back": "bs_front_back", "sidelobe": "bs_sidelobe"}
-_TRAFFIC_FIELDS = ["kind", "pdu_size_bytes", "rate_per_s", "w_user_hz",
-                   "eval_bandwidth_hz", "overhead_s"]
-_RUN_FIELDS = ["drops", "master_seed", "duration_t"]
-_LINK_FIELDS = [f.name for f in dataclasses.fields(LinkParams)]
+def _leaf_table():
+    """(section, key, owner attribute or None, attribute, type) per key, in file order."""
+    hints = typing.get_type_hints(EvaluationConfig)
+    named = {*_NESTED.values(), *_RUN_KEYS,
+             *(attr for keys in _PATTERN_KEYS.values() for attr in keys.values())}
+    leaves = [("scenario", f.name, None, f.name, hints[f.name])
+              for f in dataclasses.fields(EvaluationConfig) if f.name not in named]
+    for section in _SECTIONS[1:]:
+        if section == "run":
+            leaves += [(section, name, None, name, hints[name]) for name in _RUN_KEYS]
+            continue
+        owner = _NESTED[section]
+        owner_hints = typing.get_type_hints(hints[owner])
+        leaves += [(section, f.name, owner, f.name, owner_hints[f.name])
+                   for f in dataclasses.fields(hints[owner])]
+        leaves += [(section, key, None, attr, hints[attr])
+                   for key, attr in _PATTERN_KEYS.get(section, {}).items()]
+    return tuple(leaves)
 
-_INT_FIELDS = {"ues_per_trxp", "drops", "master_seed", "pdu_size_bytes",
-               "harq_max_transmissions", "mu_layers_dl", "mu_layers_ul",
-               "m", "n", "p", "mg", "ng", "mp", "np"}
-_BOOL_FIELDS = {"ue_isotropic", "isotropic"}
+
+_LEAVES = _leaf_table()
+_KEYS = {(section, key): rest for section, key, *rest in _LEAVES}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, TestEnvironment):
-        return value.value
-    if isinstance(value, TrafficKind):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -357,65 +338,42 @@ def _fmt(value) -> str:
 
 def config_to_text(config: EvaluationConfig) -> str:
     """Serialize a config to the sectioned key-value format (deterministic)."""
-    buf = io.StringIO()
-    buf.write("[scenario]\n")
-    for name in _SCENARIO_FIELDS:
-        buf.write(f"{name} = {_fmt(getattr(config, name))}\n")
-    for section, array in (("antenna.bs", config.antenna_bs), ("antenna.ue", config.antenna_ue)):
-        buf.write(f"\n[{section}]\n")
-        for name in _ANTENNA_FIELDS:
-            buf.write(f"{name} = {_fmt(getattr(array, name))}\n")
-        if section == "antenna.bs":
-            for key, attr in _BS_PATTERN_FIELDS.items():
-                buf.write(f"{key} = {_fmt(getattr(config, attr))}\n")
-        else:
-            buf.write(f"isotropic = {_fmt(config.ue_isotropic)}\n")
-    buf.write("\n[traffic]\n")
-    for name in _TRAFFIC_FIELDS:
-        buf.write(f"{name} = {_fmt(getattr(config.traffic, name))}\n")
-    buf.write("\n[run]\n")
-    for name in _RUN_FIELDS:
-        buf.write(f"{name} = {_fmt(getattr(config, name))}\n")
-    buf.write("\n[link]\n")
-    for name in _LINK_FIELDS:
-        buf.write(f"{name} = {_fmt(getattr(config.link, name))}\n")
-    return buf.getvalue()
-
-
-def save_config(config: EvaluationConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(config))
+    text, current = "", None
+    for section, key, owner, attr, _ in _LEAVES:
+        if section != current:
+            text += ("\n" if current else "") + f"[{section}]\n"
+            current = section
+        holder = getattr(config, owner) if owner else config
+        text += f"{key} = {_fmt(getattr(holder, attr))}\n"
+    return text
 
 
 def config_hash(config: EvaluationConfig) -> str:
     return hashlib.sha256(config_to_text(config).encode("utf-8")).hexdigest()
 
 
-def _convert(key: str, raw: str):
-    if key == "environment":
+def _convert(key: str, raw: str, kind):
+    """Parse one value by its field's declared type; errors name the file key."""
+    if kind is TestEnvironment:
         return TestEnvironment.parse(raw)
-    if key == "kind":
-        for kind in TrafficKind:
-            if raw == kind.value or raw == kind.name:
-                return kind
+    if kind is TrafficKind:
+        for traffic_kind in TrafficKind:
+            if raw == traffic_kind.value or raw == traffic_kind.name:
+                return traffic_kind
         raise ConfigInvalid("traffic.kind", f"unknown traffic kind '{raw}'")
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigInvalid(key, f"expected boolean, got '{raw}'")
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigInvalid(key, f"expected integer, got '{raw}'") from exc
-    if key == "config_variant":
+    if kind is str:
         return raw
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigInvalid(key, f"expected number, got '{raw}'") from exc
+        expected = "integer" if kind is int else "number"
+        raise ConfigInvalid(key, f"expected {expected}, got '{raw}'") from exc
 
 
 def load_config(path=None, base: EvaluationConfig | None = None, text: str | None = None) -> EvaluationConfig:
@@ -437,9 +395,8 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
     except configparser.Error as exc:
         raise ConfigSyntax(f"config parse error: {exc}") from exc
 
-    known_sections = {"scenario", "antenna.bs", "antenna.ue", "traffic", "run", "link"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTIONS:
             raise ConfigSyntax(f"unknown section [{section}]")
 
     scen = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
@@ -451,51 +408,18 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
         base = preset(env, variant)
 
     updates = {}
-    for key, raw in scen.items():
-        if key not in _SCENARIO_FIELDS:
-            raise ConfigInvalid(key, "unknown key in [scenario]")
-        updates[key] = _convert(key, raw)
-
-    for section, attr in (("antenna.bs", "antenna_bs"), ("antenna.ue", "antenna_ue")):
+    for section in _SECTIONS:
         if not parser.has_section(section):
             continue
-        array_updates = {}
+        nested = {}
         for key, raw in parser.items(section):
-            if key in _ANTENNA_FIELDS:
-                array_updates[key] = _convert(key, raw)
-            elif section == "antenna.bs" and key in _BS_PATTERN_FIELDS:
-                updates[_BS_PATTERN_FIELDS[key]] = _convert(key, raw)
-            elif section == "antenna.ue" and key == "isotropic":
-                updates["ue_isotropic"] = _convert("isotropic", raw)
-            else:
+            if (section, key) not in _KEYS:
                 raise ConfigInvalid(key, f"unknown key in [{section}]")
-        if array_updates:
-            updates[attr] = replace(getattr(base, attr), **array_updates)
-
-    if parser.has_section("traffic"):
-        traffic_updates = {}
-        for key, raw in parser.items("traffic"):
-            if key not in _TRAFFIC_FIELDS:
-                raise ConfigInvalid(key, "unknown key in [traffic]")
-            traffic_updates[key] = _convert(key, raw)
-        if traffic_updates:
-            updates["traffic"] = replace(base.traffic, **traffic_updates)
-
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key not in _RUN_FIELDS:
-                raise ConfigInvalid(key, "unknown key in [run]")
-            updates[key] = _convert(key, raw)
-
-    if parser.has_section("link"):
-        link_updates = {}
-        for key, raw in parser.items("link"):
-            if key not in _LINK_FIELDS:
-                raise ConfigInvalid(key, "unknown key in [link]")
-            link_updates[key] = _convert(key, raw)
-        if link_updates:
-            updates["link"] = replace(base.link, **link_updates)
-
+            owner, attr, kind = _KEYS[section, key]
+            (nested if owner else updates)[attr] = _convert(key, raw, kind)
+        if nested:
+            owner = _NESTED[section]
+            updates[owner] = replace(getattr(base, owner), **nested)
     return validate(replace(base, **updates))
 
 

@@ -133,6 +133,28 @@ class TestCheck:
                      "--requirements", str(req_path)])
         assert code == 1  # same verdicts as the builtin set
 
+    @pytest.mark.parametrize("body", [
+        "",  # empty file
+        "Rural_eMBB,downlink,avg_se,3.3,bit/s/Hz/TRxP,II,\n",  # one cell short
+        "Rural_eMBB,downlink,avg_se,high,bit/s/Hz/TRxP,II,,\n",  # non-numeric value
+        "Rural_eMBB,downlink,avg_se,,bit/s/Hz/TRxP,II,,\n",  # blank value
+    ], ids=["empty", "cell_count", "non_numeric", "blank_value"])
+    def test_malformed_requirements_file_is_error(self, tmp_path, capsys, body):
+        req_path = tmp_path / "reqs.csv"
+        header = "environment,direction,metric,value,unit,source_table,speed_kmh,note\n"
+        req_path.write_text(header + body if body else "")
+        assert main(["check", "--results", "builtin:fixtures",
+                     "--requirements", str(req_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_result_is_error(self, tmp_path):
+        from imteval.report import _EXPECTED_HEADER
+        table_path = tmp_path / "inf.csv"
+        table_path.write_text(",".join(_EXPECTED_HEADER) + "\n"
+                              "II,Rural_eMBB,downlink,avg_se,,,NR,,,,Acme,,inf,inf,"
+                              "bit/s/Hz/TRxP,,,0,\n")
+        assert main(["check", "--results", str(table_path)]) == 2
+
     def test_missing_file_is_error(self):
         assert main(["check", "--results", "/nonexistent/nope.csv"]) == 2
 

@@ -154,6 +154,12 @@ class TestConnectionDensityFullBuffer:
             with pytest.raises(DomainError):
                 b_value(10.0, bad, 100.0)
 
+    @pytest.mark.parametrize("b_values", [np.array([]), np.array([1.8e3, math.nan]),
+                                          np.array([math.inf])])
+    def test_empty_or_non_finite_b_values_rejected(self, b_values):
+        with pytest.raises(DomainError):
+            connection_density_fullbuffer(CdInputs(10.0, 180e3, b_values, 500.0))
+
     def test_doubling_isd_quarters_density(self):
         a = CdInputs(10.0, 180e3, np.array([1.8e3]), 500.0)
         b = CdInputs(10.0, 180e3, np.array([1.8e3]), 1000.0)

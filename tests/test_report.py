@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from imteval.engine import run
-from imteval.errors import SchemaError
+from imteval.errors import InternalError, SchemaError
 from imteval.report import (
     ComplianceReport,
     check_compliance,
@@ -77,6 +78,16 @@ class TestIngest:
         with pytest.raises(SchemaError) as err:
             ingest_table(text=bad)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("column,row", [
+        ("value", "X,UrbanMacro_mMTC,uplink,connection_density,,,NR,,,,Acme,1000000,inf,inf,/km^2,,,0,"),
+        ("value", "II,Rural_eMBB,downlink,avg_se,,,NR,,,,Acme,,nan,nan,bit/s/Hz/TRxP,,,0,"),
+        ("requirement", "II,Rural_eMBB,downlink,avg_se,,,NR,,,,Acme,-inf,4,4,bit/s/Hz/TRxP,,,0,"),
+        ("speed_kmh", "VI,Rural_eMBB,uplink,mobility_rate,,Infinity,NR,,,,Acme,,1,1,bit/s/Hz,,,0,"),
+    ], ids=["inf_value", "nan_value", "minus_inf_requirement", "infinity_speed"])
+    def test_non_finite_number_rejected(self, column, row):
+        with pytest.raises(SchemaError, match=f"line 2: column '{column}' is not finite"):
+            ingest_table(text=HEADER + "\n" + row + "\n")
 
     def test_unknown_metric_rejected(self):
         bad = HEADER + "\nX,UrbanMacro_mMTC,uplink,frobnication,,,NR,,,,Acme,1,1,1.0,,,,0,\n"
@@ -183,6 +194,14 @@ class TestComplianceRunResult:
     def test_lookup_errors_propagate(self, mmtc_result):
         with pytest.raises(ValueError, match="corrupt requirement row"):
             check_compliance(mmtc_result, _failing_requirements())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kpi_is_internal_error(self, mmtc_result, bad):
+        kpis = [dataclasses.replace(k, value=bad) if k.metric == "connection_density" else k
+                for k in mmtc_result.kpis]
+        broken = dataclasses.replace(mmtc_result, kpis=kpis)
+        with pytest.raises(InternalError, match="connection_density"):
+            check_compliance(broken)
 
     def test_boundary_inclusive(self, mmtc_result):
         report = check_compliance(mmtc_result)

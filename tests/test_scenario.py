@@ -1,10 +1,17 @@
 """Preset tables, requirement lookups and config-file round-trips."""
 
+import configparser
 import dataclasses
+import io
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imteval.errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
+from imteval.link import LinkParams
+from imteval.traffic import TrafficKind
 from imteval.scenario import (
     DOWNLINK,
     UPLINK,
@@ -21,6 +28,221 @@ from imteval.scenario import (
 )
 
 ALL_PRESETS = [(env, v) for env in TestEnvironment for v in ("A", "B")]
+
+
+# ---------------------------------------------------------------------------
+# reference config-file reader and writer: hand-kept key lists, one block per
+# section. The package derives the same format from the dataclass fields and
+# must match these byte for byte and error for error.
+
+_SCENARIO_FIELDS = [
+    "environment", "config_variant", "carrier_frequency", "isd", "bs_height",
+    "ue_height", "bs_tx_power", "ue_tx_power", "bs_noise_figure",
+    "ue_noise_figure", "bs_element_gain", "ue_element_gain",
+    "thermal_noise_density", "bandwidth", "indoor_fraction",
+    "ue_speed_indoor", "ue_speed_outdoor", "ues_per_trxp",
+    "high_loss_fraction",
+]
+_ANTENNA_FIELDS = ["m", "n", "p", "mg", "ng", "mp", "np",
+                   "element_spacing_h", "element_spacing_v", "bearing_deg", "downtilt_deg"]
+_BS_PATTERN_FIELDS = {"h_3db": "bs_h_3db", "v_3db": "bs_v_3db",
+                      "front_back": "bs_front_back", "sidelobe": "bs_sidelobe"}
+_TRAFFIC_FIELDS = ["kind", "pdu_size_bytes", "rate_per_s", "w_user_hz",
+                   "eval_bandwidth_hz", "overhead_s"]
+_RUN_FIELDS = ["drops", "master_seed", "duration_t"]
+_LINK_FIELDS = [f.name for f in dataclasses.fields(LinkParams)]
+
+_INT_FIELDS = {"ues_per_trxp", "drops", "master_seed", "pdu_size_bytes",
+               "harq_max_transmissions", "mu_layers_dl", "mu_layers_ul",
+               "m", "n", "p", "mg", "ng", "mp", "np"}
+_BOOL_FIELDS = {"ue_isotropic", "isotropic"}
+
+REFERENCE_KEYS = {
+    "scenario": _SCENARIO_FIELDS,
+    "antenna.bs": _ANTENNA_FIELDS + list(_BS_PATTERN_FIELDS),
+    "antenna.ue": _ANTENNA_FIELDS + ["isotropic"],
+    "traffic": _TRAFFIC_FIELDS,
+    "run": _RUN_FIELDS,
+    "link": _LINK_FIELDS,
+}
+
+
+def _ref_fmt(value) -> str:
+    if isinstance(value, TestEnvironment):
+        return value.value
+    if isinstance(value, TrafficKind):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_config_to_text(config: EvaluationConfig) -> str:
+    buf = io.StringIO()
+    buf.write("[scenario]\n")
+    for name in _SCENARIO_FIELDS:
+        buf.write(f"{name} = {_ref_fmt(getattr(config, name))}\n")
+    for section, array in (("antenna.bs", config.antenna_bs), ("antenna.ue", config.antenna_ue)):
+        buf.write(f"\n[{section}]\n")
+        for name in _ANTENNA_FIELDS:
+            buf.write(f"{name} = {_ref_fmt(getattr(array, name))}\n")
+        if section == "antenna.bs":
+            for key, attr in _BS_PATTERN_FIELDS.items():
+                buf.write(f"{key} = {_ref_fmt(getattr(config, attr))}\n")
+        else:
+            buf.write(f"isotropic = {_ref_fmt(config.ue_isotropic)}\n")
+    buf.write("\n[traffic]\n")
+    for name in _TRAFFIC_FIELDS:
+        buf.write(f"{name} = {_ref_fmt(getattr(config.traffic, name))}\n")
+    buf.write("\n[run]\n")
+    for name in _RUN_FIELDS:
+        buf.write(f"{name} = {_ref_fmt(getattr(config, name))}\n")
+    buf.write("\n[link]\n")
+    for name in _LINK_FIELDS:
+        buf.write(f"{name} = {_ref_fmt(getattr(config.link, name))}\n")
+    return buf.getvalue()
+
+
+def _ref_convert(key: str, raw: str):
+    if key == "environment":
+        return TestEnvironment.parse(raw)
+    if key == "kind":
+        for kind in TrafficKind:
+            if raw == kind.value or raw == kind.name:
+                return kind
+        raise ConfigInvalid("traffic.kind", f"unknown traffic kind '{raw}'")
+    if key in _BOOL_FIELDS:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ConfigInvalid(key, f"expected boolean, got '{raw}'")
+    if key in _INT_FIELDS:
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise ConfigInvalid(key, f"expected integer, got '{raw}'") from exc
+    if key == "config_variant":
+        return raw
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigInvalid(key, f"expected number, got '{raw}'") from exc
+
+
+def reference_load_config(path=None, base: EvaluationConfig | None = None, text: str | None = None) -> EvaluationConfig:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        parser.read_string(text)
+    except OSError as exc:
+        raise ConfigSyntax(f"cannot read config file {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigSyntax(f"config parse error: {exc}") from exc
+
+    known_sections = {"scenario", "antenna.bs", "antenna.ue", "traffic", "run", "link"}
+    for section in parser.sections():
+        if section not in known_sections:
+            raise ConfigSyntax(f"unknown section [{section}]")
+
+    scen = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
+    if base is None:
+        if "environment" not in scen:
+            raise ConfigSyntax("config file must name an environment (or pass a base preset)")
+        env = TestEnvironment.parse(scen["environment"])
+        variant = scen.get("config_variant", "A")
+        base = preset(env, variant)
+
+    updates = {}
+    for key, raw in scen.items():
+        if key not in _SCENARIO_FIELDS:
+            raise ConfigInvalid(key, "unknown key in [scenario]")
+        updates[key] = _ref_convert(key, raw)
+
+    for section, attr in (("antenna.bs", "antenna_bs"), ("antenna.ue", "antenna_ue")):
+        if not parser.has_section(section):
+            continue
+        array_updates = {}
+        for key, raw in parser.items(section):
+            if key in _ANTENNA_FIELDS:
+                array_updates[key] = _ref_convert(key, raw)
+            elif section == "antenna.bs" and key in _BS_PATTERN_FIELDS:
+                updates[_BS_PATTERN_FIELDS[key]] = _ref_convert(key, raw)
+            elif section == "antenna.ue" and key == "isotropic":
+                updates["ue_isotropic"] = _ref_convert("isotropic", raw)
+            else:
+                raise ConfigInvalid(key, f"unknown key in [{section}]")
+        if array_updates:
+            updates[attr] = replace(getattr(base, attr), **array_updates)
+
+    if parser.has_section("traffic"):
+        traffic_updates = {}
+        for key, raw in parser.items("traffic"):
+            if key not in _TRAFFIC_FIELDS:
+                raise ConfigInvalid(key, "unknown key in [traffic]")
+            traffic_updates[key] = _ref_convert(key, raw)
+        if traffic_updates:
+            updates["traffic"] = replace(base.traffic, **traffic_updates)
+
+    if parser.has_section("run"):
+        for key, raw in parser.items("run"):
+            if key not in _RUN_FIELDS:
+                raise ConfigInvalid(key, "unknown key in [run]")
+            updates[key] = _ref_convert(key, raw)
+
+    if parser.has_section("link"):
+        link_updates = {}
+        for key, raw in parser.items("link"):
+            if key not in _LINK_FIELDS:
+                raise ConfigInvalid(key, "unknown key in [link]")
+            link_updates[key] = _ref_convert(key, raw)
+        if link_updates:
+            updates["link"] = replace(base.link, **link_updates)
+
+    return validate(replace(base, **updates))
+
+
+def _raw_value(key: str, current):
+    """Strategy for the text of one config value: mostly a plausible edit of
+    the preset's value, one time in twenty out of range, mistyped or unknown."""
+    if key == "environment":
+        plausible = st.sampled_from([e.value for e in TestEnvironment] + [e.name for e in TestEnvironment])
+        bad = st.just("Suburban_eMBB")
+    elif key == "config_variant":
+        plausible, bad = st.sampled_from(["A", "B"]), st.just("C")
+    elif key == "kind":
+        plausible = st.sampled_from([k.value for k in TrafficKind] + [k.name for k in TrafficKind])
+        bad = st.just("Bursty")
+    elif key in _BOOL_FIELDS:
+        plausible, bad = st.sampled_from(["true", "false", "yes", "no", "1", "0"]), st.just("maybe")
+    elif key in _INT_FIELDS:
+        plausible = st.integers(0, 1).map(lambda step: str(current + step))
+        bad = st.one_of(st.integers(-1, 2**64).map(str), st.just("2.5"))
+    else:
+        plausible = st.floats(0.9, 1.1).map(lambda k: repr(float(current) * k))
+        bad = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.just("many"))
+    return st.integers(0, 19).flatmap(lambda pick: bad if pick == 0 else plausible)
+
+
+def _current(config: EvaluationConfig, section: str, key: str):
+    holder = {"antenna.bs": config.antenna_bs, "antenna.ue": config.antenna_ue,
+              "traffic": config.traffic, "link": config.link}.get(section, config)
+    if section.startswith("antenna") and key not in _ANTENNA_FIELDS:
+        holder = config
+        key = _BS_PATTERN_FIELDS.get(key, "ue_isotropic")
+    return getattr(holder, key)
+
+
+def _outcome(load):
+    try:
+        return load(), None
+    except Exception as exc:  # compared by type and field below
+        return None, (type(exc), getattr(exc, "field", None))
 
 
 class TestPresets:
@@ -107,6 +329,7 @@ class TestConfigFile:
     def test_round_trip_is_field_identical(self, env, variant):
         c = preset(env, variant)
         text = config_to_text(c)
+        assert text == reference_config_to_text(c)
         reloaded = load_config(text=text)
         assert reloaded == c
         assert config_hash(reloaded) == config_hash(c)
@@ -161,6 +384,34 @@ class TestConfigFile:
         path = tmp_path / "override.cfg"
         path.write_text(text)
         assert load_config(path, base=base) == c
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_overrides_match_reference(self, data):
+        env, variant = data.draw(st.sampled_from(ALL_PRESETS))
+        base = preset(env, variant)
+        named = data.draw(st.booleans())  # the file names its preset instead of a base
+        text = ""
+        for section in data.draw(st.permutations(list(REFERENCE_KEYS))):
+            keys = data.draw(st.lists(st.sampled_from(REFERENCE_KEYS[section]),
+                                      unique=True, max_size=3))
+            lines = [f"{key} = {data.draw(_raw_value(key, _current(base, section, key)))}"
+                     for key in keys]
+            if named and section == "scenario":
+                lines = [f"environment = {env.value}", f"config_variant = {variant}"] + \
+                    [line for line in lines if not line.startswith(("environment ", "config_variant "))]
+            if lines:
+                text += f"[{section}]\n" + "\n".join(lines) + "\n"
+        load_base = None if named else base
+
+        got, err = _outcome(lambda: load_config(text=text, base=load_base))
+        want, want_err = _outcome(lambda: reference_load_config(text=text, base=load_base))
+        assert err == want_err, text
+        if err is None:
+            assert got == want
+            assert config_to_text(got) == reference_config_to_text(got)
+            assert load_config(text=config_to_text(got)) == got
 
 
 class TestRequirements:
