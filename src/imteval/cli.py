@@ -135,15 +135,15 @@ def _cmd_run(args) -> int:
                     fh.write(",".join(str(x) for x in row) + "\n")
             print(f"wrote {path} ({len(records)} messages at 1e6 /km^2)")
 
-    if args.dump_geometry:
-        layout = build_layout(config)
-        export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
-        drop0 = engine.run_drop(config, layout, 0, sinr_only=True)
-        _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
-    if args.dump_sinr:
-        layout = build_layout(config)
-        drop0 = engine.run_drop(config, layout, 0, sinr_only=True)
-        _dump_sinr(drop0, f"{args.out}/sinr_drop0.csv")
+    if args.dump_geometry or args.dump_sinr:
+        # drop 0 as the run saw it: under the calibrated uplink power control
+        layout = build_layout(result.config)
+        drop0 = engine.run_drop(result.config, layout, 0, sinr_only=True)
+        if args.dump_geometry:
+            export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
+            _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
+        if args.dump_sinr:
+            _dump_sinr(drop0, f"{args.out}/sinr_drop0.csv")
 
     for kpi in result.kpis:
         speed = f" @{kpi.speed_kmh:g} km/h" if kpi.speed_kmh is not None else ""

@@ -87,22 +87,22 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     delta, d2d = wrap_displacements(layout, ues.positions, layout.site_positions)
     n_ue, n_t = len(ues.positions), layout.n_trxps
     site = layout.trxp_site
-    dz = layout.site_values(layout.trxp_height) - config.ue_height
+    dz = layout.site_height - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
     profiles = [profile_for(config.environment, config.config_variant)]
-    trxp_profile = np.zeros(n_t, dtype=np.intp)
+    site_profile = np.zeros(layout.n_sites, dtype=np.intp)
     if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
         profiles.append(profile_for(config.environment, config.config_variant, micro=True))
-        trxp_profile = layout.trxp_is_micro.astype(np.intp)
-    site_profile = layout.site_values(trxp_profile)
+        site_profile = layout.site_is_micro.astype(np.intp)
+    trxp_profile = site_profile[site]
 
     p_los = np.empty_like(d2d)
     pl_los = np.empty_like(d2d)
     pl_nlos = np.empty_like(d2d)
     for k, profile in enumerate(profiles):
         cols = np.flatnonzero(site_profile == k)
-        h_ref = float(layout.trxp_height[trxp_profile == k][0])
+        h_ref = float(layout.site_height[cols[0]])
         p_los[:, cols] = los_probability(profile.plos_model, d2d[:, cols])
         pl_los[:, cols], pl_nlos[:, cols] = pathloss_curves(
             profile, config.carrier_frequency, d3d[:, cols], h_ref, config.ue_height)

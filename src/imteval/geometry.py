@@ -48,44 +48,31 @@ _HEX19_IJ = [
 
 @dataclass
 class NetworkLayout:
+    """Sites hold position, height and layer; each TRxP points to its site."""
+
     layout_kind: LayoutKind
     isd: float
     site_positions: np.ndarray  # (n_sites, 2) meters
+    site_height: np.ndarray  # (n_sites,) meters
+    site_is_micro: np.ndarray  # (n_sites,) bool; micro/indoor points are omni
     trxp_site: np.ndarray  # (n_trxp,) site index
-    trxp_pos: np.ndarray  # (n_trxp, 2) meters
-    trxp_sector: np.ndarray  # (n_trxp,) sector index within site
     trxp_boresight_deg: np.ndarray  # (n_trxp,)
-    trxp_height: np.ndarray  # (n_trxp,) meters
-    trxp_is_micro: np.ndarray  # (n_trxp,) bool; micro/indoor points are omni
     wrap_translations: np.ndarray  # (k, 2) meters, includes zero
     drop_basis: np.ndarray | None = None  # (2, 2) columns span the wrapped region
     drop_origin: np.ndarray | None = None  # (2,)
     drop_bbox: tuple | None = None  # ((x0, y0), (x1, y1)) for indoor
 
-    def __post_init__(self):
-        # the coupling step computes geometry once per site and gathers it to
-        # the TRxPs, so every TRxP must share its site's position, height and
-        # layer
-        if not np.array_equal(self.trxp_pos, self.site_positions[self.trxp_site]):
-            raise DomainError("every TRxP must sit at its site's position")
-        for name in ("trxp_height", "trxp_is_micro"):
-            per_trxp = getattr(self, name)
-            if np.any(self.site_values(per_trxp)[self.trxp_site] != per_trxp):
-                raise DomainError(f"{name} must be the same for every TRxP of a site")
-
-    def site_values(self, per_trxp: np.ndarray) -> np.ndarray:
-        """Per-site copy of a per-TRxP array that is constant within each site."""
-        out = np.zeros(self.n_sites, dtype=per_trxp.dtype)
-        out[self.trxp_site] = per_trxp
-        return out
-
     @property
     def n_trxps(self) -> int:
-        return len(self.trxp_pos)
+        return len(self.trxp_site)
 
     @property
     def n_sites(self) -> int:
         return len(self.site_positions)
+
+    @property
+    def trxp_is_micro(self) -> np.ndarray:
+        return self.site_is_micro[self.trxp_site]
 
     @property
     def sector_area_m2(self) -> float:
@@ -94,46 +81,17 @@ class NetworkLayout:
             return INDOOR_FLOOR_X_M * INDOOR_FLOOR_Y_M / 12.0
         return self.isd ** 2 * math.sqrt(3.0) / 6.0
 
-    def macro_site_positions(self) -> np.ndarray:
-        if self.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-            return self.site_positions[:19]
-        return self.site_positions
 
-
-def _hex_basis(isd: float):
-    a1 = np.array([isd, 0.0])
-    a2 = np.array([isd * 0.5, isd * math.sqrt(3.0) / 2.0])
-    return a1, a2
-
-
-def _wrap_set_19(isd: float) -> np.ndarray:
-    """Translation set of the 19-site rhombic lattice.
+def _wrap_set_19(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Translation set of the 19-site rhombic lattice spanned by (t1, t2).
 
     All 9 combinations i*T1 + j*T2 with i, j in {-1, 0, 1}: the 6 nearest
     cluster images plus the two diagonal images. The diagonals are needed
     because the drop region is the rhombus spanned by (T1, T2), whose
     corners are closer to a diagonal image than to any of the 6 neighbors.
     """
-    a1, a2 = _hex_basis(isd)
-    t1 = 3 * a1 + 2 * a2
-    t2 = -2 * a1 + 5 * a2
     vs = [i * t1 + j * t2 for i in (-1, 0, 1) for j in (-1, 0, 1)]
     return np.array(vs)
-
-
-def _hex_sites(isd: float) -> np.ndarray:
-    a1, a2 = _hex_basis(isd)
-    return np.array([i * a1 + j * a2 for i, j in _HEX19_IJ])
-
-
-def _macro_trxps(sites: np.ndarray, height: float):
-    n_sites = len(sites)
-    site_idx = np.repeat(np.arange(n_sites), 3)
-    sector = np.tile(np.arange(3), n_sites)
-    boresight = np.array([SECTOR_BORESIGHTS_DEG[s] for s in sector])
-    pos = np.repeat(sites, 3, axis=0)
-    heights = np.full(3 * n_sites, height)
-    return site_idx, pos, sector, boresight, heights
 
 
 def _in_hex_cell(points: np.ndarray, center: np.ndarray, isd: float) -> np.ndarray:
@@ -193,11 +151,11 @@ def _try_micros_for_site(site, isd, r_max, sep, rng, batch: int = 256):
     return placed
 
 
-def build_layout(config: EvaluationConfig, rng: np.random.Generator | None = None) -> NetworkLayout:
+def build_layout(config: EvaluationConfig) -> NetworkLayout:
     """Construct the layout for the config's environment.
 
     The dense-urban micro layer is random; its placement stream derives
-    from the master seed unless an explicit generator is supplied.
+    from the master seed.
     """
     env = config.environment
     if env is TestEnvironment.INDOOR_HOTSPOT_EMBB:
@@ -207,70 +165,50 @@ def build_layout(config: EvaluationConfig, rng: np.random.Generator | None = Non
             layout_kind=LayoutKind.INDOOR_12,
             isd=config.isd,
             site_positions=sites,
+            site_height=np.full(n, config.bs_height),
+            site_is_micro=np.ones(n, dtype=bool),  # ceiling points, omni
             trxp_site=np.arange(n),
-            trxp_pos=sites.copy(),
-            trxp_sector=np.zeros(n, dtype=int),
             trxp_boresight_deg=np.zeros(n),
-            trxp_height=np.full(n, config.bs_height),
-            trxp_is_micro=np.ones(n, dtype=bool),  # ceiling points, omni
             wrap_translations=np.zeros((1, 2)),
             drop_bbox=((0.0, 0.0), (INDOOR_FLOOR_X_M, INDOOR_FLOOR_Y_M)),
         )
 
     isd = config.isd
-    sites = _hex_sites(isd)
-    site_idx, pos, sector, boresight, heights = _macro_trxps(sites, config.bs_height)
-    is_micro = np.zeros(len(pos), dtype=bool)
-    wrap = _wrap_set_19(isd)
-    a1, a2 = _hex_basis(isd)
+    a1 = np.array([isd, 0.0])
+    a2 = np.array([isd * 0.5, isd * math.sqrt(3.0) / 2.0])
     t1 = 3 * a1 + 2 * a2
     t2 = -2 * a1 + 5 * a2
-    basis = np.column_stack([t1, t2])
-    origin = -(t1 + t2) / 2.0
+    sites = np.array([i * a1 + j * a2 for i, j in _HEX19_IJ])
+    n_macro = len(sites)
+    heights = np.full(n_macro, config.bs_height)
+    is_micro = np.zeros(n_macro, dtype=bool)
+    trxp_site = np.repeat(np.arange(n_macro), len(SECTOR_BORESIGHTS_DEG))
+    boresight = np.tile(SECTOR_BORESIGHTS_DEG, n_macro)
     kind = LayoutKind.HEX_MACRO_19
 
     if env is TestEnvironment.DENSE_URBAN_EMBB:
         kind = LayoutKind.DENSE_URBAN_TWO_LAYER
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(0xA11CE,)))
+        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(0xA11CE,)))
         micros = _drop_micros(sites, isd, rng)
         n_micro = len(micros)
         sites = np.vstack([sites, micros])
-        site_idx = np.concatenate([site_idx, np.arange(19, 19 + n_micro)])
-        pos = np.vstack([pos, micros])
-        sector = np.concatenate([sector, np.zeros(n_micro, dtype=int)])
-        boresight = np.concatenate([boresight, np.zeros(n_micro)])
         heights = np.concatenate([heights, np.full(n_micro, MICRO_HEIGHT_M)])
         is_micro = np.concatenate([is_micro, np.ones(n_micro, dtype=bool)])
+        trxp_site = np.concatenate([trxp_site, np.arange(n_macro, n_macro + n_micro)])
+        boresight = np.concatenate([boresight, np.zeros(n_micro)])
 
     return NetworkLayout(
         layout_kind=kind,
         isd=isd,
         site_positions=sites,
-        trxp_site=site_idx,
-        trxp_pos=pos,
-        trxp_sector=sector,
+        site_height=heights,
+        site_is_micro=is_micro,
+        trxp_site=trxp_site,
         trxp_boresight_deg=boresight,
-        trxp_height=heights,
-        trxp_is_micro=is_micro,
-        wrap_translations=wrap,
-        drop_basis=basis,
-        drop_origin=origin,
+        wrap_translations=_wrap_set_19(t1, t2),
+        drop_basis=np.column_stack([t1, t2]),
+        drop_origin=-(t1 + t2) / 2.0,
     )
-
-
-def wrap_distance(layout: NetworkLayout, a, b):
-    """Minimum distance between a and b over the wrap translation set.
-
-    Returns (distance, translation) where ``b + translation`` realizes the
-    minimum. Symmetric in (a, b) because the set is closed under negation.
-    """
-    a = np.asarray(a, dtype=float)[:2]
-    b = np.asarray(b, dtype=float)[:2]
-    shifted = b[None, :] + layout.wrap_translations
-    d = np.linalg.norm(a[None, :] - shifted, axis=1)
-    k = int(np.argmin(d))
-    return float(d[k]), layout.wrap_translations[k].copy()
 
 
 def wrap_displacements(layout: NetworkLayout, from_pos: np.ndarray, to_pos: np.ndarray):
@@ -326,8 +264,8 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
 
     min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
     if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-        macro_sites = layout.macro_site_positions()
-        micro_pos = layout.site_positions[layout.site_values(layout.trxp_is_micro)]
+        macro_sites = layout.site_positions[~layout.site_is_micro]
+        micro_pos = layout.site_positions[layout.site_is_micro]
         # the first round tests every UE, each later one only the rows it redrew
         rows = np.arange(n)
         for _ in range(1000):
@@ -365,8 +303,9 @@ def export_layout_csv(layout: NetworkLayout, path) -> None:
     """CSV of (trxp_id, x, y, z, azimuth_deg, is_micro)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("trxp_id,site_id,x_m,y_m,z_m,azimuth_deg,is_micro\n")
-        for k in range(layout.n_trxps):
+        for k, s in enumerate(layout.trxp_site):
+            x, y = layout.site_positions[s]
             fh.write(
-                f"{k},{layout.trxp_site[k]},{layout.trxp_pos[k, 0]:.3f},{layout.trxp_pos[k, 1]:.3f},"
-                f"{layout.trxp_height[k]:.3f},{layout.trxp_boresight_deg[k]:.1f},{int(layout.trxp_is_micro[k])}\n"
+                f"{k},{s},{x:.3f},{y:.3f},{layout.site_height[s]:.3f},"
+                f"{layout.trxp_boresight_deg[k]:.1f},{int(layout.site_is_micro[s])}\n"
             )

@@ -9,6 +9,7 @@ Every pass/fail comparison in this module is boundary-inclusive
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,17 +300,20 @@ class ConvergenceMonitor:
     max_drops: int = 10_000
     _count: int = 0
     _total: float = 0.0
-    _running_means: list = field(default_factory=list)
+    _recent_means: deque = field(init=False)  # running means of the last window + 1 drops
+
+    def __post_init__(self):
+        self._recent_means = deque(maxlen=self.window + 1)
 
     def observe(self, drop_mean: float) -> str:
         self._count += 1
         self._total += float(drop_mean)
         mean = self._total / self._count
-        self._running_means.append(mean)
+        self._recent_means.append(mean)
         if self._count >= self.max_drops:
             return CAPPED
         if self._count >= self.window + 1:
-            ref = self._running_means[-1 - self.window]
+            ref = self._recent_means[0]
             denom = max(abs(ref), 1e-300)
             if abs(mean - ref) / denom < self.tol:
                 return CONVERGED

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import InternalError, SchemaError, UnknownRequirement
-from .scenario import Requirement, RequirementSet, TestEnvironment, builtin_requirements, _fmt
+from .scenario import (DOWNLINK, UPLINK, Requirement, RequirementSet, TestEnvironment,
+                       builtin_requirements, _fmt)
 from .engine import RunResult
 
 FIXTURE_FILES = (
@@ -83,7 +84,10 @@ def _records(text: str, header: list):
         raise SchemaError("empty file: missing header")
     if first != header:
         raise SchemaError(f"unexpected header {first}; expected {header}")
-    for lineno, cells in enumerate(reader, start=2):
+    end = reader.line_num
+    for cells in reader:
+        # a quoted cell may span lines: name the physical line the record starts on
+        lineno, end = end + 1, reader.line_num
         if not cells or all(c == "" for c in cells):
             continue
         if len(cells) != len(header):
@@ -157,8 +161,14 @@ def load_requirements_csv(path=None, text: str | None = None) -> RequirementSet:
     if text is None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    known_metrics = _KNOWN_METRICS | {r.metric for r in builtin_requirements().rows}
     rows = []
     for lineno, rec in _records(text, _REQ_HEADER):
+        if rec["metric"] not in known_metrics:
+            raise SchemaError(f"line {lineno}: unknown metric '{rec['metric']}'")
+        if rec["direction"] not in ("", DOWNLINK, UPLINK):
+            raise SchemaError(f"line {lineno}: direction '{rec['direction']}' is not "
+                              f"blank, '{DOWNLINK}' or '{UPLINK}'")
         rec["value"] = _opt_float(rec["value"], lineno, "value")
         if rec["value"] is None:
             raise SchemaError(f"line {lineno}: column 'value' is blank")

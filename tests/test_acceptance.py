@@ -27,7 +27,7 @@ from imteval.engine import (
     run,
     run_drop,
 )
-from imteval.geometry import build_layout, wrap_displacements, wrap_distance
+from imteval.geometry import build_layout
 from imteval.link import BlerModel, HarqConfig, ZERO_BLER, bler, harq_outcome
 from imteval.metrics import (
     CdfEstimator,
@@ -42,6 +42,7 @@ from imteval.metrics import (
 )
 from imteval.report import check_compliance, emit, load_fixture
 from imteval.scenario import DOWNLINK, UPLINK, builtin_requirements
+from test_geometry import wrap_distance  # the scalar wrap-around oracle
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
 
@@ -83,14 +84,8 @@ class TestCriterion2Geometry:
         a = rng.uniform(-2500, 2500, (10_000, 2))
         b = rng.uniform(-2500, 2500, (10_000, 2))
 
-        def pairwise_wrapped(x, y):
-            d2 = np.full(len(x), np.inf)
-            for t in layout.wrap_translations:
-                d2 = np.minimum(d2, np.sum((x - y - t[None, :]) ** 2, axis=1))
-            return np.sqrt(d2)
-
-        pair_ab = pairwise_wrapped(a, b)
-        pair_ba = pairwise_wrapped(b, a)
+        pair_ab = np.array([wrap_distance(layout, x, y)[0] for x, y in zip(a, b)])
+        pair_ba = np.array([wrap_distance(layout, y, x)[0] for x, y in zip(a, b)])
         direct = np.linalg.norm(a - b, axis=1)
         ok_sym = np.allclose(pair_ab, pair_ba, atol=1e-9)
         ok_short = np.all(pair_ab <= direct + 1e-9)

@@ -79,6 +79,25 @@ class TestRun:
             header = fh.readline().strip()
         assert header == "ue_id,direction,signal_dbm,interference_dbm,noise_dbm,sinr_db"
 
+    def test_dump_sinr_is_drop0_of_the_calibrated_run(self, tmp_path):
+        from dataclasses import replace
+        from imteval import engine
+        from imteval.geometry import build_layout
+        from imteval.scenario import TestEnvironment, preset
+        out_dir = tmp_path / "results"
+        main(["run", "--scenario", "UrbanMacro_mMTC", "--drops", "1", "--dump-sinr",
+              "--out", str(out_dir)])
+        config = replace(preset(TestEnvironment.URBAN_MACRO_MMTC, "A"), drops=1)
+        calibrated = engine.run(config, sinr_only=True).config
+        assert calibrated.link.ul_p0_dbm != config.link.ul_p0_dbm
+        drop = engine.run_drop(calibrated, build_layout(calibrated), 0, sinr_only=True)
+        with open(out_dir / "sinr_drop0.csv") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["direction"] == "uplink"]
+        for column, expected in (("signal_dbm", drop.ul_signal_dbm),
+                                 ("interference_dbm", drop.ul_interf_dbm),
+                                 ("sinr_db", drop.ul_sinr_db)):
+            assert [float(row[column]) for row in rows] == expected.tolist()
+
     def test_requires_scenario_or_config(self, capsys):
         assert main(["run", "--drops", "2"]) == 2
 
@@ -138,7 +157,10 @@ class TestCheck:
         "Rural_eMBB,downlink,avg_se,3.3,bit/s/Hz/TRxP,II,\n",  # one cell short
         "Rural_eMBB,downlink,avg_se,high,bit/s/Hz/TRxP,II,,\n",  # non-numeric value
         "Rural_eMBB,downlink,avg_se,,bit/s/Hz/TRxP,II,,\n",  # blank value
-    ], ids=["empty", "cell_count", "non_numeric", "blank_value"])
+        "Rural_eMBB,downlink,avg-se,1.0,bit/s/Hz/TRxP,II,,\n",  # misspelt metric
+        "Rural_eMBB,down-link,avg_se,1.0,bit/s/Hz/TRxP,II,,\n",  # misspelt direction
+    ], ids=["empty", "cell_count", "non_numeric", "blank_value", "metric_typo",
+            "direction_typo"])
     def test_malformed_requirements_file_is_error(self, tmp_path, capsys, body):
         req_path = tmp_path / "reqs.csv"
         header = "environment,direction,metric,value,unit,source_table,speed_kmh,note\n"

@@ -66,12 +66,10 @@ def _single_trxp_layout():
         layout_kind=LayoutKind.INDOOR_12,
         isd=20.0,
         site_positions=np.array([[60.0, 25.0]]),
+        site_height=np.array([3.0]),
+        site_is_micro=np.array([True]),
         trxp_site=np.array([0]),
-        trxp_pos=np.array([[60.0, 25.0]]),
-        trxp_sector=np.array([0]),
         trxp_boresight_deg=np.array([0.0]),
-        trxp_height=np.array([3.0]),
-        trxp_is_micro=np.array([True]),
         wrap_translations=np.zeros((1, 2)),
         drop_bbox=((0.0, 0.0), (120.0, 50.0)),
     )

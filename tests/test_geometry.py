@@ -24,9 +24,8 @@ from imteval.geometry import (
     build_layout,
     drop_ues,
     wrap_displacements,
-    wrap_distance,
 )
-from imteval.scenario import TestEnvironment, preset
+from imteval.scenario import TestEnvironment, list_presets, preset
 from imteval.engine import compute_coupling, derive_stream
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
@@ -39,7 +38,7 @@ class TestHexLayout:
         layout = build_layout(MMTC_A)
         assert layout.n_sites == 19
         assert layout.n_trxps == 57
-        assert set(np.unique(layout.trxp_sector)) == {0, 1, 2}
+        assert np.array_equal(np.bincount(layout.trxp_site), np.full(19, 3))
 
     def test_nearest_neighbor_distance_is_isd(self):
         layout = build_layout(MMTC_A)
@@ -82,13 +81,13 @@ class TestIndoorLayout:
         layout = build_layout(INDOOR)
         assert layout.layout_kind is LayoutKind.INDOOR_12
         assert layout.n_trxps == 12
-        pos = layout.trxp_pos
+        pos = layout.site_positions[layout.trxp_site]
         assert pos[:, 0].min() >= 0.0 and pos[:, 0].max() <= 120.0
         assert pos[:, 1].min() >= 0.0 and pos[:, 1].max() <= 50.0
 
     def test_adjacent_spacing_20m(self):
         layout = build_layout(INDOOR)
-        pos = layout.trxp_pos
+        pos = layout.site_positions[layout.trxp_site]
         d = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=-1)
         np.fill_diagonal(d, np.inf)
         assert abs(d.min() - 20.0) < 1e-9
@@ -103,22 +102,43 @@ class TestDenseUrbanLayout:
     def test_two_layers_with_separations(self):
         layout = build_layout(preset(TestEnvironment.DENSE_URBAN_EMBB, "A"))
         assert layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER
-        micro = layout.trxp_pos[layout.trxp_is_micro]
+        micro = layout.site_positions[layout.site_is_micro]
         assert layout.n_trxps == 57 + 57 * 3
         assert len(micro) == 171
-        macro_sites = layout.macro_site_positions()
+        macro_sites = layout.site_positions[~layout.site_is_micro]
         for site in macro_sites:
             mine = micro[np.linalg.norm(micro - site, axis=1) <= 200.0 / math.sqrt(3.0) + 1e-6]
             if len(mine):
                 assert np.linalg.norm(mine - site, axis=1).min() >= MICRO_MIN_SEPARATION_M - 1e-9
         # deterministic for a given master seed
         layout2 = build_layout(preset(TestEnvironment.DENSE_URBAN_EMBB, "A"))
-        assert np.array_equal(layout.trxp_pos, layout2.trxp_pos)
+        assert np.array_equal(layout.site_positions, layout2.site_positions)
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(env):
-    return build_layout(preset(env, "A"))
+def _layout(env, variant="A"):
+    return build_layout(preset(env, variant))
+
+
+class TestSiteLayers:
+    @pytest.mark.parametrize("env, variant",
+                             [(env, variant) for env, variant, _ in list_presets()])
+    def test_site_layers_of_every_preset(self, env, variant):
+        """Hex sites are macro, indoor points micro (omni), and the dense-urban
+        micro layer is exactly the sites after the 19 macro ones, one TRxP each."""
+        layout = _layout(env, variant)
+        trxps_per_site = np.bincount(layout.trxp_site, minlength=layout.n_sites)
+        if env is TestEnvironment.INDOOR_HOTSPOT_EMBB:
+            expected = np.ones(12, dtype=bool)
+        elif env is TestEnvironment.DENSE_URBAN_EMBB:
+            expected = np.arange(layout.n_sites) >= 19
+            assert layout.n_sites == 19 + 171
+        else:
+            expected = np.zeros(19, dtype=bool)
+        assert np.array_equal(layout.site_is_micro, expected)
+        assert np.all(trxps_per_site[layout.site_is_micro] == 1)
+        assert np.all(trxps_per_site[~layout.site_is_micro] == 3)
+        assert np.array_equal(layout.trxp_is_micro, expected[layout.trxp_site])
 
 
 _WRAPPED_ENVS = st.sampled_from([TestEnvironment.URBAN_MACRO_MMTC,
@@ -129,40 +149,40 @@ _POINTS = st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500
 
 
 class TestLayoutInvariant:
-    """Every TRxP shares its site's position, height and layer."""
+    """Every TRxP reads its site's position, height and layer."""
 
     @staticmethod
-    def _two_sector_layout(**overrides):
-        fields = dict(
-            layout_kind=LayoutKind.HEX_MACRO_19,
+    def _two_sector_layout():
+        return NetworkLayout(
+            layout_kind=LayoutKind.DENSE_URBAN_TWO_LAYER,
             isd=500.0,
             site_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
+            site_height=np.array([25.0, 10.0]),
+            site_is_micro=np.array([False, True]),
             trxp_site=np.array([0, 0, 1]),
-            trxp_pos=np.array([[0.0, 0.0], [0.0, 0.0], [500.0, 0.0]]),
-            trxp_sector=np.array([0, 1, 0]),
-            trxp_boresight_deg=np.array([30.0, 150.0, 30.0]),
-            trxp_height=np.array([25.0, 25.0, 25.0]),
-            trxp_is_micro=np.array([False, False, False]),
+            trxp_boresight_deg=np.array([30.0, 150.0, 0.0]),
             wrap_translations=np.zeros((1, 2)),
         )
-        fields.update(overrides)
-        return NetworkLayout(**fields)
 
     def test_consistent_layout_builds(self):
         layout = self._two_sector_layout()
-        assert np.array_equal(layout.site_values(layout.trxp_height), [25.0, 25.0])
+        assert (layout.n_sites, layout.n_trxps) == (2, 3)
+        assert np.array_equal(layout.trxp_is_micro, [False, False, True])
 
-    def test_trxp_away_from_its_site_rejected(self):
-        with pytest.raises(DomainError, match="position"):
-            self._two_sector_layout(trxp_pos=np.array([[0.0, 0.0], [1.0, 0.0], [500.0, 0.0]]))
 
-    def test_sectors_of_different_height_rejected(self):
-        with pytest.raises(DomainError, match="trxp_height"):
-            self._two_sector_layout(trxp_height=np.array([25.0, 10.0, 25.0]))
+def wrap_distance(layout, a, b):
+    """Scalar oracle for wrap_displacements: the minimum distance between a
+    and b over the wrap translation set.
 
-    def test_sectors_of_different_layer_rejected(self):
-        with pytest.raises(DomainError, match="trxp_is_micro"):
-            self._two_sector_layout(trxp_is_micro=np.array([False, True, False]))
+    Returns (distance, translation) where ``b + translation`` realizes the
+    minimum. Symmetric in (a, b) because the set is closed under negation.
+    """
+    a = np.asarray(a, dtype=float)[:2]
+    b = np.asarray(b, dtype=float)[:2]
+    shifted = b[None, :] + layout.wrap_translations
+    d = np.linalg.norm(a[None, :] - shifted, axis=1)
+    k = int(np.argmin(d))
+    return float(d[k]), layout.wrap_translations[k].copy()
 
 
 class TestWrapDistance:
@@ -320,12 +340,10 @@ def _colocated_layout(n):
         layout_kind=LayoutKind.INDOOR_12,
         isd=20.0,
         site_positions=np.array([[60.0, 25.0]]),
+        site_height=np.array([3.0]),
+        site_is_micro=np.array([True]),
         trxp_site=np.zeros(n, dtype=int),
-        trxp_pos=np.tile([60.0, 25.0], (n, 1)),
-        trxp_sector=np.zeros(n, dtype=int),
         trxp_boresight_deg=np.zeros(n),
-        trxp_height=np.full(n, 3.0),
-        trxp_is_micro=np.ones(n, dtype=bool),
         wrap_translations=np.zeros((1, 2)),
         drop_bbox=((0.0, 0.0), (120.0, 50.0)),
     )
@@ -391,8 +409,9 @@ def drop_ues_reference(layout, config, rng):
 
     min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
     if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-        macro_sites = layout.macro_site_positions()
-        micro_pos = layout.trxp_pos[layout.trxp_is_micro]
+        trxp_pos = layout.site_positions[layout.trxp_site]
+        macro_sites = trxp_pos[~layout.trxp_is_micro]
+        micro_pos = trxp_pos[layout.trxp_is_micro]
         for _ in range(1000):
             _, d_macro = wrap_displacements_reference(layout, pos, macro_sites)
             bad = d_macro.min(axis=1) < min_macro
@@ -419,9 +438,11 @@ def compute_coupling_reference(config, layout, ues, rng):
 
     Returns (coupling_db, serving).
     """
-    delta, d2d = wrap_displacements_reference(layout, ues.positions, layout.trxp_pos)
+    trxp_height = layout.site_height[layout.trxp_site]
+    delta, d2d = wrap_displacements_reference(layout, ues.positions,
+                                              layout.site_positions[layout.trxp_site])
     n_ue, n_t = d2d.shape
-    dz = layout.trxp_height[None, :] - config.ue_height
+    dz = trxp_height[None, :] - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
     micro_mask = layout.trxp_is_micro if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER \
@@ -437,7 +458,7 @@ def compute_coupling_reference(config, layout, ues, rng):
             continue
         p_los = los_probability(profile.plos_model, d2d[:, mask])
         los_part = los_u[:, mask] < p_los
-        h_ref = float(layout.trxp_height[mask][0])
+        h_ref = float(trxp_height[mask][0])
         pl_los, pl_nlos = pathloss_curves(profile, config.carrier_frequency,
                                           d3d[:, mask], h_ref, config.ue_height)
         part = np.where(los_part, pl_los, pl_nlos)
@@ -449,7 +470,7 @@ def compute_coupling_reference(config, layout, ues, rng):
 
     az = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
     az_rel = (az - layout.trxp_boresight_deg[None, :] + 180.0) % 360.0 - 180.0
-    zen = np.degrees(np.arctan2(d2d, -(config.ue_height - layout.trxp_height[None, :])))
+    zen = np.degrees(np.arctan2(d2d, -(config.ue_height - trxp_height[None, :])))
     zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
     gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff))
     if layout.trxp_is_micro.any():

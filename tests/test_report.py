@@ -79,6 +79,17 @@ class TestIngest:
             ingest_table(text=bad)
         assert "line 2" in str(err.value)
 
+    def test_errors_name_the_physical_line_after_a_multiline_cell(self):
+        good = ('X,UrbanMacro_mMTC,uplink,connection_density,,,NR,,,,Acme,1000000,1e6,1e6,'
+                '/km^2,,,0,"two\nlines"')
+        bad = ("X,UrbanMacro_mMTC,uplink,connection_density,,,NR,,,,Acme,1000000,1e6,"
+               "not-a-number,/km^2,,,0,")
+        with pytest.raises(SchemaError, match="line 4: column 'value'"):
+            ingest_table(text=HEADER + "\n" + good + "\n" + bad + "\n")
+        # a record spanning lines is named by the line it starts on
+        with pytest.raises(SchemaError, match="line 2: column 'value'"):
+            ingest_table(text=HEADER + "\n" + bad + '"two\nlines"\n')
+
     @pytest.mark.parametrize("column,row", [
         ("value", "X,UrbanMacro_mMTC,uplink,connection_density,,,NR,,,,Acme,1000000,inf,inf,/km^2,,,0,"),
         ("value", "II,Rural_eMBB,downlink,avg_se,,,NR,,,,Acme,,nan,nan,bit/s/Hz/TRxP,,,0,"),
