@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DomainError, MappingError
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
 
 @dataclass(frozen=True)
 class ElementPattern:
@@ -130,12 +128,12 @@ class ArrayConfig:
         return slants
 
 
-def array_response(config: ArrayConfig, carrier_hz: float, azimuth_deg, zenith_deg) -> np.ndarray:
+def array_response(config: ArrayConfig, azimuth_deg, zenith_deg) -> np.ndarray:
     """Unit-modulus steering vector(s) for the planar array.
 
     Scalar angles give shape (n_elements,); array angles of shape (k,) give
-    (n_elements, k). The carrier only fixes the wavelength used to convert
-    spacings to meters, so responses depend on spacing-in-wavelengths alone.
+    (n_elements, k). Spacings are in wavelengths, so the response does not
+    depend on the carrier.
     """
     az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
     zen = np.atleast_1d(np.asarray(zenith_deg, dtype=float))
@@ -164,7 +162,7 @@ def _power_pattern(config: ArrayConfig, pattern: ElementPattern, grid_resolution
     az = np.arange(-180.0 + step / 2.0, 180.0, step)
     zz, aa = np.meshgrid(zen, az, indexing="ij")
     elem_lin = 10.0 ** (np.asarray(element_gain(pattern, aa, zz)) / 10.0)
-    resp = array_response(config, 1e9, aa.ravel(), zz.ravel())  # (n, k)
+    resp = array_response(config, aa.ravel(), zz.ravel())  # (n, k)
     af = np.abs(resp.sum(axis=0)) ** 2 / config.n_elements  # uniform weights 1/sqrt(n)
     d_omega = np.sin(np.radians(zz)) * np.radians(step) ** 2
     return elem_lin * af.reshape(zz.shape), d_omega

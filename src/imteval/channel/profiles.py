@@ -2,12 +2,14 @@
 structure constants and pathloss exponents, loaded from profiles.ini.
 
 Profiles are plain data so the generator stays auditable; the shipped file
-can be replaced via ``load_profiles(path)``.
+can be replaced via ``load_profiles(path)``, and ``profile_to_text`` writes a
+profile back in the same format.
 """
 
 from __future__ import annotations
 
 import configparser
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -86,24 +88,18 @@ class ChannelProfile:
         return self.los if los else self.nlos
 
 
-_FLOAT_KEYS = {
-    "r_tau", "per_cluster_shadow_db", "c_asd", "c_asa", "c_zsa",
-    "xpr_mu_db", "xpr_sigma_db", "lg_ds_mu", "lg_ds_sigma", "lg_asd_mu",
-    "lg_asd_sigma", "lg_asa_mu", "lg_asa_sigma", "lg_zsd_mu",
-    "lg_zsd_sigma", "lg_zsa_mu", "lg_zsa_sigma", "sf_sigma_db",
-    "k_mu_db", "k_sigma_db", "pl_exp1", "pl_exp2", "nlos_exp",
-    "nlos_offset_db",
-}
+# a condition section's keys: the scalar ConditionParams fields, parsed by
+# their declared type, plus one corr_<lsp>_<lsp> key per non-zero correlation
+_SCALAR_KEYS = {name: kind for name, kind in typing.get_type_hints(ConditionParams).items()
+                if kind in (int, float)}
 
 
 def _parse_condition(items: dict, section: str) -> ConditionParams:
     kwargs = {}
     corr = np.eye(7)
     for key, raw in items.items():
-        if key == "n_clusters":
-            kwargs["n_clusters"] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
+        if key in _SCALAR_KEYS:
+            kwargs[key] = _SCALAR_KEYS[key](raw)
         elif key.startswith("corr_"):
             parts = key.split("_")
             if len(parts) != 3 or parts[1] not in LSP_ORDER or parts[2] not in LSP_ORDER:
@@ -152,6 +148,19 @@ def load_profiles(path=None) -> dict:
     return profiles
 
 
+def profile_to_text(profile: ChannelProfile) -> str:
+    """One profile as the profiles.ini sections that ``load_profiles`` reads
+    back to an equal profile."""
+    lines = [f"[{profile.name}]", f"plos_model = {profile.plos_model}",
+             f"pen_low_db = {profile.pen_low_db!r}", f"pen_high_db = {profile.pen_high_db!r}"]
+    for label, cond in (("los", profile.los), ("nlos", profile.nlos)):
+        lines += ["", f"[{profile.name}.{label}]"]
+        lines += [f"{key} = {getattr(cond, key)!r}" for key in _SCALAR_KEYS]
+        lines += [f"corr_{LSP_ORDER[i]}_{LSP_ORDER[j]} = {float(cond.corr[i, j])!r}"
+                  for i in range(7) for j in range(i + 1, 7) if cond.corr[i, j] != 0.0]
+    return "\n".join(lines) + "\n"
+
+
 _cache: dict | None = None
 
 
@@ -165,7 +174,8 @@ def builtin_profiles() -> dict:
 def get_profile(name: str) -> ChannelProfile:
     profiles = builtin_profiles()
     if name not in profiles:
-        raise ConfigInvalid("profile", f"unknown channel profile '{name}'")
+        raise ConfigInvalid("profile", f"unknown channel profile '{name}'; "
+                                       f"available: {sorted(profiles)}")
     return profiles[name]
 
 

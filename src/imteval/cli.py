@@ -15,10 +15,11 @@ import argparse
 import sys
 
 from . import engine, report
-from .channel.profiles import LSP_ORDER, builtin_profiles
+from .channel.profiles import get_profile, profile_to_text
 from .errors import ImtEvalError
-from .geometry import build_layout, export_layout_csv
+from .geometry import export_layout_csv
 from .scenario import (
+    UPLINK,
     TestEnvironment,
     builtin_requirements,
     list_presets,
@@ -65,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="'builtin' or a requirements CSV path")
     p_check.add_argument("--out")
 
-    p_dump = sub.add_parser("dump-profile", help="print a channel profile")
+    p_dump = sub.add_parser("dump-profile", help="print a channel profile in profiles.ini form")
     p_dump.add_argument("name")
     return parser
 
 
-def _overrides_to_text(scenario: str, variant: str, pairs) -> str:
+def _overrides_to_text(pairs) -> str:
     sections: dict[str, list[str]] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -81,8 +82,7 @@ def _overrides_to_text(scenario: str, variant: str, pairs) -> str:
         else:
             section = "scenario"
         sections.setdefault(section, []).append(f"{key} = {value}")
-    lines = [f"[scenario]", f"environment = {scenario}", f"config_variant = {variant}"]
-    lines.extend(sections.pop("scenario", []))
+    lines = []
     for section, entries in sections.items():
         lines.append(f"[{section}]")
         lines.extend(entries)
@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
         print("error: need --scenario or --config", file=sys.stderr)
         return 2
     if args.set:
-        text = _overrides_to_text(config.environment.value, config.config_variant, args.set)
+        text = _overrides_to_text(args.set)
         config = load_config(text=text, base=config)
     from dataclasses import replace
     if args.drops is not None:
@@ -109,23 +109,27 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
 
+    reqs = builtin_requirements()
     result = engine.run(config, workers=args.workers, sinr_only=args.sinr_only,
                         early_stop=args.early_stop)
-    compliance = report.check_compliance(result, builtin_requirements())
+    compliance = report.check_compliance(result, reqs)
     files = report.emit(result, compliance, args.out)
+    # result.config carries the calibrated uplink P0 the run used
+    config, layout = result.config, result.layout
 
     if args.non_full_buffer and config.traffic.kind is TrafficKind.POISSON_MESSAGING:
-        search, cal_config = engine.density_search(config)
+        search, _ = engine.density_search(config, layout=layout)
+        density = engine.KpiValue("connection_density", UPLINK, search.density_per_km2, "/km^2")
+        req, met = report.judge(density, config.environment, reqs)
         print(f"non-full-buffer connection density: {search.density_per_km2:,.0f} /km^2 "
               f"(p99 delay {search.delay_p99_s:.3f} s, "
-              f"{'meets' if search.passed else 'below'} the 1e6 /km^2 requirement; "
-              f"P0 {cal_config.link.ul_p0_dbm:.1f} dBm)")
+              f"{'meets' if met else 'below'} the {req.value:,.0f} /km^2 requirement; "
+              f"P0 {config.link.ul_p0_dbm:.1f} dBm)")
         if not search.monotone:
             print(f"  delay vs density non-monotone; bracket {search.bracket}")
         if args.dump_packets:
-            layout = build_layout(cal_config)
             records = []
-            engine.evaluate_p99_delay(cal_config, layout, 1_000_000.0, n_drops=1,
+            engine.evaluate_p99_delay(config, layout, req.value, n_drops=1,
                                       record_sink=records)
             path = f"{args.out}/packets.csv"
             with open(path, "w", encoding="utf-8") as fh:
@@ -133,12 +137,10 @@ def _cmd_run(args) -> int:
                          "transmissions,delivered\n")
                 for row in records:
                     fh.write(",".join(str(x) for x in row) + "\n")
-            print(f"wrote {path} ({len(records)} messages at 1e6 /km^2)")
+            print(f"wrote {path} ({len(records)} messages at {req.value:,.0f} /km^2)")
 
     if args.dump_geometry or args.dump_sinr:
-        # drop 0 as the run saw it: under the calibrated uplink power control
-        layout = build_layout(result.config)
-        drop0 = engine.run_drop(result.config, layout, 0, sinr_only=True)
+        drop0 = engine.run_drop(config, layout, 0, sinr_only=True)
         if args.dump_geometry:
             export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
             _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
@@ -204,28 +206,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump_profile(args) -> int:
-    profiles = builtin_profiles()
-    if args.name not in profiles:
-        print(f"error: unknown profile '{args.name}'; available: {sorted(profiles)}",
-              file=sys.stderr)
-        return 2
-    profile = profiles[args.name]
-    print(f"[{profile.name}] plos_model={profile.plos_model} "
-          f"pen_low_db={profile.pen_low_db} pen_high_db={profile.pen_high_db}")
-    for label, cond in (("los", profile.los), ("nlos", profile.nlos)):
-        print(f"  [{profile.name}.{label}]")
-        for key in ("n_clusters", "r_tau", "per_cluster_shadow_db", "c_asd", "c_asa",
-                    "c_zsa", "xpr_mu_db", "xpr_sigma_db", "lg_ds_mu", "lg_ds_sigma",
-                    "lg_asd_mu", "lg_asd_sigma", "lg_asa_mu", "lg_asa_sigma",
-                    "lg_zsd_mu", "lg_zsd_sigma", "lg_zsa_mu", "lg_zsa_sigma",
-                    "sf_sigma_db", "k_mu_db", "k_sigma_db", "pl_exp1", "pl_exp2",
-                    "nlos_exp", "nlos_offset_db"):
-            print(f"    {key} = {getattr(cond, key)}")
-        corr = cond.corr
-        for i in range(7):
-            for j in range(i + 1, 7):
-                if corr[i, j] != 0.0:
-                    print(f"    corr_{LSP_ORDER[i]}_{LSP_ORDER[j]} = {corr[i, j]}")
+    print(profile_to_text(get_profile(args.name)), end="")
     return 0
 
 

@@ -33,7 +33,8 @@ from .geometry import (
     wrap_displacements,
 )
 from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
-from .scenario import DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, config_hash
+from .scenario import (DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment,
+                       builtin_requirements)
 from .traffic import TrafficKind, pf_run, serve_fifo
 
 STREAM_ALGORITHM = (
@@ -356,20 +357,15 @@ class KpiValue:
 
 @dataclass
 class RunResult:
-    config: EvaluationConfig
-    config_digest: str
+    config: EvaluationConfig  # as run: after uplink power calibration
+    layout: NetworkLayout
     drops_executed: int
     convergence_status: str
     kpis: list
     cdfs: dict
     per_drop_mean_ul_sinr: np.ndarray
     mean_iot_db: float
-    calibrated_p0_dbm: float
-    n_mux_ul: float
-    mean_b_ul: float
     warnings: list
-    master_seed: int
-    stream_algorithm: str = STREAM_ALGORITHM
 
     def kpi(self, metric: str, direction: str | None = None, speed_kmh: float | None = None):
         for k in self.kpis:
@@ -467,24 +463,19 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
                 if not fold(drop):
                     break
 
-    layout_n_trxps = layout.n_trxps
-    kpis = _assemble_kpis(config, layout_n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
+    kpis = _assemble_kpis(config, layout.n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
                           n_mux_values, b_pool, sinr_only)
 
     return RunResult(
         config=config,
-        config_digest=config_hash(config),
+        layout=layout,
         drops_executed=executed,
         convergence_status=status,
         kpis=kpis,
         cdfs=cdfs,
         per_drop_mean_ul_sinr=np.array(per_drop_mean),
         mean_iot_db=float(np.mean(iot_values)) if iot_values else math.nan,
-        calibrated_p0_dbm=config.link.ul_p0_dbm,
-        n_mux_ul=float(np.mean(n_mux_values)) if n_mux_values else 0.0,
-        mean_b_ul=float(np.mean(np.concatenate(b_pool))) if b_pool else math.nan,
         warnings=warnings,
-        master_seed=config.master_seed,
     )
 
 
@@ -497,7 +488,7 @@ def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
     # reliability needs only the SINR CDFs, so it survives sinr_only mode
     if env is TestEnvironment.URBAN_MACRO_URLLC:
         for direction in (DOWNLINK, UPLINK):
-            prob, _ = metrics.reliability(
+            prob = metrics.reliability(
                 cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_sinr_db"],
                 lk.bler_model(), lk.harq(), extra_backoff_db=lk.csi_backoff_db)
             kpis.append(KpiValue("reliability", direction, prob, "probability"))
@@ -517,11 +508,12 @@ def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
             se_cdf = cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_user_se"]
             kpis.append(KpiValue("pct5_se", direction,
                                  metrics.pct5_user_se(se_cdf.samples), "bit/s/Hz"))
-        # normalized traffic-channel rate at the environment's mobility speeds
-        for speed in _mobility_speeds(env):
-            rate, _ = metrics.mobility_check(
+        # normalized traffic-channel rate at the speeds the requirement table names
+        for speed in [r.speed_kmh for r in builtin_requirements().rows
+                      if r.environment is env and r.metric == "mobility_rate"]:
+            rate = metrics.mobility_rate(
                 cdfs["ul_sinr_db"], speed, config.carrier_frequency,
-                lk.abstraction(UPLINK), requirement=0.0, extra_backoff_db=lk.csi_backoff_db)
+                lk.abstraction(UPLINK), extra_backoff_db=lk.csi_backoff_db)
             kpis.append(KpiValue("mobility_rate", UPLINK, rate, "bit/s/Hz", speed_kmh=speed))
         if env is TestEnvironment.DENSE_URBAN_EMBB:
             for direction in (DOWNLINK, UPLINK):
@@ -541,14 +533,6 @@ def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
                              metrics.connection_density_fullbuffer(cd_in), "/km^2",
                              note="full-buffer multiplexing route"))
     return kpis
-
-
-def _mobility_speeds(env: TestEnvironment):
-    return {
-        TestEnvironment.INDOOR_HOTSPOT_EMBB: (10.0,),
-        TestEnvironment.DENSE_URBAN_EMBB: (30.0,),
-        TestEnvironment.RURAL_EMBB: (120.0, 500.0),
-    }.get(env, ())
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +660,12 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
 
 def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
                    hi_per_km2: float = 4e7, steps: int = 10,
-                   n_drops: int = 3, calibrate: bool = True):
+                   n_drops: int = 3, layout: NetworkLayout | None = None):
     """Non-full-buffer connection density: the largest device density whose
-    99th-percentile delay stays within 10 s."""
-    layout = build_layout(config)
-    if calibrate:
+    99th-percentile delay stays within 10 s. Without ``layout`` it builds and
+    calibrates its own; a passed layout comes with the calibrated config of its run."""
+    if layout is None:
+        layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)
 
     links = [message_links(config, layout, d) for d in range(n_drops)]

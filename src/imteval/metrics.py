@@ -2,8 +2,8 @@
 reliability, mobility and user-experienced data rate, plus the empirical
 CDF machinery and the drop-convergence monitor they all feed on.
 
-Every pass/fail comparison in this module is boundary-inclusive
-(measured >= requirement passes).
+Functions here return measured values only; ``report.judge`` compares them
+with the requirement table.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
 from .link import BlerModel, HarqConfig, LinkAbstraction, harq_outcome, sinr_to_se
 
@@ -186,25 +187,26 @@ def p99_delay(delays) -> float:
     return math.inf
 
 
+# the 99th-percentile message delay a density must meet
+QOS_DELAY_S = 10.0
+
+
 @dataclass(frozen=True)
 class DensitySearchResult:
     density_per_km2: float  # largest tested density meeting the QoS
     delay_p99_s: float  # achieved 99th-percentile delay at that density
-    passed: bool  # density >= the one-million-per-km2 requirement
     evaluations: tuple  # (density, p99_delay) pairs in evaluation order
     monotone: bool  # False when delay-vs-density came out non-monotone
     bracket: tuple  # (highest passing density, lowest failing density or inf)
 
 
 def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2: float,
-                              qos_delay_s: float = 10.0,
-                              requirement_per_km2: float = 1_000_000.0,
                               steps: int = 12) -> DensitySearchResult:
     """Bisection over device density for the non-full-buffer route.
 
     ``evaluate_p99_delay(density)`` must run the engine at that density and
     return the 99th-percentile per-user delay in seconds. Returns the
-    largest tested density whose delay met the QoS bound (boundary
+    largest tested density whose delay met QOS_DELAY_S (boundary
     inclusive). Non-monotone samples are reported with the widest
     bracketing interval rather than hidden. A NaN delay raises
     InternalError: it would neither pass nor fail the bound honestly.
@@ -221,65 +223,63 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
         return delay
 
     lo_delay = probe(lo_per_km2)
-    if lo_delay > qos_delay_s:
-        return DensitySearchResult(0.0, lo_delay, False, tuple(evals), True, (0.0, lo_per_km2))
+    if lo_delay > QOS_DELAY_S:
+        return DensitySearchResult(0.0, lo_delay, tuple(evals), True, (0.0, lo_per_km2))
     hi_delay = probe(hi_per_km2)
-    if hi_delay <= qos_delay_s:
-        return DensitySearchResult(hi_per_km2, hi_delay, hi_per_km2 >= requirement_per_km2,
-                                   tuple(evals), True, (hi_per_km2, math.inf))
+    if hi_delay <= QOS_DELAY_S:
+        return DensitySearchResult(hi_per_km2, hi_delay, tuple(evals), True,
+                                   (hi_per_km2, math.inf))
 
     lo, hi = lo_per_km2, hi_per_km2
     best_delay = lo_delay
     for _ in range(steps):
         mid = math.sqrt(lo * hi)  # geometric bisection suits the /km^2 scale
         mid_delay = probe(mid)
-        if mid_delay <= qos_delay_s:
+        if mid_delay <= QOS_DELAY_S:
             lo, best_delay = mid, mid_delay
         else:
             hi = mid
 
-    passing = [d for d, t in evals if t <= qos_delay_s]
-    failing = [d for d, t in evals if t > qos_delay_s]
+    passing = [d for d, t in evals if t <= QOS_DELAY_S]
+    failing = [d for d, t in evals if t > QOS_DELAY_S]
     monotone = not passing or not failing or max(passing) <= min(failing) + 1e-9
     bracket = (max(passing) if passing else 0.0, min(failing) if failing else math.inf)
-    return DensitySearchResult(lo, best_delay, lo >= requirement_per_km2,
-                               tuple(evals), monotone, bracket)
+    return DensitySearchResult(lo, best_delay, tuple(evals), monotone, bracket)
+
+
+# the user-plane budget a URLLC PDU must be delivered within
+LATENCY_BUDGET_S = 1e-3
 
 
 def reliability(sinr_cdf: CdfEstimator, bler: BlerModel, harq: HarqConfig,
-                latency_budget_s: float = 1e-3, requirement: float = 0.99999,
-                extra_backoff_db: float = 0.0):
-    """Success probability of delivering the PDU within the budget at the
-    coverage edge (5th-percentile SINR). Returns (probability, pass)."""
+                extra_backoff_db: float = 0.0) -> float:
+    """Success probability of delivering the PDU within LATENCY_BUDGET_S at
+    the coverage edge (5th-percentile SINR)."""
     edge_sinr = sinr_cdf.quantile(0.05) - extra_backoff_db
-    outcome = harq_outcome(bler, harq, edge_sinr, latency_budget_s)
-    return outcome.success_probability, outcome.success_probability >= requirement
+    return harq_outcome(bler, harq, edge_sinr, LATENCY_BUDGET_S).success_probability
 
 
 # (normalized Doppler upper bound, SINR backoff dB); normalized Doppler is
 # shift x scheduling interval. The last entry also covers anything beyond.
-DEFAULT_DOPPLER_BACKOFF = ((1e-4, 0.0), (1e-3, 0.5), (1e-2, 1.5), (1e-1, 3.0))
+DOPPLER_BACKOFF = ((1e-4, 0.0), (1e-3, 0.5), (1e-2, 1.5), (1e-1, 3.0))
 
 
-def doppler_backoff_db(speed_kmh: float, carrier_hz: float,
-                       table=DEFAULT_DOPPLER_BACKOFF, interval_s: float = 1e-3) -> float:
-    shift_hz = (speed_kmh / 3.6) * carrier_hz / 299_792_458.0
+def doppler_backoff_db(speed_kmh: float, carrier_hz: float, interval_s: float = 1e-3) -> float:
+    shift_hz = (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT
     norm = shift_hz * interval_s
-    for bound, backoff in table:
+    for bound, backoff in DOPPLER_BACKOFF:
         if norm <= bound:
             return backoff
-    return table[-1][1]
+    return DOPPLER_BACKOFF[-1][1]
 
 
-def mobility_check(sinr_cdf: CdfEstimator, speed_kmh: float, carrier_hz: float,
-                   abstraction: LinkAbstraction, requirement: float,
-                   backoff_table=DEFAULT_DOPPLER_BACKOFF, extra_backoff_db: float = 0.0):
-    """Normalized traffic-channel rate at the median SINR with a
-    Doppler-dependent backoff. Returns (rate bit/s/Hz, pass)."""
+def mobility_rate(sinr_cdf: CdfEstimator, speed_kmh: float, carrier_hz: float,
+                  abstraction: LinkAbstraction, extra_backoff_db: float = 0.0) -> float:
+    """Normalized traffic-channel rate (bit/s/Hz) at the median SINR with a
+    Doppler-dependent backoff."""
     median = sinr_cdf.quantile(0.5)
-    penalty = doppler_backoff_db(speed_kmh, carrier_hz, backoff_table) + extra_backoff_db
-    rate = float(sinr_to_se(abstraction, median - penalty))
-    return rate, rate >= requirement
+    penalty = doppler_backoff_db(speed_kmh, carrier_hz) + extra_backoff_db
+    return float(sinr_to_se(abstraction, median - penalty))
 
 
 CONTINUE = "continue"

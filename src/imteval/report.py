@@ -1,7 +1,9 @@
 """Compliance checking and result emission.
 
-check_compliance compares either a simulation RunResult or an ingested
-external result table against a RequirementSet, boundary-inclusive.
+This module alone decides pass or fail. ``meets`` holds the rule, which is
+boundary-inclusive: measured >= requirement passes. ``judge`` applies it to
+one simulated KPI, and check_compliance compares either a simulation
+RunResult or an ingested external result table against a RequirementSet.
 Digitized vendor tables ship as fixture CSVs under data/fixtures; known
 defects in the source material (stray cells, out-of-scale percentages,
 values printed below their requirement) carry a ``suspect`` flag instead
@@ -20,8 +22,8 @@ from importlib import resources
 
 from .errors import InternalError, SchemaError, UnknownRequirement
 from .scenario import (DOWNLINK, UPLINK, Requirement, RequirementSet, TestEnvironment,
-                       builtin_requirements, _fmt)
-from .engine import RunResult
+                       builtin_requirements, config_hash, _fmt)
+from .engine import STREAM_ALGORITHM, KpiValue, RunResult
 
 FIXTURE_FILES = (
     "connection_density.csv",
@@ -231,17 +233,32 @@ class ComplianceReport:
 _UNIT_SCALE_TO_BASE = {("ued_rate", "Mbit/s"): 1e6}
 
 
+def meets(value: float, requirement: float) -> bool:
+    """The one pass rule, simulated or ingested: a value equal to its requirement passes."""
+    return bool(value >= requirement)
+
+
+def judge(kpi: KpiValue, environment: TestEnvironment,
+          reqs: RequirementSet) -> tuple[Requirement, bool]:
+    """The requirement row for a measured KPI, and whether the KPI meets it.
+    Raises InternalError for a non-finite value, which would otherwise pass
+    or fail by accident, and UnknownRequirement when the table has no row
+    for the KPI."""
+    if not math.isfinite(kpi.value):
+        raise InternalError(f"KPI {kpi.metric} ({kpi.direction or 'both'}) is not finite: "
+                            f"{kpi.value}")
+    req = reqs.lookup(environment, kpi.direction, kpi.metric, kpi.speed_kmh)
+    return req, meets(kpi.value, req.value)
+
+
 def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceReport:
     rows = []
     env = result.config.environment
     variant = result.config.config_variant
     covered = set()
     for kpi in result.kpis:
-        if not math.isfinite(kpi.value):
-            raise InternalError(f"KPI {kpi.metric} ({kpi.direction or 'both'}) is not finite: "
-                                f"{kpi.value}")
         try:
-            req = reqs.lookup(env, kpi.direction, kpi.metric, kpi.speed_kmh)
+            req, passed = judge(kpi, env, reqs)
         except UnknownRequirement:
             continue  # informational KPI without a requirement row
         covered.add(id(req))
@@ -252,8 +269,7 @@ def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceRepo
         rows.append(ComplianceRow(
             environment=env.value, variant=variant, direction=kpi.direction or "",
             metric=kpi.metric, speed_kmh=kpi.speed_kmh,
-            requirement=req.value, measured=kpi.value,
-            passed=bool(kpi.value >= req.value),
+            requirement=req.value, measured=kpi.value, passed=passed,
             source_table=req.source_table, footnotes=footnotes,
         ))
     # requirement rows for this environment that the run did not evaluate
@@ -296,7 +312,7 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
                 footnotes=(r.note or "not evaluated"), evaluator=r.evaluator,
             ))
             continue
-        passed = None if requirement is None else bool(r.value >= requirement)
+        passed = None if requirement is None else meets(r.value, requirement)
         foot = r.note
         if r.suspect:
             foot = (foot + "; " if foot else "") + "suspect source entry"
@@ -341,16 +357,16 @@ def emit(result: RunResult, report: ComplianceReport, out_dir) -> list:
 
     from . import __version__
     manifest = {
-        "config_hash": result.config_digest,
-        "master_seed": result.master_seed,
+        "config_hash": config_hash(result.config),
+        "master_seed": result.config.master_seed,
         "software_version": __version__,
         "environment": result.config.environment.value,
         "variant": result.config.config_variant,
         "drops_executed": result.drops_executed,
         "convergence_status": result.convergence_status,
-        "stream_algorithm": result.stream_algorithm,
+        "stream_algorithm": STREAM_ALGORITHM,
         "mean_iot_db": _round(result.mean_iot_db),
-        "calibrated_p0_dbm": _round(result.calibrated_p0_dbm),
+        "calibrated_p0_dbm": _round(result.config.link.ul_p0_dbm),
         "kpis": {_kpi_key(result, k): {"value": _round(k.value), "unit": k.unit}
                  for k in result.kpis},
         "warnings": list(result.warnings),

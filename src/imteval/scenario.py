@@ -49,6 +49,10 @@ EMBB_ENVIRONMENTS = (
     TestEnvironment.RURAL_EMBB,
 )
 
+# variants each environment's parameter table defines: mMTC B is the
+# 1732 m ISD, URLLC B the 700 MHz carrier; the eMBB tables have one
+_VARIANTS = {env: ("A",) if env in EMBB_ENVIRONMENTS else ("A", "B") for env in TestEnvironment}
+
 
 def total_tx_power_dbm(bandwidth_hz: float) -> float:
     """Total transmit power per TRxP: 49 dBm at 20 MHz, dB-linear in bandwidth."""
@@ -58,7 +62,7 @@ def total_tx_power_dbm(bandwidth_hz: float) -> float:
 @dataclass(frozen=True)
 class EvaluationConfig:
     environment: TestEnvironment
-    config_variant: str  # "A" | "B"
+    config_variant: str  # one of _VARIANTS[environment]
     carrier_frequency: float  # Hz
     isd: float  # meters
     bs_height: float  # meters
@@ -125,10 +129,16 @@ _RANGES = {
 }
 
 
+def _check_variant(environment: TestEnvironment, variant: str) -> None:
+    variants = _VARIANTS[environment]
+    if variant not in variants:
+        raise ConfigInvalid("config_variant", f"must be {' or '.join(variants)} for "
+                                              f"{environment.value}")
+
+
 def validate(config: EvaluationConfig) -> EvaluationConfig:
     """Range-check every field; raises ConfigInvalid naming the first offender."""
-    if config.config_variant not in ("A", "B"):
-        raise ConfigInvalid("config_variant", "must be 'A' or 'B'")
+    _check_variant(config.environment, config.config_variant)
     for name, (lo, hi) in _RANGES.items():
         value = getattr(config, name)
         if not (lo <= value <= hi):
@@ -260,27 +270,19 @@ def preset(environment: TestEnvironment, variant: str) -> EvaluationConfig:
     """Fully populated config for the given environment and variant A/B.
 
     Variant semantics are environment-specific: mMTC A/B select ISD
-    500/1732 m, URLLC A/B select 4 GHz/700 MHz, and for the eMBB
-    environments A/B select the channel-model variant only.
+    500/1732 m and URLLC A/B select 4 GHz/700 MHz. The eMBB environments
+    have variant A only; B raises ConfigInvalid before any builder runs.
     """
-    if variant not in ("A", "B"):
-        raise UnknownPreset(f"variant must be 'A' or 'B', got '{variant}'")
-    if environment not in _PRESET_BUILDERS:
-        raise UnknownPreset(f"no preset for environment {environment}")
+    _check_variant(environment, variant)
     return validate(_PRESET_BUILDERS[environment](variant))
 
 
 def list_presets():
     """All (environment, variant) pairs with their parameter provenance."""
-    out = []
-    for env in TestEnvironment:
-        for variant in ("A", "B"):
-            source = {
-                TestEnvironment.URBAN_MACRO_MMTC: "connection-density parameter table",
-                TestEnvironment.URBAN_MACRO_URLLC: "reliability parameter table",
-            }.get(env, "standard eMBB evaluation configuration")
-            out.append((env, variant, source))
-    return out
+    sources = {TestEnvironment.URBAN_MACRO_MMTC: "connection-density parameter table",
+               TestEnvironment.URBAN_MACRO_URLLC: "reliability parameter table"}
+    return [(env, variant, sources.get(env, "standard eMBB evaluation configuration"))
+            for env, variants in _VARIANTS.items() for variant in variants]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +383,8 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
 
     The base preset is either passed explicitly or identified by the
     ``environment`` / ``config_variant`` keys in the file's [scenario]
-    section. Unknown sections or keys are rejected.
+    section; on an explicit base those keys may only repeat its values.
+    Unknown sections or keys are rejected.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -420,6 +423,12 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
         if nested:
             owner = _NESTED[section]
             updates[owner] = replace(getattr(base, owner), **nested)
+    # these two name the preset the other keys override: changing them on a
+    # base would relabel its parameters, e.g. mMTC A's 500 m ISD as variant B
+    for key in ("environment", "config_variant"):
+        if key in updates and updates[key] != getattr(base, key):
+            raise ConfigInvalid(key, f"'{_fmt(updates[key])}' differs from the base preset's "
+                                     f"'{_fmt(getattr(base, key))}'")
     return validate(replace(base, **updates))
 
 

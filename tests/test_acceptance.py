@@ -21,6 +21,7 @@ from imteval.channel import (
     realize_link,
 )
 from imteval.engine import (
+    KpiValue,
     calibrate_ul_power,
     density_search,
     derive_stream,
@@ -40,7 +41,7 @@ from imteval.metrics import (
     connection_density_fullbuffer,
     converged,
 )
-from imteval.report import check_compliance, emit, load_fixture
+from imteval.report import check_compliance, emit, judge, load_fixture
 from imteval.scenario import DOWNLINK, UPLINK, builtin_requirements
 from test_geometry import wrap_distance  # the scalar wrap-around oracle
 
@@ -296,4 +297,6 @@ class TestCriterion9SoftDensityTarget:
               f"{'IN RANGE' if in_bracket else 'OUT OF RANGE'} -- {detail}", flush=True)
         # gate only on the search having produced a meaningful QoS answer
         assert search.density_per_km2 > 0
-        assert search.passed == (search.density_per_km2 >= 1e6)
+        density = KpiValue("connection_density", UPLINK, search.density_per_km2, "/km^2")
+        _, met = judge(density, MMTC_A.environment, builtin_requirements())
+        assert met == (search.density_per_km2 >= 1e6)

@@ -58,26 +58,26 @@ class TestElementGain:
 
 class TestArrayResponse:
     def test_single_element_is_unity(self):
-        resp = array_response(ArrayConfig(), 2e9, 12.0, 80.0)
+        resp = array_response(ArrayConfig(), 12.0, 80.0)
         assert resp.shape == (1,)
         assert resp[0] == pytest.approx(1.0 + 0.0j)
 
     def test_broadside_on_vertical_column_is_uniform(self):
         cfg = ArrayConfig(m=8, n=1, element_spacing_v=0.8)
-        resp = array_response(cfg, 2e9, 0.0, 90.0)  # horizon: no z path difference
+        resp = array_response(cfg, 0.0, 90.0)  # horizon: no z path difference
         assert np.allclose(resp, resp[0])
 
     def test_two_element_halfwave_row_endfire_phase(self):
         # elements along +y at 0.5 wavelength; azimuth 90 deg is endfire
         cfg = ArrayConfig(m=1, n=2, element_spacing_h=0.5)
-        resp = array_response(cfg, 1e9, 90.0, 90.0)
+        resp = array_response(cfg, 90.0, 90.0)
         phase_diff = np.angle(resp[1] / resp[0])
         assert abs(abs(phase_diff) - np.pi) < 1e-9
 
     def test_unit_modulus(self):
         cfg = ArrayConfig(m=4, n=4, p=2)
         rng = np.random.default_rng(3)
-        resp = array_response(cfg, 4e9, rng.uniform(-180, 180, 7), rng.uniform(0, 180, 7))
+        resp = array_response(cfg, rng.uniform(-180, 180, 7), rng.uniform(0, 180, 7))
         assert resp.shape == (32, 7)
         assert np.allclose(np.abs(resp), 1.0)
 

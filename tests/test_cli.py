@@ -1,12 +1,16 @@
 """Command-line surface: run, list-scenarios, check, dump-profile."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from imteval import cli, engine, geometry
+from imteval.channel.profiles import builtin_profiles, load_profiles
 from imteval.cli import main
 
 
@@ -15,7 +19,7 @@ class TestListScenarios:
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
         assert out.count("variant A") == 5
-        assert out.count("variant B") == 5
+        assert out.count("variant B") == 2  # mMTC and URLLC; eMBB has one variant
         assert "UrbanMacro_mMTC" in out
 
 
@@ -98,6 +102,54 @@ class TestRun:
                                  ("sinr_db", drop.ul_sinr_db)):
             assert [float(row[column]) for row in rows] == expected.tolist()
 
+    def test_non_full_buffer_packets_reuse_the_runs_layout_and_calibration(
+            self, tmp_path, capsys, monkeypatch):
+        calls = {"calibrate": 0, "layout_after_run": 0}
+        run_returned = False
+        real_run, real_calibrate = engine.run, engine.calibrate_ul_power
+        real_build_layout = geometry.build_layout
+
+        def counting_run(*args, **kwargs):
+            nonlocal run_returned
+            result = real_run(*args, **kwargs)
+            run_returned = True
+            return result
+
+        def counting_calibrate(*args, **kwargs):
+            calls["calibrate"] += 1
+            return real_calibrate(*args, **kwargs)
+
+        def counting_build_layout(*args, **kwargs):
+            calls["layout_after_run"] += run_returned
+            return real_build_layout(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", counting_run)
+        monkeypatch.setattr(engine, "calibrate_ul_power", counting_calibrate)
+        for module in (geometry, engine, cli):
+            monkeypatch.setattr(module, "build_layout", counting_build_layout, raising=False)
+        out_dir = tmp_path / "results"
+        code = main(["run", "--scenario", "UrbanMacro_mMTC", "--drops", "2",
+                     "--non-full-buffer", "--dump-packets", "--dump-geometry",
+                     "--dump-sinr", "--out", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        # the density search, the dumps and the packet log all reuse the run's
+        assert calls == {"calibrate": 1, "layout_after_run": 0}
+        density = next(line for line in out.splitlines()
+                       if line.startswith("non-full-buffer connection density: "))
+        assert "p99 delay" in density and "the 1,000,000 /km^2 requirement" in density
+        assert (" meets " in density) != (" below " in density)
+        with open(out_dir / "packets.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["drop", "cell", "arrival_s", "service_start_s", "completion_s",
+                           "transmissions", "delivered"]
+        assert f"wrote {out_dir}/packets.csv ({len(rows) - 1} messages" in out
+        assert len(rows) > 1
+        for drop, cell, arrival, start, completion, transmissions, delivered in rows[1:]:
+            assert drop == "0" and int(cell) >= 0
+            assert float(arrival) <= float(start) < float(completion)
+            assert 1 <= int(transmissions) <= 8 and delivered in ("True", "False")
+
     def test_requires_scenario_or_config(self, capsys):
         assert main(["run", "--drops", "2"]) == 2
 
@@ -119,6 +171,29 @@ class TestRun:
         assert code in (0, 1)
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["drops_executed"] == 2
+
+
+class TestVariantB:
+    def test_set_may_not_relabel_the_preset(self, tmp_path, capsys):
+        # mMTC B's 1732 m ISD would not follow the label
+        assert main(["run", "--scenario", "UrbanMacro_mMTC", "--set", "config_variant=B",
+                     "--drops", "1", "--out", str(tmp_path / "results")]) == 2
+        assert "'config_variant'" in capsys.readouterr().err
+
+    # the eMBB parameter tables define one variant; B would run A under B's label
+    @pytest.mark.parametrize("env", ["IndoorHotspot_eMBB", "DenseUrban_eMBB", "Rural_eMBB"])
+    @pytest.mark.parametrize("route", ["variant", "config", "set"])
+    def test_embb_rejected_on_every_route(self, tmp_path, capsys, env, route):
+        args = {
+            "variant": ["--scenario", env, "--variant", "B"],
+            "config": ["--config", str(tmp_path / "b.cfg")],
+            "set": ["--scenario", env, "--set", "config_variant=B"],
+        }[route]
+        (tmp_path / "b.cfg").write_text(f"[scenario]\nenvironment = {env}\nconfig_variant = B\n")
+        out_dir = tmp_path / "results"
+        assert main(["run", *args, "--drops", "1", "--out", str(out_dir)]) == 2
+        assert "'config_variant'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestCheck:
@@ -190,3 +265,18 @@ class TestDumpProfile:
 
     def test_unknown_profile(self, capsys):
         assert main(["dump-profile", "Mars"]) == 2
+
+    @pytest.mark.parametrize("name", sorted(builtin_profiles()))
+    def test_output_loads_back_to_the_same_profile(self, tmp_path, capsys, name):
+        assert main(["dump-profile", name]) == 0
+        path = tmp_path / "profiles.ini"
+        path.write_text(capsys.readouterr().out)
+        loaded = load_profiles(path)
+        assert list(loaded) == [name]
+        got, want = loaded[name], builtin_profiles()[name]
+        assert (got.name, got.plos_model, got.pen_low_db, got.pen_high_db) == \
+            (want.name, want.plos_model, want.pen_low_db, want.pen_high_db)
+        for cond in ("los", "nlos"):
+            for f in dataclasses.fields(want.los):
+                a, b = getattr(getattr(got, cond), f.name), getattr(getattr(want, cond), f.name)
+                assert np.array_equal(a, b), (cond, f.name)

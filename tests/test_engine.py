@@ -207,7 +207,7 @@ class TestRun:
         cfg = small(MMTC_A, drops=6)
         serial = run(cfg)
         parallel = run(cfg, workers=3)
-        assert serial.config_digest == parallel.config_digest
+        assert serial.config == parallel.config
         assert np.array_equal(serial.per_drop_mean_ul_sinr, parallel.per_drop_mean_ul_sinr)
         assert np.array_equal(serial.cdfs["ul_sinr_db"].samples,
                               parallel.cdfs["ul_sinr_db"].samples)
@@ -222,7 +222,6 @@ class TestRun:
         kpi = result.kpi("connection_density", UPLINK)
         assert kpi.value > 0
         assert result.mean_iot_db <= MMTC_A.link.ul_iot_target_db + 1.0
-        assert result.n_mux_ul > 0 and result.mean_b_ul > 0
 
     def test_urllc_reports_reliability_in_sinr_only_mode(self):
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=3)

@@ -23,7 +23,7 @@ from imteval.metrics import (
     connection_density_search,
     converged,
     doppler_backoff_db,
-    mobility_check,
+    mobility_rate,
     p99_delay,
     pct5_user_se,
     reliability,
@@ -177,7 +177,6 @@ class TestDensitySearch:
     def test_all_zero_delays_hit_upper_bound(self):
         result = connection_density_search(lambda d: 0.0, 1e5, 1e8)
         assert result.density_per_km2 == 1e8
-        assert result.passed
 
     def test_analytic_queueing_crossing(self):
         # single-queue sojourn-quantile oracle: with exponential service at
@@ -201,15 +200,13 @@ class TestDensitySearch:
         step = (1e7 / 1e5) ** (1.0 / 2 ** 12)
         assert crossing / (1.0 + step) <= result.density_per_km2 <= crossing * (1.0 + step)
 
-    def test_boundary_density_is_inclusive(self):
+    def test_delay_at_the_qos_bound_meets_it(self):
         result = connection_density_search(
-            lambda d: 1.0 if d <= 1_000_000.0 else 99.0, 1_000_000.0, 4_000_000.0, steps=10)
-        assert result.passed
-        assert result.density_per_km2 >= 1_000_000.0
+            lambda d: 10.0 if d <= 1_000_000.0 else 99.0, 1_000_000.0, 4_000_000.0, steps=10)
+        assert (result.density_per_km2, result.delay_p99_s) == (1_000_000.0, 10.0)
 
     def test_fails_when_even_low_density_misses_qos(self):
         result = connection_density_search(lambda d: 99.0, 1e5, 1e7)
-        assert not result.passed
         assert result.density_per_km2 == 0.0
 
     def test_nan_probe_raises(self):
@@ -266,39 +263,31 @@ class TestP99Delay:
 class TestReliability:
     def test_zero_bler_is_one(self):
         est = CdfEstimator(np.linspace(0, 20, 100))
-        prob, ok = reliability(est, ZERO_BLER, HarqConfig(4, 0.25e-3))
-        assert prob == 1.0 and ok
+        assert reliability(est, ZERO_BLER, HarqConfig(4, 0.25e-3)) == 1.0
 
-    def test_two_attempt_product_fails_requirement(self):
+    def test_two_attempt_product(self):
         model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
         sinr = math.log10(0.5 / 0.01)  # per-attempt BLER 0.01
         est = CdfEstimator([sinr] * 100)
-        prob, ok = reliability(est, model, HarqConfig(2, 0.5e-3, 0.0))
+        prob = reliability(est, model, HarqConfig(2, 0.5e-3, 0.0))
         assert prob == pytest.approx(0.9999, abs=1e-12)
-        assert not ok  # 0.9999 < 0.99999
 
-    def test_boundary_inclusive(self):
+    def test_one_attempt_is_one_minus_bler(self):
         est = CdfEstimator([5.0] * 100)
-
-        class ExactBler:
-            sinr_50_db = 0.0
-            slope_db_per_decade = 1.0
-            bler_floor = 0.0
-        # craft a per-attempt BLER of exactly 1e-5 in one attempt
+        # craft a per-attempt BLER of 1e-5 in one attempt
         model = BlerModel(sinr_50_db=5.0 - math.log10(0.5 / 1e-5), slope_db_per_decade=1.0,
                           bler_floor=0.0)
         assert bler(model, 5.0) == pytest.approx(1e-5, rel=1e-9)
-        prob, ok = reliability(est, model, HarqConfig(1, 1e-3))
+        prob = reliability(est, model, HarqConfig(1, 1e-3))
         assert prob == pytest.approx(0.99999, abs=1e-12)
-        assert ok  # measured >= requirement passes at the boundary
 
     def test_evaluation_point_is_5th_percentile(self):
         # degrade only the lowest 5 percent and the result must move
         good = CdfEstimator([10.0] * 100)
         bad = CdfEstimator([10.0] * 94 + [-4.0] * 6)
         model = BlerModel(-5.0, 2.0, 1e-9)
-        p_good, _ = reliability(good, model, HarqConfig(4, 0.25e-3))
-        p_bad, _ = reliability(bad, model, HarqConfig(4, 0.25e-3))
+        p_good = reliability(good, model, HarqConfig(4, 0.25e-3))
+        p_bad = reliability(bad, model, HarqConfig(4, 0.25e-3))
         assert p_bad < p_good
 
 
@@ -307,7 +296,7 @@ class TestMobility:
         assert doppler_backoff_db(0.0, 4e9) == 0.0
         est = CdfEstimator([10.0] * 100)
         abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        rate, _ = mobility_check(est, 0.0, 4e9, abstraction, 0.0)
+        rate = mobility_rate(est, 0.0, 4e9, abstraction)
         static = 0.6 * math.log2(1.0 + 10.0)
         assert rate == pytest.approx(static, abs=1e-12)
 
@@ -319,19 +308,10 @@ class TestMobility:
         assert doppler_backoff_db(120.0, 700e6, interval_s=1e-3) == 3.0
         assert doppler_backoff_db(500.0, 700e6, interval_s=1e-3) == 3.0  # saturates
 
-    def test_median_10db_passes_rural_threshold(self):
+    def test_median_10db_rate(self):
         est = CdfEstimator([10.0] * 100)
         abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        rate, ok = mobility_check(est, 0.0, 700e6, abstraction, requirement=0.8)
-        assert rate == pytest.approx(2.0756, abs=3e-4)
-        assert ok
-
-    def test_requirement_comparison_inclusive(self):
-        est = CdfEstimator([10.0] * 100)
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        rate, ok = mobility_check(est, 0.0, 700e6, abstraction,
-                                  requirement=0.6 * math.log2(11.0))
-        assert ok
+        assert mobility_rate(est, 0.0, 700e6, abstraction) == pytest.approx(2.0756, abs=3e-4)
 
 
 class TestUserExperiencedRate:

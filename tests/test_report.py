@@ -8,20 +8,22 @@ import os
 import numpy as np
 import pytest
 
-from imteval.engine import run
-from imteval.errors import InternalError, SchemaError
+from imteval.engine import STREAM_ALGORITHM, KpiValue, run
+from imteval.errors import InternalError, SchemaError, UnknownRequirement
 from imteval.report import (
     ComplianceReport,
     check_compliance,
     emit,
     ingest_table,
+    judge,
     load_all_fixtures,
     load_fixture,
     load_requirements_csv,
     parse_percent,
     save_requirements_csv,
 )
-from imteval.scenario import RequirementSet, TestEnvironment, builtin_requirements, preset
+from imteval.scenario import (DOWNLINK, UPLINK, RequirementSet, TestEnvironment,
+                              builtin_requirements, config_hash, preset)
 
 HEADER = ("table,environment,direction,metric,channel_condition,speed_kmh,rit,"
           "antenna_config,tx_scheme,numerology,evaluator,requirement,value_raw,"
@@ -182,6 +184,45 @@ class TestComplianceExternal:
         assert a == b
 
 
+class TestJudge:
+    # (environment, KPI at exactly its requirement row's value)
+    BOUNDARY = [
+        (TestEnvironment.URBAN_MACRO_URLLC, KpiValue("reliability", DOWNLINK, 0.99999, "probability")),
+        (TestEnvironment.RURAL_EMBB,
+         KpiValue("mobility_rate", UPLINK, 0.8, "bit/s/Hz", speed_kmh=120.0)),
+        (TestEnvironment.RURAL_EMBB,
+         KpiValue("mobility_rate", UPLINK, 0.45, "bit/s/Hz", speed_kmh=500.0)),
+        (TestEnvironment.URBAN_MACRO_MMTC,
+         KpiValue("connection_density", UPLINK, 1_000_000.0, "/km^2")),
+    ]
+    IDS = ["reliability", "mobility_120kmh", "mobility_500kmh", "connection_density"]
+
+    @pytest.mark.parametrize("env,kpi", BOUNDARY, ids=IDS)
+    def test_value_at_the_requirement_passes(self, env, kpi):
+        req, passed = judge(kpi, env, builtin_requirements())
+        assert (req.value, passed) == (kpi.value, True)
+
+    @pytest.mark.parametrize("env,kpi", BOUNDARY, ids=IDS)
+    def test_value_just_below_fails(self, env, kpi):
+        below = dataclasses.replace(kpi, value=math.nextafter(kpi.value, 0.0))
+        assert judge(below, env, builtin_requirements())[1] is False
+
+    def test_two_attempt_reliability_fails(self):
+        kpi = KpiValue("reliability", UPLINK, 0.9999, "probability")
+        assert judge(kpi, TestEnvironment.URBAN_MACRO_URLLC, builtin_requirements())[1] is False
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_internal_error(self, bad):
+        kpi = KpiValue("connection_density", UPLINK, bad, "/km^2")
+        with pytest.raises(InternalError, match="connection_density"):
+            judge(kpi, TestEnvironment.URBAN_MACRO_MMTC, builtin_requirements())
+
+    def test_kpi_without_a_row_is_unknown(self):
+        kpi = KpiValue("connection_density", UPLINK, 2e6, "/km^2")
+        with pytest.raises(UnknownRequirement):
+            judge(kpi, TestEnvironment.RURAL_EMBB, builtin_requirements())
+
+
 @pytest.fixture(scope="module")
 def mmtc_result():
     cfg = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_MMTC, "A"), drops=3)
@@ -254,8 +295,10 @@ class TestEmit:
         emit(result, report, tmp_path / "m")
         with open(tmp_path / "m" / "manifest.json") as fh:
             manifest = json.load(fh)
-        assert manifest["config_hash"] == result.config_digest
-        assert manifest["master_seed"] == result.master_seed
+        assert manifest["config_hash"] == config_hash(result.config)
+        assert manifest["master_seed"] == result.config.master_seed
+        assert manifest["calibrated_p0_dbm"] == pytest.approx(result.config.link.ul_p0_dbm, abs=1e-9)
+        assert manifest["stream_algorithm"] == STREAM_ALGORITHM
         assert "software_version" in manifest
         assert manifest["kpis"]
 

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from imteval.errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
 from imteval.link import LinkParams
+from imteval import scenario
 from imteval.traffic import TrafficKind
 from imteval.scenario import (
     DOWNLINK,
+    EMBB_ENVIRONMENTS,
     UPLINK,
     EvaluationConfig,
     TestEnvironment,
     builtin_requirements,
     config_hash,
     config_to_text,
+    list_presets,
     load_config,
     preset,
     requirement_for,
@@ -27,7 +30,7 @@ from imteval.scenario import (
     validate,
 )
 
-ALL_PRESETS = [(env, v) for env in TestEnvironment for v in ("A", "B")]
+ALL_PRESETS = [(env, v) for env, v, _ in list_presets()]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,9 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         if link_updates:
             updates["link"] = replace(base.link, **link_updates)
 
+    for key in ("environment", "config_variant"):
+        if key in updates and updates[key] != getattr(base, key):
+            raise ConfigInvalid(key, "differs from the base preset's")
     return validate(replace(base, **updates))
 
 
@@ -288,9 +294,17 @@ class TestPresets:
         assert validate(c) is c
         assert c.thermal_noise_density == -174.0
 
+    @pytest.mark.parametrize("env", sorted(EMBB_ENVIRONMENTS, key=lambda e: e.value))
+    def test_embb_has_no_variant_b_preset(self, env, monkeypatch):
+        monkeypatch.setitem(scenario._PRESET_BUILDERS, env, None)  # must not be called
+        with pytest.raises(ConfigInvalid) as exc:
+            preset(env, "B")
+        assert exc.value.field == "config_variant"
+
     def test_unknown_variant_rejected(self):
-        with pytest.raises(UnknownPreset):
+        with pytest.raises(ConfigInvalid) as exc:
             preset(TestEnvironment.RURAL_EMBB, "C")
+        assert exc.value.field == "config_variant"
 
     def test_unknown_environment_string_rejected(self):
         with pytest.raises(UnknownPreset):
@@ -368,6 +382,16 @@ class TestConfigFile:
     def test_file_without_environment_needs_base(self):
         with pytest.raises(ConfigSyntax):
             load_config(text="[run]\ndrops = 5\n")
+
+    @pytest.mark.parametrize("line,field", [("config_variant = B", "config_variant"),
+                                            ("environment = UrbanMacro_URLLC", "environment")])
+    def test_file_may_not_relabel_its_base(self, line, field):
+        # B's parameters would not follow the label: the ISD would stay 500 m
+        base = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text=f"[scenario]\n{line}\n", base=base)
+        assert err.value.field == field
+        assert load_config(text="[scenario]\nconfig_variant = A\n", base=base) == base
 
     def test_file_names_its_own_preset(self):
         text = "[scenario]\nenvironment = UrbanMacro_mMTC\nconfig_variant = B\n"
