@@ -90,6 +90,9 @@ def _overrides_to_text(pairs) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.dump_packets and not args.non_full_buffer:
+        print("error: --dump-packets needs --non-full-buffer", file=sys.stderr)
+        return 2
     if args.config and args.scenario:
         base = preset(TestEnvironment.parse(args.scenario), args.variant)
         config = load_config(args.config, base=base)
@@ -108,6 +111,10 @@ def _cmd_run(args) -> int:
         config = replace(config, drops=args.drops)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    if args.non_full_buffer and config.traffic.kind is not TrafficKind.POISSON_MESSAGING:
+        print(f"error: --non-full-buffer needs {TrafficKind.POISSON_MESSAGING.value} traffic; "
+              f"{config.environment.value} uses {config.traffic.kind.value}", file=sys.stderr)
+        return 2
 
     reqs = builtin_requirements()
     result = engine.run(config, workers=args.workers, sinr_only=args.sinr_only,
@@ -117,7 +124,7 @@ def _cmd_run(args) -> int:
     # result.config carries the calibrated uplink P0 the run used
     config, layout = result.config, result.layout
 
-    if args.non_full_buffer and config.traffic.kind is TrafficKind.POISSON_MESSAGING:
+    if args.non_full_buffer:
         search, _ = engine.density_search(config, layout=layout)
         density = engine.KpiValue("connection_density", UPLINK, search.density_per_km2, "/km^2")
         req, met = report.judge(density, config.environment, reqs)

@@ -30,7 +30,6 @@ from .geometry import (
     UeDrop,
     build_layout,
     drop_ues,
-    wrap_displacements,
 )
 from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
 from .scenario import (DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment,
@@ -81,11 +80,13 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
 
     Distance, LOS probability, both pathloss curves and the UE's azimuth and
     zenith depend only on the site, so they are computed once per site and
-    gathered to the site's TRxPs. LOS conditions and shadow fading are drawn
-    here, once per link per drop, and the element gain is taken per TRxP
-    boresight. The dense-urban micro layer uses its own profile.
+    gathered to the site's TRxPs; the wrapped distance and displacement to
+    each site come from the drop (``drop_ues`` computed them). LOS
+    conditions and shadow fading are drawn here, once per link per drop,
+    and the element gain is taken per TRxP boresight. The dense-urban micro
+    layer uses its own profile.
     """
-    delta, d2d = wrap_displacements(layout, ues.positions, layout.site_positions)
+    delta, d2d = ues.site_delta, ues.site_dist
     n_ue, n_t = len(ues.positions), layout.n_trxps
     site = layout.trxp_site
     dz = layout.site_height - config.ue_height
@@ -170,6 +171,19 @@ class DropResult:
     b_values_ul: np.ndarray | None = None
 
 
+def _uplink_interferers(by_cell: np.ndarray, cell_sizes: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The transmitting UE of each cell on the co-channel uplink resource,
+    -1 for an empty cell. The UEs of cell c are
+    by_cell[start[c]:start[c] + cell_sizes[c]] in ascending id; one
+    ``integers`` draw per non-empty cell, in cell order."""
+    cell_start = np.cumsum(cell_sizes) - cell_sizes
+    pick = np.full(len(cell_sizes), -1, dtype=int)
+    nz = np.flatnonzero(cell_sizes)
+    pick[nz] = by_cell[cell_start[nz] + rng.integers(cell_sizes[nz])]
+    return pick
+
+
 def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
              sinr_only: bool = False) -> DropResult:
     """One Monte-Carlo drop: place UEs, build the link budget, compute DL
@@ -210,14 +224,9 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     ul_noise_mw = float(db_to_lin(ul_noise_dbm))
     ul_branches = config.antenna_bs.n_ports
 
-    # pick the transmitting UE of each cell for the co-channel resource: the
-    # UEs of cell c are by_cell[start[c]:start[c] + size[c]] in ascending id
     by_cell = np.argsort(serving, kind="stable")
     cell_sizes = np.bincount(serving, minlength=n_t)
-    cell_start = np.cumsum(cell_sizes) - cell_sizes
-    pick = np.full(n_t, -1, dtype=int)
-    for c in np.flatnonzero(cell_sizes).tolist():
-        pick[c] = by_cell[cell_start[c] + int(rng_sched.integers(int(cell_sizes[c])))]
+    pick = _uplink_interferers(by_cell, cell_sizes, rng_sched)
     active = pick >= 0
     if active.any():
         # received power of every cell's active UE at every TRxP: (n_active, n_t)

@@ -9,7 +9,7 @@ macro sector. Sector boresights are 30/150/270 degrees from east.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -216,37 +216,61 @@ def wrap_displacements(layout: NetworkLayout, from_pos: np.ndarray, to_pos: np.n
 
     Returns (delta, dist): delta has shape (n_from, n_to, 2) holding
     to - from under the minimizing translation, dist has shape (n_from, n_to).
+    The loop keeps only the least squared distance and the index of its
+    translation (the first one on a tie); delta is gathered once at the end.
     """
     f = np.asarray(from_pos, dtype=float)[:, :2]
     t = np.asarray(to_pos, dtype=float)[:, :2]
     base_x = t[None, :, 0] - f[:, 0, None]
     base_y = t[None, :, 1] - f[:, 1, None]
-    best = np.empty((2,) + base_x.shape)  # x and y planes of delta
-    best_x, best_y = best
-    best_d2 = None
-    for tx, ty in layout.wrap_translations:
-        x = base_x + tx
-        y = base_y + ty
-        d2 = x ** 2 + y ** 2
-        if best_d2 is None:
-            best_d2 = d2
-            best_x[...] = x
-            best_y[...] = y
-        else:
-            closer = d2 < best_d2
+    best_d2 = np.empty(base_x.shape)
+    best_k = np.zeros(base_x.shape, dtype=np.intp)
+    x, y = np.empty(base_x.shape), np.empty(base_x.shape)
+    closer = np.empty(base_x.shape, dtype=bool)
+    for k, (tx, ty) in enumerate(layout.wrap_translations.tolist()):
+        d2 = x if k else best_d2
+        np.square(np.add(base_x, tx, out=x), out=x)
+        np.square(np.add(base_y, ty, out=y), out=y)
+        np.add(x, y, out=d2)
+        if k:
+            np.less(d2, best_d2, out=closer)
             np.copyto(best_d2, d2, where=closer)
-            np.copyto(best_x, x, where=closer)
-            np.copyto(best_y, y, where=closer)
-    return np.moveaxis(best, 0, -1), np.sqrt(best_d2)
+            best_k[closer] = k
+    shift = layout.wrap_translations[best_k]
+    delta = np.empty(base_x.shape + (2,))
+    np.add(base_x, shift[..., 0], out=delta[..., 0])
+    np.add(base_y, shift[..., 1], out=delta[..., 1])
+    return delta, np.sqrt(best_d2, out=best_d2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UeDrop:
-    """The UEs of one drop as parallel arrays; row i is UE i."""
+    """The UEs of one drop as parallel arrays; row i is UE i.
+
+    It carries each UE's wrapped displacement and distance to every site,
+    computed once from its positions. All arrays are read-only views, so the
+    geometry cannot go stale: UEs placed by hand go through ``from_positions``.
+    """
 
     positions: np.ndarray  # (n, 3) meters
     indoor: np.ndarray  # (n,) bool
     high_loss: np.ndarray  # (n,) bool, only ever set for indoor UEs
+    site_delta: np.ndarray  # (n, n_sites, 2) wrapped site position - UE position
+    site_dist: np.ndarray  # (n, n_sites) wrapped 2D distance
+
+    def __post_init__(self):
+        for field in fields(self):
+            view = np.asarray(getattr(self, field.name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, field.name, view)
+
+    @classmethod
+    def from_positions(cls, layout: NetworkLayout, positions, indoor, high_loss) -> UeDrop:
+        """A drop of UEs at the given (n, 3) positions, with its site geometry."""
+        positions = np.array(positions, dtype=float)
+        delta, dist = wrap_displacements(layout, positions, layout.site_positions)
+        return cls(positions, np.asarray(indoor, dtype=bool), np.asarray(high_loss, dtype=bool),
+                   delta, dist)
 
 
 def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Generator) -> UeDrop:
@@ -255,30 +279,32 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     Indoor/outdoor flags follow the configured fraction; indoor UEs draw a
     high-loss building type with probability high_loss_fraction. Positions
     closer than the per-layer minimum 2D distance to any station are
-    redrawn.
+    redrawn. The wrapped geometry to every site is computed once, and each
+    rejection round recomputes only the rows it redrew.
     """
     if config.ues_per_trxp < 1:
         raise ConfigInvalid("ues_per_trxp", "must be >= 1")
     n = config.ues_per_trxp * layout.n_trxps
     pos = _sample_positions(layout, n, rng)
+    sites = layout.site_positions
+    delta, dist = wrap_displacements(layout, pos, sites)
 
     min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
     if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-        macro_sites = layout.site_positions[~layout.site_is_micro]
-        micro_pos = layout.site_positions[layout.site_is_micro]
+        micro = layout.site_is_micro
+        macro = ~micro
         # the first round tests every UE, each later one only the rows it redrew
-        rows = np.arange(n)
+        rows, tested = np.arange(n), dist
         for _ in range(1000):
-            tested = pos[rows]
-            _, d_macro = wrap_displacements(layout, tested, macro_sites)
-            bad = d_macro.min(axis=1) < min_macro
-            if len(micro_pos):
-                _, d_micro = wrap_displacements(layout, tested, micro_pos)
-                bad |= d_micro.min(axis=1) < MIN_UE_DISTANCE_MICRO_M
+            bad = tested[:, macro].min(axis=1) < min_macro
+            if micro.any():
+                bad |= tested[:, micro].min(axis=1) < MIN_UE_DISTANCE_MICRO_M
             rows = rows[bad]
             if not len(rows):
                 break
             pos[rows] = _sample_positions(layout, len(rows), rng)
+            delta[rows], tested = wrap_displacements(layout, pos[rows], sites)
+            dist[rows] = tested
         else:
             raise DomainError("could not place UEs outside the exclusion radius")
 
@@ -288,6 +314,8 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
         positions=np.column_stack([pos, np.full(n, config.ue_height)]),
         indoor=indoor,
         high_loss=high_loss,
+        site_delta=delta,
+        site_dist=dist,
     )
 
 

@@ -218,10 +218,12 @@ class TestCriterion6ReliabilityArithmetic:
         zero = harq_outcome(ZERO_BLER, HarqConfig(4, 0.25e-3), -20.0, 1e-3)
         ok_zero = zero.success_probability == 1.0
 
-        # boundary-inclusive comparison against the reliability requirement
-        requirement = 0.99999
-        at_requirement = 0.99999
-        ok_boundary = (at_requirement >= requirement) and not (0.9999 >= requirement)
+        # the URLLC reliability verdict is boundary inclusive
+        reqs = builtin_requirements()
+        verdicts = [judge(KpiValue("reliability", direction, value, "probability"),
+                          TestEnvironment.URBAN_MACRO_URLLC, reqs)[1]
+                    for direction in (DOWNLINK, UPLINK) for value in (0.99999, 0.9999)]
+        ok_boundary = verdicts == [True, False, True, False]
         _report(6, "reliability/HARQ arithmetic", ok_two and ok_zero and ok_boundary,
                 f"two-attempt success {two.success_probability!r}, zero-BLER "
                 f"{zero.success_probability!r}, boundary inclusive: {ok_boundary}")

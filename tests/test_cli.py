@@ -150,6 +150,24 @@ class TestRun:
             assert float(arrival) <= float(start) < float(completion)
             assert 1 <= int(transmissions) <= 8 and delivered in ("True", "False")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--scenario", "Rural_eMBB", "--non-full-buffer"], "--non-full-buffer"),
+        (["--scenario", "Rural_eMBB", "--non-full-buffer", "--dump-packets"],
+         "--non-full-buffer"),
+        (["--scenario", "UrbanMacro_mMTC", "--dump-packets"], "--dump-packets"),
+        (["--scenario", "Rural_eMBB", "--dump-packets"], "--dump-packets"),
+    ])
+    def test_ignored_flags_are_rejected_before_any_drop(self, tmp_path, capsys, monkeypatch,
+                                                        flags, named):
+        def no_drops(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "run_drop", no_drops)
+        out_dir = tmp_path / "results"
+        assert main(["run", *flags, "--drops", "1", "--sinr-only", "--out", str(out_dir)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_requires_scenario_or_config(self, capsys):
         assert main(["run", "--drops", "2"]) == 2
 

@@ -7,6 +7,8 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_traffic import serve_fifo_reference
 
 from imteval import engine, metrics
@@ -166,6 +168,49 @@ class TestRunDrop:
         p_ue = drop.ul_signal_dbm - mrc_gain_db + coupling
         assert np.all(p_ue <= 0.0 + 1e-9)
         assert np.isclose(p_ue, 0.0, atol=1e-9).sum() > 10  # the cap binds
+
+
+def _uplink_interferers_loop(by_cell, cell_sizes, rng):
+    """Oracle for engine._uplink_interferers: one scalar draw per non-empty
+    cell, in cell order."""
+    cell_start = np.cumsum(cell_sizes) - cell_sizes
+    pick = np.full(len(cell_sizes), -1, dtype=int)
+    for c in np.flatnonzero(cell_sizes).tolist():
+        pick[c] = by_cell[cell_start[c] + int(rng.integers(int(cell_sizes[c])))]
+    return pick
+
+
+class TestUplinkInterferers:
+    """The vectorized pick draws the values and leaves the generator state
+    of the per-cell loop."""
+
+    def _check(self, by_cell, cell_sizes, seed, drop_index):
+        rng = derive_stream(seed, drop_index, "sched")
+        ref_rng = derive_stream(seed, drop_index, "sched")
+        pick = engine._uplink_interferers(by_cell, cell_sizes, rng)
+        assert np.array_equal(pick, _uplink_interferers_loop(by_cell, cell_sizes, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("env", [TestEnvironment.URBAN_MACRO_MMTC,
+                                     TestEnvironment.URBAN_MACRO_URLLC,
+                                     TestEnvironment.RURAL_EMBB,
+                                     TestEnvironment.INDOOR_HOTSPOT_EMBB],
+                             ids=lambda env: env.value)
+    @pytest.mark.parametrize("seed, drop_index", [(20200101, 0), (7, 3), (13, 11)])
+    def test_matches_per_cell_loop_on_preset_drops(self, env, seed, drop_index):
+        config = small(preset(env, "A"), master_seed=seed)
+        layout = build_layout(config)
+        serving = _budget(config, layout, drop_index).serving
+        by_cell = np.argsort(serving, kind="stable")
+        self._check(by_cell, np.bincount(serving, minlength=layout.n_trxps), seed, drop_index)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_cell_loop_with_empty_cells(self, sizes, seed):
+        cell_sizes = np.array(sizes, dtype=np.int64)
+        by_cell = np.random.default_rng(seed).permutation(int(cell_sizes.sum()))
+        self._check(by_cell, cell_sizes, seed, 0)
 
 
 class TestCalibration:

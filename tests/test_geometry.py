@@ -1,5 +1,6 @@
 """Layout construction, wrap-around services, UE drops and attachment."""
 
+import dataclasses
 import functools
 import math
 
@@ -148,6 +149,13 @@ _POINTS = st.lists(st.tuples(st.floats(-2500.0, 2500.0), st.floats(-2500.0, 2500
                    min_size=1, max_size=5)
 
 
+def _tie_points(layout, k):
+    """Points half of translation k away from the origin: each is exactly as
+    far from the origin as from its image under translation k."""
+    half = layout.wrap_translations[k] / 2.0
+    return np.array([half, -half])
+
+
 class TestLayoutInvariant:
     """Every TRxP reads its site's position, height and layer."""
 
@@ -266,6 +274,24 @@ class TestWrapDisplacements:
                 assert len(tied) > 1 or np.allclose(delta[i, j], b[j] + t - a[i],
                                                     rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("env", [TestEnvironment.URBAN_MACRO_MMTC,
+                                     TestEnvironment.DENSE_URBAN_EMBB])
+    def test_exact_tie_takes_first_translation(self, env):
+        """On an exact tie between two images, the first translation wins."""
+        layout = _layout(env)
+        ts = layout.wrap_translations
+        norms = np.linalg.norm(ts, axis=1)
+        k_zero = int(np.flatnonzero(norms == 0.0)[0])
+        nearest = np.flatnonzero(np.isclose(norms, norms[norms > 0].min()))
+        assert len(nearest) == 6
+        for k in nearest.tolist():
+            a = _tie_points(layout, k)[:1]
+            delta, dist = wrap_displacements(layout, a, np.zeros((1, 2)))
+            # the origin image and the image under k are exactly tied
+            assert np.sum((ts[k_zero] - a[0]) ** 2) == np.sum((ts[k] - a[0]) ** 2)
+            assert np.array_equal(delta[0, 0], ts[min(k, k_zero)] - a[0])
+            assert dist[0, 0] == np.sqrt(np.sum((ts[k] - a[0]) ** 2))
+
 
 class TestDropUes:
     def test_count_is_ues_per_trxp_times_trxps(self):
@@ -355,9 +381,11 @@ class TestAttach:
 
     def test_colocated_ue_attaches_to_its_site(self):
         layout = build_layout(MMTC_A)
-        ues = drop_ues(layout, MMTC_A, derive_stream(10, 0, "ues"))
+        dropped = drop_ues(layout, MMTC_A, derive_stream(10, 0, "ues"))
         site = 7
-        ues.positions[0, :2] = layout.site_positions[site] + np.array([1.0, 1.0])
+        positions = dropped.positions.copy()
+        positions[0, :2] = layout.site_positions[site] + np.array([1.0, 1.0])
+        ues = UeDrop.from_positions(layout, positions, dropped.indoor, dropped.high_loss)
         budget = compute_coupling(MMTC_A, layout, ues, _NoFading())
         # brute-force oracle over all 57: same answer, and it is a sector of
         # the nearest site
@@ -426,11 +454,9 @@ def drop_ues_reference(layout, config, rng):
 
     indoor = rng.uniform(size=n) < config.indoor_fraction
     high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)
-    return UeDrop(
-        positions=np.column_stack([pos, np.full(n, config.ue_height)]),
-        indoor=indoor,
-        high_loss=high_loss,
-    )
+    positions = np.column_stack([pos, np.full(n, config.ue_height)])
+    return UeDrop(positions, indoor, high_loss,
+                  *wrap_displacements_reference(layout, positions, layout.site_positions))
 
 
 def compute_coupling_reference(config, layout, ues, rng):
@@ -499,7 +525,7 @@ class TestPerSiteGeometryOracle:
         layout = make_layout()
         ues = drop_ues(layout, config, derive_stream(seed, drop, "ues"))
         ref_ues = drop_ues_reference(layout, config, derive_stream(seed, drop, "ues"))
-        for name in ("positions", "indoor", "high_loss"):
+        for name in [field.name for field in dataclasses.fields(UeDrop)]:
             assert np.array_equal(getattr(ues, name), getattr(ref_ues, name)), name
 
         budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
@@ -523,11 +549,54 @@ class TestPerSiteGeometryOracle:
         assert np.array_equal(budget.serving, serving)
 
     @settings(max_examples=100, deadline=None)
-    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS)
-    def test_wrap_displacements_match_gathered_translation(self, env, a, b):
+    @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS, k=st.integers(0, 8))
+    def test_wrap_displacements_match_gathered_translation(self, env, a, b, k):
         layout = _layout(env)
-        a, b = np.array(a), np.array(b)
+        # with points tied between two images of the origin
+        a = np.vstack([np.array(a), _tie_points(layout, k)])
+        b = np.vstack([np.array(b), np.zeros((1, 2))])
         delta, dist = wrap_displacements(layout, a, b)
         ref_delta, ref_dist = wrap_displacements_reference(layout, a, b)
         assert np.array_equal(delta, ref_delta)
         assert np.array_equal(dist, ref_dist)
+
+
+class TestSharedDropGeometry:
+    """drop_ues computes the wrapped geometry to every site once, and it is
+    the geometry of the drop's final positions bit for bit."""
+
+    @pytest.mark.parametrize("env, kind", [
+        (TestEnvironment.URBAN_MACRO_URLLC, LayoutKind.HEX_MACRO_19),
+        (TestEnvironment.INDOOR_HOTSPOT_EMBB, LayoutKind.INDOOR_12),
+        (TestEnvironment.DENSE_URBAN_EMBB, LayoutKind.DENSE_URBAN_TWO_LAYER),
+    ], ids=lambda v: getattr(v, "value", None))
+    def test_drop_geometry_matches_reference(self, env, kind):
+        layout = _layout(env)
+        assert layout.layout_kind is kind
+        config = preset(env, "A")
+        ues = drop_ues(layout, config, derive_stream(config.master_seed, 0, "ues"))
+        delta, dist = wrap_displacements_reference(layout, ues.positions, layout.site_positions)
+        assert ues.site_delta.shape == (len(ues.positions), layout.n_sites, 2)
+        assert np.array_equal(ues.site_delta, delta)
+        assert np.array_equal(ues.site_dist, dist)
+
+    def test_arrays_are_read_only(self):
+        layout = _layout(TestEnvironment.URBAN_MACRO_MMTC)
+        ues = drop_ues(layout, MMTC_A, derive_stream(12, 0, "ues"))
+        for field in dataclasses.fields(UeDrop):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ues, field.name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ues.positions = ues.positions.copy()
+
+    def test_from_positions_computes_the_geometry(self):
+        layout = _layout(TestEnvironment.URBAN_MACRO_MMTC)
+        positions = np.array([[10.0, 20.0, 1.5], [-900.0, 400.0, 1.5]])
+        mine = positions.copy()
+        ues = UeDrop.from_positions(layout, mine, [True, False], [False, False])
+        mine[0] = 0.0  # the drop holds its own copy
+        assert np.array_equal(ues.positions, positions)
+        delta, dist = wrap_displacements_reference(layout, positions, layout.site_positions)
+        assert np.array_equal(ues.site_delta, delta)
+        assert np.array_equal(ues.site_dist, dist)
+        assert ues.indoor.dtype == bool and ues.high_loss.dtype == bool
