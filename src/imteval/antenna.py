@@ -34,11 +34,12 @@ class ElementPattern:
     isotropic: bool = False
 
 
-def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg):
+def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg, out=None):
     """Element gain in dBi at the given angles (scalar or ndarray).
 
-    Raises DomainError if any azimuth is outside [-180, 180] or any zenith
-    outside [0, 180].
+    ``out`` receives the result when given; it may be either angle array
+    itself. Raises DomainError if any azimuth is outside [-180, 180] or any
+    zenith outside [0, 180].
     """
     az = np.asarray(azimuth_deg, dtype=float)
     zen = np.asarray(zenith_deg, dtype=float)
@@ -46,14 +47,28 @@ def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg):
         raise DomainError(f"azimuth out of [-180, 180]: {azimuth_deg}")
     if np.any(zen < 0.0) or np.any(zen > 180.0):
         raise DomainError(f"zenith out of [0, 180]: {zenith_deg}")
+    if out is None:
+        out = np.empty(np.broadcast(az, zen).shape)
     if pattern.isotropic:
-        out = np.full(np.broadcast(az, zen).shape, pattern.max_gain_dbi)
+        out[...] = pattern.max_gain_dbi
         return out if out.ndim else float(out)
-    a_h = -np.minimum(12.0 * (az / pattern.h_3db_deg) ** 2, pattern.front_back_db)
-    a_v = -np.minimum(12.0 * ((zen - 90.0) / pattern.v_3db_deg) ** 2, pattern.sidelobe_db)
-    att = np.minimum(-(a_h + a_v), pattern.front_back_db)
-    out = pattern.max_gain_dbi - att
+    # att = min(A_h + A_v, A_m) with each cut's attenuation as a positive
+    # number; the vertical cut goes first, so that out may alias either angle
+    vertical = np.subtract(zen, 90.0, out=np.empty(zen.shape))
+    _cut_attenuation(vertical, pattern.v_3db_deg, pattern.sidelobe_db, out=vertical)
+    att = _cut_attenuation(az, pattern.h_3db_deg, pattern.front_back_db, out=out)
+    att += vertical
+    np.minimum(att, pattern.front_back_db, out=att)
+    np.subtract(pattern.max_gain_dbi, att, out=out)
     return out if out.ndim else float(out)
+
+
+def _cut_attenuation(angle, beamwidth_deg: float, cap_db: float, out: np.ndarray) -> np.ndarray:
+    """min(12 (angle / beamwidth)^2, cap) in dB, written to ``out``."""
+    np.divide(angle, beamwidth_deg, out=out)
+    np.square(out, out=out)
+    np.multiply(out, 12.0, out=out)
+    return np.minimum(out, cap_db, out=out)
 
 
 @dataclass(frozen=True)

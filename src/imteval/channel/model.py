@@ -165,7 +165,7 @@ def _draw_angles(spread_deg, ratio, c_const, center_deg, los, rng, zenith=False)
         base = -spread_deg * np.log(ratio) / c_const
     else:
         base = 2.0 * (spread_deg / 1.4) * np.sqrt(-np.log(ratio)) / c_const
-    signs = rng.choice((-1.0, 1.0), size=n)
+    signs = np.array((-1.0, 1.0))[rng.integers(0, 2, size=n)]
     jitter = rng.normal(0.0, spread_deg / 7.0, size=n)
     angles = signs * base + jitter + center_deg
     if los:
@@ -207,8 +207,9 @@ def gen_clusters(lsp: LargeScaleParams, n_clusters: int, rng: np.random.Generato
     zoa = _draw_angles(lsp.zsa_deg, ratio, c_theta, center_zoa_deg, los, rng, zenith=True)
     zod = _draw_angles(lsp.zsd_deg, ratio, c_theta, center_zod_deg, los, rng, zenith=True)
 
-    perm_aoa = np.array([rng.permutation(N_RAYS) for _ in range(n_clusters)])
-    perm_zoa = np.array([rng.permutation(N_RAYS) for _ in range(n_clusters)])
+    rays = np.tile(np.arange(N_RAYS), (n_clusters, 1))
+    perm_aoa = rng.permuted(rays, axis=1)
+    perm_zoa = rng.permuted(rays, axis=1)
     xpr_db = rng.normal(params.xpr_mu_db, params.xpr_sigma_db, size=(n_clusters, N_RAYS))
     xpr = 10.0 ** (xpr_db / 10.0)
     phases = rng.uniform(-math.pi, math.pi, size=(n_clusters, N_RAYS, 4))

@@ -66,16 +66,43 @@ def derive_stream(master_seed: int, drop_index: int, link_id) -> np.random.Gener
 # vectorized link budget
 
 
+class DropWork:
+    """The full-size (n_ue, n_trxp) planes of one drop loop, allocated once.
+
+    A drop writes its transient planes (LOS draws, shadow normals, gathered
+    pathloss, angles, coupling, received power) into these buffers instead of
+    fresh arrays, so a loop of drops does not hand the heap back to the OS
+    and fault it in again on every drop. A plane is named by its first use,
+    and a later stage may take it over once its contents are spent; it is
+    reallocated only when a drop needs another shape. Nothing a drop
+    returns lives here except ``LinkBudget.coupling_db``; one object serves
+    one loop at a time.
+    """
+
+    def __init__(self):
+        self._planes = {}
+
+    def plane(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The buffer called ``name``, of this shape and dtype; contents undefined."""
+        buf = self._planes.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._planes[name] = np.empty(shape, dtype)
+        return buf
+
+
 @dataclass
 class LinkBudget:
-    """Per-drop coupling state for all UE x TRxP pairs."""
+    """Per-drop coupling state for all UE x TRxP pairs.
+
+    ``coupling_db`` lives in the ``DropWork`` that computed it: it is valid
+    until the next ``compute_coupling`` call with the same work object."""
 
     coupling_db: np.ndarray  # (n_ue, n_trxp) pathloss + shadow - antenna gains
     serving: np.ndarray  # (n_ue,) argmin coupling
 
 
 def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDrop,
-                     rng: np.random.Generator) -> LinkBudget:
+                     rng: np.random.Generator, work: DropWork | None = None) -> LinkBudget:
     """Pathloss + shadowing - antenna gain for every UE x TRxP pair.
 
     Distance, LOS probability, both pathloss curves and the UE's azimuth and
@@ -84,10 +111,13 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     each site come from the drop (``drop_ues`` computed them). LOS
     conditions and shadow fading are drawn here, once per link per drop,
     and the element gain is taken per TRxP boresight. The dense-urban micro
-    layer uses its own profile.
+    layer uses its own profile. The full-size planes are ``work``'s (a
+    fresh ``DropWork`` when None).
     """
+    work = DropWork() if work is None else work
     delta, d2d = ues.site_delta, ues.site_dist
     n_ue, n_t = len(ues.positions), layout.n_trxps
+    shape = (n_ue, n_t)
     site = layout.trxp_site
     dz = layout.site_height - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
@@ -114,12 +144,23 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
         [(p.los.sf_sigma_db, p.nlos.sf_sigma_db, p.pen_high_db, p.pen_low_db)
          for p in profiles])[trxp_profile].T
 
-    los = rng.uniform(size=(n_ue, n_t)) < p_los[:, site]
-    sf_z = rng.standard_normal((n_ue, n_t))
-    pl = np.where(los, pl_los[:, site], pl_nlos[:, site])
-    pl += np.where(los, sf_los, sf_nlos) * sf_z
-    pen = np.where(ues.high_loss[:, None], pen_high, pen_low)
-    pl += np.where(ues.indoor[:, None], pen, 0.0)
+    # pl = (LOS ? pl_los : pl_nlos) + sigma * z + indoor penetration. The
+    # draw plane holds the LOS uniforms, then the shadowing normals; the
+    # gather plane the LOS probability, pl_los, sigma, then the penetration
+    draw = rng.random(out=work.plane("draw", shape))
+    gather = np.take(p_los, site, axis=1, out=work.plane("gather", shape))
+    los = np.less(draw, gather, out=work.plane("los", shape, bool))
+    sf_z = rng.standard_normal(out=draw)
+    pl = np.take(pl_nlos, site, axis=1, out=work.plane("coupling", shape))
+    np.copyto(pl, np.take(pl_los, site, axis=1, out=gather), where=los)
+    sigma = gather
+    sigma[...] = sf_nlos
+    np.copyto(sigma, sf_los, where=los)
+    pl += np.multiply(sigma, sf_z, out=sf_z)
+    pen = gather
+    pen[...] = pen_low
+    np.copyto(pen, pen_high, where=ues.high_loss[:, None])
+    np.add(pl, pen, out=pl, where=ues.indoor[:, None])
 
     # BS-side element gain toward each UE, evaluated on the macro TRxPs and
     # their sites only: micro/indoor points are omnidirectional at their
@@ -129,21 +170,29 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     macro = ~layout.trxp_is_micro
     macro_sites, col = (slice(None), site) if macro.all() else \
         np.unique(site[macro], return_inverse=True)
+    macro_shape = (n_ue, len(col))
     to_site = delta[:, macro_sites]
     az = np.degrees(np.arctan2(to_site[..., 1], to_site[..., 0]))
-    x = az[:, col] - layout.trxp_boresight_deg[macro] + 180.0
-    az_rel = np.where(x < 0.0, x + 360.0, x) - 180.0
+    x = np.take(az, col, axis=1, out=work.plane("gain", macro_shape))
+    x -= layout.trxp_boresight_deg[macro]
+    x += 180.0
+    x += 360.0 * (x < 0.0)
+    x -= 180.0
     # zenith of the UE seen from the BS
     zen = np.degrees(np.arctan2(d2d[:, macro_sites], dz[macro_sites]))
     zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
-    gain = np.asarray(element_gain(config.bs_pattern(), az_rel, zen_eff[:, col]))
+    gain = element_gain(config.bs_pattern(), x,
+                        np.take(zen_eff, col, axis=1, out=work.plane("zenith", macro_shape)),
+                        out=x)
     if not macro.all():
-        omni = np.full((n_ue, n_t), float(config.bs_element_gain))
+        omni = draw  # the shadowing normals are spent
+        omni[...] = float(config.bs_element_gain)
         omni[:, macro] = gain
         gain = omni
 
-    coupling = pl - gain - config.ue_element_gain
-    return LinkBudget(coupling_db=coupling, serving=np.argmin(coupling, axis=1))
+    pl -= gain
+    pl -= config.ue_element_gain
+    return LinkBudget(coupling_db=pl, serving=np.argmin(pl, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +234,30 @@ def _uplink_interferers(by_cell: np.ndarray, cell_sizes: np.ndarray,
 
 
 def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
-             sinr_only: bool = False) -> DropResult:
+             sinr_only: bool = False, work: DropWork | None = None) -> DropResult:
     """One Monte-Carlo drop: place UEs, build the link budget, compute DL
     and UL SINR with explicit inter-site interference, and (unless
-    sinr_only) run the scheduler to get per-UE throughput."""
+    sinr_only) run the scheduler to get per-UE throughput. A loop of drops
+    passes one ``work`` to every drop; the result never shares its memory."""
+    work = DropWork() if work is None else work
     rng_ues = derive_stream(config.master_seed, drop_index, "ues")
     rng_links = derive_stream(config.master_seed, drop_index, "links")
     rng_sched = derive_stream(config.master_seed, drop_index, "sched")
 
     ues = drop_ues(layout, config, rng_ues)
-    budget = compute_coupling(config, layout, ues, rng_links)
+    budget = compute_coupling(config, layout, ues, rng_links, work)
     n_ue, n_t = budget.coupling_db.shape
     serving = budget.serving
-    coupling_mw_dl = db_to_lin(-budget.coupling_db)  # unit-power coupling gain
 
     # --- downlink: every co-channel TRxP transmits at full configured power
     tx_dbm = np.full(n_t, config.bs_tx_power)
     if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
         tx_dbm[layout.trxp_is_micro] += MICRO_TX_OFFSET_DB
-    rx_mw = db_to_lin(tx_dbm)[None, :] * coupling_mw_dl
+    # unit-power coupling gain times each TRxP's transmit power, in the
+    # plane of compute_coupling's spent random draws
+    rx_mw = np.negative(budget.coupling_db, out=work.plane("draw", (n_ue, n_t)))
+    db_to_lin(rx_mw, out=rx_mw)
+    rx_mw *= db_to_lin(tx_dbm)
     idx = np.arange(n_ue)
     dl_branches = config.antenna_ue.n_ports
     dl_serving_mw = rx_mw[idx, serving] * dl_branches  # MRC array gain on the signal
@@ -331,11 +385,12 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
     warnings = []
     cfg = config
     achieved = math.inf
+    work = DropWork()
     for iteration in range(max_iterations):
         iots = []
         for p in range(probes):
             drop = _CALIBRATION_DROP_BASE + iteration * probes + p
-            iots.append(run_drop(cfg, layout, drop, sinr_only=True).mean_iot_db)
+            iots.append(run_drop(cfg, layout, drop, sinr_only=True, work=work).mean_iot_db)
         achieved = float(np.mean(iots))
         if achieved <= target:
             break
@@ -389,11 +444,12 @@ _WORKER_STATE: dict = {}
 
 def _worker_init(config, layout, sinr_only):
     _WORKER_STATE["args"] = (config, layout, sinr_only)
+    _WORKER_STATE["work"] = DropWork()
 
 
 def _drop_worker(drop_index):
     config, layout, sinr_only = _WORKER_STATE["args"]
-    return run_drop(config, layout, drop_index, sinr_only)
+    return run_drop(config, layout, drop_index, sinr_only, _WORKER_STATE["work"])
 
 
 def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
@@ -461,8 +517,9 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
 
     drop_indices = range(config.drops)
     if workers <= 1:
+        work = DropWork()
         for d in drop_indices:
-            if not fold(run_drop(config, layout, d, sinr_only)):
+            if not fold(run_drop(config, layout, d, sinr_only, work)):
                 break
     else:
         chunk = max(1, min(64, config.drops // (workers * 4)))
@@ -559,12 +616,12 @@ class MessageLinks:
 
 
 def message_links(config: EvaluationConfig, layout: NetworkLayout,
-                  drop_index: int) -> MessageLinks:
-    """Run drop ``drop_index`` SINR-only and map each UE's uplink SINR to
-    its message service (saturated-neighbor interference: the drop's
-    per-victim level)."""
+                  drop_index: int, work: DropWork | None = None) -> MessageLinks:
+    """Run drop ``drop_index`` SINR-only (with ``work``'s planes) and map each
+    UE's uplink SINR to its message service (saturated-neighbor
+    interference: the drop's per-victim level)."""
     spec, lk = config.traffic, config.link
-    probe = run_drop(config, layout, drop_index, sinr_only=True)
+    probe = run_drop(config, layout, drop_index, sinr_only=True, work=work)
     sinr = probe.ul_sinr_db - lk.csi_backoff_db
     se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
     # undecodable messages still occupy the channel at the slowest rate for
@@ -574,6 +631,14 @@ def message_links(config: EvaluationConfig, layout: NetworkLayout,
     by_cell = np.argsort(probe.serving, kind="stable")
     bounds = np.cumsum(np.bincount(probe.serving, minlength=layout.n_trxps))[:-1]
     return MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
+
+
+def _search_links(config: EvaluationConfig, layout: NetworkLayout,
+                  n_drops: int) -> list:
+    """``message_links`` of drops 0 .. n_drops - 1 through one ``DropWork``,
+    which is freed before any probe runs."""
+    work = DropWork()
+    return [message_links(config, layout, d, work) for d in range(n_drops)]
 
 
 def _queue_capacity(mean_messages: float) -> int:
@@ -611,7 +676,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
         raise DomainError("density evaluation needs the Poisson messaging traffic model")
     if links is None:
-        links = [message_links(config, layout, d) for d in range(n_drops)]
+        links = _search_links(config, layout, n_drops)
     area_km2 = layout.sector_area_m2 / 1e6
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
     n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
@@ -677,7 +742,7 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)
 
-    links = [message_links(config, layout, d) for d in range(n_drops)]
+    links = _search_links(config, layout, n_drops)
 
     def probe(density):
         return evaluate_p99_delay(config, layout, density, n_drops=n_drops, links=links)

@@ -18,8 +18,11 @@ from .errors import DomainError
 THERMAL_NOISE_DBM_HZ = -174.0
 
 
-def db_to_lin(db):
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+def db_to_lin(db, out=None):
+    """10 ** (db / 10); ``out`` receives the result when given and may be
+    ``db`` itself."""
+    x = np.divide(np.asarray(db, dtype=float), 10.0, out=out)
+    return np.power(10.0, x, out=out)
 
 
 def lin_to_db(lin):

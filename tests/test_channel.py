@@ -1,6 +1,7 @@
 """Stochastic channel generator: LOS curves, pathloss, LSPs, clusters and
 time-varying coefficients."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from imteval.channel import (
     realize_link,
 )
 from imteval.channel.model import ChannelRealization
+from imteval.channel.profiles import C_PHI, C_THETA
 from imteval.engine import derive_stream
 from imteval.errors import ConfigInvalid, DomainError
 
@@ -205,6 +207,78 @@ class TestClusters:
         lsp = gen_lsp(params, True, derive_stream(11, 0, "clusters"))
         with pytest.raises(DomainError):
             gen_clusters(lsp, 0, derive_stream(11, 1, "c"), params)
+
+
+def _draw_angles_reference(spread_deg, ratio, c_const, center_deg, los, rng, zenith=False):
+    """Oracle for the cluster-angle draw: signs from ``rng.choice``."""
+    if zenith:
+        base = -spread_deg * np.log(ratio) / c_const
+    else:
+        base = 2.0 * (spread_deg / 1.4) * np.sqrt(-np.log(ratio)) / c_const
+    signs = rng.choice((-1.0, 1.0), size=len(ratio))
+    jitter = rng.normal(0.0, spread_deg / 7.0, size=len(ratio))
+    angles = signs * base + jitter + center_deg
+    if los:
+        angles = angles - (angles[0] - center_deg)
+    return angles
+
+
+def gen_clusters_reference(lsp, n_clusters, rng, params, los=False):
+    """Oracle for gen_clusters: one ``rng.permutation`` call per ray-coupling row."""
+    if n_clusters == 1:
+        delays, powers, ratio = np.zeros(1), np.ones(1), np.ones(1)
+    else:
+        raw = -params.r_tau * lsp.ds_s * np.log(rng.uniform(size=n_clusters))
+        delays = np.sort(raw - raw.min())
+        shadow = 10.0 ** (-params.per_cluster_shadow_db * rng.standard_normal(n_clusters) / 10.0)
+        powers = np.exp(-delays * (params.r_tau - 1.0) / (params.r_tau * lsp.ds_s)) * shadow
+        powers = powers / powers.sum()
+        ratio = np.clip(powers / powers.max(), 1e-12, 1.0)
+    c_phi = C_PHI.get(n_clusters, 1.0)
+    c_theta = C_THETA.get(n_clusters, 1.0)
+    if los and lsp.ricean_k_db is not None:
+        k = lsp.ricean_k_db
+        c_phi = c_phi * (1.1035 - 0.028 * k - 0.002 * k ** 2 + 0.0001 * k ** 3)
+        c_theta = c_theta * (1.3086 + 0.0339 * k - 0.0077 * k ** 2 + 0.0002 * k ** 3)
+    aoa = _draw_angles_reference(lsp.asa_deg, ratio, c_phi, 0.0, los, rng)
+    aod = _draw_angles_reference(lsp.asd_deg, ratio, c_phi, 0.0, los, rng)
+    zoa = _draw_angles_reference(lsp.zsa_deg, ratio, c_theta, 90.0, los, rng, zenith=True)
+    zod = _draw_angles_reference(lsp.zsd_deg, ratio, c_theta, 90.0, los, rng, zenith=True)
+    perm_aoa = np.array([rng.permutation(N_RAYS) for _ in range(n_clusters)])
+    perm_zoa = np.array([rng.permutation(N_RAYS) for _ in range(n_clusters)])
+    xpr = 10.0 ** (rng.normal(params.xpr_mu_db, params.xpr_sigma_db,
+                              size=(n_clusters, N_RAYS)) / 10.0)
+    phases = rng.uniform(-math.pi, math.pi, size=(n_clusters, N_RAYS, 4))
+    return ClusterSet(
+        delays_s=delays, powers=powers,
+        aoa_deg=aoa, aod_deg=aod, zoa_deg=zoa, zod_deg=zod,
+        perm_aoa=perm_aoa, perm_zoa=perm_zoa,
+        xpr_linear=xpr, phases_rad=phases,
+        c_asd_deg=params.c_asd, c_asa_deg=params.c_asa,
+        c_zsa_deg=params.c_zsa, c_zsd_deg=0.375 * lsp.zsd_deg,
+    )
+
+
+class TestClusterDrawOracle:
+    """gen_clusters draws its ray couplings with one ``permuted`` call and
+    its angle signs with ``integers``: the values and the generator state
+    of the per-row ``permutation`` and the ``choice`` draws they replace."""
+
+    @pytest.mark.parametrize("los", [False, True])
+    def test_matches_reference_values_and_state(self, los):
+        params = get_profile("UMa_A").los if los else get_profile("UMa_A").nlos
+        lsp = gen_lsp(params, los, derive_stream(12, 0, "clusters"))
+        for seed in range(200):
+            for n_clusters in (1, 4, 12, 20):
+                rng = derive_stream(seed, n_clusters, "clusters")
+                ref_rng = derive_stream(seed, n_clusters, "clusters")
+                cl = gen_clusters(lsp, n_clusters, rng, params, los=los)
+                ref = gen_clusters_reference(lsp, n_clusters, ref_rng, params, los=los)
+                for field in dataclasses.fields(ClusterSet):
+                    mine, theirs = getattr(cl, field.name), getattr(ref, field.name)
+                    assert np.array_equal(mine, theirs), field.name
+                    assert np.asarray(mine).dtype == np.asarray(theirs).dtype, field.name
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _single_ray_realization(aoa_deg=0.0, speed_kmh=30.0, k_db=None, los=False,

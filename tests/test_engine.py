@@ -3,6 +3,7 @@ calibration and parallel-merge identity."""
 
 import dataclasses
 import math
+import tracemalloc
 from itertools import repeat
 
 import numpy as np
@@ -13,6 +14,8 @@ from test_traffic import serve_fifo_reference
 
 from imteval import engine, metrics
 from imteval.engine import (
+    DropResult,
+    DropWork,
     calibrate_ul_power,
     compute_coupling,
     density_search,
@@ -82,6 +85,63 @@ def _budget(config, layout, drop_index):
     ues = drop_ues(layout, config, derive_stream(config.master_seed, drop_index, "ues"))
     return compute_coupling(config, layout, ues,
                             derive_stream(config.master_seed, drop_index, "links"))
+
+
+def _assert_same_drop(a: DropResult, b: DropResult):
+    for field in dataclasses.fields(DropResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), \
+                field.name
+        else:
+            assert x == y or (x != x and y != y), field.name
+
+
+class TestDropWork:
+    """A drop loop hands one DropWork to every drop: the planes are reused,
+    the results are those of fresh planes and never share their memory."""
+
+    def test_reused_work_matches_fresh_work_across_layouts(self):
+        envs = (TestEnvironment.URBAN_MACRO_URLLC, TestEnvironment.DENSE_URBAN_EMBB,
+                TestEnvironment.INDOOR_HOTSPOT_EMBB)
+        configs = [preset(env, "A") for env in envs]
+        layouts = [build_layout(config) for config in configs]
+        assert len({layout.layout_kind for layout in layouts}) == 3
+        work = DropWork()
+        for step in range(21):
+            config, layout = configs[step % 3], layouts[step % 3]
+            sinr_only = step % 2 == 1
+            reused = run_drop(config, layout, step, sinr_only, work)
+            _assert_same_drop(reused, run_drop(config, layout, step, sinr_only))
+            planes = list(work._planes.values())
+            assert planes
+            for field in dataclasses.fields(DropResult):
+                value = getattr(reused, field.name)
+                if isinstance(value, np.ndarray):
+                    assert not any(np.shares_memory(value, p) for p in planes), field.name
+
+    def test_reused_work_keeps_a_drop_small(self):
+        """After warm-up, the traced peak of a UMa URLLC SINR-only drop
+        through reused work stays under 1.5 MiB; with a fresh (570, 57)
+        array for every plane it is 3.4 MiB. tracemalloc counts numpy's
+        data buffers on every platform, so the figure is the host's own."""
+        config = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")
+        layout = build_layout(config)
+        work = DropWork()
+        for d in range(3):
+            run_drop(config, layout, d, sinr_only=True, work=work)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_drop(config, layout, 3, sinr_only=True, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - base <= 1.5 * 2 ** 20
 
 
 class TestRunDrop:
@@ -384,9 +444,9 @@ class TestDensityRoute:
         cfg = small(MMTC_A, drops=2)
         run_drop_indices = []
 
-        def counting_run_drop(config, layout, drop_index, sinr_only=False):
+        def counting_run_drop(config, layout, drop_index, sinr_only=False, work=None):
             run_drop_indices.append(drop_index)
-            return run_drop(config, layout, drop_index, sinr_only)
+            return run_drop(config, layout, drop_index, sinr_only, work)
 
         monkeypatch.setattr(engine, "run_drop", counting_run_drop)
         search, cal = density_search(cfg, steps=3, n_drops=2)

@@ -27,7 +27,7 @@ from imteval.geometry import (
     wrap_displacements,
 )
 from imteval.scenario import TestEnvironment, list_presets, preset
-from imteval.engine import compute_coupling, derive_stream
+from imteval.engine import DropWork, compute_coupling, derive_stream
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
 MMTC_B = preset(TestEnvironment.URBAN_MACRO_MMTC, "B")
@@ -353,11 +353,13 @@ class _NoFading:
     """Link stream stand-in: every LOS draw 0.5 and no shadow fading, so
     identical links get identical coupling."""
 
-    def uniform(self, size):
-        return np.full(size, 0.5)
+    def random(self, out):
+        out[...] = 0.5
+        return out
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
 
 
 def _colocated_layout(n):
@@ -559,6 +561,33 @@ class TestPerSiteGeometryOracle:
         ref_delta, ref_dist = wrap_displacements_reference(layout, a, b)
         assert np.array_equal(delta, ref_delta)
         assert np.array_equal(dist, ref_dist)
+
+
+class TestCouplingWork:
+    """compute_coupling writes its planes into the DropWork it is given:
+    across layouts whose plane shapes differ, one reused object gives the
+    bytes and the generator state of a fresh one, and only coupling_db
+    lives in the work object."""
+
+    def test_reused_work_matches_fresh_work(self):
+        cases = sorted(_ORACLE_CASES)
+        layouts = {case: _ORACLE_CASES[case][1]() for case in cases}
+        work = DropWork()
+        for step in range(2 * len(cases) + 1):
+            case = cases[step % len(cases)]
+            config, layout = _ORACLE_CASES[case][0], layouts[case]
+            ues = drop_ues(layout, config, derive_stream(5, step, "ues"))
+            rng, fresh_rng = derive_stream(5, step, "links"), derive_stream(5, step, "links")
+            budget = compute_coupling(config, layout, ues, rng, work)
+            fresh = compute_coupling(config, layout, ues, fresh_rng)
+            assert np.array_equal(budget.coupling_db, fresh.coupling_db), case
+            assert np.array_equal(budget.serving, fresh.serving), case
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+            planes = list(work._planes.values())
+            assert any(np.shares_memory(budget.coupling_db, p) for p in planes)
+            fresh_arrays = [getattr(ues, f.name) for f in dataclasses.fields(UeDrop)]
+            for array in [budget.serving, *fresh_arrays]:
+                assert not any(np.shares_memory(array, p) for p in planes)
 
 
 class TestSharedDropGeometry:
