@@ -144,7 +144,11 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
         if not (lo <= value <= hi):
             raise ConfigInvalid(name, f"{value} outside [{lo}, {hi}]")
     config.traffic.validate()
-    # dataclass __post_init__ already vetted antenna and link parameter sanity
+    # the PF scheduler's grant counts; the uplink count also divides the bandwidth
+    for name in ("mu_layers_dl", "mu_layers_ul"):
+        if getattr(config.link, name) < 1:
+            raise ConfigInvalid(f"link.{name}", "must be >= 1")
+    # ArrayConfig's __post_init__ already vetted the antenna parameters
     return config
 
 

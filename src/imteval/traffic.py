@@ -91,40 +91,53 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     towards the rate the UE was served in that interval (0 if not granted).
     Returns (scheduled counts per UE, average scheduled UEs per interval per
     row).
+
+    Every rate must be finite and ``beta`` must lie in [0, 1]; otherwise
+    InternalError is raised, naming the first non-finite (row, column).
     """
     rates = np.asarray(instantaneous_rates, dtype=float)
     single = rates.ndim == 1
     n_rows, width = np.atleast_2d(rates).shape
-    k = np.maximum(np.broadcast_to(np.asarray(resources, dtype=int), (n_rows,)), 0)
-    k_max = min(int(k.max(initial=0)), width)
-    slots = np.arange(k_max)
-    row_start = np.arange(n_rows)[:, None] * width
-    # flat (row-major) state; -rate/average equals -(rate/average) exactly
     flat_rates = rates.reshape(-1)
-    neg_rates = -flat_rates
-    ineligible = ~(flat_rates > 0.0)
+    bad = ~np.isfinite(flat_rates)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row, col = divmod(i, width)
+        raise InternalError(f"PF rate at (row {row}, column {col}) is {flat_rates[i]}, "
+                            "not finite")
+    if not 0.0 <= beta <= 1.0:
+        raise InternalError(f"PF averaging factor beta={beta} outside [0, 1]")
+    eligible = flat_rates > 0.0
+    k = np.maximum(np.broadcast_to(np.asarray(resources, dtype=int), (n_rows,)), 0)
+    # Loop invariants. An eligible UE's metric -rate/average is -inf until
+    # its first grant and about -1 or below after it (a finite rate, and an
+    # average of 0s and that rate never exceeds it), so it stays ahead of
+    # the ineligible and pad entries, which hold +inf: their average stays
+    # 0 and inf/0 is inf. Each row therefore grants the same number of UEs,
+    # min(resources, eligible UEs), in every interval: its first that many
+    # entries in stable-sorted metric order.
+    n_granted = np.minimum(k, np.count_nonzero(eligible.reshape(n_rows, width), axis=1))
+    pick = np.flatnonzero(np.arange(width) < n_granted[:, None])
+    pick_row_start = pick - pick % width
+    # flat (row-major) state; -rate/average equals -(rate/average) exactly
+    neg_rates = np.where(eligible, -flat_rates, np.inf)
+    beta_rates, decay = beta * flat_rates, 1.0 - beta
     avg = np.zeros(n_rows * width)
     counts = np.zeros(n_rows * width, dtype=int)
     neg_metric = np.empty(n_rows * width)
-    mux_total = np.zeros(n_rows, dtype=int)
-    for _ in range(n_intervals):
-        # never-served UEs (average 0) get -inf, zero-rate UEs +inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(neg_rates, avg, out=neg_metric)
-        neg_metric[ineligible] = np.inf
-        by_metric = neg_metric.reshape(n_rows, width)
-        # the stable sort sends ties to the lower index and puts every UE
-        # with a positive metric first, so a row grants its first
-        # min(resources, positive-metric UEs) entries
-        top = np.argsort(by_metric, axis=1, kind="stable")[:, :k_max]
-        n_granted = np.minimum(k, np.count_nonzero(by_metric < 0.0, axis=1))
-        granted = (top + row_start)[slots < n_granted[:, None]]
-        avg *= 1.0 - beta
-        avg[granted] += beta * flat_rates[granted]
-        counts[granted] += 1
-        mux_total += n_granted
+    granted = np.empty(len(pick), dtype=np.intp)
+    sort_rows = neg_metric.reshape(n_rows, width).argsort  # hot loop: local names
+    divide, add = np.divide, np.add
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_intervals):
+            divide(neg_rates, avg, out=neg_metric)
+            # the stable sort sends ties to the lower index
+            add(sort_rows(axis=1, kind="stable").take(pick), pick_row_start, out=granted)
+            avg *= decay
+            avg[granted] += beta_rates[granted]
+            counts[granted] += 1
     counts = counts.reshape(n_rows, width)
-    mux = mux_total / n_intervals if n_intervals > 0 else np.zeros(n_rows)
+    mux = n_granted.astype(float) if n_intervals > 0 else np.zeros(n_rows)
     if single:
         return counts[0], float(mux[0])
     return counts, mux

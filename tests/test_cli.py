@@ -191,6 +191,19 @@ class TestRun:
         assert manifest["drops_executed"] == 2
 
 
+class TestLinkLayers:
+    # a zero uplink count would divide the bandwidth by zero, and a negative
+    # downlink count would schedule no one and fail the SE requirements
+    @pytest.mark.parametrize("override", ["link.mu_layers_ul=0", "link.mu_layers_dl=-3"])
+    def test_layer_count_below_one_is_a_usage_error(self, tmp_path, capsys, override):
+        out_dir = tmp_path / "results"
+        assert main(["run", "--scenario", "Rural_eMBB", "--drops", "2", "--set", override,
+                     "--out", str(out_dir)]) == 2
+        field = override.split("=")[0]
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestVariantB:
     def test_set_may_not_relabel_the_preset(self, tmp_path, capsys):
         # mMTC B's 1732 m ISD would not follow the label

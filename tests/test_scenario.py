@@ -337,6 +337,21 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             validate(dataclasses.replace(c, config_variant="Z"))
 
+    # the scheduler grants this many UEs per interval, and the uplink splits
+    # the bandwidth by its count
+    @pytest.mark.parametrize("field", ["mu_layers_dl", "mu_layers_ul"])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_mu_layers_below_one_rejected(self, field, bad):
+        c = preset(TestEnvironment.RURAL_EMBB, "A")
+        mutated = dataclasses.replace(c, link=dataclasses.replace(c.link, **{field: bad}))
+        with pytest.raises(ConfigInvalid) as err:
+            validate(mutated)
+        assert err.value.field == f"link.{field}"
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text=f"[link]\n{field} = {bad}\n", base=c)
+        assert err.value.field == f"link.{field}"
+        assert validate(dataclasses.replace(c, link=dataclasses.replace(c.link, **{field: 1})))
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("env,variant", ALL_PRESETS)

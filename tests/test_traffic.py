@@ -3,15 +3,17 @@ FIFO queue and delay tracking."""
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imteval import traffic
+from imteval import engine, traffic
 from imteval.errors import ConfigInvalid, InternalError
+from imteval.geometry import build_layout
+from imteval.scenario import TestEnvironment, preset
 from imteval.traffic import (
     TrafficKind,
     TrafficModelSpec,
@@ -182,6 +184,124 @@ class TestPfRunBatch:
         batch_counts, batch_mux = pf_run(rates[None, :], 50, [2])
         assert counts.shape == (4,) and isinstance(mux, float)
         assert np.array_equal(counts, batch_counts[0]) and mux == batch_mux[0]
+
+
+# rates saturated at se_max x bandwidth tie often; negative ones are never
+# scheduled, like zeros
+_SATURATING_RATES = st.one_of(st.sampled_from([0.0, 5.5e7, 7.4e7, 7.4e7, 7.4e7]),
+                              st.floats(-1.0, 7.4e7, allow_nan=False, allow_subnormal=False))
+
+
+def pf_run_reference(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01):
+    """Bit-for-bit oracle for pf_run: the batched loop that recounts the
+    grants, rewrites the ineligible metrics and slices the sorted block in
+    every interval."""
+    rates = np.asarray(instantaneous_rates, dtype=float)
+    single = rates.ndim == 1
+    n_rows, width = np.atleast_2d(rates).shape
+    k = np.maximum(np.broadcast_to(np.asarray(resources, dtype=int), (n_rows,)), 0)
+    k_max = min(int(k.max(initial=0)), width)
+    slots = np.arange(k_max)
+    row_start = np.arange(n_rows)[:, None] * width
+    # flat (row-major) state; -rate/average equals -(rate/average) exactly
+    flat_rates = rates.reshape(-1)
+    neg_rates = -flat_rates
+    ineligible = ~(flat_rates > 0.0)
+    avg = np.zeros(n_rows * width)
+    counts = np.zeros(n_rows * width, dtype=int)
+    neg_metric = np.empty(n_rows * width)
+    mux_total = np.zeros(n_rows, dtype=int)
+    for _ in range(n_intervals):
+        # never-served UEs (average 0) get -inf, zero-rate UEs +inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(neg_rates, avg, out=neg_metric)
+        neg_metric[ineligible] = np.inf
+        by_metric = neg_metric.reshape(n_rows, width)
+        # the stable sort sends ties to the lower index and puts every UE
+        # with a positive metric first, so a row grants its first
+        # min(resources, positive-metric UEs) entries
+        top = np.argsort(by_metric, axis=1, kind="stable")[:, :k_max]
+        n_granted = np.minimum(k, np.count_nonzero(by_metric < 0.0, axis=1))
+        granted = (top + row_start)[slots < n_granted[:, None]]
+        avg *= 1.0 - beta
+        avg[granted] += beta * flat_rates[granted]
+        counts[granted] += 1
+        mux_total += n_granted
+    counts = counts.reshape(n_rows, width)
+    mux = mux_total / n_intervals if n_intervals > 0 else np.zeros(n_rows)
+    if single:
+        return counts[0], float(mux[0])
+    return counts, mux
+
+
+def assert_same_schedule(got, want):
+    """Same counts and mux, values and dtypes."""
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+
+
+class TestPfRunOracle:
+    @pytest.mark.parametrize("environment", [
+        TestEnvironment.RURAL_EMBB, TestEnvironment.INDOOR_HOTSPOT_EMBB,
+        TestEnvironment.DENSE_URBAN_EMBB, TestEnvironment.URBAN_MACRO_MMTC])
+    @pytest.mark.parametrize("seed", [1, 7, 20200101])
+    def test_engine_batches_match_reference(self, monkeypatch, environment, seed):
+        """The rows run_drop schedules in one drop: DL and UL rows with
+        rates saturated at se_max for eMBB, UL rows with 12 grants for mMTC."""
+        batches = []
+
+        def capture(rates, n_intervals, resources):
+            batches.append((rates.copy(), n_intervals, np.array(resources)))
+            return pf_run(rates, n_intervals, resources)
+
+        monkeypatch.setattr(engine, "pf_run", capture)
+        config = replace(preset(environment, "A"), master_seed=seed, drops=1)
+        engine.run_drop(config, build_layout(config), 0)
+        (rates, n_intervals, resources), = batches
+        if environment is TestEnvironment.URBAN_MACRO_MMTC:
+            assert set(resources.tolist()) == {12}
+        else:
+            assert len(set(resources.tolist())) == 2  # DL and UL layer counts
+        assert n_intervals == 100 and (resources < (rates > 0).sum(axis=1)).any()
+        assert_same_schedule(pf_run(rates, n_intervals, resources),
+                             pf_run_reference(rates, n_intervals, resources))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(_SATURATING_RATES, max_size=24), min_size=1, max_size=6),
+           data=st.data(),
+           n_intervals=st.integers(0, 120),
+           beta=st.sampled_from([0.01, 0.5]))
+    def test_matches_reference_bit_for_bit(self, rows, data, n_intervals, beta):
+        width = max(len(rates) for rates in rows)
+        padded = np.zeros((len(rows), width))
+        for r, rates in enumerate(rows):
+            padded[r, :len(rates)] = rates
+        resources = data.draw(st.lists(st.integers(0, width + 2), min_size=len(rows),
+                                       max_size=len(rows)))
+        assert_same_schedule(pf_run(padded, n_intervals, resources, beta),
+                             pf_run_reference(padded, n_intervals, resources, beta))
+        single = pf_run(padded[0], n_intervals, resources[0], beta)
+        assert_same_schedule(single, pf_run_reference(padded[0], n_intervals, resources[0], beta))
+        assert type(single[1]) is float
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_names_its_entry(self, bad):
+        rates = np.ones((3, 4))
+        rates[1, 2] = rates[2, 0] = bad
+        with pytest.raises(InternalError, match=r"row 1, column 2"):
+            pf_run(rates, 10, 2)
+        with pytest.raises(InternalError, match=r"row 0, column 3"):
+            pf_run([1.0, 0.0, -1.0, bad], 10, 2)
+
+    def test_negative_and_zero_rates_are_never_scheduled(self):
+        counts, mux = pf_run([[2.0, -1.0, 0.0, -0.0, 1.0]], 20, 4)
+        assert counts.tolist() == [[20, 0, 0, 0, 20]] and mux.tolist() == [2.0]
+
+    @pytest.mark.parametrize("beta", [-0.01, 1.5, np.nan])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(InternalError, match="beta"):
+            pf_run([1.0, 2.0], 10, 1, beta)
 
 
 class TestDelays:
