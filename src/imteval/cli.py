@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import engine, report
 from .channel.profiles import get_profile, profile_to_text
@@ -25,6 +26,7 @@ from .scenario import (
     list_presets,
     load_config,
     preset,
+    validate,
 )
 from .traffic import TrafficKind
 
@@ -106,11 +108,9 @@ def _cmd_run(args) -> int:
     if args.set:
         text = _overrides_to_text(args.set)
         config = load_config(text=text, base=config)
-    from dataclasses import replace
-    if args.drops is not None:
-        config = replace(config, drops=args.drops)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    # the flags override any --set run.* value and are range-checked alike
+    flags = {"drops": args.drops, "master_seed": args.seed}
+    config = validate(replace(config, **{k: v for k, v in flags.items() if v is not None}))
     if args.non_full_buffer and config.traffic.kind is not TrafficKind.POISSON_MESSAGING:
         print(f"error: --non-full-buffer needs {TrafficKind.POISSON_MESSAGING.value} traffic; "
               f"{config.environment.value} uses {config.traffic.kind.value}", file=sys.stderr)

@@ -29,7 +29,12 @@ class UnknownRequirement(ImtEvalError):
 
 
 class DomainError(ImtEvalError):
-    """Argument outside the mathematical domain of an operation."""
+    """Argument outside the mathematical domain of an operation; ``.field``
+    names the rejected dataclass field, if any."""
+
+    def __init__(self, message: str = "", field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class MappingError(ImtEvalError):

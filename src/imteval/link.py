@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigInvalid, DomainError
 
 THERMAL_NOISE_DBM_HZ = -174.0
 
@@ -59,9 +59,9 @@ class LinkAbstraction:
 
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
-            raise DomainError("efficiency must be in (0, 1]")
+            raise DomainError("efficiency must be in (0, 1]", "efficiency")
         if self.se_max <= 0:
-            raise DomainError("se_max must be > 0")
+            raise DomainError("se_max must be > 0", "se_max")
 
 
 def sinr_to_se(abstraction: LinkAbstraction, sinr_db):
@@ -83,9 +83,9 @@ class BlerModel:
 
     def __post_init__(self):
         if self.slope_db_per_decade <= 0:
-            raise DomainError("slope must be > 0")
+            raise DomainError("slope must be > 0", "slope_db_per_decade")
         if not 0.0 <= self.bler_floor < 1.0:
-            raise DomainError("bler_floor must be in [0, 1)")
+            raise DomainError("bler_floor must be in [0, 1)", "bler_floor")
 
 
 def bler(model: BlerModel, sinr_db):
@@ -109,9 +109,10 @@ class HarqConfig:
 
     def __post_init__(self):
         if self.max_transmissions < 1:
-            raise DomainError("max_transmissions must be >= 1")
+            raise DomainError("max_transmissions must be >= 1", "max_transmissions")
         if self.per_transmission_time_s <= 0:
-            raise DomainError("per_transmission_time_s must be > 0")
+            raise DomainError("per_transmission_time_s must be > 0",
+                              "per_transmission_time_s")
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,43 @@ class LinkParams:
     mu_layers_dl: int = 4
     mu_layers_ul: int = 2
 
+    def _build(self, name: str):
+        cls, feeds = _FEEDS[name]
+        return cls(**{field: getattr(self, key) for field, key in feeds.items()})
+
     def abstraction(self, direction: str) -> LinkAbstraction:
-        se_max = self.se_max_dl if direction == "downlink" else self.se_max_ul
-        return LinkAbstraction(efficiency=self.alpha, se_max=se_max, sinr_min_db=self.sinr_min_db)
+        return self._build(direction)
 
     def bler_model(self) -> BlerModel:
-        return BlerModel(self.bler_sinr_50_db, self.bler_slope_db, self.bler_floor)
+        return self._build("bler")
 
     def harq(self) -> HarqConfig:
-        return HarqConfig(self.harq_max_transmissions, self.harq_tx_time_s, self.harq_combining_gain_db)
+        return self._build("harq")
+
+    def validate(self) -> None:
+        """Build every object the bundle feeds, so each applies its own
+        checks; raises ConfigInvalid naming the ``link.<key>`` at fault."""
+        # the PF scheduler's grant counts; the uplink count also divides the bandwidth
+        for name in ("mu_layers_dl", "mu_layers_ul"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalid(f"link.{name}", "must be >= 1")
+        for name, (_, feeds) in _FEEDS.items():
+            try:
+                self._build(name)
+            except DomainError as exc:
+                raise ConfigInvalid(f"link.{feeds[exc.field]}", str(exc)) from exc
+
+
+# each object a LinkParams bundle builds: its class and, per class field, the
+# bundle key that feeds it
+_FEEDS = {
+    "downlink": (LinkAbstraction, {"efficiency": "alpha", "se_max": "se_max_dl",
+                                   "sinr_min_db": "sinr_min_db"}),
+    "uplink": (LinkAbstraction, {"efficiency": "alpha", "se_max": "se_max_ul",
+                                 "sinr_min_db": "sinr_min_db"}),
+    "bler": (BlerModel, {"sinr_50_db": "bler_sinr_50_db", "slope_db_per_decade": "bler_slope_db",
+                         "bler_floor": "bler_floor"}),
+    "harq": (HarqConfig, {"max_transmissions": "harq_max_transmissions",
+                          "per_transmission_time_s": "harq_tx_time_s",
+                          "combining_gain_db": "harq_combining_gain_db"}),
+}

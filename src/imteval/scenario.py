@@ -139,15 +139,18 @@ def _check_variant(environment: TestEnvironment, variant: str) -> None:
 def validate(config: EvaluationConfig) -> EvaluationConfig:
     """Range-check every field; raises ConfigInvalid naming the first offender."""
     _check_variant(config.environment, config.config_variant)
+    # NaN passes any rule written as `if value <= bound: raise`, inf a one-sided one
+    for section, key, owner, attr, kind in _LEAVES:
+        value = getattr(getattr(config, owner) if owner else config, attr)
+        if kind is float and not math.isfinite(value):
+            name = attr if section in ("scenario", "run") else f"{section}.{key}"
+            raise ConfigInvalid(name, f"{value} is not finite")
     for name, (lo, hi) in _RANGES.items():
         value = getattr(config, name)
         if not (lo <= value <= hi):
             raise ConfigInvalid(name, f"{value} outside [{lo}, {hi}]")
     config.traffic.validate()
-    # the PF scheduler's grant counts; the uplink count also divides the bandwidth
-    for name in ("mu_layers_dl", "mu_layers_ul"):
-        if getattr(config.link, name) < 1:
-            raise ConfigInvalid(f"link.{name}", "must be >= 1")
+    config.link.validate()
     # ArrayConfig's __post_init__ already vetted the antenna parameters
     return config
 

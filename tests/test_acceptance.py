@@ -11,13 +11,13 @@ import pytest
 
 from imteval import preset, TestEnvironment
 from imteval.antenna import ArrayConfig, ElementPattern
-from imteval.channel import (
+from imteval.channel.model import los_probability
+from imteval.channel.profiles import get_profile
+from imteval.channel.smallscale import (
     assign_los,
     channel_coeff,
     gen_clusters,
     gen_lsp,
-    get_profile,
-    los_probability,
     realize_link,
 )
 from imteval.engine import (

@@ -3,32 +3,38 @@ time-varying coefficients."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imteval.antenna import ArrayConfig, ElementPattern
-from imteval.channel import (
-    ChannelProfile,
-    ClusterSet,
+from imteval.channel.model import free_space_1m_db, los_probability, pathloss_curves
+from imteval.channel.profiles import (
+    C_PHI,
+    C_THETA,
     N_RAYS,
+    ChannelProfile,
+    builtin_profiles,
+    get_profile,
+)
+from imteval.channel.smallscale import (
+    ChannelRealization,
+    ClusterSet,
     PropagationCondition,
+    _field_and_phase,
     apply_pl_sf,
     assign_los,
-    builtin_profiles,
     channel_coeff,
-    free_space_1m_db,
     gen_clusters,
     gen_lsp,
-    get_profile,
-    los_probability,
     pathloss,
-    pathloss_curves,
     realize_link,
 )
-from imteval.channel.model import ChannelRealization
-from imteval.channel.profiles import C_PHI, C_THETA
 from imteval.engine import derive_stream
 from imteval.errors import ConfigInvalid, DomainError
 
@@ -422,3 +428,42 @@ class TestDeterminism:
         h_a = channel_coeff(a, ONE, ISO, ONE, ISO, 0.123)
         h_b = channel_coeff(b, ONE, ISO, ONE, ISO, 0.123)
         assert np.array_equal(h_a, h_b)
+
+
+def _phase_before_split(cfg, az_deg, zen_deg):
+    """The array phase as the generator computed it before it called
+    ``antenna.array_response``: unit directions contracted with the element
+    positions."""
+    az = np.radians(az_deg)
+    zen = np.radians(zen_deg)
+    dirs = np.stack([np.sin(zen) * np.cos(az), np.sin(zen) * np.sin(az), np.cos(zen)], axis=-1)
+    pos = cfg.element_positions_wl()  # (u, 3)
+    return np.exp(1j * 2.0 * np.pi * np.tensordot(pos, dirs, axes=([1], [2])))
+
+
+class TestSteeringVectorOracle:
+    @pytest.mark.parametrize("cfg", [
+        ArrayConfig(m=2, n=4, p=1, mp=1, np=1),
+        ArrayConfig(m=2, n=4, p=2, mp=1, np=1),
+        ArrayConfig(m=1, n=2, mp=1, np=2),
+    ], ids=["single-pol", "dual-pol", "ue-pair"])
+    @pytest.mark.parametrize("shape", [(12, 20), (1, 1)], ids=["rays", "los-ray"])
+    def test_phase_is_bitwise_the_old_expression(self, cfg, shape):
+        rng = np.random.default_rng(11)
+        az = rng.uniform(-180.0, 180.0, size=shape)
+        zen = rng.uniform(0.0, 180.0, size=shape)
+        _, _, phase = _field_and_phase(cfg, ISO, az, zen)
+        assert phase.shape == (cfg.n_elements,) + shape
+        assert np.array_equal(phase, _phase_before_split(cfg, az, zen))
+
+
+def test_drop_path_does_not_load_the_small_scale_generator():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "import imteval.cli, imteval.engine, imteval.report, imteval.metrics\n"
+            "assert 'imteval.channel.model' in sys.modules\n"
+            "print('imteval.channel.smallscale' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

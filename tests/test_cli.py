@@ -204,6 +204,36 @@ class TestLinkLayers:
         assert not out_dir.exists()
 
 
+class TestRunFlagsValidated:
+    # --drops and --seed used to bypass validation: a zero drop count ran
+    # nothing and exited 0, a negative seed died in the seed sequence
+    @pytest.mark.parametrize("flags, field", [
+        (["--drops", "0"], "drops"),
+        (["--drops", "-3"], "drops"),
+        (["--drops", "1", "--seed", "-1"], "master_seed"),
+        (["--drops", "1", "--set", "link.bler_floor=1.5"], "link.bler_floor"),
+    ])
+    def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flags, field):
+        def no_drops(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "run_drop", no_drops)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--scenario", "Rural_eMBB", *flags, "--out", str(out_dir)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_flags_override_set(self, tmp_path):
+        out_dir = tmp_path / "results"
+        code = main(["run", "--scenario", "UrbanMacro_mMTC", "--set", "run.drops=5",
+                     "--set", "run.master_seed=3", "--drops", "1", "--seed", "9",
+                     "--sinr-only", "--out", str(out_dir)])
+        assert code in (0, 1)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["drops_executed"] == 1
+        assert manifest["master_seed"] == 9
+
+
 class TestVariantB:
     def test_set_may_not_relabel_the_preset(self, tmp_path, capsys):
         # mMTC B's 1732 m ISD would not follow the label

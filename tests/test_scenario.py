@@ -352,6 +352,37 @@ class TestValidation:
         assert err.value.field == f"link.{field}"
         assert validate(dataclasses.replace(c, link=dataclasses.replace(c.link, **{field: 1})))
 
+    # a NaN passes every comparison-based check, and the link objects'
+    # own rules ran only when the engine built them, after layout and
+    # calibration; validation now applies both up front
+    @pytest.mark.parametrize("section, key, raw, reason", [
+        ("link", "csi_backoff_db", "nan", "not finite"),
+        ("link", "ul_p0_dbm", "inf", "not finite"),
+        ("traffic", "overhead_s", "nan", "not finite"),
+        ("antenna.bs", "h_3db", "nan", "not finite"),
+        ("antenna.ue", "element_spacing_h", "inf", "not finite"),
+        ("link", "alpha", "0", "efficiency"),
+        ("link", "se_max_ul", "-1", "se_max"),
+        ("link", "se_max_dl", "0", "se_max"),
+        ("link", "bler_slope_db", "0", "slope"),
+        ("link", "bler_floor", "1.5", "bler_floor"),
+        ("link", "harq_max_transmissions", "0", "max_transmissions"),
+        ("link", "harq_tx_time_s", "0", "per_transmission_time_s"),
+    ])
+    def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):
+        c = preset(TestEnvironment.RURAL_EMBB, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text=f"[{section}]\n{key} = {raw}\n", base=c)
+        assert err.value.field == f"{section}.{key}"
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize("field", ["isd", "duration_t"])
+    def test_non_finite_top_level_field_is_named(self, field):
+        c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            validate(dataclasses.replace(c, **{field: float("nan")}))
+        assert err.value.field == field
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("env,variant", ALL_PRESETS)
