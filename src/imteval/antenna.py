@@ -97,13 +97,15 @@ class ArrayConfig:
     def __post_init__(self):
         for name in ("m", "n", "p", "mg", "ng", "mp", "np"):
             if getattr(self, name) < 1:
-                raise DomainError(f"array count {name} must be >= 1")
+                raise DomainError(f"array count {name} must be >= 1", name)
         if self.p not in (1, 2):
-            raise DomainError("polarization count p must be 1 or 2")
-        if self.mp > self.m or self.np > self.n:
-            raise DomainError("port grid (mp, np) must not exceed element grid (m, n)")
-        if self.element_spacing_h <= 0 or self.element_spacing_v <= 0:
-            raise DomainError("element spacings must be positive")
+            raise DomainError("polarization count p must be 1 or 2", "p")
+        for ports, grid in (("mp", "m"), ("np", "n")):
+            if getattr(self, ports) > getattr(self, grid):
+                raise DomainError("port grid (mp, np) must not exceed element grid (m, n)", ports)
+        for name in ("element_spacing_h", "element_spacing_v"):
+            if getattr(self, name) <= 0:
+                raise DomainError("element spacings must be positive", name)
 
     @property
     def n_elements(self) -> int:
@@ -190,8 +192,8 @@ def directivity(config: ArrayConfig, pattern: ElementPattern, grid_resolution_de
     ``total_radiated_power`` integrates on. ``grid_resolution_deg`` must
     divide 180.
     """
-    u, _ = _power_pattern(config, pattern, grid_resolution_deg)
-    total = total_radiated_power(config, pattern, grid_resolution_deg)
+    u, d_omega = _power_pattern(config, pattern, grid_resolution_deg)
+    total = float(np.sum(u * d_omega))
     return 10.0 * np.log10(4.0 * np.pi * float(u.max()) / total)
 
 

@@ -209,12 +209,12 @@ def _ray_geometry(real: ChannelRealization):
 
 def _field_and_phase(cfg: ArrayConfig, pattern: ElementPattern, az_deg, zen_deg):
     """Per-element field amplitudes (theta/phi components) and array phases
-    at the given per-ray angles. Shapes: (n_elem, n_clusters, n_rays)."""
+    at the given ray angles, each of shape (n_elem,) + the angles' shape."""
     gain_db = element_gain(pattern, np.clip(az_deg, -180.0, 180.0), np.clip(zen_deg, 0.0, 180.0))
-    amp = np.sqrt(10.0 ** (np.asarray(gain_db) / 10.0))  # (n, m)
+    amp = np.sqrt(10.0 ** (np.asarray(gain_db) / 10.0))
     slants = np.radians(cfg.polarization_slants_deg())  # (u,)
-    f_theta = np.cos(slants)[:, None, None] * amp[None, :, :]
-    f_phi = np.sin(slants)[:, None, None] * amp[None, :, :]
+    f_theta = np.multiply.outer(np.cos(slants), amp)
+    f_phi = np.multiply.outer(np.sin(slants), amp)
     phase = array_response(cfg, np.ravel(az_deg), np.ravel(zen_deg))
     return f_theta, f_phi, phase.reshape((cfg.n_elements,) + np.shape(az_deg))
 
@@ -226,64 +226,46 @@ def channel_coeff(real: ChannelRealization,
     """Channel matrix H(t) of shape (n_rx, n_tx), or (n_t, n_rx, n_tx) for a
     vector of times. Pathloss and shadowing are NOT applied here.
 
-    Sums field-pattern products, XPR polarization coupling, initial random
-    phases, array phase terms and per-ray Doppler; a LOS realization adds
-    the deterministic ray weighted by the Ricean K factor with total power
-    preserved.
+    One sum over rays of field-pattern products, the 2x2 polarization
+    coupling (XPR and initial random phases), array phase terms and per-ray
+    Doppler. A LOS realization appends the deterministic ray, with coupling
+    diag(1, -1) and weight sqrt(K/(K+1)), and scales the cluster rays by
+    sqrt(1/(K+1)), so total power is preserved (TR 38.901 eq. 7.5-30).
     """
     t = np.atleast_1d(np.asarray(t_s, dtype=float))
     cl = real.clusters
-    aoa, aod, zoa, zod = _ray_geometry(real)
-    n, m = aoa.shape
+    aoa, aod, zoa, zod = (np.ravel(a) for a in _ray_geometry(real))
+    m = cl.perm_aoa.shape[1]
+    lam = SPEED_OF_LIGHT / real.carrier_hz
+
+    # per ray: coupling [[theta-theta, theta-phi], [phi-theta, phi-phi]] and weight
+    coupling = np.exp(1j * cl.phases_rad.reshape(-1, 4).T).reshape(2, 2, -1)
+    inv_sqrt_xpr = np.sqrt(1.0 / cl.xpr_linear).ravel()
+    coupling[0, 1] *= inv_sqrt_xpr
+    coupling[1, 0] *= inv_sqrt_xpr
+    weight = np.repeat(np.sqrt(cl.powers / m), m)
+    if real.condition.los and real.ricean_k_db is not None:
+        k_lin = 10.0 ** (real.ricean_k_db / 10.0)
+        aoa, zoa = np.append(aoa, real.los_aoa_deg), np.append(zoa, real.los_zoa_deg)
+        aod, zod = np.append(aod, real.los_aod_deg), np.append(zod, real.los_zod_deg)
+        coupling = np.dstack((coupling, [[1.0, 0.0], [0.0, -1.0]]))
+        los_weight = math.sqrt(k_lin / (k_lin + 1.0)) * np.exp(-1j * 2.0 * np.pi * real.d3d_m / lam)
+        weight = np.append(weight * math.sqrt(1.0 / (k_lin + 1.0)), los_weight)
 
     fr_t, fr_p, ph_rx = _field_and_phase(rx_cfg, rx_pattern, aoa, zoa)
     ft_t, ft_p, ph_tx = _field_and_phase(tx_cfg, tx_pattern, aod, zod)
-
-    inv_sqrt_xpr = np.sqrt(1.0 / cl.xpr_linear)
-    p = cl.phases_rad
-    p00 = np.exp(1j * p[..., 0])
-    p01 = inv_sqrt_xpr * np.exp(1j * p[..., 1])
-    p10 = inv_sqrt_xpr * np.exp(1j * p[..., 2])
-    p11 = np.exp(1j * p[..., 3])
+    rx = np.stack((fr_t, fr_p), axis=1) * ph_rx[:, None]  # (u, 2, ray)
+    tx = np.stack((ft_t, ft_p), axis=1) * ph_tx[:, None]  # (s, 2, ray)
 
     # Doppler frequency per ray from the arrival direction vs UE motion
-    v_ms = real.speed_kmh / 3.6
-    lam = SPEED_OF_LIGHT / real.carrier_hz
-    dir_deg = math.degrees(real.direction_rad)
-    nu = (v_ms / lam) * np.sin(np.radians(zoa)) * np.cos(np.radians(aoa - dir_deg))
-    dopp = np.exp(1j * 2.0 * np.pi * nu[None, :, :] * t[:, None, None])  # (T, n, m)
-
-    weight = np.sqrt(cl.powers / m)[:, None]  # (n, 1)
-
-    # polarization-coupled field product per (u, s, n, m)
-    pol = (np.einsum("unm,snm,nm->usnm", fr_t, ft_t, p00)
-           + np.einsum("unm,snm,nm->usnm", fr_t, ft_p, p01)
-           + np.einsum("unm,snm,nm->usnm", fr_p, ft_t, p10)
-           + np.einsum("unm,snm,nm->usnm", fr_p, ft_p, p11))
-    core = np.einsum("usnm,unm,snm->usnm", pol, ph_rx, ph_tx) * weight[None, None, :, :]
-    h = np.einsum("usnm,tnm->tus", core, dopp)
-
-    if real.condition.los and real.ricean_k_db is not None:
-        k_lin = 10.0 ** (real.ricean_k_db / 10.0)
-        h = h * math.sqrt(1.0 / (k_lin + 1.0))
-        az_a = np.array([[real.los_aoa_deg]])
-        ze_a = np.array([[real.los_zoa_deg]])
-        az_d = np.array([[real.los_aod_deg]])
-        ze_d = np.array([[real.los_zod_deg]])
-        fr_t, fr_p, ph_rx = _field_and_phase(rx_cfg, rx_pattern, az_a, ze_a)
-        ft_t, ft_p, ph_tx = _field_and_phase(tx_cfg, tx_pattern, az_d, ze_d)
-        # deterministic ray: co-polarized coupling with a sign flip on phi-phi
-        los_pol = (np.einsum("unm,snm->usnm", fr_t, ft_t)
-                   - np.einsum("unm,snm->usnm", fr_p, ft_p))
-        los_core = np.einsum("usnm,unm,snm->us", los_pol, ph_rx, ph_tx)
-        phase0 = np.exp(-1j * 2.0 * np.pi * real.d3d_m / lam)
-        nu_los = (v_ms / lam) * math.sin(math.radians(real.los_zoa_deg)) * math.cos(
-            math.radians(real.los_aoa_deg) - real.direction_rad)
-        dopp_los = np.exp(1j * 2.0 * np.pi * nu_los * t)
-        h = h + math.sqrt(k_lin / (k_lin + 1.0)) * phase0 * np.einsum(
-            "us,t->tus", los_core, dopp_los)
-
-    return h[0] if np.isscalar(t_s) or np.asarray(t_s).ndim == 0 else h
+    nu = (real.speed_kmh / 3.6 / lam) * np.sin(np.radians(zoa)) * np.cos(
+        np.radians(aoa) - real.direction_rad)
+    dopp = weight * np.exp(1j * 2.0 * np.pi * np.multiply.outer(t, nu))  # (T, ray)
+    # the sum over (b, ray) as one matrix product: folded into the einsum,
+    # it runs several times slower on multi-element arrays
+    g = np.einsum("uar,abr->ubr", rx, coupling) * dopp[:, None, None, :]  # (T, u, 2, ray)
+    h = g.reshape(len(t), len(rx), -1) @ tx.reshape(len(tx), -1).T
+    return h[0] if np.ndim(t_s) == 0 else h
 
 
 def apply_pl_sf(real: ChannelRealization, coeff: np.ndarray) -> np.ndarray:

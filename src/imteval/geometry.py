@@ -79,7 +79,12 @@ class NetworkLayout:
         """Area served by one TRxP; the denominator of the density formula."""
         if self.layout_kind is LayoutKind.INDOOR_12:
             return INDOOR_FLOOR_X_M * INDOOR_FLOOR_Y_M / 12.0
-        return self.isd ** 2 * math.sqrt(3.0) / 6.0
+        return hex_sector_area_m2(self.isd)
+
+
+def hex_sector_area_m2(isd_m: float) -> float:
+    """Area of one of the three sectors of a hexagonal site at the given ISD."""
+    return isd_m ** 2 * math.sqrt(3.0) / 6.0
 
 
 def _wrap_set_19(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

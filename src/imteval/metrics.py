@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
+from .geometry import hex_sector_area_m2
 from .link import BlerModel, HarqConfig, LinkAbstraction, harq_outcome, sinr_to_se
 
 
@@ -157,7 +158,7 @@ def b_value(duration_s: float, received_bits, w_user_hz: float):
 def connection_density_fullbuffer(inputs: CdInputs) -> float:
     """Devices per km^2: (n_mux * W / mean(B_i)) / (ISD^2 * sqrt(3)/6 in km^2)."""
     inputs.validate()
-    sector_area_km2 = (inputs.isd_m ** 2 * math.sqrt(3.0) / 6.0) / 1e6
+    sector_area_km2 = hex_sector_area_m2(inputs.isd_m) / 1e6
     supported = inputs.n_mux * inputs.bandwidth_hz / float(np.mean(inputs.b_values))
     return supported / sector_area_km2
 

@@ -123,6 +123,8 @@ def ingest_table(path=None, text: str | None = None, source: str = "") -> Extern
             rec[column] = _opt_float(rec[column], lineno, column)
         if rec["value"] is not None and rec["value"] < 0:
             raise SchemaError(f"line {lineno}: negative value {rec['value']}")
+        if rec["suspect"] not in ("0", "1"):
+            raise SchemaError(f"line {lineno}: column 'suspect' must be 0 or 1: '{rec['suspect']}'")
         rec["suspect"] = rec["suspect"] == "1"
         rows.append(ExternalRow(**rec))
     return ExternalResultTable(source=source, rows=rows)

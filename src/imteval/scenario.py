@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .antenna import ArrayConfig, ElementPattern
-from .errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
+from .errors import ConfigInvalid, ConfigSyntax, DomainError, UnknownPreset, UnknownRequirement
 from .link import LinkParams
 from .traffic import TrafficKind, TrafficModelSpec
 
@@ -429,7 +429,10 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
             (nested if owner else updates)[attr] = _convert(key, raw, kind)
         if nested:
             owner = _NESTED[section]
-            updates[owner] = replace(getattr(base, owner), **nested)
+            try:
+                updates[owner] = replace(getattr(base, owner), **nested)
+            except DomainError as exc:  # an ArrayConfig rule, naming its field
+                raise ConfigInvalid(f"{section}.{exc.field}", str(exc)) from exc
     # these two name the preset the other keys override: changing them on a
     # base would relabel its parameters, e.g. mMTC A's 500 m ISD as variant B
     for key in ("environment", "config_variant"):

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imteval.antenna import ArrayConfig, ElementPattern
-from imteval.channel.model import free_space_1m_db, los_probability, pathloss_curves
+from imteval.antenna import ArrayConfig, ElementPattern, array_response, element_gain
+from imteval.channel import smallscale
+from imteval.channel.model import SPEED_OF_LIGHT, free_space_1m_db, los_probability, pathloss_curves
 from imteval.channel.profiles import (
     C_PHI,
     C_THETA,
@@ -27,6 +28,7 @@ from imteval.channel.smallscale import (
     ClusterSet,
     PropagationCondition,
     _field_and_phase,
+    _ray_geometry,
     apply_pl_sf,
     assign_los,
     channel_coeff,
@@ -455,6 +457,132 @@ class TestSteeringVectorOracle:
         _, _, phase = _field_and_phase(cfg, ISO, az, zen)
         assert phase.shape == (cfg.n_elements,) + shape
         assert np.array_equal(phase, _phase_before_split(cfg, az, zen))
+
+
+def test_field_and_phase_takes_one_dimensional_ray_angles():
+    cfg = ArrayConfig(m=2, n=4, p=2, mp=1, np=1)
+    rng = np.random.default_rng(12)
+    az = rng.uniform(-180.0, 180.0, size=(3, 7))
+    zen = rng.uniform(0.0, 180.0, size=(3, 7))
+    flat = _field_and_phase(cfg, ElementPattern(8.0), az.ravel(), zen.ravel())
+    grid = _field_and_phase(cfg, ElementPattern(8.0), az, zen)
+    for mine, theirs in zip(flat, grid):
+        assert mine.shape == (cfg.n_elements, 21)
+        assert np.array_equal(mine, theirs.reshape(cfg.n_elements, 21))
+
+
+def _field_and_phase_reference(cfg, pattern, az_deg, zen_deg):
+    """``_field_and_phase`` as it was before it took angle arrays of any shape."""
+    gain_db = element_gain(pattern, np.clip(az_deg, -180.0, 180.0), np.clip(zen_deg, 0.0, 180.0))
+    amp = np.sqrt(10.0 ** (np.asarray(gain_db) / 10.0))  # (n, m)
+    slants = np.radians(cfg.polarization_slants_deg())  # (u,)
+    f_theta = np.cos(slants)[:, None, None] * amp[None, :, :]
+    f_phi = np.sin(slants)[:, None, None] * amp[None, :, :]
+    phase = array_response(cfg, np.ravel(az_deg), np.ravel(zen_deg))
+    return f_theta, f_phi, phase.reshape((cfg.n_elements,) + np.shape(az_deg))
+
+
+def channel_coeff_reference(real, tx_cfg, tx_pattern, rx_cfg, rx_pattern, t_s):
+    """``channel_coeff`` as it was before the LOS ray joined the ray sum: the
+    cluster rays and the LOS ray each had their own field, Doppler and
+    polarization-coupling pipeline."""
+    t = np.atleast_1d(np.asarray(t_s, dtype=float))
+    cl = real.clusters
+    aoa, aod, zoa, zod = _ray_geometry(real)
+    n, m = aoa.shape
+
+    fr_t, fr_p, ph_rx = _field_and_phase_reference(rx_cfg, rx_pattern, aoa, zoa)
+    ft_t, ft_p, ph_tx = _field_and_phase_reference(tx_cfg, tx_pattern, aod, zod)
+
+    inv_sqrt_xpr = np.sqrt(1.0 / cl.xpr_linear)
+    p = cl.phases_rad
+    p00 = np.exp(1j * p[..., 0])
+    p01 = inv_sqrt_xpr * np.exp(1j * p[..., 1])
+    p10 = inv_sqrt_xpr * np.exp(1j * p[..., 2])
+    p11 = np.exp(1j * p[..., 3])
+
+    # Doppler frequency per ray from the arrival direction vs UE motion
+    v_ms = real.speed_kmh / 3.6
+    lam = SPEED_OF_LIGHT / real.carrier_hz
+    dir_deg = math.degrees(real.direction_rad)
+    nu = (v_ms / lam) * np.sin(np.radians(zoa)) * np.cos(np.radians(aoa - dir_deg))
+    dopp = np.exp(1j * 2.0 * np.pi * nu[None, :, :] * t[:, None, None])  # (T, n, m)
+
+    weight = np.sqrt(cl.powers / m)[:, None]  # (n, 1)
+
+    # polarization-coupled field product per (u, s, n, m)
+    pol = (np.einsum("unm,snm,nm->usnm", fr_t, ft_t, p00)
+           + np.einsum("unm,snm,nm->usnm", fr_t, ft_p, p01)
+           + np.einsum("unm,snm,nm->usnm", fr_p, ft_t, p10)
+           + np.einsum("unm,snm,nm->usnm", fr_p, ft_p, p11))
+    core = np.einsum("usnm,unm,snm->usnm", pol, ph_rx, ph_tx) * weight[None, None, :, :]
+    h = np.einsum("usnm,tnm->tus", core, dopp)
+
+    if real.condition.los and real.ricean_k_db is not None:
+        k_lin = 10.0 ** (real.ricean_k_db / 10.0)
+        h = h * math.sqrt(1.0 / (k_lin + 1.0))
+        az_a = np.array([[real.los_aoa_deg]])
+        ze_a = np.array([[real.los_zoa_deg]])
+        az_d = np.array([[real.los_aod_deg]])
+        ze_d = np.array([[real.los_zod_deg]])
+        fr_t, fr_p, ph_rx = _field_and_phase_reference(rx_cfg, rx_pattern, az_a, ze_a)
+        ft_t, ft_p, ph_tx = _field_and_phase_reference(tx_cfg, tx_pattern, az_d, ze_d)
+        # deterministic ray: co-polarized coupling with a sign flip on phi-phi
+        los_pol = (np.einsum("unm,snm->usnm", fr_t, ft_t)
+                   - np.einsum("unm,snm->usnm", fr_p, ft_p))
+        los_core = np.einsum("usnm,unm,snm->us", los_pol, ph_rx, ph_tx)
+        phase0 = np.exp(-1j * 2.0 * np.pi * real.d3d_m / lam)
+        nu_los = (v_ms / lam) * math.sin(math.radians(real.los_zoa_deg)) * math.cos(
+            math.radians(real.los_aoa_deg) - real.direction_rad)
+        dopp_los = np.exp(1j * 2.0 * np.pi * nu_los * t)
+        h = h + math.sqrt(k_lin / (k_lin + 1.0)) * phase0 * np.einsum(
+            "us,t->tus", los_core, dopp_los)
+
+    return h[0] if np.isscalar(t_s) or np.asarray(t_s).ndim == 0 else h
+
+
+_ARRAY_PAIRS = {
+    "single-isotropic": (ONE, ISO, ONE, ISO),
+    "4x4-bs-to-ue": (ArrayConfig(m=4, n=4, p=2, mp=1, np=1), ElementPattern(8.0),
+                     ArrayConfig(m=1, n=2, p=2, mp=1, np=1), ISO),
+    "ue-to-4x4-bs": (ArrayConfig(m=1, n=2, p=2, mp=1, np=1), ISO,
+                     ArrayConfig(m=4, n=4, p=2, mp=1, np=1), ElementPattern(8.0)),
+}
+
+
+class TestRaySumOracle:
+    """The one ray sum (LOS ray appended to the cluster rays) against the
+    former two-pipeline ``channel_coeff``; the summation order changed, so
+    agreement is to 1e-12 of max|H| rather than bitwise."""
+
+    @pytest.mark.parametrize("pair", list(_ARRAY_PAIRS))
+    @pytest.mark.parametrize("t_s", [0.0, np.array([0.0, 0.004, 0.25])], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+    @pytest.mark.parametrize("name", ["UMa_A", "RMa", "InH", "UMi"])
+    def test_matches_the_two_pipeline_sum(self, name, los, t_s, pair):
+        tx, tx_pattern, rx, rx_pattern = _ARRAY_PAIRS[pair]
+        real = realize_link(get_profile(name), 4e9, [0, 0, 25.0], [90.0, 35.0, 1.5],
+                            derive_stream(16, 0, f"oracle-{name}"), speed_kmh=60.0,
+                            direction_rad=0.9, condition=PropagationCondition(los=los))
+        h = channel_coeff(real, tx, tx_pattern, rx, rx_pattern, t_s)
+        ref = channel_coeff_reference(real, tx, tx_pattern, rx, rx_pattern, t_s)
+        assert h.shape == ref.shape
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+    def test_fields_are_evaluated_once_per_side(self, monkeypatch, los):
+        calls = []
+
+        def counting(*args):
+            calls.append(np.shape(args[2]))
+            return _field_and_phase(*args)
+
+        monkeypatch.setattr(smallscale, "_field_and_phase", counting)
+        real = realize_link(get_profile("UMa_A"), 4e9, [0, 0, 25.0], [90.0, 35.0, 1.5],
+                            derive_stream(17, 0, "count"), condition=PropagationCondition(los=los))
+        channel_coeff(real, ONE, ISO, ONE, ISO, np.array([0.0, 0.1]))
+        n_rays = real.clusters.perm_aoa.size + (1 if los else 0)
+        assert calls == [(n_rays,), (n_rays,)]
 
 
 def test_drop_path_does_not_load_the_small_scale_generator():

@@ -212,6 +212,7 @@ class TestRunFlagsValidated:
         (["--drops", "-3"], "drops"),
         (["--drops", "1", "--seed", "-1"], "master_seed"),
         (["--drops", "1", "--set", "link.bler_floor=1.5"], "link.bler_floor"),
+        (["--drops", "1", "--set", "antenna.bs.m=0"], "antenna.bs.m"),
     ])
     def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flags, field):
         def no_drops(*args, **kwargs):

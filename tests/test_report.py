@@ -102,6 +102,13 @@ class TestIngest:
         with pytest.raises(SchemaError, match=f"line 2: column '{column}' is not finite"):
             ingest_table(text=HEADER + "\n" + row + "\n")
 
+    # any cell but "1" used to read as "not suspect", dropping the footnote
+    @pytest.mark.parametrize("flag", ["yes", "true", "TRUE", ""])
+    def test_suspect_flag_other_than_0_or_1_rejected(self, flag):
+        row = f"X,UrbanMacro_mMTC,uplink,connection_density,,,NR,,,,Acme,1000000,1e6,1e6,/km^2,,,{flag},"
+        with pytest.raises(SchemaError, match="line 2: column 'suspect'"):
+            ingest_table(text=HEADER + "\n" + row + "\n")
+
     def test_unknown_metric_rejected(self):
         bad = HEADER + "\nX,UrbanMacro_mMTC,uplink,frobnication,,,NR,,,,Acme,1,1,1.0,,,,0,\n"
         with pytest.raises(SchemaError):

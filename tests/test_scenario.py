@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imteval.errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
+from imteval.errors import (ConfigInvalid, ConfigSyntax, DomainError, UnknownPreset,
+                            UnknownRequirement)
 from imteval.link import LinkParams
 from imteval import scenario
 from imteval.traffic import TrafficKind
@@ -181,7 +182,10 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
             else:
                 raise ConfigInvalid(key, f"unknown key in [{section}]")
         if array_updates:
-            updates[attr] = replace(getattr(base, attr), **array_updates)
+            try:
+                updates[attr] = replace(getattr(base, attr), **array_updates)
+            except DomainError as exc:
+                raise ConfigInvalid(f"{section}.{exc.field}", str(exc)) from exc
 
     if parser.has_section("traffic"):
         traffic_updates = {}
@@ -368,6 +372,12 @@ class TestValidation:
         ("link", "bler_floor", "1.5", "bler_floor"),
         ("link", "harq_max_transmissions", "0", "max_transmissions"),
         ("link", "harq_tx_time_s", "0", "per_transmission_time_s"),
+        ("antenna.bs", "m", "0", "array count m"),
+        ("antenna.bs", "p", "3", "polarization count"),
+        ("antenna.bs", "mp", "9", "port grid"),
+        ("antenna.ue", "np", "3", "port grid"),
+        ("antenna.ue", "element_spacing_h", "-inf", "element spacings"),
+        ("antenna.bs", "element_spacing_v", "0", "element spacings"),
     ])
     def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):
         c = preset(TestEnvironment.RURAL_EMBB, "A")
