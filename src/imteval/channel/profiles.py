@@ -66,13 +66,17 @@ class ConditionParams:
     nlos_exp: float = 0.0
     nlos_offset_db: float = 0.0
     corr: np.ndarray = field(default_factory=lambda: np.eye(7))
+    # lower Cholesky factor of corr, computed once when the params are built
+    chol: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def cholesky(self) -> np.ndarray:
+    def __post_init__(self):
         eig = np.linalg.eigvalsh(self.corr)
         if eig.min() < -1e-9:
             raise ConfigInvalid("corr", f"correlation matrix not PSD (min eig {eig.min():.2e})")
         # tiny jitter keeps Cholesky defined at the PSD boundary
-        return np.linalg.cholesky(self.corr + 1e-10 * np.eye(7))
+        chol = np.linalg.cholesky(self.corr + 1e-10 * np.eye(7))
+        chol.flags.writeable = False
+        object.__setattr__(self, "chol", chol)
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,6 @@ def _parse_condition(items: dict, section: str) -> ConditionParams:
     params = ConditionParams(**kwargs)
     if params.n_clusters not in C_PHI or params.n_clusters not in C_THETA:
         raise ConfigInvalid("n_clusters", f"{params.n_clusters} has no ray-mapping constant")
-    params.cholesky()  # validates PSD at load time
     return params
 
 

@@ -67,8 +67,7 @@ class LargeScaleParams:
 def gen_lsp(params: ConditionParams, los: bool, rng: np.random.Generator) -> LargeScaleParams:
     """Correlated LSP draw: Cholesky-colored Gaussian scores mapped to
     log-normal spreads, normal shadow fading and (LOS only) Ricean K."""
-    chol = params.cholesky()
-    z = chol @ rng.standard_normal(7)  # order: sf, k, ds, asd, asa, zsd, zsa
+    z = params.chol @ rng.standard_normal(7)  # order: sf, k, ds, asd, asa, zsd, zsa
     sf = params.sf_sigma_db * z[0]
     k = params.k_mu_db + params.k_sigma_db * z[1] if los else None
     ds = 10.0 ** (params.lg_ds_mu + params.lg_ds_sigma * z[2])

@@ -10,6 +10,7 @@ drop-index order.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -217,7 +218,7 @@ class DropResult:
     dl_bits: np.ndarray | None = None  # per-UE correctly received bits over duration
     ul_bits: np.ndarray | None = None
     n_mux_ul: float = 0.0
-    b_values_ul: np.ndarray | None = None
+    b_values_ul: np.ndarray | None = None  # B_i of the UEs with ul_bits > 0, in id order
 
 
 def _uplink_interferers(by_cell: np.ndarray, cell_sizes: np.ndarray,
@@ -358,11 +359,8 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     result.ul_bits = ul_bits
     result.n_mux_ul = float(np.mean(mux_samples)) if len(mux_samples) else 0.0
     if is_mmtc_style:
-        served = ul_bits > 0
-        b_vals = np.full(n_ue, np.nan)
-        b_vals[served] = metrics.b_value(config.duration_t, ul_bits[served],
-                                         config.traffic.w_user_hz)
-        result.b_values_ul = b_vals
+        result.b_values_ul = metrics.b_value(config.duration_t, ul_bits[ul_bits > 0],
+                                             config.traffic.w_user_hz)
     return result
 
 
@@ -452,6 +450,25 @@ def _drop_worker(drop_index):
     return run_drop(config, layout, drop_index, sinr_only, _WORKER_STATE["work"])
 
 
+def _drops(config: EvaluationConfig, layout: NetworkLayout, indices: range,
+           sinr_only: bool, workers: int = 1):
+    """``run_drop`` of each index, yielded in index order: through one
+    ``DropWork`` with one worker, else from a pool whose workers keep one
+    each. Closing the generator early shuts the pool down."""
+    if workers <= 1:
+        work = DropWork()
+        for d in indices:
+            yield run_drop(config, layout, d, sinr_only, work)
+        return
+    chunk = max(1, min(64, len(indices) // (workers * 4)))
+    with multiprocessing.Pool(processes=workers, initializer=_worker_init,
+                              initargs=(config, layout, sinr_only)) as pool:
+        yield from pool.imap(_drop_worker, indices, chunksize=chunk)
+
+
+_PREFIX = {DOWNLINK: "dl", UPLINK: "ul"}
+
+
 def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
         early_stop: bool = False, convergence_window: int = 50,
         convergence_tol: float = 1e-4, calibrate: bool = True) -> RunResult:
@@ -459,85 +476,47 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     environment. Results are identical for any worker count."""
     layout = build_layout(config)
     warnings = []
-    achieved_iot = math.nan
     if calibrate:
-        config, achieved_iot, warnings = calibrate_ul_power(config, layout)
+        config, _, warnings = calibrate_ul_power(config, layout)
 
-    cdfs = {
-        "dl_sinr_db": metrics.CdfEstimator(),
-        "ul_sinr_db": metrics.CdfEstimator(),
-    }
-    if not sinr_only:
-        cdfs.update({
-            "dl_user_se": metrics.CdfEstimator(),
-            "ul_user_se": metrics.CdfEstimator(),
-            "dl_user_tput_bps": metrics.CdfEstimator(),
-            "ul_user_tput_bps": metrics.CdfEstimator(),
-        })
-
+    names = ("sinr_db",) if sinr_only else ("sinr_db", "user_se", "user_tput_bps")
+    cdfs = {f"{prefix}_{name}": metrics.CdfEstimator()
+            for name in names for prefix in _PREFIX.values()}
     monitor = metrics.ConvergenceMonitor(window=convergence_window, tol=convergence_tol,
                                          max_drops=config.drops)
     per_drop_mean = []
     iot_values = []
-    dl_bits_per_drop = []
-    ul_bits_per_drop = []
+    bits_per_drop = {DOWNLINK: [], UPLINK: []}
     n_mux_values = []
     b_pool = []
-    status = "completed"
-    executed = 0
-
-    def fold(drop: DropResult):
-        nonlocal status, executed
-        executed += 1
-        cdfs["dl_sinr_db"].add(drop.dl_sinr_db)
-        cdfs["ul_sinr_db"].add(drop.ul_sinr_db)
-        mean_ul = float(np.mean(drop.ul_sinr_db))
-        per_drop_mean.append(mean_ul)
-        iot_values.append(drop.mean_iot_db)
-        if drop.dl_bits is not None:
-            dl_bits_per_drop.append(float(drop.dl_bits.sum()))
-            ul_bits_per_drop.append(float(drop.ul_bits.sum()))
-            norm_dl = drop.dl_bits / (config.duration_t * config.bandwidth)
-            norm_ul = drop.ul_bits / (config.duration_t * config.bandwidth)
-            cdfs["dl_user_se"].add(norm_dl)
-            cdfs["ul_user_se"].add(norm_ul)
-            cdfs["dl_user_tput_bps"].add(drop.dl_bits / config.duration_t)
-            cdfs["ul_user_tput_bps"].add(drop.ul_bits / config.duration_t)
+    status = "capped"
+    with contextlib.closing(_drops(config, layout, range(config.drops), sinr_only,
+                                   workers)) as drops:
+        for drop in drops:
+            mean_ul = float(np.mean(drop.ul_sinr_db))
+            per_drop_mean.append(mean_ul)
+            iot_values.append(drop.mean_iot_db)
+            for direction, prefix in _PREFIX.items():
+                cdfs[f"{prefix}_sinr_db"].add(getattr(drop, f"{prefix}_sinr_db"))
+                bits = getattr(drop, f"{prefix}_bits")
+                if bits is not None:
+                    bits_per_drop[direction].append(float(bits.sum()))
+                    cdfs[f"{prefix}_user_se"].add(bits / (config.duration_t * config.bandwidth))
+                    cdfs[f"{prefix}_user_tput_bps"].add(bits / config.duration_t)
             n_mux_values.append(drop.n_mux_ul)
             if drop.b_values_ul is not None:
-                b_pool.append(drop.b_values_ul[~np.isnan(drop.b_values_ul)])
-        verdict = metrics.converged(monitor, mean_ul)
-        if verdict == metrics.CAPPED:
-            status = "capped"
-            return False
-        if early_stop and verdict == metrics.CONVERGED:
-            status = "converged"
-            return False
-        return True
-
-    drop_indices = range(config.drops)
-    if workers <= 1:
-        work = DropWork()
-        for d in drop_indices:
-            if not fold(run_drop(config, layout, d, sinr_only, work)):
+                b_pool.append(drop.b_values_ul)
+            if early_stop and metrics.converged(monitor, mean_ul) == metrics.CONVERGED:
+                status = "converged"
                 break
-    else:
-        chunk = max(1, min(64, config.drops // (workers * 4)))
-        with multiprocessing.Pool(processes=workers, initializer=_worker_init,
-                                  initargs=(config, layout, sinr_only)) as pool:
-            for drop in pool.imap(_drop_worker, drop_indices, chunksize=chunk):
-                if not fold(drop):
-                    break
-
-    kpis = _assemble_kpis(config, layout.n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
-                          n_mux_values, b_pool, sinr_only)
 
     return RunResult(
         config=config,
         layout=layout,
-        drops_executed=executed,
+        drops_executed=len(per_drop_mean),
         convergence_status=status,
-        kpis=kpis,
+        kpis=_assemble_kpis(config, layout.n_trxps, cdfs, bits_per_drop, n_mux_values,
+                            b_pool, sinr_only),
         cdfs=cdfs,
         per_drop_mean_ul_sinr=np.array(per_drop_mean),
         mean_iot_db=float(np.mean(iot_values)) if iot_values else math.nan,
@@ -545,35 +524,32 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     )
 
 
-def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
-                   n_mux_values, b_pool, sinr_only):
+def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, sinr_only):
     kpis = []
     env = config.environment
     lk = config.link
 
     # reliability needs only the SINR CDFs, so it survives sinr_only mode
     if env is TestEnvironment.URBAN_MACRO_URLLC:
-        for direction in (DOWNLINK, UPLINK):
-            prob = metrics.reliability(
-                cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_sinr_db"],
-                lk.bler_model(), lk.harq(), extra_backoff_db=lk.csi_backoff_db)
+        for direction, prefix in _PREFIX.items():
+            prob = metrics.reliability(cdfs[f"{prefix}_sinr_db"], lk.bler_model(), lk.harq(),
+                                       extra_backoff_db=lk.csi_backoff_db)
             kpis.append(KpiValue("reliability", direction, prob, "probability"))
     if sinr_only:
         return kpis
 
-    if env in EMBB_ENVIRONMENTS and dl_bits_per_drop:
-        for direction, bits_per_drop in ((DOWNLINK, dl_bits_per_drop), (UPLINK, ul_bits_per_drop)):
+    if env in EMBB_ENVIRONMENTS and bits_per_drop[DOWNLINK]:
+        for direction, prefix in _PREFIX.items():
             se_in = metrics.SeInputs(
-                bits_per_drop_user=[[b] for b in bits_per_drop],
+                bits_per_drop_user=[[b] for b in bits_per_drop[direction]],
                 duration_s=config.duration_t,
                 bandwidth_hz=config.bandwidth,
                 n_trxps=n_trxps,
             )
             kpis.append(KpiValue("avg_se", direction, metrics.avg_spectral_efficiency(se_in),
                                  "bit/s/Hz/TRxP"))
-            se_cdf = cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_user_se"]
-            kpis.append(KpiValue("pct5_se", direction,
-                                 metrics.pct5_user_se(se_cdf.samples), "bit/s/Hz"))
+            se = cdfs[f"{prefix}_user_se"].samples
+            kpis.append(KpiValue("pct5_se", direction, metrics.pct5_user_se(se), "bit/s/Hz"))
         # normalized traffic-channel rate at the speeds the requirement table names
         for speed in [r.speed_kmh for r in builtin_requirements().rows
                       if r.environment is env and r.metric == "mobility_rate"]:
@@ -582,19 +558,14 @@ def _assemble_kpis(config, n_trxps, cdfs, dl_bits_per_drop, ul_bits_per_drop,
                 lk.abstraction(UPLINK), extra_backoff_db=lk.csi_backoff_db)
             kpis.append(KpiValue("mobility_rate", UPLINK, rate, "bit/s/Hz", speed_kmh=speed))
         if env is TestEnvironment.DENSE_URBAN_EMBB:
-            for direction in (DOWNLINK, UPLINK):
-                tput_cdf = cdfs[f"{'dl' if direction == DOWNLINK else 'ul'}_user_tput_bps"]
-                kpis.append(KpiValue("ued_rate", direction,
-                                     metrics.pct5_user_se(tput_cdf.samples), "bit/s"))
+            for direction, prefix in _PREFIX.items():
+                tput = cdfs[f"{prefix}_user_tput_bps"].samples
+                kpis.append(KpiValue("ued_rate", direction, metrics.pct5_user_se(tput), "bit/s"))
 
-    if env is TestEnvironment.URBAN_MACRO_MMTC and n_mux_values and b_pool:
-        all_b = np.concatenate(b_pool)
-        cd_in = metrics.CdInputs(
-            n_mux=float(np.mean(n_mux_values)),
-            bandwidth_hz=config.traffic.eval_bandwidth_hz,
-            b_values=all_b,
-            isd_m=config.isd,
-        )
+    if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool:
+        cd_in = metrics.CdInputs(n_mux=float(np.mean(n_mux_values)),
+                                 bandwidth_hz=config.traffic.eval_bandwidth_hz,
+                                 b_values=np.concatenate(b_pool), isd_m=config.isd)
         kpis.append(KpiValue("connection_density", UPLINK,
                              metrics.connection_density_fullbuffer(cd_in), "/km^2",
                              note="full-buffer multiplexing route"))
@@ -616,12 +587,11 @@ class MessageLinks:
 
 
 def message_links(config: EvaluationConfig, layout: NetworkLayout,
-                  drop_index: int, work: DropWork | None = None) -> MessageLinks:
-    """Run drop ``drop_index`` SINR-only (with ``work``'s planes) and map each
-    UE's uplink SINR to its message service (saturated-neighbor
-    interference: the drop's per-victim level)."""
+                  probe: DropResult) -> MessageLinks:
+    """Map each UE's uplink SINR in the SINR-only drop ``probe`` to its
+    message service (saturated-neighbor interference: the drop's
+    per-victim level)."""
     spec, lk = config.traffic, config.link
-    probe = run_drop(config, layout, drop_index, sinr_only=True, work=work)
     sinr = probe.ul_sinr_db - lk.csi_backoff_db
     se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
     # undecodable messages still occupy the channel at the slowest rate for
@@ -633,12 +603,11 @@ def message_links(config: EvaluationConfig, layout: NetworkLayout,
     return MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
 
 
-def _search_links(config: EvaluationConfig, layout: NetworkLayout,
-                  n_drops: int) -> list:
-    """``message_links`` of drops 0 .. n_drops - 1 through one ``DropWork``,
-    which is freed before any probe runs."""
-    work = DropWork()
-    return [message_links(config, layout, d, work) for d in range(n_drops)]
+def _search_links(config: EvaluationConfig, layout: NetworkLayout, n_drops: int) -> list:
+    """``message_links`` of SINR-only drops 0 .. n_drops - 1; their
+    ``DropWork`` is freed before any probe runs."""
+    return [message_links(config, layout, probe)
+            for probe in _drops(config, layout, range(n_drops), sinr_only=True)]
 
 
 def _queue_capacity(mean_messages: float) -> int:

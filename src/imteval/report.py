@@ -97,6 +97,12 @@ def _records(text: str, header: list):
         yield lineno, dict(zip(header, cells))
 
 
+def _check_direction(text: str, line: int) -> None:
+    if text not in ("", DOWNLINK, UPLINK):
+        raise SchemaError(f"line {line}: column 'direction' is not blank, '{DOWNLINK}' or "
+                          f"'{UPLINK}': '{text}'")
+
+
 def _opt_float(text: str, line: int, column: str):
     if text == "":
         return None
@@ -119,6 +125,7 @@ def ingest_table(path=None, text: str | None = None, source: str = "") -> Extern
     for lineno, rec in _records(text, _EXPECTED_HEADER):
         if rec["metric"] not in _KNOWN_METRICS:
             raise SchemaError(f"line {lineno}: unknown metric '{rec['metric']}'")
+        _check_direction(rec["direction"], lineno)
         for column in ("value", "speed_kmh", "requirement", "bandwidth_khz"):
             rec[column] = _opt_float(rec[column], lineno, column)
         if rec["value"] is not None and rec["value"] < 0:
@@ -170,9 +177,7 @@ def load_requirements_csv(path=None, text: str | None = None) -> RequirementSet:
     for lineno, rec in _records(text, _REQ_HEADER):
         if rec["metric"] not in known_metrics:
             raise SchemaError(f"line {lineno}: unknown metric '{rec['metric']}'")
-        if rec["direction"] not in ("", DOWNLINK, UPLINK):
-            raise SchemaError(f"line {lineno}: direction '{rec['direction']}' is not "
-                              f"blank, '{DOWNLINK}' or '{UPLINK}'")
+        _check_direction(rec["direction"], lineno)
         rec["value"] = _opt_float(rec["value"], lineno, "value")
         if rec["value"] is None:
             raise SchemaError(f"line {lineno}: column 'value' is blank")
@@ -295,6 +300,7 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
             raise SchemaError(f"row for evaluator {r.evaluator}: unmappable metric '{r.metric}'")
         requirement = r.requirement
         source = r.table
+        unmatched = ""
         if requirement is None and r.metric != "snr_margin":
             try:
                 env = TestEnvironment.parse(r.environment)
@@ -302,8 +308,8 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
                 builtin = reqs.lookup(env, r.direction or None, r.metric, r.speed_kmh)
                 requirement = builtin.value / scale
                 source = builtin.source_table
-            except UnknownRequirement:
-                requirement = None
+            except UnknownRequirement as exc:
+                unmatched = str(exc)
         if r.metric == "snr_margin" and requirement is None:
             requirement = 0.0  # a margin is met when it is non-negative
         if r.value is None:
@@ -316,6 +322,8 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
             continue
         passed = None if requirement is None else meets(r.value, requirement)
         foot = r.note
+        if unmatched:
+            foot = (foot + "; " if foot else "") + unmatched
         if r.suspect:
             foot = (foot + "; " if foot else "") + "suspect source entry"
         if r.qualifier:

@@ -507,6 +507,8 @@ class RequirementSet:
 
     def lookup(self, environment: TestEnvironment, direction: str | None, metric: str,
                speed_kmh: float | None = None) -> Requirement:
+        """The one row for this KPI; a None direction or speed matches any.
+        Raises UnknownRequirement when no row or more than one matches."""
         matches = [
             r for r in self.rows
             if r.environment == environment
@@ -518,15 +520,13 @@ class RequirementSet:
             exact = [r for r in matches if r.speed_kmh is not None]
             if exact:
                 matches = exact
+        key = f"({environment.value}, {direction}, {metric}, speed={speed_kmh})"
         if not matches:
+            raise UnknownRequirement(f"no requirement row for {key}")
+        if len(matches) > 1:
             raise UnknownRequirement(
-                f"no requirement row for ({environment.value}, {direction}, {metric}, speed={speed_kmh})"
-            )
-        if len(matches) > 1 and metric == "mobility_rate" and speed_kmh is None:
-            raise UnknownRequirement(
-                f"mobility requirement for {environment.value} needs a speed: "
-                f"{sorted(r.speed_kmh for r in matches)}"
-            )
+                f"{len(matches)} requirement rows match {key}: "
+                + ", ".join(f"({r.direction}, speed={r.speed_kmh})" for r in matches))
         return matches[0]
 
 

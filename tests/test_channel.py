@@ -115,7 +115,31 @@ class TestPathloss:
         assert high == pytest.approx(base + profile.pen_high_db)
 
 
+def gen_lsp_reference(params, los, rng):
+    """Oracle for gen_lsp: factors the correlation matrix on every draw."""
+    chol = np.linalg.cholesky(params.corr + 1e-10 * np.eye(7))
+    z = chol @ rng.standard_normal(7)
+    k = params.k_mu_db + params.k_sigma_db * z[1] if los else None
+    ds = 10.0 ** (params.lg_ds_mu + params.lg_ds_sigma * z[2])
+    asd = min(10.0 ** (params.lg_asd_mu + params.lg_asd_sigma * z[3]), 104.0)
+    asa = min(10.0 ** (params.lg_asa_mu + params.lg_asa_sigma * z[4]), 104.0)
+    zsd = min(10.0 ** (params.lg_zsd_mu + params.lg_zsd_sigma * z[5]), 52.0)
+    zsa = min(10.0 ** (params.lg_zsa_mu + params.lg_zsa_sigma * z[6]), 52.0)
+    return smallscale.LargeScaleParams(ds, asd, asa, zsd, zsa, params.sf_sigma_db * z[0], k)
+
+
 class TestLargeScaleParams:
+    @pytest.mark.parametrize("name", ["UMa_A", "RMa", "InH"])
+    def test_stored_factor_draws_match_per_call_factor(self, name):
+        profile = get_profile(name)
+        for los in (True, False):
+            params = profile.condition_params(los)
+            assert not params.chol.flags.writeable
+            rng, ref_rng = derive_stream(21, 0, name), derive_stream(21, 0, name)
+            for _ in range(1_000):
+                assert gen_lsp(params, los, rng) == gen_lsp_reference(params, los, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_zero_sigma_gives_means_exactly(self):
         params = get_profile("UMa_A").los
         degenerate = replace(

@@ -3,6 +3,7 @@ calibration and parallel-merge identity."""
 
 import dataclasses
 import math
+import multiprocessing
 import tracemalloc
 from itertools import repeat
 
@@ -353,6 +354,40 @@ class TestRun:
         # early stop never changes already-computed drop results
         assert np.array_equal(stopped.per_drop_mean_ul_sinr, full.per_drop_mean_ul_sinr[:n])
 
+    def test_early_stop_with_a_pool_equals_serial(self):
+        cfg = small(MMTC_A, drops=40)
+        kw = dict(early_stop=True, convergence_window=5, convergence_tol=0.05)
+        serial = run(cfg, **kw)
+        pooled = run(cfg, workers=2, **kw)
+        # the pool is shut down as soon as the loop stops, not left running
+        assert multiprocessing.active_children() == []
+        assert serial.convergence_status == pooled.convergence_status == "converged"
+        assert serial.drops_executed == pooled.drops_executed < cfg.drops
+        assert np.array_equal(serial.per_drop_mean_ul_sinr, pooled.per_drop_mean_ul_sinr)
+        assert serial.kpis == pooled.kpis
+        assert serial.kpi("connection_density", UPLINK).value > 0
+        assert serial.cdfs.keys() == pooled.cdfs.keys() == {
+            f"{prefix}_{name}" for prefix in ("dl", "ul")
+            for name in ("sinr_db", "user_se", "user_tput_bps")}
+        for name, cdf in serial.cdfs.items():
+            assert np.array_equal(cdf.samples, pooled.cdfs[name].samples), name
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_run_to_the_last_drop_is_capped(self, early_stop):
+        cfg = small(MMTC_A, drops=3)
+        result = run(cfg, sinr_only=True, early_stop=early_stop, calibrate=False)
+        assert result.drops_executed == 3
+        assert result.convergence_status == "capped"
+
+    def test_mmtc_b_values_are_those_of_the_served_ues(self):
+        cfg = small(MMTC_A, drops=1)
+        drop = run_drop(cfg, build_layout(cfg), 0)
+        served = drop.ul_bits[drop.ul_bits > 0]
+        assert 0 < len(served) < len(drop.ul_bits)
+        assert not np.isnan(drop.b_values_ul).any()
+        assert np.array_equal(drop.b_values_ul,
+                              metrics.b_value(cfg.duration_t, served, cfg.traffic.w_user_hz))
+
 
 def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
                                  horizon_s=20.0, record_sink=None):
@@ -406,7 +441,32 @@ def mmtc_calibrated():
     return calibrate_ul_power(cfg, layout)[0], layout
 
 
+def message_links_reference(config, layout, drop_index):
+    """Oracle for message_links: runs drop ``drop_index`` SINR-only itself."""
+    spec, lk = config.traffic, config.link
+    probe = run_drop(config, layout, drop_index, sinr_only=True)
+    sinr = probe.ul_sinr_db - lk.csi_backoff_db
+    se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+    tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, engine._SE_CHANNEL_FLOOR) / spec.w_user_hz
+    p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+    by_cell = np.argsort(probe.serving, kind="stable")
+    bounds = np.cumsum(np.bincount(probe.serving, minlength=layout.n_trxps))[:-1]
+    return engine.MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
+
+
 class TestDensityRoute:
+    @pytest.mark.parametrize("drop_index", [0, 3])
+    def test_message_links_of_a_sinr_only_drop(self, mmtc_calibrated, drop_index):
+        cal, layout = mmtc_calibrated
+        links = engine.message_links(cal, layout,
+                                     run_drop(cal, layout, drop_index, sinr_only=True))
+        ref = message_links_reference(cal, layout, drop_index)
+        assert len(links.members) == len(ref.members) == layout.n_trxps
+        for got, want in zip(links.members, ref.members):
+            assert np.array_equal(got, want)
+        for name in ("se", "tx_time", "p_success"):
+            assert np.array_equal(getattr(links, name), getattr(ref, name)), name
+
     @pytest.mark.parametrize("seed, density, n_drops, calibrated", [
         (20200101, 2e5, 1, True),
         (7, 4e6, 2, True),

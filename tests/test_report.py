@@ -109,6 +109,13 @@ class TestIngest:
         with pytest.raises(SchemaError, match="line 2: column 'suspect'"):
             ingest_table(text=HEADER + "\n" + row + "\n")
 
+    # a misspelled direction used to match no requirement row, leaving the row undecided
+    @pytest.mark.parametrize("direction", ["DL", "Uplink", "up", " downlink"])
+    def test_direction_other_than_blank_downlink_or_uplink_rejected(self, direction):
+        row = f"II,Rural_eMBB,{direction},avg_se,,,NR,,,,Acme,,2.0,2.0,bit/s/Hz/TRxP,,,0,"
+        with pytest.raises(SchemaError, match="line 2: column 'direction'"):
+            ingest_table(text=HEADER + "\n" + row + "\n")
+
     def test_unknown_metric_rejected(self):
         bad = HEADER + "\nX,UrbanMacro_mMTC,uplink,frobnication,,,NR,,,,Acme,1,1,1.0,,,,0,\n"
         with pytest.raises(SchemaError):
@@ -184,11 +191,31 @@ class TestComplianceExternal:
         with pytest.raises(ValueError, match="corrupt requirement row"):
             check_compliance(table, _failing_requirements())
 
+    def test_blank_direction_is_not_judged_against_the_downlink_row(self):
+        # Rural eMBB avg_se needs 3.3 downlink and 1.6 uplink: 2.0 with no
+        # direction matches both rows, so it stays undecided and says why
+        text = HEADER + "\nII,Rural_eMBB,,avg_se,,,NR,,,,Acme,,2.0,2.0,bit/s/Hz/TRxP,,,0,\n"
+        row = check_compliance(ingest_table(text=text)).rows[0]
+        assert row.passed is None and row.requirement is None
+        assert "2 requirement rows match (Rural_eMBB, None, avg_se" in row.footnotes
+
     def test_report_is_pure_function(self):
         table = load_fixture("mobility.csv")
         a = check_compliance(table).to_csv_text()
         b = check_compliance(table).to_csv_text()
         assert a == b
+
+
+class TestLookup:
+    def test_more_than_one_matching_row_is_unknown(self):
+        reqs = builtin_requirements()
+        with pytest.raises(UnknownRequirement, match="2 requirement rows match"):
+            reqs.lookup(TestEnvironment.RURAL_EMBB, None, "avg_se")
+        row = reqs.lookup(TestEnvironment.RURAL_EMBB, UPLINK, "avg_se")
+        assert row.value == 1.6
+        duplicated = RequirementSet(reqs.rows + (row,))
+        with pytest.raises(UnknownRequirement, match="2 requirement rows match"):
+            duplicated.lookup(TestEnvironment.RURAL_EMBB, UPLINK, "avg_se")
 
 
 class TestJudge:
