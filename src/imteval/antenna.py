@@ -77,9 +77,9 @@ class ArrayConfig:
 
     m x n elements per panel and polarization, p polarizations, mg x ng
     panels, and mp x np ports per panel per polarization. Spacings are in
-    wavelengths. ``bearing_deg`` rotates the boresight in azimuth;
-    ``downtilt_deg`` is the mechanical/electrical tilt used by the TXRU
-    weights.
+    wavelengths. ``downtilt_deg`` is the mechanical/electrical tilt used by
+    the TXRU weights. ``bearing_deg`` is carried in the config text only:
+    nothing reads it, as sector boresights come from the layout.
     """
 
     m: int = 1
@@ -115,34 +115,26 @@ class ArrayConfig:
     def n_ports(self) -> int:
         return self.mp * self.np * self.p * self.mg * self.ng
 
+    def element_index(self) -> np.ndarray:
+        """(5, n_elements) panel row, panel column, row, column and polarization
+        of each element, in the one order every per-element quantity follows:
+        panels row-major (mg, ng), then elements row-major (m, n), polarization
+        fastest."""
+        return np.indices((self.mg, self.ng, self.m, self.n, self.p)).reshape(5, -1)
+
     def element_positions_wl(self) -> np.ndarray:
         """(n_elements, 3) element positions in wavelengths, boresight +x.
-
-        Ordering: panels row-major (mg, ng), then elements row-major (m, n),
-        polarization fastest. Co-polarized pairs are co-located.
-        """
-        dv, dh = self.element_spacing_v, self.element_spacing_h
-        pos = np.zeros((self.n_elements, 3))
-        idx = 0
-        for g_v in range(self.mg):
-            for g_h in range(self.ng):
-                for row in range(self.m):
-                    for col in range(self.n):
-                        y = (g_h * self.n + col) * dh
-                        z = (g_v * self.m + row) * dv
-                        for _ in range(self.p):
-                            pos[idx, 1] = y
-                            pos[idx, 2] = z
-                            idx += 1
-        return pos
+        Co-polarized pairs are co-located."""
+        g_v, g_h, row, col, _ = self.element_index()
+        return np.column_stack([np.zeros(self.n_elements),
+                                (g_h * self.n + col) * self.element_spacing_h,
+                                (g_v * self.m + row) * self.element_spacing_v])
 
     def polarization_slants_deg(self) -> np.ndarray:
         """Per-element polarization slant angle: 0 for p=1, +/-45 for p=2."""
-        slants = np.zeros(self.n_elements)
-        if self.p == 2:
-            slants[0::2] = 45.0
-            slants[1::2] = -45.0
-        return slants
+        if self.p == 1:
+            return np.zeros(self.n_elements)
+        return np.where(self.element_index()[4] == 0, 45.0, -45.0)
 
 
 def array_response(config: ArrayConfig, azimuth_deg, zenith_deg) -> np.ndarray:
@@ -217,27 +209,15 @@ def txru_weights(config: ArrayConfig) -> np.ndarray:
         )
     rows_per_port = config.m // config.mp
     cols_per_port = config.n // config.np
-    k = rows_per_port * cols_per_port
-    w = np.zeros((config.n_elements, config.n_ports), dtype=complex)
-
-    tilt = np.radians(config.downtilt_deg)
-    dv = config.element_spacing_v
     # progressive phase down the rows of the subarray
-    sub_phase = np.exp(-1j * 2.0 * np.pi * dv * np.arange(rows_per_port) * np.sin(tilt))
-
-    elems_per_panel = config.m * config.n * config.p
-    ports_per_panel = config.mp * config.np * config.p
-    for panel in range(config.mg * config.ng):
-        for pm in range(config.mp):
-            for pn in range(config.np):
-                for pol in range(config.p):
-                    port = panel * ports_per_panel + (pm * config.np + pn) * config.p + pol
-                    for r in range(rows_per_port):
-                        row = pm * rows_per_port + r
-                        for c in range(cols_per_port):
-                            col = pn * cols_per_port + c
-                            elem = panel * elems_per_panel + (row * config.n + col) * config.p + pol
-                            w[elem, port] = sub_phase[r] / np.sqrt(k)
+    sub_phase = np.exp(-1j * 2.0 * np.pi * config.element_spacing_v * np.arange(rows_per_port)
+                       * np.sin(np.radians(config.downtilt_deg)))
+    g_v, g_h, row, col, pol = config.element_index()
+    port = ((g_v * config.ng + g_h) * config.mp * config.np
+            + (row // rows_per_port) * config.np + col // cols_per_port) * config.p + pol
+    w = np.zeros((config.n_elements, config.n_ports), dtype=complex)
+    w[np.arange(config.n_elements), port] = \
+        sub_phase[row % rows_per_port] / np.sqrt(rows_per_port * cols_per_port)
     return w
 
 

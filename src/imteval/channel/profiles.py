@@ -1,9 +1,9 @@
 """Channel profile data: per-environment large-scale tables, cluster
 structure constants and pathloss exponents, loaded from profiles.ini.
 
-Profiles are plain data so the generator stays auditable; the shipped file
-can be replaced via ``load_profiles(path)``, and ``profile_to_text`` writes a
-profile back in the same format.
+Profiles are plain data so the generator stays auditable. Runs always read
+the shipped file: ``load_profiles(path)`` parses another, but nothing feeds it
+to a run. ``profile_to_text`` writes a profile back in the same format.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ class DropResult:
     mean_iot_db: float
     ue_positions: np.ndarray  # (n_ue, 3)
     ue_indoor: np.ndarray
-    dl_bits: np.ndarray | None = None  # per-UE correctly received bits over duration
+    dl_bits: np.ndarray | None = None  # per-UE bits received over duration; eMBB only
     ul_bits: np.ndarray | None = None
     n_mux_ul: float = 0.0
     b_values_ul: np.ndarray | None = None  # B_i of the UEs with ul_bits > 0, in id order
@@ -283,17 +283,14 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     cell_sizes = np.bincount(serving, minlength=n_t)
     pick = _uplink_interferers(by_cell, cell_sizes, rng_sched)
     active = pick >= 0
-    if active.any():
-        # received power of every cell's active UE at every TRxP: (n_active, n_t)
-        act_idx = pick[active]
-        own_cell = np.flatnonzero(active)
-        act_rx_mw = db_to_lin(p_ue[act_idx, None] - budget.coupling_db[act_idx, :])
-        total = act_rx_mw.sum(axis=0)
-        own_contrib = np.zeros(n_t)
-        own_contrib[own_cell] = act_rx_mw[np.arange(len(own_cell)), own_cell]
-        interf_at = total - own_contrib
-    else:
-        interf_at = np.zeros(n_t)
+    # received power of every cell's active UE at every TRxP: (n_active, n_t)
+    act_idx = pick[active]
+    own_cell = np.flatnonzero(active)
+    act_rx_mw = db_to_lin(p_ue[act_idx, None] - budget.coupling_db[act_idx, :])
+    total = act_rx_mw.sum(axis=0)
+    own_contrib = np.zeros(n_t)
+    own_contrib[own_cell] = act_rx_mw[np.arange(len(own_cell)), own_cell]
+    interf_at = total - own_contrib
 
     ul_serving_mw = db_to_lin(p_ue - cl_serving) * ul_branches
     ul_interf_mw = interf_at[serving]
@@ -325,8 +322,6 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     backoff = lk.csi_backoff_db
     n_intervals = max(1, int(round(config.duration_t / 1e-3)))
     dt = config.duration_t / n_intervals
-    rates_dl = np.asarray(sinr_to_se(lk.abstraction(DOWNLINK), result.dl_sinr_db - backoff)) \
-        * config.bandwidth
     rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
         * ul_user_bw
     ul_resources = int(config.traffic.eval_bandwidth_hz // config.traffic.w_user_hz) \
@@ -344,18 +339,19 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     row_rates[n_dl_rows + cell_row, slot] = rates_ul[by_cell]
     resources = np.full(n_dl_rows + n_cells, ul_resources)
     if n_dl_rows:
+        rates_dl = np.asarray(sinr_to_se(lk.abstraction(DOWNLINK),
+                                         result.dl_sinr_db - backoff)) * config.bandwidth
         row_rates[cell_row, slot] = rates_dl[by_cell]
         resources[:n_dl_rows] = lk.mu_layers_dl
     counts, mux = pf_run(row_rates, n_intervals, resources)
 
-    dl_bits = np.zeros(n_ue)
-    ul_bits = np.zeros(n_ue)
     if n_dl_rows:
-        dl_bits[by_cell] = counts[cell_row, slot] * dt * rates_dl[by_cell]
+        result.dl_bits = np.zeros(n_ue)
+        result.dl_bits[by_cell] = counts[cell_row, slot] * dt * rates_dl[by_cell]
+    ul_bits = np.zeros(n_ue)
     ul_bits[by_cell] = counts[n_dl_rows + cell_row, slot] * dt * rates_ul[by_cell]
     mux_samples = mux[n_dl_rows:]
 
-    result.dl_bits = dl_bits
     result.ul_bits = ul_bits
     result.n_mux_ul = float(np.mean(mux_samples)) if len(mux_samples) else 0.0
     if is_mmtc_style:
@@ -538,7 +534,7 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
     if sinr_only:
         return kpis
 
-    if env in EMBB_ENVIRONMENTS and bits_per_drop[DOWNLINK]:
+    if env in EMBB_ENVIRONMENTS:
         for direction, prefix in _PREFIX.items():
             se_in = metrics.SeInputs(
                 bits_per_drop_user=[[b] for b in bits_per_drop[direction]],

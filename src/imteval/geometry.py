@@ -132,7 +132,7 @@ def _drop_micros(sites: np.ndarray, isd: float, rng: np.random.Generator) -> np.
 
 
 def _try_micros_for_site(site, isd, r_max, sep, rng, batch: int = 256):
-    placed = []
+    placed = np.empty((0, 2))
     for boresight in SECTOR_BORESIGHTS_DEG:
         need = MICROS_PER_SECTOR
         for _ in range(40):  # batches per sector before declaring a dead end
@@ -142,13 +142,12 @@ def _try_micros_for_site(site, isd, r_max, sep, rng, batch: int = 256):
             az = np.degrees(np.arctan2(rel[:, 1], rel[:, 0])) % 360.0
             ok &= np.minimum((az - boresight) % 360.0, (boresight - az) % 360.0) <= 60.0
             ok &= np.linalg.norm(rel, axis=1) >= sep
-            for p in cand[ok]:
-                if placed and np.min(np.linalg.norm(np.array(placed) - p, axis=1)) < sep:
-                    continue
-                placed.append(p)
+            live = cand[ok]
+            live = live[(np.linalg.norm(live[:, None] - placed, axis=2) >= sep).all(axis=1)]
+            while need and len(live):
+                placed = np.vstack([placed, live[0]])
                 need -= 1
-                if need == 0:
-                    break
+                live = live[1:][np.linalg.norm(live[1:] - live[0], axis=1) >= sep]
             if need == 0:
                 break
         if need > 0:
@@ -294,24 +293,20 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     sites = layout.site_positions
     delta, dist = wrap_displacements(layout, pos, sites)
 
-    min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
-    if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-        micro = layout.site_is_micro
-        macro = ~micro
-        # the first round tests every UE, each later one only the rows it redrew
-        rows, tested = np.arange(n), dist
-        for _ in range(1000):
-            bad = tested[:, macro].min(axis=1) < min_macro
-            if micro.any():
-                bad |= tested[:, micro].min(axis=1) < MIN_UE_DISTANCE_MICRO_M
-            rows = rows[bad]
-            if not len(rows):
-                break
-            pos[rows] = _sample_positions(layout, len(rows), rng)
-            delta[rows], tested = wrap_displacements(layout, pos[rows], sites)
-            dist[rows] = tested
-        else:
-            raise DomainError("could not place UEs outside the exclusion radius")
+    radius = np.where(layout.site_is_micro, MIN_UE_DISTANCE_MICRO_M, MIN_UE_DISTANCE_MACRO_M)
+    if layout.layout_kind is LayoutKind.INDOOR_12:
+        radius[:] = 0.0
+    # the first round tests every UE, each later one only the rows it redrew
+    rows, tested = np.arange(n), dist
+    for _ in range(1000):
+        rows = rows[(tested < radius).any(axis=1)]
+        if not len(rows):
+            break
+        pos[rows] = _sample_positions(layout, len(rows), rng)
+        delta[rows], tested = wrap_displacements(layout, pos[rows], sites)
+        dist[rows] = tested
+    else:
+        raise DomainError("could not place UEs outside the exclusion radius")
 
     indoor = rng.uniform(size=n) < config.indoor_fraction
     high_loss = indoor & (rng.uniform(size=n) < config.high_loss_fraction)

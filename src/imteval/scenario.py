@@ -178,7 +178,6 @@ def _mmtc_preset(variant: str) -> EvaluationConfig:
         traffic=TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, pdu_size_bytes=32,
                                  rate_per_s=1.0 / 7200.0),
         antenna_bs=ArrayConfig(m=1, n=2, mp=1, np=2, downtilt_deg=10.0),
-        antenna_ue=ArrayConfig(),
     )
 
 
@@ -197,7 +196,6 @@ def _urllc_preset(variant: str) -> EvaluationConfig:
         indoor_fraction=0.2,  # 80% outdoor
         ue_speed_outdoor=30.0,
         high_loss_fraction=0.0,  # 100% low loss
-        traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=16, n=16, mp=4, np=4, downtilt_deg=10.0) if variant == "A"
         else ArrayConfig(m=8, n=8, mp=2, np=4, downtilt_deg=10.0),
         antenna_ue=ArrayConfig(m=1, n=2, mp=1, np=2),
@@ -218,7 +216,6 @@ def _indoor_preset(variant: str) -> EvaluationConfig:
         indoor_fraction=1.0,
         ue_speed_outdoor=3.0,
         high_loss_fraction=0.0,
-        traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=4, n=4, p=2, mp=4, np=4),
         antenna_ue=ArrayConfig(m=1, n=2, mp=1, np=2),
     )
@@ -238,7 +235,6 @@ def _dense_urban_preset(variant: str) -> EvaluationConfig:
         indoor_fraction=0.8,
         ue_speed_outdoor=30.0,
         high_loss_fraction=0.2,
-        traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=8, n=8, p=2, mp=2, np=8, downtilt_deg=10.0),
         antenna_ue=ArrayConfig(m=1, n=2, mp=1, np=2),
     )
@@ -258,7 +254,6 @@ def _rural_preset(variant: str) -> EvaluationConfig:
         indoor_fraction=0.5,
         ue_speed_outdoor=120.0,
         high_loss_fraction=0.2,
-        traffic=TrafficModelSpec(kind=TrafficKind.FULL_BUFFER),
         antenna_bs=ArrayConfig(m=8, n=4, p=2, mp=1, np=4, downtilt_deg=6.0),
         antenna_ue=ArrayConfig(m=1, n=2, mp=1, np=2),
     )

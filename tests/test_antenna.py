@@ -175,3 +175,96 @@ class TestTxruMapping:
         assert np.allclose(elems[2:], 0.0)
         with pytest.raises(MappingError):
             map_txru(cfg, np.ones(3, dtype=complex))
+
+
+# The per-element loops that ArrayConfig.element_index replaced, kept verbatim
+# as references for the element order: positions, slants and TXRU weights
+# must stay bitwise equal to them.
+def element_positions_wl_reference(self) -> np.ndarray:
+    dv, dh = self.element_spacing_v, self.element_spacing_h
+    pos = np.zeros((self.n_elements, 3))
+    idx = 0
+    for g_v in range(self.mg):
+        for g_h in range(self.ng):
+            for row in range(self.m):
+                for col in range(self.n):
+                    y = (g_h * self.n + col) * dh
+                    z = (g_v * self.m + row) * dv
+                    for _ in range(self.p):
+                        pos[idx, 1] = y
+                        pos[idx, 2] = z
+                        idx += 1
+    return pos
+
+
+def polarization_slants_deg_reference(self) -> np.ndarray:
+    slants = np.zeros(self.n_elements)
+    if self.p == 2:
+        slants[0::2] = 45.0
+        slants[1::2] = -45.0
+    return slants
+
+
+def txru_weights_reference(config: ArrayConfig) -> np.ndarray:
+    if config.m % config.mp != 0 or config.n % config.np != 0:
+        raise MappingError(
+            f"({config.mp}, {config.np}) ports do not divide ({config.m}, {config.n}) elements"
+        )
+    rows_per_port = config.m // config.mp
+    cols_per_port = config.n // config.np
+    k = rows_per_port * cols_per_port
+    w = np.zeros((config.n_elements, config.n_ports), dtype=complex)
+
+    tilt = np.radians(config.downtilt_deg)
+    dv = config.element_spacing_v
+    # progressive phase down the rows of the subarray
+    sub_phase = np.exp(-1j * 2.0 * np.pi * dv * np.arange(rows_per_port) * np.sin(tilt))
+
+    elems_per_panel = config.m * config.n * config.p
+    ports_per_panel = config.mp * config.np * config.p
+    for panel in range(config.mg * config.ng):
+        for pm in range(config.mp):
+            for pn in range(config.np):
+                for pol in range(config.p):
+                    port = panel * ports_per_panel + (pm * config.np + pn) * config.p + pol
+                    for r in range(rows_per_port):
+                        row = pm * rows_per_port + r
+                        for c in range(cols_per_port):
+                            col = pn * cols_per_port + c
+                            elem = panel * elems_per_panel + (row * config.n + col) * config.p + pol
+                            w[elem, port] = sub_phase[r] / np.sqrt(k)
+    return w
+
+
+class TestElementOrder:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_equals_the_loop_references(self, m, n, p):
+        for mg in (1, 2):
+            for ng in (1, 3):
+                for mp in range(1, m + 1):
+                    for n_p in range(1, n + 1):
+                        cfg = ArrayConfig(m=m, n=n, p=p, mg=mg, ng=ng, mp=mp, np=n_p,
+                                          element_spacing_h=0.37, element_spacing_v=0.81,
+                                          downtilt_deg=7.3)
+                        assert cfg.element_positions_wl().tobytes() == \
+                            element_positions_wl_reference(cfg).tobytes()
+                        assert cfg.polarization_slants_deg().tobytes() == \
+                            polarization_slants_deg_reference(cfg).tobytes()
+                        if m % mp or n % n_p:
+                            with pytest.raises(MappingError):
+                                txru_weights(cfg)
+                            with pytest.raises(MappingError):
+                                txru_weights_reference(cfg)
+                            continue
+                        assert txru_weights(cfg).tobytes() == txru_weights_reference(cfg).tobytes()
+
+    def test_index_follows_the_documented_order(self):
+        cfg = ArrayConfig(m=3, n=2, p=2, mg=2, ng=3)
+        index = cfg.element_index()
+        assert index.min() == 0 and list(index.max(axis=1)) == [1, 2, 2, 1, 1]
+        g_v, g_h, row, col, pol = index
+        # polarization fastest, then column, row, panel column, panel row
+        flat = (((g_v * cfg.ng + g_h) * cfg.m + row) * cfg.n + col) * cfg.p + pol
+        assert np.array_equal(flat, np.arange(cfg.n_elements))

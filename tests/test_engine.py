@@ -388,6 +388,19 @@ class TestRun:
         assert np.array_equal(drop.b_values_ul,
                               metrics.b_value(cfg.duration_t, served, cfg.traffic.w_user_hz))
 
+    @pytest.mark.parametrize("env", [TestEnvironment.URBAN_MACRO_MMTC,
+                                     TestEnvironment.URBAN_MACRO_URLLC,
+                                     TestEnvironment.RURAL_EMBB])
+    def test_downlink_bits_only_where_the_downlink_is_scheduled(self, env):
+        # full buffer schedules the downlink in the eMBB environments only
+        cfg = small(preset(env, "A"), drops=1)
+        drop = run_drop(cfg, build_layout(cfg), 0)
+        if env is TestEnvironment.RURAL_EMBB:
+            assert drop.dl_bits.shape == drop.ul_bits.shape and drop.dl_bits.sum() > 0
+        else:
+            assert drop.dl_bits is None
+        assert drop.ul_bits.sum() > 0
+
 
 def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
                                  horizon_s=20.0, record_sink=None):

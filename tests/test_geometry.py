@@ -18,10 +18,14 @@ from imteval.geometry import (
     MIN_UE_DISTANCE_MICRO_M,
     MICRO_MIN_SEPARATION_M,
     MIN_UE_DISTANCE_MACRO_M,
+    MICROS_PER_SECTOR,
+    SECTOR_BORESIGHTS_DEG,
     LayoutKind,
     NetworkLayout,
     UeDrop,
+    _in_hex_cell,
     _sample_positions,
+    _try_micros_for_site,
     build_layout,
     drop_ues,
     wrap_displacements,
@@ -629,3 +633,54 @@ class TestSharedDropGeometry:
         assert np.array_equal(ues.site_delta, delta)
         assert np.array_equal(ues.site_dist, dist)
         assert ues.indoor.dtype == bool and ues.high_loss.dtype == bool
+
+
+def try_micros_for_site_reference(site, isd, r_max, sep, rng, batch: int = 256):
+    """Oracle for _try_micros_for_site: each candidate of a batch is tested
+    against the placed points one at a time."""
+    placed = []
+    for boresight in SECTOR_BORESIGHTS_DEG:
+        need = MICROS_PER_SECTOR
+        for _ in range(40):  # batches per sector before declaring a dead end
+            cand = site + rng.uniform(-r_max, r_max, size=(batch, 2))
+            ok = _in_hex_cell(cand, site, isd)
+            rel = cand - site
+            az = np.degrees(np.arctan2(rel[:, 1], rel[:, 0])) % 360.0
+            ok &= np.minimum((az - boresight) % 360.0, (boresight - az) % 360.0) <= 60.0
+            ok &= np.linalg.norm(rel, axis=1) >= sep
+            for p in cand[ok]:
+                if placed and np.min(np.linalg.norm(np.array(placed) - p, axis=1)) < sep:
+                    continue
+                placed.append(p)
+                need -= 1
+                if need == 0:
+                    break
+            if need == 0:
+                break
+        if need > 0:
+            return None
+    return placed
+
+
+class TestMicroPlacement:
+    """Batch filtering places the points, and draws the numbers, of the
+    candidate-by-candidate oracle."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_per_candidate_reference(self, seed):
+        isd = 200.0
+        r_max = isd / math.sqrt(3.0)
+        layout = _layout(TestEnvironment.DENSE_URBAN_EMBB)
+        for site in layout.site_positions[[0, 1, 7, 12, 18]]:
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            for _restart in range(20):
+                placed = _try_micros_for_site(site, isd, r_max, MICRO_MIN_SEPARATION_M, rng)
+                ref = try_micros_for_site_reference(site, isd, r_max, MICRO_MIN_SEPARATION_M,
+                                                    ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if ref is None:
+                    assert placed is None
+                    continue
+                assert np.array(placed).tobytes() == np.array(ref).tobytes()
+                break

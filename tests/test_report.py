@@ -314,6 +314,17 @@ class TestEmit:
         assert names == {"manifest.json", "kpi.json", "compliance.csv",
                          "cdf_dl_sinr_db.csv", "cdf_ul_sinr_db.csv"}
 
+    def test_full_buffer_urllc_writes_no_downlink_throughput_cdfs(self, tmp_path):
+        # URLLC full buffer schedules the uplink only
+        cfg = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=2)
+        result = run(cfg)
+        files = emit(result, check_compliance(result), tmp_path / "u")
+        names = {os.path.basename(f) for f in files}
+        assert not any(n.startswith("cdf_dl_user_") for n in names)
+        assert {"cdf_dl_sinr_db.csv", "cdf_ul_user_se.csv",
+                "cdf_ul_user_tput_bps.csv"} <= names
+        assert sorted(os.listdir(tmp_path / "u")) == sorted(names)
+
     def test_rerun_is_byte_identical(self, result_and_report, tmp_path):
         result, report = result_and_report
         out_a = tmp_path / "a"
