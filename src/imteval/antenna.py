@@ -38,14 +38,15 @@ def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg, out=None):
     """Element gain in dBi at the given angles (scalar or ndarray).
 
     ``out`` receives the result when given; it may be either angle array
-    itself. Raises DomainError if any azimuth is outside [-180, 180] or any
-    zenith outside [0, 180].
+    itself. Raises DomainError if any azimuth is outside [-180, 180], any
+    zenith outside [0, 180], or any angle is NaN.
     """
     az = np.asarray(azimuth_deg, dtype=float)
     zen = np.asarray(zenith_deg, dtype=float)
-    if np.any(az < -180.0) or np.any(az > 180.0):
+    # min and max propagate NaN, and a comparison with NaN is false
+    if az.size and not (-180.0 <= az.min() and az.max() <= 180.0):
         raise DomainError(f"azimuth out of [-180, 180]: {azimuth_deg}")
-    if np.any(zen < 0.0) or np.any(zen > 180.0):
+    if zen.size and not (0.0 <= zen.min() and zen.max() <= 180.0):
         raise DomainError(f"zenith out of [0, 180]: {zenith_deg}")
     if out is None:
         out = np.empty(np.broadcast(az, zen).shape)

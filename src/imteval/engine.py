@@ -23,7 +23,7 @@ from . import metrics
 from .antenna import element_gain
 from .channel.model import los_probability, pathloss_curves
 from .channel.profiles import profile_for
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .geometry import (
     MICRO_TX_OFFSET_DB,
     LayoutKind,
@@ -123,45 +123,52 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     dz = layout.site_height - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
+    # the dense-urban micro layer has its own profile; its sites follow the
+    # macro ones, so each profile's site columns are one slice. With one
+    # profile, sigma and penetration below are scalars, and no plane
+    # operation broadcasts a row
     profiles = [profile_for(config.environment, config.config_variant)]
-    site_profile = np.zeros(layout.n_sites, dtype=np.intp)
+    spans = [slice(None)]
+    trxp_profile = 0
     if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+        n_macro = int(np.count_nonzero(~layout.site_is_micro))
+        if layout.site_is_micro[:n_macro].any():
+            raise InternalError("dense-urban micro sites must follow the macro sites")
         profiles.append(profile_for(config.environment, config.config_variant, micro=True))
-        site_profile = layout.site_is_micro.astype(np.intp)
-    trxp_profile = site_profile[site]
+        spans = [slice(n_macro), slice(n_macro, None)]
+        trxp_profile = layout.trxp_is_micro.astype(np.intp)
 
     p_los = np.empty_like(d2d)
     pl_los = np.empty_like(d2d)
     pl_nlos = np.empty_like(d2d)
-    for k, profile in enumerate(profiles):
-        cols = np.flatnonzero(site_profile == k)
-        h_ref = float(layout.site_height[cols[0]])
+    for profile, cols in zip(profiles, spans):
+        h_ref = float(layout.site_height[cols][0])
         p_los[:, cols] = los_probability(profile.plos_model, d2d[:, cols])
         pl_los[:, cols], pl_nlos[:, cols] = pathloss_curves(
             profile, config.carrier_frequency, d3d[:, cols], h_ref, config.ue_height)
 
-    # per-TRxP shadowing sigma and penetration loss of each column's profile
+    # shadowing sigma and penetration loss of each column's profile
     sf_los, sf_nlos, pen_high, pen_low = np.array(
         [(p.los.sf_sigma_db, p.nlos.sf_sigma_db, p.pen_high_db, p.pen_low_db)
          for p in profiles])[trxp_profile].T
 
-    # pl = (LOS ? pl_los : pl_nlos) + sigma * z + indoor penetration. The
-    # draw plane holds the LOS uniforms, then the shadowing normals; the
-    # gather plane the LOS probability, pl_los, sigma, then the penetration
+    # pl = (LOS ? pl_los : pl_nlos) + sigma * z + indoor penetration, with
+    # no masked write on the random LOS pattern: both selects are _select's.
+    # The draw plane holds the LOS uniforms, then the shadowing normals; the
+    # gather plane the LOS probability, pl_nlos, then sigma
     draw = rng.random(out=work.plane("draw", shape))
-    gather = np.take(p_los, site, axis=1, out=work.plane("gather", shape))
-    los = np.less(draw, gather, out=work.plane("los", shape, bool))
+    gather = np.take(p_los, site, axis=1, out=work.plane("gather", shape), mode="clip")
+    los = np.less(draw, gather, out=work.plane("los", shape, bool)).view(np.int8)
+    np.negative(los, out=los)  # the select mask: -1 (every bit set) on LOS links
     sf_z = rng.standard_normal(out=draw)
-    pl = np.take(pl_nlos, site, axis=1, out=work.plane("coupling", shape))
-    np.copyto(pl, np.take(pl_los, site, axis=1, out=gather), where=los)
-    sigma = gather
-    sigma[...] = sf_nlos
-    np.copyto(sigma, sf_los, where=los)
+    pl = np.take(pl_los, site, axis=1, out=work.plane("coupling", shape), mode="clip")
+    _select(los, pl, np.take(pl_nlos, site, axis=1, out=gather, mode="clip"), out=pl)
+    sigma = _select(los, sf_los, sf_nlos, out=gather)
     pl += np.multiply(sigma, sf_z, out=sf_z)
-    pen = gather
-    pen[...] = pen_low
-    np.copyto(pen, pen_high, where=ues.high_loss[:, None])
-    np.add(pl, pen, out=pl, where=ues.indoor[:, None])
+    # one masked add per building type; each mask is constant along a row
+    high = ues.indoor & ues.high_loss
+    for pen, rows in ((pen_high, high), (pen_low, ues.indoor & ~high)):
+        np.add(pl, pen, out=pl, where=rows[:, None])
 
     # BS-side element gain toward each UE, evaluated on the macro TRxPs and
     # their sites only: micro/indoor points are omnidirectional at their
@@ -174,7 +181,7 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     macro_shape = (n_ue, len(col))
     to_site = delta[:, macro_sites]
     az = np.degrees(np.arctan2(to_site[..., 1], to_site[..., 0]))
-    x = np.take(az, col, axis=1, out=work.plane("gain", macro_shape))
+    x = np.take(az, col, axis=1, out=work.plane("gain", macro_shape), mode="clip")
     x -= layout.trxp_boresight_deg[macro]
     x += 180.0
     x += 360.0 * (x < 0.0)
@@ -183,7 +190,8 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     zen = np.degrees(np.arctan2(d2d[:, macro_sites], dz[macro_sites]))
     zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
     gain = element_gain(config.bs_pattern(), x,
-                        np.take(zen_eff, col, axis=1, out=work.plane("zenith", macro_shape)),
+                        np.take(zen_eff, col, axis=1, out=work.plane("zenith", macro_shape),
+                                mode="clip"),
                         out=x)
     if not macro.all():
         omni = draw  # the shadowing normals are spent
@@ -194,6 +202,23 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     pl -= gain
     pl -= config.ue_element_gain
     return LinkBudget(coupling_db=pl, serving=np.argmin(pl, axis=1))
+
+
+def _select(mask: np.ndarray, a, b, out: np.ndarray) -> np.ndarray:
+    """``np.where(mask, a, b)`` written to ``out`` with no branch per element.
+
+    ``mask`` is a signed integer array of 0 and -1 (every bit set, also
+    once widened to 64 bits). The result is the bit select
+    b ^ ((a ^ b) & mask) on the floats' 64-bit patterns, so each element is
+    one of its operands bit for bit. ``out`` may be ``a`` but not ``b``.
+    """
+    bits = out.view(np.int64)
+    a, b = (np.asarray(v, dtype=float).view(np.int64) for v in (a, b))
+    # a ^ b at the operands' own shape: a scalar or a row broadcasts once
+    diff = np.bitwise_xor(a, b, out=bits if a.shape == bits.shape else None)
+    np.bitwise_and(diff, mask, out=bits)
+    np.bitwise_xor(bits, b, out=bits)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +375,10 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
         result.dl_bits[by_cell] = counts[cell_row, slot] * dt * rates_dl[by_cell]
     ul_bits = np.zeros(n_ue)
     ul_bits[by_cell] = counts[n_dl_rows + cell_row, slot] * dt * rates_ul[by_cell]
-    mux_samples = mux[n_dl_rows:]
 
     result.ul_bits = ul_bits
-    result.n_mux_ul = float(np.mean(mux_samples)) if len(mux_samples) else 0.0
+    # one UL row per non-empty cell, and a drop has at least one UE
+    result.n_mux_ul = float(np.mean(mux[n_dl_rows:]))
     if is_mmtc_style:
         result.b_values_ul = metrics.b_value(config.duration_t, ul_bits[ul_bits > 0],
                                              config.traffic.w_user_hz)

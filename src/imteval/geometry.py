@@ -222,28 +222,34 @@ def wrap_displacements(layout: NetworkLayout, from_pos: np.ndarray, to_pos: np.n
     to - from under the minimizing translation, dist has shape (n_from, n_to).
     The loop keeps only the least squared distance and the index of its
     translation (the first one on a tie); delta is gathered once at the end.
+    Neither is a masked write: the running minimum is ``np.minimum`` (exact,
+    it returns one of its operands), and the index is the running maximum of
+    k times "strictly closer", which, as k only grows, is the last strict
+    improvement: the first index of the least distance.
     """
     f = np.asarray(from_pos, dtype=float)[:, :2]
     t = np.asarray(to_pos, dtype=float)[:, :2]
     base_x = t[None, :, 0] - f[:, 0, None]
     base_y = t[None, :, 1] - f[:, 1, None]
     best_d2 = np.empty(base_x.shape)
-    best_k = np.zeros(base_x.shape, dtype=np.intp)
+    # translation indices fit a byte, and byte planes are the cheapest to
+    # multiply and compare; ``step`` takes "closer" as bool, then k or 0
+    best_k = np.zeros(base_x.shape, dtype=np.uint8)
+    step = np.empty(base_x.shape, dtype=np.uint8)
     x, y = np.empty(base_x.shape), np.empty(base_x.shape)
-    closer = np.empty(base_x.shape, dtype=bool)
-    for k, (tx, ty) in enumerate(layout.wrap_translations.tolist()):
+    shift_x, shift_y = layout.wrap_translations.T.copy()
+    for k, (tx, ty) in enumerate(zip(shift_x.tolist(), shift_y.tolist())):
         d2 = x if k else best_d2
         np.square(np.add(base_x, tx, out=x), out=x)
         np.square(np.add(base_y, ty, out=y), out=y)
         np.add(x, y, out=d2)
         if k:
-            np.less(d2, best_d2, out=closer)
-            np.copyto(best_d2, d2, where=closer)
-            best_k[closer] = k
-    shift = layout.wrap_translations[best_k]
+            np.less(d2, best_d2, out=step.view(bool))
+            np.minimum(best_d2, d2, out=best_d2)
+            np.maximum(best_k, np.multiply(step, np.uint8(k), out=step), out=best_k)
     delta = np.empty(base_x.shape + (2,))
-    np.add(base_x, shift[..., 0], out=delta[..., 0])
-    np.add(base_y, shift[..., 1], out=delta[..., 1])
+    np.add(base_x, np.take(shift_x, best_k, out=x, mode="clip"), out=delta[..., 0])
+    np.add(base_y, np.take(shift_y, best_k, out=y, mode="clip"), out=delta[..., 1])
     return delta, np.sqrt(best_d2, out=best_d2)
 
 
@@ -270,8 +276,13 @@ class UeDrop:
 
     @classmethod
     def from_positions(cls, layout: NetworkLayout, positions, indoor, high_loss) -> UeDrop:
-        """A drop of UEs at the given (n, 3) positions, with its site geometry."""
+        """A drop of UEs at the given (n, 3) positions, with its site geometry.
+
+        Raises DomainError on a non-finite coordinate.
+        """
         positions = np.array(positions, dtype=float)
+        if not np.isfinite(positions).all():
+            raise DomainError("UE positions must be finite")
         delta, dist = wrap_displacements(layout, positions, layout.site_positions)
         return cls(positions, np.asarray(indoor, dtype=bool), np.asarray(high_loss, dtype=bool),
                    delta, dist)

@@ -1,5 +1,7 @@
 """Element pattern, array response, directivity and TXRU mapping tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ class TestElementGain:
             element_gain(BS_PATTERN, 0.0, -1.0)
         with pytest.raises(DomainError):
             element_gain(BS_PATTERN, 0.0, 180.5)
+
+    @pytest.mark.parametrize("pattern", [BS_PATTERN, UE_PATTERN], ids=["parametric", "isotropic"])
+    def test_exact_bounds_accepted(self, pattern):
+        az = np.array([-180.0, 180.0, -180.0, 180.0])
+        zen = np.array([0.0, 0.0, 180.0, 180.0])
+        assert np.all(np.isfinite(element_gain(pattern, az, zen)))
+        for a, z in zip(az, zen):
+            assert math.isfinite(element_gain(pattern, a, z))
+        assert element_gain(pattern, np.empty(0), np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("pattern", [BS_PATTERN, UE_PATTERN], ids=["parametric", "isotropic"])
+    def test_nan_angle_raises(self, pattern):
+        """A NaN angle is outside the domain, not a NaN gain."""
+        with pytest.raises(DomainError, match="azimuth"):
+            element_gain(pattern, np.array([0.0, np.nan]), 90.0)
+        with pytest.raises(DomainError, match="zenith"):
+            element_gain(pattern, 0.0, np.array([np.nan, 90.0]))
+        with pytest.raises(DomainError, match="azimuth"):
+            element_gain(pattern, np.nan, np.nan)
 
     def test_even_in_azimuth_and_symmetric_about_horizon(self):
         az = np.linspace(0, 180, 50)

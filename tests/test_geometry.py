@@ -13,7 +13,7 @@ from scipy import stats
 from imteval.antenna import element_gain
 from imteval.channel.model import los_probability, pathloss_curves
 from imteval.channel.profiles import profile_for
-from imteval.errors import ConfigInvalid, DomainError
+from imteval.errors import ConfigInvalid, DomainError, InternalError
 from imteval.geometry import (
     MIN_UE_DISTANCE_MICRO_M,
     MICRO_MIN_SEPARATION_M,
@@ -160,6 +160,14 @@ def _tie_points(layout, k):
     return np.array([half, -half])
 
 
+def _three_image_points(layout):
+    """±(T1 + T2)/3: T1 and T2 have equal length at 60 degrees, so each
+    point is near-equidistant from three images of the origin (0, T1, T2
+    or their negatives), up to rounding."""
+    third = (layout.drop_basis[:, 0] + layout.drop_basis[:, 1]) / 3.0
+    return np.array([third, -third])
+
+
 class TestLayoutInvariant:
     """Every TRxP reads its site's position, height and layer."""
 
@@ -180,6 +188,22 @@ class TestLayoutInvariant:
         layout = self._two_sector_layout()
         assert (layout.n_sites, layout.n_trxps) == (2, 3)
         assert np.array_equal(layout.trxp_is_micro, [False, False, True])
+
+    def test_coupling_needs_the_micro_sites_after_the_macro_ones(self):
+        """compute_coupling takes each profile's sites as one slice of
+        columns; a micro site before a macro one is refused, not misread."""
+        config = preset(TestEnvironment.DENSE_URBAN_EMBB, "A")
+        layout = self._two_sector_layout()
+        swapped = dataclasses.replace(
+            layout, site_positions=layout.site_positions[::-1],
+            site_height=layout.site_height[::-1], site_is_micro=layout.site_is_micro[::-1],
+            trxp_site=1 - layout.trxp_site)
+        ues = UeDrop.from_positions(layout, [[250.0, 100.0, 1.5]], [False], [False])
+        budget = compute_coupling(config, layout, ues, derive_stream(1, 0, "links"))
+        assert np.all(np.isfinite(budget.coupling_db))
+        ues = UeDrop.from_positions(swapped, [[250.0, 100.0, 1.5]], [False], [False])
+        with pytest.raises(InternalError, match="micro sites"):
+            compute_coupling(config, swapped, ues, derive_stream(1, 0, "links"))
 
 
 def wrap_distance(layout, a, b):
@@ -558,13 +582,19 @@ class TestPerSiteGeometryOracle:
     @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS, k=st.integers(0, 8))
     def test_wrap_displacements_match_gathered_translation(self, env, a, b, k):
         layout = _layout(env)
-        # with points tied between two images of the origin
-        a = np.vstack([np.array(a), _tie_points(layout, k)])
+        # with points tied between two images of the origin, and points
+        # near-equidistant from three
+        a = np.vstack([np.array(a), _tie_points(layout, k), _three_image_points(layout)])
         b = np.vstack([np.array(b), np.zeros((1, 2))])
         delta, dist = wrap_displacements(layout, a, b)
         ref_delta, ref_dist = wrap_displacements_reference(layout, a, b)
         assert np.array_equal(delta, ref_delta)
         assert np.array_equal(dist, ref_dist)
+        # no UEs, or no sites
+        for rows, cols in ((np.empty((0, 2)), b), (a, np.empty((0, 2)))):
+            delta, dist = wrap_displacements(layout, rows, cols)
+            assert delta.shape == (len(rows), len(cols), 2)
+            assert dist.shape == (len(rows), len(cols))
 
 
 class TestCouplingWork:
@@ -633,6 +663,16 @@ class TestSharedDropGeometry:
         assert np.array_equal(ues.site_delta, delta)
         assert np.array_equal(ues.site_dist, dist)
         assert ues.indoor.dtype == bool and ues.high_loss.dtype == bool
+
+    @pytest.mark.parametrize("bad, coordinate", [(np.nan, 0), (np.inf, 1), (-np.inf, 2)])
+    def test_from_positions_rejects_non_finite(self, bad, coordinate):
+        """One non-finite coordinate is a DomainError, not a drop whose
+        couplings are NaN and whose UEs all attach to TRxP 0."""
+        layout = _layout(TestEnvironment.URBAN_MACRO_MMTC)
+        positions = np.array([[10.0, 20.0, 1.5], [-900.0, 400.0, 1.5]])
+        positions[1, coordinate] = bad
+        with pytest.raises(DomainError, match="finite"):
+            UeDrop.from_positions(layout, positions, [False, False], [False, False])
 
 
 def try_micros_for_site_reference(site, isd, r_max, sep, rng, batch: int = 256):
