@@ -653,10 +653,11 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     sets the drop count); a search computes them once for all its probes,
     and they are computed here when it is None. The per-cell loop only
     draws (``poisson``, ``uniform``, ``integers``, ``geometric`` per cell,
-    an order that fixes the results of a seed) into padded (messages x
-    queues) arrays, one queue per drop and cell, and ``serve_fifo`` serves
-    every queue at once. An undelivered message counts as an infinite delay
-    (see metrics.p99_delay for the percentile rule around ``inf``).
+    an order that fixes the results of a seed) into padded (queues x
+    messages) arrays, one contiguous row per drop and cell, and
+    ``serve_fifo`` serves every queue at once from their transposes. An
+    undelivered message counts as an infinite delay (see metrics.p99_delay
+    for the percentile rule around ``inf``).
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
     service start, completion, transmissions, delivered) are appended to it
@@ -671,10 +672,10 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
     n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
     n_t = layout.n_trxps
-    shape = (_queue_capacity(mean_messages), len(links) * n_t)
+    shape = (len(links) * n_t, _queue_capacity(mean_messages))
     arrival, busy = np.zeros(shape), np.zeros(shape)
     delivered = np.zeros(shape, dtype=bool)
-    lengths = np.zeros(shape[1], dtype=np.intp)
+    lengths = np.zeros(shape[0], dtype=np.intp)
     transmissions = {}  # queue -> transmissions per message, kept for record_sink
 
     for d, link in enumerate(links):
@@ -690,15 +691,16 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             chosen = members[rng.integers(len(members), size=n_msgs)]
             first_success = rng.geometric(link.p_success[chosen])
             n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
-            if n_msgs > len(arrival):
+            if n_msgs > arrival.shape[1]:
                 arrival, busy, delivered = (
-                    np.concatenate([a, np.zeros((n_msgs - len(a), a.shape[1]), a.dtype)])
+                    np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)],
+                                   axis=1)
                     for a in (arrival, busy, delivered))
             q = d * n_t + c
             lengths[q] = n_msgs
-            arrival[:n_msgs, q] = times
-            busy[:n_msgs, q] = spec.overhead_s + n_tx * link.tx_time[chosen]
-            delivered[:n_msgs, q] = (link.se[chosen] > 0.0) & \
+            arrival[q, :n_msgs] = times
+            busy[q, :n_msgs] = spec.overhead_s + n_tx * link.tx_time[chosen]
+            delivered[q, :n_msgs] = (link.se[chosen] > 0.0) & \
                 (first_success <= _MAX_MESSAGE_ATTEMPTS)
             if record_sink is not None:
                 transmissions[q] = n_tx
@@ -706,18 +708,19 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     rows = int(lengths.max(initial=0))
     if rows == 0:
         return 0.0
-    arrival, busy, delivered = arrival[:rows], busy[:rows], delivered[:rows]
+    arrival, busy, delivered = arrival[:, :rows], busy[:, :rows], delivered[:, :rows]
     starts = np.empty_like(arrival) if record_sink is not None else None
-    delays = serve_fifo(arrival, busy, n_servers, lengths, starts)
+    delays = serve_fifo(arrival.T, busy.T, n_servers, lengths,
+                        None if starts is None else starts.T)
     # serve_fifo orders delays by position, then queue: gather delivered alike
-    delays[~delivered[np.arange(rows)[:, None] < lengths]] = np.inf
+    delays[~delivered.T[np.arange(rows)[:, None] < lengths]] = np.inf
     if record_sink is not None:
         for q in np.flatnonzero(lengths).tolist():
             n, (d, c) = int(lengths[q]), divmod(q, n_t)
-            start = starts[:n, q]
-            record_sink.extend(zip(repeat(d), repeat(c), arrival[:n, q].tolist(),
-                                   start.tolist(), (start + busy[:n, q]).tolist(),
-                                   transmissions[q].tolist(), delivered[:n, q].tolist()))
+            start = starts[q, :n]
+            record_sink.extend(zip(repeat(d), repeat(c), arrival[q, :n].tolist(),
+                                   start.tolist(), (start + busy[q, :n]).tolist(),
+                                   transmissions[q].tolist(), delivered[q, :n].tolist()))
     del arrival, busy, delivered, starts  # freed before the percentile copies delays
     return metrics.p99_delay(delays)
 

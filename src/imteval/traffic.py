@@ -61,13 +61,15 @@ def track_delays(arrival, start, done):
     Takes three equal-length 1-D float arrays (arrival, service start and
     completion time of each message) and returns the delay array. Raises
     InternalError naming the first message that starts before it arrives or
-    completes before it starts (1e-12 s slack).
+    completes before it starts (1e-12 s slack), or whose start or completion
+    is NaN.
     """
     arrival, start, done = (np.asarray(a, dtype=float) for a in (arrival, start, done))
     if not arrival.shape == start.shape == done.shape:
         raise InternalError(f"service log shapes differ: arrival {arrival.shape}, "
                             f"start {start.shape}, done {done.shape}")
-    bad = (start < arrival - 1e-12) | (done < start - 1e-12)
+    # negated, so that a NaN fails the test
+    bad = ~((start >= arrival - 1e-12) & (done >= start - 1e-12))
     if bad.any():
         i = int(np.argmax(bad))
         raise InternalError(f"inconsistent service log for message {i}: "
@@ -163,11 +165,21 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     service start time is written into it; a message completes at start +
     service time.
 
-    Each step serves one message position of every queue with a handful of
-    numpy calls. The server chosen is the first one holding the smallest
-    free time, which is the value a heap of free times would pop, so every
-    start and completion equals the heap queue's (tests keep that loop as
-    the oracle).
+    Each queue keeps its servers' free times as an ascending row x. A step
+    serves up to ``n_servers`` message positions j = 0, 1, ... of every
+    queue at once, giving position j the j-th smallest free time:
+    start_j = max(arrival_j, x_j), done_j = start_j + service_j. That is
+    what a heap of free times pops whenever min(done_0 .. done_{j-1}) >= x_j
+    in every queue where position j is a message: by induction the heap
+    then holds {x_j .. x_last} and done_0 .. done_{j-1}, whose least value is
+    x_j (a tie pops an equal value, so the contents are the same), whatever
+    the signs of the service times. The step keeps the positions up to the
+    first one that fails this test (position 0 always passes), writes their
+    completions over the smallest free times and re-sorts the rows. So every
+    start and completion is the same IEEE operation on the same operands as
+    in the heap queue (tests keep that loop as the oracle). Entries past a
+    queue's length get an infinite service time, so that their completions
+    do not cut a step short. With one server every step is one position.
     """
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
@@ -184,25 +196,38 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
         raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
                             f"{service.shape}, lengths {lengths.shape} (longest "
                             f"{lengths.max(initial=0)})")
-    free = np.zeros(n_queues * n_servers)  # (queue, server) free times, flat
-    earliest = free.reshape(n_queues, n_servers).argmin  # hot loop: local names
-    take, put, maximum, add = free.take, free.put, np.maximum, np.add
-    base = np.arange(n_queues) * n_servers
+    free = np.zeros((n_queues, n_servers))  # per queue, ascending free times
+    # hot loop: local names
+    maximum, add, greater_equal = np.maximum, np.add, np.greater_equal
+    least, running_least = np.minimum.reduce, np.minimum.accumulate
     delays = np.empty(int(lengths.sum()))
     buffer = np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
-    done, filled = np.empty(n_queues), 0
+    done_buffer = np.empty((n_servers, n_queues))
+    filled = 0
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
-        for i in range(b0, b1):
-            slot = earliest(axis=1)
-            slot += base
-            start = block[i - b0]
-            maximum(arrival[i], take(slot), out=start)
-            put(slot, add(start, service[i], out=done))
         valid = np.arange(b0, b1)[:, None] < lengths
-        a, s = arrival[b0:b1][valid], block[valid]
-        checked = track_delays(a, s, s + service[b0:b1][valid])
+        arrival_b = arrival[b0:b1]
+        service_b = np.where(valid, service[b0:b1], np.inf)  # pads never hold a step back
+        i = 0
+        while i < b1 - b0:
+            k = min(n_servers, b1 - b0 - i)
+            x = free[:, :k].T  # (position, queue): the k smallest free times
+            start = maximum(arrival_b[i:i + k], x, out=block[i:i + k])
+            done = add(start, service_b[i:i + k], out=done_buffer[:k])
+            # position j is exact if min(done[:j]) >= x[j] in every queue; as x
+            # ascends, passing at the last position means passing at every one
+            if k == 1 or greater_equal(least(done[:-1], axis=0), x[-1]).all():
+                n = k
+            else:
+                exact = greater_equal(running_least(done[:-1], axis=0), x[1:]).all(axis=1)
+                n = 1 + int(exact.argmin())
+            free[:, :n] = done[:n].T
+            free.sort(axis=1)
+            i += n
+        a, s = arrival_b[valid], block[valid]
+        checked = track_delays(a, s, s + service_b[valid])
         delays[filled:filled + len(checked)] = checked
         filled += len(checked)
     return delays

@@ -539,6 +539,23 @@ class TestDensityRoute:
         assert max(sum(1 for r in rows if r[:2] == key) for key in {r[:2] for r in rows}) > 2
         assert delay == expected and rows == ref_rows
 
+    def test_cells_without_ues_match_reference(self):
+        """With one UE per TRxP some cells serve nobody: their messages are
+        drawn (so later cells see the same draws) but never queued."""
+        cfg = small(MMTC_A, drops=2, ues_per_trxp=1, master_seed=19)
+        layout = build_layout(cfg)
+        links = engine._search_links(cfg, layout, 2)
+        assert any(len(members) == 0 for link in links for members in link.members)
+        rows, ref_rows = [], []
+        delay = evaluate_p99_delay(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
+                                   record_sink=rows, links=links)
+        expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
+                                                record_sink=ref_rows)
+        assert delay == expected and rows == ref_rows
+        served = {r[:2] for r in rows}
+        assert all((d, c) not in served for d, link in enumerate(links)
+                   for c, members in enumerate(link.members) if len(members) == 0)
+
     def test_search_runs_each_drop_once(self, monkeypatch):
         cfg = small(MMTC_A, drops=2)
         run_drop_indices = []

@@ -334,6 +334,15 @@ class TestDelays:
         with pytest.raises(InternalError):
             track_delays([0.0, 1.0], [0.0], [0.5])  # lengths differ
 
+    @pytest.mark.parametrize("arrival, start, done", [
+        ([0.0, 0.0], [0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [0.0, 0.0], [1.0, np.nan]),
+        ([0.0, np.nan], [0.0, 0.0], [1.0, 1.0]),
+    ])
+    def test_nan_log_rejected(self, arrival, start, done):
+        with pytest.raises(InternalError, match="message 1"):
+            track_delays(arrival, start, done)
+
 
 class TestNMux:
     def test_single_ue_always(self):
@@ -374,6 +383,26 @@ def serve_fifo_reference(arrivals, service_times, n_servers):
     return log
 
 
+def _assert_lockstep_matches_reference(arrival, busy, n_servers, lengths,
+                                      block=traffic._FIFO_BLOCK):
+    """Checks serve_fifo on padded (messages x queues) arrays against one
+    heap queue per column, bit for bit, and returns the start times."""
+    start = np.empty_like(arrival)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traffic, "_FIFO_BLOCK", block)
+        delays = serve_fifo(arrival, busy, n_servers, lengths, start)
+    logs = [serve_fifo_reference(list(zip(arrival[:n, q].tolist(), range(n))),
+                                 busy[:n, q].tolist(), n_servers)
+            for q, n in enumerate(lengths)]
+    assert delays.tolist() == [logs[q][i][3] - logs[q][i][1] for i in range(len(arrival))
+                               for q in range(len(lengths)) if i < lengths[q]]
+    for q, log in enumerate(logs):
+        n = lengths[q]
+        assert start[:n, q].tolist() == [row[2] for row in log]
+        assert (start[:n, q] + busy[:n, q]).tolist() == [row[3] for row in log]
+    return start
+
+
 # a handful of values makes tied arrivals and equal service times frequent
 _TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
                    st.floats(0.0, 100.0, allow_nan=False, allow_subnormal=False))
@@ -401,6 +430,44 @@ class TestServeFifo:
     def test_queue_longer_than_lengths_rejected(self):
         with pytest.raises(InternalError):
             serve_fifo(np.zeros((2, 2)), np.zeros((2, 2)), 1, lengths=[2, 3])
+
+    def test_nan_service_rejected(self):
+        with pytest.raises(InternalError, match="message 1"):
+            serve_fifo([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], n_servers=2)
+
+    def test_block_prefix_rejected_when_a_short_service_completes_first(self):
+        # queue 0's three servers are busy until 10, 20 and 30; message 3
+        # completes at 10.5, before the 20 its block gave message 4, so
+        # message 4 starts at 10.5. Queue 1 never waits.
+        arrival = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0],
+                            [3.0, 5.0]])
+        busy = np.array([[10.0, 0.5], [20.0, 0.5], [30.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+                         [1.0, 0.5]])
+        start = _assert_lockstep_matches_reference(arrival, busy, 3, [6, 6])
+        assert start[3:, 0].tolist() == [10.0, 10.5, 11.5]
+        assert start[:, 1].tolist() == arrival[:, 1].tolist()
+
+    def test_ragged_queues_end_mid_block(self):
+        """Queues of 0 to 10 messages with NaN padding, 4 servers and blocks of
+        5 rows: steps and blocks end mid-queue and queues end mid-step."""
+        lengths = [0, 3, 7, 10, 1, 6]
+        rng = np.random.default_rng(19)
+        arrival = np.full((10, len(lengths)), np.nan)
+        busy = np.full((10, len(lengths)), np.nan)
+        for q, n in enumerate(lengths):
+            arrival[:n, q] = np.sort(rng.uniform(0.0, 4.0, n))
+            busy[:n, q] = rng.uniform(0.0, 3.0, n)
+        _assert_lockstep_matches_reference(arrival, busy, 4, lengths, block=5)
+
+    @pytest.mark.parametrize("n_servers", [1, 16])
+    def test_one_server_and_more_servers_than_messages(self, n_servers):
+        rng = np.random.default_rng(n_servers)
+        arrival = np.sort(rng.uniform(0.0, 3.0, (9, 3)), axis=0)
+        busy = rng.uniform(0.0, 1.5, (9, 3))
+        start = _assert_lockstep_matches_reference(arrival, busy, n_servers, [9, 9, 9],
+                                                   block=4)
+        if n_servers > len(arrival):
+            assert start.tolist() == arrival.tolist()  # no message waits
 
     @settings(max_examples=200, deadline=None)
     @given(jobs=st.lists(st.tuples(_TIMES, _SERVICE), max_size=60),
