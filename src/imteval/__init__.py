@@ -13,7 +13,6 @@ from .scenario import (  # noqa: F401
     builtin_requirements,
     load_config,
     preset,
-    requirement_for,
 )
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "builtin_requirements",
     "load_config",
     "preset",
-    "requirement_for",
     "__version__",
 ]

@@ -13,20 +13,21 @@ from .profiles import ChannelProfile
 SPEED_OF_LIGHT = 299_792_458.0
 
 
+# per-model decay distance (m) of the 3GPP macro and micro LOS curves
+_LOS_DECAY_M = {"uma": 63.0, "umi": 36.0}
+
+
 def los_probability(model: str, d2d_m):
     """Distance-to-LOS-probability curves, monotone non-increasing."""
     d = np.asarray(d2d_m, dtype=float)
-    if np.any(d < 0):
-        raise DomainError("2D distance must be >= 0")
+    if d.size and not (d.min() >= 0.0):
+        raise DomainError("2D distance must be >= 0 and not NaN")
     if model == "always":
         p = np.ones_like(d)
-    elif model == "uma":
+    elif model in _LOS_DECAY_M:
         with np.errstate(divide="ignore", invalid="ignore"):
-            far = 18.0 / d + np.exp(-d / 63.0) * (1.0 - 18.0 / d)
-        p = np.where(d <= 18.0, 1.0, far)
-    elif model == "umi":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = 18.0 / d + np.exp(-d / 36.0) * (1.0 - 18.0 / d)
+            near = 18.0 / d
+            far = near + np.exp(-d / _LOS_DECAY_M[model]) * (1.0 - near)
         p = np.where(d <= 18.0, 1.0, far)
     elif model == "rma":
         p = np.where(d <= 10.0, 1.0, np.exp(-(d - 10.0) / 1000.0))

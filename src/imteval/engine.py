@@ -527,7 +527,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
             n_mux_values.append(drop.n_mux_ul)
             if drop.b_values_ul is not None:
                 b_pool.append(drop.b_values_ul)
-            if early_stop and metrics.converged(monitor, mean_ul) == metrics.CONVERGED:
+            if early_stop and monitor.observe(mean_ul) == metrics.CONVERGED:
                 status = "converged"
                 break
 
@@ -561,14 +561,9 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
 
     if env in EMBB_ENVIRONMENTS:
         for direction, prefix in _PREFIX.items():
-            se_in = metrics.SeInputs(
-                bits_per_drop_user=[[b] for b in bits_per_drop[direction]],
-                duration_s=config.duration_t,
-                bandwidth_hz=config.bandwidth,
-                n_trxps=n_trxps,
-            )
-            kpis.append(KpiValue("avg_se", direction, metrics.avg_spectral_efficiency(se_in),
-                                 "bit/s/Hz/TRxP"))
+            avg_se = metrics.avg_spectral_efficiency(bits_per_drop[direction], config.duration_t,
+                                                     config.bandwidth, n_trxps)
+            kpis.append(KpiValue("avg_se", direction, avg_se, "bit/s/Hz/TRxP"))
             se = cdfs[f"{prefix}_user_se"].samples
             kpis.append(KpiValue("pct5_se", direction, metrics.pct5_user_se(se), "bit/s/Hz"))
         # normalized traffic-channel rate at the speeds the requirement table names
@@ -584,11 +579,10 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
                 kpis.append(KpiValue("ued_rate", direction, metrics.pct5_user_se(tput), "bit/s"))
 
     if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool:
-        cd_in = metrics.CdInputs(n_mux=float(np.mean(n_mux_values)),
-                                 bandwidth_hz=config.traffic.eval_bandwidth_hz,
-                                 b_values=np.concatenate(b_pool), isd_m=config.isd)
-        kpis.append(KpiValue("connection_density", UPLINK,
-                             metrics.connection_density_fullbuffer(cd_in), "/km^2",
+        density = metrics.connection_density_fullbuffer(
+            float(np.mean(n_mux_values)), config.traffic.eval_bandwidth_hz,
+            np.concatenate(b_pool), config.isd)
+        kpis.append(KpiValue("connection_density", UPLINK, density, "/km^2",
                              note="full-buffer multiplexing route"))
     return kpis
 

@@ -96,9 +96,6 @@ def bler(model: BlerModel, sinr_db):
     return out if out.ndim else float(out)
 
 
-ZERO_BLER = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
-
-
 @dataclass(frozen=True)
 class HarqConfig:
     """Bounded retransmissions counted against a latency budget."""
@@ -115,51 +112,27 @@ class HarqConfig:
                               "per_transmission_time_s")
 
 
-@dataclass(frozen=True)
-class HarqOutcome:
-    """Success probability and the delay distribution over attempt counts."""
-
-    success_probability: float
-    # (attempt index starting at 1, delay seconds, probability of succeeding
-    # exactly at that attempt)
-    attempts: tuple
-    degenerate_budget: bool = False
-
-    def expected_transmissions(self) -> float:
-        if not self.attempts:
-            return 0.0
-        total_p = sum(p for _, _, p in self.attempts)
-        if total_p == 0.0:
-            return 0.0
-        return sum(i * p for i, _, p in self.attempts) / total_p
-
-
-def harq_outcome(
+def harq_success_probability(
     bler_model: BlerModel,
     harq: HarqConfig,
     sinr_db: float,
     latency_budget_s: float,
-) -> HarqOutcome:
+) -> float:
     """Residual-error arithmetic for up to k transmissions within the budget.
 
     k = min(max_transmissions, floor(budget / per_transmission_time)); each
     retransmission sees the SINR improved by the configured combining gain.
-    A budget too short for even one transmission yields success 0 with the
-    degenerate flag set.
+    A budget too short for even one transmission yields success 0.
     """
-    if latency_budget_s <= 0:
-        raise DomainError("latency_budget_s must be > 0")
+    if not (0.0 < latency_budget_s < math.inf):
+        raise DomainError(f"latency_budget_s must be finite and > 0, got {latency_budget_s}")
+    if math.isnan(sinr_db):
+        raise DomainError("SINR must not be NaN")
     k = min(harq.max_transmissions, int(math.floor(latency_budget_s / harq.per_transmission_time_s + 1e-12)))
-    if k == 0:
-        return HarqOutcome(0.0, (), degenerate_budget=True)
-    attempts = []
     p_all_failed = 1.0
     for i in range(1, k + 1):
-        e_i = bler(bler_model, sinr_db + (i - 1) * harq.combining_gain_db)
-        p_success_here = p_all_failed * (1.0 - e_i)
-        attempts.append((i, i * harq.per_transmission_time_s, p_success_here))
-        p_all_failed *= e_i
-    return HarqOutcome(1.0 - p_all_failed, tuple(attempts))
+        p_all_failed *= bler(bler_model, sinr_db + (i - 1) * harq.combining_gain_db)
+    return 1.0 - p_all_failed
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
 from .geometry import hex_sector_area_m2
-from .link import BlerModel, HarqConfig, LinkAbstraction, harq_outcome, sinr_to_se
+from .link import BlerModel, HarqConfig, LinkAbstraction, harq_success_probability, sinr_to_se
 
 
 class CdfEstimator:
@@ -37,9 +37,6 @@ class CdfEstimator:
     def add(self, samples) -> None:
         self._pending.append(np.array(samples, dtype=float, ndmin=1))
         self._sorted = False
-
-    def merge(self, other: "CdfEstimator") -> None:
-        self.add(other.samples)
 
     def _buffer(self) -> np.ndarray:
         if self._pending:
@@ -69,11 +66,6 @@ class CdfEstimator:
         data = self._ensure_sorted()
         return float(np.quantile(data, p, method="linear"))
 
-    def mean(self) -> float:
-        if self.count == 0:
-            raise InsufficientSamples("empty CDF estimator")
-        return float(self._buffer().mean())
-
     def percentile_rows(self, step: float = 0.1):
         """(percentile, value) rows from 0 to 100 for CSV export."""
         ps = np.arange(0.0, 100.0 + step / 2.0, step)
@@ -82,39 +74,21 @@ class CdfEstimator:
         return list(zip(ps.tolist(), vals.tolist()))
 
 
-@dataclass(frozen=True)
-class SeInputs:
-    """Inputs to the average spectral efficiency estimator.
-
-    ``bits_per_drop_user[j][i]`` holds the correctly received bits of user i
-    in drop j over the simulated duration ``duration_s``; ``n_trxps`` is the
-    number of transmission/reception points the result is normalized by.
-    """
-
-    bits_per_drop_user: list
-    duration_s: float
-    bandwidth_hz: float
-    n_trxps: int
-
-    def validate(self):
-        if self.duration_s <= 0 or self.bandwidth_hz <= 0 or self.n_trxps <= 0:
-            raise DomainError("duration, bandwidth and TRxP count must be positive")
-        if not self.bits_per_drop_user:
-            raise DomainError("need at least one drop")
-
-
-def avg_spectral_efficiency(inputs: SeInputs) -> float:
-    """Sum of correctly received bits over drops and users, normalized by
-    drops x time x bandwidth x TRxPs (bit/s/Hz per TRxP)."""
-    inputs.validate()
-    n_drops = len(inputs.bits_per_drop_user)
+def avg_spectral_efficiency(bits_per_drop, duration_s: float, bandwidth_hz: float,
+                            n_trxps: int) -> float:
+    """Correctly received bits summed over drops, normalized by drops x time
+    x bandwidth x TRxPs (bit/s/Hz per TRxP). ``bits_per_drop`` holds each
+    drop's total over its users, received over ``duration_s``."""
+    if not (0.0 < duration_s < math.inf and 0.0 < bandwidth_hz < math.inf and n_trxps > 0):
+        raise DomainError("duration, bandwidth and TRxP count must be finite and positive")
+    if len(bits_per_drop) == 0:
+        raise DomainError("need at least one drop")
     total = 0.0
-    for drop_bits in inputs.bits_per_drop_user:
-        arr = np.asarray(drop_bits, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError("received bit counts must be >= 0")
-        total += float(arr.sum())
-    return total / (n_drops * inputs.duration_s * inputs.bandwidth_hz * inputs.n_trxps)
+    for bits in bits_per_drop:
+        if not (0.0 <= bits < math.inf):
+            raise DomainError("received bit counts must be finite and >= 0")
+        total += float(bits)
+    return total / (len(bits_per_drop) * duration_s * bandwidth_hz * n_trxps)
 
 
 def pct5_user_se(per_user_normalized_throughputs) -> float:
@@ -127,24 +101,6 @@ def pct5_user_se(per_user_normalized_throughputs) -> float:
     return float(np.quantile(arr, 0.05, method="linear"))
 
 
-@dataclass(frozen=True)
-class CdInputs:
-    """Inputs for the full-buffer connection-density formula."""
-
-    n_mux: float
-    bandwidth_hz: float
-    b_values: np.ndarray  # per-user B_i from the per-user bandwidth relation
-    isd_m: float
-
-    def validate(self):
-        if self.isd_m <= 0:
-            raise DomainError("ISD must be positive")
-        if np.size(self.b_values) == 0 or not np.isfinite(self.b_values).all():
-            raise DomainError("B_i values must be non-empty and finite")
-        if float(np.mean(self.b_values)) <= 0:
-            raise DomainError("mean(B_i) must be positive")
-
-
 def b_value(duration_s: float, received_bits, w_user_hz: float):
     """Per-user bandwidth-time value B_i = T / (R_i / W_user), elementwise
     over the users' received bits."""
@@ -155,11 +111,18 @@ def b_value(duration_s: float, received_bits, w_user_hz: float):
     return b if b.ndim else float(b)
 
 
-def connection_density_fullbuffer(inputs: CdInputs) -> float:
-    """Devices per km^2: (n_mux * W / mean(B_i)) / (ISD^2 * sqrt(3)/6 in km^2)."""
-    inputs.validate()
-    sector_area_km2 = hex_sector_area_m2(inputs.isd_m) / 1e6
-    supported = inputs.n_mux * inputs.bandwidth_hz / float(np.mean(inputs.b_values))
+def connection_density_fullbuffer(n_mux: float, bandwidth_hz: float, b_values,
+                                  isd_m: float) -> float:
+    """Devices per km^2: (n_mux * W / mean(B_i)) / (ISD^2 * sqrt(3)/6 in km^2),
+    with ``b_values`` the per-user B_i from ``b_value``."""
+    if not (0.0 < n_mux < math.inf and 0.0 < bandwidth_hz < math.inf and 0.0 < isd_m < math.inf):
+        raise DomainError("multiplexing order, bandwidth and ISD must be finite and positive")
+    if np.size(b_values) == 0 or not np.isfinite(b_values).all():
+        raise DomainError("B_i values must be non-empty and finite")
+    if float(np.mean(b_values)) <= 0:
+        raise DomainError("mean(B_i) must be positive")
+    sector_area_km2 = hex_sector_area_m2(isd_m) / 1e6
+    supported = n_mux * bandwidth_hz / float(np.mean(b_values))
     return supported / sector_area_km2
 
 
@@ -257,7 +220,7 @@ def reliability(sinr_cdf: CdfEstimator, bler: BlerModel, harq: HarqConfig,
     """Success probability of delivering the PDU within LATENCY_BUDGET_S at
     the coverage edge (5th-percentile SINR)."""
     edge_sinr = sinr_cdf.quantile(0.05) - extra_backoff_db
-    return harq_outcome(bler, harq, edge_sinr, LATENCY_BUDGET_S).success_probability
+    return harq_success_probability(bler, harq, edge_sinr, LATENCY_BUDGET_S)
 
 
 # (normalized Doppler upper bound, SINR backoff dB); normalized Doppler is
@@ -266,6 +229,8 @@ DOPPLER_BACKOFF = ((1e-4, 0.0), (1e-3, 0.5), (1e-2, 1.5), (1e-1, 3.0))
 
 
 def doppler_backoff_db(speed_kmh: float, carrier_hz: float, interval_s: float = 1e-3) -> float:
+    if not (0.0 <= speed_kmh < math.inf):
+        raise DomainError(f"speed must be finite and >= 0, got {speed_kmh}")
     shift_hz = (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT
     norm = shift_hz * interval_s
     for bound, backoff in DOPPLER_BACKOFF:
@@ -319,12 +284,3 @@ class ConvergenceMonitor:
             if abs(mean - ref) / denom < self.tol:
                 return CONVERGED
         return CONTINUE
-
-    @property
-    def drops_seen(self) -> int:
-        return self._count
-
-
-def converged(monitor: ConvergenceMonitor, next_drop_mean: float) -> str:
-    """Feed one per-drop mean; returns continue / converged / capped."""
-    return monitor.observe(next_drop_mean)

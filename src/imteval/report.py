@@ -39,12 +39,6 @@ _KNOWN_METRICS = {
 }
 
 
-def parse_percent(text: str) -> float:
-    """'99.9999%' -> 0.999999, rounded at 10 decimals."""
-    cleaned = text.strip().lstrip(">").strip().rstrip("%")
-    return round(float(cleaned) / 100.0, 10)
-
-
 @dataclass(frozen=True)
 class ExternalRow:
     table: str

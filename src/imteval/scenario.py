@@ -495,11 +495,6 @@ def builtin_requirements() -> "RequirementSet":
 class RequirementSet:
     rows: tuple
 
-    NUMBERED_TABLES = ("I", "II", "III", "VI")
-
-    def table_rows(self):
-        return [r for r in self.rows if r.source_table in self.NUMBERED_TABLES]
-
     def lookup(self, environment: TestEnvironment, direction: str | None, metric: str,
                speed_kmh: float | None = None) -> Requirement:
         """The one row for this KPI; a None direction or speed matches any.
@@ -523,10 +518,3 @@ class RequirementSet:
                 f"{len(matches)} requirement rows match {key}: "
                 + ", ".join(f"({r.direction}, speed={r.speed_kmh})" for r in matches))
         return matches[0]
-
-
-def requirement_for(reqs: RequirementSet, environment: TestEnvironment,
-                    direction: str | None, metric: str,
-                    speed_kmh: float | None = None) -> float:
-    """The table value, verbatim. Raises UnknownRequirement for missing rows."""
-    return reqs.lookup(environment, direction, metric, speed_kmh).value

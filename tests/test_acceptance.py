@@ -29,17 +29,14 @@ from imteval.engine import (
     run_drop,
 )
 from imteval.geometry import build_layout
-from imteval.link import BlerModel, HarqConfig, ZERO_BLER, bler, harq_outcome
+from imteval.link import BlerModel, HarqConfig, bler, harq_success_probability
 from imteval.metrics import (
     CdfEstimator,
-    CdInputs,
     CONVERGED,
     ConvergenceMonitor,
-    SeInputs,
     avg_spectral_efficiency,
     b_value,
     connection_density_fullbuffer,
-    converged,
 )
 from imteval.report import check_compliance, emit, judge, load_fixture
 from imteval.scenario import DOWNLINK, UPLINK, builtin_requirements
@@ -58,12 +55,12 @@ def _report(number, name, ok, detail=""):
 
 class TestCriterion1FormulaOracles:
     def test_formula_oracles(self):
-        se = avg_spectral_efficiency(SeInputs(
-            bits_per_drop_user=[[5e6, 15e6]], duration_s=1.0, bandwidth_hz=10e6, n_trxps=1))
+        se = avg_spectral_efficiency(
+            [5e6 + 15e6], duration_s=1.0, bandwidth_hz=10e6, n_trxps=1)
         ok_se = se == 2.0
 
-        cd = connection_density_fullbuffer(CdInputs(
-            n_mux=10.0, bandwidth_hz=180e3, b_values=np.array([1.8e3]), isd_m=500.0))
+        cd = connection_density_fullbuffer(
+            n_mux=10.0, bandwidth_hz=180e3, b_values=np.array([1.8e3]), isd_m=500.0)
         ok_cd = abs(cd - 13_856.4) <= 0.1
 
         b = b_value(10.0, 1000.0, 100.0)
@@ -202,7 +199,7 @@ class TestCriterion5Convergence:
 
     def test_monitor_triggers_after_window_plus_one(self):
         monitor = ConvergenceMonitor(window=50, tol=1e-4, max_drops=10_000)
-        verdicts = [converged(monitor, 3.14) for _ in range(51)]
+        verdicts = [monitor.observe(3.14) for _ in range(51)]
         ok = all(v != CONVERGED for v in verdicts[:50]) and verdicts[50] == CONVERGED
         _report(5, "convergence: monitor fires at exactly K+1 on constant stream", ok,
                 f"fired at drop {len(verdicts)} with K=50")
@@ -212,11 +209,12 @@ class TestCriterion6ReliabilityArithmetic:
     def test_harq_products(self):
         model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
         sinr = math.log10(0.5 / 0.01)  # per-attempt BLER exactly 0.01
-        two = harq_outcome(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
-        ok_two = two.success_probability == pytest.approx(0.9999, abs=1e-13)
+        two = harq_success_probability(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
+        ok_two = two == pytest.approx(0.9999, abs=1e-13)
 
-        zero = harq_outcome(ZERO_BLER, HarqConfig(4, 0.25e-3), -20.0, 1e-3)
-        ok_zero = zero.success_probability == 1.0
+        zero_bler = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
+        zero = harq_success_probability(zero_bler, HarqConfig(4, 0.25e-3), -20.0, 1e-3)
+        ok_zero = zero == 1.0
 
         # the URLLC reliability verdict is boundary inclusive
         reqs = builtin_requirements()
@@ -225,8 +223,8 @@ class TestCriterion6ReliabilityArithmetic:
                     for direction in (DOWNLINK, UPLINK) for value in (0.99999, 0.9999)]
         ok_boundary = verdicts == [True, False, True, False]
         _report(6, "reliability/HARQ arithmetic", ok_two and ok_zero and ok_boundary,
-                f"two-attempt success {two.success_probability!r}, zero-BLER "
-                f"{zero.success_probability!r}, boundary inclusive: {ok_boundary}")
+                f"two-attempt success {two!r}, zero-BLER {zero!r}, "
+                f"boundary inclusive: {ok_boundary}")
 
 
 class TestCriterion7ComplianceFixtures:

@@ -44,7 +44,64 @@ ISO = ElementPattern(max_gain_dbi=0.0, isotropic=True)
 ONE = ArrayConfig()
 
 
+def los_probability_reference(model: str, d2d_m):
+    """The LOS curves as first written, one branch per model: the bitwise
+    oracle for ``los_probability``."""
+    d = np.asarray(d2d_m, dtype=float)
+    if np.any(d < 0):
+        raise DomainError("2D distance must be >= 0")
+    if model == "always":
+        p = np.ones_like(d)
+    elif model == "uma":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = 18.0 / d + np.exp(-d / 63.0) * (1.0 - 18.0 / d)
+        p = np.where(d <= 18.0, 1.0, far)
+    elif model == "umi":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = 18.0 / d + np.exp(-d / 36.0) * (1.0 - 18.0 / d)
+        p = np.where(d <= 18.0, 1.0, far)
+    elif model == "rma":
+        p = np.where(d <= 10.0, 1.0, np.exp(-(d - 10.0) / 1000.0))
+    elif model == "inh":
+        mid = np.exp(-(d - 1.2) / 4.7)
+        far = 0.32 * np.exp(-(d - 6.5) / 32.6)
+        p = np.where(d <= 1.2, 1.0, np.where(d < 6.5, mid, far))
+    else:
+        raise DomainError(f"unknown LOS probability model '{model}'")
+    p = np.clip(p, 0.0, 1.0)
+    return p if p.ndim else float(p)
+
+
+LOS_MODELS = ["always", "uma", "umi", "rma", "inh"]
+
+
 class TestLosProbability:
+    @pytest.mark.parametrize("model", LOS_MODELS)
+    def test_bitwise_equal_to_reference(self, model):
+        edges = np.array([0.0, 1.2, 6.5, 10.0, 18.0, 1e-300])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                np.nextafter(edges[1:], -np.inf)])
+        rng = np.random.default_rng(11)
+        d = np.concatenate([edges, rng.uniform(0.0, 60.0, 4000),
+                            rng.exponential(2000.0, 4000), [1e9, 1e300]])
+        with np.errstate(over="ignore"):  # 18 / 1e-300 overflows in both
+            got = los_probability(model, d)
+            assert got.tobytes() == los_probability_reference(model, d).tobytes()
+            assert got.dtype == np.float64
+            for x in edges:
+                assert los_probability(model, float(x)) == los_probability_reference(model, float(x))
+            block = d[:60].reshape(6, 10)
+            assert los_probability(model, block).tobytes() == \
+                los_probability_reference(model, block).tobytes()
+
+    @pytest.mark.parametrize("model", LOS_MODELS)
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+    def test_nan_or_negative_distance_rejected(self, model, bad):
+        with pytest.raises(DomainError):
+            los_probability(model, bad)
+        with pytest.raises(DomainError):
+            los_probability(model, np.array([5.0, bad, 50.0]))
+
     @pytest.mark.parametrize("model", ["uma", "umi", "rma", "inh"])
     def test_zero_distance_is_certain_los(self, model):
         assert los_probability(model, 0.0) == 1.0

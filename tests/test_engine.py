@@ -355,6 +355,12 @@ class TestRun:
         assert kpi.value > 0
         assert result.mean_iot_db <= MMTC_A.link.ul_iot_target_db + 1.0
 
+    def test_mmtc_connection_density_value_is_pinned(self):
+        # no golden bundle digest covers the full-buffer density KPI, so its
+        # value at seed 7 is pinned here, float for float
+        result = run(small(MMTC_A, drops=2, master_seed=7))
+        assert result.kpi("connection_density", UPLINK).value == 21099370.180030078
+
     def test_urllc_reports_reliability_in_sinr_only_mode(self):
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=3)
         result = run(cfg, sinr_only=True)

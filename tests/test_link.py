@@ -12,9 +12,8 @@ from imteval.link import (
     BlerModel,
     HarqConfig,
     LinkAbstraction,
-    ZERO_BLER,
     bler,
-    harq_outcome,
+    harq_success_probability,
     noise_power,
     sinr_to_se,
     uplink_power_control,
@@ -128,52 +127,54 @@ class TestBler:
         assert bler(model, -100.0) == 1.0
 
 
+# a model that never loses a block, at any SINR
+ZERO_BLER = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
+
+
 class TestHarq:
     def test_zero_bler_succeeds_first_attempt(self):
-        out = harq_outcome(ZERO_BLER, HarqConfig(4, 0.25e-3), 0.0, 1e-3)
-        assert out.success_probability == 1.0
-        assert out.attempts[0][2] == 1.0
+        assert harq_success_probability(ZERO_BLER, HarqConfig(4, 0.25e-3), 0.0, 1e-3) == 1.0
+        assert harq_success_probability(ZERO_BLER, HarqConfig(1, 0.25e-3), 0.0, 1e-3) == 1.0
 
     def test_two_attempts_product_arithmetic(self):
         # per-attempt BLER 0.01, no combining gain: residual 1e-4 exactly
         model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
         sinr = 0.0 + 1.0 * math.log10(0.5 / 0.01)  # solve BLER(s) = 0.01
         assert bler(model, sinr) == pytest.approx(0.01, abs=1e-15)
-        out = harq_outcome(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
-        assert out.success_probability == pytest.approx(1.0 - 1e-4, abs=1e-12)
+        prob = harq_success_probability(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
+        assert prob == pytest.approx(1.0 - 1e-4, abs=1e-12)
 
     def test_budget_shorter_than_one_attempt(self):
-        out = harq_outcome(ZERO_BLER, HarqConfig(4, 2e-3), 0.0, 1e-3)
-        assert out.success_probability == 0.0
-        assert out.degenerate_budget
+        assert harq_success_probability(ZERO_BLER, HarqConfig(4, 2e-3), 0.0, 1e-3) == 0.0
 
     def test_budget_caps_attempts(self):
+        # a 1 ms budget holds 4 transmissions of 0.25 ms, whatever the maximum
         model = BlerModel(0.0, 2.0, 0.0)
-        out = harq_outcome(model, HarqConfig(8, 0.25e-3), -1.0, 1e-3)
-        assert len(out.attempts) == 4
-        assert out.attempts[-1][1] == pytest.approx(1e-3)
+        capped = harq_success_probability(model, HarqConfig(8, 0.25e-3), 1.0, 1e-3)
+        assert capped == harq_success_probability(model, HarqConfig(4, 0.25e-3), 1.0, 1e-3)
+        assert capped == pytest.approx(1.0 - bler(model, 1.0) ** 4, rel=1e-12)
+        assert capped < harq_success_probability(model, HarqConfig(5, 0.25e-3), 1.0, 1.25e-3)
 
     def test_monotone_in_sinr_attempts_and_budget(self):
         model = BlerModel(-2.0, 2.0, 1e-9)
-        probs = [harq_outcome(model, HarqConfig(4, 0.25e-3), s, 1e-3).success_probability
+        probs = [harq_success_probability(model, HarqConfig(4, 0.25e-3), s, 1e-3)
                  for s in np.linspace(-10, 10, 40)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
-        by_attempts = [harq_outcome(model, HarqConfig(k, 0.2e-3), -3.0, 1e-3).success_probability
+        by_attempts = [harq_success_probability(model, HarqConfig(k, 0.2e-3), -3.0, 1e-3)
                        for k in (1, 2, 3, 4, 5)]
         assert all(b >= a for a, b in zip(by_attempts, by_attempts[1:]))
-        by_budget = [harq_outcome(model, HarqConfig(8, 0.25e-3), -3.0, b).success_probability
+        by_budget = [harq_success_probability(model, HarqConfig(8, 0.25e-3), -3.0, b)
                      for b in (0.3e-3, 0.6e-3, 1e-3, 2e-3)]
         assert all(b >= a for a, b in zip(by_budget, by_budget[1:]))
 
     def test_combining_gain_improves_retransmissions(self):
         model = BlerModel(-2.0, 2.0, 1e-9)
-        plain = harq_outcome(model, HarqConfig(4, 0.25e-3, 0.0), -3.0, 1e-3)
-        combined = harq_outcome(model, HarqConfig(4, 0.25e-3, 3.0), -3.0, 1e-3)
-        assert combined.success_probability > plain.success_probability
+        plain = harq_success_probability(model, HarqConfig(4, 0.25e-3, 0.0), -3.0, 1e-3)
+        combined = harq_success_probability(model, HarqConfig(4, 0.25e-3, 3.0), -3.0, 1e-3)
+        assert combined > plain
 
-    def test_delay_distribution_sums_to_success(self):
-        model = BlerModel(-2.0, 2.0, 1e-9)
-        out = harq_outcome(model, HarqConfig(4, 0.25e-3), -1.5, 1e-3)
-        assert 0.0 < out.success_probability < 1.0
-        assert sum(p for _, _, p in out.attempts) == pytest.approx(out.success_probability)
-        assert out.expected_transmissions() >= 1.0
+    @pytest.mark.parametrize("sinr_db, budget_s", [(0.0, math.nan), (0.0, 0.0), (0.0, -1e-3),
+                                                   (0.0, math.inf), (math.nan, 1e-3)])
+    def test_nan_or_out_of_range_input_rejected(self, sinr_db, budget_s):
+        with pytest.raises(DomainError):
+            harq_success_probability(BlerModel(), HarqConfig(), sinr_db, budget_s)

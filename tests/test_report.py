@@ -19,7 +19,6 @@ from imteval.report import (
     load_all_fixtures,
     load_fixture,
     load_requirements_csv,
-    parse_percent,
     save_requirements_csv,
 )
 from imteval.scenario import (DOWNLINK, UPLINK, RequirementSet, TestEnvironment,
@@ -39,16 +38,6 @@ class _FailingLookup(RequirementSet):
 
 def _failing_requirements():
     return _FailingLookup(rows=builtin_requirements().rows)
-
-
-class TestParsePercent:
-    def test_basic(self):
-        assert parse_percent("99.999%") == 0.99999
-        assert parse_percent("99.9999%") == 0.999999
-        assert parse_percent("> 99.9999%") == 0.999999
-
-    def test_ten_decimal_rounding(self):
-        assert parse_percent("99.99990561%") == 0.9999990561
 
 
 class TestIngest:

@@ -26,7 +26,6 @@ from imteval.scenario import (
     list_presets,
     load_config,
     preset,
-    requirement_for,
     total_tx_power_dbm,
     validate,
 )
@@ -497,29 +496,30 @@ class TestConfigFile:
 class TestRequirements:
     def test_lookup_examples(self):
         reqs = builtin_requirements()
-        assert requirement_for(reqs, TestEnvironment.RURAL_EMBB, DOWNLINK, "avg_se") == 3.3
-        assert requirement_for(reqs, TestEnvironment.DENSE_URBAN_EMBB, UPLINK, "pct5_se") == 0.15
-        assert requirement_for(reqs, TestEnvironment.URBAN_MACRO_MMTC, UPLINK,
-                               "connection_density") == 1_000_000.0
-        assert requirement_for(reqs, TestEnvironment.URBAN_MACRO_URLLC, DOWNLINK,
-                               "reliability") == 0.99999
-        assert requirement_for(reqs, TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate",
-                               speed_kmh=120.0) == 0.8
-        assert requirement_for(reqs, TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate",
-                               speed_kmh=500.0) == 0.45
-        assert requirement_for(reqs, TestEnvironment.INDOOR_HOTSPOT_EMBB, UPLINK,
-                               "mobility_rate", speed_kmh=10.0) == 1.5
+        assert reqs.lookup(TestEnvironment.RURAL_EMBB, DOWNLINK, "avg_se").value == 3.3
+        assert reqs.lookup(TestEnvironment.DENSE_URBAN_EMBB, UPLINK, "pct5_se").value == 0.15
+        assert reqs.lookup(TestEnvironment.URBAN_MACRO_MMTC, UPLINK,
+                           "connection_density").value == 1_000_000.0
+        assert reqs.lookup(TestEnvironment.URBAN_MACRO_URLLC, DOWNLINK,
+                           "reliability").value == 0.99999
+        assert reqs.lookup(TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate",
+                           speed_kmh=120.0).value == 0.8
+        assert reqs.lookup(TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate",
+                           speed_kmh=500.0).value == 0.45
+        assert reqs.lookup(TestEnvironment.INDOOR_HOTSPOT_EMBB, UPLINK,
+                           "mobility_rate", speed_kmh=10.0).value == 1.5
 
     def test_numbered_table_rows_are_enumerable(self):
         reqs = builtin_requirements()
         by_table = {}
-        for row in reqs.table_rows():
+        numbered = [r for r in reqs.rows if r.source_table in ("I", "II", "III", "VI")]
+        for row in numbered:
             by_table.setdefault(row.source_table, []).append(row)
         assert len(by_table["I"]) == 6
         assert len(by_table["II"]) == 6
         assert len(by_table["III"]) == 4
         assert len(by_table["VI"]) == 4
-        assert len(reqs.table_rows()) == 20
+        assert len(numbered) == 20
 
     def test_five_pct_se_table_values(self):
         reqs = builtin_requirements()
@@ -532,7 +532,7 @@ class TestRequirements:
             (TestEnvironment.RURAL_EMBB, UPLINK): 0.045,
         }
         for (env, direction), value in expected.items():
-            assert requirement_for(reqs, env, direction, "pct5_se") == value
+            assert reqs.lookup(env, direction, "pct5_se").value == value
 
     def test_avg_se_table_values(self):
         reqs = builtin_requirements()
@@ -545,16 +545,16 @@ class TestRequirements:
             (TestEnvironment.RURAL_EMBB, UPLINK): 1.6,
         }
         for (env, direction), value in expected.items():
-            assert requirement_for(reqs, env, direction, "avg_se") == value
+            assert reqs.lookup(env, direction, "avg_se").value == value
 
     def test_missing_row_raises(self):
         reqs = builtin_requirements()
         with pytest.raises(UnknownRequirement):
-            requirement_for(reqs, TestEnvironment.RURAL_EMBB, DOWNLINK, "connection_density")
+            reqs.lookup(TestEnvironment.RURAL_EMBB, DOWNLINK, "connection_density")
         with pytest.raises(UnknownRequirement):
-            requirement_for(reqs, TestEnvironment.URBAN_MACRO_MMTC, UPLINK, "nonexistent")
+            reqs.lookup(TestEnvironment.URBAN_MACRO_MMTC, UPLINK, "nonexistent")
 
     def test_mobility_lookup_needs_speed_when_ambiguous(self):
         reqs = builtin_requirements()
         with pytest.raises(UnknownRequirement):
-            requirement_for(reqs, TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate")
+            reqs.lookup(TestEnvironment.RURAL_EMBB, UPLINK, "mobility_rate")
