@@ -25,7 +25,8 @@ def los_probability(model: str, d2d_m):
     if model == "always":
         p = np.ones_like(d)
     elif model in _LOS_DECAY_M:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # d <= 18 m reads 1.0 below, so the far branch's inf/NaN at tiny d is dropped
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             near = 18.0 / d
             far = near + np.exp(-d / _LOS_DECAY_M[model]) * (1.0 - near)
         p = np.where(d <= 18.0, 1.0, far)

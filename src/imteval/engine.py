@@ -564,8 +564,8 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
             avg_se = metrics.avg_spectral_efficiency(bits_per_drop[direction], config.duration_t,
                                                      config.bandwidth, n_trxps)
             kpis.append(KpiValue("avg_se", direction, avg_se, "bit/s/Hz/TRxP"))
-            se = cdfs[f"{prefix}_user_se"].samples
-            kpis.append(KpiValue("pct5_se", direction, metrics.pct5_user_se(se), "bit/s/Hz"))
+            se = metrics.pct5_user_se(cdfs[f"{prefix}_user_se"])
+            kpis.append(KpiValue("pct5_se", direction, se, "bit/s/Hz"))
         # normalized traffic-channel rate at the speeds the requirement table names
         for speed in [r.speed_kmh for r in builtin_requirements().rows
                       if r.environment is env and r.metric == "mobility_rate"]:
@@ -575,8 +575,8 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
             kpis.append(KpiValue("mobility_rate", UPLINK, rate, "bit/s/Hz", speed_kmh=speed))
         if env is TestEnvironment.DENSE_URBAN_EMBB:
             for direction, prefix in _PREFIX.items():
-                tput = cdfs[f"{prefix}_user_tput_bps"].samples
-                kpis.append(KpiValue("ued_rate", direction, metrics.pct5_user_se(tput), "bit/s"))
+                rate = metrics.pct5_user_se(cdfs[f"{prefix}_user_tput_bps"])
+                kpis.append(KpiValue("ued_rate", direction, rate, "bit/s"))
 
     if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool:
         density = metrics.connection_density_fullbuffer(

@@ -27,15 +27,17 @@ class CdfEstimator:
     p*(n-1)+1 (one-indexed), so quantile(0) is the minimum sample and
     quantile(1) the maximum. Added chunks are kept aside and joined onto
     the buffer once, at the next read, so n adds cost O(total samples).
+    Samples must be finite: a NaN would sort last and leave the low
+    quantiles silently finite.
     """
 
     def __init__(self, samples=None):
-        self._samples = np.array([] if samples is None else samples, dtype=float)
+        self._samples = _finite_samples([] if samples is None else samples)
         self._pending = []
         self._sorted = False
 
     def add(self, samples) -> None:
-        self._pending.append(np.array(samples, dtype=float, ndmin=1))
+        self._pending.append(_finite_samples(samples))
         self._sorted = False
 
     def _buffer(self) -> np.ndarray:
@@ -60,18 +62,37 @@ class CdfEstimator:
             self._sorted = True
         return data
 
-    def quantile(self, p) -> float:
+    def quantiles(self, q) -> np.ndarray:
+        """The same floats as ``np.quantile(samples, q, method="linear")``,
+        read off the sorted buffer without copying it. The virtual index is
+        (n-1)*q; numpy marks one at or past n-1 as index -1 (the last sample)
+        and takes the weight g from that mark, then interpolates with its
+        two-sided lerp, a + (b-a)*g or, where g >= 0.5, b - (b-a)*(1-g)."""
         if self.count == 0:
             raise InsufficientSamples("empty CDF estimator")
+        q = np.asarray(q, dtype=float)
+        if not ((q >= 0.0) & (q <= 1.0)).all():
+            raise DomainError("quantile levels must lie in [0, 1]")
         data = self._ensure_sorted()
-        return float(np.quantile(data, p, method="linear"))
+        n = len(data)
+        v = (n - 1) * q
+        lo = np.where(v >= n - 1, -1.0, np.floor(v))
+        i = lo.astype(np.intp)
+        a, b = data[i], data[np.where(i < 0, i, i + 1)]
+        g = v - lo
+        diff = b - a
+        return np.where(g >= 0.5, b - diff * (1.0 - g), a + diff * g)
 
-    def percentile_rows(self, step: float = 0.1):
-        """(percentile, value) rows from 0 to 100 for CSV export."""
-        ps = np.arange(0.0, 100.0 + step / 2.0, step)
-        data = self._ensure_sorted()
-        vals = np.quantile(data, ps / 100.0, method="linear")
-        return list(zip(ps.tolist(), vals.tolist()))
+    def quantile(self, p) -> float:
+        return float(self.quantiles(p))
+
+
+def _finite_samples(samples) -> np.ndarray:
+    arr = np.array(samples, dtype=float, ndmin=1)
+    if not np.isfinite(arr).all():
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        raise DomainError(f"{bad} of {arr.size} CDF samples are NaN or infinite")
+    return arr
 
 
 def avg_spectral_efficiency(bits_per_drop, duration_s: float, bandwidth_hz: float,
@@ -91,14 +112,13 @@ def avg_spectral_efficiency(bits_per_drop, duration_s: float, bandwidth_hz: floa
     return total / (len(bits_per_drop) * duration_s * bandwidth_hz * n_trxps)
 
 
-def pct5_user_se(per_user_normalized_throughputs) -> float:
+def pct5_user_se(cdf: CdfEstimator) -> float:
     """Linear-interpolated empirical 5 percent quantile of user spectral
     efficiency; requires at least 20 samples. On user throughputs in bit/s
     the same quantile is the user-experienced data rate."""
-    arr = np.asarray(per_user_normalized_throughputs, dtype=float)
-    if arr.size < 20:
-        raise InsufficientSamples(f"need >= 20 samples for the 5th percentile, got {arr.size}")
-    return float(np.quantile(arr, 0.05, method="linear"))
+    if cdf.count < 20:
+        raise InsufficientSamples(f"need >= 20 samples for the 5th percentile, got {cdf.count}")
+    return cdf.quantile(0.05)
 
 
 def b_value(duration_s: float, received_bits, w_user_hz: float):

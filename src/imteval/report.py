@@ -20,6 +20,8 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
+import numpy as np
+
 from .errors import InternalError, SchemaError, UnknownRequirement
 from .scenario import (DOWNLINK, UPLINK, Requirement, RequirementSet, TestEnvironment,
                        builtin_requirements, config_hash, _fmt)
@@ -389,16 +391,17 @@ def emit(result: RunResult, report: ComplianceReport, out_dir) -> list:
     _write_text(path, report.to_csv_text())
     written.append(path)
 
+    # one row per 0.1 percentile, 0.0 to 100.0
+    pcts = np.arange(0.0, 100.05, 0.1)
+    labels = [f"{pct:.1f}" for pct in pcts.tolist()]
     for name in sorted(result.cdfs):
         est = result.cdfs[name]
         if est.count == 0:
             continue
         path = os.path.join(out_dir, f"cdf_{name}.csv")
-        buf = io.StringIO()
-        buf.write("metric,percentile,value\n")
-        for pct, value in est.percentile_rows(0.1):
-            buf.write(f"{name},{pct:.1f},{value!r}\n")
-        _write_text(path, buf.getvalue())
+        values = est.quantiles(pcts / 100.0).tolist()
+        _write_text(path, "metric,percentile,value\n" + "".join(
+            [f"{name},{label},{value!r}\n" for label, value in zip(labels, values)]))
         written.append(path)
     return written
 

@@ -158,9 +158,11 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     arrays: column q holds queue q's first ``lengths[q]`` messages (every
     row when ``lengths`` is None) in arrival order, each with its busy time
     (retransmissions folded in); entries past a queue's length change no
-    result. 1-D arrays are one queue. Each message takes the server of its
-    queue that frees up first. Returns the delay (completion - arrival) of
-    every message as a 1-D array, ordered by position and then by queue.
+    result, but should hold finite arrival times: NaN pads give the same
+    results, yet make every later step serve one position. 1-D arrays are
+    one queue. Each message takes the server of its queue that frees up
+    first. Returns the delay (completion - arrival) of every message as a
+    1-D array, ordered by position and then by queue.
     When ``starts`` is given, an array shaped like ``arrival_times``, every
     service start time is written into it; a message completes at start +
     service time.

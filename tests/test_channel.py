@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,6 +106,15 @@ class TestLosProbability:
     @pytest.mark.parametrize("model", ["uma", "umi", "rma", "inh"])
     def test_zero_distance_is_certain_los(self, model):
         assert los_probability(model, 0.0) == 1.0
+
+    @pytest.mark.parametrize("model", ["uma", "umi"])
+    def test_tiny_distance_warns_nothing(self, model):
+        # 18 / d overflows below about 1e-307 in the far branch, which
+        # d <= 18 m never reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert los_probability(model, 1e-300) == 1.0
+            assert los_probability(model, np.array([1e-308, 5e-324])).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("model", ["uma", "umi", "rma", "inh"])
     def test_monotone_non_increasing(self, model):

@@ -1,12 +1,17 @@
 """KPI formulas, CDF machinery, density search and the convergence monitor."""
 
+import dataclasses
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imteval.engine import run
 from imteval.errors import DomainError, InsufficientSamples, InternalError
 from imteval.link import BlerModel, HarqConfig, LinkAbstraction, bler
 from imteval.metrics import (
@@ -25,6 +30,34 @@ from imteval.metrics import (
     pct5_user_se,
     reliability,
 )
+from imteval.report import check_compliance, emit
+from imteval.scenario import TestEnvironment, preset
+
+
+def cdf_text_reference(name, est):
+    """The row loop ``report.emit`` used before it joined the rows, kept as
+    the oracle: np.quantile over the sorted buffer at every 0.1 percentile,
+    one StringIO write per row."""
+    ps = np.arange(0.0, 100.0 + 0.1 / 2.0, 0.1)
+    vals = np.quantile(np.sort(est.samples), ps / 100.0, method="linear")
+    buf = io.StringIO()
+    buf.write("metric,percentile,value\n")
+    for pct, value in zip(ps.tolist(), vals.tolist()):
+        buf.write(f"{name},{pct:.1f},{value!r}\n")
+    return buf.getvalue()
+
+
+@st.composite
+def repeated_samples(draw):
+    """1 to 5,000 finite samples drawn with repeats from up to 12 values. At
+    most one signed zero appears: np.quantile may read either zero of a
+    -0.0/0.0 tie, depending on its partition's pivots."""
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           .map(lambda x: zero if x == 0.0 else x), min_size=1, max_size=12))
+    n = draw(st.integers(1, 5000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).choice(np.array(values), n)
 
 
 class TestCdfEstimator:
@@ -60,7 +93,8 @@ class TestCdfEstimator:
         chunked.add(tail)
         pooled.add(tail)
         assert chunked.samples.tobytes() == pooled.samples.tobytes()
-        assert chunked.percentile_rows(1.0) == pooled.percentile_rows(1.0)
+        q = np.linspace(0.0, 1.0, 101)
+        assert chunked.quantiles(q).tobytes() == pooled.quantiles(q).tobytes()
 
     def test_added_chunk_is_copied(self):
         chunk = np.array([3.0, 1.0, 2.0])
@@ -76,10 +110,60 @@ class TestCdfEstimator:
     def test_percentile_rows_non_decreasing(self):
         rng = np.random.default_rng(3)
         est = CdfEstimator(rng.normal(size=5000))
-        rows = est.percentile_rows(0.1)
-        values = [v for _, v in rows]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        assert rows[0][0] == 0.0 and rows[-1][0] == 100.0
+        values = est.quantiles(np.arange(0.0, 100.05, 0.1) / 100.0)
+        assert len(values) == 1001
+        assert (np.diff(values) >= 0.0).all()
+        assert values[0] == est.samples.min() and values[-1] == est.samples.max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples=repeated_samples(), levels=st.lists(st.floats(0.0, 1.0), max_size=30))
+    def test_quantiles_are_numpys_linear_quantiles_bit_for_bit(self, samples, levels):
+        q = np.array([0.0, 1.0, *levels])
+        est = CdfEstimator(samples)
+        assert est.quantiles(q).tobytes() == np.quantile(samples, q, method="linear").tobytes()
+        for p in q.tolist():
+            assert np.float64(est.quantile(p)).tobytes() == \
+                np.quantile(samples, p, method="linear").tobytes()
+
+    def test_quantile_read_copies_no_buffer(self):
+        est = CdfEstimator(np.random.default_rng(8).normal(size=1_000_000))
+        q = np.arange(0.0, 100.05, 0.1) / 100.0
+        est.quantiles(q)  # sorts in place
+        tracemalloc.start()
+        try:
+            est.quantiles(q)
+            est.quantile(0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < est.samples.nbytes // 20
+
+    @pytest.mark.parametrize("level", [-0.01, 1.01, math.nan])
+    def test_level_outside_0_1_rejected(self, level):
+        with pytest.raises(DomainError):
+            CdfEstimator([1.0, 2.0]).quantile(level)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(DomainError, match="2 of 4"):
+            CdfEstimator([1.0, bad, 2.0, bad])
+        est = CdfEstimator([1.0, 2.0])
+        with pytest.raises(DomainError, match="1 of 3"):
+            est.add([3.0, bad, 4.0])
+        assert est.quantile(1.0) == 2.0
+
+    def test_cdf_files_equal_the_row_loop_oracle(self, tmp_path):
+        cfg = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=2)
+        result = run(cfg, sinr_only=True)
+        special = CdfEstimator([1e-05, 1e16, -0.0, 5e-324, 1e16, 3.0, -2.5])
+        result = dataclasses.replace(result, cdfs={**result.cdfs, "special": special})
+        files = [f for f in emit(result, check_compliance(result), tmp_path)
+                 if os.path.basename(f).startswith("cdf_")]
+        assert len(files) == 3
+        for path in files:
+            name = os.path.basename(path)[len("cdf_"):-len(".csv")]
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == cdf_text_reference(name, result.cdfs[name])
 
 
 class TestAverageSpectralEfficiency:
@@ -122,21 +206,21 @@ class TestAverageSpectralEfficiency:
 
 class TestPct5UserSe:
     def test_constant_distribution(self):
-        assert pct5_user_se([3.25] * 100) == 3.25
+        assert pct5_user_se(CdfEstimator([3.25] * 100)) == 3.25
 
     def test_interpolation_value(self):
-        assert pct5_user_se(list(range(1, 101))) == pytest.approx(5.95)
+        assert pct5_user_se(CdfEstimator(range(1, 101))) == pytest.approx(5.95)
 
     def test_adding_high_sample_never_decreases(self):
         rng = np.random.default_rng(4)
         samples = list(rng.uniform(0, 1, 200))
-        before = pct5_user_se(samples)
-        after = pct5_user_se(samples + [10.0])
+        before = pct5_user_se(CdfEstimator(samples))
+        after = pct5_user_se(CdfEstimator(samples + [10.0]))
         assert after >= before - 1e-12
 
     def test_requires_20_samples(self):
         with pytest.raises(InsufficientSamples):
-            pct5_user_se([1.0] * 19)
+            pct5_user_se(CdfEstimator([1.0] * 19))
 
 
 class TestConnectionDensityFullBuffer:
@@ -329,17 +413,17 @@ class TestMobility:
 class TestUserExperiencedRate:
     # the ued_rate KPI is pct5_user_se over per-user throughputs in bit/s
     def test_constant_samples(self):
-        assert pct5_user_se([60e6] * 100) == 60e6
+        assert pct5_user_se(CdfEstimator([60e6] * 100)) == 60e6
 
     def test_boundary_pass_inclusive(self):
         # 5th-percentile spectral efficiency 0.5 bit/s/Hz on 100 MHz
-        rate = pct5_user_se([0.5 * 100e6] * 100)
+        rate = pct5_user_se(CdfEstimator([0.5 * 100e6] * 100))
         assert rate == pytest.approx(50e6)
         assert rate >= 50e6
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamples):
-            pct5_user_se([1e8] * 19)
+            pct5_user_se(CdfEstimator([1e8] * 19))
 
 
 class TestConvergenceMonitor:
