@@ -1,4 +1,4 @@
-"""Antenna element patterns, planar panel arrays, directivity and TXRU port mapping.
+"""Antenna element patterns and planar panel arrays.
 
 Angles follow one convention everywhere: azimuth in degrees within [-180, 180]
 measured from the array boresight (+x axis), zenith in degrees within [0, 180]
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MappingError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,12 @@ class ArrayConfig:
     """Panel array geometry: (M, N, P, Mg, Ng; Mp, Np) plus spacings and pointing.
 
     m x n elements per panel and polarization, p polarizations, mg x ng
-    panels, and mp x np ports per panel per polarization. Spacings are in
-    wavelengths. ``downtilt_deg`` is the mechanical/electrical tilt used by
-    the TXRU weights. ``bearing_deg`` is carried in the config text only:
-    nothing reads it, as sector boresights come from the layout.
+    panels, and mp x np ports per panel per polarization, which partition
+    the m x n grid. Spacings are in wavelengths. p, mp, np, mg and ng set
+    ``n_ports``, the link budget's MRC branch count; the BS ``downtilt_deg``
+    offsets the zenith in ``engine.compute_coupling``; m, n and the spacings
+    feed only the small-scale generator's ``array_response``. Nothing reads
+    ``bearing_deg`` or the UE ``downtilt_deg``.
     """
 
     m: int = 1
@@ -102,8 +104,8 @@ class ArrayConfig:
         if self.p not in (1, 2):
             raise DomainError("polarization count p must be 1 or 2", "p")
         for ports, grid in (("mp", "m"), ("np", "n")):
-            if getattr(self, ports) > getattr(self, grid):
-                raise DomainError("port grid (mp, np) must not exceed element grid (m, n)", ports)
+            if getattr(self, grid) % getattr(self, ports):
+                raise DomainError("port grid (mp, np) must divide element grid (m, n)", ports)
         for name in ("element_spacing_h", "element_spacing_v"):
             if getattr(self, name) <= 0:
                 raise DomainError("element spacings must be positive", name)
@@ -160,71 +162,3 @@ def array_response(config: ArrayConfig, azimuth_deg, zenith_deg) -> np.ndarray:
     if np.isscalar(azimuth_deg) and np.isscalar(zenith_deg):
         return resp[:, 0]
     return resp
-
-
-def _power_pattern(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float):
-    """Combined element x array power pattern of the uniformly fed array on a
-    midpoint sphere grid, with the solid angle of each grid cell."""
-    if abs(180.0 / grid_resolution_deg - round(180.0 / grid_resolution_deg)) > 1e-9:
-        raise DomainError("grid_resolution_deg must divide 180")
-    step = grid_resolution_deg
-    zen = np.arange(step / 2.0, 180.0, step)
-    az = np.arange(-180.0 + step / 2.0, 180.0, step)
-    zz, aa = np.meshgrid(zen, az, indexing="ij")
-    elem_lin = 10.0 ** (np.asarray(element_gain(pattern, aa, zz)) / 10.0)
-    resp = array_response(config, aa.ravel(), zz.ravel())  # (n, k)
-    af = np.abs(resp.sum(axis=0)) ** 2 / config.n_elements  # uniform weights 1/sqrt(n)
-    d_omega = np.sin(np.radians(zz)) * np.radians(step) ** 2
-    return elem_lin * af.reshape(zz.shape), d_omega
-
-
-def directivity(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float = 1.0) -> float:
-    """Peak-over-average gain of the uniformly fed array, in dBi.
-
-    The peak is taken over the same midpoint grid that
-    ``total_radiated_power`` integrates on. ``grid_resolution_deg`` must
-    divide 180.
-    """
-    u, d_omega = _power_pattern(config, pattern, grid_resolution_deg)
-    total = float(np.sum(u * d_omega))
-    return 10.0 * np.log10(4.0 * np.pi * float(u.max()) / total)
-
-
-def total_radiated_power(config: ArrayConfig, pattern: ElementPattern, grid_resolution_deg: float) -> float:
-    """Sphere integral of the combined power pattern (linear, steradian-weighted)."""
-    u, d_omega = _power_pattern(config, pattern, grid_resolution_deg)
-    return float(np.sum(u * d_omega))
-
-
-def txru_weights(config: ArrayConfig) -> np.ndarray:
-    """Port-to-element weight matrix of shape (n_elements, n_ports).
-
-    Each port drives a contiguous block of m/mp rows x n/np columns of one
-    polarization of one panel, with equal amplitudes and a progressive
-    vertical phase implementing the configured downtilt. Columns are unit
-    power: sum |w|^2 = 1 per port.
-    """
-    if config.m % config.mp != 0 or config.n % config.np != 0:
-        raise MappingError(
-            f"({config.mp}, {config.np}) ports do not divide ({config.m}, {config.n}) elements"
-        )
-    rows_per_port = config.m // config.mp
-    cols_per_port = config.n // config.np
-    # progressive phase down the rows of the subarray
-    sub_phase = np.exp(-1j * 2.0 * np.pi * config.element_spacing_v * np.arange(rows_per_port)
-                       * np.sin(np.radians(config.downtilt_deg)))
-    g_v, g_h, row, col, pol = config.element_index()
-    port = ((g_v * config.ng + g_h) * config.mp * config.np
-            + (row // rows_per_port) * config.np + col // cols_per_port) * config.p + pol
-    w = np.zeros((config.n_elements, config.n_ports), dtype=complex)
-    w[np.arange(config.n_elements), port] = \
-        sub_phase[row % rows_per_port] / np.sqrt(rows_per_port * cols_per_port)
-    return w
-
-
-def map_txru(config: ArrayConfig, signal_per_port: np.ndarray) -> np.ndarray:
-    """Apply the TXRU virtualization: per-port signals -> per-element weights."""
-    signal = np.asarray(signal_per_port, dtype=complex)
-    if signal.shape[0] != config.n_ports:
-        raise MappingError(f"expected {config.n_ports} port signals, got {signal.shape[0]}")
-    return txru_weights(config) @ signal

@@ -217,26 +217,17 @@ def _cmd_dump_profile(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "list-scenarios": _cmd_list, "check": _cmd_check,
+             "dump-profile": _cmd_dump_profile}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list-scenarios":
-            return _cmd_list(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "dump-profile":
-            return _cmd_dump_profile(args)
-        parser.error(f"unknown command {args.command}")
-    except ImtEvalError as exc:
+        return _COMMANDS[args.command](args)
+    except (ImtEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

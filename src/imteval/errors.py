@@ -37,10 +37,6 @@ class DomainError(ImtEvalError):
         super().__init__(message)
 
 
-class MappingError(ImtEvalError):
-    """Antenna port-to-element mapping is not realizable."""
-
-
 class InsufficientSamples(ImtEvalError):
     """Too few samples to estimate the requested statistic."""
 

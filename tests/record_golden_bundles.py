@@ -1,5 +1,6 @@
 """Record golden_bundles.json: the SHA-256 of every file that `simulate run`
-writes, for each preset and variant, full buffer and ``--sinr-only``.
+writes, for each preset and variant, full buffer and ``--sinr-only``, plus one
+mMTC ``--non-full-buffer`` run with every dump.
 
     PYTHONPATH=src python3 tests/record_golden_bundles.py
 
@@ -30,7 +31,8 @@ SEEDS = (7, 11)
 def cases() -> list:
     """(case id, `simulate run` arguments) for every preset and variant, full
     buffer and SINR-only, at each seed; dense urban runs one drop, the rest
-    two."""
+    two. One more case runs the mMTC density search with the packet,
+    geometry and SINR dumps, which no other case writes."""
     found = []
     for env, variant, _ in list_presets():
         drops = 1 if env is TestEnvironment.DENSE_URBAN_EMBB else 2
@@ -41,16 +43,27 @@ def cases() -> list:
                         "--drops", str(drops), "--seed", str(seed)]
                 found.append((f"{env.value}/{variant}/{mode}/seed{seed}",
                               argv + ["--sinr-only"] * sinr_only))
+    found.append(("UrbanMacro_mMTC/A/non_full_buffer/seed7",
+                  ["run", "--scenario", "UrbanMacro_mMTC", "--drops", "2", "--seed", "7",
+                   "--non-full-buffer", "--dump-packets", "--dump-geometry", "--dump-sinr"]))
     return found
 
 
 def bundle_digests(argv) -> dict:
-    """{file name: SHA-256} of the bundle one `simulate run` writes."""
+    """{file name: SHA-256} of the bundle one `simulate run` writes. A
+    ``--non-full-buffer`` run prints its density verdict instead of writing
+    it, so its stdout, with the output directory replaced by a fixed token,
+    is digested too, under a key no file can have."""
+    stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(stdout):
             cli.main(argv + ["--out", out])
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(Path(out).iterdir())}
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(out).iterdir())}
+    if "--non-full-buffer" in argv:
+        text = stdout.getvalue().replace(out, "<out>")
+        digests["<stdout>"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 def main() -> None:

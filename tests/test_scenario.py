@@ -375,6 +375,8 @@ class TestValidation:
         ("antenna.bs", "p", "3", "polarization count"),
         ("antenna.bs", "mp", "9", "port grid"),
         ("antenna.ue", "np", "3", "port grid"),
+        ("antenna.bs", "mp", "3", "port grid"),
+        ("antenna.bs", "np", "3", "port grid"),
         ("antenna.ue", "element_spacing_h", "-inf", "element spacings"),
         ("antenna.bs", "element_spacing_v", "0", "element spacings"),
     ])
@@ -384,6 +386,14 @@ class TestValidation:
             load_config(text=f"[{section}]\n{key} = {raw}\n", base=c)
         assert err.value.field == f"{section}.{key}"
         assert reason in str(err.value)
+
+    @pytest.mark.parametrize("grid, raw, ports", [("m", "5", "mp"), ("n", "6", "np")])
+    def test_element_grid_the_ports_do_not_divide_is_rejected(self, grid, raw, ports):
+        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "B")  # 8 x 8 elements, 2 x 4 ports
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text=f"[antenna.bs]\n{grid} = {raw}\n", base=c)
+        assert err.value.field == f"antenna.bs.{ports}"
+        assert "port grid" in str(err.value)
 
     @pytest.mark.parametrize("field", ["isd", "duration_t"])
     def test_non_finite_top_level_field_is_named(self, field):
