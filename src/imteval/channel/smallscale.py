@@ -26,7 +26,6 @@ class PropagationCondition:
     los: bool
     indoor: bool = False
     high_loss: bool = False
-    p_los: float = 1.0
 
 
 def assign_los(profile: ChannelProfile, d2d_m: float, indoor: bool,
@@ -34,7 +33,7 @@ def assign_los(profile: ChannelProfile, d2d_m: float, indoor: bool,
     """Bernoulli LOS draw from the profile's probability curve (fixed per drop)."""
     p = float(los_probability(profile.plos_model, d2d_m))
     return PropagationCondition(los=bool(rng.uniform() < p), indoor=indoor,
-                                high_loss=high_loss, p_los=p)
+                                high_loss=high_loss)
 
 
 def pathloss(profile: ChannelProfile, condition: PropagationCondition, fc_hz: float,

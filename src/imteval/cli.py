@@ -95,6 +95,9 @@ def _cmd_run(args) -> int:
     if args.dump_packets and not args.non_full_buffer:
         print("error: --dump-packets needs --non-full-buffer", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     if args.config and args.scenario:
         base = preset(TestEnvironment.parse(args.scenario), args.variant)
         config = load_config(args.config, base=base)

@@ -76,8 +76,8 @@ class DropWork:
     and fault it in again on every drop. A plane is named by its first use,
     and a later stage may take it over once its contents are spent; it is
     reallocated only when a drop needs another shape. Nothing a drop
-    returns lives here except ``LinkBudget.coupling_db``; one object serves
-    one loop at a time.
+    returns lives here except ``compute_coupling``'s plane; one object
+    serves one loop at a time.
     """
 
     def __init__(self):
@@ -91,20 +91,10 @@ class DropWork:
         return buf
 
 
-@dataclass
-class LinkBudget:
-    """Per-drop coupling state for all UE x TRxP pairs.
-
-    ``coupling_db`` lives in the ``DropWork`` that computed it: it is valid
-    until the next ``compute_coupling`` call with the same work object."""
-
-    coupling_db: np.ndarray  # (n_ue, n_trxp) pathloss + shadow - antenna gains
-    serving: np.ndarray  # (n_ue,) argmin coupling
-
-
 def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDrop,
-                     rng: np.random.Generator, work: DropWork | None = None) -> LinkBudget:
-    """Pathloss + shadowing - antenna gain for every UE x TRxP pair.
+                     rng: np.random.Generator, work: DropWork | None = None) -> np.ndarray:
+    """Pathloss + shadowing - antenna gain in dB for every UE x TRxP pair,
+    an (n_ue, n_trxp) plane; the UE's serving TRxP is its row's argmin.
 
     Distance, LOS probability, both pathloss curves and the UE's azimuth and
     zenith depend only on the site, so they are computed once per site and
@@ -113,7 +103,8 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     conditions and shadow fading are drawn here, once per link per drop,
     and the element gain is taken per TRxP boresight. The dense-urban micro
     layer uses its own profile. The full-size planes are ``work``'s (a
-    fresh ``DropWork`` when None).
+    fresh ``DropWork`` when None); the returned one is its "coupling" plane,
+    valid until the next call with the same work object.
     """
     work = DropWork() if work is None else work
     delta, d2d = ues.site_delta, ues.site_dist
@@ -201,7 +192,7 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
 
     pl -= gain
     pl -= config.ue_element_gain
-    return LinkBudget(coupling_db=pl, serving=np.argmin(pl, axis=1))
+    return pl
 
 
 def _select(mask: np.ndarray, a, b, out: np.ndarray) -> np.ndarray:
@@ -271,9 +262,9 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     rng_sched = derive_stream(config.master_seed, drop_index, "sched")
 
     ues = drop_ues(layout, config, rng_ues)
-    budget = compute_coupling(config, layout, ues, rng_links, work)
-    n_ue, n_t = budget.coupling_db.shape
-    serving = budget.serving
+    coupling = compute_coupling(config, layout, ues, rng_links, work)
+    n_ue, n_t = coupling.shape
+    serving = np.argmin(coupling, axis=1)
 
     # --- downlink: every co-channel TRxP transmits at full configured power
     tx_dbm = np.full(n_t, config.bs_tx_power)
@@ -281,7 +272,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
         tx_dbm[layout.trxp_is_micro] += MICRO_TX_OFFSET_DB
     # unit-power coupling gain times each TRxP's transmit power, in the
     # plane of compute_coupling's spent random draws
-    rx_mw = np.negative(budget.coupling_db, out=work.plane("draw", (n_ue, n_t)))
+    rx_mw = np.negative(coupling, out=work.plane("draw", (n_ue, n_t)))
     db_to_lin(rx_mw, out=rx_mw)
     rx_mw *= db_to_lin(tx_dbm)
     idx = np.arange(n_ue)
@@ -297,7 +288,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
     ul_user_bw = config.traffic.w_user_hz if is_mmtc_style else \
         config.bandwidth / config.link.mu_layers_ul
-    cl_serving = budget.coupling_db[idx, serving]
+    cl_serving = coupling[idx, serving]
     p_ue = uplink_power_control(cl_serving, config.link.ul_p0_dbm, config.link.ul_alpha,
                                 config.ue_tx_power)
     ul_noise_dbm = noise_power(ul_user_bw, config.bs_noise_figure, config.thermal_noise_density)
@@ -311,7 +302,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     # received power of every cell's active UE at every TRxP: (n_active, n_t)
     act_idx = pick[active]
     own_cell = np.flatnonzero(active)
-    act_rx_mw = db_to_lin(p_ue[act_idx, None] - budget.coupling_db[act_idx, :])
+    act_rx_mw = db_to_lin(p_ue[act_idx, None] - coupling[act_idx, :])
     total = act_rx_mw.sum(axis=0)
     own_contrib = np.zeros(n_t)
     own_contrib[own_cell] = act_rx_mw[np.arange(len(own_cell)), own_cell]
@@ -474,8 +465,10 @@ def _drop_worker(drop_index):
 def _drops(config: EvaluationConfig, layout: NetworkLayout, indices: range,
            sinr_only: bool, workers: int = 1):
     """``run_drop`` of each index, yielded in index order: through one
-    ``DropWork`` with one worker, else from a pool whose workers keep one
-    each. Closing the generator early shuts the pool down."""
+    ``DropWork`` with one worker (or one index), else from a pool of at most
+    one process per index whose workers keep one each. Closing the
+    generator early shuts the pool down."""
+    workers = min(workers, len(indices))
     if workers <= 1:
         work = DropWork()
         for d in indices:
@@ -591,38 +584,10 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
 # non-full-buffer connection density route
 
 
-@dataclass(frozen=True)
-class MessageLinks:
-    """Per-UE uplink message service of one drop: the same at every density."""
-
-    members: list  # per TRxP, the ascending ids of the UEs it serves
-    se: np.ndarray  # (n_ue,) spectral efficiency after the CSI backoff
-    tx_time: np.ndarray  # (n_ue,) seconds per transmission of one PDU
-    p_success: np.ndarray  # (n_ue,) probability that one transmission decodes
-
-
-def message_links(config: EvaluationConfig, layout: NetworkLayout,
-                  probe: DropResult) -> MessageLinks:
-    """Map each UE's uplink SINR in the SINR-only drop ``probe`` to its
-    message service (saturated-neighbor interference: the drop's
-    per-victim level)."""
-    spec, lk = config.traffic, config.link
-    sinr = probe.ul_sinr_db - lk.csi_backoff_db
-    se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-    # undecodable messages still occupy the channel at the slowest rate for
-    # the full retransmission budget, then count as lost
-    tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
-    p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
-    by_cell = np.argsort(probe.serving, kind="stable")
-    bounds = np.cumsum(np.bincount(probe.serving, minlength=layout.n_trxps))[:-1]
-    return MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
-
-
 def _search_links(config: EvaluationConfig, layout: NetworkLayout, n_drops: int) -> list:
-    """``message_links`` of SINR-only drops 0 .. n_drops - 1; their
-    ``DropWork`` is freed before any probe runs."""
-    return [message_links(config, layout, probe)
-            for probe in _drops(config, layout, range(n_drops), sinr_only=True)]
+    """The SINR-only drops 0 .. n_drops - 1; their ``DropWork`` is freed
+    before any probe runs."""
+    return list(_drops(config, layout, range(n_drops), sinr_only=True))
 
 
 def _queue_capacity(mean_messages: float) -> int:
@@ -633,7 +598,7 @@ def _queue_capacity(mean_messages: float) -> int:
 def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
                        density_per_km2: float, n_drops: int = 3,
                        horizon_s: float = 20.0, record_sink: list | None = None,
-                       links: list | None = None) -> float:
+                       sinr_drops: list | None = None) -> float:
     """99th-percentile message delay at the given device density.
 
     Messages arrive per cell as aggregate Poisson traffic (device density x
@@ -643,13 +608,15 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     co-channel interference level comes from the same budget machinery as
     the full-buffer runs (saturated-neighbor assumption).
 
-    ``links`` holds ``message_links`` of drops 0 .. n_drops - 1 (and then
-    sets the drop count); a search computes them once for all its probes,
-    and they are computed here when it is None. The per-cell loop only
-    draws (``poisson``, ``uniform``, ``integers``, ``geometric`` per cell,
-    an order that fixes the results of a seed) into padded (queues x
-    messages) arrays, one contiguous row per drop and cell, and
-    ``serve_fifo`` serves every queue at once from their transposes. An
+    ``sinr_drops`` holds the SINR-only ``run_drop`` results of drops
+    0 .. n_drops - 1 (and then sets the drop count); a search runs them once
+    for all its probes, and they are run here when it is None. Each drop's
+    UEs are mapped to their message service (SE, PDU time and success
+    probability after the CSI backoff) and split by serving cell. The
+    per-cell loop only draws (``poisson``, ``uniform``, ``integers``,
+    ``geometric`` per cell, an order that fixes the results of a seed) into
+    padded (queues x messages) arrays, one contiguous row per drop and cell,
+    and ``serve_fifo`` serves every queue at once from their transposes. An
     undelivered message counts as an infinite delay (see metrics.p99_delay
     for the percentile rule around ``inf``).
 
@@ -660,21 +627,30 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     spec = config.traffic
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
         raise DomainError("density evaluation needs the Poisson messaging traffic model")
-    if links is None:
-        links = _search_links(config, layout, n_drops)
+    if sinr_drops is None:
+        sinr_drops = _search_links(config, layout, n_drops)
+    lk = config.link
     area_km2 = layout.sector_area_m2 / 1e6
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
     n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
     n_t = layout.n_trxps
-    shape = (len(links) * n_t, _queue_capacity(mean_messages))
+    shape = (len(sinr_drops) * n_t, _queue_capacity(mean_messages))
     arrival, busy = np.zeros(shape), np.zeros(shape)
     delivered = np.zeros(shape, dtype=bool)
     lengths = np.zeros(shape[0], dtype=np.intp)
     transmissions = {}  # queue -> transmissions per message, kept for record_sink
 
-    for d, link in enumerate(links):
+    for d, probe in enumerate(sinr_drops):
+        sinr = probe.ul_sinr_db - lk.csi_backoff_db
+        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+        # undecodable messages still occupy the channel at the slowest rate for
+        # the full retransmission budget, then count as lost
+        tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
+        p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+        by_cell = np.argsort(probe.serving, kind="stable")
+        bounds = np.cumsum(np.bincount(probe.serving, minlength=n_t))[:-1]
         rng = derive_stream(config.master_seed, d, "density")
-        for c, members in enumerate(link.members):
+        for c, members in enumerate(np.split(by_cell, bounds)):
             n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
                 continue
@@ -683,7 +659,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             if len(members) == 0:
                 continue
             chosen = members[rng.integers(len(members), size=n_msgs)]
-            first_success = rng.geometric(link.p_success[chosen])
+            first_success = rng.geometric(p_success[chosen])
             n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
             if n_msgs > arrival.shape[1]:
                 arrival, busy, delivered = (
@@ -693,8 +669,8 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             q = d * n_t + c
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
-            busy[q, :n_msgs] = spec.overhead_s + n_tx * link.tx_time[chosen]
-            delivered[q, :n_msgs] = (link.se[chosen] > 0.0) & \
+            busy[q, :n_msgs] = spec.overhead_s + n_tx * tx_time[chosen]
+            delivered[q, :n_msgs] = (se[chosen] > 0.0) & \
                 (first_success <= _MAX_MESSAGE_ATTEMPTS)
             if record_sink is not None:
                 transmissions[q] = n_tx
@@ -729,9 +705,10 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)
 
-    links = _search_links(config, layout, n_drops)
+    sinr_drops = _search_links(config, layout, n_drops)
 
     def probe(density):
-        return evaluate_p99_delay(config, layout, density, n_drops=n_drops, links=links)
+        return evaluate_p99_delay(config, layout, density, n_drops=n_drops,
+                                  sinr_drops=sinr_drops)
 
     return metrics.connection_density_search(probe, lo_per_km2, hi_per_km2, steps=steps), config

@@ -224,6 +224,20 @@ class TestRunFlagsValidated:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    # a worker count below one used to run serially and exit 0
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     workers):
+        def no_drops(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "run_drop", no_drops)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--scenario", "Rural_eMBB", "--drops", "1", "--workers", workers,
+                     "--out", str(out_dir)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_flags_override_set(self, tmp_path):
         out_dir = tmp_path / "results"
         code = main(["run", "--scenario", "UrbanMacro_mMTC", "--set", "run.drops=5",

@@ -81,7 +81,7 @@ def _single_trxp_layout():
     )
 
 
-def _budget(config, layout, drop_index):
+def _coupling(config, layout, drop_index):
     """The coupling run_drop computes for this drop, from the same streams."""
     ues = drop_ues(layout, config, derive_stream(config.master_seed, drop_index, "ues"))
     return compute_coupling(config, layout, ues,
@@ -187,10 +187,9 @@ class TestRunDrop:
     def test_serving_is_coupling_argmin(self):
         layout = build_layout(MMTC_A)
         drop = run_drop(MMTC_A, layout, 2, sinr_only=True)
-        budget = _budget(MMTC_A, layout, 2)
-        assert budget.serving.shape == (570,)
-        assert np.array_equal(budget.serving, np.argmin(budget.coupling_db, axis=1))
-        assert np.array_equal(drop.serving, budget.serving)
+        coupling = _coupling(MMTC_A, layout, 2)
+        assert coupling.shape == (570, layout.n_trxps)
+        assert np.array_equal(drop.serving, np.argmin(coupling, axis=1))
 
 
     def test_doubling_ue_ports_adds_3db_to_downlink_signal(self):
@@ -223,8 +222,7 @@ class TestRunDrop:
         layout = build_layout(MMTC_A)
         capped = dataclasses.replace(MMTC_A, ue_tx_power=0.0)
         drop = run_drop(capped, layout, 5, sinr_only=True)
-        budget = _budget(capped, layout, 5)
-        coupling = budget.coupling_db[np.arange(570), drop.serving]
+        coupling = _coupling(capped, layout, 5)[np.arange(570), drop.serving]
         mrc_gain_db = 10 * math.log10(capped.antenna_bs.n_ports)
         p_ue = drop.ul_signal_dbm - mrc_gain_db + coupling
         assert np.all(p_ue <= 0.0 + 1e-9)
@@ -287,7 +285,7 @@ class TestUplinkInterferers:
     def test_matches_per_cell_loop_on_preset_drops(self, env, seed, drop_index):
         config = small(preset(env, "A"), master_seed=seed)
         layout = build_layout(config)
-        serving = _budget(config, layout, drop_index).serving
+        serving = np.argmin(_coupling(config, layout, drop_index), axis=1)
         by_cell = np.argsort(serving, kind="stable")
         self._check(by_cell, np.bincount(serving, minlength=layout.n_trxps), seed, drop_index)
 
@@ -345,6 +343,42 @@ class TestRun:
                               parallel.cdfs["ul_sinr_db"].samples)
         assert [(k.metric, k.direction, k.value) for k in serial.kpis] == \
                [(k.metric, k.direction, k.value) for k in parallel.kpis]
+
+    @pytest.mark.parametrize("workers, n_drops, processes", [
+        (50, 2, [2]),  # one process per drop, not per requested worker
+        (2, 3, [2]),
+        (4, 1, []),  # one drop runs in this process
+    ])
+    def test_pool_has_at_most_one_process_per_drop(self, monkeypatch, workers, n_drops,
+                                                   processes):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(engine.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(engine, "_WORKER_STATE", {})
+        cfg = small(MMTC_A, drops=n_drops)
+        layout = build_layout(cfg)
+        indices = range(n_drops)
+        drops = list(engine._drops(cfg, layout, indices, sinr_only=True, workers=workers))
+        assert sizes == processes
+        assert [drop.drop_index for drop in drops] == list(indices)
+        for drop in drops:
+            _assert_same_drop(drop, run_drop(cfg, layout, drop.drop_index, sinr_only=True))
 
     def test_default_drop_count_is_10000(self):
         assert preset(TestEnvironment.URBAN_MACRO_MMTC, "A").drops == 10_000
@@ -486,32 +520,7 @@ def mmtc_calibrated():
     return calibrate_ul_power(cfg, layout)[0], layout
 
 
-def message_links_reference(config, layout, drop_index):
-    """Oracle for message_links: runs drop ``drop_index`` SINR-only itself."""
-    spec, lk = config.traffic, config.link
-    probe = run_drop(config, layout, drop_index, sinr_only=True)
-    sinr = probe.ul_sinr_db - lk.csi_backoff_db
-    se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-    tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, engine._SE_CHANNEL_FLOOR) / spec.w_user_hz
-    p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
-    by_cell = np.argsort(probe.serving, kind="stable")
-    bounds = np.cumsum(np.bincount(probe.serving, minlength=layout.n_trxps))[:-1]
-    return engine.MessageLinks(np.split(by_cell, bounds), se, tx_time, p_success)
-
-
 class TestDensityRoute:
-    @pytest.mark.parametrize("drop_index", [0, 3])
-    def test_message_links_of_a_sinr_only_drop(self, mmtc_calibrated, drop_index):
-        cal, layout = mmtc_calibrated
-        links = engine.message_links(cal, layout,
-                                     run_drop(cal, layout, drop_index, sinr_only=True))
-        ref = message_links_reference(cal, layout, drop_index)
-        assert len(links.members) == len(ref.members) == layout.n_trxps
-        for got, want in zip(links.members, ref.members):
-            assert np.array_equal(got, want)
-        for name in ("se", "tx_time", "p_success"):
-            assert np.array_equal(getattr(links, name), getattr(ref, name)), name
-
     @pytest.mark.parametrize("seed, density, n_drops, calibrated", [
         (20200101, 2e5, 1, True),
         (7, 4e6, 2, True),
@@ -550,17 +559,19 @@ class TestDensityRoute:
         drawn (so later cells see the same draws) but never queued."""
         cfg = small(MMTC_A, drops=2, ues_per_trxp=1, master_seed=19)
         layout = build_layout(cfg)
-        links = engine._search_links(cfg, layout, 2)
-        assert any(len(members) == 0 for link in links for members in link.members)
+        sinr_drops = engine._search_links(cfg, layout, 2)
+        empty = [np.bincount(probe.serving, minlength=layout.n_trxps) == 0
+                 for probe in sinr_drops]
+        assert any(e.any() for e in empty)
         rows, ref_rows = [], []
         delay = evaluate_p99_delay(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
-                                   record_sink=rows, links=links)
+                                   record_sink=rows, sinr_drops=sinr_drops)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert delay == expected and rows == ref_rows
         served = {r[:2] for r in rows}
-        assert all((d, c) not in served for d, link in enumerate(links)
-                   for c, members in enumerate(link.members) if len(members) == 0)
+        assert all((d, c) not in served for d, e in enumerate(empty)
+                   for c in np.flatnonzero(e).tolist())
 
     def test_search_runs_each_drop_once(self, monkeypatch):
         cfg = small(MMTC_A, drops=2)

@@ -199,8 +199,8 @@ class TestLayoutInvariant:
             site_height=layout.site_height[::-1], site_is_micro=layout.site_is_micro[::-1],
             trxp_site=1 - layout.trxp_site)
         ues = UeDrop.from_positions(layout, [[250.0, 100.0, 1.5]], [False], [False])
-        budget = compute_coupling(config, layout, ues, derive_stream(1, 0, "links"))
-        assert np.all(np.isfinite(budget.coupling_db))
+        coupling = compute_coupling(config, layout, ues, derive_stream(1, 0, "links"))
+        assert np.all(np.isfinite(coupling))
         ues = UeDrop.from_positions(swapped, [[250.0, 100.0, 1.5]], [False], [False])
         with pytest.raises(InternalError, match="micro sites"):
             compute_coupling(config, swapped, ues, derive_stream(1, 0, "links"))
@@ -416,20 +416,21 @@ class TestAttach:
         positions = dropped.positions.copy()
         positions[0, :2] = layout.site_positions[site] + np.array([1.0, 1.0])
         ues = UeDrop.from_positions(layout, positions, dropped.indoor, dropped.high_loss)
-        budget = compute_coupling(MMTC_A, layout, ues, _NoFading())
+        coupling = compute_coupling(MMTC_A, layout, ues, _NoFading())
+        serving = np.argmin(coupling, axis=1)
         # brute-force oracle over all 57: same answer, and it is a sector of
         # the nearest site
-        oracle = [min(range(layout.n_trxps), key=lambda k: budget.coupling_db[i, k])
-                  for i in range(len(budget.serving))]
-        assert np.array_equal(budget.serving, oracle)
-        assert layout.trxp_site[budget.serving[0]] == site
+        oracle = [min(range(layout.n_trxps), key=lambda k: coupling[i, k])
+                  for i in range(len(serving))]
+        assert np.array_equal(serving, oracle)
+        assert layout.trxp_site[serving[0]] == site
 
     def test_tie_breaks_to_lower_index(self):
         layout = _colocated_layout(3)
         ues = drop_ues(layout, INDOOR, derive_stream(11, 0, "ues"))
-        budget = compute_coupling(INDOOR, layout, ues, _NoFading())
-        assert np.all(budget.coupling_db == budget.coupling_db[:, :1])
-        assert np.all(budget.serving == 0)
+        coupling = compute_coupling(INDOOR, layout, ues, _NoFading())
+        assert np.all(coupling == coupling[:, :1])
+        assert np.all(np.argmin(coupling, axis=1) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +559,11 @@ class TestPerSiteGeometryOracle:
         for name in [field.name for field in dataclasses.fields(UeDrop)]:
             assert np.array_equal(getattr(ues, name), getattr(ref_ues, name)), name
 
-        budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
-        coupling, serving = compute_coupling_reference(config, layout, ues,
-                                                       derive_stream(seed, drop, "links"))
-        assert np.array_equal(budget.coupling_db, coupling)
-        assert np.array_equal(budget.serving, serving)
+        coupling = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
+        ref_coupling, ref_serving = compute_coupling_reference(
+            config, layout, ues, derive_stream(seed, drop, "links"))
+        assert np.array_equal(coupling, ref_coupling)
+        assert np.array_equal(np.argmin(coupling, axis=1), ref_serving)
 
     @pytest.mark.parametrize("seed, drop", [(20200101, 0), (3, 17)])
     def test_dense_urban_coupling_matches_gain_on_every_column(self, seed, drop):
@@ -572,11 +573,11 @@ class TestPerSiteGeometryOracle:
         layout = make_layout()
         assert layout.trxp_is_micro.any() and not layout.trxp_is_micro.all()
         ues = drop_ues(layout, config, derive_stream(seed, drop, "ues"))
-        budget = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
-        coupling, serving = compute_coupling_reference(config, layout, ues,
-                                                       derive_stream(seed, drop, "links"))
-        assert np.array_equal(budget.coupling_db, coupling)
-        assert np.array_equal(budget.serving, serving)
+        coupling = compute_coupling(config, layout, ues, derive_stream(seed, drop, "links"))
+        ref_coupling, ref_serving = compute_coupling_reference(
+            config, layout, ues, derive_stream(seed, drop, "links"))
+        assert np.array_equal(coupling, ref_coupling)
+        assert np.array_equal(np.argmin(coupling, axis=1), ref_serving)
 
     @settings(max_examples=100, deadline=None)
     @given(env=_WRAPPED_ENVS, a=_POINTS, b=_POINTS, k=st.integers(0, 8))
@@ -600,8 +601,8 @@ class TestPerSiteGeometryOracle:
 class TestCouplingWork:
     """compute_coupling writes its planes into the DropWork it is given:
     across layouts whose plane shapes differ, one reused object gives the
-    bytes and the generator state of a fresh one, and only coupling_db
-    lives in the work object."""
+    bytes and the generator state of a fresh one, and of what it returns
+    only the coupling plane lives in the work object."""
 
     def test_reused_work_matches_fresh_work(self):
         cases = sorted(_ORACLE_CASES)
@@ -612,16 +613,14 @@ class TestCouplingWork:
             config, layout = _ORACLE_CASES[case][0], layouts[case]
             ues = drop_ues(layout, config, derive_stream(5, step, "ues"))
             rng, fresh_rng = derive_stream(5, step, "links"), derive_stream(5, step, "links")
-            budget = compute_coupling(config, layout, ues, rng, work)
+            coupling = compute_coupling(config, layout, ues, rng, work)
             fresh = compute_coupling(config, layout, ues, fresh_rng)
-            assert np.array_equal(budget.coupling_db, fresh.coupling_db), case
-            assert np.array_equal(budget.serving, fresh.serving), case
+            assert np.array_equal(coupling, fresh), case
             assert rng.bit_generator.state == fresh_rng.bit_generator.state
             planes = list(work._planes.values())
-            assert any(np.shares_memory(budget.coupling_db, p) for p in planes)
-            fresh_arrays = [getattr(ues, f.name) for f in dataclasses.fields(UeDrop)]
-            for array in [budget.serving, *fresh_arrays]:
-                assert not any(np.shares_memory(array, p) for p in planes)
+            assert any(np.shares_memory(coupling, p) for p in planes)
+            for f in dataclasses.fields(UeDrop):
+                assert not any(np.shares_memory(getattr(ues, f.name), p) for p in planes)
 
 
 class TestSharedDropGeometry:
