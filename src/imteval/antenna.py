@@ -79,10 +79,9 @@ class ArrayConfig:
     m x n elements per panel and polarization, p polarizations, mg x ng
     panels, and mp x np ports per panel per polarization, which partition
     the m x n grid. Spacings are in wavelengths. p, mp, np, mg and ng set
-    ``n_ports``, the link budget's MRC branch count; the BS ``downtilt_deg``
-    offsets the zenith in ``engine.compute_coupling``; m, n and the spacings
-    feed only the small-scale generator's ``array_response``. Nothing reads
-    ``bearing_deg`` or the UE ``downtilt_deg``.
+    ``n_ports``, the link budget's MRC branch count, and the BS
+    ``downtilt_deg`` offsets the zenith in ``engine.compute_coupling``; the
+    fields no drop reads are pinned to the preset (``scenario._PINNED``).
     """
 
     m: int = 1

@@ -79,16 +79,9 @@ def _overrides_to_text(pairs) -> str:
         if "=" not in pair:
             raise ImtEvalError(f"--set needs SECTION.KEY=VALUE, got '{pair}'")
         key, value = pair.split("=", 1)
-        if "." in key:
-            section, key = key.rsplit(".", 1)
-        else:
-            section = "scenario"
-        sections.setdefault(section, []).append(f"{key} = {value}")
-    lines = []
-    for section, entries in sections.items():
-        lines.append(f"[{section}]")
-        lines.extend(entries)
-    return "\n".join(lines) + "\n"
+        section, _, key = key.rpartition(".")
+        sections.setdefault(section or "scenario", []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
 
 
 def _cmd_run(args) -> int:
@@ -127,6 +120,8 @@ def _cmd_run(args) -> int:
     # result.config carries the calibrated uplink P0 the run used
     config, layout = result.config, result.layout
 
+    dumps = args.dump_packets or args.dump_geometry or args.dump_sinr
+    drop0 = engine.run_drop(config, layout, 0, sinr_only=True) if dumps else None
     if args.non_full_buffer:
         search, _ = engine.density_search(config, layout=layout)
         density = engine.KpiValue("connection_density", UPLINK, search.density_per_km2, "/km^2")
@@ -139,8 +134,8 @@ def _cmd_run(args) -> int:
             print(f"  delay vs density non-monotone; bracket {search.bracket}")
         if args.dump_packets:
             records = []
-            engine.evaluate_p99_delay(config, layout, req.value, n_drops=1,
-                                      record_sink=records)
+            engine.evaluate_p99_delay(config, layout, req.value, record_sink=records,
+                                      sinr_drops=[drop0])
             path = f"{args.out}/packets.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("drop,cell,arrival_s,service_start_s,completion_s,"
@@ -149,13 +144,11 @@ def _cmd_run(args) -> int:
                     fh.write(",".join(str(x) for x in row) + "\n")
             print(f"wrote {path} ({len(records)} messages at {req.value:,.0f} /km^2)")
 
-    if args.dump_geometry or args.dump_sinr:
-        drop0 = engine.run_drop(config, layout, 0, sinr_only=True)
-        if args.dump_geometry:
-            export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
-            _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
-        if args.dump_sinr:
-            _dump_sinr(drop0, f"{args.out}/sinr_drop0.csv")
+    if args.dump_geometry:
+        export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
+        _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
+    if args.dump_sinr:
+        _dump_sinr(drop0, f"{args.out}/sinr_drop0.csv")
 
     for kpi in result.kpis:
         speed = f" @{kpi.speed_kmh:g} km/h" if kpi.speed_kmh is not None else ""

@@ -50,17 +50,10 @@ _MAX_MESSAGE_ATTEMPTS = 8
 _SE_CHANNEL_FLOOR = 0.1  # bit/s/Hz, slot length of an undecodable transfer
 
 
-def _stream_key(link_id) -> int:
-    if isinstance(link_id, (int, np.integer)):
-        return int(link_id)
-    digest = hashlib.blake2s(str(link_id).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-def derive_stream(master_seed: int, drop_index: int, link_id) -> np.random.Generator:
-    """Independent, collision-resistant RNG stream for (drop, link)."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(drop_index, _stream_key(link_id)))
-    return np.random.default_rng(seq)
+def derive_stream(master_seed: int, drop_index: int, stream: str) -> np.random.Generator:
+    """Independent, collision-resistant RNG stream for (drop, stream name)."""
+    key = int.from_bytes(hashlib.blake2s(stream.encode("utf-8"), digest_size=8).digest(), "little")
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(drop_index, key)))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +701,6 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     sinr_drops = _search_links(config, layout, n_drops)
 
     def probe(density):
-        return evaluate_p99_delay(config, layout, density, n_drops=n_drops,
-                                  sinr_drops=sinr_drops)
+        return evaluate_p99_delay(config, layout, density, sinr_drops=sinr_drops)
 
     return metrics.connection_density_search(probe, lo_per_km2, hi_per_km2, steps=steps), config

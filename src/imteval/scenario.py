@@ -104,7 +104,7 @@ class EvaluationConfig:
         )
 
 
-# documented validation ranges; a None bound is unconstrained
+# documented validation ranges, inclusive, by key name (see _leaf_values)
 _RANGES = {
     "carrier_frequency": (1e6, 120e9),
     "isd": (1.0, 1e5),
@@ -126,6 +126,9 @@ _RANGES = {
     "drops": (1, 10_000_000),
     "master_seed": (0, 2**64 - 1),
     "duration_t": (1e-4, 1e4),
+    # a beamwidth is > 0: math.ulp(0.0) is the least positive float
+    "antenna.bs.h_3db": (math.ulp(0.0), 360.0), "antenna.bs.v_3db": (math.ulp(0.0), 360.0),
+    "antenna.bs.front_back": (0.0, math.inf), "antenna.bs.sidelobe": (0.0, math.inf),
 }
 
 
@@ -139,16 +142,14 @@ def _check_variant(environment: TestEnvironment, variant: str) -> None:
 def validate(config: EvaluationConfig) -> EvaluationConfig:
     """Range-check every field; raises ConfigInvalid naming the first offender."""
     _check_variant(config.environment, config.config_variant)
+    values = _leaf_values(config)
     # NaN passes any rule written as `if value <= bound: raise`, inf a one-sided one
-    for section, key, owner, attr, kind in _LEAVES:
-        value = getattr(getattr(config, owner) if owner else config, attr)
+    for (name, value), (_, _, _, _, kind) in zip(values.items(), _LEAVES):
         if kind is float and not math.isfinite(value):
-            name = attr if section in ("scenario", "run") else f"{section}.{key}"
             raise ConfigInvalid(name, f"{value} is not finite")
     for name, (lo, hi) in _RANGES.items():
-        value = getattr(config, name)
-        if not (lo <= value <= hi):
-            raise ConfigInvalid(name, f"{value} outside [{lo}, {hi}]")
+        if not (lo <= values[name] <= hi):
+            raise ConfigInvalid(name, f"{values[name]} outside [{lo}, {hi}]")
     config.traffic.validate()
     config.link.validate()
     # ArrayConfig's __post_init__ already vetted the antenna parameters
@@ -330,6 +331,13 @@ _LEAVES = _leaf_table()
 _KEYS = {(section, key): rest for section, key, *rest in _LEAVES}
 
 
+def _leaf_values(config: EvaluationConfig) -> dict:
+    """{name: value} per file key in file order; a name is bare in [scenario] and [run]."""
+    return {key if section in ("scenario", "run") else f"{section}.{key}":
+            getattr(getattr(config, owner) if owner else config, attr)
+            for section, key, owner, attr, _ in _LEAVES}
+
+
 def _fmt(value) -> str:
     if isinstance(value, Enum):
         return value.value
@@ -343,12 +351,11 @@ def _fmt(value) -> str:
 def config_to_text(config: EvaluationConfig) -> str:
     """Serialize a config to the sectioned key-value format (deterministic)."""
     text, current = "", None
-    for section, key, owner, attr, _ in _LEAVES:
+    for (section, key, *_), value in zip(_LEAVES, _leaf_values(config).values()):
         if section != current:
             text += ("\n" if current else "") + f"[{section}]\n"
             current = section
-        holder = getattr(config, owner) if owner else config
-        text += f"{key} = {_fmt(getattr(holder, attr))}\n"
+        text += f"{key} = {_fmt(value)}\n"
     return text
 
 
@@ -380,13 +387,43 @@ def _convert(key: str, raw: str, kind):
         raise ConfigInvalid(key, f"expected {expected}, got '{raw}'") from exc
 
 
+def _pins(names: str, reason: str) -> dict:
+    return dict.fromkeys(names.split(), reason)
+
+
+# Keys no value of any other key lets reach an environment's results, with the
+# reason; the None entry holds on every environment (see load_config).
+_HARQ = _pins("link.harq_max_transmissions link.harq_tx_time_s link.harq_combining_gain_db",
+              "only the UrbanMacro_URLLC reliability KPI reads HARQ")
+_NO_DOWNLINK = _pins("link.mu_layers_dl", "no downlink row is scheduled")
+_PINNED = {
+    None: {**_pins("environment config_variant", "a new label would not bring its parameters"),
+           **_pins("ue_speed_indoor ue_speed_outdoor antenna.bs.m antenna.bs.n antenna.ue.m "
+                   "antenna.ue.n antenna.bs.element_spacing_h antenna.bs.element_spacing_v "
+                   "antenna.ue.element_spacing_h antenna.ue.element_spacing_v",
+                   "only the small-scale generator reads it, and no drop runs that"),
+           **_pins("antenna.bs.bearing_deg antenna.ue.bearing_deg antenna.ue.downtilt_deg "
+                   "antenna.ue.isotropic", "nothing reads it"),
+           **_pins("antenna.ue.mp", "only 1 divides the pinned UE m = 1")},
+    TestEnvironment.INDOOR_HOTSPOT_EMBB: {
+        **_pins("isd", "the 12-point floor is fixed"),
+        **_pins("indoor_fraction high_loss_fraction", "InH penetration loss is 0 dB"),
+        **_pins("antenna.bs.downtilt_deg antenna.bs.h_3db antenna.bs.v_3db "
+                "antenna.bs.front_back antenna.bs.sidelobe", "all 12 ceiling points are omni"),
+        **_HARQ},
+    TestEnvironment.DENSE_URBAN_EMBB: _HARQ, TestEnvironment.RURAL_EMBB: _HARQ,
+    TestEnvironment.URBAN_MACRO_MMTC: {**_HARQ, **_NO_DOWNLINK},
+    TestEnvironment.URBAN_MACRO_URLLC: _NO_DOWNLINK,
+}
+
+
 def load_config(path=None, base: EvaluationConfig | None = None, text: str | None = None) -> EvaluationConfig:
     """Load a config file, merging its overrides onto a preset.
 
     The base preset is either passed explicitly or identified by the
     ``environment`` / ``config_variant`` keys in the file's [scenario]
-    section; on an explicit base those keys may only repeat its values.
-    Unknown sections or keys are rejected.
+    section. Keys pinned on its environment (_PINNED, those two among them)
+    may only repeat its values; unknown sections or keys are rejected.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -428,13 +465,14 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
                 updates[owner] = replace(getattr(base, owner), **nested)
             except DomainError as exc:  # an ArrayConfig rule, naming its field
                 raise ConfigInvalid(f"{section}.{exc.field}", str(exc)) from exc
-    # these two name the preset the other keys override: changing them on a
-    # base would relabel its parameters, e.g. mMTC A's 500 m ISD as variant B
-    for key in ("environment", "config_variant"):
-        if key in updates and updates[key] != getattr(base, key):
-            raise ConfigInvalid(key, f"'{_fmt(updates[key])}' differs from the base preset's "
-                                     f"'{_fmt(getattr(base, key))}'")
-    return validate(replace(base, **updates))
+    config = validate(replace(base, **updates))
+    pinned = {**_PINNED[None], **_PINNED[base.environment]}
+    was = _leaf_values(base)
+    for name, value in _leaf_values(config).items():
+        if name in pinned and value != was[name]:
+            raise ConfigInvalid(name, f"'{_fmt(value)}' differs from the base preset's "
+                                      f"'{_fmt(was[name])}': {pinned[name]}")
+    return config
 
 
 # ---------------------------------------------------------------------------

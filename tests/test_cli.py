@@ -249,6 +249,47 @@ class TestRunFlagsValidated:
         assert manifest["master_seed"] == 9
 
 
+class TestPinnedKeys:
+    # a key that reaches no result on the environment may only repeat the
+    # preset's value, whichever route sets it; so may a value out of range
+    @pytest.mark.parametrize("env, override, field", [
+        ("IndoorHotspot_eMBB", "scenario.isd=40", "isd"),
+        ("Rural_eMBB", "scenario.ue_speed_outdoor=3", "ue_speed_outdoor"),
+        ("UrbanMacro_mMTC", "link.mu_layers_dl=2", "link.mu_layers_dl"),
+        ("Rural_eMBB", "antenna.bs.front_back=-30", "antenna.bs.front_back"),
+    ])
+    @pytest.mark.parametrize("route", ["set", "config", "named_config"])
+    def test_is_a_usage_error_on_every_route(self, tmp_path, capsys, monkeypatch, env,
+                                             override, field, route):
+        def no_drops(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "run_drop", no_drops)
+        name, value = override.split("=")
+        section, key = name.rsplit(".", 1)
+        cfg = tmp_path / "pinned.cfg"
+        head = f"[scenario]\nenvironment = {env}\n" if route == "named_config" else ""
+        if section == "scenario" and head:
+            cfg.write_text(f"{head}{key} = {value}\n")
+        else:
+            cfg.write_text(f"{head}[{section}]\n{key} = {value}\n")
+        args = {"set": ["--scenario", env, "--set", override],
+                "config": ["--scenario", env, "--config", str(cfg)],
+                "named_config": ["--config", str(cfg)]}[route]
+        out_dir = tmp_path / "results"
+        assert main(["run", *args, "--drops", "1", "--out", str(out_dir)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_preset_value_is_accepted(self, tmp_path):
+        out_dir = tmp_path / "results"
+        code = main(["run", "--scenario", "Rural_eMBB", "--set", "scenario.ue_speed_outdoor=120",
+                     "--set", "antenna.bs.m=8", "--drops", "1", "--sinr-only",
+                     "--out", str(out_dir)])
+        assert code in (0, 1)
+        assert (out_dir / "manifest.json").exists()
+
+
 class TestVariantB:
     def test_set_may_not_relabel_the_preset(self, tmp_path, capsys):
         # mMTC B's 1732 m ISD would not follow the label

@@ -2,6 +2,7 @@
 calibration and parallel-merge identity."""
 
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import tracemalloc
@@ -61,10 +62,11 @@ class TestDeriveStream:
         expect = n * n / (2.0 * 2.0 ** 32)
         assert n_collisions <= expect + 3.0 * math.sqrt(max(expect, 1.0))
 
-    def test_integer_link_ids_accepted(self):
-        a = derive_stream(5, 3, 17).uniform(size=4)
-        b = derive_stream(5, 3, 17).uniform(size=4)
-        assert np.array_equal(a, b)
+    def test_stream_key_is_blake2s_of_the_name(self):
+        # the derivation every manifest states as its stream_algorithm
+        key = int.from_bytes(hashlib.blake2s(b"links", digest_size=8).digest(), "little")
+        want = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(3, key)))
+        assert np.array_equal(derive_stream(5, 3, "links").uniform(size=4), want.uniform(size=4))
 
 
 def _single_trxp_layout():

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import functools
 import io
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from imteval.errors import (ConfigInvalid, ConfigSyntax, DomainError, UnknownPreset,
                             UnknownRequirement)
 from imteval.link import LinkParams
-from imteval import scenario
+from imteval import engine, scenario
 from imteval.traffic import TrafficKind
 from imteval.scenario import (
     DOWNLINK,
@@ -60,6 +61,26 @@ _INT_FIELDS = {"ues_per_trxp", "drops", "master_seed", "pdu_size_bytes",
                "m", "n", "p", "mg", "ng", "mp", "np"}
 _BOOL_FIELDS = {"ue_isotropic", "isotropic"}
 
+# keys that may only repeat the base preset's value, per environment
+_REF_PINNED_EVERYWHERE = [
+    "environment", "config_variant", "ue_speed_indoor", "ue_speed_outdoor",
+    "antenna.bs.m", "antenna.bs.n", "antenna.bs.element_spacing_h",
+    "antenna.bs.element_spacing_v", "antenna.bs.bearing_deg",
+    "antenna.ue.m", "antenna.ue.n", "antenna.ue.mp", "antenna.ue.element_spacing_h",
+    "antenna.ue.element_spacing_v", "antenna.ue.bearing_deg", "antenna.ue.downtilt_deg",
+    "antenna.ue.isotropic",
+]
+_REF_HARQ = ["link.harq_max_transmissions", "link.harq_tx_time_s", "link.harq_combining_gain_db"]
+REFERENCE_PINNED = {
+    TestEnvironment.INDOOR_HOTSPOT_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ + [
+        "isd", "indoor_fraction", "high_loss_fraction", "antenna.bs.downtilt_deg",
+        "antenna.bs.h_3db", "antenna.bs.v_3db", "antenna.bs.front_back", "antenna.bs.sidelobe"],
+    TestEnvironment.DENSE_URBAN_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ,
+    TestEnvironment.RURAL_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ,
+    TestEnvironment.URBAN_MACRO_MMTC: _REF_PINNED_EVERYWHERE + _REF_HARQ + ["link.mu_layers_dl"],
+    TestEnvironment.URBAN_MACRO_URLLC: _REF_PINNED_EVERYWHERE + ["link.mu_layers_dl"],
+}
+
 REFERENCE_KEYS = {
     "scenario": _SCENARIO_FIELDS,
     "antenna.bs": _ANTENNA_FIELDS + list(_BS_PATTERN_FIELDS),
@@ -68,6 +89,10 @@ REFERENCE_KEYS = {
     "run": _RUN_FIELDS,
     "link": _LINK_FIELDS,
 }
+
+
+def _ref_name(section: str, key: str) -> str:
+    return key if section in ("scenario", "run") else f"{section}.{key}"
 
 
 def _ref_fmt(value) -> str:
@@ -210,10 +235,14 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         if link_updates:
             updates["link"] = replace(base.link, **link_updates)
 
-    for key in ("environment", "config_variant"):
-        if key in updates and updates[key] != getattr(base, key):
-            raise ConfigInvalid(key, "differs from the base preset's")
-    return validate(replace(base, **updates))
+    config = validate(replace(base, **updates))
+    for section, keys in REFERENCE_KEYS.items():
+        for key in keys:
+            name = _ref_name(section, key)
+            if name in REFERENCE_PINNED[base.environment] and \
+                    _current(config, section, key) != _current(base, section, key):
+                raise ConfigInvalid(name, "differs from the base preset's")
+    return config
 
 
 def _raw_value(key: str, current):
@@ -395,6 +424,24 @@ class TestValidation:
         assert err.value.field == f"antenna.bs.{ports}"
         assert "port grid" in str(err.value)
 
+    # these had no range: a negative front-to-back ratio ran to a verdict,
+    # and a negative beamwidth gave the bundle of the positive one
+    @pytest.mark.parametrize("key, raw", [("h_3db", "-65"), ("h_3db", "0"), ("v_3db", "361"),
+                                          ("front_back", "-30"), ("sidelobe", "-1")])
+    def test_bs_pattern_constant_out_of_range_is_named(self, key, raw):
+        c = preset(TestEnvironment.RURAL_EMBB, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text=f"[antenna.bs]\n{key} = {raw}\n", base=c)
+        assert err.value.field == f"antenna.bs.{key}"
+        assert "outside" in str(err.value)
+
+    def test_bs_pattern_range_bounds_are_accepted(self):
+        c = preset(TestEnvironment.RURAL_EMBB, "A")
+        text = "[antenna.bs]\nh_3db = 360\nv_3db = 1e-3\nfront_back = 0\nsidelobe = 0\n"
+        got = load_config(text=text, base=c)
+        assert (got.bs_h_3db, got.bs_v_3db, got.bs_front_back, got.bs_sidelobe) == \
+            (360.0, 1e-3, 0.0, 0.0)
+
     @pytest.mark.parametrize("field", ["isd", "duration_t"])
     def test_non_finite_top_level_field_is_named(self, field):
         c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
@@ -466,9 +513,9 @@ class TestConfigFile:
 
     def test_antenna_and_link_sections_override(self, tmp_path):
         base = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
-        text = "[antenna.bs]\nm = 4\nn = 4\n\n[link]\nalpha = 0.5\n"
+        text = "[antenna.bs]\np = 2\ndowntilt_deg = 12.0\n\n[link]\nalpha = 0.5\n"
         c = load_config(text=text, base=base)
-        assert (c.antenna_bs.m, c.antenna_bs.n) == (4, 4)
+        assert (c.antenna_bs.p, c.antenna_bs.downtilt_deg) == (2, 12.0)
         assert c.link.alpha == 0.5
         path = tmp_path / "override.cfg"
         path.write_text(text)
@@ -501,6 +548,149 @@ class TestConfigFile:
             assert got == want
             assert config_to_text(got) == reference_config_to_text(got)
             assert load_config(text=config_to_text(got)) == got
+
+
+# ---------------------------------------------------------------------------
+# the key walk: every config key reaches some preset's results, or is pinned
+# to the preset on each environment where no value of the other keys lets it
+
+def _walk_preset(env, variant):
+    return replace(preset(env, variant), drops=1, master_seed=11)
+
+
+def _results(config) -> str:
+    """Every figure of one calibrated run: the calibrated P0, mean IoT and
+    warnings, each KPI, each CDF's samples and, on messaging traffic, the
+    99th-percentile delay of one drop at 1e6 devices/km^2."""
+    run = engine.run(config)
+    found = [run.config.link.ul_p0_dbm, run.mean_iot_db, run.warnings,
+             [(k.metric, k.direction, k.speed_kmh, k.value) for k in run.kpis],
+             [(name, cdf.samples.tobytes()) for name, cdf in sorted(run.cdfs.items())]]
+    if config.traffic.kind is TrafficKind.POISSON_MESSAGING:
+        found.append(engine.evaluate_p99_delay(run.config, run.layout, 1e6, n_drops=1))
+    return repr(found)
+
+
+@functools.cache
+def _preset_results(env, variant) -> str:
+    return _results(_walk_preset(env, variant))
+
+
+def _pinned(env) -> dict:
+    return {**scenario._PINNED[None], **scenario._PINNED[env]}
+
+
+def _put(config, section, key, value):
+    owner, attr, _ = scenario._KEYS[section, key]
+    if owner:
+        return replace(config, **{owner: replace(getattr(config, owner), **{attr: value})})
+    return replace(config, **{attr: value})
+
+
+_RURAL = (TestEnvironment.RURAL_EMBB, "A")
+_URLLC = (TestEnvironment.URBAN_MACRO_URLLC, "A")
+_MMTC = (TestEnvironment.URBAN_MACRO_MMTC, "A")
+
+# a value of each live key that changes the results of the preset named. A 10%
+# change of some (se_max_dl, bler_floor, ul_iot_target_db) changes nothing; the
+# URLLC link values reach only the reliability KPI, the traffic ones only the
+# messaging route
+LIVE = {
+    "carrier_frequency": (_RURAL, "900e6"), "isd": (_RURAL, "1000"),
+    "bs_height": (_RURAL, "25"), "ue_height": (_RURAL, "3"), "bs_tx_power": (_RURAL, "40"),
+    "ue_tx_power": (_RURAL, "10"), "bs_noise_figure": (_RURAL, "9"),
+    "ue_noise_figure": (_RURAL, "12"), "bs_element_gain": (_RURAL, "5"),
+    "ue_element_gain": (_RURAL, "3"), "thermal_noise_density": (_RURAL, "-170"),
+    "bandwidth": (_RURAL, "10e6"), "indoor_fraction": (_RURAL, "0.2"),
+    "ues_per_trxp": (_RURAL, "5"), "high_loss_fraction": (_RURAL, "0.6"),
+    "antenna.bs.p": (_RURAL, "1"), "antenna.bs.mg": (_RURAL, "2"),
+    "antenna.bs.ng": (_RURAL, "2"), "antenna.bs.mp": (_RURAL, "2"),
+    "antenna.bs.np": (_RURAL, "2"), "antenna.bs.downtilt_deg": (_RURAL, "12"),
+    "antenna.bs.h_3db": (_RURAL, "30"), "antenna.bs.v_3db": (_RURAL, "20"),
+    "antenna.bs.front_back": (_RURAL, "10"), "antenna.bs.sidelobe": (_RURAL, "1"),
+    "antenna.ue.p": (_RURAL, "2"), "antenna.ue.mg": (_RURAL, "2"),
+    "antenna.ue.ng": (_RURAL, "2"), "antenna.ue.np": (_RURAL, "1"),
+    "traffic.kind": (_RURAL, "PoissonMessaging"), "traffic.pdu_size_bytes": (_MMTC, "200"),
+    "traffic.rate_per_s": (_MMTC, "0.01"), "traffic.w_user_hz": (_MMTC, "30000"),
+    "traffic.eval_bandwidth_hz": (_MMTC, "360000"), "traffic.overhead_s": (_MMTC, "1"),
+    "drops": (_RURAL, "2"), "master_seed": (_RURAL, "12"), "duration_t": (_RURAL, "0.05"),
+    "link.alpha": (_RURAL, "0.5"), "link.se_max_dl": (_RURAL, "2"),
+    "link.se_max_ul": (_RURAL, "1"), "link.sinr_min_db": (_RURAL, "-5"),
+    "link.csi_backoff_db": (_RURAL, "3"), "link.bler_sinr_50_db": (_URLLC, "0"),
+    "link.bler_slope_db": (_URLLC, "4"), "link.bler_floor": (_URLLC, "0.9"),
+    "link.harq_max_transmissions": (_URLLC, "2"), "link.harq_tx_time_s": (_URLLC, "1e-3"),
+    "link.harq_combining_gain_db": (_URLLC, "3"), "link.ul_p0_dbm": (_RURAL, "-80"),
+    "link.ul_alpha": (_RURAL, "0.8"), "link.ul_iot_target_db": (_RURAL, "0"),
+    "link.mu_layers_dl": (_RURAL, "1"), "link.mu_layers_ul": (_RURAL, "1"),
+}
+
+# a value of each pinned key other than every preset's, valid on all of them
+PINNED_VALUES = {
+    "ue_speed_indoor": 60.0, "ue_speed_outdoor": 250.0, "isd": 40.0,
+    "indoor_fraction": 0.3, "high_loss_fraction": 0.7,
+    "antenna.bs.m": 32, "antenna.bs.n": 32, "antenna.bs.element_spacing_h": 0.7,
+    "antenna.bs.element_spacing_v": 1.1, "antenna.bs.bearing_deg": 30.0,
+    "antenna.bs.downtilt_deg": 12.0, "antenna.bs.h_3db": 30.0, "antenna.bs.v_3db": 20.0,
+    "antenna.bs.front_back": 10.0, "antenna.bs.sidelobe": 10.0,
+    "antenna.ue.m": 2, "antenna.ue.n": 4, "antenna.ue.element_spacing_h": 0.7,
+    "antenna.ue.element_spacing_v": 1.1, "antenna.ue.bearing_deg": 30.0,
+    "antenna.ue.downtilt_deg": 12.0, "antenna.ue.isotropic": False,
+    "link.harq_max_transmissions": 1, "link.harq_tx_time_s": 1e-3,
+    "link.harq_combining_gain_db": 3.0, "link.mu_layers_dl": 1,
+}
+
+
+def _other(name: str, base: EvaluationConfig):
+    """A value of a pinned key other than the base preset's."""
+    if name == "environment":  # one with the base's variant, so only the label differs
+        return next(env for env in TestEnvironment if env is not base.environment
+                    and base.config_variant in scenario._VARIANTS[env])
+    if name == "config_variant":
+        return "B" if base.config_variant == "A" else "A"
+    if name == "antenna.ue.mp":
+        return 2  # rejected on its own: no port count but 1 divides the pinned m = 1
+    return PINNED_VALUES[name]
+
+
+class TestKeyWalk:
+    @pytest.mark.parametrize("section, key", [leaf[:2] for leaf in scenario._LEAVES],
+                             ids=[_ref_name(*leaf[:2]) for leaf in scenario._LEAVES])
+    def test_every_key_is_pinned_or_live(self, section, key):
+        name = _ref_name(section, key)
+        pinned_on = [(env, v) for env, v in ALL_PRESETS if name in _pinned(env)]
+        assert pinned_on or name in LIVE, f"{name} is neither pinned nor live"
+        for env, variant in pinned_on:
+            base = preset(env, variant)
+            with pytest.raises(ConfigInvalid) as err:
+                load_config(text=f"[{section}]\n{key} = {_ref_fmt(_other(name, base))}\n",
+                            base=base)
+            assert err.value.field == name
+            own = _ref_fmt(_current(base, section, key))
+            assert load_config(text=f"[{section}]\n{key} = {own}\n", base=base) == base
+        if name in LIVE:
+            (env, variant), raw = LIVE[name]
+            assert name not in _pinned(env)
+            changed = load_config(text=f"[{section}]\n{key} = {raw}\n",
+                                  base=_walk_preset(env, variant))
+            assert _results(changed) != _preset_results(env, variant), \
+                f"{name} = {raw} changes nothing on {env.value} {variant}"
+
+    # every pinned key at once, as a dense-urban run takes about a second;
+    # the labels name another preset, and the UE mp = 2 would need m = 2
+    @pytest.mark.parametrize("env, variant", ALL_PRESETS)
+    def test_pinned_keys_change_no_result(self, env, variant):
+        base = _walk_preset(env, variant)
+        names = set(_pinned(env)) - {"environment", "config_variant", "antenna.ue.mp"}
+        values = {(section, key): PINNED_VALUES[_ref_name(section, key)]
+                  for section, key, *_ in scenario._LEAVES if _ref_name(section, key) in names}
+        changed = base
+        for (section, key), value in values.items():
+            changed = _put(changed, section, key, value)
+        want = _preset_results(env, variant)
+        if _results(changed) != want:
+            culprits = [_ref_name(*leaf) for leaf, value in values.items()
+                        if _results(_put(base, *leaf, value)) != want]
+            pytest.fail(f"pinned keys change {env.value} {variant}: {culprits or 'only together'}")
 
 
 class TestRequirements:
