@@ -35,30 +35,40 @@ class ElementPattern:
 
 
 def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg, out=None):
-    """Element gain in dBi at the given angles (scalar or ndarray).
+    """Element gain in dBi at the given angles (scalar or ndarray), into ``out``, which may
+    be either angle array, when given. Raises DomainError if any azimuth is outside
+    [-180, 180] (checked first), any zenith outside [0, 180], or any angle is NaN."""
+    _check_range(azimuth_deg, -180.0, 180.0, "azimuth")
+    return combined_gain(pattern, azimuth_deg, vertical_attenuation(pattern, zenith_deg), out)
 
-    ``out`` receives the result when given; it may be either angle array
-    itself. Raises DomainError if any azimuth is outside [-180, 180], any
-    zenith outside [0, 180], or any angle is NaN.
-    """
-    az = np.asarray(azimuth_deg, dtype=float)
-    zen = np.asarray(zenith_deg, dtype=float)
+
+def _check_range(angle_deg, lo: float, hi: float, name: str) -> np.ndarray:
+    angle = np.asarray(angle_deg, dtype=float)
     # min and max propagate NaN, and a comparison with NaN is false
-    if az.size and not (-180.0 <= az.min() and az.max() <= 180.0):
-        raise DomainError(f"azimuth out of [-180, 180]: {azimuth_deg}")
-    if zen.size and not (0.0 <= zen.min() and zen.max() <= 180.0):
-        raise DomainError(f"zenith out of [0, 180]: {zenith_deg}")
+    if angle.size and not (lo <= angle.min() and angle.max() <= hi):
+        raise DomainError(f"{name} out of [{lo:g}, {hi:g}]: {angle_deg}")
+    return angle
+
+
+def vertical_attenuation(pattern: ElementPattern, zenith_deg, out=None) -> np.ndarray:
+    """The zenith cut's attenuation A_v (dB, positive) as an ndarray; ``out`` may
+    be the zenith array. Raises DomainError if any zenith is outside [0, 180] or NaN."""
+    zen = _check_range(zenith_deg, 0.0, 180.0, "zenith")
+    vertical = np.subtract(zen, 90.0, out=np.empty(zen.shape) if out is None else out)
+    return _cut_attenuation(vertical, pattern.v_3db_deg, pattern.sidelobe_db, out=vertical)
+
+
+def combined_gain(pattern: ElementPattern, azimuth_deg, vertical_db, out=None):
+    """Gain in dBi, max gain - min(A_h + A_v, A_m), from the azimuth and ``vertical_attenuation``;
+    ``out`` may be the azimuth array. Raises DomainError if any azimuth is outside [-180, 180]."""
+    az = _check_range(azimuth_deg, -180.0, 180.0, "azimuth")
     if out is None:
-        out = np.empty(np.broadcast(az, zen).shape)
+        out = np.empty(np.broadcast(az, vertical_db).shape)
     if pattern.isotropic:
         out[...] = pattern.max_gain_dbi
         return out if out.ndim else float(out)
-    # att = min(A_h + A_v, A_m) with each cut's attenuation as a positive
-    # number; the vertical cut goes first, so that out may alias either angle
-    vertical = np.subtract(zen, 90.0, out=np.empty(zen.shape))
-    _cut_attenuation(vertical, pattern.v_3db_deg, pattern.sidelobe_db, out=vertical)
     att = _cut_attenuation(az, pattern.h_3db_deg, pattern.front_back_db, out=out)
-    att += vertical
+    att += vertical_db
     np.minimum(att, pattern.front_back_db, out=att)
     np.subtract(pattern.max_gain_dbi, att, out=out)
     return out if out.ndim else float(out)

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import metrics
-from .antenna import element_gain
+from .antenna import combined_gain, vertical_attenuation
 from .channel.model import los_probability, pathloss_curves
 from .channel.profiles import profile_for
 from .errors import DomainError, InternalError
@@ -89,15 +89,15 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     """Pathloss + shadowing - antenna gain in dB for every UE x TRxP pair,
     an (n_ue, n_trxp) plane; the UE's serving TRxP is its row's argmin.
 
-    Distance, LOS probability, both pathloss curves and the UE's azimuth and
-    zenith depend only on the site, so they are computed once per site and
-    gathered to the site's TRxPs; the wrapped distance and displacement to
-    each site come from the drop (``drop_ues`` computed them). LOS
-    conditions and shadow fading are drawn here, once per link per drop,
-    and the element gain is taken per TRxP boresight. The dense-urban micro
-    layer uses its own profile. The full-size planes are ``work``'s (a
-    fresh ``DropWork`` when None); the returned one is its "coupling" plane,
-    valid until the next call with the same work object.
+    Distance, LOS probability, both pathloss curves, the UE's azimuth and
+    the element's zenith cut depend only on the site, so they are computed
+    once per site and gathered to the site's TRxPs; the wrapped distance
+    and displacement to each site come from the drop (``drop_ues`` computed
+    them). LOS conditions and shadow fading are drawn here, once per link
+    per drop, and the azimuth cut is taken per TRxP boresight. The
+    dense-urban micro layer uses its own profile. The full-size planes are
+    ``work``'s (a fresh ``DropWork`` when None); the returned one is its
+    "coupling" plane, valid until the next call with the same work object.
     """
     work = DropWork() if work is None else work
     delta, d2d = ues.site_delta, ues.site_dist
@@ -122,9 +122,7 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
         spans = [slice(n_macro), slice(n_macro, None)]
         trxp_profile = layout.trxp_is_micro.astype(np.intp)
 
-    p_los = np.empty_like(d2d)
-    pl_los = np.empty_like(d2d)
-    pl_nlos = np.empty_like(d2d)
+    p_los, pl_los, pl_nlos = (np.empty_like(d2d) for _ in range(3))
     for profile, cols in zip(profiles, spans):
         h_ref = float(layout.site_height[cols][0])
         p_los[:, cols] = los_probability(profile.plos_model, d2d[:, cols])
@@ -170,13 +168,12 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     x += 180.0
     x += 360.0 * (x < 0.0)
     x -= 180.0
-    # zenith of the UE seen from the BS
+    # the zenith of the UE seen from the BS, and its cut, per site
     zen = np.degrees(np.arctan2(d2d[:, macro_sites], dz[macro_sites]))
-    zen_eff = np.clip(zen - config.antenna_bs.downtilt_deg, 0.0, 180.0)
-    gain = element_gain(config.bs_pattern(), x,
-                        np.take(zen_eff, col, axis=1, out=work.plane("zenith", macro_shape),
-                                mode="clip"),
-                        out=x)
+    zen -= config.antenna_bs.downtilt_deg
+    vertical = vertical_attenuation(config.bs_pattern(), np.clip(zen, 0.0, 180.0, out=zen), zen)
+    gain = combined_gain(config.bs_pattern(), x, np.take(
+        vertical, col, axis=1, out=work.plane("zenith", macro_shape), mode="clip"), out=x)
     if not macro.all():
         omni = draw  # the shadowing normals are spent
         omni[...] = float(config.bs_element_gain)
@@ -243,6 +240,44 @@ def _uplink_interferers(by_cell: np.ndarray, cell_sizes: np.ndarray,
     return pick
 
 
+def _link_stage(config: EvaluationConfig, layout: NetworkLayout, drop_index: int, work):
+    """A drop's UEs, their coupling plane (``work``'s) and serving TRxPs."""
+    ues = drop_ues(layout, config, derive_stream(config.master_seed, drop_index, "ues"))
+    coupling = compute_coupling(config, layout, ues,
+                                derive_stream(config.master_seed, drop_index, "links"), work)
+    return ues, coupling, np.argmin(coupling, axis=1)
+
+
+def _uplink_stage(config: EvaluationConfig, coupling: np.ndarray, serving: np.ndarray,
+                  drop_index: int):
+    """A drop's uplink up to the IoT, with one co-scheduled UE per cell: each
+    UE's received power at its TRxP (dBm), UE ids by cell, cell sizes, the
+    interference at each TRxP (mW), noise (dBm) and mean per-TRxP IoT (dB)."""
+    cl_serving = coupling[np.arange(len(serving)), serving]
+    p_ue = uplink_power_control(cl_serving, config.link.ul_p0_dbm, config.link.ul_alpha,
+                                config.ue_tx_power)
+    noise_dbm = noise_power(_ul_user_bw(config), config.bs_noise_figure,
+                            config.thermal_noise_density)
+    by_cell = np.argsort(serving, kind="stable")
+    cell_sizes = np.bincount(serving, minlength=coupling.shape[1])
+    pick = _uplink_interferers(by_cell, cell_sizes,
+                               derive_stream(config.master_seed, drop_index, "sched"))
+    # received power of every cell's active UE at every TRxP: (n_active, n_t)
+    own_cell = np.flatnonzero(pick >= 0)
+    act_idx = pick[own_cell]
+    act_rx_mw = db_to_lin(p_ue[act_idx, None] - coupling[act_idx, :])
+    interf_at = act_rx_mw.sum(axis=0)  # less each active UE's own cell
+    interf_at[own_cell] -= act_rx_mw[np.arange(len(own_cell)), own_cell]
+    iot_db = float(np.mean(lin_to_db(np.maximum(interf_at, 1e-30) / float(db_to_lin(noise_dbm)))))
+    return p_ue - cl_serving, by_cell, cell_sizes, interf_at, noise_dbm, iot_db
+
+
+def _ul_user_bw(config: EvaluationConfig) -> float:
+    """One uplink transmission's bandwidth: a messaging channel or a carrier share per MU layer."""
+    return config.traffic.w_user_hz if config.traffic.kind is TrafficKind.POISSON_MESSAGING \
+        else config.bandwidth / config.link.mu_layers_ul
+
+
 def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
              sinr_only: bool = False, work: DropWork | None = None) -> DropResult:
     """One Monte-Carlo drop: place UEs, build the link budget, compute DL
@@ -250,14 +285,10 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     sinr_only) run the scheduler to get per-UE throughput. A loop of drops
     passes one ``work`` to every drop; the result never shares its memory."""
     work = DropWork() if work is None else work
-    rng_ues = derive_stream(config.master_seed, drop_index, "ues")
-    rng_links = derive_stream(config.master_seed, drop_index, "links")
-    rng_sched = derive_stream(config.master_seed, drop_index, "sched")
-
-    ues = drop_ues(layout, config, rng_ues)
-    coupling = compute_coupling(config, layout, ues, rng_links, work)
+    ues, coupling, serving = _link_stage(config, layout, drop_index, work)
     n_ue, n_t = coupling.shape
-    serving = np.argmin(coupling, axis=1)
+    ul_rx_dbm, by_cell, cell_sizes, interf_at, ul_noise_dbm, iot_db = \
+        _uplink_stage(config, coupling, serving, drop_index)
 
     # --- downlink: every co-channel TRxP transmits at full configured power
     tx_dbm = np.full(n_t, config.bs_tx_power)
@@ -269,44 +300,16 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     db_to_lin(rx_mw, out=rx_mw)
     rx_mw *= db_to_lin(tx_dbm)
     idx = np.arange(n_ue)
-    dl_branches = config.antenna_ue.n_ports
-    dl_serving_mw = rx_mw[idx, serving] * dl_branches  # MRC array gain on the signal
+    dl_serving_mw = rx_mw[idx, serving] * config.antenna_ue.n_ports  # MRC gain on the signal
     dl_interf_mw = rx_mw.sum(axis=1) - rx_mw[idx, serving]
     dl_noise_dbm = noise_power(config.bandwidth, config.ue_noise_figure,
                                config.thermal_noise_density)
-    dl_noise_mw = float(db_to_lin(dl_noise_dbm))
-    dl_sinr = dl_serving_mw / (dl_interf_mw + dl_noise_mw)
+    dl_sinr = dl_serving_mw / (dl_interf_mw + float(db_to_lin(dl_noise_dbm)))
 
-    # --- uplink: open-loop power control, one co-scheduled UE per other cell
-    is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
-    ul_user_bw = config.traffic.w_user_hz if is_mmtc_style else \
-        config.bandwidth / config.link.mu_layers_ul
-    cl_serving = coupling[idx, serving]
-    p_ue = uplink_power_control(cl_serving, config.link.ul_p0_dbm, config.link.ul_alpha,
-                                config.ue_tx_power)
-    ul_noise_dbm = noise_power(ul_user_bw, config.bs_noise_figure, config.thermal_noise_density)
-    ul_noise_mw = float(db_to_lin(ul_noise_dbm))
-    ul_branches = config.antenna_bs.n_ports
-
-    by_cell = np.argsort(serving, kind="stable")
-    cell_sizes = np.bincount(serving, minlength=n_t)
-    pick = _uplink_interferers(by_cell, cell_sizes, rng_sched)
-    active = pick >= 0
-    # received power of every cell's active UE at every TRxP: (n_active, n_t)
-    act_idx = pick[active]
-    own_cell = np.flatnonzero(active)
-    act_rx_mw = db_to_lin(p_ue[act_idx, None] - coupling[act_idx, :])
-    total = act_rx_mw.sum(axis=0)
-    own_contrib = np.zeros(n_t)
-    own_contrib[own_cell] = act_rx_mw[np.arange(len(own_cell)), own_cell]
-    interf_at = total - own_contrib
-
-    ul_serving_mw = db_to_lin(p_ue - cl_serving) * ul_branches
+    # --- uplink SINR: one co-scheduled UE per other cell interferes
+    ul_serving_mw = db_to_lin(ul_rx_dbm) * config.antenna_bs.n_ports
     ul_interf_mw = interf_at[serving]
-    ul_sinr = ul_serving_mw / (ul_interf_mw + ul_noise_mw)
-
-    # mean cell IoT taken over per-TRxP values in dB
-    iot_db = float(np.mean(lin_to_db(np.maximum(interf_at, 1e-30) / ul_noise_mw)))
+    ul_sinr = ul_serving_mw / (ul_interf_mw + float(db_to_lin(ul_noise_dbm)))
 
     result = DropResult(
         drop_index=drop_index,
@@ -331,8 +334,9 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     backoff = lk.csi_backoff_db
     n_intervals = max(1, int(round(config.duration_t / 1e-3)))
     dt = config.duration_t / n_intervals
+    is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
     rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
-        * ul_user_bw
+        * _ul_user_bw(config)
     ul_resources = int(config.traffic.eval_bandwidth_hz // config.traffic.w_user_hz) \
         if is_mmtc_style else lk.mu_layers_ul
 
@@ -382,8 +386,9 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
     and each step lowers P0 by the excess IoT plus a 0.5 dB margin.
 
     Returns (adjusted config, achieved mean IoT dB, warnings). Probe drops
-    use reserved stream indices so they never collide with run drops.
-    """
+    use reserved stream indices so they never collide with run drops. Raises
+    DomainError when ``probes`` or ``max_iterations`` is below 1."""
+    _require_positive(probes=probes, max_iterations=max_iterations)
     target = config.link.ul_iot_target_db
     warnings = []
     cfg = config
@@ -391,9 +396,9 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
     work = DropWork()
     for iteration in range(max_iterations):
         iots = []
-        for p in range(probes):
+        for p in range(probes):  # a probe stops at the uplink IoT
             drop = _CALIBRATION_DROP_BASE + iteration * probes + p
-            iots.append(run_drop(cfg, layout, drop, sinr_only=True, work=work).mean_iot_db)
+            iots.append(_uplink_stage(cfg, *_link_stage(cfg, layout, drop, work)[1:], drop)[-1])
         achieved = float(np.mean(iots))
         if achieved <= target:
             break
@@ -406,6 +411,13 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
             f"{target:.1f} dB after {max_iterations} iterations"
         )
     return cfg, achieved, warnings
+
+
+def _require_positive(**values) -> None:
+    """Raise DomainError naming the first argument not above 0 (or NaN)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be positive, got {value!r}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +627,14 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
     service start, completion, transmissions, delivered) are appended to it
-    as Python (int, int, float, float, float, int, bool) tuples.
-    """
+    as Python (int, int, float, float, float, int, bool) tuples. Raises
+    DomainError when the drop count is below 1 or ``horizon_s`` is not positive."""
     spec = config.traffic
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
         raise DomainError("density evaluation needs the Poisson messaging traffic model")
     if sinr_drops is None:
         sinr_drops = _search_links(config, layout, n_drops)
+    _require_positive(n_drops=len(sinr_drops), horizon_s=horizon_s)
     lk = config.link
     area_km2 = layout.sector_area_m2 / 1e6
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
@@ -693,7 +706,9 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
                    n_drops: int = 3, layout: NetworkLayout | None = None):
     """Non-full-buffer connection density: the largest device density whose
     99th-percentile delay stays within 10 s. Without ``layout`` it builds and
-    calibrates its own; a passed layout comes with the calibrated config of its run."""
+    calibrates its own; a passed layout comes with the calibrated config of its run.
+    Raises DomainError when ``n_drops`` is below 1."""
+    _require_positive(n_drops=n_drops)
     if layout is None:
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)

@@ -5,11 +5,96 @@ import math
 import numpy as np
 import pytest
 
-from imteval.antenna import ArrayConfig, ElementPattern, array_response, element_gain
+from imteval.antenna import (
+    ArrayConfig,
+    ElementPattern,
+    array_response,
+    combined_gain,
+    element_gain,
+    vertical_attenuation,
+)
 from imteval.errors import DomainError
 
 BS_PATTERN = ElementPattern(max_gain_dbi=8.0)
 UE_PATTERN = ElementPattern(max_gain_dbi=0.0, isotropic=True)
+
+
+def element_gain_reference(pattern, azimuth_deg, zenith_deg, out=None):
+    """Oracle for element_gain: its one-piece form, before the vertical cut
+    became a step of its own."""
+    az = np.asarray(azimuth_deg, dtype=float)
+    zen = np.asarray(zenith_deg, dtype=float)
+    if az.size and not (-180.0 <= az.min() and az.max() <= 180.0):
+        raise DomainError(f"azimuth out of [-180, 180]: {azimuth_deg}")
+    if zen.size and not (0.0 <= zen.min() and zen.max() <= 180.0):
+        raise DomainError(f"zenith out of [0, 180]: {zenith_deg}")
+    if out is None:
+        out = np.empty(np.broadcast(az, zen).shape)
+    if pattern.isotropic:
+        out[...] = pattern.max_gain_dbi
+        return out if out.ndim else float(out)
+    vertical = np.subtract(zen, 90.0, out=np.empty(zen.shape))
+    np.minimum(12.0 * np.square(vertical / pattern.v_3db_deg), pattern.sidelobe_db, out=vertical)
+    att = np.divide(az, pattern.h_3db_deg, out=out)
+    np.square(att, out=att)
+    np.multiply(att, 12.0, out=att)
+    np.minimum(att, pattern.front_back_db, out=att)
+    att += vertical
+    np.minimum(att, pattern.front_back_db, out=att)
+    np.subtract(pattern.max_gain_dbi, att, out=out)
+    return out if out.ndim else float(out)
+
+
+_PATTERNS = [BS_PATTERN, UE_PATTERN,
+             ElementPattern(max_gain_dbi=5.0, h_3db_deg=90.0, v_3db_deg=40.0,
+                            front_back_db=25.0, sidelobe_db=20.0)]
+
+
+class TestComposedElementGain:
+    """element_gain is vertical_attenuation then combined_gain: the bits and
+    the errors of its one-piece form."""
+
+    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "isotropic", "narrow"])
+    def test_equals_one_piece_form(self, pattern):
+        rng = np.random.default_rng(7)
+        az = np.concatenate([[-180.0, 180.0, 0.0, 65.0], rng.uniform(-180, 180, 3996)])
+        zen = np.concatenate([[0.0, 180.0, 90.0, 102.5], rng.uniform(0, 180, 3996)])
+        want = element_gain_reference(pattern, az, zen)
+        assert np.array_equal(element_gain(pattern, az, zen), want)
+        plane_az, plane_zen = az.reshape(8, -1), zen.reshape(8, -1)
+        assert np.array_equal(element_gain(pattern, plane_az, plane_zen[:1]),
+                              element_gain_reference(pattern, plane_az, plane_zen[:1]))
+        for a, z in zip(az[:50], zen[:50]):
+            got = element_gain(pattern, a, z)
+            assert type(got) is float and got == element_gain_reference(pattern, a, z)
+        # out may be either angle array
+        for alias in ("az", "zen"):
+            a, z = az.copy(), zen.copy()
+            got = element_gain(pattern, a, z, out=a if alias == "az" else z)
+            assert np.array_equal(got, want), alias
+        # the two steps on their own, with the cut taken in place
+        z = zen.copy()
+        vertical = vertical_attenuation(pattern, z, out=z)
+        assert vertical is z
+        assert np.array_equal(combined_gain(pattern, az, vertical), want)
+
+    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "isotropic", "narrow"])
+    @pytest.mark.parametrize("az, zen", [
+        (np.nan, 90.0), (0.0, np.nan), (np.nan, np.nan), (181.0, np.nan),
+        (np.array([0.0, np.nan]), np.array([-1.0, 90.0])), (-180.5, 181.0), (0.0, -0.5),
+    ])
+    def test_raises_as_one_piece_form(self, pattern, az, zen):
+        with pytest.raises(DomainError) as want:
+            element_gain_reference(pattern, az, zen)
+        with pytest.raises(DomainError) as got:
+            element_gain(pattern, az, zen)
+        assert str(got.value) == str(want.value)
+
+    def test_steps_check_their_own_angle(self):
+        with pytest.raises(DomainError, match="zenith"):
+            vertical_attenuation(BS_PATTERN, np.array([90.0, np.nan]))
+        with pytest.raises(DomainError, match="azimuth"):
+            combined_gain(BS_PATTERN, np.array([0.0, 180.5]), np.zeros(2))
 
 
 class TestElementGain:

@@ -163,6 +163,7 @@ class TestRun:
             raise AssertionError("a drop ran")
 
         monkeypatch.setattr(engine, "run_drop", no_drops)
+        monkeypatch.setattr(engine, "_link_stage", no_drops)  # calibration probes too
         out_dir = tmp_path / "results"
         assert main(["run", *flags, "--drops", "1", "--sinr-only", "--out", str(out_dir)]) == 2
         assert named in capsys.readouterr().err
@@ -219,6 +220,7 @@ class TestRunFlagsValidated:
             raise AssertionError("a drop ran")
 
         monkeypatch.setattr(engine, "run_drop", no_drops)
+        monkeypatch.setattr(engine, "_link_stage", no_drops)  # calibration probes too
         out_dir = tmp_path / "results"
         assert main(["run", "--scenario", "Rural_eMBB", *flags, "--out", str(out_dir)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
@@ -232,6 +234,7 @@ class TestRunFlagsValidated:
             raise AssertionError("a drop ran")
 
         monkeypatch.setattr(engine, "run_drop", no_drops)
+        monkeypatch.setattr(engine, "_link_stage", no_drops)  # calibration probes too
         out_dir = tmp_path / "results"
         assert main(["run", "--scenario", "Rural_eMBB", "--drops", "1", "--workers", workers,
                      "--out", str(out_dir)]) == 2
@@ -265,6 +268,7 @@ class TestPinnedKeys:
             raise AssertionError("a drop ran")
 
         monkeypatch.setattr(engine, "run_drop", no_drops)
+        monkeypatch.setattr(engine, "_link_stage", no_drops)  # calibration probes too
         name, value = override.split("=")
         section, key = name.rsplit(".", 1)
         cfg = tmp_path / "pinned.cfg"

@@ -2,6 +2,7 @@
 calibration and parallel-merge identity."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -26,9 +27,10 @@ from imteval.engine import (
     run,
     run_drop,
 )
+from imteval.errors import DomainError
 from imteval.geometry import LayoutKind, NetworkLayout, build_layout, drop_ues
 from imteval.link import bler, sinr_to_se
-from imteval.scenario import DOWNLINK, UPLINK, TestEnvironment, preset
+from imteval.scenario import DOWNLINK, UPLINK, TestEnvironment, list_presets, preset
 from imteval.traffic import track_delays
 
 MMTC_A = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_MMTC, "A"), drops=5)
@@ -300,7 +302,73 @@ class TestUplinkInterferers:
         self._check(by_cell, cell_sizes, seed, 0)
 
 
+def calibrate_ul_power_reference(config, layout, probes=3, max_iterations=8):
+    """Oracle for calibrate_ul_power: the loop that ran one whole SINR-only
+    run_drop per probe and read its mean_iot_db."""
+    target = config.link.ul_iot_target_db
+    cfg, achieved, warnings = config, math.inf, []
+    for iteration in range(max_iterations):
+        drops = [engine._CALIBRATION_DROP_BASE + iteration * probes + p for p in range(probes)]
+        achieved = float(np.mean([run_drop(cfg, layout, d, sinr_only=True).mean_iot_db
+                                  for d in drops]))
+        if achieved <= target:
+            break
+        new_p0 = cfg.link.ul_p0_dbm - (achieved - target) - 0.5
+        cfg = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link, ul_p0_dbm=new_p0))
+    else:
+        warnings.append(
+            f"CalibrationWarning: mean uplink IoT {achieved:.2f} dB still above "
+            f"{target:.1f} dB after {max_iterations} iterations")
+    return cfg, achieved, warnings
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_layout(env, variant):
+    return build_layout(preset(env, variant))
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("env, variant", [(env, v) for env, v, _ in list_presets()])
+    def test_iot_only_probes_match_run_drop_probes(self, env, variant):
+        """Probes that stop at the uplink IoT give the config and the IoT of
+        whole drops, bit for bit, on every preset."""
+        config, layout = preset(env, variant), _preset_layout(env, variant)
+        got = calibrate_ul_power(config, layout)
+        assert got == calibrate_ul_power_reference(config, layout)
+
+    def test_iot_only_probes_match_when_the_target_is_missed(self):
+        cfg = dataclasses.replace(
+            MMTC_A, link=dataclasses.replace(MMTC_A.link, ul_iot_target_db=-60.0))
+        layout = _preset_layout(TestEnvironment.URBAN_MACRO_MMTC, "A")
+        got = calibrate_ul_power(cfg, layout, probes=2, max_iterations=2)
+        assert got == calibrate_ul_power_reference(cfg, layout, probes=2, max_iterations=2)
+        assert len(got[2]) == 1
+
+    @pytest.mark.parametrize("env", [TestEnvironment.URBAN_MACRO_URLLC,
+                                     TestEnvironment.DENSE_URBAN_EMBB,
+                                     TestEnvironment.INDOOR_HOTSPOT_EMBB])
+    def test_uplink_stage_iot_is_the_drops_iot(self, env):
+        config, layout = preset(env, "A"), _preset_layout(env, "A")
+        work = DropWork()
+        for d in (0, 1, 2, 7):
+            _, coupling, serving = engine._link_stage(config, layout, d, work)
+            iot = engine._uplink_stage(config, coupling, serving, d)[-1]
+            full = run_drop(config, layout, d, sinr_only=d % 2 == 0)
+            assert iot == full.mean_iot_db
+            assert np.array_equal(serving, full.serving)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"probes": 0}, "probes"), ({"probes": -1}, "probes"),
+        ({"max_iterations": 0}, "max_iterations"),
+    ])
+    def test_no_probe_or_no_iteration_is_a_domain_error(self, kwargs, field):
+        """probes=0 used to return a NaN P0 and max_iterations=0 the
+        uncalibrated config with an infinite IoT."""
+        layout = _preset_layout(TestEnvironment.URBAN_MACRO_MMTC, "A")
+        with pytest.raises(DomainError, match=field) as err:
+            calibrate_ul_power(MMTC_A, layout, **kwargs)
+        assert err.value.field == field
+
     def test_iot_meets_target(self):
         layout = build_layout(MMTC_A)
         cal, achieved, warnings = calibrate_ul_power(MMTC_A, layout)
@@ -637,3 +705,33 @@ class TestDensityRoute:
         layout = build_layout(cfg)
         with pytest.raises(Exception):
             evaluate_p99_delay(cfg, layout, 1e6)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_drops": 0}, "n_drops"), ({"n_drops": -2}, "n_drops"),
+        ({"horizon_s": 0.0}, "horizon_s"), ({"horizon_s": -5.0}, "horizon_s"),
+        ({"horizon_s": math.nan}, "horizon_s"),
+    ])
+    def test_no_drop_or_no_horizon_is_a_domain_error(self, mmtc_calibrated, kwargs, field):
+        """Both used to give a 0.0 s p99 at a density whose true p99 is
+        about two minutes, a silent pass."""
+        cal, layout = mmtc_calibrated
+        with pytest.raises(DomainError, match=field) as err:
+            evaluate_p99_delay(cal, layout, 4e7, **kwargs)
+        assert err.value.field == field
+
+    def test_no_sinr_drop_is_a_domain_error(self, mmtc_calibrated):
+        cal, layout = mmtc_calibrated
+        with pytest.raises(DomainError, match="n_drops"):
+            evaluate_p99_delay(cal, layout, 4e7, sinr_drops=[])
+
+    @pytest.mark.parametrize("n_drops", [0, -1])
+    def test_search_without_drops_is_a_domain_error(self, monkeypatch, n_drops):
+        """It used to report the upper bracket, 40x the requirement, from
+        probes whose delays were all 0.0. It raises before any set-up."""
+        def no_layout(*args, **kwargs):
+            raise AssertionError("a layout was built")
+
+        monkeypatch.setattr(engine, "build_layout", no_layout)
+        with pytest.raises(DomainError, match="n_drops") as err:
+            density_search(MMTC_A, steps=2, n_drops=n_drops)
+        assert err.value.field == "n_drops"
