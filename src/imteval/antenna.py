@@ -38,8 +38,8 @@ def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg, out=None):
     """Element gain in dBi at the given angles (scalar or ndarray), into ``out``, which may
     be either angle array, when given. Raises DomainError if any azimuth is outside
     [-180, 180] (checked first), any zenith outside [0, 180], or any angle is NaN."""
-    _check_range(azimuth_deg, -180.0, 180.0, "azimuth")
-    return combined_gain(pattern, azimuth_deg, vertical_attenuation(pattern, zenith_deg), out)
+    az = _check_range(azimuth_deg, -180.0, 180.0, "azimuth")
+    return _combine(pattern, az, vertical_attenuation(pattern, zenith_deg), out)
 
 
 def _check_range(angle_deg, lo: float, hi: float, name: str) -> np.ndarray:
@@ -61,7 +61,11 @@ def vertical_attenuation(pattern: ElementPattern, zenith_deg, out=None) -> np.nd
 def combined_gain(pattern: ElementPattern, azimuth_deg, vertical_db, out=None):
     """Gain in dBi, max gain - min(A_h + A_v, A_m), from the azimuth and ``vertical_attenuation``;
     ``out`` may be the azimuth array. Raises DomainError if any azimuth is outside [-180, 180]."""
-    az = _check_range(azimuth_deg, -180.0, 180.0, "azimuth")
+    return _combine(pattern, _check_range(azimuth_deg, -180.0, 180.0, "azimuth"), vertical_db, out)
+
+
+def _combine(pattern: ElementPattern, az: np.ndarray, vertical_db, out):
+    """``combined_gain`` on an azimuth array already checked."""
     if out is None:
         out = np.empty(np.broadcast(az, vertical_db).shape)
     if pattern.isotropic:

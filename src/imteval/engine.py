@@ -621,9 +621,11 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     per-cell loop only draws (``poisson``, ``uniform``, ``integers``,
     ``geometric`` per cell, an order that fixes the results of a seed) into
     padded (queues x messages) arrays, one contiguous row per drop and cell,
-    and ``serve_fifo`` serves every queue at once from their transposes. An
-    undelivered message counts as an infinite delay (see metrics.p99_delay
-    for the percentile rule around ``inf``).
+    and ``serve_fifo`` serves every queue at once from their transposes,
+    writing each delay over its service time. An undelivered message counts
+    as an infinite delay (see metrics.p99_delay for the percentile rule
+    around ``inf``). The delays are then packed to the front of that array
+    and ranked there, so a probe holds one copy of its messages.
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
     service start, completion, transmissions, delivered) are appended to it
@@ -644,7 +646,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     arrival, busy = np.zeros(shape), np.zeros(shape)
     delivered = np.zeros(shape, dtype=bool)
     lengths = np.zeros(shape[0], dtype=np.intp)
-    transmissions = {}  # queue -> transmissions per message, kept for record_sink
+    logged = {}  # queue -> (transmissions, service times) per message, for record_sink
 
     for d, probe in enumerate(sinr_drops):
         sinr = probe.ul_sinr_db - lk.csi_backoff_db
@@ -675,30 +677,35 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             q = d * n_t + c
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
-            busy[q, :n_msgs] = spec.overhead_s + n_tx * tx_time[chosen]
+            service = spec.overhead_s + n_tx * tx_time[chosen]
+            busy[q, :n_msgs] = service
             delivered[q, :n_msgs] = (se[chosen] > 0.0) & \
                 (first_success <= _MAX_MESSAGE_ATTEMPTS)
             if record_sink is not None:
-                transmissions[q] = n_tx
+                logged[q] = n_tx, service
 
     rows = int(lengths.max(initial=0))
     if rows == 0:
         return 0.0
+    table = busy.reshape(-1)  # a view: busy is one contiguous block
     arrival, busy, delivered = arrival[:, :rows], busy[:, :rows], delivered[:, :rows]
     starts = np.empty_like(arrival) if record_sink is not None else None
-    delays = serve_fifo(arrival.T, busy.T, n_servers, lengths,
-                        None if starts is None else starts.T)
-    # serve_fifo orders delays by position, then queue: gather delivered alike
-    delays[~delivered.T[np.arange(rows)[:, None] < lengths]] = np.inf
+    serve_fifo(arrival.T, busy.T, n_servers, lengths, None if starts is None else starts.T,
+               out=busy.T)
     if record_sink is not None:
         for q in np.flatnonzero(lengths).tolist():
-            n, (d, c) = int(lengths[q]), divmod(q, n_t)
+            n, (d, c), (n_tx, service) = int(lengths[q]), divmod(q, n_t), logged[q]
             start = starts[q, :n]
             record_sink.extend(zip(repeat(d), repeat(c), arrival[q, :n].tolist(),
-                                   start.tolist(), (start + busy[q, :n]).tolist(),
-                                   transmissions[q].tolist(), delivered[q, :n].tolist()))
-    del arrival, busy, delivered, starts  # freed before the percentile copies delays
-    return metrics.p99_delay(delays)
+                                   start.tolist(), (start + service).tolist(),
+                                   n_tx.tolist(), delivered[q, :n].tolist()))
+    np.copyto(busy, np.inf, where=~delivered)
+    # each queue's delays move to the front of the table, in queue order
+    n_valid = 0
+    for q, n in enumerate(lengths.tolist()):
+        table[n_valid:n_valid + n] = busy[q, :n]
+        n_valid += n
+    return metrics.p99_delay(table[:n_valid])
 
 
 def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,

@@ -64,27 +64,35 @@ class CdfEstimator:
 
     def quantiles(self, q) -> np.ndarray:
         """The same floats as ``np.quantile(samples, q, method="linear")``,
-        read off the sorted buffer without copying it. The virtual index is
-        (n-1)*q; numpy marks one at or past n-1 as index -1 (the last sample)
-        and takes the weight g from that mark, then interpolates with its
-        two-sided lerp, a + (b-a)*g or, where g >= 0.5, b - (b-a)*(1-g)."""
+        read off the sorted buffer without copying it."""
         if self.count == 0:
             raise InsufficientSamples("empty CDF estimator")
         q = np.asarray(q, dtype=float)
         if not ((q >= 0.0) & (q <= 1.0)).all():
             raise DomainError("quantile levels must lie in [0, 1]")
         data = self._ensure_sorted()
-        n = len(data)
-        v = (n - 1) * q
-        lo = np.where(v >= n - 1, -1.0, np.floor(v))
-        i = lo.astype(np.intp)
-        a, b = data[i], data[np.where(i < 0, i, i + 1)]
-        g = v - lo
-        diff = b - a
-        return np.where(g >= 0.5, b - diff * (1.0 - g), a + diff * g)
+        lower, upper, weight = _linear_rule(len(data), q)
+        return _lerp(data[lower], data[upper], weight)
 
     def quantile(self, p) -> float:
         return float(self.quantiles(p))
+
+
+def _linear_rule(n: int, q):
+    """numpy's ``method="linear"`` quantile q of n sorted samples, as the
+    indices of the two order statistics to interpolate and the weight of
+    the upper one. The virtual index is (n-1)*q; numpy marks one at or past
+    n-1 as index -1 (the last sample) and takes the weight from that mark."""
+    v = (n - 1) * q
+    lo = np.where(v >= n - 1, -1.0, np.floor(v))
+    lower = lo.astype(np.intp)
+    return lower, np.where(lower < 0, lower, lower + 1), v - lo
+
+
+def _lerp(a, b, weight):
+    """numpy's two-sided lerp: a + (b-a)*g, or b - (b-a)*(1-g) where g >= 0.5."""
+    diff = b - a
+    return np.where(weight >= 0.5, b - diff * (1.0 - weight), a + diff * weight)
 
 
 def _finite_samples(samples) -> np.ndarray:
@@ -150,25 +158,26 @@ def p99_delay(delays) -> float:
     """Linear-interpolated 99th percentile of message delays, where an
     undelivered message counts as an infinite delay.
 
-    Returns numpy's ``method="linear"`` quantile whenever that is not NaN.
-    numpy gives NaN when it interpolates towards an ``inf`` neighbour with
-    weight 0 (0 x inf) or between two ``inf`` neighbours; then the answer
-    is the lower order statistic at weight 0 and ``inf`` otherwise.
+    Returns numpy's ``np.quantile(delays, 0.99, method="linear")`` bit for
+    bit whenever that is not NaN. numpy gives NaN when it interpolates
+    towards an ``inf`` neighbour with weight 0 (0 x inf) or between two
+    ``inf`` neighbours; then the answer is the lower order statistic at
+    weight 0 and ``inf`` otherwise. A float64 ndarray argument that is 1-D or
+    contiguous is partitioned in place: its values stay, their order
+    changes. Any other argument is copied first.
     """
-    delays = np.asarray(delays, dtype=float)
+    delays = np.asarray(delays, dtype=float).reshape(-1)
     if delays.size == 0:
         raise InsufficientSamples("p99 of no messages")
-    if np.isnan(delays).any():
+    lower, upper, weight = _linear_rule(delays.size, 0.99)
+    delays.partition((int(lower), int(upper), -1))  # a NaN sorts last
+    if math.isnan(delays[-1]):
         raise InternalError("NaN message delay")
     with np.errstate(invalid="ignore"):
-        q = float(np.quantile(delays, 0.99, method="linear"))
+        q = float(_lerp(delays[lower], delays[upper], weight))
     if not math.isnan(q):
         return q
-    position = (delays.size - 1) * 0.99  # numpy's linear virtual index
-    lower = math.floor(position)
-    if position - lower == 0.0:
-        return float(np.partition(delays, lower)[lower])
-    return math.inf
+    return float(delays[lower]) if weight == 0.0 else math.inf
 
 
 # the 99th-percentile message delay a density must meet

@@ -150,7 +150,8 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
 _FIFO_BLOCK = 256
 
 
-def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, starts=None):
+def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, starts=None,
+               out=None):
     """Independent multi-server FIFO queues with infinite buffers, all
     served in lockstep.
 
@@ -161,11 +162,13 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     result, but should hold finite arrival times: NaN pads give the same
     results, yet make every later step serve one position. 1-D arrays are
     one queue. Each message takes the server of its queue that frees up
-    first. Returns the delay (completion - arrival) of every message as a
-    1-D array, ordered by position and then by queue.
-    When ``starts`` is given, an array shaped like ``arrival_times``, every
-    service start time is written into it; a message completes at start +
-    service time.
+    first. Returns ``out``, an array shaped like ``arrival_times`` (NaN-filled
+    when None is passed) that receives the delay (completion - arrival) of
+    every message; its entries past a queue's length are left as they were.
+    ``out`` may be the service-time array itself: each block of positions
+    is written once it is served and checked. When ``starts`` is given, an
+    array shaped like ``arrival_times``, every service start time is written
+    into it; a message completes at start + service time.
 
     Each queue keeps its servers' free times as an ascending row x. A step
     serves up to ``n_servers`` message positions j = 0, 1, ... of every
@@ -187,31 +190,33 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
         raise ConfigInvalid("n_servers", "must be >= 1")
     arrival = np.asarray(arrival_times, dtype=float)
     service = np.asarray(service_times, dtype=float)
+    if out is None:
+        out = np.full(arrival.shape, np.nan)
+    result = out
     if arrival.ndim == 1:
-        arrival, service = arrival[:, None], service[:, None]
+        arrival, service, out = arrival[:, None], service[:, None], out[:, None]
         if starts is not None:
             starts = starts[:, None]
     n_rows, n_queues = arrival.shape
     lengths = np.full(n_queues, n_rows) if lengths is None else np.asarray(lengths)
-    if service.shape != arrival.shape or lengths.shape != (n_queues,) \
-            or (lengths > n_rows).any():
+    if service.shape != arrival.shape or out.shape != arrival.shape \
+            or lengths.shape != (n_queues,) or (lengths > n_rows).any():
         raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
-                            f"{service.shape}, lengths {lengths.shape} (longest "
-                            f"{lengths.max(initial=0)})")
+                            f"{service.shape}, out {out.shape}, lengths {lengths.shape} "
+                            f"(longest {lengths.max(initial=0)})")
     free = np.zeros((n_queues, n_servers))  # per queue, ascending free times
     # hot loop: local names
     maximum, add, greater_equal = np.maximum, np.add, np.greater_equal
     least, running_least = np.minimum.reduce, np.minimum.accumulate
-    delays = np.empty(int(lengths.sum()))
     buffer = np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
     done_buffer = np.empty((n_servers, n_queues))
-    filled = 0
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
         valid = np.arange(b0, b1)[:, None] < lengths
         arrival_b = arrival[b0:b1]
-        service_b = np.where(valid, service[b0:b1], np.inf)  # pads never hold a step back
+        # a copy, so out may be the service array; pads never hold a step back
+        service_b = np.where(valid, service[b0:b1], np.inf)
         i = 0
         while i < b1 - b0:
             k = min(n_servers, b1 - b0 - i)
@@ -228,8 +233,6 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
             free[:, :n] = done[:n].T
             free.sort(axis=1)
             i += n
-        a, s = arrival_b[valid], block[valid]
-        checked = track_delays(a, s, s + service_b[valid])
-        delays[filled:filled + len(checked)] = checked
-        filled += len(checked)
-    return delays
+        s = block[valid]
+        out[b0:b1][valid] = track_delays(arrival_b[valid], s, s + service_b[valid])
+    return result

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from imteval import antenna
 from imteval.antenna import (
     ArrayConfig,
     ElementPattern,
@@ -89,6 +90,18 @@ class TestComposedElementGain:
         with pytest.raises(DomainError) as got:
             element_gain(pattern, az, zen)
         assert str(got.value) == str(want.value)
+
+    def test_checks_each_angle_once(self, monkeypatch):
+        checked = []
+        check = antenna._check_range
+
+        def counting_check(angle, lo, hi, name):
+            checked.append(name)
+            return check(angle, lo, hi, name)
+
+        monkeypatch.setattr(antenna, "_check_range", counting_check)
+        element_gain(BS_PATTERN, np.zeros(3), np.full(3, 90.0))
+        assert checked == ["azimuth", "zenith"]
 
     def test_steps_check_their_own_angle(self):
         with pytest.raises(DomainError, match="zenith"):

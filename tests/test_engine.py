@@ -661,6 +661,30 @@ class TestDensityRoute:
             2e5, 4e7, steps=3)
         assert search.evaluations == reference.evaluations
 
+    def test_dense_probe_holds_one_copy_of_its_messages(self, mmtc_calibrated):
+        """At 4e7 /km^2 (one drop, about 457k messages) the traced peak of a
+        probe stays within 1.2x its padded arrival/service/delivered table
+        (17 B per slot): the delays are served, scored and ranked inside
+        that table. A separate delay array and a percentile copy put it at
+        1.59x."""
+        cal, layout = mmtc_calibrated
+        sinr_drops = engine._search_links(cal, layout, 1)
+        spec = cal.traffic
+        mean = 4e7 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * 20.0
+        table_bytes = 17 * layout.n_trxps * engine._queue_capacity(mean)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_p99_delay(cal, layout, 4e7, sinr_drops=sinr_drops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - base <= 1.2 * table_bytes
+
     def test_p99_delay_increases_with_density(self):
         cfg = small(MMTC_A, drops=2)
         layout = build_layout(cfg)

@@ -308,7 +308,64 @@ class TestDensitySearch:
                                       (99.0 if d >= 1e7 else math.nan), 1e5, 1e7)
 
 
+def p99_delay_reference(delays):
+    """Oracle for p99_delay: np.quantile's linear rule, and where that gives
+    NaN the lower order statistic at weight 0 and inf otherwise."""
+    delays = np.array(delays, dtype=float)
+    with np.errstate(invalid="ignore"):
+        q = float(np.quantile(delays, 0.99, method="linear"))
+    if not math.isnan(q):
+        return q
+    position = (delays.size - 1) * 0.99
+    lower = math.floor(position)
+    return float(np.sort(delays)[lower]) if position == lower else math.inf
+
+
+# sample counts whose percentile position is whole: a weight-0 interpolation step
+_WHOLE_POSITION = [n for n in range(1, 5001) if ((n - 1) * 0.99).is_integer()]
+
+
 class TestP99Delay:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(1, 5000), st.sampled_from(_WHOLE_POSITION)),
+           n_lost=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1),
+           pool=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 7.5]),
+                                   st.floats(0.0, 1e4, allow_nan=False)),
+                         min_size=1, max_size=6),
+           spread=st.booleans())
+    def test_equals_numpy_linear_quantile_bit_for_bit(self, n, n_lost, seed, pool, spread):
+        """Samples of 1 to 5,000 delays, tied (drawn from a small pool) or
+        spread, with up to 60 infinite losses: p99_delay gives the bits of
+        np.quantile's linear rule, or its NaN fallback, and reorders its
+        argument in place without changing its values."""
+        rng = np.random.default_rng(seed)
+        delays = rng.exponential(5.0, n) if spread else rng.choice(pool, n)
+        delays[rng.permutation(n)[:n_lost]] = math.inf
+        want = p99_delay_reference(delays)
+        argument = delays.copy()
+        got = p99_delay(argument)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(np.sort(argument), np.sort(delays))
+
+    @pytest.mark.parametrize("n, n_lost, want", [
+        (1, 0, 0.0), (1, 1, math.inf),
+        (1001, 1, 990.0),  # weight 0, upper neighbour inf
+        (101, 2, math.inf),  # weight 0 on an inf order statistic
+        (51, 2, math.inf), (5000, 51, math.inf),  # two inf neighbours
+        (5000, 50, math.inf),  # positive weight towards inf
+    ])
+    def test_inf_neighbours(self, n, n_lost, want):
+        delays = np.arange(float(n))
+        delays[n - n_lost:] = math.inf
+        assert p99_delay_reference(delays) == want
+        assert p99_delay(delays) == want
+
+    def test_upper_half_weight_interpolates_down_from_the_upper_neighbour(self):
+        # weight 0.99: numpy computes b - (b - a) * 0.01, which here rounds
+        # differently from a + (b - a) * 0.99 (3.674)
+        assert p99_delay([1.1, 3.7]) == 3.6740000000000004
+
     def test_finite_sample_is_numpy_linear_quantile(self):
         delays = np.random.default_rng(8).exponential(1.0, 977)
         assert p99_delay(delays) == float(np.quantile(delays, 0.99, method="linear"))

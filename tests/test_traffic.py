@@ -390,7 +390,8 @@ def _assert_lockstep_matches_reference(arrival, busy, n_servers, lengths,
     start = np.empty_like(arrival)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traffic, "_FIFO_BLOCK", block)
-        delays = serve_fifo(arrival, busy, n_servers, lengths, start)
+        delays = serve_fifo(arrival, busy, n_servers, lengths, start)[
+            np.arange(len(arrival))[:, None] < lengths]
     logs = [serve_fifo_reference(list(zip(arrival[:n, q].tolist(), range(n))),
                                  busy[:n, q].tolist(), n_servers)
             for q, n in enumerate(lengths)]
@@ -422,6 +423,27 @@ class TestServeFifo:
         services = rng.uniform(0.01, 0.2, 200)
         delays = serve_fifo(arrival, services, n_servers=3)
         assert delays.shape == arrival.shape  # infinite queue: all complete
+
+    def test_delays_written_over_the_service_times(self, monkeypatch):
+        """``out`` may be the service-time array: each message's delay
+        replaces its service time, block by block, and entries past a
+        queue's length keep theirs."""
+        rng = np.random.default_rng(23)
+        lengths = [5, 0, 9, 3]
+        arrival = np.sort(rng.uniform(0.0, 4.0, (9, 4)), axis=0)
+        busy = rng.uniform(0.0, 2.0, (9, 4))
+        valid = np.arange(9)[:, None] < lengths
+        want = serve_fifo(arrival, busy, 2, lengths)
+        assert np.isnan(want[~valid]).all()
+        monkeypatch.setattr(traffic, "_FIFO_BLOCK", 4)
+        out = busy.copy()
+        assert serve_fifo(arrival, out, 2, lengths, out=out) is out
+        assert np.array_equal(out[valid], want[valid])
+        assert np.array_equal(out[~valid], busy[~valid])
+        # one queue: 1-D in, 1-D out
+        one = busy[:, 2].copy()
+        assert serve_fifo(arrival[:, 2], one, 2, out=one) is one
+        assert np.array_equal(one, want[:, 2])
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -508,7 +530,8 @@ class TestServeFifo:
         start = np.empty_like(arrival)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(traffic, "_FIFO_BLOCK", block)
-            delays = serve_fifo(arrival, busy, n_servers, lengths, start)
+            delays = serve_fifo(arrival, busy, n_servers, lengths, start)[
+                np.arange(rows)[:, None] < lengths]
         expected = [logs[q][i][3] - logs[q][i][1]
                     for i in range(rows) for q in range(len(queues)) if i < lengths[q]]
         assert delays.tolist() == expected
