@@ -655,6 +655,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
         # the full retransmission budget, then count as lost
         tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
         p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+        decodable = se > 0.0
         by_cell = np.argsort(probe.serving, kind="stable")
         bounds = np.cumsum(np.bincount(probe.serving, minlength=n_t))[:-1]
         rng = derive_stream(config.master_seed, d, "density")
@@ -662,7 +663,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
                 continue
-            times = np.sort(rng.uniform(0.0, horizon_s, size=n_msgs))
+            times = rng.uniform(0.0, horizon_s, size=n_msgs)
             # sample message SINRs from this drop's UE population of the cell
             if len(members) == 0:
                 continue
@@ -677,12 +678,16 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             q = d * n_t + c
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
-            service = spec.overhead_s + n_tx * tx_time[chosen]
-            busy[q, :n_msgs] = service
-            delivered[q, :n_msgs] = (se[chosen] > 0.0) & \
-                (first_success <= _MAX_MESSAGE_ATTEMPTS)
+            arrival[q, :n_msgs].sort()
+            service = np.multiply(n_tx, tx_time[chosen], out=busy[q, :n_msgs])
+            service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
+            np.logical_and(decodable[chosen], first_success <= _MAX_MESSAGE_ATTEMPTS,
+                           out=delivered[q, :n_msgs])
             if record_sink is not None:
-                logged[q] = n_tx, service
+                # a copy: serve_fifo writes delays over the busy row
+                logged[q] = n_tx, service.copy()
+    # the last cell's per-message arrays would otherwise outlive the loop
+    times = chosen = first_success = n_tx = None
 
     rows = int(lengths.max(initial=0))
     if rows == 0:

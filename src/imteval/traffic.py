@@ -170,9 +170,11 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     array shaped like ``arrival_times``, every service start time is written
     into it; a message completes at start + service time.
 
-    Each queue keeps its servers' free times as an ascending row x. A step
-    serves up to ``n_servers`` message positions j = 0, 1, ... of every
-    queue at once, giving position j the j-th smallest free time:
+    The servers' free times are kept position-major: an (n_servers x
+    queues) array whose column q holds queue q's free times in ascending
+    order, so its first k rows x are the k smallest free times of every
+    queue. A step serves up to ``n_servers`` message positions j = 0, 1, ...
+    of every queue at once, giving position j the j-th smallest free time:
     start_j = max(arrival_j, x_j), done_j = start_j + service_j. That is
     what a heap of free times pops whenever min(done_0 .. done_{j-1}) >= x_j
     in every queue where position j is a message: by induction the heap
@@ -180,11 +182,14 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     x_j (a tie pops an equal value, so the contents are the same), whatever
     the signs of the service times. The step keeps the positions up to the
     first one that fails this test (position 0 always passes), writes their
-    completions over the smallest free times and re-sorts the rows. So every
-    start and completion is the same IEEE operation on the same operands as
-    in the heap queue (tests keep that loop as the oracle). Entries past a
-    queue's length get an infinite service time, so that their completions
-    do not cut a step short. With one server every step is one position.
+    completions over the smallest free times and re-sorts the columns (the
+    completions go into a second array shaped like the free times, and a
+    step that keeps all ``n_servers`` positions swaps the two arrays instead
+    of copying). So every start and completion is the same IEEE operation
+    on the same operands as in the heap queue (tests keep that loop as the
+    oracle). Entries past a queue's length get an infinite service time, so
+    that their completions do not cut a step short. With one server every
+    step is one position.
     """
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
@@ -204,12 +209,12 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
         raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
                             f"{service.shape}, out {out.shape}, lengths {lengths.shape} "
                             f"(longest {lengths.max(initial=0)})")
-    free = np.zeros((n_queues, n_servers))  # per queue, ascending free times
+    free = np.zeros((n_servers, n_queues))  # per queue (column), ascending free times
+    done_buffer = np.empty_like(free)
     # hot loop: local names
     maximum, add, greater_equal = np.maximum, np.add, np.greater_equal
-    least, running_least = np.minimum.reduce, np.minimum.accumulate
+    every, running_least = np.logical_and.reduce, np.minimum.accumulate
     buffer = np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
-    done_buffer = np.empty((n_servers, n_queues))
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
@@ -220,18 +225,22 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
         i = 0
         while i < b1 - b0:
             k = min(n_servers, b1 - b0 - i)
-            x = free[:, :k].T  # (position, queue): the k smallest free times
+            x = free[:k]  # (position, queue): the k smallest free times
             start = maximum(arrival_b[i:i + k], x, out=block[i:i + k])
             done = add(start, service_b[i:i + k], out=done_buffer[:k])
             # position j is exact if min(done[:j]) >= x[j] in every queue; as x
-            # ascends, passing at the last position means passing at every one
-            if k == 1 or greater_equal(least(done[:-1], axis=0), x[-1]).all():
+            # ascends, passing at the last position means passing at every one,
+            # and min(done[:-1]) >= x[-1] is every done[:-1] >= x[-1] (NaN fails both)
+            if k == 1 or every(greater_equal(done[:-1], x[-1]), axis=None):
                 n = k
             else:
                 exact = greater_equal(running_least(done[:-1], axis=0), x[1:]).all(axis=1)
                 n = 1 + int(exact.argmin())
-            free[:, :n] = done[:n].T
-            free.sort(axis=1)
+            if n == n_servers:  # every free time is replaced
+                free, done_buffer = done_buffer, free
+            else:
+                free[:n] = done[:n]
+            free.sort(axis=0, kind="stable")  # on short columns, quicker than quicksort
             i += n
         s = block[valid]
         out[b0:b1][valid] = track_delays(arrival_b[valid], s, s + service_b[valid])

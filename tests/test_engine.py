@@ -663,10 +663,12 @@ class TestDensityRoute:
 
     def test_dense_probe_holds_one_copy_of_its_messages(self, mmtc_calibrated):
         """At 4e7 /km^2 (one drop, about 457k messages) the traced peak of a
-        probe stays within 1.2x its padded arrival/service/delivered table
-        (17 B per slot): the delays are served, scored and ranked inside
-        that table. A separate delay array and a percentile copy put it at
-        1.59x."""
+        probe stays within 1.15x its padded arrival/service/delivered table
+        (17 B per slot): each cell's messages are drawn into that table and
+        the delays are served, scored and ranked inside it, and the last
+        cell's per-message arrays are released before serving (about 1.10x).
+        A separate delay array and a percentile copy put it at 1.59x, the
+        last cell's arrays kept alive at 1.13x."""
         cal, layout = mmtc_calibrated
         sinr_drops = engine._search_links(cal, layout, 1)
         spec = cal.traffic
@@ -683,7 +685,7 @@ class TestDensityRoute:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak - base <= 1.2 * table_bytes
+        assert peak - base <= 1.15 * table_bytes
 
     def test_p99_delay_increases_with_density(self):
         cfg = small(MMTC_A, drops=2)
