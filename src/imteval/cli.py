@@ -91,16 +91,12 @@ def _cmd_run(args) -> int:
     if args.workers < 1:
         print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2
-    if args.config and args.scenario:
-        base = preset(TestEnvironment.parse(args.scenario), args.variant)
-        config = load_config(args.config, base=base)
-    elif args.config:
-        config = load_config(args.config)
-    elif args.scenario:
-        config = preset(TestEnvironment.parse(args.scenario), args.variant)
-    else:
+    if not (args.scenario or args.config):
         print("error: need --scenario or --config", file=sys.stderr)
         return 2
+    config = preset(TestEnvironment.parse(args.scenario), args.variant) if args.scenario else None
+    if args.config:
+        config = load_config(args.config, base=config)
     if args.set:
         text = _overrides_to_text(args.set)
         config = load_config(text=text, base=config)

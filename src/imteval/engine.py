@@ -101,105 +101,82 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     """
     work = DropWork() if work is None else work
     delta, d2d = ues.site_delta, ues.site_dist
-    n_ue, n_t = len(ues.positions), layout.n_trxps
-    shape = (n_ue, n_t)
+    n_ue, n_site = d2d.shape
+    shape = (n_ue, layout.n_trxps)
     site = layout.trxp_site
     dz = layout.site_height - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
-    # the dense-urban micro layer has its own profile; its sites follow the
-    # macro ones, so each profile's site columns are one slice. With one
-    # profile, sigma and penetration below are scalars, and no plane
-    # operation broadcasts a row
-    profiles = [profile_for(config.environment, config.config_variant)]
-    spans = [slice(None)]
-    trxp_profile = 0
+    # build_layout puts the macro sites, and their TRxPs, first: the element
+    # gain is taken on that prefix, and the dense-urban micro profile on the
+    # span after it. An order that breaks this is refused, not misread
+    trxp_micro = layout.trxp_is_micro
+    m_site = int(np.count_nonzero(~layout.site_is_micro))
+    m = int(np.count_nonzero(~trxp_micro))
+    if layout.site_is_micro[:m_site].any() or trxp_micro[:m].any():
+        raise InternalError("micro sites and TRxPs must follow the macro ones")
+    spans = [(profile_for(config.environment, config.config_variant), slice(None), slice(None))]
     if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
-        n_macro = int(np.count_nonzero(~layout.site_is_micro))
-        if layout.site_is_micro[:n_macro].any():
-            raise InternalError("dense-urban micro sites must follow the macro sites")
-        profiles.append(profile_for(config.environment, config.config_variant, micro=True))
-        spans = [slice(n_macro), slice(n_macro, None)]
-        trxp_profile = layout.trxp_is_micro.astype(np.intp)
+        spans = [(spans[0][0], slice(m_site), slice(m)),
+                 (profile_for(config.environment, config.config_variant, micro=True),
+                  slice(m_site, None), slice(m, None))]
 
-    p_los, pl_los, pl_nlos = (np.empty_like(d2d) for _ in range(3))
-    for profile, cols in zip(profiles, spans):
-        h_ref = float(layout.site_height[cols][0])
-        p_los[:, cols] = los_probability(profile.plos_model, d2d[:, cols])
-        pl_los[:, cols], pl_nlos[:, cols] = pathloss_curves(
-            profile, config.carrier_frequency, d3d[:, cols], h_ref, config.ue_height)
+    # the per-site table: each site's NLOS and LOS pathloss side by side, so
+    # a link's column, in the table and in the sigma vector, is 2 site + LOS
+    p_los = np.empty_like(d2d)
+    table = np.empty((n_ue, n_site, 2))
+    sigma = np.empty((n_site, 2))
+    for profile, sites, _ in spans:
+        p_los[:, sites] = los_probability(profile.plos_model, d2d[:, sites])
+        table[:, sites, 1], table[:, sites, 0] = pathloss_curves(
+            profile, config.carrier_frequency, d3d[:, sites],
+            float(layout.site_height[sites][0]), config.ue_height)
+        sigma[sites] = profile.nlos.sf_sigma_db, profile.los.sf_sigma_db
 
-    # shadowing sigma and penetration loss of each column's profile
-    sf_los, sf_nlos, pen_high, pen_low = np.array(
-        [(p.los.sf_sigma_db, p.nlos.sf_sigma_db, p.pen_high_db, p.pen_low_db)
-         for p in profiles])[trxp_profile].T
-
-    # pl = (LOS ? pl_los : pl_nlos) + sigma * z + indoor penetration, with
-    # no masked write on the random LOS pattern: both selects are _select's.
-    # The draw plane holds the LOS uniforms, then the shadowing normals; the
-    # gather plane the LOS probability, pl_nlos, then sigma
+    # pl = table[2 site + LOS] + sigma[2 site + LOS] * z + indoor penetration:
+    # one gather each, and no masked write on the random LOS pattern. The
+    # draw plane holds the LOS uniforms, then the shadowing normals; the
+    # gather plane the LOS probability, then, as intp, each link's column
+    # and then its element of the table; the coupling plane sigma, then pl
     draw = rng.random(out=work.plane("draw", shape))
     gather = np.take(p_los, site, axis=1, out=work.plane("gather", shape), mode="clip")
-    los = np.less(draw, gather, out=work.plane("los", shape, bool)).view(np.int8)
-    np.negative(los, out=los)  # the select mask: -1 (every bit set) on LOS links
-    sf_z = rng.standard_normal(out=draw)
-    pl = np.take(pl_los, site, axis=1, out=work.plane("coupling", shape), mode="clip")
-    _select(los, pl, np.take(pl_nlos, site, axis=1, out=gather, mode="clip"), out=pl)
-    sigma = _select(los, sf_los, sf_nlos, out=gather)
-    pl += np.multiply(sigma, sf_z, out=sf_z)
-    # one masked add per building type; each mask is constant along a row
+    index = np.less(draw, gather, out=gather.view(np.intp))
+    index += 2 * site
+    pl = np.take(sigma, index, out=work.plane("coupling", shape), mode="clip")
+    sf_z = np.multiply(pl, rng.standard_normal(out=draw), out=draw)
+    index += np.arange(0, table.size, 2 * n_site)[:, None]
+    np.take(table, index, out=pl, mode="clip")
+    pl += sf_z
+    # one masked add per profile and building type, its mask constant along a row
     high = ues.indoor & ues.high_loss
-    for pen, rows in ((pen_high, high), (pen_low, ues.indoor & ~high)):
-        np.add(pl, pen, out=pl, where=rows[:, None])
+    for profile, _, trxps in spans:
+        cols = pl[:, trxps]
+        for pen, rows in ((profile.pen_high_db, high), (profile.pen_low_db, ues.indoor & ~high)):
+            np.add(cols, pen, out=cols, where=rows[:, None])
 
-    # BS-side element gain toward each UE, evaluated on the macro TRxPs and
-    # their sites only: micro/indoor points are omnidirectional at their
-    # element gain. x lies in [-270, 360]: below 0 numpy's float remainder
-    # mod 360 is exactly x + 360; at 360 (boresight 0, UE due west) it would
-    # give -180 where this gives +180, which has the same gain
-    macro = ~layout.trxp_is_micro
-    macro_sites, col = (slice(None), site) if macro.all() else \
-        np.unique(site[macro], return_inverse=True)
-    macro_shape = (n_ue, len(col))
-    to_site = delta[:, macro_sites]
-    az = np.degrees(np.arctan2(to_site[..., 1], to_site[..., 0]))
-    x = np.take(az, col, axis=1, out=work.plane("gain", macro_shape), mode="clip")
-    x -= layout.trxp_boresight_deg[macro]
+    # BS-side element gain toward each UE, on the macro TRxPs and their
+    # sites only: micro/indoor points are omnidirectional at their element
+    # gain. x lies in [-270, 360]: below 0 numpy's float remainder mod 360
+    # is exactly x + 360; at 360 (boresight 0, UE due west) it would give
+    # -180 where this gives +180, which has the same gain
+    pattern = config.bs_pattern()
+    az = np.degrees(np.arctan2(delta[:, :m_site, 1], delta[:, :m_site, 0]))
+    x = np.take(az, site[:m], axis=1, out=work.plane("gain", (n_ue, m)), mode="clip")
+    x -= layout.trxp_boresight_deg[:m]
     x += 180.0
     x += 360.0 * (x < 0.0)
     x -= 180.0
     # the zenith of the UE seen from the BS, and its cut, per site
-    zen = np.degrees(np.arctan2(d2d[:, macro_sites], dz[macro_sites]))
+    zen = np.degrees(np.arctan2(d2d[:, :m_site], dz[:m_site]))
     zen -= config.antenna_bs.downtilt_deg
-    vertical = vertical_attenuation(config.bs_pattern(), np.clip(zen, 0.0, 180.0, out=zen), zen)
-    gain = combined_gain(config.bs_pattern(), x, np.take(
-        vertical, col, axis=1, out=work.plane("zenith", macro_shape), mode="clip"), out=x)
-    if not macro.all():
-        omni = draw  # the shadowing normals are spent
-        omni[...] = float(config.bs_element_gain)
-        omni[:, macro] = gain
-        gain = omni
+    vertical = vertical_attenuation(pattern, np.clip(zen, 0.0, 180.0, out=zen), zen)
+    gain = combined_gain(pattern, x, np.take(
+        vertical, site[:m], axis=1, out=work.plane("zenith", (n_ue, m)), mode="clip"), out=x)
 
-    pl -= gain
+    pl[:, :m] -= gain
+    pl[:, m:] -= config.bs_element_gain
     pl -= config.ue_element_gain
     return pl
-
-
-def _select(mask: np.ndarray, a, b, out: np.ndarray) -> np.ndarray:
-    """``np.where(mask, a, b)`` written to ``out`` with no branch per element.
-
-    ``mask`` is a signed integer array of 0 and -1 (every bit set, also
-    once widened to 64 bits). The result is the bit select
-    b ^ ((a ^ b) & mask) on the floats' 64-bit patterns, so each element is
-    one of its operands bit for bit. ``out`` may be ``a`` but not ``b``.
-    """
-    bits = out.view(np.int64)
-    a, b = (np.asarray(v, dtype=float).view(np.int64) for v in (a, b))
-    # a ^ b at the operands' own shape: a scalar or a row broadcasts once
-    diff = np.bitwise_xor(a, b, out=bits if a.shape == bits.shape else None)
-    np.bitwise_and(diff, mask, out=bits)
-    np.bitwise_xor(bits, b, out=bits)
-    return out
 
 
 # ---------------------------------------------------------------------------

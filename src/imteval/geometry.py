@@ -48,7 +48,7 @@ _HEX19_IJ = [
 
 @dataclass
 class NetworkLayout:
-    """Sites hold position, height and layer; each TRxP points to its site."""
+    """Sites hold position, height and layer; each TRxP points to its site; macro first."""
 
     layout_kind: LayoutKind
     isd: float

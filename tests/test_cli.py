@@ -169,8 +169,11 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_requires_scenario_or_config(self, capsys):
-        assert main(["run", "--drops", "2"]) == 2
+    def test_requires_scenario_or_config(self, capsys, tmp_path):
+        out_dir = tmp_path / "results"
+        assert main(["run", "--drops", "2", "--out", str(out_dir)]) == 2
+        assert "need --scenario or --config" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_config_file_route(self, tmp_path):
         cfg_file = tmp_path / "scenario.cfg"

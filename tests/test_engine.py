@@ -243,32 +243,6 @@ def _uplink_interferers_loop(by_cell, cell_sizes, rng):
     return pick
 
 
-class TestSelect:
-    """engine._select is np.where bit for bit, on any float bit pattern."""
-
-    @pytest.mark.parametrize("operands", ["planes", "rows", "scalars"])
-    def test_matches_where_on_every_bit_pattern(self, operands):
-        rng = np.random.default_rng(11)
-        shape = (7, 5)
-        take = rng.random(shape) < 0.5
-        mask = -take.astype(np.int8)
-        # random 64-bit patterns: NaN payloads, infinities, subnormals, -0.0
-        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=(2,) + shape,
-                            dtype=np.int64, endpoint=True)
-        special = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -1.5]).view(np.int64)
-        bits[:, 0, :] = special[:shape[1]]
-        a, b = bits.view(float)
-        if operands == "rows":
-            a, b = a[0], b[0]
-        elif operands == "scalars":
-            a, b = a[0, 0], b[0, 1]
-        expected = np.where(take, a, b).view(np.int64)
-        out = np.empty(shape)
-        assert np.array_equal(engine._select(mask, a, b, out=out).view(np.int64), expected)
-        if operands == "planes":  # out may be a
-            assert np.array_equal(engine._select(mask, a, b, out=a).view(np.int64), expected)
-
-
 class TestUplinkInterferers:
     """The vectorized pick draws the values and leaves the generator state
     of the per-cell loop."""

@@ -30,7 +30,7 @@ from imteval.geometry import (
     drop_ues,
     wrap_displacements,
 )
-from imteval.scenario import TestEnvironment, list_presets, preset
+from imteval.scenario import EvaluationConfig, TestEnvironment, list_presets, preset
 from imteval.engine import DropWork, compute_coupling, derive_stream
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
@@ -204,6 +204,24 @@ class TestLayoutInvariant:
         ues = UeDrop.from_positions(swapped, [[250.0, 100.0, 1.5]], [False], [False])
         with pytest.raises(InternalError, match="micro sites"):
             compute_coupling(config, swapped, ues, derive_stream(1, 0, "links"))
+
+    @pytest.mark.parametrize("kind, trxp_site, site_is_micro", [
+        # sites in order, but a micro TRxP between two macro ones
+        (LayoutKind.DENSE_URBAN_TWO_LAYER, [0, 1, 0], [False, True]),
+        # a one-profile layout whose micro site comes first
+        (LayoutKind.HEX_MACRO_19, [1, 1, 0], [True, False]),
+    ], ids=["micro_trxp_between_macro", "one_profile_micro_site_first"])
+    def test_coupling_needs_every_macro_trxp_first(self, kind, trxp_site, site_is_micro):
+        """The element gain is taken on the macro TRxP prefix, whose sites are
+        the macro site prefix, on every layout kind; a layout out of that
+        order is refused, not clipped into it."""
+        config = preset(TestEnvironment.DENSE_URBAN_EMBB, "A")
+        layout = dataclasses.replace(
+            self._two_sector_layout(), layout_kind=kind, trxp_site=np.array(trxp_site),
+            site_is_micro=np.array(site_is_micro))
+        ues = UeDrop.from_positions(layout, [[250.0, 100.0, 1.5]], [False], [False])
+        with pytest.raises(InternalError, match="must follow the macro ones"):
+            compute_coupling(config, layout, ues, derive_stream(1, 0, "links"))
 
 
 def wrap_distance(layout, a, b):
@@ -621,6 +639,19 @@ class TestCouplingWork:
             assert any(np.shares_memory(coupling, p) for p in planes)
             for f in dataclasses.fields(UeDrop):
                 assert not any(np.shares_memory(getattr(ues, f.name), p) for p in planes)
+
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_builds_the_bs_pattern_once_per_call(self, case, monkeypatch):
+        """The horizontal and vertical cuts share one ElementPattern."""
+        config, make_layout = _ORACLE_CASES[case]
+        layout = make_layout()
+        ues = drop_ues(layout, config, derive_stream(5, 0, "ues"))
+        built = []
+        bs_pattern = EvaluationConfig.bs_pattern
+        monkeypatch.setattr(EvaluationConfig, "bs_pattern",
+                            lambda self: built.append(bs_pattern(self)) or built[-1])
+        compute_coupling(config, layout, ues, derive_stream(5, 0, "links"))
+        assert len(built) == 1
 
 
 class TestSharedDropGeometry:
