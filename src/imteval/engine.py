@@ -314,8 +314,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
     rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
         * _ul_user_bw(config)
-    ul_resources = int(config.traffic.eval_bandwidth_hz // config.traffic.w_user_hz) \
-        if is_mmtc_style else lk.mu_layers_ul
+    ul_resources = config.traffic.channels if is_mmtc_style else lk.mu_layers_ul
 
     # one PF scheduler per (direction, non-empty cell): the DL rows (eMBB
     # only) then the UL rows, each cell's UEs in ascending id order and
@@ -598,8 +597,9 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     per-cell loop only draws (``poisson``, ``uniform``, ``integers``,
     ``geometric`` per cell, an order that fixes the results of a seed) into
     padded (queues x messages) arrays, one contiguous row per drop and cell,
-    and ``serve_fifo`` serves every queue at once from their transposes,
-    writing each delay over its service time. An undelivered message counts
+    whose pads hold arrival 0, service +inf and not delivered. ``serve_fifo``
+    serves every queue at once from their transposes, writing each delay
+    over its service time (a pad's comes out +inf). An undelivered message counts
     as an infinite delay (see metrics.p99_delay for the percentile rule
     around ``inf``). The delays are then packed to the front of that array
     and ranked there, so a probe holds one copy of its messages.
@@ -617,10 +617,9 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     lk = config.link
     area_km2 = layout.sector_area_m2 / 1e6
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
-    n_servers = max(1, int(spec.eval_bandwidth_hz // spec.w_user_hz))
     n_t = layout.n_trxps
     shape = (len(sinr_drops) * n_t, _queue_capacity(mean_messages))
-    arrival, busy = np.zeros(shape), np.zeros(shape)
+    arrival, busy = np.zeros(shape), np.full(shape, np.inf)
     delivered = np.zeros(shape, dtype=bool)
     lengths = np.zeros(shape[0], dtype=np.intp)
     logged = {}  # queue -> (transmissions, service times) per message, for record_sink
@@ -649,9 +648,9 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
             if n_msgs > arrival.shape[1]:
                 arrival, busy, delivered = (
-                    np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)],
+                    np.concatenate([a, np.full((len(a), n_msgs - a.shape[1]), pad, a.dtype)],
                                    axis=1)
-                    for a in (arrival, busy, delivered))
+                    for a, pad in ((arrival, 0.0), (busy, np.inf), (delivered, False)))
             q = d * n_t + c
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
@@ -672,7 +671,7 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     table = busy.reshape(-1)  # a view: busy is one contiguous block
     arrival, busy, delivered = arrival[:, :rows], busy[:, :rows], delivered[:, :rows]
     starts = np.empty_like(arrival) if record_sink is not None else None
-    serve_fifo(arrival.T, busy.T, n_servers, lengths, None if starts is None else starts.T,
+    serve_fifo(arrival.T, busy.T, spec.channels, None if starts is None else starts.T,
                out=busy.T)
     if record_sink is not None:
         for q in np.flatnonzero(lengths).tolist():

@@ -260,20 +260,22 @@ def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceRepo
     variant = result.config.config_variant
     covered = set()
     for kpi in result.kpis:
+        footnotes = kpi.note
         try:
             req, passed = judge(kpi, env, reqs)
-        except UnknownRequirement:
-            continue  # informational KPI without a requirement row
-        covered.add(id(req))
-        footnotes = kpi.note
+            covered.add(id(req))
+        except UnknownRequirement as exc:  # kept, as in _check_external
+            req = passed = None
+            footnotes = (footnotes + "; " if footnotes else "") + str(exc)
         if kpi.metric == "connection_density":
             footnotes = (footnotes + "; " if footnotes else "") + \
                 "link abstraction and multiplexing model are configuration, not measured hardware"
         rows.append(ComplianceRow(
             environment=env.value, variant=variant, direction=kpi.direction or "",
             metric=kpi.metric, speed_kmh=kpi.speed_kmh,
-            requirement=req.value, measured=kpi.value, passed=passed,
-            source_table=req.source_table, footnotes=footnotes,
+            requirement=None if req is None else req.value, measured=kpi.value,
+            passed=passed, source_table="" if req is None else req.source_table,
+            footnotes=footnotes,
         ))
     # requirement rows for this environment that the run did not evaluate
     for req in reqs.rows:

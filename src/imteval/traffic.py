@@ -41,6 +41,11 @@ class TrafficModelSpec:
     eval_bandwidth_hz: float = 180e3
     overhead_s: float = 0.2
 
+    @property
+    def channels(self) -> int:
+        """Messaging channels of ``w_user_hz`` in the evaluated carrier."""
+        return int(self.eval_bandwidth_hz // self.w_user_hz)
+
     def validate(self):
         if self.kind is TrafficKind.POISSON_MESSAGING:
             if self.pdu_size_bytes <= 0:
@@ -58,11 +63,11 @@ class TrafficModelSpec:
 def track_delays(arrival, start, done):
     """Per-message delays ``done - arrival`` of a served FIFO queue.
 
-    Takes three equal-length 1-D float arrays (arrival, service start and
-    completion time of each message) and returns the delay array. Raises
-    InternalError naming the first message that starts before it arrives or
-    completes before it starts (1e-12 s slack), or whose start or completion
-    is NaN.
+    Takes three float arrays of one shape (arrival, service start and
+    completion time of each message; a 2-D block holds one queue per
+    column) and returns the delay array. Raises InternalError naming the
+    first message that starts before it arrives or completes before it
+    starts (1e-12 s slack), or whose start or completion is NaN.
     """
     arrival, start, done = (np.asarray(a, dtype=float) for a in (arrival, start, done))
     if not arrival.shape == start.shape == done.shape:
@@ -71,8 +76,10 @@ def track_delays(arrival, start, done):
     # negated, so that a NaN fails the test
     bad = ~((start >= arrival - 1e-12) & (done >= start - 1e-12))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise InternalError(f"inconsistent service log for message {i}: "
+        first = int(np.argmax(bad))
+        i = np.unravel_index(first, bad.shape)
+        name = f"message {i[0]} of queue {i[1]}" if bad.ndim == 2 else f"message {first}"
+        raise InternalError(f"inconsistent service log for {name}: "
                             f"arrival={arrival[i]} start={start[i]} done={done[i]}")
     return done - arrival
 
@@ -150,25 +157,23 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
 _FIFO_BLOCK = 256
 
 
-def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, starts=None,
-               out=None):
+def serve_fifo(arrival_times, service_times, n_servers: int, starts=None, out=None):
     """Independent multi-server FIFO queues with infinite buffers, all
     served in lockstep.
 
-    ``arrival_times`` and ``service_times`` are padded (messages x queues)
-    arrays: column q holds queue q's first ``lengths[q]`` messages (every
-    row when ``lengths`` is None) in arrival order, each with its busy time
-    (retransmissions folded in); entries past a queue's length change no
-    result, but should hold finite arrival times: NaN pads give the same
-    results, yet make every later step serve one position. 1-D arrays are
+    ``arrival_times`` and ``service_times`` are (messages x queues) arrays:
+    column q holds queue q's messages in arrival order, each with its busy
+    time (retransmissions folded in). A queue shorter than the table ends in
+    pad rows with a finite arrival time and a +inf service time; a pad
+    never holds a step back, and its delay comes out +inf. 1-D arrays are
     one queue. Each message takes the server of its queue that frees up
-    first. Returns ``out``, an array shaped like ``arrival_times`` (NaN-filled
-    when None is passed) that receives the delay (completion - arrival) of
-    every message; its entries past a queue's length are left as they were.
-    ``out`` may be the service-time array itself: each block of positions
-    is written once it is served and checked. When ``starts`` is given, an
-    array shaped like ``arrival_times``, every service start time is written
-    into it; a message completes at start + service time.
+    first. Returns ``out``, an array shaped like ``arrival_times`` (a new
+    one when None is passed) that receives the delay (completion - arrival)
+    of every entry. Each block of positions is checked and written whole
+    once it is served, after its last read, so ``out`` may be the
+    service-time array itself. When ``starts`` is given, an array shaped
+    like ``arrival_times``, every service start time is written into it; a
+    message completes at start + service time.
 
     The servers' free times are kept position-major: an (n_servers x
     queues) array whose column q holds queue q's free times in ascending
@@ -177,38 +182,34 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     of every queue at once, giving position j the j-th smallest free time:
     start_j = max(arrival_j, x_j), done_j = start_j + service_j. That is
     what a heap of free times pops whenever min(done_0 .. done_{j-1}) >= x_j
-    in every queue where position j is a message: by induction the heap
-    then holds {x_j .. x_last} and done_0 .. done_{j-1}, whose least value is
-    x_j (a tie pops an equal value, so the contents are the same), whatever
-    the signs of the service times. The step keeps the positions up to the
-    first one that fails this test (position 0 always passes), writes their
-    completions over the smallest free times and re-sorts the columns (the
-    completions go into a second array shaped like the free times, and a
-    step that keeps all ``n_servers`` positions swaps the two arrays instead
-    of copying). So every start and completion is the same IEEE operation
-    on the same operands as in the heap queue (tests keep that loop as the
-    oracle). Entries past a queue's length get an infinite service time, so
-    that their completions do not cut a step short. With one server every
-    step is one position.
+    in every queue: by induction the heap then holds {x_j .. x_last} and
+    done_0 .. done_{j-1}, whose least value is x_j (a tie pops an equal
+    value, so the contents are the same), whatever the signs of the service
+    times. The step keeps the positions up to the first one that fails this
+    test (position 0 always passes), writes their completions over the
+    smallest free times and re-sorts the columns (the completions go into a
+    second array shaped like the free times, and a step that keeps all
+    ``n_servers`` positions swaps the two arrays instead of copying). So
+    every start and completion is the same IEEE operation on the same
+    operands as in the heap queue (tests keep that loop as the oracle). A
+    pad's +inf completion passes the test against any free time, so pads
+    cut no step short. With one server every step is one position.
     """
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
     arrival = np.asarray(arrival_times, dtype=float)
     service = np.asarray(service_times, dtype=float)
     if out is None:
-        out = np.full(arrival.shape, np.nan)
+        out = np.empty(arrival.shape)
     result = out
     if arrival.ndim == 1:
         arrival, service, out = arrival[:, None], service[:, None], out[:, None]
         if starts is not None:
             starts = starts[:, None]
     n_rows, n_queues = arrival.shape
-    lengths = np.full(n_queues, n_rows) if lengths is None else np.asarray(lengths)
-    if service.shape != arrival.shape or out.shape != arrival.shape \
-            or lengths.shape != (n_queues,) or (lengths > n_rows).any():
+    if service.shape != arrival.shape or out.shape != arrival.shape:
         raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
-                            f"{service.shape}, out {out.shape}, lengths {lengths.shape} "
-                            f"(longest {lengths.max(initial=0)})")
+                            f"{service.shape}, out {out.shape}")
     free = np.zeros((n_servers, n_queues))  # per queue (column), ascending free times
     done_buffer = np.empty_like(free)
     # hot loop: local names
@@ -218,10 +219,7 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
-        valid = np.arange(b0, b1)[:, None] < lengths
-        arrival_b = arrival[b0:b1]
-        # a copy, so out may be the service array; pads never hold a step back
-        service_b = np.where(valid, service[b0:b1], np.inf)
+        arrival_b, service_b = arrival[b0:b1], service[b0:b1]
         i = 0
         while i < b1 - b0:
             k = min(n_servers, b1 - b0 - i)
@@ -242,6 +240,5 @@ def serve_fifo(arrival_times, service_times, n_servers: int, lengths=None, start
                 free[:n] = done[:n]
             free.sort(axis=0, kind="stable")  # on short columns, quicker than quicksort
             i += n
-        s = block[valid]
-        out[b0:b1][valid] = track_delays(arrival_b[valid], s, s + service_b[valid])
+        out[b0:b1] = track_delays(arrival_b, block, block + service_b)
     return result

@@ -270,6 +270,23 @@ class TestComplianceRunResult:
         with pytest.raises(ValueError, match="corrupt requirement row"):
             check_compliance(mmtc_result, _failing_requirements())
 
+    def test_kpi_without_a_requirement_row_is_kept_unjudged(self, mmtc_result):
+        """A KPI the table has no row for stays in the report with blank
+        requirement and pass, and the lookup error as its footnote."""
+        kpi, = (k for k in mmtc_result.kpis if k.metric == "connection_density")
+        reqs = builtin_requirements()
+        missing = reqs.lookup(TestEnvironment.URBAN_MACRO_MMTC, kpi.direction, kpi.metric)
+        report = check_compliance(
+            mmtc_result, RequirementSet(tuple(r for r in reqs.rows if r is not missing)))
+        row, = (r for r in report.rows if r.metric == "connection_density")
+        assert (row.requirement, row.passed, row.measured) == (None, None, kpi.value)
+        assert row.source_table == ""
+        assert ("no requirement row for (UrbanMacro_mMTC, uplink, connection_density, "
+                "speed=None)") in row.footnotes
+        csv_row = next(line for line in report.to_csv_text().splitlines()
+                       if ",connection_density," in line).split(",")
+        assert csv_row[5] == "" and csv_row[7] == ""  # requirement, pass
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_kpi_is_internal_error(self, mmtc_result, bad):
         kpis = [dataclasses.replace(k, value=bad) if k.metric == "connection_density" else k

@@ -383,20 +383,28 @@ def serve_fifo_reference(arrivals, service_times, n_servers):
     return log
 
 
-def _assert_lockstep_matches_reference(arrival, busy, n_servers, lengths,
-                                      block=traffic._FIFO_BLOCK):
-    """Checks serve_fifo on padded (messages x queues) arrays against one
-    heap queue per column, bit for bit, and returns the start times."""
-    start = np.empty_like(arrival)
+def _assert_lockstep_matches_reference(arrival, busy, n_servers, block=traffic._FIFO_BLOCK,
+                                      in_place=False):
+    """Checks serve_fifo on (messages x queues) arrays, each queue ending in
+    pads of +inf service, against one heap queue per column, bit for bit:
+    every message's start, completion and delay, and a +inf delay for every
+    pad. With ``in_place`` the delays are written over a copy of ``busy``.
+    Returns the start times."""
+    lengths = np.count_nonzero(busy != np.inf, axis=0)
+    valid = np.arange(len(arrival))[:, None] < lengths
+    assert (busy[~valid] == np.inf).all()  # pads only at the end of a queue
+    service, start = busy.copy(), np.empty_like(arrival)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traffic, "_FIFO_BLOCK", block)
-        delays = serve_fifo(arrival, busy, n_servers, lengths, start)[
-            np.arange(len(arrival))[:, None] < lengths]
+        delays = serve_fifo(arrival, service, n_servers, start, service if in_place else None)
+    assert (delays is service) == in_place
     logs = [serve_fifo_reference(list(zip(arrival[:n, q].tolist(), range(n))),
                                  busy[:n, q].tolist(), n_servers)
             for q, n in enumerate(lengths)]
-    assert delays.tolist() == [logs[q][i][3] - logs[q][i][1] for i in range(len(arrival))
-                               for q in range(len(lengths)) if i < lengths[q]]
+    assert delays[valid].tolist() == [logs[q][i][3] - logs[q][i][1]
+                                      for i in range(len(arrival))
+                                      for q in range(len(lengths)) if i < lengths[q]]
+    assert (delays[~valid] == np.inf).all()
     for q, log in enumerate(logs):
         n = lengths[q]
         assert start[:n, q].tolist() == [row[2] for row in log]
@@ -425,21 +433,20 @@ class TestServeFifo:
         assert delays.shape == arrival.shape  # infinite queue: all complete
 
     def test_delays_written_over_the_service_times(self, monkeypatch):
-        """``out`` may be the service-time array: each message's delay
-        replaces its service time, block by block, and entries past a
-        queue's length keep theirs."""
+        """``out`` may be the service-time array: each entry's delay replaces
+        its service time, block by block, and a pad's delay is +inf."""
         rng = np.random.default_rng(23)
         lengths = [5, 0, 9, 3]
         arrival = np.sort(rng.uniform(0.0, 4.0, (9, 4)), axis=0)
         busy = rng.uniform(0.0, 2.0, (9, 4))
         valid = np.arange(9)[:, None] < lengths
-        want = serve_fifo(arrival, busy, 2, lengths)
-        assert np.isnan(want[~valid]).all()
+        busy[~valid] = np.inf
+        want = serve_fifo(arrival, busy, 2)
+        assert np.isfinite(want[valid]).all() and (want[~valid] == np.inf).all()
         monkeypatch.setattr(traffic, "_FIFO_BLOCK", 4)
         out = busy.copy()
-        assert serve_fifo(arrival, out, 2, lengths, out=out) is out
-        assert np.array_equal(out[valid], want[valid])
-        assert np.array_equal(out[~valid], busy[~valid])
+        assert serve_fifo(arrival, out, 2, out=out) is out
+        assert np.array_equal(out, want)
         # one queue: 1-D in, 1-D out
         one = busy[:, 2].copy()
         assert serve_fifo(arrival[:, 2], one, 2, out=one) is one
@@ -449,13 +456,22 @@ class TestServeFifo:
         with pytest.raises(ConfigInvalid):
             serve_fifo([0.0], [1.0], n_servers=0)
 
-    def test_queue_longer_than_lengths_rejected(self):
-        with pytest.raises(InternalError):
-            serve_fifo(np.zeros((2, 2)), np.zeros((2, 2)), 1, lengths=[2, 3])
-
     def test_nan_service_rejected(self):
         with pytest.raises(InternalError, match="message 1"):
             serve_fifo([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], n_servers=2)
+
+    def test_nan_service_in_a_queue_table_rejected(self):
+        busy = np.ones((3, 2))
+        busy[2, 1] = np.nan
+        with pytest.raises(InternalError, match="message 2 of queue 1"):
+            serve_fifo(np.zeros((3, 2)), busy, n_servers=2)
+
+    def test_nan_pad_arrival_rejected(self):
+        """A pad needs a finite arrival time: a NaN one makes its start NaN."""
+        arrival = np.array([[0.0, 0.0], [1.0, np.nan]])
+        busy = np.array([[1.0, 1.0], [1.0, np.inf]])
+        with pytest.raises(InternalError, match="message 1 of queue 1"):
+            serve_fifo(arrival, busy, n_servers=2)
 
     def test_block_prefix_rejected_when_a_short_service_completes_first(self):
         # queue 0's three servers are busy until 10, 20 and 30; message 3
@@ -465,29 +481,29 @@ class TestServeFifo:
                             [3.0, 5.0]])
         busy = np.array([[10.0, 0.5], [20.0, 0.5], [30.0, 0.5], [0.5, 0.5], [1.0, 0.5],
                          [1.0, 0.5]])
-        start = _assert_lockstep_matches_reference(arrival, busy, 3, [6, 6])
+        start = _assert_lockstep_matches_reference(arrival, busy, 3)
         assert start[3:, 0].tolist() == [10.0, 10.5, 11.5]
         assert start[:, 1].tolist() == arrival[:, 1].tolist()
 
     def test_ragged_queues_end_mid_block(self):
-        """Queues of 0 to 10 messages with NaN padding, 4 servers and blocks of
-        5 rows: steps and blocks end mid-queue and queues end mid-step."""
+        """Queues of 0 to 10 messages padded with arrival 0 and service +inf,
+        4 servers and blocks of 5 rows: steps and blocks end mid-queue and
+        queues end mid-step."""
         lengths = [0, 3, 7, 10, 1, 6]
         rng = np.random.default_rng(19)
-        arrival = np.full((10, len(lengths)), np.nan)
-        busy = np.full((10, len(lengths)), np.nan)
+        arrival = np.zeros((10, len(lengths)))
+        busy = np.full((10, len(lengths)), np.inf)
         for q, n in enumerate(lengths):
             arrival[:n, q] = np.sort(rng.uniform(0.0, 4.0, n))
             busy[:n, q] = rng.uniform(0.0, 3.0, n)
-        _assert_lockstep_matches_reference(arrival, busy, 4, lengths, block=5)
+        _assert_lockstep_matches_reference(arrival, busy, 4, block=5)
 
     @pytest.mark.parametrize("n_servers", [1, 16])
     def test_one_server_and_more_servers_than_messages(self, n_servers):
         rng = np.random.default_rng(n_servers)
         arrival = np.sort(rng.uniform(0.0, 3.0, (9, 3)), axis=0)
         busy = rng.uniform(0.0, 1.5, (9, 3))
-        start = _assert_lockstep_matches_reference(arrival, busy, n_servers, [9, 9, 9],
-                                                   block=4)
+        start = _assert_lockstep_matches_reference(arrival, busy, n_servers, block=4)
         if n_servers > len(arrival):
             assert start.tolist() == arrival.tolist()  # no message waits
 
@@ -511,31 +527,16 @@ class TestServeFifo:
     @given(queues=st.lists(st.lists(st.tuples(_TIMES, _SERVICE), max_size=40),
                            min_size=1, max_size=8),
            n_servers=st.integers(1, 16), block=st.integers(1, 9),
-           pad=st.sampled_from([0.0, -1.0, 1e300]))
-    def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, queues, n_servers, block, pad):
+           pad=st.sampled_from([0.0, -1.0, 1e300]), in_place=st.booleans())
+    def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, queues, n_servers, block, pad,
+                                                          in_place):
         """Ragged queues served together, over several start-time blocks,
-        give each queue the bytes of its own heap queue; padding, even with
-        negative service times, changes no result."""
-        lengths = [len(jobs) for jobs in queues]
-        rows = max(lengths)
-        arrival = np.full((rows, len(queues)), pad)
-        busy = np.full((rows, len(queues)), -pad)
-        logs = []
+        give each queue the bytes of its own heap queue, in place or not;
+        pads of +inf service, whatever their finite arrival time, change no
+        result and get a +inf delay."""
+        arrival = np.full((max(map(len, queues)), len(queues)), pad)
+        busy = np.full_like(arrival, np.inf)
         for q, jobs in enumerate(queues):
-            times = sorted(t for t, _ in jobs)
-            arrival[:len(jobs), q] = times
+            arrival[:len(jobs), q] = sorted(t for t, _ in jobs)
             busy[:len(jobs), q] = [svc for _, svc in jobs]
-            logs.append(serve_fifo_reference(list(zip(times, range(len(jobs)))),
-                                             busy[:len(jobs), q].tolist(), n_servers))
-        start = np.empty_like(arrival)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traffic, "_FIFO_BLOCK", block)
-            delays = serve_fifo(arrival, busy, n_servers, lengths, start)[
-                np.arange(rows)[:, None] < lengths]
-        expected = [logs[q][i][3] - logs[q][i][1]
-                    for i in range(rows) for q in range(len(queues)) if i < lengths[q]]
-        assert delays.tolist() == expected
-        for q, log in enumerate(logs):
-            n = lengths[q]
-            assert start[:n, q].tolist() == [row[2] for row in log]
-            assert (start[:n, q] + busy[:n, q]).tolist() == [row[3] for row in log]
+        _assert_lockstep_matches_reference(arrival, busy, n_servers, block, in_place)
