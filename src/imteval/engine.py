@@ -24,14 +24,7 @@ from .antenna import combined_gain, vertical_attenuation
 from .channel.model import los_probability, pathloss_curves
 from .channel.profiles import profile_for
 from .errors import DomainError, InternalError
-from .geometry import (
-    MICRO_TX_OFFSET_DB,
-    LayoutKind,
-    NetworkLayout,
-    UeDrop,
-    build_layout,
-    drop_ues,
-)
+from .geometry import MICRO_TX_OFFSET_DB, NetworkLayout, UeDrop, build_layout, drop_ues
 from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
 from .scenario import (DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment,
                        builtin_requirements)
@@ -116,7 +109,7 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
     if layout.site_is_micro[:m_site].any() or trxp_micro[:m].any():
         raise InternalError("micro sites and TRxPs must follow the macro ones")
     spans = [(profile_for(config.environment, config.config_variant), slice(None), slice(None))]
-    if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+    if config.environment is TestEnvironment.DENSE_URBAN_EMBB:
         spans = [(spans[0][0], slice(m_site), slice(m)),
                  (profile_for(config.environment, config.config_variant, micro=True),
                   slice(m_site, None), slice(m, None))]
@@ -269,7 +262,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
 
     # --- downlink: every co-channel TRxP transmits at full configured power
     tx_dbm = np.full(n_t, config.bs_tx_power)
-    if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+    if config.environment is TestEnvironment.DENSE_URBAN_EMBB:
         tx_dbm[layout.trxp_is_micro] += MICRO_TX_OFFSET_DB
     # unit-power coupling gain times each TRxP's transmit power, in the
     # plane of compute_coupling's spent random draws

@@ -1,16 +1,16 @@
 """Network layouts, wrap-around services and UE drops.
 
-Three layout families: the 19-site / 57-sector hexagonal macro grid with
-toroidal wrap-around, the 12-point indoor floor (no wrap-around), and the
-dense-urban two-layer variant that adds 3 randomly dropped micro points per
-macro sector. Sector boresights are 30/150/270 degrees from east.
+The test environment fixes one of three layout families: the 19-site /
+57-sector hexagonal macro grid with toroidal wrap-around, the 12-point
+indoor floor (no wrap-around), and the dense-urban two-layer variant that
+adds 3 randomly dropped micro points per macro sector. Sector boresights
+are 30/150/270 degrees from east.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
@@ -31,12 +31,6 @@ INDOOR_BS_XS = (10.0, 30.0, 50.0, 70.0, 90.0, 110.0)
 INDOOR_BS_YS = (15.0, 35.0)
 
 
-class LayoutKind(Enum):
-    HEX_MACRO_19 = "HexMacro19"
-    INDOOR_12 = "Indoor12"
-    DENSE_URBAN_TWO_LAYER = "DenseUrbanTwoLayer"
-
-
 # 19-site hexagonal cluster in lattice coordinates (center + 2 rings)
 _HEX19_IJ = [
     (0, 0),
@@ -48,10 +42,11 @@ _HEX19_IJ = [
 
 @dataclass
 class NetworkLayout:
-    """Sites hold position, height and layer; each TRxP points to its site; macro first."""
+    """Geometry only, macro sites and TRxPs first: sites hold position, height
+    and layer, and each TRxP points to its site. ``build_layout`` sets the
+    area one TRxP serves, the denominator of the density formula."""
 
-    layout_kind: LayoutKind
-    isd: float
+    sector_area_m2: float
     site_positions: np.ndarray  # (n_sites, 2) meters
     site_height: np.ndarray  # (n_sites,) meters
     site_is_micro: np.ndarray  # (n_sites,) bool; micro/indoor points are omni
@@ -73,13 +68,6 @@ class NetworkLayout:
     @property
     def trxp_is_micro(self) -> np.ndarray:
         return self.site_is_micro[self.trxp_site]
-
-    @property
-    def sector_area_m2(self) -> float:
-        """Area served by one TRxP; the denominator of the density formula."""
-        if self.layout_kind is LayoutKind.INDOOR_12:
-            return INDOOR_FLOOR_X_M * INDOOR_FLOOR_Y_M / 12.0
-        return hex_sector_area_m2(self.isd)
 
 
 def hex_sector_area_m2(isd_m: float) -> float:
@@ -166,8 +154,7 @@ def build_layout(config: EvaluationConfig) -> NetworkLayout:
         sites = np.array([[x, y] for y in INDOOR_BS_YS for x in INDOOR_BS_XS])
         n = len(sites)
         return NetworkLayout(
-            layout_kind=LayoutKind.INDOOR_12,
-            isd=config.isd,
+            sector_area_m2=INDOOR_FLOOR_X_M * INDOOR_FLOOR_Y_M / 12.0,
             site_positions=sites,
             site_height=np.full(n, config.bs_height),
             site_is_micro=np.ones(n, dtype=bool),  # ceiling points, omni
@@ -188,10 +175,8 @@ def build_layout(config: EvaluationConfig) -> NetworkLayout:
     is_micro = np.zeros(n_macro, dtype=bool)
     trxp_site = np.repeat(np.arange(n_macro), len(SECTOR_BORESIGHTS_DEG))
     boresight = np.tile(SECTOR_BORESIGHTS_DEG, n_macro)
-    kind = LayoutKind.HEX_MACRO_19
 
     if env is TestEnvironment.DENSE_URBAN_EMBB:
-        kind = LayoutKind.DENSE_URBAN_TWO_LAYER
         rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(0xA11CE,)))
         micros = _drop_micros(sites, isd, rng)
         n_micro = len(micros)
@@ -202,8 +187,7 @@ def build_layout(config: EvaluationConfig) -> NetworkLayout:
         boresight = np.concatenate([boresight, np.zeros(n_micro)])
 
     return NetworkLayout(
-        layout_kind=kind,
-        isd=isd,
+        sector_area_m2=hex_sector_area_m2(isd),
         site_positions=sites,
         site_height=heights,
         site_is_micro=is_micro,
@@ -305,7 +289,7 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     delta, dist = wrap_displacements(layout, pos, sites)
 
     radius = np.where(layout.site_is_micro, MIN_UE_DISTANCE_MICRO_M, MIN_UE_DISTANCE_MACRO_M)
-    if layout.layout_kind is LayoutKind.INDOOR_12:
+    if config.environment is TestEnvironment.INDOOR_HOTSPOT_EMBB:
         radius[:] = 0.0
     # the first round tests every UE, each later one only the rows it redrew
     rows, tested = np.arange(n), dist

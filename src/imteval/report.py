@@ -254,28 +254,33 @@ def judge(kpi: KpiValue, environment: TestEnvironment,
     return req, meets(kpi.value, req.value)
 
 
+def _join_notes(*parts) -> str:
+    """One footnote: the non-empty parts, joined by "; "."""
+    return "; ".join(part for part in parts if part)
+
+
 def _check_run_result(result: RunResult, reqs: RequirementSet) -> ComplianceReport:
     rows = []
     env = result.config.environment
     variant = result.config.config_variant
     covered = set()
     for kpi in result.kpis:
-        footnotes = kpi.note
+        notes = [kpi.note]
         try:
             req, passed = judge(kpi, env, reqs)
             covered.add(id(req))
         except UnknownRequirement as exc:  # kept, as in _check_external
             req = passed = None
-            footnotes = (footnotes + "; " if footnotes else "") + str(exc)
+            notes.append(str(exc))
         if kpi.metric == "connection_density":
-            footnotes = (footnotes + "; " if footnotes else "") + \
-                "link abstraction and multiplexing model are configuration, not measured hardware"
+            notes.append("link abstraction and multiplexing model are configuration, "
+                         "not measured hardware")
         rows.append(ComplianceRow(
             environment=env.value, variant=variant, direction=kpi.direction or "",
             metric=kpi.metric, speed_kmh=kpi.speed_kmh,
             requirement=None if req is None else req.value, measured=kpi.value,
             passed=passed, source_table="" if req is None else req.source_table,
-            footnotes=footnotes,
+            footnotes=_join_notes(*notes),
         ))
     # requirement rows for this environment that the run did not evaluate
     for req in reqs.rows:
@@ -319,13 +324,8 @@ def _check_external(table: ExternalResultTable, reqs: RequirementSet) -> Complia
             ))
             continue
         passed = None if requirement is None else meets(r.value, requirement)
-        foot = r.note
-        if unmatched:
-            foot = (foot + "; " if foot else "") + unmatched
-        if r.suspect:
-            foot = (foot + "; " if foot else "") + "suspect source entry"
-        if r.qualifier:
-            foot = (foot + "; " if foot else "") + f"reported as '{r.qualifier}{r.value_raw}'"
+        foot = _join_notes(r.note, unmatched, r.suspect and "suspect source entry",
+                           r.qualifier and f"reported as '{r.qualifier}{r.value_raw}'")
         rows.append(ComplianceRow(
             environment=r.environment, variant="", direction=r.direction,
             metric=r.metric, speed_kmh=r.speed_kmh, requirement=requirement,

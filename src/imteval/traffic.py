@@ -60,14 +60,15 @@ class TrafficModelSpec:
             raise ConfigInvalid("traffic.overhead_s", "must be >= 0")
 
 
-def track_delays(arrival, start, done):
+def track_delays(arrival, start, done, *, first_row: int = 0):
     """Per-message delays ``done - arrival`` of a served FIFO queue.
 
     Takes three float arrays of one shape (arrival, service start and
     completion time of each message; a 2-D block holds one queue per
     column) and returns the delay array. Raises InternalError naming the
     first message that starts before it arrives or completes before it
-    starts (1e-12 s slack), or whose start or completion is NaN.
+    starts (1e-12 s slack), or whose start or completion is NaN; the arrays
+    hold the messages from row ``first_row`` of their queues on.
     """
     arrival, start, done = (np.asarray(a, dtype=float) for a in (arrival, start, done))
     if not arrival.shape == start.shape == done.shape:
@@ -78,7 +79,8 @@ def track_delays(arrival, start, done):
     if bad.any():
         first = int(np.argmax(bad))
         i = np.unravel_index(first, bad.shape)
-        name = f"message {i[0]} of queue {i[1]}" if bad.ndim == 2 else f"message {first}"
+        name = (f"message {first_row + i[0]} of queue {i[1]}" if bad.ndim == 2
+                else f"message {first_row + first}")
         raise InternalError(f"inconsistent service log for {name}: "
                             f"arrival={arrival[i]} start={start[i]} done={done[i]}")
     return done - arrival
@@ -240,5 +242,5 @@ def serve_fifo(arrival_times, service_times, n_servers: int, starts=None, out=No
                 free[:n] = done[:n]
             free.sort(axis=0, kind="stable")  # on short columns, quicker than quicksort
             i += n
-        out[b0:b1] = track_delays(arrival_b, block, block + service_b)
+        out[b0:b1] = track_delays(arrival_b, block, block + service_b, first_row=b0)
     return result

@@ -1,6 +1,6 @@
 """Record golden_bundles.json: the SHA-256 of every file that `simulate run`
-writes, for each preset and variant, full buffer and ``--sinr-only``, plus one
-mMTC ``--non-full-buffer`` run with every dump.
+writes, for each preset and variant, full buffer and ``--sinr-only``, plus two
+mMTC ``--non-full-buffer`` runs with every dump.
 
     PYTHONPATH=src python3 tests/record_golden_bundles.py
 
@@ -31,8 +31,10 @@ SEEDS = (7, 11)
 def cases() -> list:
     """(case id, `simulate run` arguments) for every preset and variant, full
     buffer and SINR-only, at each seed; dense urban runs one drop, the rest
-    two. One more case runs the mMTC density search with the packet,
-    geometry and SINR dumps, which no other case writes."""
+    two. Two more cases run the mMTC density search with the packet,
+    geometry and SINR dumps, which no other case writes: one at the preset's
+    message rate, where no message waits, and one at a rate where some
+    messages queue, so ``packets.csv`` tells service start from arrival."""
     found = []
     for env, variant, _ in list_presets():
         drops = 1 if env is TestEnvironment.DENSE_URBAN_EMBB else 2
@@ -43,9 +45,11 @@ def cases() -> list:
                         "--drops", str(drops), "--seed", str(seed)]
                 found.append((f"{env.value}/{variant}/{mode}/seed{seed}",
                               argv + ["--sinr-only"] * sinr_only))
-    found.append(("UrbanMacro_mMTC/A/non_full_buffer/seed7",
-                  ["run", "--scenario", "UrbanMacro_mMTC", "--drops", "2", "--seed", "7",
-                   "--non-full-buffer", "--dump-packets", "--dump-geometry", "--dump-sinr"]))
+    mmtc_argv = ["run", "--scenario", "UrbanMacro_mMTC", "--drops", "2", "--seed", "7",
+                 "--non-full-buffer", "--dump-packets", "--dump-geometry", "--dump-sinr"]
+    found.append(("UrbanMacro_mMTC/A/non_full_buffer/seed7", mmtc_argv))
+    found.append(("UrbanMacro_mMTC/A/non_full_buffer_queued/seed7",
+                  mmtc_argv + ["--set", "traffic.rate_per_s=0.000416667"]))
     return found
 
 

@@ -28,7 +28,7 @@ from imteval.engine import (
     run_drop,
 )
 from imteval.errors import DomainError
-from imteval.geometry import LayoutKind, NetworkLayout, build_layout, drop_ues
+from imteval.geometry import NetworkLayout, build_layout, drop_ues
 from imteval.link import bler, sinr_to_se
 from imteval.scenario import DOWNLINK, UPLINK, TestEnvironment, list_presets, preset
 from imteval.traffic import track_delays
@@ -73,8 +73,7 @@ class TestDeriveStream:
 
 def _single_trxp_layout():
     return NetworkLayout(
-        layout_kind=LayoutKind.INDOOR_12,
-        isd=20.0,
+        sector_area_m2=500.0,
         site_positions=np.array([[60.0, 25.0]]),
         site_height=np.array([3.0]),
         site_is_micro=np.array([True]),
@@ -111,7 +110,7 @@ class TestDropWork:
                 TestEnvironment.INDOOR_HOTSPOT_EMBB)
         configs = [preset(env, "A") for env in envs]
         layouts = [build_layout(config) for config in configs]
-        assert len({layout.layout_kind for layout in layouts}) == 3
+        assert [layout.n_trxps for layout in layouts] == [57, 228, 12]
         work = DropWork()
         for step in range(21):
             config, layout = configs[step % 3], layouts[step % 3]

@@ -20,7 +20,6 @@ from imteval.geometry import (
     MIN_UE_DISTANCE_MACRO_M,
     MICROS_PER_SECTOR,
     SECTOR_BORESIGHTS_DEG,
-    LayoutKind,
     NetworkLayout,
     UeDrop,
     _in_hex_cell,
@@ -28,6 +27,7 @@ from imteval.geometry import (
     _try_micros_for_site,
     build_layout,
     drop_ues,
+    hex_sector_area_m2,
     wrap_displacements,
 )
 from imteval.scenario import EvaluationConfig, TestEnvironment, list_presets, preset
@@ -61,6 +61,15 @@ class TestHexLayout:
         expected = 500.0 ** 2 * math.sqrt(3.0) / 6.0
         assert abs(layout.sector_area_m2 - expected) / expected < 1e-6
 
+    @pytest.mark.parametrize("env, area", [
+        # the 120 m x 50 m floor over its 12 points
+        (TestEnvironment.INDOOR_HOTSPOT_EMBB, 500.0),
+        # one sector of a hexagonal site at ISD 200 m
+        (TestEnvironment.DENSE_URBAN_EMBB, 200.0 ** 2 * math.sqrt(3.0) / 6.0),
+    ], ids=lambda v: getattr(v, "value", None))
+    def test_build_layout_sets_the_sector_area(self, env, area):
+        assert build_layout(preset(env, "A")).sector_area_m2 == area
+
     def test_scale_similarity(self):
         small = build_layout(MMTC_A)
         large = build_layout(MMTC_B)
@@ -84,7 +93,6 @@ class TestHexLayout:
 class TestIndoorLayout:
     def test_twelve_points_on_the_floor(self):
         layout = build_layout(INDOOR)
-        assert layout.layout_kind is LayoutKind.INDOOR_12
         assert layout.n_trxps == 12
         pos = layout.site_positions[layout.trxp_site]
         assert pos[:, 0].min() >= 0.0 and pos[:, 0].max() <= 120.0
@@ -106,7 +114,6 @@ class TestIndoorLayout:
 class TestDenseUrbanLayout:
     def test_two_layers_with_separations(self):
         layout = build_layout(preset(TestEnvironment.DENSE_URBAN_EMBB, "A"))
-        assert layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER
         micro = layout.site_positions[layout.site_is_micro]
         assert layout.n_trxps == 57 + 57 * 3
         assert len(micro) == 171
@@ -174,8 +181,7 @@ class TestLayoutInvariant:
     @staticmethod
     def _two_sector_layout():
         return NetworkLayout(
-            layout_kind=LayoutKind.DENSE_URBAN_TWO_LAYER,
-            isd=500.0,
+            sector_area_m2=hex_sector_area_m2(500.0),
             site_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
             site_height=np.array([25.0, 10.0]),
             site_is_micro=np.array([False, True]),
@@ -205,19 +211,19 @@ class TestLayoutInvariant:
         with pytest.raises(InternalError, match="micro sites"):
             compute_coupling(config, swapped, ues, derive_stream(1, 0, "links"))
 
-    @pytest.mark.parametrize("kind, trxp_site, site_is_micro", [
+    @pytest.mark.parametrize("env, trxp_site, site_is_micro", [
         # sites in order, but a micro TRxP between two macro ones
-        (LayoutKind.DENSE_URBAN_TWO_LAYER, [0, 1, 0], [False, True]),
+        (TestEnvironment.DENSE_URBAN_EMBB, [0, 1, 0], [False, True]),
         # a one-profile layout whose micro site comes first
-        (LayoutKind.HEX_MACRO_19, [1, 1, 0], [True, False]),
+        (TestEnvironment.URBAN_MACRO_URLLC, [1, 1, 0], [True, False]),
     ], ids=["micro_trxp_between_macro", "one_profile_micro_site_first"])
-    def test_coupling_needs_every_macro_trxp_first(self, kind, trxp_site, site_is_micro):
+    def test_coupling_needs_every_macro_trxp_first(self, env, trxp_site, site_is_micro):
         """The element gain is taken on the macro TRxP prefix, whose sites are
-        the macro site prefix, on every layout kind; a layout out of that
+        the macro site prefix, in every environment; a layout out of that
         order is refused, not clipped into it."""
-        config = preset(TestEnvironment.DENSE_URBAN_EMBB, "A")
+        config = preset(env, "A")
         layout = dataclasses.replace(
-            self._two_sector_layout(), layout_kind=kind, trxp_site=np.array(trxp_site),
+            self._two_sector_layout(), trxp_site=np.array(trxp_site),
             site_is_micro=np.array(site_is_micro))
         ues = UeDrop.from_positions(layout, [[250.0, 100.0, 1.5]], [False], [False])
         with pytest.raises(InternalError, match="must follow the macro ones"):
@@ -411,8 +417,7 @@ class _NoFading:
 def _colocated_layout(n):
     """n identical indoor ceiling points at the same place."""
     return NetworkLayout(
-        layout_kind=LayoutKind.INDOOR_12,
-        isd=20.0,
+        sector_area_m2=500.0,
         site_positions=np.array([[60.0, 25.0]]),
         site_height=np.array([3.0]),
         site_is_micro=np.array([True]),
@@ -484,8 +489,9 @@ def drop_ues_reference(layout, config, rng):
     n = config.ues_per_trxp * layout.n_trxps
     pos = _sample_positions(layout, n, rng)
 
-    min_macro = 0.0 if layout.layout_kind is LayoutKind.INDOOR_12 else MIN_UE_DISTANCE_MACRO_M
-    if min_macro > 0.0 or layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER:
+    env = config.environment
+    min_macro = 0.0 if env is TestEnvironment.INDOOR_HOTSPOT_EMBB else MIN_UE_DISTANCE_MACRO_M
+    if min_macro > 0.0 or env is TestEnvironment.DENSE_URBAN_EMBB:
         trxp_pos = layout.site_positions[layout.trxp_site]
         macro_sites = trxp_pos[~layout.trxp_is_micro]
         micro_pos = trxp_pos[layout.trxp_is_micro]
@@ -520,7 +526,7 @@ def compute_coupling_reference(config, layout, ues, rng):
     dz = trxp_height[None, :] - config.ue_height
     d3d = np.maximum(np.sqrt(d2d ** 2 + dz ** 2), 1.0)
 
-    micro_mask = layout.trxp_is_micro if layout.layout_kind is LayoutKind.DENSE_URBAN_TWO_LAYER \
+    micro_mask = layout.trxp_is_micro if config.environment is TestEnvironment.DENSE_URBAN_EMBB \
         else np.zeros(n_t, dtype=bool)
     los_u = rng.uniform(size=(n_ue, n_t))
     sf_z = rng.standard_normal((n_ue, n_t))
@@ -658,14 +664,13 @@ class TestSharedDropGeometry:
     """drop_ues computes the wrapped geometry to every site once, and it is
     the geometry of the drop's final positions bit for bit."""
 
-    @pytest.mark.parametrize("env, kind", [
-        (TestEnvironment.URBAN_MACRO_URLLC, LayoutKind.HEX_MACRO_19),
-        (TestEnvironment.INDOOR_HOTSPOT_EMBB, LayoutKind.INDOOR_12),
-        (TestEnvironment.DENSE_URBAN_EMBB, LayoutKind.DENSE_URBAN_TWO_LAYER),
-    ], ids=lambda v: getattr(v, "value", None))
-    def test_drop_geometry_matches_reference(self, env, kind):
+    @pytest.mark.parametrize("env", [
+        TestEnvironment.URBAN_MACRO_URLLC,
+        TestEnvironment.INDOOR_HOTSPOT_EMBB,
+        TestEnvironment.DENSE_URBAN_EMBB,
+    ], ids=lambda v: v.value)
+    def test_drop_geometry_matches_reference(self, env):
         layout = _layout(env)
-        assert layout.layout_kind is kind
         config = preset(env, "A")
         ues = drop_ues(layout, config, derive_stream(config.master_seed, 0, "ues"))
         delta, dist = wrap_displacements_reference(layout, ues.positions, layout.site_positions)

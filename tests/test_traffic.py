@@ -473,6 +473,17 @@ class TestServeFifo:
         with pytest.raises(InternalError, match="message 1 of queue 1"):
             serve_fifo(arrival, busy, n_servers=2)
 
+    @pytest.mark.parametrize("shape, queue", [((300,), 0), ((300, 3), 2)],
+                             ids=["one_queue", "queue_table"])
+    def test_bad_message_named_by_its_row_in_the_queue(self, shape, queue):
+        """Row 280 lies past the first block of rows: the error names its row
+        in the queue, not its row in the block (24)."""
+        assert traffic._FIFO_BLOCK < 280
+        busy = np.ones(shape)
+        busy[(280, queue)[:len(shape)]] = np.nan
+        with pytest.raises(InternalError, match=f"message 280 of queue {queue}:"):
+            serve_fifo(np.zeros(shape), busy, n_servers=2)
+
     def test_block_prefix_rejected_when_a_short_service_completes_first(self):
         # queue 0's three servers are busy until 10, 20 and 30; message 3
         # completes at 10.5, before the 20 its block gave message 4, so
