@@ -467,8 +467,13 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     if calibrate:
         config, _, warnings = calibrate_ul_power(config, layout)
 
+    # each CDF that gets samples reserves room for every drop's UEs or, with
+    # early stop, for the drops before the first convergence test, so a
+    # large drop cap is never reserved up front
+    room_drops = min(config.drops, convergence_window + 1) if early_stop else config.drops
+    capacity = room_drops * config.ues_per_trxp * layout.n_trxps
     names = ("sinr_db",) if sinr_only else ("sinr_db", "user_se", "user_tput_bps")
-    cdfs = {f"{prefix}_{name}": metrics.CdfEstimator()
+    cdfs = {f"{prefix}_{name}": metrics.CdfEstimator(capacity=capacity)
             for name in names for prefix in _PREFIX.values()}
     monitor = metrics.ConvergenceMonitor(window=convergence_window, tol=convergence_tol,
                                          max_drops=config.drops)
@@ -476,7 +481,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     iot_values = []
     bits_per_drop = {DOWNLINK: [], UPLINK: []}
     n_mux_values = []
-    b_pool = []
+    b_pool = metrics.CdfEstimator(capacity=capacity)  # the served UEs' B_i, mMTC only
     status = "capped"
     with contextlib.closing(_drops(config, layout, range(config.drops), sinr_only,
                                    workers)) as drops:
@@ -493,7 +498,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
                     cdfs[f"{prefix}_user_tput_bps"].add(bits / config.duration_t)
             n_mux_values.append(drop.n_mux_ul)
             if drop.b_values_ul is not None:
-                b_pool.append(drop.b_values_ul)
+                b_pool.add(drop.b_values_ul)
             if early_stop and monitor.observe(mean_ul) == metrics.CONVERGED:
                 status = "converged"
                 break
@@ -545,10 +550,10 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
                 rate = metrics.pct5_user_se(cdfs[f"{prefix}_user_tput_bps"])
                 kpis.append(KpiValue("ued_rate", direction, rate, "bit/s"))
 
-    if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool:
+    if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool.count:
         density = metrics.connection_density_fullbuffer(
             float(np.mean(n_mux_values)), config.traffic.eval_bandwidth_hz,
-            np.concatenate(b_pool), config.isd)
+            b_pool.samples, config.isd)
         kpis.append(KpiValue("connection_density", UPLINK, density, "/km^2",
                              note="full-buffer multiplexing route"))
     return kpis

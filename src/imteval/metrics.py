@@ -21,42 +21,46 @@ from .link import BlerModel, HarqConfig, LinkAbstraction, harq_success_probabili
 
 
 class CdfEstimator:
-    """Exact empirical distribution over a growing sample buffer.
+    """Exact empirical distribution over one growing sample buffer.
 
     Quantiles interpolate linearly between order statistics at positions
     p*(n-1)+1 (one-indexed), so quantile(0) is the minimum sample and
-    quantile(1) the maximum. Added chunks are kept aside and joined onto
-    the buffer once, at the next read, so n adds cost O(total samples).
-    Samples must be finite: a NaN would sort last and leave the low
-    quantiles silently finite.
+    quantile(1) the maximum. Each added chunk is copied into the tail of
+    one float64 buffer, so the samples are never held twice. The first
+    add reserves room for ``capacity`` samples, and a full buffer doubles,
+    so n adds cost O(total samples). Reads see the filled prefix, and a
+    quantile read sorts it in place. Samples must be finite: a NaN would
+    sort last and leave the low quantiles silently finite.
     """
 
-    def __init__(self, samples=None):
-        self._samples = _finite_samples([] if samples is None else samples)
-        self._pending = []
+    def __init__(self, samples=None, capacity: int = 0):
+        self._data = _finite_samples([] if samples is None else samples).copy()
+        self._count = self._data.size
+        self._capacity = capacity
         self._sorted = False
 
     def add(self, samples) -> None:
-        self._pending.append(_finite_samples(samples))
+        chunk = _finite_samples(samples)
+        end = self._count + chunk.size
+        if end > self._data.size:
+            grown = np.empty(max(end, 2 * self._data.size, self._capacity))
+            grown[:self._count] = self.samples
+            self._data = grown
+        self._data[self._count:end] = chunk
+        self._count = end
         self._sorted = False
-
-    def _buffer(self) -> np.ndarray:
-        if self._pending:
-            self._samples = np.concatenate([self._samples, *self._pending])
-            self._pending = []
-        return self._samples
 
     @property
     def count(self) -> int:
-        return len(self._buffer())
+        return self._count
 
     @property
     def samples(self) -> np.ndarray:
-        """The raw sample buffer (a view; treat as read-only)."""
-        return self._buffer()
+        """The filled prefix of the buffer (a view; treat as read-only)."""
+        return self._data[:self._count]
 
     def _ensure_sorted(self) -> np.ndarray:
-        data = self._buffer()
+        data = self.samples
         if not self._sorted:
             data.sort()
             self._sorted = True
@@ -96,7 +100,8 @@ def _lerp(a, b, weight):
 
 
 def _finite_samples(samples) -> np.ndarray:
-    arr = np.array(samples, dtype=float, ndmin=1)
+    """``samples`` as a flat float array, not copied when it is one already."""
+    arr = np.asarray(samples, dtype=float).reshape(-1)
     if not np.isfinite(arr).all():
         bad = arr.size - np.count_nonzero(np.isfinite(arr))
         raise DomainError(f"{bad} of {arr.size} CDF samples are NaN or infinite")

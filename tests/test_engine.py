@@ -40,6 +40,24 @@ def small(config, drops=5, **kw):
     return dataclasses.replace(config, drops=drops, **kw)
 
 
+def traced_peak(call):
+    """``call()`` and its traced peak above the memory traced when it began.
+    tracemalloc counts numpy's data buffers on every platform, so the figure
+    is the host's own."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base
+
+
 class TestDeriveStream:
     def test_same_triple_same_prefix(self):
         a = derive_stream(42, 7, "links").uniform(size=16)
@@ -127,25 +145,14 @@ class TestDropWork:
     def test_reused_work_keeps_a_drop_small(self):
         """After warm-up, the traced peak of a UMa URLLC SINR-only drop
         through reused work stays under 1.5 MiB; with a fresh (570, 57)
-        array for every plane it is 3.4 MiB. tracemalloc counts numpy's
-        data buffers on every platform, so the figure is the host's own."""
+        array for every plane it is 3.4 MiB."""
         config = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")
         layout = build_layout(config)
         work = DropWork()
         for d in range(3):
             run_drop(config, layout, d, sinr_only=True, work=work)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run_drop(config, layout, 3, sinr_only=True, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak - base <= 1.5 * 2 ** 20
+        _, peak = traced_peak(lambda: run_drop(config, layout, 3, sinr_only=True, work=work))
+        assert peak <= 1.5 * 2 ** 20
 
 
 class TestRunDrop:
@@ -433,8 +440,9 @@ class TestRun:
         assert result.mean_iot_db <= MMTC_A.link.ul_iot_target_db + 1.0
 
     def test_mmtc_connection_density_value_is_pinned(self):
-        # no golden bundle digest covers the full-buffer density KPI, so its
-        # value at seed 7 is pinned here, float for float
+        # the UrbanMacro_mMTC full_buffer golden cases digest this KPI in
+        # kpi.json, rounded to 12 digits; here its value at seed 7 is pinned
+        # float for float
         result = run(small(MMTC_A, drops=2, master_seed=7))
         assert result.kpi("connection_density", UPLINK).value == 21099370.180030078
 
@@ -462,6 +470,40 @@ class TestRun:
         assert n <= full.drops_executed
         # early stop never changes already-computed drop results
         assert np.array_equal(stopped.per_drop_mean_ul_sinr, full.per_drop_mean_ul_sinr[:n])
+
+    def test_early_stop_reserves_no_room_for_the_drop_cap(self):
+        """Room for 10 million drops would be 45.6 GB per CDF; an early-stopped
+        run reserves room for the drops before its first convergence test
+        and stops where a 40-drop cap stops it."""
+        kw = dict(sinr_only=True, early_stop=True, convergence_window=5, convergence_tol=0.05)
+        capped = run(small(MMTC_A, drops=40), **kw)
+        stopped, peak = traced_peak(lambda: run(small(MMTC_A, drops=10_000_000), **kw))
+        n = stopped.drops_executed
+        assert stopped.convergence_status == "converged"
+        assert n == capped.drops_executed < 40
+        n_ue = MMTC_A.ues_per_trxp * stopped.layout.n_trxps
+        assert {name: cdf.count for name, cdf in stopped.cdfs.items()} == \
+            {"dl_sinr_db": n * n_ue, "ul_sinr_db": n * n_ue}
+        assert peak <= 4 * 2 ** 20
+
+    def test_samples_are_held_once(self):
+        """Doubling a URLLC A SINR-only run from 400 to 800 drops raises its
+        traced peak by at most 1.3x the added samples (2 CDFs x 57 UEs x 8 B
+        per drop); it reads about 1.15x, the rest being the per-drop lists
+        and the interpreter's free lists. Chunks kept aside and joined onto a
+        fresh buffer at the first read put it at 1.7x: one CDF's chunks and
+        its joined copy are alive at once. One UE per TRxP lets that join
+        outweigh the drop's own planes, which set the peak of a 50-drop run
+        of the preset whatever the samples' storage."""
+        cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "A"), ues_per_trxp=1)
+        run(small(cfg, 2), sinr_only=True, calibrate=False)  # one-off allocations
+        runs = {drops: traced_peak(lambda: run(small(cfg, drops), sinr_only=True,
+                                                calibrate=False))
+                for drops in (400, 800)}
+        added = sum(cdf.samples.nbytes for cdf in runs[800][0].cdfs.values()) - \
+            sum(cdf.samples.nbytes for cdf in runs[400][0].cdfs.values())
+        assert added == 2 * 400 * 57 * 8
+        assert runs[800][1] - runs[400][1] <= 1.3 * added
 
     def test_early_stop_with_a_pool_equals_serial(self):
         cfg = small(MMTC_A, drops=40)
@@ -647,18 +689,8 @@ class TestDensityRoute:
         spec = cal.traffic
         mean = 4e7 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * 20.0
         table_bytes = 17 * layout.n_trxps * engine._queue_capacity(mean)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            evaluate_p99_delay(cal, layout, 4e7, sinr_drops=sinr_drops)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak - base <= 1.15 * table_bytes
+        _, peak = traced_peak(lambda: evaluate_p99_delay(cal, layout, 4e7, sinr_drops=sinr_drops))
+        assert peak <= 1.15 * table_bytes
 
     def test_p99_delay_increases_with_density(self):
         cfg = small(MMTC_A, drops=2)

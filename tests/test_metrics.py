@@ -78,10 +78,11 @@ class TestCdfEstimator:
         est = CdfEstimator(rng.uniform(size=1_000_000))
         assert abs(est.quantile(0.05) - 0.05) < 0.002
 
-    def test_chunked_adds_equal_one_pooled_add(self):
+    @pytest.mark.parametrize("capacity", [0, 600, 1475])  # grown from empty, grown, exact
+    def test_chunked_adds_equal_one_pooled_add(self, capacity):
         rng = np.random.default_rng(5)
         chunks = [rng.normal(size=n) for n in (570, 0, 1, 333, 570)] + [2.5]
-        chunked, pooled = CdfEstimator(), CdfEstimator()
+        chunked, pooled = CdfEstimator(capacity=capacity), CdfEstimator()
         for chunk in chunks:
             chunked.add(chunk)
         pooled.add(np.concatenate([np.atleast_1d(c) for c in chunks]))
