@@ -477,42 +477,45 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
             for name in names for prefix in _PREFIX.values()}
     monitor = metrics.ConvergenceMonitor(window=convergence_window, tol=convergence_tol,
                                          max_drops=config.drops)
-    per_drop_mean = []
-    iot_values = []
-    bits_per_drop = {DOWNLINK: [], UPLINK: []}
-    n_mux_values = []
+    # one row per figure, one column per drop: mean UL SINR, mean IoT, UL
+    # multiplexing order, and the DL and UL bits (NaN where a drop schedules
+    # no such link), reserved like the CDFs and doubled when full
+    per_drop = np.empty((5, room_drops))
+    n = 0
     b_pool = metrics.CdfEstimator(capacity=capacity)  # the served UEs' B_i, mMTC only
     status = "capped"
     with contextlib.closing(_drops(config, layout, range(config.drops), sinr_only,
                                    workers)) as drops:
         for drop in drops:
+            if n == per_drop.shape[1]:
+                per_drop = np.concatenate([per_drop, np.empty_like(per_drop)], axis=1)
             mean_ul = float(np.mean(drop.ul_sinr_db))
-            per_drop_mean.append(mean_ul)
-            iot_values.append(drop.mean_iot_db)
-            for direction, prefix in _PREFIX.items():
+            per_drop[:3, n] = mean_ul, drop.mean_iot_db, drop.n_mux_ul
+            for row, prefix in enumerate(_PREFIX.values(), start=3):
                 cdfs[f"{prefix}_sinr_db"].add(getattr(drop, f"{prefix}_sinr_db"))
                 bits = getattr(drop, f"{prefix}_bits")
+                per_drop[row, n] = math.nan if bits is None else bits.sum()
                 if bits is not None:
-                    bits_per_drop[direction].append(float(bits.sum()))
                     cdfs[f"{prefix}_user_se"].add(bits / (config.duration_t * config.bandwidth))
                     cdfs[f"{prefix}_user_tput_bps"].add(bits / config.duration_t)
-            n_mux_values.append(drop.n_mux_ul)
             if drop.b_values_ul is not None:
                 b_pool.add(drop.b_values_ul)
+            n += 1
             if early_stop and monitor.observe(mean_ul) == metrics.CONVERGED:
                 status = "converged"
                 break
 
+    per_drop = per_drop[:, :n]
     return RunResult(
         config=config,
         layout=layout,
-        drops_executed=len(per_drop_mean),
+        drops_executed=n,
         convergence_status=status,
-        kpis=_assemble_kpis(config, layout.n_trxps, cdfs, bits_per_drop, n_mux_values,
-                            b_pool, sinr_only),
+        kpis=_assemble_kpis(config, layout.n_trxps, cdfs, dict(zip(_PREFIX, per_drop[3:])),
+                            per_drop[2], b_pool, sinr_only),
         cdfs=cdfs,
-        per_drop_mean_ul_sinr=np.array(per_drop_mean),
-        mean_iot_db=float(np.mean(iot_values)) if iot_values else math.nan,
+        per_drop_mean_ul_sinr=per_drop[0],
+        mean_iot_db=float(np.mean(per_drop[1])) if n else math.nan,
         warnings=warnings,
     )
 
@@ -591,21 +594,32 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     0 .. n_drops - 1 (and then sets the drop count); a search runs them once
     for all its probes, and they are run here when it is None. Each drop's
     UEs are mapped to their message service (SE, PDU time and success
-    probability after the CSI backoff) and split by serving cell. The
-    per-cell loop only draws (``poisson``, ``uniform``, ``integers``,
-    ``geometric`` per cell, an order that fixes the results of a seed) into
-    padded (queues x messages) arrays, one contiguous row per drop and cell,
-    whose pads hold arrival 0, service +inf and not delivered. ``serve_fifo``
-    serves every queue at once from their transposes, writing each delay
-    over its service time (a pad's comes out +inf). An undelivered message counts
-    as an infinite delay (see metrics.p99_delay for the percentile rule
-    around ``inf``). The delays are then packed to the front of that array
-    and ranked there, so a probe holds one copy of its messages.
+    probability after the CSI backoff) and split by serving cell. A
+    message's service time is ``overhead_s + n_tx * tx_time`` of its UE,
+    with n_tx in 1 .. 8, so the probe computes every such time once, into a
+    service-time table, and a message keeps only its code into it: UE u
+    (counted over the drops) sent n_tx times has code 8 u + n_tx, a lost
+    message (undecodable UE, or no success in 8 attempts) the same code
+    plus 8 x (UEs), whose entry repeats the service time, and code 0 is
+    the pad, of service +inf. The per-cell loop only draws (``poisson``,
+    ``uniform``, ``integers``, ``geometric`` per cell, an order that fixes
+    the results of a seed) into padded (queues x messages) arrival-time and
+    code arrays, one contiguous row per drop and cell, whose pads hold
+    arrival 0 and code 0. ``serve_fifo`` serves every queue at once from
+    their transposes, writing each delay over its arrival time (a pad's
+    comes out +inf). The delays are then packed to the front of that
+    array, a lost message's marked as an infinite delay (see
+    metrics.p99_delay for the percentile rule around ``inf``), and ranked
+    there, so a probe holds one copy of its messages: 8 B and a code of
+    the smallest unsigned type that holds them (uint16 for up to 4,095
+    UEs) per slot.
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
     service start, completion, transmissions, delivered) are appended to it
-    as Python (int, int, float, float, float, int, bool) tuples. Raises
-    DomainError when the drop count is below 1 or ``horizon_s`` is not positive."""
+    as Python (int, int, float, float, float, int, bool) tuples; the arrival
+    times must then outlive the serving, so the delays go to an array of
+    their own. Raises DomainError when the drop count is below 1 or
+    ``horizon_s`` is not positive."""
     spec = config.traffic
     if spec.kind is not TrafficKind.POISSON_MESSAGING:
         raise DomainError("density evaluation needs the Poisson messaging traffic model")
@@ -616,12 +630,19 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     area_km2 = layout.sector_area_m2 / 1e6
     mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
     n_t = layout.n_trxps
+    # service codes: 0 is the pad, of service +inf; UE u (counted over the
+    # drops) sent n_tx times has code 8 u + n_tx, and that plus `lost` when
+    # the message is lost, whose entry repeats the service time
+    lost = _MAX_MESSAGE_ATTEMPTS * sum(len(probe.serving) for probe in sinr_drops)
+    service_table = np.empty(1 + 2 * lost)
+    service_table[0] = np.inf
+    per_ue = service_table[1:1 + lost].reshape(-1, _MAX_MESSAGE_ATTEMPTS)  # a view
+    attempts = np.arange(1, _MAX_MESSAGE_ATTEMPTS + 1)
     shape = (len(sinr_drops) * n_t, _queue_capacity(mean_messages))
-    arrival, busy = np.zeros(shape), np.full(shape, np.inf)
-    delivered = np.zeros(shape, dtype=bool)
+    arrival, codes = np.zeros(shape), np.zeros(shape, np.min_scalar_type(2 * lost))
     lengths = np.zeros(shape[0], dtype=np.intp)
-    logged = {}  # queue -> (transmissions, service times) per message, for record_sink
 
+    first_ue = 0
     for d, probe in enumerate(sinr_drops):
         sinr = probe.ul_sinr_db - lk.csi_backoff_db
         se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
@@ -630,6 +651,12 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
         tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
         p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
         decodable = se > 0.0
+        # the drop's service times, n_tx * tx_time + overhead as for one message
+        service = np.multiply(attempts, tx_time[:, None],
+                              out=per_ue[first_ue:first_ue + len(tx_time)])
+        service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
+        ue_code = _MAX_MESSAGE_ATTEMPTS * np.arange(first_ue, first_ue + len(tx_time))
+        first_ue += len(tx_time)
         by_cell = np.argsort(probe.serving, kind="stable")
         bounds = np.cumsum(np.bincount(probe.serving, minlength=n_t))[:-1]
         rng = derive_stream(config.master_seed, d, "density")
@@ -643,48 +670,48 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
                 continue
             chosen = members[rng.integers(len(members), size=n_msgs)]
             first_success = rng.geometric(p_success[chosen])
-            n_tx = np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
+            delivered = decodable[chosen] & (first_success <= _MAX_MESSAGE_ATTEMPTS)
             if n_msgs > arrival.shape[1]:
-                arrival, busy, delivered = (
-                    np.concatenate([a, np.full((len(a), n_msgs - a.shape[1]), pad, a.dtype)],
-                                   axis=1)
-                    for a, pad in ((arrival, 0.0), (busy, np.inf), (delivered, False)))
+                arrival, codes = (
+                    np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)], axis=1)
+                    for a in (arrival, codes))
             q = d * n_t + c
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
             arrival[q, :n_msgs].sort()
-            service = np.multiply(n_tx, tx_time[chosen], out=busy[q, :n_msgs])
-            service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
-            np.logical_and(decodable[chosen], first_success <= _MAX_MESSAGE_ATTEMPTS,
-                           out=delivered[q, :n_msgs])
-            if record_sink is not None:
-                # a copy: serve_fifo writes delays over the busy row
-                logged[q] = n_tx, service.copy()
+            codes[q, :n_msgs] = (ue_code[chosen] + np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
+                                 + lost * ~delivered)
+    service_table[1 + lost:] = service_table[1:1 + lost]
     # the last cell's per-message arrays would otherwise outlive the loop
-    times = chosen = first_success = n_tx = None
+    times = chosen = first_success = delivered = None
 
     rows = int(lengths.max(initial=0))
     if rows == 0:
         return 0.0
-    table = busy.reshape(-1)  # a view: busy is one contiguous block
-    arrival, busy, delivered = arrival[:, :rows], busy[:, :rows], delivered[:, :rows]
-    starts = np.empty_like(arrival) if record_sink is not None else None
-    serve_fifo(arrival.T, busy.T, spec.channels, None if starts is None else starts.T,
-               out=busy.T)
+    packed = arrival.reshape(-1)  # a view: arrival is one contiguous block
+    arrival, codes = arrival[:, :rows], codes[:, :rows]
+    delays, starts = arrival, None
+    if record_sink is not None:
+        delays, starts = np.empty(arrival.shape), np.empty(arrival.shape)
+        packed = delays.reshape(-1)
+    serve_fifo(arrival.T, codes.T, service_table, spec.channels,
+               None if starts is None else starts.T, out=delays.T)
     if record_sink is not None:
         for q in np.flatnonzero(lengths).tolist():
-            n, (d, c), (n_tx, service) = int(lengths[q]), divmod(q, n_t), logged[q]
-            start = starts[q, :n]
+            n, (d, c) = int(lengths[q]), divmod(q, n_t)
+            code, start = codes[q, :n], starts[q, :n]
             record_sink.extend(zip(repeat(d), repeat(c), arrival[q, :n].tolist(),
-                                   start.tolist(), (start + service).tolist(),
-                                   n_tx.tolist(), delivered[q, :n].tolist()))
-    np.copyto(busy, np.inf, where=~delivered)
-    # each queue's delays move to the front of the table, in queue order
+                                   start.tolist(), (start + service_table[code]).tolist(),
+                                   ((code - 1) % _MAX_MESSAGE_ATTEMPTS + 1).tolist(),
+                                   (code <= lost).tolist()))
+    # each queue's delays move to the front of the array, in queue order, a
+    # lost message's as inf
     n_valid = 0
     for q, n in enumerate(lengths.tolist()):
-        table[n_valid:n_valid + n] = busy[q, :n]
+        packed[n_valid:n_valid + n] = delays[q, :n]
+        np.copyto(packed[n_valid:n_valid + n], np.inf, where=codes[q, :n] > lost)
         n_valid += n
-    return metrics.p99_delay(table[:n_valid])
+    return metrics.p99_delay(packed[:n_valid])
 
 
 def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,

@@ -253,10 +253,10 @@ class UeDrop:
     site_dist: np.ndarray  # (n, n_sites) wrapped 2D distance
 
     def __post_init__(self):
-        for field in fields(self):
-            view = np.asarray(getattr(self, field.name)).view()
+        for name in _UE_DROP_FIELDS:
+            view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
-            object.__setattr__(self, field.name, view)
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_positions(cls, layout: NetworkLayout, positions, indoor, high_loss) -> UeDrop:
@@ -270,6 +270,9 @@ class UeDrop:
         delta, dist = wrap_displacements(layout, positions, layout.site_positions)
         return cls(positions, np.asarray(indoor, dtype=bool), np.asarray(high_loss, dtype=bool),
                    delta, dist)
+
+
+_UE_DROP_FIELDS = tuple(field.name for field in fields(UeDrop))
 
 
 def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Generator) -> UeDrop:

@@ -159,23 +159,27 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
 _FIFO_BLOCK = 256
 
 
-def serve_fifo(arrival_times, service_times, n_servers: int, starts=None, out=None):
+def serve_fifo(arrival_times, service_codes, service_table, n_servers: int, starts=None,
+               out=None):
     """Independent multi-server FIFO queues with infinite buffers, all
     served in lockstep.
 
-    ``arrival_times`` and ``service_times`` are (messages x queues) arrays:
-    column q holds queue q's messages in arrival order, each with its busy
-    time (retransmissions folded in). A queue shorter than the table ends in
-    pad rows with a finite arrival time and a +inf service time; a pad
-    never holds a step back, and its delay comes out +inf. 1-D arrays are
-    one queue. Each message takes the server of its queue that frees up
-    first. Returns ``out``, an array shaped like ``arrival_times`` (a new
-    one when None is passed) that receives the delay (completion - arrival)
-    of every entry. Each block of positions is checked and written whole
-    once it is served, after its last read, so ``out`` may be the
-    service-time array itself. When ``starts`` is given, an array shaped
-    like ``arrival_times``, every service start time is written into it; a
-    message completes at start + service time.
+    ``arrival_times`` and ``service_codes`` are (messages x queues) arrays:
+    column q holds queue q's messages in arrival order. A message's busy
+    time (retransmissions folded in) is ``service_table[code]``: the codes
+    are unsigned integers below ``len(service_table)``, so messages that
+    share a service time share one table entry. A queue shorter than the
+    table ends in pad rows with a finite arrival time and code 0, whose
+    entry must be +inf: a pad never holds a step back, and its delay comes
+    out +inf. 1-D arrays are one queue. Each message takes the server of
+    its queue that frees up first. Returns ``out``, an array shaped like
+    ``arrival_times`` (a new one when None is passed) that receives the
+    delay (completion - arrival) of every entry. Each block of positions is
+    decoded into a block of service times, served, then checked and written
+    whole, after its last read, so ``out`` may be the arrival-time array
+    itself. When ``starts`` is given, an array shaped like
+    ``arrival_times``, every service start time is written into it; a
+    message completes at start + ``service_table[code]``.
 
     The servers' free times are kept position-major: an (n_servers x
     queues) array whose column q holds queue q's free times in ascending
@@ -200,28 +204,32 @@ def serve_fifo(arrival_times, service_times, n_servers: int, starts=None, out=No
     if n_servers < 1:
         raise ConfigInvalid("n_servers", "must be >= 1")
     arrival = np.asarray(arrival_times, dtype=float)
-    service = np.asarray(service_times, dtype=float)
+    codes = np.asarray(service_codes)
+    table = np.asarray(service_table, dtype=float)
+    if codes.dtype.kind != "u":
+        raise InternalError(f"service codes must be unsigned integers, not {codes.dtype}")
     if out is None:
         out = np.empty(arrival.shape)
     result = out
     if arrival.ndim == 1:
-        arrival, service, out = arrival[:, None], service[:, None], out[:, None]
+        arrival, codes, out = arrival[:, None], codes[:, None], out[:, None]
         if starts is not None:
             starts = starts[:, None]
     n_rows, n_queues = arrival.shape
-    if service.shape != arrival.shape or out.shape != arrival.shape:
-        raise InternalError(f"queue shapes differ: arrival {arrival.shape}, service "
-                            f"{service.shape}, out {out.shape}")
+    if codes.shape != arrival.shape or out.shape != arrival.shape:
+        raise InternalError(f"queue shapes differ: arrival {arrival.shape}, codes "
+                            f"{codes.shape}, out {out.shape}")
     free = np.zeros((n_servers, n_queues))  # per queue (column), ascending free times
     done_buffer = np.empty_like(free)
     # hot loop: local names
     maximum, add, greater_equal = np.maximum, np.add, np.greater_equal
     every, running_least = np.logical_and.reduce, np.minimum.accumulate
-    buffer = np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
+    buffer, service = (np.empty((min(_FIFO_BLOCK, n_rows), n_queues)) for _ in range(2))
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
-        arrival_b, service_b = arrival[b0:b1], service[b0:b1]
+        arrival_b = arrival[b0:b1]
+        service_b = np.take(table, codes[b0:b1], out=service[:b1 - b0])
         i = 0
         while i < b1 - b0:
             k = min(n_servers, b1 - b0 - i)
@@ -242,5 +250,7 @@ def serve_fifo(arrival_times, service_times, n_servers: int, starts=None, out=No
                 free[:n] = done[:n]
             free.sort(axis=0, kind="stable")  # on short columns, quicker than quicksort
             i += n
-        out[b0:b1] = track_delays(arrival_b, block, block + service_b, first_row=b0)
+        # the completions go over the block's decoded service times, now spent
+        out[b0:b1] = track_delays(arrival_b, block, add(block, service_b, out=service_b),
+                                  first_row=b0)
     return result

@@ -312,9 +312,9 @@ class TestDelays:
 
     def test_two_back_to_back_jobs_single_server(self):
         # M/D/1 hand case: two arrivals at t=0, 0.1; service 0.5 each
-        arrival, busy = np.array([0.0, 0.1]), np.array([0.5, 0.5])
+        arrival, codes = np.array([0.0, 0.1]), np.array([1, 1], np.uint8)
         start = np.empty(2)
-        d1, d2 = serve_fifo(arrival, busy, n_servers=1, starts=start)
+        d1, d2 = serve_fifo(arrival, codes, [np.inf, 0.5], n_servers=1, starts=start)
         assert start.tolist() == [0.0, 0.5]
         assert d1 == pytest.approx(0.5)
         # second job waits for the first: delay = (first completion - own
@@ -322,7 +322,7 @@ class TestDelays:
         assert d2 == pytest.approx(d1 + 0.5 - 0.1)
 
     def test_empty_arrivals_empty_records(self):
-        delays = serve_fifo([], [], n_servers=1)
+        delays = serve_fifo([], np.zeros(0, np.uint8), [np.inf], n_servers=1)
         assert delays.shape == (0,) and delays.dtype == float
         assert track_delays([], delays, delays).shape == (0,)
 
@@ -383,21 +383,32 @@ def serve_fifo_reference(arrivals, service_times, n_servers):
     return log
 
 
-def _assert_lockstep_matches_reference(arrival, busy, n_servers, block=traffic._FIFO_BLOCK,
-                                      in_place=False):
+def encode(service):
+    """(codes, table) for an array of service times: code 0 is the +inf
+    pad, every finite (or NaN) time gets the code of its value in a table
+    of the distinct ones."""
+    service = np.asarray(service, dtype=float)
+    values, inverse = np.unique(service, return_inverse=True)
+    codes = np.where(service == np.inf, 0, inverse.reshape(service.shape) + 1)
+    return codes.astype(np.uint16), np.concatenate([[np.inf], values])
+
+
+def _assert_lockstep_matches_reference(arrival, codes, table, n_servers,
+                                      block=traffic._FIFO_BLOCK, in_place=False):
     """Checks serve_fifo on (messages x queues) arrays, each queue ending in
-    pads of +inf service, against one heap queue per column, bit for bit:
-    every message's start, completion and delay, and a +inf delay for every
-    pad. With ``in_place`` the delays are written over a copy of ``busy``.
+    pads of code 0, against one heap queue per column, bit for bit: every
+    message's start, completion and delay, and a +inf delay for every pad.
+    With ``in_place`` the delays are written over a copy of ``arrival``.
     Returns the start times."""
-    lengths = np.count_nonzero(busy != np.inf, axis=0)
+    busy = np.asarray(table)[codes]
+    lengths = np.count_nonzero(codes, axis=0)
     valid = np.arange(len(arrival))[:, None] < lengths
-    assert (busy[~valid] == np.inf).all()  # pads only at the end of a queue
-    service, start = busy.copy(), np.empty_like(arrival)
+    assert (codes[~valid] == 0).all()  # pads only at the end of a queue
+    times, start = arrival.copy(), np.empty_like(arrival)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traffic, "_FIFO_BLOCK", block)
-        delays = serve_fifo(arrival, service, n_servers, start, service if in_place else None)
-    assert (delays is service) == in_place
+        delays = serve_fifo(times, codes, table, n_servers, start, times if in_place else None)
+    assert (delays is times) == in_place
     logs = [serve_fifo_reference(list(zip(arrival[:n, q].tolist(), range(n))),
                                  busy[:n, q].tolist(), n_servers)
             for q, n in enumerate(lengths)]
@@ -421,57 +432,84 @@ _SERVICE = st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
 
 class TestServeFifo:
     def test_parallel_servers(self):
-        arrival, busy = np.zeros(3), np.ones(3)
-        delays = sorted(serve_fifo(arrival, busy, n_servers=2))
+        arrival, codes = np.zeros(3), np.ones(3, np.uint8)
+        delays = sorted(serve_fifo(arrival, codes, [np.inf, 1.0], n_servers=2))
         assert delays == [pytest.approx(1.0), pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_conservation(self):
         rng = np.random.default_rng(7)
         arrival = np.sort(rng.uniform(0, 10, 200))
-        services = rng.uniform(0.01, 0.2, 200)
-        delays = serve_fifo(arrival, services, n_servers=3)
+        codes, table = encode(rng.uniform(0.01, 0.2, 200))
+        delays = serve_fifo(arrival, codes, table, n_servers=3)
         assert delays.shape == arrival.shape  # infinite queue: all complete
 
-    def test_delays_written_over_the_service_times(self, monkeypatch):
-        """``out`` may be the service-time array: each entry's delay replaces
-        its service time, block by block, and a pad's delay is +inf."""
+    def test_delays_written_over_the_arrival_times(self, monkeypatch):
+        """``out`` may be the arrival-time array: each entry's delay replaces
+        its arrival time, block by block, and a pad's delay is +inf."""
         rng = np.random.default_rng(23)
         lengths = [5, 0, 9, 3]
         arrival = np.sort(rng.uniform(0.0, 4.0, (9, 4)), axis=0)
         busy = rng.uniform(0.0, 2.0, (9, 4))
         valid = np.arange(9)[:, None] < lengths
         busy[~valid] = np.inf
-        want = serve_fifo(arrival, busy, 2)
+        codes, table = encode(busy)
+        want = serve_fifo(arrival, codes, table, 2)
         assert np.isfinite(want[valid]).all() and (want[~valid] == np.inf).all()
         monkeypatch.setattr(traffic, "_FIFO_BLOCK", 4)
-        out = busy.copy()
-        assert serve_fifo(arrival, out, 2, out=out) is out
+        out = arrival.copy()
+        assert serve_fifo(out, codes, table, 2, out=out) is out
         assert np.array_equal(out, want)
         # one queue: 1-D in, 1-D out
-        one = busy[:, 2].copy()
-        assert serve_fifo(arrival[:, 2], one, 2, out=one) is one
+        one = arrival[:, 2].copy()
+        assert serve_fifo(one, codes[:, 2], table, 2, out=one) is one
         assert np.array_equal(one, want[:, 2])
+
+    def test_messages_sharing_a_code_share_its_service_time(self):
+        """Decoding is a table lookup: the same queue served from codes into
+        a table and from a table of one entry per message gives the same
+        bytes."""
+        rng = np.random.default_rng(29)
+        arrival = np.sort(rng.uniform(0.0, 5.0, (300, 3)), axis=0)
+        shared = rng.integers(1, 4, (300, 3)).astype(np.uint8)
+        table = np.array([np.inf, 0.3, 0.7, 1.9])
+        own = np.arange(1, 901, dtype=np.uint16).reshape(300, 3)
+        own_table = np.concatenate([[np.inf], table[shared].reshape(-1)])
+        start, own_start = np.empty((2, 300, 3))
+        delays = serve_fifo(arrival, shared, table, 4, start)
+        assert np.array_equal(delays, serve_fifo(arrival, own, own_table, 4, own_start))
+        assert np.array_equal(start, own_start)
+
+    @pytest.mark.parametrize("codes", [np.array([1, 2]), np.array([1.0, 2.0])],
+                             ids=["signed", "float"])
+    def test_codes_must_be_unsigned(self, codes):
+        with pytest.raises(InternalError, match="unsigned"):
+            serve_fifo([0.0, 1.0], codes, [np.inf, 1.0, 2.0], n_servers=1)
+
+    def test_code_past_the_table_rejected(self):
+        with pytest.raises(IndexError):
+            serve_fifo([0.0, 1.0], np.array([1, 3], np.uint8), [np.inf, 1.0, 2.0], n_servers=1)
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ConfigInvalid):
-            serve_fifo([0.0], [1.0], n_servers=0)
+            serve_fifo([0.0], np.ones(1, np.uint8), [np.inf, 1.0], n_servers=0)
 
     def test_nan_service_rejected(self):
         with pytest.raises(InternalError, match="message 1"):
-            serve_fifo([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], n_servers=2)
+            serve_fifo([0.0, 1.0, 2.0], np.array([1, 2, 1], np.uint8), [np.inf, 1.0, np.nan],
+                       n_servers=2)
 
     def test_nan_service_in_a_queue_table_rejected(self):
-        busy = np.ones((3, 2))
-        busy[2, 1] = np.nan
+        codes = np.ones((3, 2), np.uint8)
+        codes[2, 1] = 2
         with pytest.raises(InternalError, match="message 2 of queue 1"):
-            serve_fifo(np.zeros((3, 2)), busy, n_servers=2)
+            serve_fifo(np.zeros((3, 2)), codes, [np.inf, 1.0, np.nan], n_servers=2)
 
     def test_nan_pad_arrival_rejected(self):
         """A pad needs a finite arrival time: a NaN one makes its start NaN."""
         arrival = np.array([[0.0, 0.0], [1.0, np.nan]])
-        busy = np.array([[1.0, 1.0], [1.0, np.inf]])
+        codes = np.array([[1, 1], [1, 0]], np.uint8)
         with pytest.raises(InternalError, match="message 1 of queue 1"):
-            serve_fifo(arrival, busy, n_servers=2)
+            serve_fifo(arrival, codes, [np.inf, 1.0], n_servers=2)
 
     @pytest.mark.parametrize("shape, queue", [((300,), 0), ((300, 3), 2)],
                              ids=["one_queue", "queue_table"])
@@ -479,10 +517,10 @@ class TestServeFifo:
         """Row 280 lies past the first block of rows: the error names its row
         in the queue, not its row in the block (24)."""
         assert traffic._FIFO_BLOCK < 280
-        busy = np.ones(shape)
-        busy[(280, queue)[:len(shape)]] = np.nan
+        codes = np.ones(shape, np.uint8)
+        codes[(280, queue)[:len(shape)]] = 2
         with pytest.raises(InternalError, match=f"message 280 of queue {queue}:"):
-            serve_fifo(np.zeros(shape), busy, n_servers=2)
+            serve_fifo(np.zeros(shape), codes, [np.inf, 1.0, np.nan], n_servers=2)
 
     def test_block_prefix_rejected_when_a_short_service_completes_first(self):
         # queue 0's three servers are busy until 10, 20 and 30; message 3
@@ -492,13 +530,13 @@ class TestServeFifo:
                             [3.0, 5.0]])
         busy = np.array([[10.0, 0.5], [20.0, 0.5], [30.0, 0.5], [0.5, 0.5], [1.0, 0.5],
                          [1.0, 0.5]])
-        start = _assert_lockstep_matches_reference(arrival, busy, 3)
+        start = _assert_lockstep_matches_reference(arrival, *encode(busy), 3)
         assert start[3:, 0].tolist() == [10.0, 10.5, 11.5]
         assert start[:, 1].tolist() == arrival[:, 1].tolist()
 
     def test_ragged_queues_end_mid_block(self):
-        """Queues of 0 to 10 messages padded with arrival 0 and service +inf,
-        4 servers and blocks of 5 rows: steps and blocks end mid-queue and
+        """Queues of 0 to 10 messages padded with arrival 0 and code 0, 4
+        servers and blocks of 5 rows: steps and blocks end mid-queue and
         queues end mid-step."""
         lengths = [0, 3, 7, 10, 1, 6]
         rng = np.random.default_rng(19)
@@ -507,14 +545,14 @@ class TestServeFifo:
         for q, n in enumerate(lengths):
             arrival[:n, q] = np.sort(rng.uniform(0.0, 4.0, n))
             busy[:n, q] = rng.uniform(0.0, 3.0, n)
-        _assert_lockstep_matches_reference(arrival, busy, 4, block=5)
+        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=5)
 
     @pytest.mark.parametrize("n_servers", [1, 16])
     def test_one_server_and_more_servers_than_messages(self, n_servers):
         rng = np.random.default_rng(n_servers)
         arrival = np.sort(rng.uniform(0.0, 3.0, (9, 3)), axis=0)
         busy = rng.uniform(0.0, 1.5, (9, 3))
-        start = _assert_lockstep_matches_reference(arrival, busy, n_servers, block=4)
+        start = _assert_lockstep_matches_reference(arrival, *encode(busy), n_servers, block=4)
         if n_servers > len(arrival):
             assert start.tolist() == arrival.tolist()  # no message waits
 
@@ -525,7 +563,7 @@ class TestServeFifo:
         arrival = np.sort(np.array([t for t, _ in jobs], dtype=float))
         busy = np.array([svc for _, svc in jobs], dtype=float)
         start = np.empty_like(arrival)
-        delays = serve_fifo(arrival, busy, n_servers, starts=start)
+        delays = serve_fifo(arrival, *encode(busy), n_servers, starts=start)
         done = start + busy
         log = serve_fifo_reference(list(zip(arrival.tolist(), range(len(jobs)))),
                                    busy.tolist(), n_servers)
@@ -535,19 +573,22 @@ class TestServeFifo:
         assert delays.tolist() == track_delays(arrival, start, done).tolist()
 
     @settings(max_examples=200, deadline=None)
-    @given(queues=st.lists(st.lists(st.tuples(_TIMES, _SERVICE), max_size=40),
+    @given(table=st.lists(_SERVICE, min_size=1, max_size=4),
+           queues=st.lists(st.lists(st.tuples(_TIMES, st.integers(1, 4)), max_size=40),
                            min_size=1, max_size=8),
            n_servers=st.integers(1, 16), block=st.integers(1, 9),
            pad=st.sampled_from([0.0, -1.0, 1e300]), in_place=st.booleans())
-    def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, queues, n_servers, block, pad,
-                                                          in_place):
+    def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, table, queues, n_servers,
+                                                          block, pad, in_place):
         """Ragged queues served together, over several start-time blocks,
-        give each queue the bytes of its own heap queue, in place or not;
-        pads of +inf service, whatever their finite arrival time, change no
-        result and get a +inf delay."""
+        give each queue the bytes of its own heap queue, in place or not.
+        Their messages draw codes into a table of up to four service times,
+        so many share one; pads of code 0 (+inf service), whatever their
+        finite arrival time, change no result and get a +inf delay."""
+        table = [np.inf] + table
         arrival = np.full((max(map(len, queues)), len(queues)), pad)
-        busy = np.full_like(arrival, np.inf)
+        codes = np.zeros(arrival.shape, np.uint8)
         for q, jobs in enumerate(queues):
             arrival[:len(jobs), q] = sorted(t for t, _ in jobs)
-            busy[:len(jobs), q] = [svc for _, svc in jobs]
-        _assert_lockstep_matches_reference(arrival, busy, n_servers, block, in_place)
+            codes[:len(jobs), q] = [min(code, len(table) - 1) for _, code in jobs]
+        _assert_lockstep_matches_reference(arrival, codes, table, n_servers, block, in_place)
