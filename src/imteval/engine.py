@@ -577,6 +577,46 @@ def _queue_capacity(mean_messages: float) -> int:
     return int(mean_messages + 6.0 * math.sqrt(mean_messages)) + 16
 
 
+# numpy's Generator.geometric draws one uniform U per value for p at or above
+# this double (its C literal 0.333333333333333333333333) and inverts an
+# exponential draw below it
+_GEOMETRIC_SEARCH_MIN_P = 0.3333333333333333
+
+
+def _success_sums(p_success: np.ndarray) -> np.ndarray:
+    """The (UEs x 8) running sums that numpy's geometric search compares U
+    with: ``sum = prod = p; q = 1.0 - p``, then ``prod *= q; sum += prod``
+    per column, the same float operations in the same order."""
+    sums = np.empty((len(p_success), _MAX_MESSAGE_ATTEMPTS))
+    sums[:, 0] = p_success
+    prod = p_success.copy()
+    q = 1.0 - p_success
+    for k in range(1, _MAX_MESSAGE_ATTEMPTS):
+        prod *= q
+        np.add(sums[:, k - 1], prod, out=sums[:, k])
+    return sums
+
+
+def _draw_retries(rng: np.random.Generator, p_success: np.ndarray, sums: np.ndarray,
+                  pick: np.ndarray):
+    """(messages, their retries): the messages of UEs ``pick`` that take more
+    than one transmission, and min(n_tx, 9) - 1 for each, where n_tx is what
+    ``rng.geometric(p_success[pick])`` draws; 8 retries means no success in
+    8 attempts. When every p is at least 1/3 it draws ``rng.random``
+    instead, the same doubles numpy's search draws, and counts the sums
+    (``_success_sums`` of ``p_success``) below each U: the first n with
+    U <= sum_n is numpy's n_tx, and the stream ends in the same state."""
+    p_min = p_success.min()
+    if p_min >= _GEOMETRIC_SEARCH_MIN_P:  # False on NaN, which geometric rejects
+        u = rng.random(len(pick))
+        # only U above the smallest sum_1 = p can need a retry
+        again = np.flatnonzero(u > p_min)
+        return again, (u[again, None] > sums[pick[again]]).sum(axis=1)
+    n_tx = rng.geometric(p_success[pick])
+    again = np.flatnonzero(n_tx > 1)
+    return again, np.minimum(n_tx[again], _MAX_MESSAGE_ATTEMPTS + 1) - 1
+
+
 def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
                        density_per_km2: float, n_drops: int = 3,
                        horizon_s: float = 20.0, record_sink: list | None = None,
@@ -602,16 +642,25 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
     message (undecodable UE, or no success in 8 attempts) the same code
     plus 8 x (UEs), whose entry repeats the service time, and code 0 is
     the pad, of service +inf. The per-cell loop only draws (``poisson``,
-    ``uniform``, ``integers``, ``geometric`` per cell, an order that fixes
-    the results of a seed) into padded (queues x messages) arrival-time and
-    code arrays, one contiguous row per drop and cell, whose pads hold
-    arrival 0 and code 0. ``serve_fifo`` serves every queue at once from
-    their transposes, writing each delay over its arrival time (a pad's
-    comes out +inf). The delays are then packed to the front of that
-    array, a lost message's marked as an infinite delay (see
-    metrics.p99_delay for the percentile rule around ``inf``), and ranked
-    there, so a probe holds one copy of its messages: 8 B and a code of
-    the smallest unsigned type that holds them (uint16 for up to 4,095
+    ``uniform``, ``integers``, then ``random``, or ``geometric`` in a cell
+    with a UE below 1/3, per cell, an order that fixes the results of a
+    seed) into padded (queues x messages) arrival-time and code arrays, one
+    contiguous row per drop and cell, whose pads hold arrival 0 and code 0.
+    A message's transmission count is that of ``geometric`` at its UE's
+    success probability p: for p >= 1/3 numpy's sampler draws one uniform
+    U per value and returns the first n with U <= sum_n of the running sums
+    ``sum = prod = p``, ``prod *= q; sum += prod`` (q = 1 - p), so a cell
+    whose UEs all have p >= 1/3 draws those uniforms with ``random`` (the
+    same doubles, the stream left in the same state) and counts the sums
+    below U in a per-UE table of the first 8, built with the same float
+    operations. A row takes the code of one transmission from the picked
+    UE, and only messages sent again are corrected. ``serve_fifo`` serves
+    every queue at once from their transposes, writing each delay over its
+    arrival time (a pad's comes out +inf). The delays are then packed to
+    the front of that array, a lost message's marked as an infinite delay
+    (see metrics.p99_delay for the percentile rule around ``inf``), and
+    ranked there, so a probe holds one copy of its messages: 8 B and a code
+    of the smallest unsigned type that holds them (uint16 for up to 4,095
     UEs) per slot.
 
     When ``record_sink`` is given, per-message rows (drop, cell, arrival,
@@ -650,27 +699,33 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
         # the full retransmission budget, then count as lost
         tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
         p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
-        decodable = se > 0.0
         # the drop's service times, n_tx * tx_time + overhead as for one message
         service = np.multiply(attempts, tx_time[:, None],
                               out=per_ue[first_ue:first_ue + len(tx_time)])
         service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
-        ue_code = _MAX_MESSAGE_ATTEMPTS * np.arange(first_ue, first_ue + len(tx_time))
-        first_ue += len(tx_time)
+        # UEs in cell order from here: row k holds the code of a UE's message
+        # after 1 + k transmissions, k = 0 .. 8, where k = 8 is a loss after 8
+        # attempts, and an undecodable UE's messages are all lost
         by_cell = np.argsort(probe.serving, kind="stable")
-        bounds = np.cumsum(np.bincount(probe.serving, minlength=n_t))[:-1]
+        ue_code = _MAX_MESSAGE_ATTEMPTS * (first_ue + by_cell)
+        first_ue += len(tx_time)
+        retry_codes = np.empty((_MAX_MESSAGE_ATTEMPTS + 1, len(by_cell)), codes.dtype)
+        retry_codes[:-1] = ue_code + attempts[:, None] + lost * ~(se[by_cell] > 0.0)
+        retry_codes[-1] = ue_code + _MAX_MESSAGE_ATTEMPTS + lost
+        p_success = p_success[by_cell]
+        sums = _success_sums(p_success)
+        ends = np.cumsum(np.bincount(probe.serving, minlength=n_t)).tolist()
         rng = derive_stream(config.master_seed, d, "density")
-        for c, members in enumerate(np.split(by_cell, bounds)):
+        for c, (lo, hi) in enumerate(zip([0] + ends, ends)):
             n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
                 continue
             times = rng.uniform(0.0, horizon_s, size=n_msgs)
             # sample message SINRs from this drop's UE population of the cell
-            if len(members) == 0:
+            if lo == hi:
                 continue
-            chosen = members[rng.integers(len(members), size=n_msgs)]
-            first_success = rng.geometric(p_success[chosen])
-            delivered = decodable[chosen] & (first_success <= _MAX_MESSAGE_ATTEMPTS)
+            pick = rng.integers(hi - lo, size=n_msgs)
+            again, retries = _draw_retries(rng, p_success[lo:hi], sums[lo:hi], pick)
             if n_msgs > arrival.shape[1]:
                 arrival, codes = (
                     np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)], axis=1)
@@ -679,11 +734,12 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
             arrival[q, :n_msgs].sort()
-            codes[q, :n_msgs] = (ue_code[chosen] + np.minimum(first_success, _MAX_MESSAGE_ATTEMPTS)
-                                 + lost * ~delivered)
+            row, cell_codes = codes[q, :n_msgs], retry_codes[:, lo:hi]
+            np.take(cell_codes[0], pick, out=row, mode="clip")
+            row[again] = cell_codes[retries, pick[again]]
     service_table[1 + lost:] = service_table[1:1 + lost]
     # the last cell's per-message arrays would otherwise outlive the loop
-    times = chosen = first_success = delivered = None
+    times = pick = again = retries = None
 
     rows = int(lengths.max(initial=0))
     if rows == 0:

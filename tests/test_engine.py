@@ -616,6 +616,105 @@ def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
     return metrics.p99_delay(np.concatenate(delays))
 
 
+def _search_sums(p):
+    """The running sums of numpy's geometric search (distributions.c,
+    ``random_geometric_search``) for each p, as (len(p), 8): ``sum = prod =
+    p; q = 1.0 - p``, then ``prod *= q; sum += prod`` per column."""
+    total, prod, q = p.copy(), p.copy(), 1.0 - p
+    columns = [total]
+    for _ in range(engine._MAX_MESSAGE_ATTEMPTS - 1):
+        prod = prod * q
+        total = total + prod
+        columns.append(total)
+    return np.stack(columns, axis=1)
+
+
+def _boundary_p(u, k):
+    """Per message, the smallest double p in [1/3, 1] whose k-th running sum
+    reaches its uniform u (1/3 when that one does): U then sits at or just
+    below sum_k, and above sum_k of the next smaller p."""
+    lo = np.full(len(u), np.float64(engine._GEOMETRIC_SEARCH_MIN_P)).view(np.int64)
+    hi = np.full(len(u), 1.0).view(np.int64)
+    rows = np.arange(len(u))
+    for _ in range(64):  # positive doubles order like their bit patterns
+        mid = lo + (hi - lo) // 2
+        reaches = _search_sums(mid.view(np.float64))[rows, k - 1] >= u
+        hi = np.where(reaches, mid, hi)
+        lo = np.where(reaches, lo, mid)
+    low_reaches = _search_sums(lo.view(np.float64))[rows, k - 1] >= u
+    return np.where(low_reaches, lo, hi).view(np.float64)
+
+
+class _CallLog:
+    """A Generator stand-in that logs the name of each sampler called."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class TestGeometricSearch:
+    """``_draw_retries`` draws numpy's own geometric values, from
+    ``rng.random`` where every p is at least 1/3: bit for bit, stream state
+    included."""
+
+    @staticmethod
+    def _retries(seed, p):
+        """Retries per message, one message per p, and the samplers called."""
+        rng = _CallLog(np.random.default_rng(seed))
+        again, retries = engine._draw_retries(rng, p, engine._success_sums(p),
+                                              np.arange(len(p)))
+        out = np.zeros(len(p), dtype=np.intp)
+        out[again] = retries
+        return out, rng
+
+    @staticmethod
+    def _geometric_retries(seed, p):
+        rng = np.random.default_rng(seed)
+        return np.minimum(rng.geometric(p), engine._MAX_MESSAGE_ATTEMPTS + 1) - 1, rng
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           messages=st.lists(st.tuples(st.floats(engine._GEOMETRIC_SEARCH_MIN_P, 1.0),
+                                       st.integers(0, engine._MAX_MESSAGE_ATTEMPTS)),
+                             max_size=300))
+    def test_uniform_search_is_numpys_geometric(self, seed, messages):
+        """p in [1/3, 1], with 1.0 and the boundary double always present. A
+        message with k > 0 takes the p whose k-th running sum sits at its own
+        uniform, so U == sum_1 exactly and U next to sum_2 .. sum_8 are
+        drawn: comparing with >=, or sums not summed as numpy sums them,
+        miscounts there."""
+        p = np.array([p for p, _ in messages] + [1.0, engine._GEOMETRIC_SEARCH_MIN_P])
+        k = np.array([k for _, k in messages] + [0, 0], dtype=np.intp)
+        u = np.random.default_rng(seed).random(len(p))  # what both samplers draw
+        tie = np.flatnonzero(k)
+        p[tie] = _boundary_p(u[tie], k[tie])
+        retries, rng = self._retries(seed, p)
+        expected, expected_rng = self._geometric_retries(seed, p)
+        assert rng.calls == ["random"]
+        assert np.array_equal(retries, expected)
+        assert rng.rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_below_one_third_numpy_inverts_instead(self):
+        """One double below the switch numpy draws an exponential and
+        inverts, so a search of the same stream's uniforms gives other
+        values, and the engine calls ``geometric`` there. Should numpy move
+        its switch, this or the property above fails."""
+        p = np.full(2_000, 0.3333333333333332)
+        p[::7] = np.random.default_rng(3).uniform(1e-9, 1.0, len(p[::7]))
+        retries, rng = self._retries(5, p)
+        expected, expected_rng = self._geometric_retries(5, p)
+        assert rng.calls == ["geometric"]
+        assert np.array_equal(retries, expected)
+        assert rng.rng.bit_generator.state == expected_rng.bit_generator.state
+        u = np.random.default_rng(5).random(len(p))
+        searched = (u[:, None] > _search_sums(p)).sum(axis=1)
+        assert not np.array_equal(searched, expected)
+
+
 @pytest.fixture(scope="module")
 def mmtc_calibrated():
     cfg = small(MMTC_A, drops=2)
@@ -645,6 +744,27 @@ class TestDensityRoute:
         assert rows == ref_rows
         assert evaluate_p99_delay(cfg, layout, density, n_drops=n_drops,
                                   horizon_s=10.0) == delay
+
+    def test_drops_on_both_sides_of_one_third_match_reference(self, mmtc_calibrated):
+        """With a 6 dB CSI backoff drop 0 has UEs below p = 1/3, so their
+        cells call ``geometric``, and drop 1 has none, so its cells search
+        uniforms: one probe runs both branches, and equals the reference."""
+        cal, layout = mmtc_calibrated
+        cfg = dataclasses.replace(cal, link=dataclasses.replace(cal.link, csi_backoff_db=6.0))
+        sinr_drops = engine._search_links(cfg, layout, 2)
+        cells_below = []
+        for probe in sinr_drops:
+            sinr = probe.ul_sinr_db - cfg.link.csi_backoff_db
+            p = np.clip(1.0 - np.asarray(bler(cfg.link.bler_model(), sinr)), 1e-9, 1.0)
+            cells_below.append(len(np.unique(probe.serving[p < 1 / 3])))
+        assert 0 < cells_below[0] < layout.n_trxps and cells_below[1] == 0
+        rows, ref_rows = [], []
+        delay = evaluate_p99_delay(cfg, layout, 1e6, horizon_s=10.0, record_sink=rows,
+                                   sinr_drops=sinr_drops)
+        expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
+                                                record_sink=ref_rows)
+        assert delay == expected and rows == ref_rows
+        assert {r[0] for r in rows if r[5] > 1} == {0, 1}
 
     def test_queues_longer_than_first_capacity_grow(self, mmtc_calibrated, monkeypatch):
         cal, layout = mmtc_calibrated
