@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
     # result.config carries the calibrated uplink P0 the run used
     config, layout = result.config, result.layout
 
-    dumps = args.dump_packets or args.dump_geometry or args.dump_sinr
+    dumps = args.dump_geometry or args.dump_sinr
     drop0 = engine.run_drop(config, layout, 0, sinr_only=True) if dumps else None
     if args.non_full_buffer:
         search, _ = engine.density_search(config, layout=layout)
@@ -130,8 +130,8 @@ def _cmd_run(args) -> int:
             print(f"  delay vs density non-monotone; bracket {search.bracket}")
         if args.dump_packets:
             records = []
-            engine.evaluate_p99_delay(config, layout, req.value, record_sink=records,
-                                      sinr_drops=[drop0])
+            engine.evaluate_p99_delay(config, layout, req.value, n_drops=1,
+                                      record_sink=records)
             path = f"{args.out}/packets.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("drop,cell,arrival_s,service_start_s,completion_s,"

@@ -383,10 +383,10 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
 
 
 def _require_positive(**values) -> None:
-    """Raise DomainError naming the first argument not above 0 (or NaN)."""
+    """Raise DomainError naming the first argument not in (0, inf), NaN included."""
     for name, value in values.items():
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value!r}", name)
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +566,9 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
 # non-full-buffer connection density route
 
 
-def _search_links(config: EvaluationConfig, layout: NetworkLayout, n_drops: int) -> list:
-    """The SINR-only drops 0 .. n_drops - 1; their ``DropWork`` is freed
-    before any probe runs."""
-    return list(_drops(config, layout, range(n_drops), sinr_only=True))
-
-
 def _queue_capacity(mean_messages: float) -> int:
-    """Rows to allocate for Poisson(mean) queues; longer ones grow the arrays."""
+    """Slots to allocate per queue for Poisson(mean) messages; a longer
+    queue grows the tables."""
     return int(mean_messages + 6.0 * math.sqrt(mean_messages)) + 16
 
 
@@ -597,135 +592,106 @@ def _success_sums(p_success: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _draw_retries(rng: np.random.Generator, p_success: np.ndarray, sums: np.ndarray,
-                  pick: np.ndarray):
+def _search_floor(p_success: np.ndarray):
+    """A cell's retry draw: its smallest p when that is at least 1/3, so it
+    searches uniforms, else None (also on NaN), so it calls ``geometric``."""
+    p_min = p_success.min()
+    return p_min if p_min >= _GEOMETRIC_SEARCH_MIN_P else None
+
+
+def _draw_retries(rng: np.random.Generator, pick: np.ndarray, p_success: np.ndarray,
+                  sums: np.ndarray, floor):
     """(messages, their retries): the messages of UEs ``pick`` that take more
     than one transmission, and min(n_tx, 9) - 1 for each, where n_tx is what
     ``rng.geometric(p_success[pick])`` draws; 8 retries means no success in
-    8 attempts. When every p is at least 1/3 it draws ``rng.random``
-    instead, the same doubles numpy's search draws, and counts the sums
-    (``_success_sums`` of ``p_success``) below each U: the first n with
+    8 attempts. Where ``floor`` (``_search_floor``) is set it draws
+    ``rng.random`` instead, the same doubles numpy's search draws, and
+    counts the ``sums`` (``_success_sums``) below each U: the first n with
     U <= sum_n is numpy's n_tx, and the stream ends in the same state."""
-    p_min = p_success.min()
-    if p_min >= _GEOMETRIC_SEARCH_MIN_P:  # False on NaN, which geometric rejects
+    if floor is not None:
         u = rng.random(len(pick))
         # only U above the smallest sum_1 = p can need a retry
-        again = np.flatnonzero(u > p_min)
+        again = np.flatnonzero(u > floor)
         return again, (u[again, None] > sums[pick[again]]).sum(axis=1)
     n_tx = rng.geometric(p_success[pick])
     again = np.flatnonzero(n_tx > 1)
     return again, np.minimum(n_tx[again], _MAX_MESSAGE_ATTEMPTS + 1) - 1
 
 
-def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
-                       density_per_km2: float, n_drops: int = 3,
-                       horizon_s: float = 20.0, record_sink: list | None = None,
-                       sinr_drops: list | None = None) -> float:
-    """99th-percentile message delay at the given device density.
+class _MessageService:
+    """The message service of drops 0 .. n_drops - 1, mapped once per search.
 
-    Messages arrive per cell as aggregate Poisson traffic (device density x
-    sector area x per-device rate); each message samples a fresh device
-    position. Service uses the narrowband channels of the evaluated
-    carrier, retransmissions draw from the block-error model, and the
-    co-channel interference level comes from the same budget machinery as
-    the full-buffer runs (saturated-neighbor assumption).
+    A message's service time is ``overhead_s + n_tx * tx_time`` of its UE
+    after the CSI backoff, n_tx in 1 .. 8. UE u (counted over the drops)
+    sent n_tx times has code 8 u + n_tx into ``table``; a lost message
+    (undecodable UE, or no success in 8 attempts) has that code plus
+    ``lost``, whose entry repeats the time; code 0 is the pad, of service
+    +inf. ``cells[d][c]`` is None for a cell without UEs, else its UEs'
+    codes after 1 + k transmissions (k = 8: lost after 8 attempts), success
+    probabilities, ``_success_sums`` and ``_search_floor``."""
 
-    ``sinr_drops`` holds the SINR-only ``run_drop`` results of drops
-    0 .. n_drops - 1 (and then sets the drop count); a search runs them once
-    for all its probes, and they are run here when it is None. Each drop's
-    UEs are mapped to their message service (SE, PDU time and success
-    probability after the CSI backoff) and split by serving cell. A
-    message's service time is ``overhead_s + n_tx * tx_time`` of its UE,
-    with n_tx in 1 .. 8, so the probe computes every such time once, into a
-    service-time table, and a message keeps only its code into it: UE u
-    (counted over the drops) sent n_tx times has code 8 u + n_tx, a lost
-    message (undecodable UE, or no success in 8 attempts) the same code
-    plus 8 x (UEs), whose entry repeats the service time, and code 0 is
-    the pad, of service +inf. The per-cell loop only draws (``poisson``,
-    ``uniform``, ``integers``, then ``random``, or ``geometric`` in a cell
-    with a UE below 1/3, per cell, an order that fixes the results of a
-    seed) into padded (queues x messages) arrival-time and code arrays, one
-    contiguous row per drop and cell, whose pads hold arrival 0 and code 0.
-    A message's transmission count is that of ``geometric`` at its UE's
-    success probability p: for p >= 1/3 numpy's sampler draws one uniform
-    U per value and returns the first n with U <= sum_n of the running sums
-    ``sum = prod = p``, ``prod *= q; sum += prod`` (q = 1 - p), so a cell
-    whose UEs all have p >= 1/3 draws those uniforms with ``random`` (the
-    same doubles, the stream left in the same state) and counts the sums
-    below U in a per-UE table of the first 8, built with the same float
-    operations. A row takes the code of one transmission from the picked
-    UE, and only messages sent again are corrected. ``serve_fifo`` serves
-    every queue at once from their transposes, writing each delay over its
-    arrival time (a pad's comes out +inf). The delays are then packed to
-    the front of that array, a lost message's marked as an infinite delay
-    (see metrics.p99_delay for the percentile rule around ``inf``), and
-    ranked there, so a probe holds one copy of its messages: 8 B and a code
-    of the smallest unsigned type that holds them (uint16 for up to 4,095
-    UEs) per slot.
+    def __init__(self, config: EvaluationConfig, layout: NetworkLayout, n_drops: int):
+        _require_positive(n_drops=n_drops)
+        spec, lk = config.traffic, config.link
+        links = [(drop.serving, drop.ul_sinr_db - lk.csi_backoff_db)
+                 for drop in _drops(config, layout, range(n_drops), sinr_only=True)]
+        self.lost = lost = _MAX_MESSAGE_ATTEMPTS * sum(len(serving) for serving, _ in links)
+        self.table = np.empty(1 + 2 * lost)
+        self.table[0] = np.inf
+        per_ue = self.table[1:1 + lost].reshape(-1, _MAX_MESSAGE_ATTEMPTS)  # a view
+        attempts = np.arange(1, _MAX_MESSAGE_ATTEMPTS + 1)
+        self.cells, first_ue = [], 0
+        for serving, sinr in links:
+            se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+            # undecodable messages still occupy the channel at the slowest
+            # rate for the full retransmission budget, then count as lost
+            tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
+            p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+            service = np.multiply(attempts, tx_time[:, None],
+                                  out=per_ue[first_ue:first_ue + len(tx_time)])
+            service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
+            # UEs in cell order from here
+            by_cell = np.argsort(serving, kind="stable")
+            ue_code = _MAX_MESSAGE_ATTEMPTS * (first_ue + by_cell)
+            first_ue += len(by_cell)
+            codes = np.empty((_MAX_MESSAGE_ATTEMPTS + 1, len(by_cell)),
+                             np.min_scalar_type(2 * lost))
+            codes[:-1] = ue_code + attempts[:, None] + lost * ~(se[by_cell] > 0.0)
+            codes[-1] = ue_code + _MAX_MESSAGE_ATTEMPTS + lost
+            p_success = p_success[by_cell]
+            sums = _success_sums(p_success)
+            ends = np.cumsum(np.bincount(serving, minlength=layout.n_trxps)).tolist()
+            self.cells.append([None if lo == hi else (
+                codes[:, lo:hi], p_success[lo:hi], sums[lo:hi], _search_floor(p_success[lo:hi]))
+                for lo, hi in zip([0] + ends, ends)])
+        self.table[1 + lost:] = self.table[1:1 + lost]
 
-    When ``record_sink`` is given, per-message rows (drop, cell, arrival,
-    service start, completion, transmissions, delivered) are appended to it
-    as Python (int, int, float, float, float, int, bool) tuples; the arrival
-    times must then outlive the serving, so the delays go to an array of
-    their own. Raises DomainError when the drop count is below 1 or
-    ``horizon_s`` is not positive."""
-    spec = config.traffic
-    if spec.kind is not TrafficKind.POISSON_MESSAGING:
-        raise DomainError("density evaluation needs the Poisson messaging traffic model")
-    if sinr_drops is None:
-        sinr_drops = _search_links(config, layout, n_drops)
-    _require_positive(n_drops=len(sinr_drops), horizon_s=horizon_s)
-    lk = config.link
-    area_km2 = layout.sector_area_m2 / 1e6
-    mean_messages = density_per_km2 * area_km2 * spec.rate_per_s * horizon_s
-    n_t = layout.n_trxps
-    # service codes: 0 is the pad, of service +inf; UE u (counted over the
-    # drops) sent n_tx times has code 8 u + n_tx, and that plus `lost` when
-    # the message is lost, whose entry repeats the service time
-    lost = _MAX_MESSAGE_ATTEMPTS * sum(len(probe.serving) for probe in sinr_drops)
-    service_table = np.empty(1 + 2 * lost)
-    service_table[0] = np.inf
-    per_ue = service_table[1:1 + lost].reshape(-1, _MAX_MESSAGE_ATTEMPTS)  # a view
-    attempts = np.arange(1, _MAX_MESSAGE_ATTEMPTS + 1)
-    shape = (len(sinr_drops) * n_t, _queue_capacity(mean_messages))
-    arrival, codes = np.zeros(shape), np.zeros(shape, np.min_scalar_type(2 * lost))
+
+def _draw_messages(config: EvaluationConfig, service: _MessageService,
+                   mean_messages: float, horizon_s: float):
+    """Each (drop, cell) queue's messages as one row of padded (queues x
+    slots) arrival-time and service-code tables, pads holding arrival 0 and
+    code 0, and the queue lengths. Per cell it draws ``poisson``,
+    ``uniform``, ``integers``, then the retries, an order that fixes the
+    results of a seed; the row takes each message's one-transmission code,
+    and only the messages sent again are corrected."""
+    n_t = len(service.cells[0])
+    shape = (len(service.cells) * n_t, _queue_capacity(mean_messages))
+    arrival = np.zeros(shape)
+    codes = np.zeros(shape, np.min_scalar_type(2 * service.lost))
     lengths = np.zeros(shape[0], dtype=np.intp)
-
-    first_ue = 0
-    for d, probe in enumerate(sinr_drops):
-        sinr = probe.ul_sinr_db - lk.csi_backoff_db
-        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-        # undecodable messages still occupy the channel at the slowest rate for
-        # the full retransmission budget, then count as lost
-        tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
-        p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
-        # the drop's service times, n_tx * tx_time + overhead as for one message
-        service = np.multiply(attempts, tx_time[:, None],
-                              out=per_ue[first_ue:first_ue + len(tx_time)])
-        service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
-        # UEs in cell order from here: row k holds the code of a UE's message
-        # after 1 + k transmissions, k = 0 .. 8, where k = 8 is a loss after 8
-        # attempts, and an undecodable UE's messages are all lost
-        by_cell = np.argsort(probe.serving, kind="stable")
-        ue_code = _MAX_MESSAGE_ATTEMPTS * (first_ue + by_cell)
-        first_ue += len(tx_time)
-        retry_codes = np.empty((_MAX_MESSAGE_ATTEMPTS + 1, len(by_cell)), codes.dtype)
-        retry_codes[:-1] = ue_code + attempts[:, None] + lost * ~(se[by_cell] > 0.0)
-        retry_codes[-1] = ue_code + _MAX_MESSAGE_ATTEMPTS + lost
-        p_success = p_success[by_cell]
-        sums = _success_sums(p_success)
-        ends = np.cumsum(np.bincount(probe.serving, minlength=n_t)).tolist()
+    for d, cells in enumerate(service.cells):
         rng = derive_stream(config.master_seed, d, "density")
-        for c, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        for c, cell in enumerate(cells):
             n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
                 continue
             times = rng.uniform(0.0, horizon_s, size=n_msgs)
-            # sample message SINRs from this drop's UE population of the cell
-            if lo == hi:
+            if cell is None:  # drawn, but no UE of the cell sends them
                 continue
-            pick = rng.integers(hi - lo, size=n_msgs)
-            again, retries = _draw_retries(rng, p_success[lo:hi], sums[lo:hi], pick)
+            cell_codes, p_success, sums, floor = cell
+            pick = rng.integers(len(p_success), size=n_msgs)
+            again, retries = _draw_retries(rng, pick, p_success, sums, floor)
             if n_msgs > arrival.shape[1]:
                 arrival, codes = (
                     np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)], axis=1)
@@ -734,30 +700,52 @@ def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
             lengths[q] = n_msgs
             arrival[q, :n_msgs] = times
             arrival[q, :n_msgs].sort()
-            row, cell_codes = codes[q, :n_msgs], retry_codes[:, lo:hi]
+            row = codes[q, :n_msgs]
             np.take(cell_codes[0], pick, out=row, mode="clip")
             row[again] = cell_codes[retries, pick[again]]
-    service_table[1 + lost:] = service_table[1:1 + lost]
-    # the last cell's per-message arrays would otherwise outlive the loop
-    times = pick = again = retries = None
+    return arrival, codes, lengths
 
+
+def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
+                       density_per_km2: float, n_drops: int = 3,
+                       horizon_s: float = 20.0, record_sink: list | None = None,
+                       service: _MessageService | None = None) -> float:
+    """99th-percentile message delay at the given device density: Poisson
+    messages per cell (density x sector area x per-device rate), each from
+    a random UE of the cell at its full-buffer-interference SINR, served
+    FIFO over the narrowband channels with retransmissions drawn from the
+    block-error model. ``service`` is the drops' ``_MessageService``, built
+    here from ``n_drops`` drops when None. The delays are served over the
+    arrival times, packed and ranked there, a lost message's as inf (see
+    metrics.p99_delay). ``record_sink`` receives per-message (drop, cell,
+    arrival, start, completion, transmissions, delivered) tuples. Raises
+    DomainError naming an argument that is not positive and finite."""
+    spec = config.traffic
+    if spec.kind is not TrafficKind.POISSON_MESSAGING:
+        raise DomainError("density evaluation needs the Poisson messaging traffic model")
+    _require_positive(density_per_km2=density_per_km2, horizon_s=horizon_s)
+    if service is None:
+        service = _MessageService(config, layout, n_drops)
+    mean_messages = density_per_km2 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * horizon_s
+    arrival, codes, lengths = _draw_messages(config, service, mean_messages, horizon_s)
     rows = int(lengths.max(initial=0))
     if rows == 0:
         return 0.0
+    table, lost, n_t = service.table, service.lost, len(service.cells[0])
     packed = arrival.reshape(-1)  # a view: arrival is one contiguous block
     arrival, codes = arrival[:, :rows], codes[:, :rows]
     delays, starts = arrival, None
-    if record_sink is not None:
+    if record_sink is not None:  # the arrival times must outlive the serving
         delays, starts = np.empty(arrival.shape), np.empty(arrival.shape)
         packed = delays.reshape(-1)
-    serve_fifo(arrival.T, codes.T, service_table, spec.channels,
+    serve_fifo(arrival.T, codes.T, table, spec.channels,
                None if starts is None else starts.T, out=delays.T)
     if record_sink is not None:
         for q in np.flatnonzero(lengths).tolist():
             n, (d, c) = int(lengths[q]), divmod(q, n_t)
             code, start = codes[q, :n], starts[q, :n]
             record_sink.extend(zip(repeat(d), repeat(c), arrival[q, :n].tolist(),
-                                   start.tolist(), (start + service_table[code]).tolist(),
+                                   start.tolist(), (start + table[code]).tolist(),
                                    ((code - 1) % _MAX_MESSAGE_ATTEMPTS + 1).tolist(),
                                    (code <= lost).tolist()))
     # each queue's delays move to the front of the array, in queue order, a
@@ -776,15 +764,15 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     """Non-full-buffer connection density: the largest device density whose
     99th-percentile delay stays within 10 s. Without ``layout`` it builds and
     calibrates its own; a passed layout comes with the calibrated config of its run.
-    Raises DomainError when ``n_drops`` is below 1."""
-    _require_positive(n_drops=n_drops)
+    Raises DomainError, before any set-up, naming ``n_drops`` or a bracket
+    end that is not positive and finite."""
+    _require_positive(n_drops=n_drops, lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
     if layout is None:
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)
-
-    sinr_drops = _search_links(config, layout, n_drops)
+    service = _MessageService(config, layout, n_drops)
 
     def probe(density):
-        return evaluate_p99_delay(config, layout, density, sinr_drops=sinr_drops)
+        return evaluate_p99_delay(config, layout, density, service=service)
 
     return metrics.connection_density_search(probe, lo_per_km2, hi_per_km2, steps=steps), config

@@ -3,7 +3,8 @@
 Two traffic models exist: full buffer (every UE always backlogged, used for
 SINR CDF derivation and spectral-efficiency runs) and Poisson messaging with a
 fixed layer-2 PDU size (used for the non-full-buffer connection-density
-route, whose arrivals `engine.evaluate_p99_delay` draws per cell).
+route: a probe's draw stage, `engine._draw_messages`, draws the arrivals
+per cell, and `serve_fifo` here serves them).
 """
 
 from __future__ import annotations

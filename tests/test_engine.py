@@ -665,8 +665,8 @@ class TestGeometricSearch:
     def _retries(seed, p):
         """Retries per message, one message per p, and the samplers called."""
         rng = _CallLog(np.random.default_rng(seed))
-        again, retries = engine._draw_retries(rng, p, engine._success_sums(p),
-                                              np.arange(len(p)))
+        again, retries = engine._draw_retries(rng, np.arange(len(p)), p, engine._success_sums(p),
+                                              engine._search_floor(p))
         out = np.zeros(len(p), dtype=np.intp)
         out[again] = retries
         return out, rng
@@ -751,16 +751,19 @@ class TestDensityRoute:
         uniforms: one probe runs both branches, and equals the reference."""
         cal, layout = mmtc_calibrated
         cfg = dataclasses.replace(cal, link=dataclasses.replace(cal.link, csi_backoff_db=6.0))
-        sinr_drops = engine._search_links(cfg, layout, 2)
         cells_below = []
-        for probe in sinr_drops:
+        for d in range(2):
+            probe = run_drop(cfg, layout, d, sinr_only=True)
             sinr = probe.ul_sinr_db - cfg.link.csi_backoff_db
             p = np.clip(1.0 - np.asarray(bler(cfg.link.bler_model(), sinr)), 1e-9, 1.0)
             cells_below.append(len(np.unique(probe.serving[p < 1 / 3])))
         assert 0 < cells_below[0] < layout.n_trxps and cells_below[1] == 0
+        service = engine._MessageService(cfg, layout, 2)
+        assert [sum(cell is not None and cell[3] is None for cell in cells)
+                for cells in service.cells] == cells_below
         rows, ref_rows = [], []
         delay = evaluate_p99_delay(cfg, layout, 1e6, horizon_s=10.0, record_sink=rows,
-                                   sinr_drops=sinr_drops)
+                                   service=service)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert delay == expected and rows == ref_rows
@@ -782,13 +785,15 @@ class TestDensityRoute:
         drawn (so later cells see the same draws) but never queued."""
         cfg = small(MMTC_A, drops=2, ues_per_trxp=1, master_seed=19)
         layout = build_layout(cfg)
-        sinr_drops = engine._search_links(cfg, layout, 2)
-        empty = [np.bincount(probe.serving, minlength=layout.n_trxps) == 0
-                 for probe in sinr_drops]
+        empty = [np.bincount(run_drop(cfg, layout, d, sinr_only=True).serving,
+                             minlength=layout.n_trxps) == 0 for d in range(2)]
         assert any(e.any() for e in empty)
+        service = engine._MessageService(cfg, layout, 2)
+        assert [[cell is None for cell in cells] for cells in service.cells] == \
+            [e.tolist() for e in empty]
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
-                                   record_sink=rows, sinr_drops=sinr_drops)
+        delay = evaluate_p99_delay(cfg, layout, 1e6, horizon_s=10.0, record_sink=rows,
+                                   service=service)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert delay == expected and rows == ref_rows
@@ -848,11 +853,11 @@ class TestDensityRoute:
         start times and the delay check's temporaries). Float service times
         and a delivered flag per slot (17 B) put it at 1.80x."""
         cal, layout = mmtc_calibrated
-        sinr_drops = engine._search_links(cal, layout, 1)
+        service = engine._MessageService(cal, layout, 1)
         spec = cal.traffic
         mean = 4e7 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * 20.0
         table_bytes = 10 * layout.n_trxps * engine._queue_capacity(mean)
-        _, peak = traced_peak(lambda: evaluate_p99_delay(cal, layout, 4e7, sinr_drops=sinr_drops))
+        _, peak = traced_peak(lambda: evaluate_p99_delay(cal, layout, 4e7, service=service))
         assert peak <= 1.15 * table_bytes
 
     def test_p99_delay_increases_with_density(self):
@@ -916,7 +921,7 @@ class TestDensityRoute:
     def test_no_sinr_drop_is_a_domain_error(self, mmtc_calibrated):
         cal, layout = mmtc_calibrated
         with pytest.raises(DomainError, match="n_drops"):
-            evaluate_p99_delay(cal, layout, 4e7, sinr_drops=[])
+            engine._MessageService(cal, layout, 0)
 
     @pytest.mark.parametrize("n_drops", [0, -1])
     def test_search_without_drops_is_a_domain_error(self, monkeypatch, n_drops):
@@ -929,3 +934,46 @@ class TestDensityRoute:
         with pytest.raises(DomainError, match="n_drops") as err:
             density_search(MMTC_A, steps=2, n_drops=n_drops)
         assert err.value.field == "n_drops"
+
+    @pytest.mark.parametrize("call, field, shown", [
+        (lambda cfg: evaluate_p99_delay(cfg, None, 1e6, n_drops=-2), "n_drops", "-2"),
+        (lambda cfg: evaluate_p99_delay(cfg, None, -1e6), "density_per_km2", "-1000000.0"),
+        (lambda cfg: evaluate_p99_delay(cfg, None, math.nan), "density_per_km2", "nan"),
+        (lambda cfg: evaluate_p99_delay(cfg, None, math.inf), "density_per_km2", "inf"),
+        (lambda cfg: evaluate_p99_delay(cfg, None, 1e6, horizon_s=math.inf), "horizon_s", "inf"),
+        (lambda cfg: density_search(cfg, hi_per_km2=math.inf), "hi_per_km2", "inf"),
+        (lambda cfg: density_search(cfg, lo_per_km2=math.nan), "lo_per_km2", "nan"),
+    ])
+    def test_bad_probe_argument_is_a_domain_error_before_any_drop(self, monkeypatch, call,
+                                                                  field, shown):
+        """``n_drops`` used to be checked after its drops ran ("got 0" for
+        -2), and a density, horizon or bracket end that is not finite and
+        positive died in ``_queue_capacity`` (ValueError, OverflowError),
+        the search's after its set-up. Now the bad argument and its value
+        are named before any layout or drop is made (the probes' layout is
+        None here)."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(engine, "build_layout", no_work)
+        monkeypatch.setattr(engine, "run_drop", no_work)
+        with pytest.raises(DomainError, match=f"{field}.*got {shown}") as err:
+            call(small(MMTC_A, drops=2))
+        assert err.value.field == field
+
+    def test_a_probe_maps_no_service(self, monkeypatch):
+        """The search maps each drop's UEs to message service once: its
+        probes call neither ``sinr_to_se`` nor ``bler``."""
+        calls = {"sinr_to_se": 0, "bler": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+        search, _ = density_search(small(MMTC_A, drops=2), steps=3, n_drops=2)
+        assert len(search.evaluations) >= 3
+        assert calls == {"sinr_to_se": 2, "bler": 2}
