@@ -130,7 +130,7 @@ def _cmd_run(args) -> int:
             print(f"  delay vs density non-monotone; bracket {search.bracket}")
         if args.dump_packets:
             records = []
-            engine.evaluate_p99_delay(config, layout, req.value, n_drops=1,
+            engine.evaluate_p99_delay(engine.MessageService(config, layout, 1), req.value,
                                       record_sink=records)
             path = f"{args.out}/packets.csv"
             with open(path, "w", encoding="utf-8") as fh:

@@ -618,8 +618,16 @@ def _draw_retries(rng: np.random.Generator, pick: np.ndarray, p_success: np.ndar
     return again, np.minimum(n_tx[again], _MAX_MESSAGE_ATTEMPTS + 1) - 1
 
 
-class _MessageService:
-    """The message service of drops 0 .. n_drops - 1, mapped once per search.
+def _require_messaging(config: EvaluationConfig) -> None:
+    """Raise DomainError naming ``config`` when its traffic is not messaging."""
+    if config.traffic.kind is not TrafficKind.POISSON_MESSAGING:
+        raise DomainError(f"config must have messaging traffic, got {config.traffic.kind.value}",
+                          "config")
+
+
+class MessageService:
+    """The message service of drops 0 .. n_drops - 1, mapped once per search;
+    it keeps ``config`` and the layout's ``sector_area_m2`` for its probes.
 
     A message's service time is ``overhead_s + n_tx * tx_time`` of its UE
     after the CSI backoff, n_tx in 1 .. 8. UE u (counted over the drops)
@@ -628,10 +636,13 @@ class _MessageService:
     ``lost``, whose entry repeats the time; code 0 is the pad, of service
     +inf. ``cells[d][c]`` is None for a cell without UEs, else its UEs'
     codes after 1 + k transmissions (k = 8: lost after 8 attempts), success
-    probabilities, ``_success_sums`` and ``_search_floor``."""
+    probabilities, ``_success_sums`` and ``_search_floor``. A bad ``config``
+    or ``n_drops`` raises DomainError before any drop runs."""
 
     def __init__(self, config: EvaluationConfig, layout: NetworkLayout, n_drops: int):
+        _require_messaging(config)
         _require_positive(n_drops=n_drops)
+        self.config, self.sector_area_m2 = config, layout.sector_area_m2
         spec, lk = config.traffic, config.link
         links = [(drop.serving, drop.ul_sinr_db - lk.csi_backoff_db)
                  for drop in _drops(config, layout, range(n_drops), sinr_only=True)]
@@ -643,8 +654,8 @@ class _MessageService:
         self.cells, first_ue = [], 0
         for serving, sinr in links:
             se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
-            # undecodable messages still occupy the channel at the slowest
-            # rate for the full retransmission budget, then count as lost
+            # an undecodable UE (se 0) sends at the floor rate as often as p
+            # draws (8 times at the presets' curves, where p clips to 1e-9)
             tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
             p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
             service = np.multiply(attempts, tx_time[:, None],
@@ -667,8 +678,7 @@ class _MessageService:
         self.table[1 + lost:] = self.table[1:1 + lost]
 
 
-def _draw_messages(config: EvaluationConfig, service: _MessageService,
-                   mean_messages: float, horizon_s: float):
+def _draw_messages(service: MessageService, mean_messages: float, horizon_s: float):
     """Each (drop, cell) queue's messages as one row of padded (queues x
     slots) arrival-time and service-code tables, pads holding arrival 0 and
     code 0, and the queue lengths. Per cell it draws ``poisson``,
@@ -681,7 +691,7 @@ def _draw_messages(config: EvaluationConfig, service: _MessageService,
     codes = np.zeros(shape, np.min_scalar_type(2 * service.lost))
     lengths = np.zeros(shape[0], dtype=np.intp)
     for d, cells in enumerate(service.cells):
-        rng = derive_stream(config.master_seed, d, "density")
+        rng = derive_stream(service.config.master_seed, d, "density")
         for c, cell in enumerate(cells):
             n_msgs = rng.poisson(mean_messages)
             if n_msgs == 0:
@@ -706,28 +716,21 @@ def _draw_messages(config: EvaluationConfig, service: _MessageService,
     return arrival, codes, lengths
 
 
-def evaluate_p99_delay(config: EvaluationConfig, layout: NetworkLayout,
-                       density_per_km2: float, n_drops: int = 3,
-                       horizon_s: float = 20.0, record_sink: list | None = None,
-                       service: _MessageService | None = None) -> float:
-    """99th-percentile message delay at the given device density: Poisson
-    messages per cell (density x sector area x per-device rate), each from
-    a random UE of the cell at its full-buffer-interference SINR, served
-    FIFO over the narrowband channels with retransmissions drawn from the
-    block-error model. ``service`` is the drops' ``_MessageService``, built
-    here from ``n_drops`` drops when None. The delays are served over the
-    arrival times, packed and ranked there, a lost message's as inf (see
+def evaluate_p99_delay(service: MessageService, density_per_km2: float,
+                       horizon_s: float = 20.0, record_sink: list | None = None) -> float:
+    """99th-percentile message delay over ``service``'s drops at a device
+    density: Poisson messages per cell (density x sector area x per-device
+    rate), each from a random UE of the cell at its full-buffer-interference
+    SINR, served FIFO over the narrowband channels with retransmissions drawn
+    from the block-error model. The delays are served over the arrival
+    times, packed and ranked there, a lost message's as inf (see
     metrics.p99_delay). ``record_sink`` receives per-message (drop, cell,
     arrival, start, completion, transmissions, delivered) tuples. Raises
     DomainError naming an argument that is not positive and finite."""
-    spec = config.traffic
-    if spec.kind is not TrafficKind.POISSON_MESSAGING:
-        raise DomainError("density evaluation needs the Poisson messaging traffic model")
     _require_positive(density_per_km2=density_per_km2, horizon_s=horizon_s)
-    if service is None:
-        service = _MessageService(config, layout, n_drops)
-    mean_messages = density_per_km2 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * horizon_s
-    arrival, codes, lengths = _draw_messages(config, service, mean_messages, horizon_s)
+    spec = service.config.traffic
+    mean_messages = density_per_km2 * (service.sector_area_m2 / 1e6) * spec.rate_per_s * horizon_s
+    arrival, codes, lengths = _draw_messages(service, mean_messages, horizon_s)
     rows = int(lengths.max(initial=0))
     if rows == 0:
         return 0.0
@@ -764,15 +767,18 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     """Non-full-buffer connection density: the largest device density whose
     99th-percentile delay stays within 10 s. Without ``layout`` it builds and
     calibrates its own; a passed layout comes with the calibrated config of its run.
-    Raises DomainError, before any set-up, naming ``n_drops`` or a bracket
-    end that is not positive and finite."""
+    Raises DomainError naming the first argument out of its domain (``config``
+    without messaging traffic included) before any set-up."""
+    _require_messaging(config)
     _require_positive(n_drops=n_drops, lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
+    if hi_per_km2 <= lo_per_km2:
+        raise DomainError(f"hi_per_km2 must exceed lo_per_km2, got {hi_per_km2!r}", "hi_per_km2")
+    if steps < 0:
+        raise DomainError(f"steps must not be negative, got {steps!r}", "steps")
     if layout is None:
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)
-    service = _MessageService(config, layout, n_drops)
-
-    def probe(density):
-        return evaluate_p99_delay(config, layout, density, service=service)
-
-    return metrics.connection_density_search(probe, lo_per_km2, hi_per_km2, steps=steps), config
+    service = MessageService(config, layout, n_drops)
+    # every probe calls the module's evaluate_p99_delay, the name a tracer wraps
+    return metrics.connection_density_search(lambda density: evaluate_p99_delay(service, density),
+                                             lo_per_km2, hi_per_km2, steps=steps), config

@@ -207,10 +207,15 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
     largest tested density whose delay met QOS_DELAY_S (boundary
     inclusive). Non-monotone samples are reported with the widest
     bracketing interval rather than hidden. A NaN delay raises
-    InternalError: it would neither pass nor fail the bound honestly.
+    InternalError: it would neither pass nor fail the bound honestly. A
+    bracket not ordered 0 < lo < hi, or a negative ``steps``, raises
+    DomainError naming the argument before any probe.
     """
     if not (0 < lo_per_km2 < hi_per_km2):
-        raise DomainError("need 0 < lo < hi for the density search")
+        raise DomainError("need 0 < lo < hi for the density search",
+                          "hi_per_km2" if lo_per_km2 > 0 else "lo_per_km2")
+    if steps < 0:
+        raise DomainError(f"steps must not be negative, got {steps!r}", "steps")
     evals = []
 
     def probe(density):

@@ -3,8 +3,9 @@
 Two traffic models exist: full buffer (every UE always backlogged, used for
 SINR CDF derivation and spectral-efficiency runs) and Poisson messaging with a
 fixed layer-2 PDU size (used for the non-full-buffer connection-density
-route: a probe's draw stage, `engine._draw_messages`, draws the arrivals
-per cell, and `serve_fifo` here serves them).
+route: `engine.MessageService` maps a search's drops to message service
+once, each probe, `engine.evaluate_p99_delay(service, density)`, draws the
+arrivals per cell, and `serve_fifo` here serves them).
 """
 
 from __future__ import annotations

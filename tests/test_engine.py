@@ -19,6 +19,7 @@ from imteval import engine, metrics
 from imteval.engine import (
     DropResult,
     DropWork,
+    MessageService,
     calibrate_ul_power,
     compute_coupling,
     density_search,
@@ -735,15 +736,14 @@ class TestDensityRoute:
         cal, layout = mmtc_calibrated
         cfg = dataclasses.replace(cal if calibrated else small(MMTC_A, drops=2),
                                   master_seed=seed)
+        service = MessageService(cfg, layout, n_drops)
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cfg, layout, density, n_drops=n_drops, horizon_s=10.0,
-                                   record_sink=rows)
+        delay = evaluate_p99_delay(service, density, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cfg, layout, density, n_drops=n_drops,
                                                 horizon_s=10.0, record_sink=ref_rows)
         assert delay == expected
         assert rows == ref_rows
-        assert evaluate_p99_delay(cfg, layout, density, n_drops=n_drops,
-                                  horizon_s=10.0) == delay
+        assert evaluate_p99_delay(service, density, horizon_s=10.0) == delay
 
     def test_drops_on_both_sides_of_one_third_match_reference(self, mmtc_calibrated):
         """With a 6 dB CSI backoff drop 0 has UEs below p = 1/3, so their
@@ -758,12 +758,11 @@ class TestDensityRoute:
             p = np.clip(1.0 - np.asarray(bler(cfg.link.bler_model(), sinr)), 1e-9, 1.0)
             cells_below.append(len(np.unique(probe.serving[p < 1 / 3])))
         assert 0 < cells_below[0] < layout.n_trxps and cells_below[1] == 0
-        service = engine._MessageService(cfg, layout, 2)
+        service = MessageService(cfg, layout, 2)
         assert [sum(cell is not None and cell[3] is None for cell in cells)
                 for cells in service.cells] == cells_below
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cfg, layout, 1e6, horizon_s=10.0, record_sink=rows,
-                                   service=service)
+        delay = evaluate_p99_delay(service, 1e6, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert delay == expected and rows == ref_rows
@@ -773,7 +772,7 @@ class TestDensityRoute:
         cal, layout = mmtc_calibrated
         monkeypatch.setattr(engine, "_queue_capacity", lambda mean: 2)
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cal, layout, 2e6, n_drops=2, horizon_s=10.0,
+        delay = evaluate_p99_delay(MessageService(cal, layout, 2), 2e6, horizon_s=10.0,
                                    record_sink=rows)
         expected = evaluate_p99_delay_reference(cal, layout, 2e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
@@ -788,12 +787,11 @@ class TestDensityRoute:
         empty = [np.bincount(run_drop(cfg, layout, d, sinr_only=True).serving,
                              minlength=layout.n_trxps) == 0 for d in range(2)]
         assert any(e.any() for e in empty)
-        service = engine._MessageService(cfg, layout, 2)
+        service = MessageService(cfg, layout, 2)
         assert [[cell is None for cell in cells] for cells in service.cells] == \
             [e.tolist() for e in empty]
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cfg, layout, 1e6, horizon_s=10.0, record_sink=rows,
-                                   service=service)
+        delay = evaluate_p99_delay(service, 1e6, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert delay == expected and rows == ref_rows
@@ -834,7 +832,7 @@ class TestDensityRoute:
 
         monkeypatch.setattr(engine, "serve_fifo", spy)
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(cfg, layout, 1e6, n_drops=8, horizon_s=10.0,
+        delay = evaluate_p99_delay(MessageService(cfg, layout, 8), 1e6, horizon_s=10.0,
                                    record_sink=rows)
         (dtype, top, n_codes), = served
         assert n_codes == 1 + 16 * 8 * 570 and dtype == np.uint32
@@ -853,19 +851,20 @@ class TestDensityRoute:
         start times and the delay check's temporaries). Float service times
         and a delivered flag per slot (17 B) put it at 1.80x."""
         cal, layout = mmtc_calibrated
-        service = engine._MessageService(cal, layout, 1)
+        service = MessageService(cal, layout, 1)
         spec = cal.traffic
         mean = 4e7 * (layout.sector_area_m2 / 1e6) * spec.rate_per_s * 20.0
         table_bytes = 10 * layout.n_trxps * engine._queue_capacity(mean)
-        _, peak = traced_peak(lambda: evaluate_p99_delay(cal, layout, 4e7, service=service))
+        _, peak = traced_peak(lambda: evaluate_p99_delay(service, 4e7))
         assert peak <= 1.15 * table_bytes
 
     def test_p99_delay_increases_with_density(self):
         cfg = small(MMTC_A, drops=2)
         layout = build_layout(cfg)
         cal, _, _ = calibrate_ul_power(cfg, layout)
-        low = evaluate_p99_delay(cal, layout, 2e5, n_drops=1, horizon_s=10.0)
-        high = evaluate_p99_delay(cal, layout, 3e7, n_drops=1, horizon_s=10.0)
+        service = MessageService(cal, layout, 1)
+        low = evaluate_p99_delay(service, 2e5, horizon_s=10.0)
+        high = evaluate_p99_delay(service, 3e7, horizon_s=10.0)
         assert low < high
 
     def test_search_returns_bracketed_result(self):
@@ -879,7 +878,7 @@ class TestDensityRoute:
         # uncalibrated UL power loses more than 1% of messages here, so the
         # p99 sits among the infinite delays of undelivered messages
         cfg = small(MMTC_A, drops=2)
-        delay = evaluate_p99_delay(cfg, build_layout(cfg), 2e5, n_drops=1)
+        delay = evaluate_p99_delay(MessageService(cfg, build_layout(cfg), 1), 2e5)
         assert not math.isnan(delay)
         assert delay == math.inf
 
@@ -887,7 +886,7 @@ class TestDensityRoute:
         cfg = small(MMTC_A, drops=2)
         layout = build_layout(cfg)
         rows = []
-        delay = evaluate_p99_delay(cfg, layout, 2e5, n_drops=2, horizon_s=10.0,
+        delay = evaluate_p99_delay(MessageService(cfg, layout, 2), 2e5, horizon_s=10.0,
                                    record_sink=rows)
         assert len(rows) > 100
         for row in rows:
@@ -899,11 +898,21 @@ class TestDensityRoute:
         assert delay == float(np.quantile(delays, 0.99, method="linear"))
         assert math.isfinite(delay)
 
-    def test_requires_messaging_traffic(self):
+    def test_requires_messaging_traffic(self, monkeypatch):
+        """URLLC A has full-buffer traffic: the service and the search name
+        ``config`` before any drop runs."""
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "A"), drops=2)
         layout = build_layout(cfg)
-        with pytest.raises(Exception):
-            evaluate_p99_delay(cfg, layout, 1e6)
+
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "run_drop", no_drop)
+        for call in (lambda: MessageService(cfg, layout, 2),
+                     lambda: density_search(cfg, n_drops=2)):
+            with pytest.raises(DomainError, match="got FullBuffer") as err:
+                call()
+            assert err.value.field == "config"
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"n_drops": 0}, "n_drops"), ({"n_drops": -2}, "n_drops"),
@@ -914,14 +923,11 @@ class TestDensityRoute:
         """Both used to give a 0.0 s p99 at a density whose true p99 is
         about two minutes, a silent pass."""
         cal, layout = mmtc_calibrated
+        args = {"n_drops": 1, "horizon_s": 20.0, **kwargs}
         with pytest.raises(DomainError, match=field) as err:
-            evaluate_p99_delay(cal, layout, 4e7, **kwargs)
+            evaluate_p99_delay(MessageService(cal, layout, args["n_drops"]), 4e7,
+                               args["horizon_s"])
         assert err.value.field == field
-
-    def test_no_sinr_drop_is_a_domain_error(self, mmtc_calibrated):
-        cal, layout = mmtc_calibrated
-        with pytest.raises(DomainError, match="n_drops"):
-            engine._MessageService(cal, layout, 0)
 
     @pytest.mark.parametrize("n_drops", [0, -1])
     def test_search_without_drops_is_a_domain_error(self, monkeypatch, n_drops):
@@ -936,22 +942,29 @@ class TestDensityRoute:
         assert err.value.field == "n_drops"
 
     @pytest.mark.parametrize("call, field, shown", [
-        (lambda cfg: evaluate_p99_delay(cfg, None, 1e6, n_drops=-2), "n_drops", "-2"),
-        (lambda cfg: evaluate_p99_delay(cfg, None, -1e6), "density_per_km2", "-1000000.0"),
-        (lambda cfg: evaluate_p99_delay(cfg, None, math.nan), "density_per_km2", "nan"),
-        (lambda cfg: evaluate_p99_delay(cfg, None, math.inf), "density_per_km2", "inf"),
-        (lambda cfg: evaluate_p99_delay(cfg, None, 1e6, horizon_s=math.inf), "horizon_s", "inf"),
+        (lambda cfg: MessageService(cfg, None, -2), "n_drops", "-2"),
+        (lambda cfg: evaluate_p99_delay(None, -1e6), "density_per_km2", "-1000000.0"),
+        (lambda cfg: evaluate_p99_delay(None, math.nan), "density_per_km2", "nan"),
+        (lambda cfg: evaluate_p99_delay(None, math.inf), "density_per_km2", "inf"),
+        (lambda cfg: evaluate_p99_delay(None, 1e6, horizon_s=math.inf), "horizon_s", "inf"),
         (lambda cfg: density_search(cfg, hi_per_km2=math.inf), "hi_per_km2", "inf"),
         (lambda cfg: density_search(cfg, lo_per_km2=math.nan), "lo_per_km2", "nan"),
+        (lambda cfg: density_search(preset(TestEnvironment.RURAL_EMBB, "A"), n_drops=2),
+         "config", "FullBuffer"),
+        (lambda cfg: density_search(cfg, lo_per_km2=4e7, hi_per_km2=2e5, n_drops=2),
+         "hi_per_km2", "200000.0"),
+        (lambda cfg: density_search(cfg, steps=-1, n_drops=2), "steps", "-1"),
     ])
     def test_bad_probe_argument_is_a_domain_error_before_any_drop(self, monkeypatch, call,
                                                                   field, shown):
         """``n_drops`` used to be checked after its drops ran ("got 0" for
         -2), and a density, horizon or bracket end that is not finite and
         positive died in ``_queue_capacity`` (ValueError, OverflowError),
-        the search's after its set-up. Now the bad argument and its value
-        are named before any layout or drop is made (the probes' layout is
-        None here)."""
+        the search's after its set-up. A search on full-buffer traffic or
+        with an inverted bracket ran its layout, calibration and drops
+        first, and a negative ``steps`` was accepted. Now the bad argument
+        and its value are named before any layout or drop is made (the
+        probes' service and layout are None here)."""
         def no_work(*args, **kwargs):
             raise AssertionError("work was done")
 
@@ -977,3 +990,17 @@ class TestDensityRoute:
         search, _ = density_search(small(MMTC_A, drops=2), steps=3, n_drops=2)
         assert len(search.evaluations) >= 3
         assert calls == {"sinr_to_se": 2, "bler": 2}
+
+    def test_every_probe_goes_through_evaluate_p99_delay(self, monkeypatch):
+        """perfbench counts a search's probes from its spans of
+        ``engine.evaluate_p99_delay``: a probe that bypassed that name would
+        read as 0 probes, and raise no error."""
+        probed, probe = [], engine.evaluate_p99_delay
+
+        def spy(service, density, *args, **kwargs):
+            probed.append(density)
+            return probe(service, density, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_p99_delay", spy)
+        search, _ = density_search(small(MMTC_A, drops=2), steps=3, n_drops=2)
+        assert probed == [density for density, _ in search.evaluations]

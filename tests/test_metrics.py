@@ -300,6 +300,19 @@ class TestDensitySearch:
         result = connection_density_search(lambda d: 99.0, 1e5, 1e7)
         assert result.density_per_km2 == 0.0
 
+    @pytest.mark.parametrize("lo, hi, steps, field", [
+        (4e7, 2e5, 10, "hi_per_km2"), (0.0, 1e7, 10, "lo_per_km2"),
+        (1e5, math.nan, 10, "hi_per_km2"), (1e5, 1e7, -1, "steps"),
+    ])
+    def test_bad_bracket_or_steps_is_a_domain_error_before_any_probe(self, lo, hi, steps,
+                                                                      field):
+        def no_probe(density):
+            raise AssertionError("a density was probed")
+
+        with pytest.raises(DomainError) as err:
+            connection_density_search(no_probe, lo, hi, steps=steps)
+        assert err.value.field == field
+
     def test_nan_probe_raises(self):
         with pytest.raises(InternalError, match="NaN"):
             connection_density_search(lambda d: math.nan, 1e5, 1e7)

@@ -567,7 +567,8 @@ def _results(config) -> str:
              [(k.metric, k.direction, k.speed_kmh, k.value) for k in run.kpis],
              [(name, cdf.samples.tobytes()) for name, cdf in sorted(run.cdfs.items())]]
     if config.traffic.kind is TrafficKind.POISSON_MESSAGING:
-        found.append(engine.evaluate_p99_delay(run.config, run.layout, 1e6, n_drops=1))
+        found.append(engine.evaluate_p99_delay(
+            engine.MessageService(run.config, run.layout, 1), 1e6))
     return repr(found)
 
 
