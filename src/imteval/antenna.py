@@ -23,7 +23,6 @@ class ElementPattern:
     3 dB beamwidths ``h_3db_deg``/``v_3db_deg``, clips the azimuth cut at the
     front-to-back ratio ``front_back_db`` (A_m), the zenith cut at
     ``sidelobe_db`` (SLA_v), and the combined attenuation again at A_m.
-    An isotropic pattern returns ``max_gain_dbi`` at every angle.
     """
 
     max_gain_dbi: float = 8.0
@@ -31,7 +30,6 @@ class ElementPattern:
     v_3db_deg: float = 65.0
     front_back_db: float = 30.0
     sidelobe_db: float = 30.0
-    isotropic: bool = False
 
 
 def element_gain(pattern: ElementPattern, azimuth_deg, zenith_deg, out=None):
@@ -68,9 +66,6 @@ def _combine(pattern: ElementPattern, az: np.ndarray, vertical_db, out):
     """``combined_gain`` on an azimuth array already checked."""
     if out is None:
         out = np.empty(np.broadcast(az, vertical_db).shape)
-    if pattern.isotropic:
-        out[...] = pattern.max_gain_dbi
-        return out if out.ndim else float(out)
     att = _cut_attenuation(az, pattern.h_3db_deg, pattern.front_back_db, out=out)
     att += vertical_db
     np.minimum(att, pattern.front_back_db, out=att)

@@ -356,8 +356,9 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
 
     Returns (adjusted config, achieved mean IoT dB, warnings). Probe drops
     use reserved stream indices so they never collide with run drops. Raises
-    DomainError when ``probes`` or ``max_iterations`` is below 1."""
-    _require_positive(probes=probes, max_iterations=max_iterations)
+    DomainError when ``probes`` or ``max_iterations`` is not an integer of at
+    least 1."""
+    _require_counts(1, probes=probes, max_iterations=max_iterations)
     target = config.link.ul_iot_target_db
     warnings = []
     cfg = config
@@ -387,6 +388,14 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value!r}", name)
+
+
+def _require_counts(minimum: int, **counts) -> None:
+    """Raise DomainError naming the first count that is not an integer of at
+    least ``minimum``."""
+    for name, value in counts.items():
+        if not (isinstance(value, (int, np.integer)) and value >= minimum):
+            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +484,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     names = ("sinr_db",) if sinr_only else ("sinr_db", "user_se", "user_tput_bps")
     cdfs = {f"{prefix}_{name}": metrics.CdfEstimator(capacity=capacity)
             for name in names for prefix in _PREFIX.values()}
-    monitor = metrics.ConvergenceMonitor(window=convergence_window, tol=convergence_tol,
-                                         max_drops=config.drops)
+    monitor = metrics.ConvergenceMonitor(window=convergence_window, tol=convergence_tol)
     # one row per figure, one column per drop: mean UL SINR, mean IoT, UL
     # multiplexing order, and the DL and UL bits (NaN where a drop schedules
     # no such link), reserved like the CDFs and doubled when full
@@ -501,7 +509,8 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
             if drop.b_values_ul is not None:
                 b_pool.add(drop.b_values_ul)
             n += 1
-            if early_stop and monitor.observe(mean_ul) == metrics.CONVERGED:
+            # the drop cap wins: a run that converges on its last drop is capped
+            if early_stop and n < config.drops and monitor.observe(mean_ul):
                 status = "converged"
                 break
 
@@ -511,7 +520,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
         layout=layout,
         drops_executed=n,
         convergence_status=status,
-        kpis=_assemble_kpis(config, layout.n_trxps, cdfs, dict(zip(_PREFIX, per_drop[3:])),
+        kpis=_assemble_kpis(config, layout, cdfs, dict(zip(_PREFIX, per_drop[3:])),
                             per_drop[2], b_pool, sinr_only),
         cdfs=cdfs,
         per_drop_mean_ul_sinr=per_drop[0],
@@ -520,7 +529,7 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     )
 
 
-def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, sinr_only):
+def _assemble_kpis(config, layout, cdfs, bits_per_drop, n_mux_values, b_pool, sinr_only):
     kpis = []
     env = config.environment
     lk = config.link
@@ -537,7 +546,7 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
     if env in EMBB_ENVIRONMENTS:
         for direction, prefix in _PREFIX.items():
             avg_se = metrics.avg_spectral_efficiency(bits_per_drop[direction], config.duration_t,
-                                                     config.bandwidth, n_trxps)
+                                                     config.bandwidth, layout.n_trxps)
             kpis.append(KpiValue("avg_se", direction, avg_se, "bit/s/Hz/TRxP"))
             se = metrics.pct5_user_se(cdfs[f"{prefix}_user_se"])
             kpis.append(KpiValue("pct5_se", direction, se, "bit/s/Hz"))
@@ -556,7 +565,7 @@ def _assemble_kpis(config, n_trxps, cdfs, bits_per_drop, n_mux_values, b_pool, s
     if env is TestEnvironment.URBAN_MACRO_MMTC and b_pool.count:
         density = metrics.connection_density_fullbuffer(
             float(np.mean(n_mux_values)), config.traffic.eval_bandwidth_hz,
-            b_pool.samples, config.isd)
+            b_pool.samples, layout.sector_area_m2)
         kpis.append(KpiValue("connection_density", UPLINK, density, "/km^2",
                              note="full-buffer multiplexing route"))
     return kpis
@@ -641,7 +650,7 @@ class MessageService:
 
     def __init__(self, config: EvaluationConfig, layout: NetworkLayout, n_drops: int):
         _require_messaging(config)
-        _require_positive(n_drops=n_drops)
+        _require_counts(1, n_drops=n_drops)
         self.config, self.sector_area_m2 = config, layout.sector_area_m2
         spec, lk = config.traffic, config.link
         links = [(drop.serving, drop.ul_sinr_db - lk.csi_backoff_db)
@@ -770,11 +779,11 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     Raises DomainError naming the first argument out of its domain (``config``
     without messaging traffic included) before any set-up."""
     _require_messaging(config)
-    _require_positive(n_drops=n_drops, lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
+    _require_counts(1, n_drops=n_drops)
+    _require_positive(lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
     if hi_per_km2 <= lo_per_km2:
         raise DomainError(f"hi_per_km2 must exceed lo_per_km2, got {hi_per_km2!r}", "hi_per_km2")
-    if steps < 0:
-        raise DomainError(f"steps must not be negative, got {steps!r}", "steps")
+    _require_counts(0, steps=steps)
     if layout is None:
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
-from .geometry import hex_sector_area_m2
 from .link import BlerModel, HarqConfig, LinkAbstraction, harq_success_probability, sinr_to_se
 
 
@@ -145,18 +144,19 @@ def b_value(duration_s: float, received_bits, w_user_hz: float):
 
 
 def connection_density_fullbuffer(n_mux: float, bandwidth_hz: float, b_values,
-                                  isd_m: float) -> float:
-    """Devices per km^2: (n_mux * W / mean(B_i)) / (ISD^2 * sqrt(3)/6 in km^2),
-    with ``b_values`` the per-user B_i from ``b_value``."""
-    if not (0.0 < n_mux < math.inf and 0.0 < bandwidth_hz < math.inf and 0.0 < isd_m < math.inf):
-        raise DomainError("multiplexing order, bandwidth and ISD must be finite and positive")
+                                  sector_area_m2: float) -> float:
+    """Devices per km^2: (n_mux * W / mean(B_i)) / (sector area in km^2),
+    with ``b_values`` the per-user B_i from ``b_value`` and ``sector_area_m2``
+    the served TRxP's area (``NetworkLayout.sector_area_m2``)."""
+    if not all(0.0 < v < math.inf for v in (n_mux, bandwidth_hz, sector_area_m2)):
+        raise DomainError(
+            "multiplexing order, bandwidth and sector area must be finite and positive")
     if np.size(b_values) == 0 or not np.isfinite(b_values).all():
         raise DomainError("B_i values must be non-empty and finite")
     if float(np.mean(b_values)) <= 0:
         raise DomainError("mean(B_i) must be positive")
-    sector_area_km2 = hex_sector_area_m2(isd_m) / 1e6
     supported = n_mux * bandwidth_hz / float(np.mean(b_values))
-    return supported / sector_area_km2
+    return supported / (sector_area_m2 / 1e6)
 
 
 def p99_delay(delays) -> float:
@@ -208,14 +208,14 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
     inclusive). Non-monotone samples are reported with the widest
     bracketing interval rather than hidden. A NaN delay raises
     InternalError: it would neither pass nor fail the bound honestly. A
-    bracket not ordered 0 < lo < hi, or a negative ``steps``, raises
-    DomainError naming the argument before any probe.
+    bracket not ordered 0 < lo < hi, or a ``steps`` that is not an integer
+    of at least 0, raises DomainError naming the argument before any probe.
     """
     if not (0 < lo_per_km2 < hi_per_km2):
         raise DomainError("need 0 < lo < hi for the density search",
                           "hi_per_km2" if lo_per_km2 > 0 else "lo_per_km2")
-    if steps < 0:
-        raise DomainError(f"steps must not be negative, got {steps!r}", "steps")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+        raise DomainError(f"steps must be an integer >= 0, got {steps!r}", "steps")
     evals = []
 
     def probe(density):
@@ -287,22 +287,16 @@ def mobility_rate(sinr_cdf: CdfEstimator, speed_kmh: float, carrier_hz: float,
     return float(sinr_to_se(abstraction, median - penalty))
 
 
-CONTINUE = "continue"
-CONVERGED = "converged"
-CAPPED = "capped"
-
-
 @dataclass
 class ConvergenceMonitor:
     """Running-mean convergence over per-drop statistics.
 
-    Declares convergence once the running mean moved by less than ``tol``
-    (relative) over the last ``window`` drops, or caps at ``max_drops``.
+    ``observe`` is True once the running mean moved by less than ``tol``
+    (relative) over the last ``window`` drops; the drop cap is the caller's.
     """
 
     window: int = 50
     tol: float = 1e-4
-    max_drops: int = 10_000
     _count: int = 0
     _total: float = 0.0
     _recent_means: deque = field(init=False)  # running means of the last window + 1 drops
@@ -310,16 +304,12 @@ class ConvergenceMonitor:
     def __post_init__(self):
         self._recent_means = deque(maxlen=self.window + 1)
 
-    def observe(self, drop_mean: float) -> str:
+    def observe(self, drop_mean: float) -> bool:
         self._count += 1
         self._total += float(drop_mean)
         mean = self._total / self._count
         self._recent_means.append(mean)
-        if self._count >= self.max_drops:
-            return CAPPED
-        if self._count >= self.window + 1:
-            ref = self._recent_means[0]
-            denom = max(abs(ref), 1e-300)
-            if abs(mean - ref) / denom < self.tol:
-                return CONVERGED
-        return CONTINUE
+        if self._count <= self.window:
+            return False
+        ref = self._recent_means[0]
+        return abs(mean - ref) / max(abs(ref), 1e-300) < self.tol

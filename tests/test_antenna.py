@@ -17,7 +17,8 @@ from imteval.antenna import (
 from imteval.errors import DomainError
 
 BS_PATTERN = ElementPattern(max_gain_dbi=8.0)
-UE_PATTERN = ElementPattern(max_gain_dbi=0.0, isotropic=True)
+# 0 dB caps: 0 dBi at every angle, the stand-in for an isotropic element
+FLAT_PATTERN = ElementPattern(max_gain_dbi=0.0, front_back_db=0.0, sidelobe_db=0.0)
 
 
 def element_gain_reference(pattern, azimuth_deg, zenith_deg, out=None):
@@ -31,9 +32,6 @@ def element_gain_reference(pattern, azimuth_deg, zenith_deg, out=None):
         raise DomainError(f"zenith out of [0, 180]: {zenith_deg}")
     if out is None:
         out = np.empty(np.broadcast(az, zen).shape)
-    if pattern.isotropic:
-        out[...] = pattern.max_gain_dbi
-        return out if out.ndim else float(out)
     vertical = np.subtract(zen, 90.0, out=np.empty(zen.shape))
     np.minimum(12.0 * np.square(vertical / pattern.v_3db_deg), pattern.sidelobe_db, out=vertical)
     att = np.divide(az, pattern.h_3db_deg, out=out)
@@ -46,7 +44,7 @@ def element_gain_reference(pattern, azimuth_deg, zenith_deg, out=None):
     return out if out.ndim else float(out)
 
 
-_PATTERNS = [BS_PATTERN, UE_PATTERN,
+_PATTERNS = [BS_PATTERN, FLAT_PATTERN,
              ElementPattern(max_gain_dbi=5.0, h_3db_deg=90.0, v_3db_deg=40.0,
                             front_back_db=25.0, sidelobe_db=20.0)]
 
@@ -55,7 +53,7 @@ class TestComposedElementGain:
     """element_gain is vertical_attenuation then combined_gain: the bits and
     the errors of its one-piece form."""
 
-    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "isotropic", "narrow"])
+    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "flat", "narrow"])
     def test_equals_one_piece_form(self, pattern):
         rng = np.random.default_rng(7)
         az = np.concatenate([[-180.0, 180.0, 0.0, 65.0], rng.uniform(-180, 180, 3996)])
@@ -79,7 +77,7 @@ class TestComposedElementGain:
         assert vertical is z
         assert np.array_equal(combined_gain(pattern, az, vertical), want)
 
-    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "isotropic", "narrow"])
+    @pytest.mark.parametrize("pattern", _PATTERNS, ids=["bs", "flat", "narrow"])
     @pytest.mark.parametrize("az, zen", [
         (np.nan, 90.0), (0.0, np.nan), (np.nan, np.nan), (181.0, np.nan),
         (np.array([0.0, np.nan]), np.array([-1.0, 90.0])), (-180.5, 181.0), (0.0, -0.5),
@@ -114,9 +112,9 @@ class TestElementGain:
     def test_boresight_gain_is_max(self):
         assert element_gain(BS_PATTERN, 0.0, 90.0) == pytest.approx(8.0, abs=1e-12)
 
-    def test_isotropic_ignores_angles(self):
+    def test_flat_pattern_ignores_angles(self):
         for az, zen in [(0, 90), (180, 0), (-180, 180), (37, 12)]:
-            assert element_gain(UE_PATTERN, az, zen) == 0.0
+            assert element_gain(FLAT_PATTERN, az, zen) == 0.0
 
     def test_gain_at_half_power_beamwidth(self):
         # 12 * (65/65)^2 = 12 dB attenuation, not clipped at 30
@@ -130,7 +128,7 @@ class TestElementGain:
         with pytest.raises(DomainError):
             element_gain(BS_PATTERN, 0.0, 180.5)
 
-    @pytest.mark.parametrize("pattern", [BS_PATTERN, UE_PATTERN], ids=["parametric", "isotropic"])
+    @pytest.mark.parametrize("pattern", [BS_PATTERN, FLAT_PATTERN], ids=["parametric", "flat"])
     def test_exact_bounds_accepted(self, pattern):
         az = np.array([-180.0, 180.0, -180.0, 180.0])
         zen = np.array([0.0, 0.0, 180.0, 180.0])
@@ -139,7 +137,7 @@ class TestElementGain:
             assert math.isfinite(element_gain(pattern, a, z))
         assert element_gain(pattern, np.empty(0), np.empty(0)).shape == (0,)
 
-    @pytest.mark.parametrize("pattern", [BS_PATTERN, UE_PATTERN], ids=["parametric", "isotropic"])
+    @pytest.mark.parametrize("pattern", [BS_PATTERN, FLAT_PATTERN], ids=["parametric", "flat"])
     def test_nan_angle_raises(self, pattern):
         """A NaN angle is outside the domain, not a NaN gain."""
         with pytest.raises(DomainError, match="azimuth"):

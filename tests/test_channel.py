@@ -41,7 +41,8 @@ from imteval.channel.smallscale import (
 from imteval.engine import derive_stream
 from imteval.errors import ConfigInvalid, DomainError
 
-ISO = ElementPattern(max_gain_dbi=0.0, isotropic=True)
+# 0 dB caps on both cuts: 0 dBi at every angle
+ISO = ElementPattern(max_gain_dbi=0.0, front_back_db=0.0, sidelobe_db=0.0)
 ONE = ArrayConfig()
 
 

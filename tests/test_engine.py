@@ -549,6 +549,20 @@ class TestRun:
         assert result.drops_executed == 3
         assert result.convergence_status == "capped"
 
+    def test_cap_wins_over_convergence_on_the_last_drop(self):
+        """``run`` owns the drop cap: a run whose first convergence falls on
+        its last drop reports "capped", as it did when the monitor held the
+        cap and tested it first."""
+        kw = dict(sinr_only=True, early_stop=True, convergence_window=5, convergence_tol=0.05,
+                  calibrate=False)
+        stopped = run(small(MMTC_A, drops=40), **kw)
+        n = stopped.drops_executed
+        assert stopped.convergence_status == "converged" and n < 40
+        capped = run(small(MMTC_A, drops=n), **kw)
+        assert capped.convergence_status == "capped"
+        assert capped.drops_executed == n
+        assert np.array_equal(capped.per_drop_mean_ul_sinr, stopped.per_drop_mean_ul_sinr)
+
     def test_mmtc_b_values_are_those_of_the_served_ues(self):
         cfg = small(MMTC_A, drops=1)
         drop = run_drop(cfg, build_layout(cfg), 0)
@@ -954,6 +968,11 @@ class TestDensityRoute:
         (lambda cfg: density_search(cfg, lo_per_km2=4e7, hi_per_km2=2e5, n_drops=2),
          "hi_per_km2", "200000.0"),
         (lambda cfg: density_search(cfg, steps=-1, n_drops=2), "steps", "-1"),
+        (lambda cfg: density_search(cfg, steps=2.5, n_drops=2), "steps", "2.5"),
+        (lambda cfg: density_search(cfg, n_drops=1.5), "n_drops", "1.5"),
+        (lambda cfg: MessageService(cfg, None, 1.5), "n_drops", "1.5"),
+        (lambda cfg: calibrate_ul_power(cfg, None, probes=1.5), "probes", "1.5"),
+        (lambda cfg: calibrate_ul_power(cfg, None, max_iterations=2.0), "max_iterations", "2.0"),
     ])
     def test_bad_probe_argument_is_a_domain_error_before_any_drop(self, monkeypatch, call,
                                                                   field, shown):
@@ -962,9 +981,10 @@ class TestDensityRoute:
         positive died in ``_queue_capacity`` (ValueError, OverflowError),
         the search's after its set-up. A search on full-buffer traffic or
         with an inverted bracket ran its layout, calibration and drops
-        first, and a negative ``steps`` was accepted. Now the bad argument
-        and its value are named before any layout or drop is made (the
-        probes' service and layout are None here)."""
+        first, and a negative ``steps`` was accepted; a float ``steps``,
+        ``n_drops`` or ``probes`` failed late in ``range``. Now the bad
+        argument and its value are named before any layout or drop is made
+        (the probes' service and layout are None here)."""
         def no_work(*args, **kwargs):
             raise AssertionError("work was done")
 
