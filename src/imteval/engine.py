@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import math
 import multiprocessing
+import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -25,7 +26,8 @@ from .channel.model import los_probability, pathloss_curves
 from .channel.profiles import profile_for
 from .errors import DomainError, InternalError
 from .geometry import MICRO_TX_OFFSET_DB, NetworkLayout, UeDrop, build_layout, drop_ues
-from .link import bler, db_to_lin, lin_to_db, noise_power, sinr_to_se, uplink_power_control
+from .link import (SCHEDULING_INTERVAL_S, bler, db_to_lin, lin_to_db, noise_power, sinr_to_se,
+                   uplink_power_control)
 from .scenario import (DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment,
                        builtin_requirements)
 from .traffic import TrafficKind, pf_run, serve_fifo
@@ -69,11 +71,11 @@ class DropWork:
     def __init__(self):
         self._planes = {}
 
-    def plane(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The buffer called ``name``, of this shape and dtype; contents undefined."""
+    def plane(self, name: str, shape: tuple) -> np.ndarray:
+        """The float64 buffer called ``name``, of this shape; contents undefined."""
         buf = self._planes.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._planes[name] = np.empty(shape, dtype)
+        if buf is None or buf.shape != shape:
+            buf = self._planes[name] = np.empty(shape)
         return buf
 
 
@@ -302,7 +304,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     # --- scheduling and per-UE throughput over the drop duration
     lk = config.link
     backoff = lk.csi_backoff_db
-    n_intervals = max(1, int(round(config.duration_t / 1e-3)))
+    n_intervals = max(1, int(round(config.duration_t / SCHEDULING_INTERVAL_S)))
     dt = config.duration_t / n_intervals
     is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
     rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
@@ -392,9 +394,9 @@ def _require_positive(**values) -> None:
 
 def _require_counts(minimum: int, **counts) -> None:
     """Raise DomainError naming the first count that is not an integer of at
-    least ``minimum``."""
+    least ``minimum`` (a bool is not)."""
     for name, value in counts.items():
-        if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
             raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}", name)
 
 
@@ -423,13 +425,6 @@ class RunResult:
     per_drop_mean_ul_sinr: np.ndarray
     mean_iot_db: float
     warnings: list
-
-    def kpi(self, metric: str, direction: str | None = None, speed_kmh: float | None = None):
-        for k in self.kpis:
-            if k.metric == metric and (direction is None or k.direction == direction) \
-                    and (speed_kmh is None or k.speed_kmh == speed_kmh):
-                return k
-        raise KeyError(f"no KPI ({metric}, {direction}, {speed_kmh}) in this run")
 
 
 _WORKER_STATE: dict = {}

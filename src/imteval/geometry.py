@@ -62,10 +62,6 @@ class NetworkLayout:
         return len(self.trxp_site)
 
     @property
-    def n_sites(self) -> int:
-        return len(self.site_positions)
-
-    @property
     def trxp_is_micro(self) -> np.ndarray:
         return self.site_is_micro[self.trxp_site]
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigInvalid, DomainError
 
-THERMAL_NOISE_DBM_HZ = -174.0
+# one PF scheduling decision per interval; also the normalized Doppler's time base
+SCHEDULING_INTERVAL_S = 1e-3
 
 
 def db_to_lin(db, out=None):
@@ -30,8 +31,7 @@ def lin_to_db(lin):
         return 10.0 * np.log10(np.asarray(lin, dtype=float))
 
 
-def noise_power(bandwidth_hz: float, noise_figure_db: float,
-                density_dbm_hz: float = THERMAL_NOISE_DBM_HZ) -> float:
+def noise_power(bandwidth_hz: float, noise_figure_db: float, density_dbm_hz: float) -> float:
     """Noise power in dBm over the given bandwidth at the given thermal
     noise density."""
     if bandwidth_hz <= 0:

@@ -9,6 +9,7 @@ with the requirement table.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
-from .link import BlerModel, HarqConfig, LinkAbstraction, harq_success_probability, sinr_to_se
+from .link import (SCHEDULING_INTERVAL_S, BlerModel, HarqConfig, LinkAbstraction,
+                   harq_success_probability, sinr_to_se)
 
 
 class CdfEstimator:
@@ -32,14 +34,17 @@ class CdfEstimator:
     sort last and leave the low quantiles silently finite.
     """
 
-    def __init__(self, samples=None, capacity: int = 0):
-        self._data = _finite_samples([] if samples is None else samples).copy()
-        self._count = self._data.size
+    def __init__(self, capacity: int = 0):
+        self._data = np.empty(0)
+        self._count = 0
         self._capacity = capacity
         self._sorted = False
 
     def add(self, samples) -> None:
-        chunk = _finite_samples(samples)
+        chunk = np.asarray(samples, dtype=float).reshape(-1)
+        if not np.isfinite(chunk).all():
+            bad = chunk.size - np.count_nonzero(np.isfinite(chunk))
+            raise DomainError(f"{bad} of {chunk.size} CDF samples are NaN or infinite")
         end = self._count + chunk.size
         if end > self._data.size:
             grown = np.empty(max(end, 2 * self._data.size, self._capacity))
@@ -96,15 +101,6 @@ def _lerp(a, b, weight):
     """numpy's two-sided lerp: a + (b-a)*g, or b - (b-a)*(1-g) where g >= 0.5."""
     diff = b - a
     return np.where(weight >= 0.5, b - diff * (1.0 - weight), a + diff * weight)
-
-
-def _finite_samples(samples) -> np.ndarray:
-    """``samples`` as a flat float array, not copied when it is one already."""
-    arr = np.asarray(samples, dtype=float).reshape(-1)
-    if not np.isfinite(arr).all():
-        bad = arr.size - np.count_nonzero(np.isfinite(arr))
-        raise DomainError(f"{bad} of {arr.size} CDF samples are NaN or infinite")
-    return arr
 
 
 def avg_spectral_efficiency(bits_per_drop, duration_s: float, bandwidth_hz: float,
@@ -199,7 +195,7 @@ class DensitySearchResult:
 
 
 def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2: float,
-                              steps: int = 12) -> DensitySearchResult:
+                              steps: int) -> DensitySearchResult:
     """Bisection over device density for the non-full-buffer route.
 
     ``evaluate_p99_delay(density)`` must run the engine at that density and
@@ -208,13 +204,13 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
     inclusive). Non-monotone samples are reported with the widest
     bracketing interval rather than hidden. A NaN delay raises
     InternalError: it would neither pass nor fail the bound honestly. A
-    bracket not ordered 0 < lo < hi, or a ``steps`` that is not an integer
-    of at least 0, raises DomainError naming the argument before any probe.
+    bracket not ordered 0 < lo < hi < inf, or a ``steps`` that is not a
+    non-bool integer >= 0, raises DomainError naming it before any probe.
     """
-    if not (0 < lo_per_km2 < hi_per_km2):
-        raise DomainError("need 0 < lo < hi for the density search",
+    if not (0 < lo_per_km2 < hi_per_km2 < math.inf):
+        raise DomainError("need 0 < lo < hi < inf for the density search",
                           "hi_per_km2" if lo_per_km2 > 0 else "lo_per_km2")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 0):
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}", "steps")
     evals = []
 
@@ -263,15 +259,15 @@ def reliability(sinr_cdf: CdfEstimator, bler: BlerModel, harq: HarqConfig,
 
 
 # (normalized Doppler upper bound, SINR backoff dB); normalized Doppler is
-# shift x scheduling interval. The last entry also covers anything beyond.
+# shift x SCHEDULING_INTERVAL_S. The last entry also covers anything beyond.
 DOPPLER_BACKOFF = ((1e-4, 0.0), (1e-3, 0.5), (1e-2, 1.5), (1e-1, 3.0))
 
 
-def doppler_backoff_db(speed_kmh: float, carrier_hz: float, interval_s: float = 1e-3) -> float:
+def doppler_backoff_db(speed_kmh: float, carrier_hz: float) -> float:
     if not (0.0 <= speed_kmh < math.inf):
         raise DomainError(f"speed must be finite and >= 0, got {speed_kmh}")
     shift_hz = (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT
-    norm = shift_hz * interval_s
+    norm = shift_hz * SCHEDULING_INTERVAL_S
     for bound, backoff in DOPPLER_BACKOFF:
         if norm <= bound:
             return backoff

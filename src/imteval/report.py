@@ -164,10 +164,9 @@ def save_requirements_csv(reqs: RequirementSet, path) -> None:
                              for name in _REQ_HEADER])
 
 
-def load_requirements_csv(path=None, text: str | None = None) -> RequirementSet:
-    if text is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def load_requirements_csv(path) -> RequirementSet:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     known_metrics = _KNOWN_METRICS | {r.metric for r in builtin_requirements().rows}
     rows = []
     for lineno, rec in _records(text, _REQ_HEADER):

@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import hashlib
 import math
+import numbers
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -104,6 +105,10 @@ class EvaluationConfig:
         )
 
 
+# the values each numeric leaf type accepts, numpy scalars included; a bool,
+# an int to Python, passes only as a bool
+_NUMERIC = {int: numbers.Integral, float: numbers.Real, bool: bool}
+
 # documented validation ranges, inclusive, by key name (see _leaf_values)
 _RANGES = {
     "carrier_frequency": (1e6, 120e9),
@@ -140,11 +145,14 @@ def _check_variant(environment: TestEnvironment, variant: str) -> None:
 
 
 def validate(config: EvaluationConfig) -> EvaluationConfig:
-    """Range-check every field; raises ConfigInvalid naming the first offender."""
+    """Type- and range-check every field; raises ConfigInvalid naming the first offender."""
     _check_variant(config.environment, config.config_variant)
     values = _leaf_values(config)
-    # NaN passes any rule written as `if value <= bound: raise`, inf a one-sided one
     for (name, value), (_, _, _, _, kind) in zip(values.items(), _LEAVES):
+        if kind in _NUMERIC and (not isinstance(value, _NUMERIC[kind])
+                                 or isinstance(value, bool) != (kind is bool)):
+            raise ConfigInvalid(name, f"expected {kind.__name__}, got {value!r}")
+        # NaN passes any rule written as `if value <= bound: raise`, inf a one-sided one
         if kind is float and not math.isfinite(value):
             raise ConfigInvalid(name, f"{value} is not finite")
     for name, (lo, hi) in _RANGES.items():

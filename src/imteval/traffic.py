@@ -88,7 +88,11 @@ def track_delays(arrival, start, done, *, first_row: int = 0):
     return done - arrival
 
 
-def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01):
+# pf_run's averaging factor: the share by which an average moves per interval
+_PF_BETA = 0.01
+
+
+def pf_run(instantaneous_rates, n_intervals: int, resources):
     """Proportional-fair runs over fixed rates, many schedulers at once.
 
     ``instantaneous_rates`` is a padded (rows x max_members) matrix, one
@@ -100,13 +104,13 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     Every UE of a row is always backlogged. Per interval, a row grants one
     resource unit each to up to its resource count of UEs with positive
     rate, in descending rate/average order: never-served UEs (average 0)
-    first, ties to the lower index. Each average then moves by ``beta``
+    first, ties to the lower index. Each average then moves 1% of the way
     towards the rate the UE was served in that interval (0 if not granted).
     Returns (scheduled counts per UE, average scheduled UEs per interval per
     row).
 
-    Every rate must be finite and ``beta`` must lie in [0, 1]; otherwise
-    InternalError is raised, naming the first non-finite (row, column).
+    Every rate must be finite; otherwise InternalError is raised, naming the
+    first non-finite (row, column).
     """
     rates = np.asarray(instantaneous_rates, dtype=float)
     single = rates.ndim == 1
@@ -118,8 +122,6 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
         row, col = divmod(i, width)
         raise InternalError(f"PF rate at (row {row}, column {col}) is {flat_rates[i]}, "
                             "not finite")
-    if not 0.0 <= beta <= 1.0:
-        raise InternalError(f"PF averaging factor beta={beta} outside [0, 1]")
     eligible = flat_rates > 0.0
     k = np.maximum(np.broadcast_to(np.asarray(resources, dtype=int), (n_rows,)), 0)
     # Loop invariants. An eligible UE's metric -rate/average is -inf until
@@ -134,7 +136,7 @@ def pf_run(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01)
     pick_row_start = pick - pick % width
     # flat (row-major) state; -rate/average equals -(rate/average) exactly
     neg_rates = np.where(eligible, -flat_rates, np.inf)
-    beta_rates, decay = beta * flat_rates, 1.0 - beta
+    beta_rates, decay = _PF_BETA * flat_rates, 1.0 - _PF_BETA
     avg = np.zeros(n_rows * width)
     counts = np.zeros(n_rows * width, dtype=int)
     neg_metric = np.empty(n_rows * width)

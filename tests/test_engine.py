@@ -41,6 +41,12 @@ def small(config, drops=5, **kw):
     return dataclasses.replace(config, drops=drops, **kw)
 
 
+def kpi(result, metric, direction):
+    """The run's one KPI of this metric and direction."""
+    found, = [k for k in result.kpis if (k.metric, k.direction) == (metric, direction)]
+    return found
+
+
 def traced_peak(call):
     """``call()`` and its traced peak above the memory traced when it began.
     tracemalloc counts numpy's data buffers on every platform, so the figure
@@ -436,8 +442,7 @@ class TestRun:
 
     def test_mmtc_reports_connection_density(self):
         result = run(small(MMTC_A, drops=3))
-        kpi = result.kpi("connection_density", UPLINK)
-        assert kpi.value > 0
+        assert kpi(result, "connection_density", UPLINK).value > 0
         assert result.mean_iot_db <= MMTC_A.link.ul_iot_target_db + 1.0
 
     def test_mmtc_connection_density_value_is_pinned(self):
@@ -445,13 +450,13 @@ class TestRun:
         # kpi.json, rounded to 12 digits; here its value at seed 7 is pinned
         # float for float
         result = run(small(MMTC_A, drops=2, master_seed=7))
-        assert result.kpi("connection_density", UPLINK).value == 21099370.180030078
+        assert kpi(result, "connection_density", UPLINK).value == 21099370.180030078
 
     def test_urllc_reports_reliability_in_sinr_only_mode(self):
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=3)
         result = run(cfg, sinr_only=True)
-        assert 0.0 <= result.kpi("reliability", DOWNLINK).value <= 1.0
-        assert 0.0 <= result.kpi("reliability", UPLINK).value <= 1.0
+        assert 0.0 <= kpi(result, "reliability", DOWNLINK).value <= 1.0
+        assert 0.0 <= kpi(result, "reliability", UPLINK).value <= 1.0
 
     def test_embb_kpi_set(self):
         cfg = small(preset(TestEnvironment.RURAL_EMBB, "A"), drops=3)
@@ -535,7 +540,7 @@ class TestRun:
         assert serial.drops_executed == pooled.drops_executed < cfg.drops
         assert np.array_equal(serial.per_drop_mean_ul_sinr, pooled.per_drop_mean_ul_sinr)
         assert serial.kpis == pooled.kpis
-        assert serial.kpi("connection_density", UPLINK).value > 0
+        assert kpi(serial, "connection_density", UPLINK).value > 0
         assert serial.cdfs.keys() == pooled.cdfs.keys() == {
             f"{prefix}_{name}" for prefix in ("dl", "ul")
             for name in ("sinr_db", "user_se", "user_tput_bps")}
@@ -970,8 +975,11 @@ class TestDensityRoute:
         (lambda cfg: density_search(cfg, steps=-1, n_drops=2), "steps", "-1"),
         (lambda cfg: density_search(cfg, steps=2.5, n_drops=2), "steps", "2.5"),
         (lambda cfg: density_search(cfg, n_drops=1.5), "n_drops", "1.5"),
+        (lambda cfg: density_search(cfg, n_drops=True), "n_drops", "True"),
+        (lambda cfg: density_search(cfg, steps=True, n_drops=2), "steps", "True"),
         (lambda cfg: MessageService(cfg, None, 1.5), "n_drops", "1.5"),
         (lambda cfg: calibrate_ul_power(cfg, None, probes=1.5), "probes", "1.5"),
+        (lambda cfg: calibrate_ul_power(cfg, None, probes=True), "probes", "True"),
         (lambda cfg: calibrate_ul_power(cfg, None, max_iterations=2.0), "max_iterations", "2.0"),
     ])
     def test_bad_probe_argument_is_a_domain_error_before_any_drop(self, monkeypatch, call,
@@ -982,7 +990,8 @@ class TestDensityRoute:
         the search's after its set-up. A search on full-buffer traffic or
         with an inverted bracket ran its layout, calibration and drops
         first, and a negative ``steps`` was accepted; a float ``steps``,
-        ``n_drops`` or ``probes`` failed late in ``range``. Now the bad
+        ``n_drops`` or ``probes`` failed late in ``range``, and a bool one
+        counted as 1 (``n_drops=True`` searched one drop). Now the bad
         argument and its value are named before any layout or drop is made
         (the probes' service and layout are None here)."""
         def no_work(*args, **kwargs):

@@ -41,7 +41,7 @@ INDOOR = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
 class TestHexLayout:
     def test_site_and_trxp_counts(self):
         layout = build_layout(MMTC_A)
-        assert layout.n_sites == 19
+        assert len(layout.site_positions) == 19
         assert layout.n_trxps == 57
         assert np.array_equal(np.bincount(layout.trxp_site), np.full(19, 3))
 
@@ -139,12 +139,12 @@ class TestSiteLayers:
         """Hex sites are macro, indoor points micro (omni), and the dense-urban
         micro layer is exactly the sites after the 19 macro ones, one TRxP each."""
         layout = _layout(env, variant)
-        trxps_per_site = np.bincount(layout.trxp_site, minlength=layout.n_sites)
+        trxps_per_site = np.bincount(layout.trxp_site, minlength=len(layout.site_positions))
         if env is TestEnvironment.INDOOR_HOTSPOT_EMBB:
             expected = np.ones(12, dtype=bool)
         elif env is TestEnvironment.DENSE_URBAN_EMBB:
-            expected = np.arange(layout.n_sites) >= 19
-            assert layout.n_sites == 19 + 171
+            expected = np.arange(len(layout.site_positions)) >= 19
+            assert len(layout.site_positions) == 19 + 171
         else:
             expected = np.zeros(19, dtype=bool)
         assert np.array_equal(layout.site_is_micro, expected)
@@ -192,7 +192,7 @@ class TestLayoutInvariant:
 
     def test_consistent_layout_builds(self):
         layout = self._two_sector_layout()
-        assert (layout.n_sites, layout.n_trxps) == (2, 3)
+        assert (len(layout.site_positions), layout.n_trxps) == (2, 3)
         assert np.array_equal(layout.trxp_is_micro, [False, False, True])
 
     def test_coupling_needs_the_micro_sites_after_the_macro_ones(self):
@@ -674,7 +674,7 @@ class TestSharedDropGeometry:
         config = preset(env, "A")
         ues = drop_ues(layout, config, derive_stream(config.master_seed, 0, "ues"))
         delta, dist = wrap_displacements_reference(layout, ues.positions, layout.site_positions)
-        assert ues.site_delta.shape == (len(ues.positions), layout.n_sites, 2)
+        assert ues.site_delta.shape == (len(ues.positions), len(layout.site_positions), 2)
         assert np.array_equal(ues.site_delta, delta)
         assert np.array_equal(ues.site_dist, dist)
 

@@ -23,22 +23,21 @@ from imteval.scenario import TestEnvironment, preset
 
 class TestNoisePower:
     def test_ten_mhz_five_db(self):
-        assert noise_power(10e6, 5.0) == pytest.approx(-99.0, abs=1e-9)
+        assert noise_power(10e6, 5.0, -174.0) == pytest.approx(-99.0, abs=1e-9)
 
     def test_one_hz_reference(self):
-        assert noise_power(1.0, 0.0) == -174.0
+        assert noise_power(1.0, 0.0, -174.0) == -174.0
 
     def test_noise_density_argument(self):
         assert noise_power(1.0, 0.0, -170.0) == -170.0
-        assert noise_power(10e6, 5.0, -174.0) == noise_power(10e6, 5.0)
 
     def test_doubling_bandwidth_adds_3db(self):
-        delta = noise_power(2e6, 0.0) - noise_power(1e6, 0.0)
+        delta = noise_power(2e6, 0.0, -174.0) - noise_power(1e6, 0.0, -174.0)
         assert delta == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
 
     def test_positive_bandwidth_required(self):
         with pytest.raises(DomainError):
-            noise_power(0.0, 5.0)
+            noise_power(0.0, 5.0, -174.0)
 
 
 class TestComputeSinr:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from imteval.engine import run
 from imteval.errors import DomainError, InsufficientSamples, InternalError
 from imteval.geometry import hex_sector_area_m2
-from imteval.link import BlerModel, HarqConfig, LinkAbstraction, bler
+from imteval.channel.model import SPEED_OF_LIGHT
+from imteval.link import SCHEDULING_INTERVAL_S, BlerModel, HarqConfig, LinkAbstraction, bler
 from imteval.metrics import (
     CdfEstimator,
     ConvergenceMonitor,
@@ -45,6 +46,13 @@ def cdf_text_reference(name, est):
     return buf.getvalue()
 
 
+def cdf(samples) -> CdfEstimator:
+    """An estimator holding ``samples``, filled by one add."""
+    est = CdfEstimator()
+    est.add(samples)
+    return est
+
+
 @st.composite
 def repeated_samples(draw):
     """1 to 5,000 finite samples drawn with repeats from up to 12 values. At
@@ -60,20 +68,20 @@ def repeated_samples(draw):
 
 class TestCdfEstimator:
     def test_quantile_convention_on_1_to_100(self):
-        est = CdfEstimator(np.arange(1, 101, dtype=float))
+        est = cdf(np.arange(1, 101, dtype=float))
         assert est.quantile(0.05) == pytest.approx(5.95)
         assert est.quantile(0.0) == 1.0
         assert est.quantile(1.0) == 100.0
 
     def test_quantiles_monotone_in_p(self):
         rng = np.random.default_rng(0)
-        est = CdfEstimator(rng.normal(size=1000))
+        est = cdf(rng.normal(size=1000))
         qs = [est.quantile(p) for p in np.linspace(0, 1, 101)]
         assert all(b >= a for a, b in zip(qs, qs[1:]))
 
     def test_uniform_quantile_accuracy(self):
         rng = np.random.default_rng(1)
-        est = CdfEstimator(rng.uniform(size=1_000_000))
+        est = cdf(rng.uniform(size=1_000_000))
         assert abs(est.quantile(0.05) - 0.05) < 0.002
 
     @pytest.mark.parametrize("capacity", [0, 600, 1475])  # grown from empty, grown, exact
@@ -108,7 +116,7 @@ class TestCdfEstimator:
 
     def test_percentile_rows_non_decreasing(self):
         rng = np.random.default_rng(3)
-        est = CdfEstimator(rng.normal(size=5000))
+        est = cdf(rng.normal(size=5000))
         values = est.quantiles(np.arange(0.0, 100.05, 0.1) / 100.0)
         assert len(values) == 1001
         assert (np.diff(values) >= 0.0).all()
@@ -118,14 +126,14 @@ class TestCdfEstimator:
     @given(samples=repeated_samples(), levels=st.lists(st.floats(0.0, 1.0), max_size=30))
     def test_quantiles_are_numpys_linear_quantiles_bit_for_bit(self, samples, levels):
         q = np.array([0.0, 1.0, *levels])
-        est = CdfEstimator(samples)
+        est = cdf(samples)
         assert est.quantiles(q).tobytes() == np.quantile(samples, q, method="linear").tobytes()
         for p in q.tolist():
             assert np.float64(est.quantile(p)).tobytes() == \
                 np.quantile(samples, p, method="linear").tobytes()
 
     def test_quantile_read_copies_no_buffer(self):
-        est = CdfEstimator(np.random.default_rng(8).normal(size=1_000_000))
+        est = cdf(np.random.default_rng(8).normal(size=1_000_000))
         q = np.arange(0.0, 100.05, 0.1) / 100.0
         est.quantiles(q)  # sorts in place
         tracemalloc.start()
@@ -140,13 +148,13 @@ class TestCdfEstimator:
     @pytest.mark.parametrize("level", [-0.01, 1.01, math.nan])
     def test_level_outside_0_1_rejected(self, level):
         with pytest.raises(DomainError):
-            CdfEstimator([1.0, 2.0]).quantile(level)
+            cdf([1.0, 2.0]).quantile(level)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(DomainError, match="2 of 4"):
-            CdfEstimator([1.0, bad, 2.0, bad])
-        est = CdfEstimator([1.0, 2.0])
+            cdf([1.0, bad, 2.0, bad])
+        est = cdf([1.0, 2.0])
         with pytest.raises(DomainError, match="1 of 3"):
             est.add([3.0, bad, 4.0])
         assert est.quantile(1.0) == 2.0
@@ -154,7 +162,7 @@ class TestCdfEstimator:
     def test_cdf_files_equal_the_row_loop_oracle(self, tmp_path):
         cfg = dataclasses.replace(preset(TestEnvironment.URBAN_MACRO_URLLC, "B"), drops=2)
         result = run(cfg, sinr_only=True)
-        special = CdfEstimator([1e-05, 1e16, -0.0, 5e-324, 1e16, 3.0, -2.5])
+        special = cdf([1e-05, 1e16, -0.0, 5e-324, 1e16, 3.0, -2.5])
         result = dataclasses.replace(result, cdfs={**result.cdfs, "special": special})
         files = [f for f in emit(result, check_compliance(result), tmp_path)
                  if os.path.basename(f).startswith("cdf_")]
@@ -205,21 +213,21 @@ class TestAverageSpectralEfficiency:
 
 class TestPct5UserSe:
     def test_constant_distribution(self):
-        assert pct5_user_se(CdfEstimator([3.25] * 100)) == 3.25
+        assert pct5_user_se(cdf([3.25] * 100)) == 3.25
 
     def test_interpolation_value(self):
-        assert pct5_user_se(CdfEstimator(range(1, 101))) == pytest.approx(5.95)
+        assert pct5_user_se(cdf(range(1, 101))) == pytest.approx(5.95)
 
     def test_adding_high_sample_never_decreases(self):
         rng = np.random.default_rng(4)
         samples = list(rng.uniform(0, 1, 200))
-        before = pct5_user_se(CdfEstimator(samples))
-        after = pct5_user_se(CdfEstimator(samples + [10.0]))
+        before = pct5_user_se(cdf(samples))
+        after = pct5_user_se(cdf(samples + [10.0]))
         assert after >= before - 1e-12
 
     def test_requires_20_samples(self):
         with pytest.raises(InsufficientSamples):
-            pct5_user_se(CdfEstimator([1.0] * 19))
+            pct5_user_se(cdf([1.0] * 19))
 
 
 class TestConnectionDensityFullBuffer:
@@ -267,7 +275,7 @@ class TestConnectionDensityFullBuffer:
 
 class TestDensitySearch:
     def test_all_zero_delays_hit_upper_bound(self):
-        result = connection_density_search(lambda d: 0.0, 1e5, 1e8)
+        result = connection_density_search(lambda d: 0.0, 1e5, 1e8, steps=12)
         assert result.density_per_km2 == 1e8
 
     def test_analytic_queueing_crossing(self):
@@ -298,12 +306,13 @@ class TestDensitySearch:
         assert (result.density_per_km2, result.delay_p99_s) == (1_000_000.0, 10.0)
 
     def test_fails_when_even_low_density_misses_qos(self):
-        result = connection_density_search(lambda d: 99.0, 1e5, 1e7)
+        result = connection_density_search(lambda d: 99.0, 1e5, 1e7, steps=12)
         assert result.density_per_km2 == 0.0
 
     @pytest.mark.parametrize("lo, hi, steps, field", [
         (4e7, 2e5, 10, "hi_per_km2"), (0.0, 1e7, 10, "lo_per_km2"),
-        (1e5, math.nan, 10, "hi_per_km2"), (1e5, 1e7, -1, "steps"), (1e5, 1e7, 2.5, "steps"),
+        (1e5, math.nan, 10, "hi_per_km2"), (1e5, math.inf, 10, "hi_per_km2"),
+        (1e5, 1e7, -1, "steps"), (1e5, 1e7, 2.5, "steps"), (1e5, 1e7, True, "steps"),
     ])
     def test_bad_bracket_or_steps_is_a_domain_error_before_any_probe(self, lo, hi, steps,
                                                                       field):
@@ -316,11 +325,12 @@ class TestDensitySearch:
 
     def test_nan_probe_raises(self):
         with pytest.raises(InternalError, match="NaN"):
-            connection_density_search(lambda d: math.nan, 1e5, 1e7)
+            connection_density_search(lambda d: math.nan, 1e5, 1e7, steps=12)
         # a NaN later in the bisection is not read as passing either
         with pytest.raises(InternalError, match="NaN"):
             connection_density_search(lambda d: 1.0 if d <= 1e5 else
-                                      (99.0 if d >= 1e7 else math.nan), 1e5, 1e7)
+                                      (99.0 if d >= 1e7 else math.nan), 1e5, 1e7,
+                                      steps=12)
 
 
 def p99_delay_reference(delays):
@@ -424,19 +434,19 @@ class TestP99Delay:
 
 class TestReliability:
     def test_zero_bler_is_one(self):
-        est = CdfEstimator(np.linspace(0, 20, 100))
+        est = cdf(np.linspace(0, 20, 100))
         zero_bler = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
         assert reliability(est, zero_bler, HarqConfig(4, 0.25e-3)) == 1.0
 
     def test_two_attempt_product(self):
         model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
         sinr = math.log10(0.5 / 0.01)  # per-attempt BLER 0.01
-        est = CdfEstimator([sinr] * 100)
+        est = cdf([sinr] * 100)
         prob = reliability(est, model, HarqConfig(2, 0.5e-3, 0.0))
         assert prob == pytest.approx(0.9999, abs=1e-12)
 
     def test_one_attempt_is_one_minus_bler(self):
-        est = CdfEstimator([5.0] * 100)
+        est = cdf([5.0] * 100)
         # craft a per-attempt BLER of 1e-5 in one attempt
         model = BlerModel(sinr_50_db=5.0 - math.log10(0.5 / 1e-5), slope_db_per_decade=1.0,
                           bler_floor=0.0)
@@ -446,8 +456,8 @@ class TestReliability:
 
     def test_evaluation_point_is_5th_percentile(self):
         # degrade only the lowest 5 percent and the result must move
-        good = CdfEstimator([10.0] * 100)
-        bad = CdfEstimator([10.0] * 94 + [-4.0] * 6)
+        good = cdf([10.0] * 100)
+        bad = cdf([10.0] * 94 + [-4.0] * 6)
         model = BlerModel(-5.0, 2.0, 1e-9)
         p_good = reliability(good, model, HarqConfig(4, 0.25e-3))
         p_bad = reliability(bad, model, HarqConfig(4, 0.25e-3))
@@ -457,19 +467,23 @@ class TestReliability:
 class TestMobility:
     def test_zero_speed_no_backoff(self):
         assert doppler_backoff_db(0.0, 4e9) == 0.0
-        est = CdfEstimator([10.0] * 100)
+        est = cdf([10.0] * 100)
         abstraction = LinkAbstraction(0.6, 7.4, -10.0)
         rate = mobility_rate(est, 0.0, 4e9, abstraction)
         static = 0.6 * math.log2(1.0 + 10.0)
         assert rate == pytest.approx(static, abs=1e-12)
 
     def test_backoff_tiers(self):
-        # normalized Doppler = speed/3.6 * fc / c * 1 ms
-        assert doppler_backoff_db(0.1, 700e6, interval_s=1e-3) == 0.0
-        assert doppler_backoff_db(1.0, 700e6, interval_s=1e-3) == 0.5
-        assert doppler_backoff_db(3.0, 700e6, interval_s=1e-3) == 1.5
-        assert doppler_backoff_db(120.0, 700e6, interval_s=1e-3) == 3.0
-        assert doppler_backoff_db(500.0, 700e6, interval_s=1e-3) == 3.0  # saturates
+        # normalized Doppler = speed/3.6 * fc / c * the 1 ms scheduling interval
+        assert doppler_backoff_db(0.1, 700e6) == 0.0
+        assert doppler_backoff_db(1.0, 700e6) == 0.5
+        assert doppler_backoff_db(3.0, 700e6) == 1.5
+        assert doppler_backoff_db(120.0, 700e6) == 3.0
+        assert doppler_backoff_db(500.0, 700e6) == 3.0  # saturates
+        # the speed whose normalized Doppler is the 1e-3 tier bound
+        edge_kmh = 1e-3 / SCHEDULING_INTERVAL_S * SPEED_OF_LIGHT / 700e6 * 3.6
+        assert doppler_backoff_db(0.99 * edge_kmh, 700e6) == 0.5
+        assert doppler_backoff_db(1.01 * edge_kmh, 700e6) == 1.5
 
     @pytest.mark.parametrize("speed_kmh", [math.nan, -1.0, math.inf])
     def test_nan_or_out_of_range_speed_rejected(self, speed_kmh):
@@ -477,7 +491,7 @@ class TestMobility:
             doppler_backoff_db(speed_kmh, 700e6)
 
     def test_median_10db_rate(self):
-        est = CdfEstimator([10.0] * 100)
+        est = cdf([10.0] * 100)
         abstraction = LinkAbstraction(0.6, 7.4, -10.0)
         assert mobility_rate(est, 0.0, 700e6, abstraction) == pytest.approx(2.0756, abs=3e-4)
 
@@ -485,17 +499,17 @@ class TestMobility:
 class TestUserExperiencedRate:
     # the ued_rate KPI is pct5_user_se over per-user throughputs in bit/s
     def test_constant_samples(self):
-        assert pct5_user_se(CdfEstimator([60e6] * 100)) == 60e6
+        assert pct5_user_se(cdf([60e6] * 100)) == 60e6
 
     def test_boundary_pass_inclusive(self):
         # 5th-percentile spectral efficiency 0.5 bit/s/Hz on 100 MHz
-        rate = pct5_user_se(CdfEstimator([0.5 * 100e6] * 100))
+        rate = pct5_user_se(cdf([0.5 * 100e6] * 100))
         assert rate == pytest.approx(50e6)
         assert rate >= 50e6
 
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamples):
-            pct5_user_se(CdfEstimator([1e8] * 19))
+            pct5_user_se(cdf([1e8] * 19))
 
 
 class TestConvergenceMonitor:

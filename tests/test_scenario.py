@@ -356,13 +356,22 @@ class TestValidation:
         ("duration_t", 0.0),
         ("thermal_noise_density", 5.0),
         ("ue_height", 0.0),
+        # a value of the wrong type: a bool is not a count, nor a count a bool
+        ("drops", 2.5),
+        ("drops", True),
+        ("ues_per_trxp", 1.5),
+        ("master_seed", 7.0),
+        ("ue_isotropic", 1),
+        ("isd", "500"),
+        ("isd", True),
     ])
     def test_out_of_range_field_is_named(self, field, bad):
         c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
         mutated = dataclasses.replace(c, **{field: bad})
         with pytest.raises(ConfigInvalid) as err:
             validate(mutated)
-        assert err.value.field == field
+        # the element-pattern keys live under their antenna section
+        assert err.value.field == {"ue_isotropic": "antenna.ue.isotropic"}.get(field, field)
 
     def test_bad_variant(self):
         c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from imteval import engine, traffic
 from imteval.errors import ConfigInvalid, InternalError
 from imteval.geometry import build_layout
+from imteval.link import SCHEDULING_INTERVAL_S
 from imteval.scenario import TestEnvironment, preset
 from imteval.traffic import (
     TrafficKind,
@@ -129,9 +130,9 @@ class TestPfRunEquivalence:
         rng = np.random.default_rng(4)
         rates = rng.uniform(0.0, 3.0, 9)
         rates[2] = 0.0
-        n_intervals, resources, beta = 300, 3, 0.01
+        n_intervals, resources = 300, 3
 
-        state = SchedulerState(n_ues=9, beta=beta)
+        state = SchedulerState(n_ues=9)
         ref_counts = np.zeros(9, dtype=int)
         mux_total = 0
         for _ in range(n_intervals):
@@ -140,7 +141,7 @@ class TestPfRunEquivalence:
                 ref_counts[ue] += 1
             mux_total += len(alloc)
 
-        counts, mux = pf_run(rates, n_intervals, resources, beta)
+        counts, mux = pf_run(rates, n_intervals, resources)
         assert np.array_equal(counts, ref_counts)
         assert mux == pytest.approx(mux_total / n_intervals)
 
@@ -154,20 +155,19 @@ class TestPfRunBatch:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.tuples(st.lists(_RATES, max_size=8), st.integers(0, 5)),
                          min_size=1, max_size=6),
-           n_intervals=st.integers(0, 40),
-           beta=st.sampled_from([0.01, 0.1, 0.5]))
-    def test_every_row_matches_schedule_pf(self, rows, n_intervals, beta):
+           n_intervals=st.integers(0, 40))
+    def test_every_row_matches_schedule_pf(self, rows, n_intervals):
         width = max(len(rates) for rates, _ in rows)
         padded = np.zeros((len(rows), width))
         for r, (rates, _) in enumerate(rows):
             padded[r, :len(rates)] = rates
         resources = [k for _, k in rows]
-        counts, mux = pf_run(padded, n_intervals, resources, beta)
+        counts, mux = pf_run(padded, n_intervals, resources)
         assert counts.shape == padded.shape and mux.shape == (len(rows),)
 
         for r, (rates, k) in enumerate(rows):
             n = len(rates)
-            state = SchedulerState(n_ues=n, beta=beta)
+            state = SchedulerState(n_ues=n)
             ref_counts = np.zeros(width, dtype=int)
             mux_total = 0
             for _ in range(n_intervals):
@@ -192,10 +192,11 @@ _SATURATING_RATES = st.one_of(st.sampled_from([0.0, 5.5e7, 7.4e7, 7.4e7, 7.4e7])
                               st.floats(-1.0, 7.4e7, allow_nan=False, allow_subnormal=False))
 
 
-def pf_run_reference(instantaneous_rates, n_intervals: int, resources, beta: float = 0.01):
+def pf_run_reference(instantaneous_rates, n_intervals: int, resources):
     """Bit-for-bit oracle for pf_run: the batched loop that recounts the
     grants, rewrites the ineligible metrics and slices the sorted block in
-    every interval."""
+    every interval, averaging with pf_run's factor 0.01."""
+    beta = 0.01
     rates = np.asarray(instantaneous_rates, dtype=float)
     single = rates.ndim == 1
     n_rows, width = np.atleast_2d(rates).shape
@@ -263,26 +264,26 @@ class TestPfRunOracle:
             assert set(resources.tolist()) == {12}
         else:
             assert len(set(resources.tolist())) == 2  # DL and UL layer counts
-        assert n_intervals == 100 and (resources < (rates > 0).sum(axis=1)).any()
+        assert n_intervals == 100 == round(config.duration_t / SCHEDULING_INTERVAL_S)
+        assert (resources < (rates > 0).sum(axis=1)).any()
         assert_same_schedule(pf_run(rates, n_intervals, resources),
                              pf_run_reference(rates, n_intervals, resources))
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(st.lists(_SATURATING_RATES, max_size=24), min_size=1, max_size=6),
            data=st.data(),
-           n_intervals=st.integers(0, 120),
-           beta=st.sampled_from([0.01, 0.5]))
-    def test_matches_reference_bit_for_bit(self, rows, data, n_intervals, beta):
+           n_intervals=st.integers(0, 120))
+    def test_matches_reference_bit_for_bit(self, rows, data, n_intervals):
         width = max(len(rates) for rates in rows)
         padded = np.zeros((len(rows), width))
         for r, rates in enumerate(rows):
             padded[r, :len(rates)] = rates
         resources = data.draw(st.lists(st.integers(0, width + 2), min_size=len(rows),
                                        max_size=len(rows)))
-        assert_same_schedule(pf_run(padded, n_intervals, resources, beta),
-                             pf_run_reference(padded, n_intervals, resources, beta))
-        single = pf_run(padded[0], n_intervals, resources[0], beta)
-        assert_same_schedule(single, pf_run_reference(padded[0], n_intervals, resources[0], beta))
+        assert_same_schedule(pf_run(padded, n_intervals, resources),
+                             pf_run_reference(padded, n_intervals, resources))
+        single = pf_run(padded[0], n_intervals, resources[0])
+        assert_same_schedule(single, pf_run_reference(padded[0], n_intervals, resources[0]))
         assert type(single[1]) is float
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -297,11 +298,6 @@ class TestPfRunOracle:
     def test_negative_and_zero_rates_are_never_scheduled(self):
         counts, mux = pf_run([[2.0, -1.0, 0.0, -0.0, 1.0]], 20, 4)
         assert counts.tolist() == [[20, 0, 0, 0, 20]] and mux.tolist() == [2.0]
-
-    @pytest.mark.parametrize("beta", [-0.01, 1.5, np.nan])
-    def test_beta_outside_unit_interval_rejected(self, beta):
-        with pytest.raises(InternalError, match="beta"):
-            pf_run([1.0, 2.0], 10, 1, beta)
 
 
 class TestDelays:
