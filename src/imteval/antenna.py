@@ -91,6 +91,7 @@ class ArrayConfig:
     ``n_ports``, the link budget's MRC branch count, and the BS
     ``downtilt_deg`` offsets the zenith in ``engine.compute_coupling``; the
     fields no drop reads are pinned to the preset (``scenario._PINNED``).
+    ``scenario.validate`` applies the counts', ports' and spacings' rules.
     """
 
     m: int = 1
@@ -104,19 +105,6 @@ class ArrayConfig:
     element_spacing_v: float = 0.8
     bearing_deg: float = 0.0
     downtilt_deg: float = 0.0
-
-    def __post_init__(self):
-        for name in ("m", "n", "p", "mg", "ng", "mp", "np"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"array count {name} must be >= 1", name)
-        if self.p not in (1, 2):
-            raise DomainError("polarization count p must be 1 or 2", "p")
-        for ports, grid in (("mp", "m"), ("np", "n")):
-            if getattr(self, grid) % getattr(self, ports):
-                raise DomainError("port grid (mp, np) must divide element grid (m, n)", ports)
-        for name in ("element_spacing_h", "element_spacing_v"):
-            if getattr(self, name) <= 0:
-                raise DomainError("element spacings must be positive", name)
 
     @property
     def n_elements(self) -> int:

@@ -116,8 +116,7 @@ def gen_clusters(lsp: LargeScaleParams, n_clusters: int, rng: np.random.Generato
                  center_aoa_deg: float = 0.0, center_aod_deg: float = 0.0,
                  center_zoa_deg: float = 90.0, center_zod_deg: float = 90.0) -> ClusterSet:
     """Cluster-level small-scale structure (generation steps 5 through 10)."""
-    if n_clusters < 1:
-        raise DomainError("n_clusters must be >= 1")
+    DomainError.require_counts(1, n_clusters=n_clusters)
     if n_clusters == 1:
         delays = np.zeros(1)
         powers = np.ones(1)

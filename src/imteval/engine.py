@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import math
 import multiprocessing
-import numbers
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -358,9 +357,8 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
 
     Returns (adjusted config, achieved mean IoT dB, warnings). Probe drops
     use reserved stream indices so they never collide with run drops. Raises
-    DomainError when ``probes`` or ``max_iterations`` is not an integer of at
-    least 1."""
-    _require_counts(1, probes=probes, max_iterations=max_iterations)
+    DomainError naming the first argument out of its domain before any drop."""
+    DomainError.require_counts(1, probes=probes, max_iterations=max_iterations)
     target = config.link.ul_iot_target_db
     warnings = []
     cfg = config
@@ -383,21 +381,6 @@ def calibrate_ul_power(config: EvaluationConfig, layout: NetworkLayout,
             f"{target:.1f} dB after {max_iterations} iterations"
         )
     return cfg, achieved, warnings
-
-
-def _require_positive(**values) -> None:
-    """Raise DomainError naming the first argument not in (0, inf), NaN included."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}", name)
-
-
-def _require_counts(minimum: int, **counts) -> None:
-    """Raise DomainError naming the first count that is not an integer of at
-    least ``minimum`` (a bool is not)."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +448,10 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
         early_stop: bool = False, convergence_window: int = 50,
         convergence_tol: float = 1e-4, calibrate: bool = True) -> RunResult:
     """Execute the drop loop and compute every KPI defined for the
-    environment. Results are identical for any worker count."""
+    environment. Results are identical for any worker count. Raises
+    DomainError naming the first argument out of its domain before any set-up."""
+    DomainError.require_counts(1, workers=workers, convergence_window=convergence_window)
+    DomainError.require_positive(convergence_tol=convergence_tol)
     layout = build_layout(config)
     warnings = []
     if calibrate:
@@ -640,12 +626,12 @@ class MessageService:
     ``lost``, whose entry repeats the time; code 0 is the pad, of service
     +inf. ``cells[d][c]`` is None for a cell without UEs, else its UEs'
     codes after 1 + k transmissions (k = 8: lost after 8 attempts), success
-    probabilities, ``_success_sums`` and ``_search_floor``. A bad ``config``
-    or ``n_drops`` raises DomainError before any drop runs."""
+    probabilities, ``_success_sums`` and ``_search_floor``. Raises
+    DomainError naming the first argument out of its domain before any drop."""
 
     def __init__(self, config: EvaluationConfig, layout: NetworkLayout, n_drops: int):
         _require_messaging(config)
-        _require_counts(1, n_drops=n_drops)
+        DomainError.require_counts(1, n_drops=n_drops)
         self.config, self.sector_area_m2 = config, layout.sector_area_m2
         spec, lk = config.traffic, config.link
         links = [(drop.serving, drop.ul_sinr_db - lk.csi_backoff_db)
@@ -730,8 +716,8 @@ def evaluate_p99_delay(service: MessageService, density_per_km2: float,
     times, packed and ranked there, a lost message's as inf (see
     metrics.p99_delay). ``record_sink`` receives per-message (drop, cell,
     arrival, start, completion, transmissions, delivered) tuples. Raises
-    DomainError naming an argument that is not positive and finite."""
-    _require_positive(density_per_km2=density_per_km2, horizon_s=horizon_s)
+    DomainError naming the first argument out of its domain before any draw."""
+    DomainError.require_positive(density_per_km2=density_per_km2, horizon_s=horizon_s)
     spec = service.config.traffic
     mean_messages = density_per_km2 * (service.sector_area_m2 / 1e6) * spec.rate_per_s * horizon_s
     arrival, codes, lengths = _draw_messages(service, mean_messages, horizon_s)
@@ -772,13 +758,10 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     99th-percentile delay stays within 10 s. Without ``layout`` it builds and
     calibrates its own; a passed layout comes with the calibrated config of its run.
     Raises DomainError naming the first argument out of its domain (``config``
-    without messaging traffic included) before any set-up."""
+    without messaging traffic, a bracket not 0 < lo < hi < inf) before any set-up."""
     _require_messaging(config)
-    _require_counts(1, n_drops=n_drops)
-    _require_positive(lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
-    if hi_per_km2 <= lo_per_km2:
-        raise DomainError(f"hi_per_km2 must exceed lo_per_km2, got {hi_per_km2!r}", "hi_per_km2")
-    _require_counts(0, steps=steps)
+    DomainError.require_counts(1, n_drops=n_drops)
+    metrics._check_bracket(lo_per_km2, hi_per_km2, steps)
     if layout is None:
         layout = build_layout(config)
         config, _, _ = calibrate_ul_power(config, layout)

@@ -1,5 +1,8 @@
 """Exception types shared across the simulator."""
 
+import math
+import numbers
+
 
 class ImtEvalError(Exception):
     """Base class for all simulator errors."""
@@ -30,11 +33,28 @@ class UnknownRequirement(ImtEvalError):
 
 class DomainError(ImtEvalError):
     """Argument outside the mathematical domain of an operation; ``.field``
-    names the rejected dataclass field, if any."""
+    names the rejected argument, if any. ``require_positive`` and
+    ``require_counts`` are the one check of numeric arguments: a bool is never
+    a number there, and numpy scalars of the right kind pass."""
 
     def __init__(self, message: str = "", field: str | None = None):
         self.field = field
         super().__init__(message)
+
+    @classmethod
+    def require_positive(cls, **values) -> None:
+        """Raise naming the first argument that is not a real in (0, inf)."""
+        for name, value in values.items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise cls(f"{name} must be positive and finite, got {value!r}", name)
+
+    @classmethod
+    def require_counts(cls, minimum: int, **counts) -> None:
+        """Raise naming the first argument that is not an integer >= ``minimum``."""
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+                raise cls(f"{name} must be an integer >= {minimum}, got {value!r}", name)
 
 
 class InsufficientSamples(ImtEvalError):

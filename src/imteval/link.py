@@ -34,8 +34,7 @@ def lin_to_db(lin):
 def noise_power(bandwidth_hz: float, noise_figure_db: float, density_dbm_hz: float) -> float:
     """Noise power in dBm over the given bandwidth at the given thermal
     noise density."""
-    if bandwidth_hz <= 0:
-        raise DomainError("bandwidth must be positive")
+    DomainError.require_positive(bandwidth_hz=bandwidth_hz)
     return density_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
@@ -124,8 +123,7 @@ def harq_success_probability(
     retransmission sees the SINR improved by the configured combining gain.
     A budget too short for even one transmission yields success 0.
     """
-    if not (0.0 < latency_budget_s < math.inf):
-        raise DomainError(f"latency_budget_s must be finite and > 0, got {latency_budget_s}")
+    DomainError.require_positive(latency_budget_s=latency_budget_s)
     if math.isnan(sinr_db):
         raise DomainError("SINR must not be NaN")
     k = min(harq.max_transmissions, int(math.floor(latency_budget_s / harq.per_transmission_time_s + 1e-12)))
@@ -173,10 +171,6 @@ class LinkParams:
     def validate(self) -> None:
         """Build every object the bundle feeds, so each applies its own
         checks; raises ConfigInvalid naming the ``link.<key>`` at fault."""
-        # the PF scheduler's grant counts; the uplink count also divides the bandwidth
-        for name in ("mu_layers_dl", "mu_layers_ul"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"link.{name}", "must be >= 1")
         for name, (_, feeds) in _FEEDS.items():
             try:
                 self._build(name)

@@ -9,7 +9,6 @@ with the requirement table.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -108,8 +107,7 @@ def avg_spectral_efficiency(bits_per_drop, duration_s: float, bandwidth_hz: floa
     """Correctly received bits summed over drops, normalized by drops x time
     x bandwidth x TRxPs (bit/s/Hz per TRxP). ``bits_per_drop`` holds each
     drop's total over its users, received over ``duration_s``."""
-    if not (0.0 < duration_s < math.inf and 0.0 < bandwidth_hz < math.inf and n_trxps > 0):
-        raise DomainError("duration, bandwidth and TRxP count must be finite and positive")
+    DomainError.require_positive(duration_s=duration_s, bandwidth_hz=bandwidth_hz, n_trxps=n_trxps)
     if len(bits_per_drop) == 0:
         raise DomainError("need at least one drop")
     total = 0.0
@@ -144,9 +142,8 @@ def connection_density_fullbuffer(n_mux: float, bandwidth_hz: float, b_values,
     """Devices per km^2: (n_mux * W / mean(B_i)) / (sector area in km^2),
     with ``b_values`` the per-user B_i from ``b_value`` and ``sector_area_m2``
     the served TRxP's area (``NetworkLayout.sector_area_m2``)."""
-    if not all(0.0 < v < math.inf for v in (n_mux, bandwidth_hz, sector_area_m2)):
-        raise DomainError(
-            "multiplexing order, bandwidth and sector area must be finite and positive")
+    DomainError.require_positive(n_mux=n_mux, bandwidth_hz=bandwidth_hz,
+                                 sector_area_m2=sector_area_m2)
     if np.size(b_values) == 0 or not np.isfinite(b_values).all():
         raise DomainError("B_i values must be non-empty and finite")
     if float(np.mean(b_values)) <= 0:
@@ -194,6 +191,15 @@ class DensitySearchResult:
     bracket: tuple  # (highest passing density, lowest failing density or inf)
 
 
+def _check_bracket(lo_per_km2, hi_per_km2, steps) -> None:
+    """Both density searches' argument rule, applied before any work: raises DomainError naming
+    the first argument out of 0 < lo < hi < inf, or ``steps`` if not an integer >= 0."""
+    DomainError.require_positive(lo_per_km2=lo_per_km2, hi_per_km2=hi_per_km2)
+    if hi_per_km2 <= lo_per_km2:
+        raise DomainError(f"hi_per_km2 must exceed lo_per_km2, got {hi_per_km2!r}", "hi_per_km2")
+    DomainError.require_counts(0, steps=steps)
+
+
 def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2: float,
                               steps: int) -> DensitySearchResult:
     """Bisection over device density for the non-full-buffer route.
@@ -203,15 +209,11 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
     largest tested density whose delay met QOS_DELAY_S (boundary
     inclusive). Non-monotone samples are reported with the widest
     bracketing interval rather than hidden. A NaN delay raises
-    InternalError: it would neither pass nor fail the bound honestly. A
-    bracket not ordered 0 < lo < hi < inf, or a ``steps`` that is not a
-    non-bool integer >= 0, raises DomainError naming it before any probe.
+    InternalError: it would neither pass nor fail the bound honestly.
+    Raises DomainError naming the first argument out of its domain (a
+    bracket not 0 < lo < hi < inf) before any probe.
     """
-    if not (0 < lo_per_km2 < hi_per_km2 < math.inf):
-        raise DomainError("need 0 < lo < hi < inf for the density search",
-                          "hi_per_km2" if lo_per_km2 > 0 else "lo_per_km2")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
-        raise DomainError(f"steps must be an integer >= 0, got {steps!r}", "steps")
+    _check_bracket(lo_per_km2, hi_per_km2, steps)
     evals = []
 
     def probe(density):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .antenna import ArrayConfig, ElementPattern
-from .errors import ConfigInvalid, ConfigSyntax, DomainError, UnknownPreset, UnknownRequirement
+from .errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
 from .link import LinkParams
 from .traffic import TrafficKind, TrafficModelSpec
 
@@ -105,8 +105,8 @@ class EvaluationConfig:
         )
 
 
-# the values each numeric leaf type accepts, numpy scalars included; a bool,
-# an int to Python, passes only as a bool
+# the values each numeric leaf type accepts, numpy scalars included (any other needs
+# an instance of its type); a bool, an int to Python, passes only as a bool
 _NUMERIC = {int: numbers.Integral, float: numbers.Real, bool: bool}
 
 # documented validation ranges, inclusive, by key name (see _leaf_values)
@@ -134,6 +134,9 @@ _RANGES = {
     # a beamwidth is > 0: math.ulp(0.0) is the least positive float
     "antenna.bs.h_3db": (math.ulp(0.0), 360.0), "antenna.bs.v_3db": (math.ulp(0.0), 360.0),
     "antenna.bs.front_back": (0.0, math.inf), "antenna.bs.sidelobe": (0.0, math.inf),
+    "traffic.w_user_hz": (math.ulp(0.0), math.inf), "traffic.overhead_s": (0.0, math.inf),
+    # the PF scheduler's grant counts; the uplink count also divides the bandwidth
+    "link.mu_layers_dl": (1, math.inf), "link.mu_layers_ul": (1, math.inf),
 }
 
 
@@ -145,22 +148,43 @@ def _check_variant(environment: TestEnvironment, variant: str) -> None:
 
 
 def validate(config: EvaluationConfig) -> EvaluationConfig:
-    """Type- and range-check every field; raises ConfigInvalid naming the first offender."""
-    _check_variant(config.environment, config.config_variant)
+    """Type-check every leaf, then apply every rule of the config; raises
+    ConfigInvalid naming the file key of the first offender."""
     values = _leaf_values(config)
-    for (name, value), (_, _, _, _, kind) in zip(values.items(), _LEAVES):
-        if kind in _NUMERIC and (not isinstance(value, _NUMERIC[kind])
-                                 or isinstance(value, bool) != (kind is bool)):
+    for (name, value), (*_, kind) in zip(values.items(), _LEAVES):
+        if (not isinstance(value, _NUMERIC.get(kind, kind))
+                or isinstance(value, bool) != (kind is bool)):
             raise ConfigInvalid(name, f"expected {kind.__name__}, got {value!r}")
         # NaN passes any rule written as `if value <= bound: raise`, inf a one-sided one
         if kind is float and not math.isfinite(value):
             raise ConfigInvalid(name, f"{value} is not finite")
+    _check_variant(config.environment, config.config_variant)
     for name, (lo, hi) in _RANGES.items():
         if not (lo <= values[name] <= hi):
             raise ConfigInvalid(name, f"{values[name]} outside [{lo}, {hi}]")
-    config.traffic.validate()
+    traffic = config.traffic
+    if traffic.kind is TrafficKind.POISSON_MESSAGING:
+        for key in ("pdu_size_bytes", "rate_per_s"):
+            if getattr(traffic, key) <= 0:
+                raise ConfigInvalid(f"traffic.{key}", "must be > 0")
+    if traffic.eval_bandwidth_hz < traffic.w_user_hz:
+        raise ConfigInvalid("traffic.eval_bandwidth_hz", "must be >= w_user_hz")
     config.link.validate()
-    # ArrayConfig's __post_init__ already vetted the antenna parameters
+    # the panel array rules (see antenna.ArrayConfig)
+    for section in ("antenna.bs", "antenna.ue"):
+        array = getattr(config, _NESTED[section])
+        for key in ("m", "n", "p", "mg", "ng", "mp", "np"):
+            if getattr(array, key) < 1:
+                raise ConfigInvalid(f"{section}.{key}", f"array count {key} must be >= 1")
+        if array.p not in (1, 2):
+            raise ConfigInvalid(f"{section}.p", "polarization count p must be 1 or 2")
+        for ports, grid in (("mp", "m"), ("np", "n")):
+            if getattr(array, grid) % getattr(array, ports):
+                raise ConfigInvalid(f"{section}.{ports}",
+                                    "port grid (mp, np) must divide element grid (m, n)")
+        for key in ("element_spacing_h", "element_spacing_v"):
+            if getattr(array, key) <= 0:
+                raise ConfigInvalid(f"{section}.{key}", "element spacings must be positive")
     return config
 
 
@@ -339,10 +363,14 @@ _LEAVES = _leaf_table()
 _KEYS = {(section, key): rest for section, key, *rest in _LEAVES}
 
 
+def _name(section: str, key: str) -> str:
+    """A key's name in errors and checks: bare in [scenario] and [run]."""
+    return key if section in ("scenario", "run") else f"{section}.{key}"
+
+
 def _leaf_values(config: EvaluationConfig) -> dict:
-    """{name: value} per file key in file order; a name is bare in [scenario] and [run]."""
-    return {key if section in ("scenario", "run") else f"{section}.{key}":
-            getattr(getattr(config, owner) if owner else config, attr)
+    """{name: value} per file key in file order."""
+    return {_name(section, key): getattr(getattr(config, owner) if owner else config, attr)
             for section, key, owner, attr, _ in _LEAVES}
 
 
@@ -371,7 +399,7 @@ def config_hash(config: EvaluationConfig) -> str:
     return hashlib.sha256(config_to_text(config).encode("utf-8")).hexdigest()
 
 
-def _convert(key: str, raw: str, kind):
+def _convert(name: str, raw: str, kind):
     """Parse one value by its field's declared type; errors name the file key."""
     if kind is TestEnvironment:
         return TestEnvironment.parse(raw)
@@ -379,20 +407,20 @@ def _convert(key: str, raw: str, kind):
         for traffic_kind in TrafficKind:
             if raw == traffic_kind.value or raw == traffic_kind.name:
                 return traffic_kind
-        raise ConfigInvalid("traffic.kind", f"unknown traffic kind '{raw}'")
+        raise ConfigInvalid(name, f"unknown traffic kind '{raw}'")
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigInvalid(key, f"expected boolean, got '{raw}'")
+        raise ConfigInvalid(name, f"expected boolean, got '{raw}'")
     if kind is str:
         return raw
     try:
         return kind(raw)
     except ValueError as exc:
         expected = "integer" if kind is int else "number"
-        raise ConfigInvalid(key, f"expected {expected}, got '{raw}'") from exc
+        raise ConfigInvalid(name, f"expected {expected}, got '{raw}'") from exc
 
 
 def _pins(names: str, reason: str) -> dict:
@@ -466,13 +494,10 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
             if (section, key) not in _KEYS:
                 raise ConfigInvalid(key, f"unknown key in [{section}]")
             owner, attr, kind = _KEYS[section, key]
-            (nested if owner else updates)[attr] = _convert(key, raw, kind)
+            (nested if owner else updates)[attr] = _convert(_name(section, key), raw, kind)
         if nested:
             owner = _NESTED[section]
-            try:
-                updates[owner] = replace(getattr(base, owner), **nested)
-            except DomainError as exc:  # an ArrayConfig rule, naming its field
-                raise ConfigInvalid(f"{section}.{exc.field}", str(exc)) from exc
+            updates[owner] = replace(getattr(base, owner), **nested)
     config = validate(replace(base, **updates))
     pinned = {**_PINNED[None], **_PINNED[base.environment]}
     was = _leaf_values(base)

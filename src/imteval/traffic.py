@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigInvalid, InternalError
+from .errors import DomainError, InternalError
 
 
 class TrafficKind(Enum):
@@ -47,19 +47,6 @@ class TrafficModelSpec:
     def channels(self) -> int:
         """Messaging channels of ``w_user_hz`` in the evaluated carrier."""
         return int(self.eval_bandwidth_hz // self.w_user_hz)
-
-    def validate(self):
-        if self.kind is TrafficKind.POISSON_MESSAGING:
-            if self.pdu_size_bytes <= 0:
-                raise ConfigInvalid("traffic.pdu_size_bytes", "must be > 0")
-            if self.rate_per_s <= 0:
-                raise ConfigInvalid("traffic.rate_per_s", "must be > 0")
-        if self.w_user_hz <= 0:
-            raise ConfigInvalid("traffic.w_user_hz", "must be > 0")
-        if self.eval_bandwidth_hz < self.w_user_hz:
-            raise ConfigInvalid("traffic.eval_bandwidth_hz", "must be >= w_user_hz")
-        if self.overhead_s < 0:
-            raise ConfigInvalid("traffic.overhead_s", "must be >= 0")
 
 
 def track_delays(arrival, start, done, *, first_row: int = 0):
@@ -203,10 +190,10 @@ def serve_fifo(arrival_times, service_codes, service_table, n_servers: int, star
     every start and completion is the same IEEE operation on the same
     operands as in the heap queue (tests keep that loop as the oracle). A
     pad's +inf completion passes the test against any free time, so pads
-    cut no step short. With one server every step is one position.
+    cut no step short. With one server every step is one position. Raises
+    DomainError naming ``n_servers`` when it is not an integer >= 1.
     """
-    if n_servers < 1:
-        raise ConfigInvalid("n_servers", "must be >= 1")
+    DomainError.require_counts(1, n_servers=n_servers)
     arrival = np.asarray(arrival_times, dtype=float)
     codes = np.asarray(service_codes)
     table = np.asarray(service_table, dtype=float)

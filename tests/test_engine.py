@@ -966,6 +966,9 @@ class TestDensityRoute:
         (lambda cfg: evaluate_p99_delay(None, math.nan), "density_per_km2", "nan"),
         (lambda cfg: evaluate_p99_delay(None, math.inf), "density_per_km2", "inf"),
         (lambda cfg: evaluate_p99_delay(None, 1e6, horizon_s=math.inf), "horizon_s", "inf"),
+        (lambda cfg: evaluate_p99_delay(None, 1e6, horizon_s=True), "horizon_s", "True"),
+        (lambda cfg: evaluate_p99_delay(None, True), "density_per_km2", "True"),
+        (lambda cfg: evaluate_p99_delay(None, "1e6"), "density_per_km2", "'1e6'"),
         (lambda cfg: density_search(cfg, hi_per_km2=math.inf), "hi_per_km2", "inf"),
         (lambda cfg: density_search(cfg, lo_per_km2=math.nan), "lo_per_km2", "nan"),
         (lambda cfg: density_search(preset(TestEnvironment.RURAL_EMBB, "A"), n_drops=2),
@@ -981,6 +984,12 @@ class TestDensityRoute:
         (lambda cfg: calibrate_ul_power(cfg, None, probes=1.5), "probes", "1.5"),
         (lambda cfg: calibrate_ul_power(cfg, None, probes=True), "probes", "True"),
         (lambda cfg: calibrate_ul_power(cfg, None, max_iterations=2.0), "max_iterations", "2.0"),
+        (lambda cfg: run(cfg, workers=0), "workers", "0"),
+        (lambda cfg: run(cfg, workers=True), "workers", "True"),
+        (lambda cfg: run(cfg, workers=2.5), "workers", "2.5"),
+        (lambda cfg: run(cfg, early_stop=True, convergence_window=-1), "convergence_window", "-1"),
+        (lambda cfg: run(cfg, early_stop=True, convergence_tol=math.nan), "convergence_tol",
+         "nan"),
     ])
     def test_bad_probe_argument_is_a_domain_error_before_any_drop(self, monkeypatch, call,
                                                                   field, shown):
@@ -991,9 +1000,12 @@ class TestDensityRoute:
         with an inverted bracket ran its layout, calibration and drops
         first, and a negative ``steps`` was accepted; a float ``steps``,
         ``n_drops`` or ``probes`` failed late in ``range``, and a bool one
-        counted as 1 (``n_drops=True`` searched one drop). Now the bad
-        argument and its value are named before any layout or drop is made
-        (the probes' service and layout are None here)."""
+        counted as 1 (``n_drops=True`` searched one drop, ``horizon_s=True``
+        served a one-second horizon). ``run`` ran serially on ``workers=0`` or
+        ``True``, failed in the pool on 2.5, in ``IndexError`` on a negative
+        window, and never converged on a NaN tolerance. Now the bad argument
+        and its value are named before any layout or drop is made (the
+        probes' service and layout are None here)."""
         def no_work(*args, **kwargs):
             raise AssertionError("work was done")
 

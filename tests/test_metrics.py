@@ -257,7 +257,7 @@ class TestConnectionDensityFullBuffer:
         (0.0, 180e3, 500.0), (10.0, -180e3, 500.0), (10.0, 180e3, 0.0),
         (math.inf, 180e3, 500.0), (10.0, 180e3, math.inf)])
     def test_nan_or_out_of_range_input_rejected(self, n_mux, bandwidth_hz, sector_area_m2):
-        with pytest.raises(DomainError, match="sector area"):
+        with pytest.raises(DomainError, match="must be positive and finite"):
             connection_density_fullbuffer(n_mux, bandwidth_hz, np.array([1.8e3]),
                                           sector_area_m2)
 
@@ -313,6 +313,7 @@ class TestDensitySearch:
         (4e7, 2e5, 10, "hi_per_km2"), (0.0, 1e7, 10, "lo_per_km2"),
         (1e5, math.nan, 10, "hi_per_km2"), (1e5, math.inf, 10, "hi_per_km2"),
         (1e5, 1e7, -1, "steps"), (1e5, 1e7, 2.5, "steps"), (1e5, 1e7, True, "steps"),
+        (True, 1e7, 10, "lo_per_km2"), (1e5, "1e7", 10, "hi_per_km2"),
     ])
     def test_bad_bracket_or_steps_is_a_domain_error_before_any_probe(self, lo, hi, steps,
                                                                       field):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imteval.errors import (ConfigInvalid, ConfigSyntax, DomainError, UnknownPreset,
-                            UnknownRequirement)
+from imteval.errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
 from imteval.link import LinkParams
 from imteval import engine, scenario
 from imteval.traffic import TrafficKind
@@ -133,31 +132,32 @@ def reference_config_to_text(config: EvaluationConfig) -> str:
     return buf.getvalue()
 
 
-def _ref_convert(key: str, raw: str):
+def _ref_convert(section: str, key: str, raw: str):
+    name = _ref_name(section, key)
     if key == "environment":
         return TestEnvironment.parse(raw)
     if key == "kind":
         for kind in TrafficKind:
             if raw == kind.value or raw == kind.name:
                 return kind
-        raise ConfigInvalid("traffic.kind", f"unknown traffic kind '{raw}'")
+        raise ConfigInvalid(name, f"unknown traffic kind '{raw}'")
     if key in _BOOL_FIELDS:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigInvalid(key, f"expected boolean, got '{raw}'")
+        raise ConfigInvalid(name, f"expected boolean, got '{raw}'")
     if key in _INT_FIELDS:
         try:
             return int(raw)
         except ValueError as exc:
-            raise ConfigInvalid(key, f"expected integer, got '{raw}'") from exc
+            raise ConfigInvalid(name, f"expected integer, got '{raw}'") from exc
     if key == "config_variant":
         return raw
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigInvalid(key, f"expected number, got '{raw}'") from exc
+        raise ConfigInvalid(name, f"expected number, got '{raw}'") from exc
 
 
 def reference_load_config(path=None, base: EvaluationConfig | None = None, text: str | None = None) -> EvaluationConfig:
@@ -190,7 +190,7 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
     for key, raw in scen.items():
         if key not in _SCENARIO_FIELDS:
             raise ConfigInvalid(key, "unknown key in [scenario]")
-        updates[key] = _ref_convert(key, raw)
+        updates[key] = _ref_convert("scenario", key, raw)
 
     for section, attr in (("antenna.bs", "antenna_bs"), ("antenna.ue", "antenna_ue")):
         if not parser.has_section(section):
@@ -198,25 +198,22 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         array_updates = {}
         for key, raw in parser.items(section):
             if key in _ANTENNA_FIELDS:
-                array_updates[key] = _ref_convert(key, raw)
+                array_updates[key] = _ref_convert(section, key, raw)
             elif section == "antenna.bs" and key in _BS_PATTERN_FIELDS:
-                updates[_BS_PATTERN_FIELDS[key]] = _ref_convert(key, raw)
+                updates[_BS_PATTERN_FIELDS[key]] = _ref_convert(section, key, raw)
             elif section == "antenna.ue" and key == "isotropic":
-                updates["ue_isotropic"] = _ref_convert("isotropic", raw)
+                updates["ue_isotropic"] = _ref_convert(section, "isotropic", raw)
             else:
                 raise ConfigInvalid(key, f"unknown key in [{section}]")
         if array_updates:
-            try:
-                updates[attr] = replace(getattr(base, attr), **array_updates)
-            except DomainError as exc:
-                raise ConfigInvalid(f"{section}.{exc.field}", str(exc)) from exc
+            updates[attr] = replace(getattr(base, attr), **array_updates)
 
     if parser.has_section("traffic"):
         traffic_updates = {}
         for key, raw in parser.items("traffic"):
             if key not in _TRAFFIC_FIELDS:
                 raise ConfigInvalid(key, "unknown key in [traffic]")
-            traffic_updates[key] = _ref_convert(key, raw)
+            traffic_updates[key] = _ref_convert("traffic", key, raw)
         if traffic_updates:
             updates["traffic"] = replace(base.traffic, **traffic_updates)
 
@@ -224,14 +221,14 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         for key, raw in parser.items("run"):
             if key not in _RUN_FIELDS:
                 raise ConfigInvalid(key, "unknown key in [run]")
-            updates[key] = _ref_convert(key, raw)
+            updates[key] = _ref_convert("run", key, raw)
 
     if parser.has_section("link"):
         link_updates = {}
         for key, raw in parser.items("link"):
             if key not in _LINK_FIELDS:
                 raise ConfigInvalid(key, "unknown key in [link]")
-            link_updates[key] = _ref_convert(key, raw)
+            link_updates[key] = _ref_convert("link", key, raw)
         if link_updates:
             updates["link"] = replace(base.link, **link_updates)
 
@@ -274,6 +271,16 @@ def _current(config: EvaluationConfig, section: str, key: str):
         holder = config
         key = _BS_PATTERN_FIELDS.get(key, "ue_isotropic")
     return getattr(holder, key)
+
+
+def with_leaf(config: EvaluationConfig, name: str, value) -> EvaluationConfig:
+    """``config`` with the leaf of file key ``name`` set to ``value`` by
+    ``replace``, unchecked."""
+    (owner, attr), = [(owner, attr) for section, key, owner, attr, _ in scenario._LEAVES
+                      if _ref_name(section, key) == name]
+    if owner is None:
+        return replace(config, **{attr: value})
+    return replace(config, **{owner: replace(getattr(config, owner), **{attr: value})})
 
 
 def _outcome(load):
@@ -361,17 +368,20 @@ class TestValidation:
         ("drops", True),
         ("ues_per_trxp", 1.5),
         ("master_seed", 7.0),
-        ("ue_isotropic", 1),
+        ("antenna.ue.isotropic", 1),
         ("isd", "500"),
         ("isd", True),
+        # an array leaf is checked by validate, not when the dataclass is made
+        ("antenna.bs.m", 2.5),
+        ("antenna.bs.m", "2"),
+        ("antenna.ue.np", True),
     ])
     def test_out_of_range_field_is_named(self, field, bad):
         c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
-        mutated = dataclasses.replace(c, **{field: bad})
+        mutated = with_leaf(c, field, bad)
         with pytest.raises(ConfigInvalid) as err:
             validate(mutated)
-        # the element-pattern keys live under their antenna section
-        assert err.value.field == {"ue_isotropic": "antenna.ue.isotropic"}.get(field, field)
+        assert err.value.field == field
 
     def test_bad_variant(self):
         c = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
@@ -415,7 +425,7 @@ class TestValidation:
         ("antenna.ue", "np", "3", "port grid"),
         ("antenna.bs", "mp", "3", "port grid"),
         ("antenna.bs", "np", "3", "port grid"),
-        ("antenna.ue", "element_spacing_h", "-inf", "element spacings"),
+        ("antenna.ue", "element_spacing_h", "-inf", "not finite"),
         ("antenna.bs", "element_spacing_v", "0", "element spacings"),
     ])
     def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):

@@ -11,23 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imteval import engine, traffic
-from imteval.errors import ConfigInvalid, InternalError
+from imteval.errors import ConfigInvalid, DomainError, InternalError
 from imteval.geometry import build_layout
 from imteval.link import SCHEDULING_INTERVAL_S
-from imteval.scenario import TestEnvironment, preset
-from imteval.traffic import (
-    TrafficKind,
-    TrafficModelSpec,
-    pf_run,
-    serve_fifo,
-    track_delays,
-)
+from imteval.scenario import TestEnvironment, preset, validate
+from imteval.traffic import pf_run, serve_fifo, track_delays
 
 
 class TestArrivals:
     def test_zero_rate_rejected_at_validation(self):
-        with pytest.raises(ConfigInvalid):
-            TrafficModelSpec(kind=TrafficKind.POISSON_MESSAGING, rate_per_s=0.0).validate()
+        mmtc = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            validate(replace(mmtc, traffic=replace(mmtc.traffic, rate_per_s=0.0)))
+        assert err.value.field == "traffic.rate_per_s"
 
 
 @dataclass
@@ -486,8 +482,9 @@ class TestServeFifo:
             serve_fifo([0.0, 1.0], np.array([1, 3], np.uint8), [np.inf, 1.0, 2.0], n_servers=1)
 
     def test_zero_servers_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DomainError, match="n_servers") as err:
             serve_fifo([0.0], np.ones(1, np.uint8), [np.inf, 1.0], n_servers=0)
+        assert err.value.field == "n_servers"
 
     def test_nan_service_rejected(self):
         with pytest.raises(InternalError, match="message 1"):
