@@ -25,10 +25,9 @@ from .channel.model import los_probability, pathloss_curves
 from .channel.profiles import profile_for
 from .errors import DomainError, InternalError
 from .geometry import MICRO_TX_OFFSET_DB, NetworkLayout, UeDrop, build_layout, drop_ues
-from .link import (SCHEDULING_INTERVAL_S, bler, db_to_lin, lin_to_db, noise_power, sinr_to_se,
-                   uplink_power_control)
-from .scenario import (DOWNLINK, UPLINK, EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment,
-                       builtin_requirements)
+from .link import (DOWNLINK, SCHEDULING_INTERVAL_S, UPLINK, bler, db_to_lin, lin_to_db,
+                   noise_power, sinr_to_se, uplink_power_control)
+from .scenario import EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, builtin_requirements
 from .traffic import TrafficKind, pf_run, serve_fifo
 
 STREAM_ALGORITHM = (
@@ -306,7 +305,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     n_intervals = max(1, int(round(config.duration_t / SCHEDULING_INTERVAL_S)))
     dt = config.duration_t / n_intervals
     is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
-    rates_ul = np.asarray(sinr_to_se(lk.abstraction(UPLINK), result.ul_sinr_db - backoff)) \
+    rates_ul = np.asarray(sinr_to_se(lk, UPLINK, result.ul_sinr_db - backoff)) \
         * _ul_user_bw(config)
     ul_resources = config.traffic.channels if is_mmtc_style else lk.mu_layers_ul
 
@@ -322,8 +321,8 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     row_rates[n_dl_rows + cell_row, slot] = rates_ul[by_cell]
     resources = np.full(n_dl_rows + n_cells, ul_resources)
     if n_dl_rows:
-        rates_dl = np.asarray(sinr_to_se(lk.abstraction(DOWNLINK),
-                                         result.dl_sinr_db - backoff)) * config.bandwidth
+        rates_dl = np.asarray(sinr_to_se(lk, DOWNLINK, result.dl_sinr_db - backoff)) \
+            * config.bandwidth
         row_rates[cell_row, slot] = rates_dl[by_cell]
         resources[:n_dl_rows] = lk.mu_layers_dl
     counts, mux = pf_run(row_rates, n_intervals, resources)
@@ -518,8 +517,7 @@ def _assemble_kpis(config, layout, cdfs, bits_per_drop, n_mux_values, b_pool, si
     # reliability needs only the SINR CDFs, so it survives sinr_only mode
     if env is TestEnvironment.URBAN_MACRO_URLLC:
         for direction, prefix in _PREFIX.items():
-            prob = metrics.reliability(cdfs[f"{prefix}_sinr_db"], lk.bler_model(), lk.harq(),
-                                       extra_backoff_db=lk.csi_backoff_db)
+            prob = metrics.reliability(cdfs[f"{prefix}_sinr_db"], lk)
             kpis.append(KpiValue("reliability", direction, prob, "probability"))
     if sinr_only:
         return kpis
@@ -534,9 +532,7 @@ def _assemble_kpis(config, layout, cdfs, bits_per_drop, n_mux_values, b_pool, si
         # normalized traffic-channel rate at the speeds the requirement table names
         for speed in [r.speed_kmh for r in builtin_requirements().rows
                       if r.environment is env and r.metric == "mobility_rate"]:
-            rate = metrics.mobility_rate(
-                cdfs["ul_sinr_db"], speed, config.carrier_frequency,
-                lk.abstraction(UPLINK), extra_backoff_db=lk.csi_backoff_db)
+            rate = metrics.mobility_rate(cdfs["ul_sinr_db"], speed, config.carrier_frequency, lk)
             kpis.append(KpiValue("mobility_rate", UPLINK, rate, "bit/s/Hz", speed_kmh=speed))
         if env is TestEnvironment.DENSE_URBAN_EMBB:
             for direction, prefix in _PREFIX.items():
@@ -643,11 +639,11 @@ class MessageService:
         attempts = np.arange(1, _MAX_MESSAGE_ATTEMPTS + 1)
         self.cells, first_ue = [], 0
         for serving, sinr in links:
-            se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+            se = np.asarray(sinr_to_se(lk, UPLINK, sinr))
             # an undecodable UE (se 0) sends at the floor rate as often as p
             # draws (8 times at the presets' curves, where p clips to 1e-9)
             tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
-            p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+            p_success = np.clip(1.0 - np.asarray(bler(lk, sinr)), 1e-9, 1.0)
             service = np.multiply(attempts, tx_time[:, None],
                                   out=per_ue[first_ue:first_ue + len(tx_time)])
             service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainError
+from .errors import DomainError
+
+DOWNLINK = "downlink"
+UPLINK = "uplink"
 
 # one PF scheduling decision per interval; also the normalized Doppler's time base
 SCHEDULING_INTERVAL_S = 1e-3
@@ -49,93 +52,9 @@ def uplink_power_control(coupling_db, p0_dbm: float, alpha: float, p_max_dbm: fl
 
 
 @dataclass(frozen=True)
-class LinkAbstraction:
-    """Truncated-capacity SINR-to-spectral-efficiency map."""
-
-    efficiency: float = 0.6
-    se_max: float = 7.4
-    sinr_min_db: float = -10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise DomainError("efficiency must be in (0, 1]", "efficiency")
-        if self.se_max <= 0:
-            raise DomainError("se_max must be > 0", "se_max")
-
-
-def sinr_to_se(abstraction: LinkAbstraction, sinr_db):
-    """Spectral efficiency in bit/s/Hz: 0 below cutoff, capped at se_max."""
-    s = np.asarray(sinr_db, dtype=float)
-    se = abstraction.efficiency * np.log2(1.0 + db_to_lin(s))
-    se = np.minimum(se, abstraction.se_max)
-    se = np.where(s < abstraction.sinr_min_db, 0.0, se)
-    return se if se.ndim else float(se)
-
-
-@dataclass(frozen=True)
-class BlerModel:
-    """Log-linear BLER waterfall: slope dB per decade through (sinr_50, 0.5)."""
-
-    sinr_50_db: float = -5.0
-    slope_db_per_decade: float = 2.0
-    bler_floor: float = 1e-9
-
-    def __post_init__(self):
-        if self.slope_db_per_decade <= 0:
-            raise DomainError("slope must be > 0", "slope_db_per_decade")
-        if not 0.0 <= self.bler_floor < 1.0:
-            raise DomainError("bler_floor must be in [0, 1)", "bler_floor")
-
-
-def bler(model: BlerModel, sinr_db):
-    """Block error probability at the given SINR (monotone non-increasing)."""
-    s = np.asarray(sinr_db, dtype=float)
-    log_bler = math.log10(0.5) - (s - model.sinr_50_db) / model.slope_db_per_decade
-    out = np.clip(10.0 ** log_bler, model.bler_floor, 1.0)
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class HarqConfig:
-    """Bounded retransmissions counted against a latency budget."""
-
-    max_transmissions: int = 4
-    per_transmission_time_s: float = 0.25e-3
-    combining_gain_db: float = 0.0
-
-    def __post_init__(self):
-        if self.max_transmissions < 1:
-            raise DomainError("max_transmissions must be >= 1", "max_transmissions")
-        if self.per_transmission_time_s <= 0:
-            raise DomainError("per_transmission_time_s must be > 0",
-                              "per_transmission_time_s")
-
-
-def harq_success_probability(
-    bler_model: BlerModel,
-    harq: HarqConfig,
-    sinr_db: float,
-    latency_budget_s: float,
-) -> float:
-    """Residual-error arithmetic for up to k transmissions within the budget.
-
-    k = min(max_transmissions, floor(budget / per_transmission_time)); each
-    retransmission sees the SINR improved by the configured combining gain.
-    A budget too short for even one transmission yields success 0.
-    """
-    DomainError.require_positive(latency_budget_s=latency_budget_s)
-    if math.isnan(sinr_db):
-        raise DomainError("SINR must not be NaN")
-    k = min(harq.max_transmissions, int(math.floor(latency_budget_s / harq.per_transmission_time_s + 1e-12)))
-    p_all_failed = 1.0
-    for i in range(1, k + 1):
-        p_all_failed *= bler(bler_model, sinr_db + (i - 1) * harq.combining_gain_db)
-    return 1.0 - p_all_failed
-
-
-@dataclass(frozen=True)
 class LinkParams:
-    """Per-scenario link abstraction bundle carried by the configuration."""
+    """Per-scenario link abstraction bundle carried by the configuration; the
+    formulas below read it, and scenario.validate checks its ranges."""
 
     alpha: float = 0.6
     se_max_dl: float = 7.4
@@ -155,39 +74,40 @@ class LinkParams:
     mu_layers_dl: int = 4
     mu_layers_ul: int = 2
 
-    def _build(self, name: str):
-        cls, feeds = _FEEDS[name]
-        return cls(**{field: getattr(self, key) for field, key in feeds.items()})
 
-    def abstraction(self, direction: str) -> LinkAbstraction:
-        return self._build(direction)
-
-    def bler_model(self) -> BlerModel:
-        return self._build("bler")
-
-    def harq(self) -> HarqConfig:
-        return self._build("harq")
-
-    def validate(self) -> None:
-        """Build every object the bundle feeds, so each applies its own
-        checks; raises ConfigInvalid naming the ``link.<key>`` at fault."""
-        for name, (_, feeds) in _FEEDS.items():
-            try:
-                self._build(name)
-            except DomainError as exc:
-                raise ConfigInvalid(f"link.{feeds[exc.field]}", str(exc)) from exc
+def sinr_to_se(link: LinkParams, direction: str, sinr_db):
+    """Spectral efficiency in bit/s/Hz: 0 below cutoff, capped at the
+    direction's se_max."""
+    s = np.asarray(sinr_db, dtype=float)
+    se = link.alpha * np.log2(1.0 + db_to_lin(s))
+    se = np.minimum(se, {DOWNLINK: link.se_max_dl, UPLINK: link.se_max_ul}[direction])
+    se = np.where(s < link.sinr_min_db, 0.0, se)
+    return se if se.ndim else float(se)
 
 
-# each object a LinkParams bundle builds: its class and, per class field, the
-# bundle key that feeds it
-_FEEDS = {
-    "downlink": (LinkAbstraction, {"efficiency": "alpha", "se_max": "se_max_dl",
-                                   "sinr_min_db": "sinr_min_db"}),
-    "uplink": (LinkAbstraction, {"efficiency": "alpha", "se_max": "se_max_ul",
-                                 "sinr_min_db": "sinr_min_db"}),
-    "bler": (BlerModel, {"sinr_50_db": "bler_sinr_50_db", "slope_db_per_decade": "bler_slope_db",
-                         "bler_floor": "bler_floor"}),
-    "harq": (HarqConfig, {"max_transmissions": "harq_max_transmissions",
-                          "per_transmission_time_s": "harq_tx_time_s",
-                          "combining_gain_db": "harq_combining_gain_db"}),
-}
+def bler(link: LinkParams, sinr_db):
+    """Block error probability at the given SINR (monotone non-increasing):
+    a log-linear waterfall, bler_slope_db dB per decade through
+    (bler_sinr_50_db, 0.5), floored at bler_floor."""
+    s = np.asarray(sinr_db, dtype=float)
+    log_bler = math.log10(0.5) - (s - link.bler_sinr_50_db) / link.bler_slope_db
+    out = np.clip(10.0 ** log_bler, link.bler_floor, 1.0)
+    return out if out.ndim else float(out)
+
+
+def harq_success_probability(link: LinkParams, sinr_db: float, latency_budget_s: float) -> float:
+    """Residual-error arithmetic for up to k transmissions within the budget.
+
+    k = min(harq_max_transmissions, floor(budget / harq_tx_time_s)); each
+    retransmission sees the SINR improved by harq_combining_gain_db. A
+    budget too short for even one transmission yields success 0.
+    """
+    DomainError.require_positive(latency_budget_s=latency_budget_s)
+    if math.isnan(sinr_db):
+        raise DomainError("SINR must not be NaN")
+    k = min(link.harq_max_transmissions,
+            int(math.floor(latency_budget_s / link.harq_tx_time_s + 1e-12)))
+    p_all_failed = 1.0
+    for i in range(1, k + 1):
+        p_all_failed *= bler(link, sinr_db + (i - 1) * link.harq_combining_gain_db)
+    return 1.0 - p_all_failed

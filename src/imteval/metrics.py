@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel.model import SPEED_OF_LIGHT
 from .errors import DomainError, InsufficientSamples, InternalError
-from .link import (SCHEDULING_INTERVAL_S, BlerModel, HarqConfig, LinkAbstraction,
-                   harq_success_probability, sinr_to_se)
+from .link import (SCHEDULING_INTERVAL_S, UPLINK, LinkParams, harq_success_probability,
+                   sinr_to_se)
 
 
 class CdfEstimator:
@@ -252,12 +252,11 @@ def connection_density_search(evaluate_p99_delay, lo_per_km2: float, hi_per_km2:
 LATENCY_BUDGET_S = 1e-3
 
 
-def reliability(sinr_cdf: CdfEstimator, bler: BlerModel, harq: HarqConfig,
-                extra_backoff_db: float = 0.0) -> float:
+def reliability(sinr_cdf: CdfEstimator, link: LinkParams) -> float:
     """Success probability of delivering the PDU within LATENCY_BUDGET_S at
-    the coverage edge (5th-percentile SINR)."""
-    edge_sinr = sinr_cdf.quantile(0.05) - extra_backoff_db
-    return harq_success_probability(bler, harq, edge_sinr, LATENCY_BUDGET_S)
+    the coverage edge (5th-percentile SINR less the CSI backoff)."""
+    edge_sinr = sinr_cdf.quantile(0.05) - link.csi_backoff_db
+    return harq_success_probability(link, edge_sinr, LATENCY_BUDGET_S)
 
 
 # (normalized Doppler upper bound, SINR backoff dB); normalized Doppler is
@@ -277,12 +276,12 @@ def doppler_backoff_db(speed_kmh: float, carrier_hz: float) -> float:
 
 
 def mobility_rate(sinr_cdf: CdfEstimator, speed_kmh: float, carrier_hz: float,
-                  abstraction: LinkAbstraction, extra_backoff_db: float = 0.0) -> float:
-    """Normalized traffic-channel rate (bit/s/Hz) at the median SINR with a
-    Doppler-dependent backoff."""
+                  link: LinkParams) -> float:
+    """Normalized uplink traffic-channel rate (bit/s/Hz) at the median SINR
+    less a Doppler-dependent backoff and the CSI backoff."""
     median = sinr_cdf.quantile(0.5)
-    penalty = doppler_backoff_db(speed_kmh, carrier_hz) + extra_backoff_db
-    return float(sinr_to_se(abstraction, median - penalty))
+    penalty = doppler_backoff_db(speed_kmh, carrier_hz) + link.csi_backoff_db
+    return float(sinr_to_se(link, UPLINK, median - penalty))
 
 
 @dataclass

@@ -20,11 +20,8 @@ from enum import Enum
 
 from .antenna import ArrayConfig, ElementPattern
 from .errors import ConfigInvalid, ConfigSyntax, UnknownPreset, UnknownRequirement
-from .link import LinkParams
+from .link import DOWNLINK, UPLINK, LinkParams
 from .traffic import TrafficKind, TrafficModelSpec
-
-DOWNLINK = "downlink"
-UPLINK = "uplink"
 
 
 class TestEnvironment(Enum):
@@ -135,6 +132,12 @@ _RANGES = {
     "antenna.bs.h_3db": (math.ulp(0.0), 360.0), "antenna.bs.v_3db": (math.ulp(0.0), 360.0),
     "antenna.bs.front_back": (0.0, math.inf), "antenna.bs.sidelobe": (0.0, math.inf),
     "traffic.w_user_hz": (math.ulp(0.0), math.inf), "traffic.overhead_s": (0.0, math.inf),
+    # the link abstraction: math.nextafter(1.0, 0.0) is the greatest float < 1
+    "link.alpha": (math.ulp(0.0), 1.0),
+    "link.se_max_dl": (math.ulp(0.0), math.inf), "link.se_max_ul": (math.ulp(0.0), math.inf),
+    "link.bler_slope_db": (math.ulp(0.0), math.inf),
+    "link.bler_floor": (0.0, math.nextafter(1.0, 0.0)),
+    "link.harq_max_transmissions": (1, math.inf), "link.harq_tx_time_s": (math.ulp(0.0), math.inf),
     # the PF scheduler's grant counts; the uplink count also divides the bandwidth
     "link.mu_layers_dl": (1, math.inf), "link.mu_layers_ul": (1, math.inf),
 }
@@ -169,7 +172,6 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
                 raise ConfigInvalid(f"traffic.{key}", "must be > 0")
     if traffic.eval_bandwidth_hz < traffic.w_user_hz:
         raise ConfigInvalid("traffic.eval_bandwidth_hz", "must be >= w_user_hz")
-    config.link.validate()
     # the panel array rules (see antenna.ArrayConfig)
     for section in ("antenna.bs", "antenna.ue"):
         array = getattr(config, _NESTED[section])
@@ -498,14 +500,15 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
         if nested:
             owner = _NESTED[section]
             updates[owner] = replace(getattr(base, owner), **nested)
-    config = validate(replace(base, **updates))
+    # pins first: a changed pinned key is the fault, whatever rule it then breaks
+    config = replace(base, **updates)
     pinned = {**_PINNED[None], **_PINNED[base.environment]}
     was = _leaf_values(base)
     for name, value in _leaf_values(config).items():
         if name in pinned and value != was[name]:
             raise ConfigInvalid(name, f"'{_fmt(value)}' differs from the base preset's "
                                       f"'{_fmt(was[name])}': {pinned[name]}")
-    return config
+    return validate(config)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import dataclasses
 import math
 import numpy as np
 import pytest
+from conftest import ZERO_BLER
 
 from imteval import preset, TestEnvironment
 from imteval.antenna import ArrayConfig, ElementPattern
@@ -29,7 +30,7 @@ from imteval.engine import (
     run_drop,
 )
 from imteval.geometry import build_layout, hex_sector_area_m2
-from imteval.link import BlerModel, HarqConfig, bler, harq_success_probability
+from imteval.link import LinkParams, harq_success_probability
 from imteval.metrics import (
     CdfEstimator,
     ConvergenceMonitor,
@@ -207,13 +208,13 @@ class TestCriterion5Convergence:
 
 class TestCriterion6ReliabilityArithmetic:
     def test_harq_products(self):
-        model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
+        model = LinkParams(bler_sinr_50_db=0.0, bler_slope_db=1.0, bler_floor=0.0,
+                           harq_max_transmissions=2, harq_tx_time_s=0.5e-3)
         sinr = math.log10(0.5 / 0.01)  # per-attempt BLER exactly 0.01
-        two = harq_success_probability(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
+        two = harq_success_probability(model, sinr, 1e-3)
         ok_two = two == pytest.approx(0.9999, abs=1e-13)
 
-        zero_bler = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
-        zero = harq_success_probability(zero_bler, HarqConfig(4, 0.25e-3), -20.0, 1e-3)
+        zero = harq_success_probability(ZERO_BLER, -20.0, 1e-3)
         ok_zero = zero == 1.0
 
         # the URLLC reliability verdict is boundary inclusive

@@ -607,9 +607,9 @@ def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
         rng = derive_stream(config.master_seed, d, "density")
         probe = run_drop(config, layout, d, sinr_only=True)
         sinr = probe.ul_sinr_db - lk.csi_backoff_db
-        se = np.asarray(sinr_to_se(lk.abstraction(UPLINK), sinr))
+        se = np.asarray(sinr_to_se(lk, UPLINK, sinr))
         tx_time = pdu_bits / np.maximum(se, engine._SE_CHANNEL_FLOOR) / spec.w_user_hz
-        p_success = np.clip(1.0 - np.asarray(bler(lk.bler_model(), sinr)), 1e-9, 1.0)
+        p_success = np.clip(1.0 - np.asarray(bler(lk, sinr)), 1e-9, 1.0)
         for c in range(layout.n_trxps):
             n_msgs = rng.poisson(rate_per_cell * horizon_s)
             if n_msgs == 0:
@@ -774,7 +774,7 @@ class TestDensityRoute:
         for d in range(2):
             probe = run_drop(cfg, layout, d, sinr_only=True)
             sinr = probe.ul_sinr_db - cfg.link.csi_backoff_db
-            p = np.clip(1.0 - np.asarray(bler(cfg.link.bler_model(), sinr)), 1e-9, 1.0)
+            p = np.clip(1.0 - np.asarray(bler(cfg.link, sinr)), 1e-9, 1.0)
             cells_below.append(len(np.unique(probe.serving[p < 1 / 3])))
         assert 0 < cells_below[0] < layout.n_trxps and cells_below[1] == 0
         service = MessageService(cfg, layout, 2)

@@ -1,17 +1,19 @@
 """Link budget arithmetic, power control, abstraction and HARQ."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import ZERO_BLER
 
 from imteval.engine import run_drop
 from imteval.errors import DomainError
 from imteval.geometry import build_layout
 from imteval.link import (
-    BlerModel,
-    HarqConfig,
-    LinkAbstraction,
+    DOWNLINK,
+    UPLINK,
+    LinkParams,
     bler,
     harq_success_probability,
     noise_power,
@@ -80,100 +82,101 @@ class TestPowerControl:
             uplink_power_control(np.array([100.0, math.inf]), -90.0, 1.0, 23.0)
 
 
-class TestLinkAbstraction:
+class TestSinrToSe:
+    LINK = LinkParams(alpha=0.6, se_max_dl=7.4, se_max_ul=5.5, sinr_min_db=-10.0)
+
     def test_below_cutoff_is_zero(self):
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        assert sinr_to_se(abstraction, -10.01) == 0.0
+        assert sinr_to_se(self.LINK, DOWNLINK, -10.01) == 0.0
 
     def test_alpha_log_formula(self):
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
         expected = 0.6 * math.log2(1.0 + 10.0)
-        assert sinr_to_se(abstraction, 10.0) == pytest.approx(expected, abs=1e-12)
+        assert sinr_to_se(self.LINK, DOWNLINK, 10.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(2.0756, abs=3e-4)
 
     def test_cap_at_se_max(self):
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        assert sinr_to_se(abstraction, 80.0) == 7.4
+        assert sinr_to_se(self.LINK, DOWNLINK, 80.0) == 7.4
+        assert sinr_to_se(self.LINK, UPLINK, 80.0) == 5.5
 
     def test_monotone(self):
-        abstraction = LinkAbstraction(0.6, 5.5, -10.0)
         s = np.linspace(-20, 40, 500)
-        se = sinr_to_se(abstraction, s)
+        se = sinr_to_se(self.LINK, UPLINK, s)
         assert np.all(np.diff(se) >= 0.0)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            LinkAbstraction(efficiency=0.0)
-        with pytest.raises(DomainError):
-            LinkAbstraction(se_max=0.0)
+
+def waterfall(sinr_50_db, slope_db, floor=1e-9):
+    """A link with this BLER curve."""
+    return LinkParams(bler_sinr_50_db=sinr_50_db, bler_slope_db=slope_db, bler_floor=floor)
+
+
+def harq(link, k, tx_time_s, gain_db=0.0):
+    """``link`` with up to k transmissions of tx_time_s, each retransmission
+    gaining gain_db."""
+    return replace(link, harq_max_transmissions=k, harq_tx_time_s=tx_time_s,
+                   harq_combining_gain_db=gain_db)
 
 
 class TestBler:
     def test_half_at_sinr50_by_construction(self):
-        for model in (BlerModel(-5.0, 2.0), BlerModel(3.0, 1.0), BlerModel(0.0, 4.0)):
-            assert bler(model, model.sinr_50_db) == pytest.approx(0.5, abs=1e-9)
+        for model in (waterfall(-5.0, 2.0), waterfall(3.0, 1.0), waterfall(0.0, 4.0)):
+            assert bler(model, model.bler_sinr_50_db) == pytest.approx(0.5, abs=1e-9)
 
     def test_monotone_non_increasing(self):
-        model = BlerModel(-5.0, 2.0, 1e-9)
+        model = waterfall(-5.0, 2.0, 1e-9)
         s = np.linspace(-20, 30, 500)
         b = bler(model, s)
         assert np.all(np.diff(b) <= 1e-15)
         assert np.all((b >= model.bler_floor) & (b <= 1.0))
 
     def test_floor_and_ceiling(self):
-        model = BlerModel(-5.0, 2.0, 1e-6)
+        model = waterfall(-5.0, 2.0, 1e-6)
         assert bler(model, 100.0) == 1e-6
         assert bler(model, -100.0) == 1.0
 
 
-# a model that never loses a block, at any SINR
-ZERO_BLER = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
-
-
 class TestHarq:
     def test_zero_bler_succeeds_first_attempt(self):
-        assert harq_success_probability(ZERO_BLER, HarqConfig(4, 0.25e-3), 0.0, 1e-3) == 1.0
-        assert harq_success_probability(ZERO_BLER, HarqConfig(1, 0.25e-3), 0.0, 1e-3) == 1.0
+        assert harq_success_probability(harq(ZERO_BLER, 4, 0.25e-3), 0.0, 1e-3) == 1.0
+        assert harq_success_probability(harq(ZERO_BLER, 1, 0.25e-3), 0.0, 1e-3) == 1.0
 
     def test_two_attempts_product_arithmetic(self):
         # per-attempt BLER 0.01, no combining gain: residual 1e-4 exactly
-        model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
+        model = waterfall(0.0, 1.0, 0.0)
         sinr = 0.0 + 1.0 * math.log10(0.5 / 0.01)  # solve BLER(s) = 0.01
         assert bler(model, sinr) == pytest.approx(0.01, abs=1e-15)
-        prob = harq_success_probability(model, HarqConfig(2, 0.5e-3, 0.0), sinr, 1e-3)
+        prob = harq_success_probability(harq(model, 2, 0.5e-3), sinr, 1e-3)
         assert prob == pytest.approx(1.0 - 1e-4, abs=1e-12)
 
     def test_budget_shorter_than_one_attempt(self):
-        assert harq_success_probability(ZERO_BLER, HarqConfig(4, 2e-3), 0.0, 1e-3) == 0.0
+        assert harq_success_probability(harq(ZERO_BLER, 4, 2e-3), 0.0, 1e-3) == 0.0
 
     def test_budget_caps_attempts(self):
         # a 1 ms budget holds 4 transmissions of 0.25 ms, whatever the maximum
-        model = BlerModel(0.0, 2.0, 0.0)
-        capped = harq_success_probability(model, HarqConfig(8, 0.25e-3), 1.0, 1e-3)
-        assert capped == harq_success_probability(model, HarqConfig(4, 0.25e-3), 1.0, 1e-3)
+        model = waterfall(0.0, 2.0, 0.0)
+        capped = harq_success_probability(harq(model, 8, 0.25e-3), 1.0, 1e-3)
+        assert capped == harq_success_probability(harq(model, 4, 0.25e-3), 1.0, 1e-3)
         assert capped == pytest.approx(1.0 - bler(model, 1.0) ** 4, rel=1e-12)
-        assert capped < harq_success_probability(model, HarqConfig(5, 0.25e-3), 1.0, 1.25e-3)
+        assert capped < harq_success_probability(harq(model, 5, 0.25e-3), 1.0, 1.25e-3)
 
     def test_monotone_in_sinr_attempts_and_budget(self):
-        model = BlerModel(-2.0, 2.0, 1e-9)
-        probs = [harq_success_probability(model, HarqConfig(4, 0.25e-3), s, 1e-3)
+        model = waterfall(-2.0, 2.0, 1e-9)
+        probs = [harq_success_probability(harq(model, 4, 0.25e-3), s, 1e-3)
                  for s in np.linspace(-10, 10, 40)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
-        by_attempts = [harq_success_probability(model, HarqConfig(k, 0.2e-3), -3.0, 1e-3)
+        by_attempts = [harq_success_probability(harq(model, k, 0.2e-3), -3.0, 1e-3)
                        for k in (1, 2, 3, 4, 5)]
         assert all(b >= a for a, b in zip(by_attempts, by_attempts[1:]))
-        by_budget = [harq_success_probability(model, HarqConfig(8, 0.25e-3), -3.0, b)
+        by_budget = [harq_success_probability(harq(model, 8, 0.25e-3), -3.0, b)
                      for b in (0.3e-3, 0.6e-3, 1e-3, 2e-3)]
         assert all(b >= a for a, b in zip(by_budget, by_budget[1:]))
 
     def test_combining_gain_improves_retransmissions(self):
-        model = BlerModel(-2.0, 2.0, 1e-9)
-        plain = harq_success_probability(model, HarqConfig(4, 0.25e-3, 0.0), -3.0, 1e-3)
-        combined = harq_success_probability(model, HarqConfig(4, 0.25e-3, 3.0), -3.0, 1e-3)
+        model = waterfall(-2.0, 2.0, 1e-9)
+        plain = harq_success_probability(harq(model, 4, 0.25e-3, 0.0), -3.0, 1e-3)
+        combined = harq_success_probability(harq(model, 4, 0.25e-3, 3.0), -3.0, 1e-3)
         assert combined > plain
 
     @pytest.mark.parametrize("sinr_db, budget_s", [(0.0, math.nan), (0.0, 0.0), (0.0, -1e-3),
                                                    (0.0, math.inf), (math.nan, 1e-3)])
     def test_nan_or_out_of_range_input_rejected(self, sinr_db, budget_s):
         with pytest.raises(DomainError):
-            harq_success_probability(BlerModel(), HarqConfig(), sinr_db, budget_s)
+            harq_success_probability(LinkParams(), sinr_db, budget_s)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import ZERO_BLER
 
 from imteval.engine import run
 from imteval.errors import DomainError, InsufficientSamples, InternalError
 from imteval.geometry import hex_sector_area_m2
 from imteval.channel.model import SPEED_OF_LIGHT
-from imteval.link import SCHEDULING_INTERVAL_S, BlerModel, HarqConfig, LinkAbstraction, bler
+from imteval.link import SCHEDULING_INTERVAL_S, LinkParams, bler
 from imteval.metrics import (
     CdfEstimator,
     ConvergenceMonitor,
@@ -436,43 +437,50 @@ class TestP99Delay:
 class TestReliability:
     def test_zero_bler_is_one(self):
         est = cdf(np.linspace(0, 20, 100))
-        zero_bler = BlerModel(sinr_50_db=-math.inf, slope_db_per_decade=1.0, bler_floor=0.0)
-        assert reliability(est, zero_bler, HarqConfig(4, 0.25e-3)) == 1.0
+        assert reliability(est, ZERO_BLER) == 1.0
 
     def test_two_attempt_product(self):
-        model = BlerModel(sinr_50_db=0.0, slope_db_per_decade=1.0, bler_floor=0.0)
+        model = LinkParams(csi_backoff_db=0.0, bler_sinr_50_db=0.0, bler_slope_db=1.0,
+                           bler_floor=0.0, harq_max_transmissions=2, harq_tx_time_s=0.5e-3)
         sinr = math.log10(0.5 / 0.01)  # per-attempt BLER 0.01
         est = cdf([sinr] * 100)
-        prob = reliability(est, model, HarqConfig(2, 0.5e-3, 0.0))
+        prob = reliability(est, model)
         assert prob == pytest.approx(0.9999, abs=1e-12)
 
     def test_one_attempt_is_one_minus_bler(self):
         est = cdf([5.0] * 100)
         # craft a per-attempt BLER of 1e-5 in one attempt
-        model = BlerModel(sinr_50_db=5.0 - math.log10(0.5 / 1e-5), slope_db_per_decade=1.0,
-                          bler_floor=0.0)
+        model = LinkParams(csi_backoff_db=0.0, bler_sinr_50_db=5.0 - math.log10(0.5 / 1e-5),
+                           bler_slope_db=1.0, bler_floor=0.0, harq_max_transmissions=1,
+                           harq_tx_time_s=1e-3)
         assert bler(model, 5.0) == pytest.approx(1e-5, rel=1e-9)
-        prob = reliability(est, model, HarqConfig(1, 1e-3))
+        prob = reliability(est, model)
         assert prob == pytest.approx(0.99999, abs=1e-12)
 
     def test_evaluation_point_is_5th_percentile(self):
         # degrade only the lowest 5 percent and the result must move
         good = cdf([10.0] * 100)
         bad = cdf([10.0] * 94 + [-4.0] * 6)
-        model = BlerModel(-5.0, 2.0, 1e-9)
-        p_good = reliability(good, model, HarqConfig(4, 0.25e-3))
-        p_bad = reliability(bad, model, HarqConfig(4, 0.25e-3))
-        assert p_bad < p_good
+        model = LinkParams(bler_sinr_50_db=-5.0, bler_slope_db=2.0, bler_floor=1e-9)
+        assert reliability(bad, model) < reliability(good, model)
+
+    def test_csi_backoff_lowers_the_edge_sinr(self):
+        model = LinkParams(bler_sinr_50_db=-5.0, bler_slope_db=2.0, bler_floor=0.0)
+        backed_off = dataclasses.replace(model, csi_backoff_db=1.0)
+        plain = dataclasses.replace(model, csi_backoff_db=0.0)
+        assert reliability(cdf([-3.0] * 100), backed_off) == reliability(cdf([-4.0] * 100), plain)
 
 
 class TestMobility:
     def test_zero_speed_no_backoff(self):
         assert doppler_backoff_db(0.0, 4e9) == 0.0
         est = cdf([10.0] * 100)
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        rate = mobility_rate(est, 0.0, 4e9, abstraction)
+        rate = mobility_rate(est, 0.0, 4e9, LinkParams(alpha=0.6, csi_backoff_db=0.0))
         static = 0.6 * math.log2(1.0 + 10.0)
         assert rate == pytest.approx(static, abs=1e-12)
+        # the CSI backoff comes off the median too
+        backed_off = mobility_rate(cdf([11.0] * 100), 0.0, 4e9, LinkParams(csi_backoff_db=1.0))
+        assert backed_off == rate
 
     def test_backoff_tiers(self):
         # normalized Doppler = speed/3.6 * fc / c * the 1 ms scheduling interval
@@ -493,8 +501,8 @@ class TestMobility:
 
     def test_median_10db_rate(self):
         est = cdf([10.0] * 100)
-        abstraction = LinkAbstraction(0.6, 7.4, -10.0)
-        assert mobility_rate(est, 0.0, 700e6, abstraction) == pytest.approx(2.0756, abs=3e-4)
+        link = LinkParams(alpha=0.6, sinr_min_db=-10.0, csi_backoff_db=0.0)
+        assert mobility_rate(est, 0.0, 700e6, link) == pytest.approx(2.0756, abs=3e-4)
 
 
 class TestUserExperiencedRate:

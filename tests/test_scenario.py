@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import functools
 import io
+import math
 from dataclasses import replace
 
 import pytest
@@ -232,14 +233,15 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         if link_updates:
             updates["link"] = replace(base.link, **link_updates)
 
-    config = validate(replace(base, **updates))
+    # a changed pinned key is reported before any rule it breaks
+    config = replace(base, **updates)
     for section, keys in REFERENCE_KEYS.items():
         for key in keys:
             name = _ref_name(section, key)
             if name in REFERENCE_PINNED[base.environment] and \
                     _current(config, section, key) != _current(base, section, key):
                 raise ConfigInvalid(name, "differs from the base preset's")
-    return config
+    return validate(config)
 
 
 def _raw_value(key: str, current):
@@ -403,22 +405,25 @@ class TestValidation:
         assert err.value.field == f"link.{field}"
         assert validate(dataclasses.replace(c, link=dataclasses.replace(c.link, **{field: 1})))
 
-    # a NaN passes every comparison-based check, and the link objects'
-    # own rules ran only when the engine built them, after layout and
-    # calibration; validation now applies both up front
+    # a NaN passes every comparison-based check, so the finiteness check runs
+    # before the rules. validate rejects each value for the reason given, and
+    # a config file names its key (with the pin's reason where it is pinned)
     @pytest.mark.parametrize("section, key, raw, reason", [
         ("link", "csi_backoff_db", "nan", "not finite"),
         ("link", "ul_p0_dbm", "inf", "not finite"),
         ("traffic", "overhead_s", "nan", "not finite"),
         ("antenna.bs", "h_3db", "nan", "not finite"),
         ("antenna.ue", "element_spacing_h", "inf", "not finite"),
-        ("link", "alpha", "0", "efficiency"),
-        ("link", "se_max_ul", "-1", "se_max"),
-        ("link", "se_max_dl", "0", "se_max"),
-        ("link", "bler_slope_db", "0", "slope"),
-        ("link", "bler_floor", "1.5", "bler_floor"),
-        ("link", "harq_max_transmissions", "0", "max_transmissions"),
-        ("link", "harq_tx_time_s", "0", "per_transmission_time_s"),
+        ("link", "alpha", "0", "outside [5e-324, 1.0]"),
+        ("link", "alpha", "1.5", "outside [5e-324, 1.0]"),
+        ("link", "se_max_ul", "-1", "outside [5e-324, inf]"),
+        ("link", "se_max_dl", "0", "outside [5e-324, inf]"),
+        ("link", "bler_slope_db", "0", "outside [5e-324, inf]"),
+        ("link", "bler_floor", "1.5", "outside [0.0, 0.9999999999999999]"),
+        ("link", "bler_floor", "1", "outside [0.0, 0.9999999999999999]"),
+        ("link", "bler_floor", "-1e-9", "outside [0.0, 0.9999999999999999]"),
+        ("link", "harq_max_transmissions", "0", "outside [1, inf]"),
+        ("link", "harq_tx_time_s", "0", "outside [5e-324, inf]"),
         ("antenna.bs", "m", "0", "array count m"),
         ("antenna.bs", "p", "3", "polarization count"),
         ("antenna.bs", "mp", "9", "port grid"),
@@ -429,19 +434,43 @@ class TestValidation:
         ("antenna.bs", "element_spacing_v", "0", "element spacings"),
     ])
     def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):
-        c = preset(TestEnvironment.RURAL_EMBB, "A")
+        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")  # its HARQ keys are live
+        name = f"{section}.{key}"
+        with pytest.raises(ConfigInvalid) as err:
+            validate(with_leaf(c, name, _ref_convert(section, key, raw)))
+        assert err.value.field == name
+        assert reason in str(err.value)
         with pytest.raises(ConfigInvalid) as err:
             load_config(text=f"[{section}]\n{key} = {raw}\n", base=c)
-        assert err.value.field == f"{section}.{key}"
-        assert reason in str(err.value)
+        assert err.value.field == name
 
-    @pytest.mark.parametrize("grid, raw, ports", [("m", "5", "mp"), ("n", "6", "np")])
-    def test_element_grid_the_ports_do_not_divide_is_rejected(self, grid, raw, ports):
+    # each end the link abstraction's ranges close
+    @pytest.mark.parametrize("key, raw", [
+        ("alpha", "1.0"), ("alpha", "5e-324"), ("se_max_dl", "5e-324"), ("bler_slope_db", "5e-324"),
+        ("bler_floor", "0.0"), ("bler_floor", repr(math.nextafter(1.0, 0.0))),
+        ("harq_max_transmissions", "1"), ("harq_tx_time_s", "5e-324"),
+    ])
+    def test_link_range_ends_are_accepted(self, key, raw):
+        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")
+        got = load_config(text=f"[link]\n{key} = {raw}\n", base=c)
+        assert getattr(got.link, key) == _ref_convert("link", key, raw)
+
+    # the element grid is pinned, so the file cannot reach this rule
+    @pytest.mark.parametrize("grid, value, ports", [("m", 5, "mp"), ("n", 6, "np")])
+    def test_element_grid_the_ports_do_not_divide_is_rejected(self, grid, value, ports):
         c = preset(TestEnvironment.URBAN_MACRO_URLLC, "B")  # 8 x 8 elements, 2 x 4 ports
         with pytest.raises(ConfigInvalid) as err:
-            load_config(text=f"[antenna.bs]\n{grid} = {raw}\n", base=c)
+            validate(with_leaf(c, f"antenna.bs.{grid}", value))
         assert err.value.field == f"antenna.bs.{ports}"
         assert "port grid" in str(err.value)
+
+    def test_a_changed_pinned_key_is_named_before_the_rules_it_breaks(self):
+        # m = 2 also breaks InH's port-grid rule (mp = 4), but the file changed m
+        c = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
+        with pytest.raises(ConfigInvalid) as err:
+            load_config(text="[antenna.bs]\nm = 2\n", base=c)
+        assert err.value.field == "antenna.bs.m"
+        assert "only the small-scale generator reads it" in str(err.value)
 
     # these had no range: a negative front-to-back ratio ran to a verdict,
     # and a negative beamwidth gave the bundle of the positive one
