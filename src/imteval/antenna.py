@@ -89,9 +89,9 @@ class ArrayConfig:
     panels, and mp x np ports per panel per polarization, which partition
     the m x n grid. Spacings are in wavelengths. p, mp, np, mg and ng set
     ``n_ports``, the link budget's MRC branch count, and the BS
-    ``downtilt_deg`` offsets the zenith in ``engine.compute_coupling``; the
-    fields no drop reads are pinned to the preset (``scenario._PINNED``).
-    ``scenario.validate`` applies the counts', ports' and spacings' rules.
+    ``downtilt_deg`` offsets the zenith in ``engine.compute_coupling``.
+    ``scenario.validate`` holds the fields no drop reads to the preset
+    (``scenario._PINNED``) and applies the counts' and ports' rules.
     """
 
     m: int = 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainError
+from .errors import DomainError
 from .scenario import EvaluationConfig, TestEnvironment
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
@@ -280,8 +280,6 @@ def drop_ues(layout: NetworkLayout, config: EvaluationConfig, rng: np.random.Gen
     redrawn. The wrapped geometry to every site is computed once, and each
     rejection round recomputes only the rows it redrew.
     """
-    if config.ues_per_trxp < 1:
-        raise ConfigInvalid("ues_per_trxp", "must be >= 1")
     n = config.ues_per_trxp * layout.n_trxps
     pos = _sample_positions(layout, n, rng)
     sites = layout.site_positions

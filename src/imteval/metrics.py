@@ -292,8 +292,8 @@ class ConvergenceMonitor:
     (relative) over the last ``window`` drops; the drop cap is the caller's.
     """
 
-    window: int = 50
-    tol: float = 1e-4
+    window: int
+    tol: float
     _count: int = 0
     _total: float = 0.0
     _recent_means: deque = field(init=False)  # running means of the last window + 1 drops

@@ -66,7 +66,6 @@ class ExternalRow:
 
 @dataclass
 class ExternalResultTable:
-    source: str
     rows: list
 
 
@@ -111,12 +110,11 @@ def _opt_float(text: str, line: int, column: str):
     return value
 
 
-def ingest_table(path=None, text: str | None = None, source: str = "") -> ExternalResultTable:
+def ingest_table(path=None, text: str | None = None) -> ExternalResultTable:
     """Load an external result table CSV under the documented schema."""
     if text is None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        source = source or os.path.basename(str(path))
     rows = []
     for lineno, rec in _records(text, _EXPECTED_HEADER):
         if rec["metric"] not in _KNOWN_METRICS:
@@ -130,7 +128,7 @@ def ingest_table(path=None, text: str | None = None, source: str = "") -> Extern
             raise SchemaError(f"line {lineno}: column 'suspect' must be 0 or 1: '{rec['suspect']}'")
         rec["suspect"] = rec["suspect"] == "1"
         rows.append(ExternalRow(**rec))
-    return ExternalResultTable(source=source, rows=rows)
+    return ExternalResultTable(rows=rows)
 
 
 def load_fixture(name: str) -> ExternalResultTable:
@@ -138,14 +136,14 @@ def load_fixture(name: str) -> ExternalResultTable:
     if name not in FIXTURE_FILES:
         raise SchemaError(f"unknown fixture '{name}'; available: {FIXTURE_FILES}")
     text = resources.files("imteval").joinpath("data", "fixtures", name).read_text()
-    return ingest_table(text=text, source=name)
+    return ingest_table(text=text)
 
 
 def load_all_fixtures() -> ExternalResultTable:
     rows = []
     for name in FIXTURE_FILES:
         rows.extend(load_fixture(name).rows)
-    return ExternalResultTable(source="builtin fixtures", rows=rows)
+    return ExternalResultTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

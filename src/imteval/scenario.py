@@ -121,8 +121,6 @@ _RANGES = {
     "thermal_noise_density": (-200.0, -100.0),
     "bandwidth": (1e3, 2e9),
     "indoor_fraction": (0.0, 1.0),
-    "ue_speed_indoor": (0.0, 1000.0),
-    "ue_speed_outdoor": (0.0, 1000.0),
     "ues_per_trxp": (1, 10_000),
     "high_loss_fraction": (0.0, 1.0),
     "drops": (1, 10_000_000),
@@ -162,6 +160,13 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
         if kind is float and not math.isfinite(value):
             raise ConfigInvalid(name, f"{value} is not finite")
     _check_variant(config.environment, config.config_variant)
+    # pins next: a changed pinned key is the fault, whatever rule it then breaks
+    pinned = {**_PINNED[None], **_PINNED[config.environment]}
+    own = _leaf_values(_PRESET_BUILDERS[config.environment](config.config_variant))
+    for name, value in values.items():
+        if name in pinned and value != own[name]:
+            raise ConfigInvalid(name, f"'{_fmt(value)}' differs from the preset's "
+                                      f"'{_fmt(own[name])}': {pinned[name]}")
     for name, (lo, hi) in _RANGES.items():
         if not (lo <= values[name] <= hi):
             raise ConfigInvalid(name, f"{values[name]} outside [{lo}, {hi}]")
@@ -175,7 +180,7 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
     # the panel array rules (see antenna.ArrayConfig)
     for section in ("antenna.bs", "antenna.ue"):
         array = getattr(config, _NESTED[section])
-        for key in ("m", "n", "p", "mg", "ng", "mp", "np"):
+        for key in ("p", "mg", "ng", "mp", "np"):
             if getattr(array, key) < 1:
                 raise ConfigInvalid(f"{section}.{key}", f"array count {key} must be >= 1")
         if array.p not in (1, 2):
@@ -184,9 +189,6 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
             if getattr(array, grid) % getattr(array, ports):
                 raise ConfigInvalid(f"{section}.{ports}",
                                     "port grid (mp, np) must divide element grid (m, n)")
-        for key in ("element_spacing_h", "element_spacing_v"):
-            if getattr(array, key) <= 0:
-                raise ConfigInvalid(f"{section}.{key}", "element spacings must be positive")
     return config
 
 
@@ -430,13 +432,13 @@ def _pins(names: str, reason: str) -> dict:
 
 
 # Keys no value of any other key lets reach an environment's results, with the
-# reason; the None entry holds on every environment (see load_config).
+# reason; the None entry holds on every environment. validate holds each to the
+# preset its config's labels name.
 _HARQ = _pins("link.harq_max_transmissions link.harq_tx_time_s link.harq_combining_gain_db",
               "only the UrbanMacro_URLLC reliability KPI reads HARQ")
 _NO_DOWNLINK = _pins("link.mu_layers_dl", "no downlink row is scheduled")
 _PINNED = {
-    None: {**_pins("environment config_variant", "a new label would not bring its parameters"),
-           **_pins("ue_speed_indoor ue_speed_outdoor antenna.bs.m antenna.bs.n antenna.ue.m "
+    None: {**_pins("ue_speed_indoor ue_speed_outdoor antenna.bs.m antenna.bs.n antenna.ue.m "
                    "antenna.ue.n antenna.bs.element_spacing_h antenna.bs.element_spacing_v "
                    "antenna.ue.element_spacing_h antenna.ue.element_spacing_v",
                    "only the small-scale generator reads it, and no drop runs that"),
@@ -460,8 +462,8 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
 
     The base preset is either passed explicitly or identified by the
     ``environment`` / ``config_variant`` keys in the file's [scenario]
-    section. Keys pinned on its environment (_PINNED, those two among them)
-    may only repeat its values; unknown sections or keys are rejected.
+    section. The file may not relabel its base, as a new label would not
+    bring its parameters; unknown sections or keys are rejected.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -500,14 +502,12 @@ def load_config(path=None, base: EvaluationConfig | None = None, text: str | Non
         if nested:
             owner = _NESTED[section]
             updates[owner] = replace(getattr(base, owner), **nested)
-    # pins first: a changed pinned key is the fault, whatever rule it then breaks
     config = replace(base, **updates)
-    pinned = {**_PINNED[None], **_PINNED[base.environment]}
-    was = _leaf_values(base)
-    for name, value in _leaf_values(config).items():
-        if name in pinned and value != was[name]:
-            raise ConfigInvalid(name, f"'{_fmt(value)}' differs from the base preset's "
-                                      f"'{_fmt(was[name])}': {pinned[name]}")
+    for name in ("environment", "config_variant"):
+        label, was = getattr(config, name), getattr(base, name)
+        if label != was:
+            raise ConfigInvalid(name, f"'{_fmt(label)}' differs from the base preset's "
+                                      f"'{_fmt(was)}': a new label would not bring its parameters")
     return validate(config)
 
 

@@ -251,7 +251,7 @@ class TestCriterion7ComplianceFixtures:
         table = load_fixture("spectral_efficiency.csv")
         victim = next(r for r in table.rows if r.value == 9.812)
         edited = dataclasses.replace(victim, value=victim.requirement - 0.001)
-        flipped = check_compliance(type(table)("edited", [edited]), reqs).rows[0]
+        flipped = check_compliance(type(table)([edited]), reqs).rows[0]
         ok_flip = flipped.passed is False
 
         _report(7, "compliance checker on digitized tables",

@@ -13,7 +13,7 @@ from scipy import stats
 from imteval.antenna import element_gain
 from imteval.channel.model import los_probability, pathloss_curves
 from imteval.channel.profiles import profile_for
-from imteval.errors import ConfigInvalid, DomainError, InternalError
+from imteval.errors import DomainError, InternalError
 from imteval.geometry import (
     MIN_UE_DISTANCE_MICRO_M,
     MICRO_MIN_SEPARATION_M,
@@ -484,8 +484,6 @@ def wrap_displacements_reference(layout, from_pos, to_pos):
 
 def drop_ues_reference(layout, config, rng):
     """Oracle for drop_ues: every rejection round re-tests every UE."""
-    if config.ues_per_trxp < 1:
-        raise ConfigInvalid("ues_per_trxp", "must be >= 1")
     n = config.ues_per_trxp * layout.n_trxps
     pos = _sample_positions(layout, n, rng)
 

@@ -57,7 +57,7 @@ class TestIngest:
         assert rows[0].bandwidth_khz == 180.0
 
     def test_empty_csv_with_header(self):
-        table = ingest_table(text=HEADER + "\n", source="empty")
+        table = ingest_table(text=HEADER + "\n")
         assert table.rows == []
 
     def test_bad_header_rejected(self):
@@ -141,7 +141,7 @@ class TestComplianceExternal:
         row = next(r for r in table.rows
                    if r.evaluator == "Univ of Toronto" and r.value == 9.812)
         edited = dataclasses.replace(row, value=8.999)
-        report = check_compliance(type(table)(source="edited", rows=[edited]))
+        report = check_compliance(type(table)(rows=[edited]))
         assert report.rows[0].passed is False
 
     def test_measured_just_below_requirement_fails(self):

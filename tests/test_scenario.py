@@ -61,9 +61,9 @@ _INT_FIELDS = {"ues_per_trxp", "drops", "master_seed", "pdu_size_bytes",
                "m", "n", "p", "mg", "ng", "mp", "np"}
 _BOOL_FIELDS = {"ue_isotropic", "isotropic"}
 
-# keys that may only repeat the base preset's value, per environment
+# keys that may only repeat the preset's value, per environment
 _REF_PINNED_EVERYWHERE = [
-    "environment", "config_variant", "ue_speed_indoor", "ue_speed_outdoor",
+    "ue_speed_indoor", "ue_speed_outdoor",
     "antenna.bs.m", "antenna.bs.n", "antenna.bs.element_spacing_h",
     "antenna.bs.element_spacing_v", "antenna.bs.bearing_deg",
     "antenna.ue.m", "antenna.ue.n", "antenna.ue.mp", "antenna.ue.element_spacing_h",
@@ -233,8 +233,12 @@ def reference_load_config(path=None, base: EvaluationConfig | None = None, text:
         if link_updates:
             updates["link"] = replace(base.link, **link_updates)
 
-    # a changed pinned key is reported before any rule it breaks
+    # a file may not relabel its base, and a changed pinned key is reported
+    # before any rule it breaks
     config = replace(base, **updates)
+    for name in ("environment", "config_variant"):
+        if getattr(config, name) != getattr(base, name):
+            raise ConfigInvalid(name, "a new label would not bring its parameters")
     for section, keys in REFERENCE_KEYS.items():
         for key in keys:
             name = _ref_name(section, key)
@@ -424,14 +428,14 @@ class TestValidation:
         ("link", "bler_floor", "-1e-9", "outside [0.0, 0.9999999999999999]"),
         ("link", "harq_max_transmissions", "0", "outside [1, inf]"),
         ("link", "harq_tx_time_s", "0", "outside [5e-324, inf]"),
-        ("antenna.bs", "m", "0", "array count m"),
+        ("antenna.bs", "mg", "0", "array count mg"),
         ("antenna.bs", "p", "3", "polarization count"),
         ("antenna.bs", "mp", "9", "port grid"),
         ("antenna.ue", "np", "3", "port grid"),
         ("antenna.bs", "mp", "3", "port grid"),
         ("antenna.bs", "np", "3", "port grid"),
         ("antenna.ue", "element_spacing_h", "-inf", "not finite"),
-        ("antenna.bs", "element_spacing_v", "0", "element spacings"),
+        ("antenna.bs", "element_spacing_v", "0", "only the small-scale generator reads it"),
     ])
     def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):
         c = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")  # its HARQ keys are live
@@ -455,22 +459,24 @@ class TestValidation:
         got = load_config(text=f"[link]\n{key} = {raw}\n", base=c)
         assert getattr(got.link, key) == _ref_convert("link", key, raw)
 
-    # the element grid is pinned, so the file cannot reach this rule
-    @pytest.mark.parametrize("grid, value, ports", [("m", 5, "mp"), ("n", 6, "np")])
-    def test_element_grid_the_ports_do_not_divide_is_rejected(self, grid, value, ports):
-        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "B")  # 8 x 8 elements, 2 x 4 ports
-        with pytest.raises(ConfigInvalid) as err:
-            validate(with_leaf(c, f"antenna.bs.{grid}", value))
-        assert err.value.field == f"antenna.bs.{ports}"
-        assert "port grid" in str(err.value)
-
     def test_a_changed_pinned_key_is_named_before_the_rules_it_breaks(self):
-        # m = 2 also breaks InH's port-grid rule (mp = 4), but the file changed m
+        # m = 2 also breaks InH's port-grid rule (mp = 4), but the change is to m
+        c = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
+        for load in (lambda: load_config(text="[antenna.bs]\nm = 2\n", base=c),
+                     lambda: validate(with_leaf(c, "antenna.bs.m", 2))):
+            with pytest.raises(ConfigInvalid) as err:
+                load()
+            assert err.value.field == "antenna.bs.m"
+            assert "only the small-scale generator reads it" in str(err.value)
+
+    # a config built by replace is held to its preset's pins too: this one
+    # would run the fixed 12-point floor and file its results under isd = 40
+    def test_indoor_hotspot_isd_is_pinned_through_replace(self):
         c = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
         with pytest.raises(ConfigInvalid) as err:
-            load_config(text="[antenna.bs]\nm = 2\n", base=c)
-        assert err.value.field == "antenna.bs.m"
-        assert "only the small-scale generator reads it" in str(err.value)
+            validate(replace(c, isd=40.0))
+        assert err.value.field == "isd"
+        assert "the 12-point floor is fixed" in str(err.value)
 
     # these had no range: a negative front-to-back ratio ran to a verdict,
     # and a negative beamwidth gave the bundle of the positive one
@@ -697,7 +703,7 @@ def _other(name: str, base: EvaluationConfig):
     if name == "config_variant":
         return "B" if base.config_variant == "A" else "A"
     if name == "antenna.ue.mp":
-        return 2  # rejected on its own: no port count but 1 divides the pinned m = 1
+        return 2  # no port count but 1 divides the pinned m = 1
     return PINNED_VALUES[name]
 
 
@@ -706,14 +712,20 @@ class TestKeyWalk:
                              ids=[_ref_name(*leaf[:2]) for leaf in scenario._LEAVES])
     def test_every_key_is_pinned_or_live(self, section, key):
         name = _ref_name(section, key)
-        pinned_on = [(env, v) for env, v in ALL_PRESETS if name in _pinned(env)]
+        label = name in ("environment", "config_variant")  # no file may change one
+        pinned_on = [(env, v) for env, v in ALL_PRESETS if label or name in _pinned(env)]
         assert pinned_on or name in LIVE, f"{name} is neither pinned nor live"
         for env, variant in pinned_on:
             base = preset(env, variant)
-            with pytest.raises(ConfigInvalid) as err:
-                load_config(text=f"[{section}]\n{key} = {_ref_fmt(_other(name, base))}\n",
-                            base=base)
-            assert err.value.field == name
+            other = _other(name, base)
+            loads = [lambda: load_config(text=f"[{section}]\n{key} = {_ref_fmt(other)}\n",
+                                         base=base)]
+            if not label:  # a pin holds however the config was built
+                loads.append(lambda: validate(_put(base, section, key, other)))
+            for load in loads:
+                with pytest.raises(ConfigInvalid) as err:
+                    load()
+                assert err.value.field == name
             own = _ref_fmt(_current(base, section, key))
             assert load_config(text=f"[{section}]\n{key} = {own}\n", base=base) == base
         if name in LIVE:
@@ -725,11 +737,11 @@ class TestKeyWalk:
                 f"{name} = {raw} changes nothing on {env.value} {variant}"
 
     # every pinned key at once, as a dense-urban run takes about a second;
-    # the labels name another preset, and the UE mp = 2 would need m = 2
+    # the UE mp = 2 would need m = 2
     @pytest.mark.parametrize("env, variant", ALL_PRESETS)
     def test_pinned_keys_change_no_result(self, env, variant):
         base = _walk_preset(env, variant)
-        names = set(_pinned(env)) - {"environment", "config_variant", "antenna.ue.mp"}
+        names = set(_pinned(env)) - {"antenna.ue.mp"}
         values = {(section, key): PINNED_VALUES[_ref_name(section, key)]
                   for section, key, *_ in scenario._LEAVES if _ref_name(section, key) in names}
         changed = base
