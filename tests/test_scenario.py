@@ -459,6 +459,20 @@ class TestValidation:
         got = load_config(text=f"[link]\n{key} = {raw}\n", base=c)
         assert getattr(got.link, key) == _ref_convert("link", key, raw)
 
+    # the element grid is pinned, so a grid the ports do not divide is
+    # refused by its pin; the port-grid rule refuses the live port count
+    @pytest.mark.parametrize("grid, value, ports", [("m", 5, "mp"), ("n", 6, "np")])
+    def test_element_grid_the_ports_do_not_divide_is_rejected(self, grid, value, ports):
+        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "B")  # 8 x 8 elements, 2 x 4 ports
+        with pytest.raises(ConfigInvalid) as err:
+            validate(with_leaf(c, f"antenna.bs.{grid}", value))
+        assert err.value.field == f"antenna.bs.{grid}"
+        assert "only the small-scale generator reads it" in str(err.value)
+        with pytest.raises(ConfigInvalid) as err:
+            validate(with_leaf(c, f"antenna.bs.{ports}", value))
+        assert err.value.field == f"antenna.bs.{ports}"
+        assert "port grid" in str(err.value)
+
     def test_a_changed_pinned_key_is_named_before_the_rules_it_breaks(self):
         # m = 2 also breaks InH's port-grid rule (mp = 4), but the change is to m
         c = preset(TestEnvironment.INDOOR_HOTSPOT_EMBB, "A")
