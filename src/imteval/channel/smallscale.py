@@ -37,14 +37,14 @@ def assign_los(profile: ChannelProfile, d2d_m: float, indoor: bool,
 
 
 def pathloss(profile: ChannelProfile, condition: PropagationCondition, fc_hz: float,
-             tx_pos, rx_pos, min_d3d_m: float = 1.0) -> float:
+             tx_pos, rx_pos) -> float:
     """Pathloss in dB for one link, including building penetration for
-    indoor receivers."""
+    indoor receivers; a link shorter than 1 m in 3D is a DomainError."""
     tx = np.asarray(tx_pos, dtype=float)
     rx = np.asarray(rx_pos, dtype=float)
     d3d = float(np.linalg.norm(tx - rx))
-    if d3d < min_d3d_m:
-        raise DomainError(f"3D distance {d3d:.3f} m below minimum {min_d3d_m} m")
+    if d3d < 1.0:
+        raise DomainError(f"3D distance {d3d:.3f} m below minimum 1.0 m")
     pl_los, pl_nlos = pathloss_curves(profile, fc_hz, d3d, tx[2], rx[2])
     pl = float(pl_los if condition.los else pl_nlos)
     if condition.indoor:

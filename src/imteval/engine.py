@@ -220,9 +220,9 @@ def _link_stage(config: EvaluationConfig, layout: NetworkLayout, drop_index: int
 
 def _uplink_stage(config: EvaluationConfig, coupling: np.ndarray, serving: np.ndarray,
                   drop_index: int):
-    """A drop's uplink up to the IoT, with one co-scheduled UE per cell: each
-    UE's received power at its TRxP (dBm), UE ids by cell, cell sizes, the
-    interference at each TRxP (mW), noise (dBm) and mean per-TRxP IoT (dB)."""
+    """A drop's uplink SINR, one co-scheduled UE per other cell interfering:
+    per UE its signal (mW, MRC gain included), interference (mW) and linear
+    SINR; UE ids by cell, cell sizes, noise (dBm) and mean per-TRxP IoT (dB)."""
     cl_serving = coupling[np.arange(len(serving)), serving]
     p_ue = uplink_power_control(cl_serving, config.link.ul_p0_dbm, config.link.ul_alpha,
                                 config.ue_tx_power)
@@ -238,8 +238,12 @@ def _uplink_stage(config: EvaluationConfig, coupling: np.ndarray, serving: np.nd
     act_rx_mw = db_to_lin(p_ue[act_idx, None] - coupling[act_idx, :])
     interf_at = act_rx_mw.sum(axis=0)  # less each active UE's own cell
     interf_at[own_cell] -= act_rx_mw[np.arange(len(own_cell)), own_cell]
-    iot_db = float(np.mean(lin_to_db(np.maximum(interf_at, 1e-30) / float(db_to_lin(noise_dbm)))))
-    return p_ue - cl_serving, by_cell, cell_sizes, interf_at, noise_dbm, iot_db
+    noise_mw = float(db_to_lin(noise_dbm))
+    iot_db = float(np.mean(lin_to_db(np.maximum(interf_at, 1e-30) / noise_mw)))
+    signal_mw = db_to_lin(p_ue - cl_serving) * config.antenna_bs.n_ports
+    interf_mw = interf_at[serving]
+    return (signal_mw, interf_mw, signal_mw / (interf_mw + noise_mw), by_cell, cell_sizes,
+            noise_dbm, iot_db)
 
 
 def _ul_user_bw(config: EvaluationConfig) -> float:
@@ -257,7 +261,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     work = DropWork() if work is None else work
     ues, coupling, serving = _link_stage(config, layout, drop_index, work)
     n_ue, n_t = coupling.shape
-    ul_rx_dbm, by_cell, cell_sizes, interf_at, ul_noise_dbm, iot_db = \
+    ul_serving_mw, ul_interf_mw, ul_sinr, by_cell, cell_sizes, ul_noise_dbm, iot_db = \
         _uplink_stage(config, coupling, serving, drop_index)
 
     # --- downlink: every co-channel TRxP transmits at full configured power
@@ -275,11 +279,6 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     dl_noise_dbm = noise_power(config.bandwidth, config.ue_noise_figure,
                                config.thermal_noise_density)
     dl_sinr = dl_serving_mw / (dl_interf_mw + float(db_to_lin(dl_noise_dbm)))
-
-    # --- uplink SINR: one co-scheduled UE per other cell interferes
-    ul_serving_mw = db_to_lin(ul_rx_dbm) * config.antenna_bs.n_ports
-    ul_interf_mw = interf_at[serving]
-    ul_sinr = ul_serving_mw / (ul_interf_mw + float(db_to_lin(ul_noise_dbm)))
 
     result = DropResult(
         drop_index=drop_index,
@@ -424,9 +423,9 @@ def _drop_worker(drop_index):
 
 def _drops(config: EvaluationConfig, layout: NetworkLayout, indices: range,
            sinr_only: bool, workers: int = 1):
-    """``run_drop`` of each index, yielded in index order: through one
-    ``DropWork`` with one worker (or one index), else from a pool of at most
-    one process per index whose workers keep one each. Closing the
+    """``run``'s drops: ``run_drop`` of each index, in index order, through
+    one ``DropWork`` with one worker (or one index), else from a pool of at
+    most one process per index whose workers keep one each. Closing the
     generator early shuts the pool down."""
     workers = min(workers, len(indices))
     if workers <= 1:
@@ -612,12 +611,13 @@ def _require_messaging(config: EvaluationConfig) -> None:
 
 
 class MessageService:
-    """The message service of drops 0 .. n_drops - 1, mapped once per search;
-    it keeps ``config`` and the layout's ``sector_area_m2`` for its probes.
+    """The message service of drops 0 .. n_drops - 1 at their uplink SINR,
+    mapped once per search; it keeps ``config`` and the layout's
+    ``sector_area_m2`` for its probes.
 
     A message's service time is ``overhead_s + n_tx * tx_time`` of its UE
-    after the CSI backoff, n_tx in 1 .. 8. UE u (counted over the drops)
-    sent n_tx times has code 8 u + n_tx into ``table``; a lost message
+    after the CSI backoff, n_tx in 1 .. 8. UE u (d n_ue + i for drop d's UE
+    i) sent n_tx times has code 8 u + n_tx into ``table``; a lost message
     (undecodable UE, or no success in 8 attempts) has that code plus
     ``lost``, whose entry repeats the time; code 0 is the pad, of service
     +inf. ``cells[d][c]`` is None for a cell without UEs, else its UEs'
@@ -630,34 +630,33 @@ class MessageService:
         DomainError.require_counts(1, n_drops=n_drops)
         self.config, self.sector_area_m2 = config, layout.sector_area_m2
         spec, lk = config.traffic, config.link
-        links = [(drop.serving, drop.ul_sinr_db - lk.csi_backoff_db)
-                 for drop in _drops(config, layout, range(n_drops), sinr_only=True)]
-        self.lost = lost = _MAX_MESSAGE_ATTEMPTS * sum(len(serving) for serving, _ in links)
+        n_ue = config.ues_per_trxp * layout.n_trxps  # the UEs drop_ues places
+        self.lost = lost = _MAX_MESSAGE_ATTEMPTS * n_drops * n_ue
         self.table = np.empty(1 + 2 * lost)
         self.table[0] = np.inf
-        per_ue = self.table[1:1 + lost].reshape(-1, _MAX_MESSAGE_ATTEMPTS)  # a view
+        per_ue = self.table[1:1 + lost].reshape(n_drops, n_ue, _MAX_MESSAGE_ATTEMPTS)  # a view
         attempts = np.arange(1, _MAX_MESSAGE_ATTEMPTS + 1)
-        self.cells, first_ue = [], 0
-        for serving, sinr in links:
+        self.cells, work = [], DropWork()
+        for d in range(n_drops):
+            ul_sinr, by_cell, cell_sizes = _uplink_stage(
+                config, *_link_stage(config, layout, d, work)[1:], d)[2:5]
+            sinr = lin_to_db(ul_sinr) - lk.csi_backoff_db
             se = np.asarray(sinr_to_se(lk, UPLINK, sinr))
             # an undecodable UE (se 0) sends at the floor rate as often as p
             # draws (8 times at the presets' curves, where p clips to 1e-9)
             tx_time = spec.pdu_size_bytes * 8 / np.maximum(se, _SE_CHANNEL_FLOOR) / spec.w_user_hz
             p_success = np.clip(1.0 - np.asarray(bler(lk, sinr)), 1e-9, 1.0)
-            service = np.multiply(attempts, tx_time[:, None],
-                                  out=per_ue[first_ue:first_ue + len(tx_time)])
+            service = np.multiply(attempts, tx_time[:, None], out=per_ue[d])
             service += spec.overhead_s  # addition commutes: overhead + n_tx * tx_time
             # UEs in cell order from here
-            by_cell = np.argsort(serving, kind="stable")
-            ue_code = _MAX_MESSAGE_ATTEMPTS * (first_ue + by_cell)
-            first_ue += len(by_cell)
+            ue_code = _MAX_MESSAGE_ATTEMPTS * (d * n_ue + by_cell)
             codes = np.empty((_MAX_MESSAGE_ATTEMPTS + 1, len(by_cell)),
                              np.min_scalar_type(2 * lost))
             codes[:-1] = ue_code + attempts[:, None] + lost * ~(se[by_cell] > 0.0)
             codes[-1] = ue_code + _MAX_MESSAGE_ATTEMPTS + lost
             p_success = p_success[by_cell]
             sums = _success_sums(p_success)
-            ends = np.cumsum(np.bincount(serving, minlength=layout.n_trxps)).tolist()
+            ends = np.cumsum(cell_sizes).tolist()
             self.cells.append([None if lo == hi else (
                 codes[:, lo:hi], p_success[lo:hi], sums[lo:hi], _search_floor(p_success[lo:hi]))
                 for lo, hi in zip([0] + ends, ends)])

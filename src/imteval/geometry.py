@@ -115,12 +115,12 @@ def _drop_micros(sites: np.ndarray, isd: float, rng: np.random.Generator) -> np.
     return np.array(out)
 
 
-def _try_micros_for_site(site, isd, r_max, sep, rng, batch: int = 256):
+def _try_micros_for_site(site, isd, r_max, sep, rng):
     placed = np.empty((0, 2))
     for boresight in SECTOR_BORESIGHTS_DEG:
         need = MICROS_PER_SECTOR
         for _ in range(40):  # batches per sector before declaring a dead end
-            cand = site + rng.uniform(-r_max, r_max, size=(batch, 2))
+            cand = site + rng.uniform(-r_max, r_max, size=(256, 2))  # one batch
             ok = _in_hex_cell(cand, site, isd)
             rel = cand - site
             az = np.degrees(np.arctan2(rel[:, 1], rel[:, 0])) % 360.0

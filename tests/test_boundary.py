@@ -33,8 +33,9 @@ def _work(*args, **kwargs):
 
 
 MMTC_A = preset(TestEnvironment.URBAN_MACRO_MMTC, "A")
-# stand-ins for a layout and a service: the boundary reads neither
-LAYOUT = types.SimpleNamespace(sector_area_m2=1.0)
+# stand-ins for a layout and a service: the boundary reads neither, and
+# MessageService reads the TRxP count only once its argument has passed
+LAYOUT = types.SimpleNamespace(sector_area_m2=1.0, n_trxps=57)
 SERVICE = types.SimpleNamespace(config=MMTC_A, sector_area_m2=1.0)
 
 # entry point -> (call with keyword arguments, {numeric argument: the least

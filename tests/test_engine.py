@@ -819,17 +819,27 @@ class TestDensityRoute:
                    for c in np.flatnonzero(e).tolist())
 
     def test_search_runs_each_drop_once(self, monkeypatch):
+        """The route reads each UE's serving TRxP and uplink SINR only, so
+        the search's MessageService runs each drop's link and uplink stages
+        once and never ``run_drop``: no downlink plane, no dBm vectors, no
+        ``DropResult``. Its delays are still those of the reference, which
+        takes them from ``run_drop``."""
         cfg = small(MMTC_A, drops=2)
-        run_drop_indices = []
+        link_stage = engine._link_stage
+        drop_indices = []
 
-        def counting_run_drop(config, layout, drop_index, sinr_only=False, work=None):
-            run_drop_indices.append(drop_index)
-            return run_drop(config, layout, drop_index, sinr_only, work)
+        def counting_link_stage(config, layout, drop_index, work):
+            drop_indices.append(drop_index)
+            return link_stage(config, layout, drop_index, work)
 
-        monkeypatch.setattr(engine, "run_drop", counting_run_drop)
+        def no_drop(*args, **kwargs):
+            raise AssertionError("run_drop ran")
+
+        monkeypatch.setattr(engine, "_link_stage", counting_link_stage)
+        monkeypatch.setattr(engine, "run_drop", no_drop)
         search, cal = density_search(cfg, steps=3, n_drops=2)
         monkeypatch.undo()
-        assert [d for d in run_drop_indices if d < engine._CALIBRATION_DROP_BASE] == [0, 1]
+        assert [d for d in drop_indices if d < engine._CALIBRATION_DROP_BASE] == [0, 1]
         layout = build_layout(cfg)
         reference = metrics.connection_density_search(
             lambda density: evaluate_p99_delay_reference(cal, layout, density, n_drops=2),
@@ -927,6 +937,7 @@ class TestDensityRoute:
             raise AssertionError("a drop ran")
 
         monkeypatch.setattr(engine, "run_drop", no_drop)
+        monkeypatch.setattr(engine, "_link_stage", no_drop)
         for call in (lambda: MessageService(cfg, layout, 2),
                      lambda: density_search(cfg, n_drops=2)):
             with pytest.raises(DomainError, match="got FullBuffer") as err:
@@ -1011,6 +1022,7 @@ class TestDensityRoute:
 
         monkeypatch.setattr(engine, "build_layout", no_work)
         monkeypatch.setattr(engine, "run_drop", no_work)
+        monkeypatch.setattr(engine, "_link_stage", no_work)
         with pytest.raises(DomainError, match=f"{field}.*got {shown}") as err:
             call(small(MMTC_A, drops=2))
         assert err.value.field == field
