@@ -636,6 +636,51 @@ def evaluate_p99_delay_reference(config, layout, density_per_km2, n_drops=3,
     return metrics.p99_delay(np.concatenate(delays))
 
 
+def draw_messages_reference(service, mean_messages, horizon_s):
+    """Oracle for engine._draw_messages: each cell's arrival times drawn
+    with ``uniform`` into their own array, then copied into the table row."""
+    n_t = len(service.cells[0])
+    shape = (len(service.cells) * n_t, engine._queue_capacity(mean_messages))
+    arrival = np.zeros(shape)
+    codes = np.zeros(shape, np.min_scalar_type(2 * service.lost))
+    lengths = np.zeros(shape[0], dtype=np.intp)
+    for d, cells in enumerate(service.cells):
+        rng = derive_stream(service.config.master_seed, d, "density")
+        for c, cell in enumerate(cells):
+            n_msgs = rng.poisson(mean_messages)
+            if n_msgs == 0:
+                continue
+            times = rng.uniform(0.0, horizon_s, size=n_msgs)
+            if cell is None:  # drawn, but no UE of the cell sends them
+                continue
+            cell_codes, p_success, sums, floor = cell
+            pick = rng.integers(len(p_success), size=n_msgs)
+            again, retries = engine._draw_retries(rng, pick, p_success, sums, floor)
+            if n_msgs > arrival.shape[1]:
+                arrival, codes = (
+                    np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)], axis=1)
+                    for a in (arrival, codes))
+            q = d * n_t + c
+            lengths[q] = n_msgs
+            arrival[q, :n_msgs] = times
+            arrival[q, :n_msgs].sort()
+            row = codes[q, :n_msgs]
+            np.take(cell_codes[0], pick, out=row, mode="clip")
+            row[again] = cell_codes[retries, pick[again]]
+    return arrival, codes, lengths
+
+
+def _assert_draws_match_reference(service, density_per_km2, horizon_s):
+    """``engine._draw_messages`` fills the tables of
+    ``draw_messages_reference`` byte for byte, shapes and dtypes included."""
+    spec = service.config.traffic
+    mean = density_per_km2 * (service.sector_area_m2 / 1e6) * spec.rate_per_s * horizon_s
+    got = engine._draw_messages(service, mean, horizon_s)
+    for a, b in zip(got, draw_messages_reference(service, mean, horizon_s), strict=True):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+
+
 def _search_sums(p):
     """The running sums of numpy's geometric search (distributions.c,
     ``random_geometric_search``) for each p, as (len(p), 8): ``sum = prod =
@@ -780,6 +825,7 @@ class TestDensityRoute:
         service = MessageService(cfg, layout, 2)
         assert [sum(cell is not None and cell[3] is None for cell in cells)
                 for cells in service.cells] == cells_below
+        _assert_draws_match_reference(service, 1e6, 10.0)
         rows, ref_rows = [], []
         delay = evaluate_p99_delay(service, 1e6, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
@@ -790,9 +836,10 @@ class TestDensityRoute:
     def test_queues_longer_than_first_capacity_grow(self, mmtc_calibrated, monkeypatch):
         cal, layout = mmtc_calibrated
         monkeypatch.setattr(engine, "_queue_capacity", lambda mean: 2)
+        service = MessageService(cal, layout, 2)
+        _assert_draws_match_reference(service, 2e6, 10.0)
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(MessageService(cal, layout, 2), 2e6, horizon_s=10.0,
-                                   record_sink=rows)
+        delay = evaluate_p99_delay(service, 2e6, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cal, layout, 2e6, n_drops=2, horizon_s=10.0,
                                                 record_sink=ref_rows)
         assert max(sum(1 for r in rows if r[:2] == key) for key in {r[:2] for r in rows}) > 2
@@ -809,6 +856,7 @@ class TestDensityRoute:
         service = MessageService(cfg, layout, 2)
         assert [[cell is None for cell in cells] for cells in service.cells] == \
             [e.tolist() for e in empty]
+        _assert_draws_match_reference(service, 1e6, 10.0)
         rows, ref_rows = [], []
         delay = evaluate_p99_delay(service, 1e6, horizon_s=10.0, record_sink=rows)
         expected = evaluate_p99_delay_reference(cfg, layout, 1e6, n_drops=2, horizon_s=10.0,
@@ -860,9 +908,10 @@ class TestDensityRoute:
             return serve_fifo(arrival, codes, table, *args, **kwargs)
 
         monkeypatch.setattr(engine, "serve_fifo", spy)
+        service = MessageService(cfg, layout, 8)
+        _assert_draws_match_reference(service, 1e6, 10.0)
         rows, ref_rows = [], []
-        delay = evaluate_p99_delay(MessageService(cfg, layout, 8), 1e6, horizon_s=10.0,
-                                   record_sink=rows)
+        delay = evaluate_p99_delay(service, 1e6, horizon_s=10.0, record_sink=rows)
         (dtype, top, n_codes), = served
         assert n_codes == 1 + 16 * 8 * 570 and dtype == np.uint32
         assert top > np.iinfo(np.uint16).max
