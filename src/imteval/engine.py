@@ -597,7 +597,9 @@ def _draw_retries(rng: np.random.Generator, pick: np.ndarray, p_success: np.ndar
         u = rng.random(len(pick))
         # only U above the smallest sum_1 = p can need a retry
         again = np.flatnonzero(u > floor)
-        return again, (u[again, None] > sums[pick[again]]).sum(axis=1)
+        if len(again) == 0:
+            return again, again
+        return again, np.count_nonzero(u[again, None] > sums[pick[again]], axis=1)
     n_tx = rng.geometric(p_success[pick])
     again = np.flatnonzero(n_tx > 1)
     return again, np.minimum(n_tx[again], _MAX_MESSAGE_ATTEMPTS + 1) - 1
@@ -666,10 +668,12 @@ class MessageService:
 def _draw_messages(service: MessageService, mean_messages: float, horizon_s: float):
     """Each (drop, cell) queue's messages as one row of padded (queues x
     slots) arrival-time and service-code tables, pads holding arrival 0 and
-    code 0, and the queue lengths. Per cell it draws ``poisson``,
-    ``uniform``, ``integers``, then the retries, an order that fixes the
-    results of a seed; the row takes each message's one-transmission code,
-    and only the messages sent again are corrected."""
+    code 0, and the queue lengths. Per cell it draws ``poisson``, the
+    arrival times (``random`` into the row, times ``horizon_s``: the bytes
+    of numpy's ``uniform(0.0, horizon_s)``, 0.0 + horizon_s * U), then
+    ``integers`` and the retries, an order that fixes the results of a
+    seed; a cell without UEs queues none of its draws. The row takes each
+    message's one-transmission code, and only those sent again are corrected."""
     n_t = len(service.cells[0])
     shape = (len(service.cells) * n_t, _queue_capacity(mean_messages))
     arrival = np.zeros(shape)
@@ -677,24 +681,26 @@ def _draw_messages(service: MessageService, mean_messages: float, horizon_s: flo
     lengths = np.zeros(shape[0], dtype=np.intp)
     for d, cells in enumerate(service.cells):
         rng = derive_stream(service.config.master_seed, d, "density")
+        poisson, random, integers = rng.poisson, rng.random, rng.integers
         for c, cell in enumerate(cells):
-            n_msgs = rng.poisson(mean_messages)
+            n_msgs = poisson(mean_messages)
             if n_msgs == 0:
                 continue
-            times = rng.uniform(0.0, horizon_s, size=n_msgs)
             if cell is None:  # drawn, but no UE of the cell sends them
+                random(n_msgs)
                 continue
-            cell_codes, p_success, sums, floor = cell
-            pick = rng.integers(len(p_success), size=n_msgs)
-            again, retries = _draw_retries(rng, pick, p_success, sums, floor)
             if n_msgs > arrival.shape[1]:
                 arrival, codes = (
                     np.concatenate([a, np.zeros((len(a), n_msgs - a.shape[1]), a.dtype)], axis=1)
                     for a in (arrival, codes))
             q = d * n_t + c
+            times = random(out=arrival[q, :n_msgs])
+            times *= horizon_s
+            cell_codes, p_success, sums, floor = cell
+            pick = integers(len(p_success), size=n_msgs)
+            again, retries = _draw_retries(rng, pick, p_success, sums, floor)
             lengths[q] = n_msgs
-            arrival[q, :n_msgs] = times
-            arrival[q, :n_msgs].sort()
+            times.sort()
             row = codes[q, :n_msgs]
             np.take(cell_codes[0], pick, out=row, mode="clip")
             row[again] = cell_codes[retries, pick[again]]

@@ -166,6 +166,8 @@ def serve_fifo(arrival_times, service_codes, service_table, n_servers: int, star
     its queue that frees up first. Returns ``out``, an array shaped like
     ``arrival_times`` (a new one when None is passed) that receives the
     delay (completion - arrival) of every entry. Each block of positions is
+    copied into a contiguous block of arrival times (the density probe
+    passes transposed views, whose rows are a queue's length apart) and
     decoded into a block of service times, served, then checked and written
     whole, after its last read, so ``out`` may be the arrival-time array
     itself. When ``starts`` is given, an array shaped like
@@ -215,11 +217,13 @@ def serve_fifo(arrival_times, service_codes, service_table, n_servers: int, star
     # hot loop: local names
     maximum, add, greater_equal = np.maximum, np.add, np.greater_equal
     every, running_least = np.logical_and.reduce, np.minimum.accumulate
-    buffer, service = (np.empty((min(_FIFO_BLOCK, n_rows), n_queues)) for _ in range(2))
+    buffer, arrivals, service = (np.empty((min(_FIFO_BLOCK, n_rows), n_queues))
+                                 for _ in range(3))
     for b0 in range(0, n_rows, _FIFO_BLOCK):
         b1 = min(b0 + _FIFO_BLOCK, n_rows)
         block = buffer[:b1 - b0] if starts is None else starts[b0:b1]
-        arrival_b = arrival[b0:b1]
+        arrival_b = arrivals[:b1 - b0]
+        arrival_b[...] = arrival[b0:b1]
         service_b = np.take(table, codes[b0:b1], out=service[:b1 - b0])
         i = 0
         while i < b1 - b0:

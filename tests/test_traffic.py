@@ -385,21 +385,34 @@ def encode(service):
     return codes.astype(np.uint16), np.concatenate([[np.inf], values])
 
 
+def _queue_major(a):
+    """``a`` as the density probe passes its tables: the transposed view of
+    a (queues x slots) table one slot wider than ``a`` has rows."""
+    table = np.zeros((a.shape[1], a.shape[0] + 1), a.dtype)
+    table[:, :-1] = a.T
+    return table[:, :-1].T
+
+
 def _assert_lockstep_matches_reference(arrival, codes, table, n_servers,
-                                      block=traffic._FIFO_BLOCK, in_place=False):
+                                      block=traffic._FIFO_BLOCK, in_place=False,
+                                      transposed=False):
     """Checks serve_fifo on (messages x queues) arrays, each queue ending in
     pads of code 0, against one heap queue per column, bit for bit: every
     message's start, completion and delay, and a +inf delay for every pad.
-    With ``in_place`` the delays are written over a copy of ``arrival``.
-    Returns the start times."""
+    With ``in_place`` the delays are written over a copy of ``arrival``;
+    with ``transposed`` the arrival times, codes and start times are
+    strided views (``_queue_major``). Returns the start times."""
     busy = np.asarray(table)[codes]
     lengths = np.count_nonzero(codes, axis=0)
     valid = np.arange(len(arrival))[:, None] < lengths
     assert (codes[~valid] == 0).all()  # pads only at the end of a queue
     times, start = arrival.copy(), np.empty_like(arrival)
+    served = codes
+    if transposed:
+        times, start, served = map(_queue_major, (times, start, codes))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traffic, "_FIFO_BLOCK", block)
-        delays = serve_fifo(times, codes, table, n_servers, start, times if in_place else None)
+        delays = serve_fifo(times, served, table, n_servers, start, times if in_place else None)
     assert (delays is times) == in_place
     logs = [serve_fifo_reference(list(zip(arrival[:n, q].tolist(), range(n))),
                                  busy[:n, q].tolist(), n_servers)
@@ -527,10 +540,14 @@ class TestServeFifo:
         assert start[3:, 0].tolist() == [10.0, 10.5, 11.5]
         assert start[:, 1].tolist() == arrival[:, 1].tolist()
 
-    def test_ragged_queues_end_mid_block(self):
+    @pytest.mark.parametrize("block, probe_call", [(5, False), (4, True)],
+                             ids=["blocks_of_5", "probe_call_blocks_of_4"])
+    def test_ragged_queues_end_mid_block(self, block, probe_call):
         """Queues of 0 to 10 messages padded with arrival 0 and code 0, 4
         servers and blocks of 5 rows: steps and blocks end mid-queue and
-        queues end mid-step."""
+        queues end mid-step. In the density probe's call the arrays are
+        transposed views, the delays go over the arrival times, and blocks
+        of 4 leave a short last block."""
         lengths = [0, 3, 7, 10, 1, 6]
         rng = np.random.default_rng(19)
         arrival = np.zeros((10, len(lengths)))
@@ -538,7 +555,8 @@ class TestServeFifo:
         for q, n in enumerate(lengths):
             arrival[:n, q] = np.sort(rng.uniform(0.0, 4.0, n))
             busy[:n, q] = rng.uniform(0.0, 3.0, n)
-        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=5)
+        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=block,
+                                           in_place=probe_call, transposed=probe_call)
 
     @pytest.mark.parametrize("n_servers", [1, 16])
     def test_one_server_and_more_servers_than_messages(self, n_servers):
@@ -570,18 +588,22 @@ class TestServeFifo:
            queues=st.lists(st.lists(st.tuples(_TIMES, st.integers(1, 4)), max_size=40),
                            min_size=1, max_size=8),
            n_servers=st.integers(1, 16), block=st.integers(1, 9),
-           pad=st.sampled_from([0.0, -1.0, 1e300]), in_place=st.booleans())
+           pad=st.sampled_from([0.0, -1.0, 1e300]), in_place=st.booleans(),
+           transposed=st.booleans())
     def test_lockstep_queues_match_tuple_heap_bit_for_bit(self, table, queues, n_servers,
-                                                          block, pad, in_place):
-        """Ragged queues served together, over several start-time blocks,
-        give each queue the bytes of its own heap queue, in place or not.
-        Their messages draw codes into a table of up to four service times,
-        so many share one; pads of code 0 (+inf service), whatever their
-        finite arrival time, change no result and get a +inf delay."""
+                                                          block, pad, in_place, transposed):
+        """Ragged queues served together, over several start-time blocks
+        (the last one often short), give each queue the bytes of its own
+        heap queue, in place or not, from contiguous arrays or from the
+        transposed views the density probe passes. Their messages draw
+        codes into a table of up to four service times, so many share one;
+        pads of code 0 (+inf service), whatever their finite arrival time,
+        change no result and get a +inf delay."""
         table = [np.inf] + table
         arrival = np.full((max(map(len, queues)), len(queues)), pad)
         codes = np.zeros(arrival.shape, np.uint8)
         for q, jobs in enumerate(queues):
             arrival[:len(jobs), q] = sorted(t for t, _ in jobs)
             codes[:len(jobs), q] = [min(code, len(table) - 1) for _, code in jobs]
-        _assert_lockstep_matches_reference(arrival, codes, table, n_servers, block, in_place)
+        _assert_lockstep_matches_reference(arrival, codes, table, n_servers, block, in_place,
+                                           transposed)
