@@ -540,14 +540,12 @@ class TestServeFifo:
         assert start[3:, 0].tolist() == [10.0, 10.5, 11.5]
         assert start[:, 1].tolist() == arrival[:, 1].tolist()
 
-    @pytest.mark.parametrize("block, probe_call", [(5, False), (4, True)],
-                             ids=["blocks_of_5", "probe_call_blocks_of_4"])
-    def test_ragged_queues_end_mid_block(self, block, probe_call):
+    def test_ragged_queues_end_mid_block(self):
         """Queues of 0 to 10 messages padded with arrival 0 and code 0, 4
         servers and blocks of 5 rows: steps and blocks end mid-queue and
-        queues end mid-step. In the density probe's call the arrays are
-        transposed views, the delays go over the arrival times, and blocks
-        of 4 leave a short last block."""
+        queues end mid-step. Then in the density probe's call: transposed
+        views, the delays over the arrival times, and blocks of 4, the last
+        one short."""
         lengths = [0, 3, 7, 10, 1, 6]
         rng = np.random.default_rng(19)
         arrival = np.zeros((10, len(lengths)))
@@ -555,8 +553,9 @@ class TestServeFifo:
         for q, n in enumerate(lengths):
             arrival[:n, q] = np.sort(rng.uniform(0.0, 4.0, n))
             busy[:n, q] = rng.uniform(0.0, 3.0, n)
-        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=block,
-                                           in_place=probe_call, transposed=probe_call)
+        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=5)
+        _assert_lockstep_matches_reference(arrival, *encode(busy), 4, block=4, in_place=True,
+                                           transposed=True)
 
     @pytest.mark.parametrize("n_servers", [1, 16])
     def test_one_server_and_more_servers_than_messages(self, n_servers):
