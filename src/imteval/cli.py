@@ -28,7 +28,6 @@ from .scenario import (
     preset,
     validate,
 )
-from .traffic import TrafficKind
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,9 +102,9 @@ def _cmd_run(args) -> int:
     # the flags override any --set run.* value and are range-checked alike
     flags = {"drops": args.drops, "master_seed": args.seed}
     config = validate(replace(config, **{k: v for k, v in flags.items() if v is not None}))
-    if args.non_full_buffer and config.traffic.kind is not TrafficKind.POISSON_MESSAGING:
-        print(f"error: --non-full-buffer needs {TrafficKind.POISSON_MESSAGING.value} traffic; "
-              f"{config.environment.value} uses {config.traffic.kind.value}", file=sys.stderr)
+    if args.non_full_buffer and config.environment is not TestEnvironment.URBAN_MACRO_MMTC:
+        print(f"error: --non-full-buffer needs {TestEnvironment.URBAN_MACRO_MMTC.value}, "
+              f"not {config.environment.value}", file=sys.stderr)
         return 2
 
     reqs = builtin_requirements()

@@ -28,7 +28,7 @@ from .geometry import MICRO_TX_OFFSET_DB, NetworkLayout, UeDrop, build_layout, d
 from .link import (DOWNLINK, SCHEDULING_INTERVAL_S, UPLINK, bler, db_to_lin, lin_to_db,
                    noise_power, sinr_to_se, uplink_power_control)
 from .scenario import EMBB_ENVIRONMENTS, EvaluationConfig, TestEnvironment, builtin_requirements
-from .traffic import TrafficKind, pf_run, serve_fifo
+from .traffic import pf_run, serve_fifo
 
 STREAM_ALGORITHM = (
     "numpy PCG64 seeded by SeedSequence(master_seed, spawn_key=(drop_index, "
@@ -248,7 +248,7 @@ def _uplink_stage(config: EvaluationConfig, coupling: np.ndarray, serving: np.nd
 
 def _ul_user_bw(config: EvaluationConfig) -> float:
     """One uplink transmission's bandwidth: a messaging channel or a carrier share per MU layer."""
-    return config.traffic.w_user_hz if config.traffic.kind is TrafficKind.POISSON_MESSAGING \
+    return config.traffic.w_user_hz if config.environment is TestEnvironment.URBAN_MACRO_MMTC \
         else config.bandwidth / config.link.mu_layers_ul
 
 
@@ -303,7 +303,7 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     backoff = lk.csi_backoff_db
     n_intervals = max(1, int(round(config.duration_t / SCHEDULING_INTERVAL_S)))
     dt = config.duration_t / n_intervals
-    is_mmtc_style = config.traffic.kind is TrafficKind.POISSON_MESSAGING
+    is_mmtc_style = config.environment is TestEnvironment.URBAN_MACRO_MMTC
     rates_ul = np.asarray(sinr_to_se(lk, UPLINK, result.ul_sinr_db - backoff)) \
         * _ul_user_bw(config)
     ul_resources = config.traffic.channels if is_mmtc_style else lk.mu_layers_ul
@@ -606,10 +606,10 @@ def _draw_retries(rng: np.random.Generator, pick: np.ndarray, p_success: np.ndar
 
 
 def _require_messaging(config: EvaluationConfig) -> None:
-    """Raise DomainError naming ``config`` when its traffic is not messaging."""
-    if config.traffic.kind is not TrafficKind.POISSON_MESSAGING:
-        raise DomainError(f"config must have messaging traffic, got {config.traffic.kind.value}",
-                          "config")
+    """Raise DomainError naming ``config`` unless its environment is UrbanMacro_mMTC."""
+    if config.environment is not TestEnvironment.URBAN_MACRO_MMTC:
+        raise DomainError(f"config must be {TestEnvironment.URBAN_MACRO_MMTC.value}, "
+                          f"got {config.environment.value}", "config")
 
 
 class MessageService:
@@ -759,7 +759,7 @@ def density_search(config: EvaluationConfig, lo_per_km2: float = 2e5,
     99th-percentile delay stays within 10 s. Without ``layout`` it builds and
     calibrates its own; a passed layout comes with the calibrated config of its run.
     Raises DomainError naming the first argument out of its domain (``config``
-    without messaging traffic, a bracket not 0 < lo < hi < inf) before any set-up."""
+    of an environment but UrbanMacro_mMTC, a bracket not 0 < lo < hi < inf) before any set-up."""
     _require_messaging(config)
     DomainError.require_counts(1, n_drops=n_drops)
     metrics._check_bracket(lo_per_km2, hi_per_km2, steps)

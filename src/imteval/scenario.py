@@ -129,6 +129,7 @@ _RANGES = {
     # a beamwidth is > 0: math.ulp(0.0) is the least positive float
     "antenna.bs.h_3db": (math.ulp(0.0), 360.0), "antenna.bs.v_3db": (math.ulp(0.0), 360.0),
     "antenna.bs.front_back": (0.0, math.inf), "antenna.bs.sidelobe": (0.0, math.inf),
+    "traffic.pdu_size_bytes": (1, math.inf), "traffic.rate_per_s": (math.ulp(0.0), math.inf),
     "traffic.w_user_hz": (math.ulp(0.0), math.inf), "traffic.overhead_s": (0.0, math.inf),
     # the link abstraction: math.nextafter(1.0, 0.0) is the greatest float < 1
     "link.alpha": (math.ulp(0.0), 1.0),
@@ -138,6 +139,9 @@ _RANGES = {
     "link.harq_max_transmissions": (1, math.inf), "link.harq_tx_time_s": (math.ulp(0.0), math.inf),
     # the PF scheduler's grant counts; the uplink count also divides the bandwidth
     "link.mu_layers_dl": (1, math.inf), "link.mu_layers_ul": (1, math.inf),
+    # the panel array's counts (see antenna.ArrayConfig)
+    **{f"antenna.{end}.{key}": (1, 2) if key == "p" else (1, math.inf)
+       for end in ("bs", "ue") for key in ("p", "mg", "ng", "mp", "np")},
 }
 
 
@@ -170,21 +174,10 @@ def validate(config: EvaluationConfig) -> EvaluationConfig:
     for name, (lo, hi) in _RANGES.items():
         if not (lo <= values[name] <= hi):
             raise ConfigInvalid(name, f"{values[name]} outside [{lo}, {hi}]")
-    traffic = config.traffic
-    if traffic.kind is TrafficKind.POISSON_MESSAGING:
-        for key in ("pdu_size_bytes", "rate_per_s"):
-            if getattr(traffic, key) <= 0:
-                raise ConfigInvalid(f"traffic.{key}", "must be > 0")
-    if traffic.eval_bandwidth_hz < traffic.w_user_hz:
+    if config.traffic.eval_bandwidth_hz < config.traffic.w_user_hz:
         raise ConfigInvalid("traffic.eval_bandwidth_hz", "must be >= w_user_hz")
-    # the panel array rules (see antenna.ArrayConfig)
     for section in ("antenna.bs", "antenna.ue"):
         array = getattr(config, _NESTED[section])
-        for key in ("p", "mg", "ng", "mp", "np"):
-            if getattr(array, key) < 1:
-                raise ConfigInvalid(f"{section}.{key}", f"array count {key} must be >= 1")
-        if array.p not in (1, 2):
-            raise ConfigInvalid(f"{section}.p", "polarization count p must be 1 or 2")
         for ports, grid in (("mp", "m"), ("np", "n")):
             if getattr(array, grid) % getattr(array, ports):
                 raise ConfigInvalid(f"{section}.{ports}",
@@ -436,7 +429,12 @@ def _pins(names: str, reason: str) -> dict:
 # preset its config's labels name.
 _HARQ = _pins("link.harq_max_transmissions link.harq_tx_time_s link.harq_combining_gain_db",
               "only the UrbanMacro_URLLC reliability KPI reads HARQ")
-_NO_DOWNLINK = _pins("link.mu_layers_dl", "no downlink row is scheduled")
+_NO_DOWNLINK = _pins("link.mu_layers_dl link.se_max_dl", "no downlink row is scheduled")
+_FULL_BUFFER = _pins("traffic.pdu_size_bytes traffic.rate_per_s traffic.w_user_hz "
+                     "traffic.eval_bandwidth_hz traffic.overhead_s",
+                     "only the UrbanMacro_mMTC messaging traffic reads it")
+_EMBB = {**_HARQ, **_FULL_BUFFER, **_pins("link.bler_sinr_50_db link.bler_slope_db "
+                                          "link.bler_floor", "no eMBB KPI reads BLER")}
 _PINNED = {
     None: {**_pins("ue_speed_indoor ue_speed_outdoor antenna.bs.m antenna.bs.n antenna.ue.m "
                    "antenna.ue.n antenna.bs.element_spacing_h antenna.bs.element_spacing_v "
@@ -444,16 +442,19 @@ _PINNED = {
                    "only the small-scale generator reads it, and no drop runs that"),
            **_pins("antenna.bs.bearing_deg antenna.ue.bearing_deg antenna.ue.downtilt_deg "
                    "antenna.ue.isotropic", "nothing reads it"),
-           **_pins("antenna.ue.mp", "only 1 divides the pinned UE m = 1")},
+           **_pins("antenna.ue.mp", "only 1 divides the pinned UE m = 1"),
+           **_pins("traffic.kind", "the test environment fixes the traffic model")},
     TestEnvironment.INDOOR_HOTSPOT_EMBB: {
         **_pins("isd", "the 12-point floor is fixed"),
         **_pins("indoor_fraction high_loss_fraction", "InH penetration loss is 0 dB"),
         **_pins("antenna.bs.downtilt_deg antenna.bs.h_3db antenna.bs.v_3db "
                 "antenna.bs.front_back antenna.bs.sidelobe", "all 12 ceiling points are omni"),
-        **_HARQ},
-    TestEnvironment.DENSE_URBAN_EMBB: _HARQ, TestEnvironment.RURAL_EMBB: _HARQ,
-    TestEnvironment.URBAN_MACRO_MMTC: {**_HARQ, **_NO_DOWNLINK},
-    TestEnvironment.URBAN_MACRO_URLLC: _NO_DOWNLINK,
+        **_EMBB},
+    TestEnvironment.DENSE_URBAN_EMBB: _EMBB, TestEnvironment.RURAL_EMBB: _EMBB,
+    TestEnvironment.URBAN_MACRO_MMTC: {
+        **_HARQ, **_NO_DOWNLINK,
+        **_pins("link.mu_layers_ul", "a messaging channel, not an MU layer, carries the uplink")},
+    TestEnvironment.URBAN_MACRO_URLLC: {**_NO_DOWNLINK, **_FULL_BUFFER},
 }
 
 

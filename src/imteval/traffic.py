@@ -1,11 +1,11 @@
 """Traffic models, proportional-fair scheduling and the FIFO message queue.
 
-Two traffic models exist: full buffer (every UE always backlogged, used for
-SINR CDF derivation and spectral-efficiency runs) and Poisson messaging with a
-fixed layer-2 PDU size (used for the non-full-buffer connection-density
-route: `engine.MessageService` maps a search's drops to message service
-once, each probe, `engine.evaluate_p99_delay(service, density)`, draws the
-arrivals per cell, and `serve_fifo` here serves them).
+The test environment fixes the traffic model; the config's ``kind`` records
+it. eMBB and URLLC run full buffer (every UE always backlogged), UrbanMacro_mMTC
+Poisson messaging with a fixed layer-2 PDU size on its density route:
+`engine.MessageService` maps a search's drops to message service once, each
+probe, `engine.evaluate_p99_delay(service, density)`, draws the arrivals per
+cell, and `serve_fifo` here serves them.
 """
 
 from __future__ import annotations

@@ -156,6 +156,9 @@ class TestRun:
          "--non-full-buffer"),
         (["--scenario", "UrbanMacro_mMTC", "--dump-packets"], "--dump-packets"),
         (["--scenario", "Rural_eMBB", "--dump-packets"], "--dump-packets"),
+        # the environment fixes the traffic model, so its key may not ask for messaging
+        (["--scenario", "Rural_eMBB", "--set", "traffic.kind=PoissonMessaging",
+          "--non-full-buffer"], "'traffic.kind'"),
     ])
     def test_ignored_flags_are_rejected_before_any_drop(self, tmp_path, capsys, monkeypatch,
                                                         flags, named):
@@ -263,6 +266,13 @@ class TestPinnedKeys:
         ("Rural_eMBB", "scenario.ue_speed_outdoor=3", "ue_speed_outdoor"),
         ("UrbanMacro_mMTC", "link.mu_layers_dl=2", "link.mu_layers_dl"),
         ("Rural_eMBB", "antenna.bs.front_back=-30", "antenna.bs.front_back"),
+        # the test environment fixes the traffic model, and with it the keys it reads
+        ("UrbanMacro_mMTC", "traffic.kind=FullBuffer", "traffic.kind"),
+        ("Rural_eMBB", "traffic.kind=PoissonMessaging", "traffic.kind"),
+        ("Rural_eMBB", "traffic.overhead_s=5", "traffic.overhead_s"),
+        ("Rural_eMBB", "link.bler_floor=0.5", "link.bler_floor"),
+        ("UrbanMacro_URLLC", "link.se_max_dl=2", "link.se_max_dl"),
+        ("UrbanMacro_mMTC", "link.mu_layers_ul=1", "link.mu_layers_ul"),
     ])
     @pytest.mark.parametrize("route", ["set", "config", "named_config"])
     def test_is_a_usage_error_on_every_route(self, tmp_path, capsys, monkeypatch, env,

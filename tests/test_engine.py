@@ -982,7 +982,7 @@ class TestDensityRoute:
 
     def test_requires_messaging_traffic(self, monkeypatch):
         """URLLC A has full-buffer traffic: the service and the search name
-        ``config`` before any drop runs."""
+        ``config`` and its environment before any drop runs."""
         cfg = small(preset(TestEnvironment.URBAN_MACRO_URLLC, "A"), drops=2)
         layout = build_layout(cfg)
 
@@ -993,7 +993,7 @@ class TestDensityRoute:
         monkeypatch.setattr(engine, "_link_stage", no_drop)
         for call in (lambda: MessageService(cfg, layout, 2),
                      lambda: density_search(cfg, n_drops=2)):
-            with pytest.raises(DomainError, match="got FullBuffer") as err:
+            with pytest.raises(DomainError, match="got UrbanMacro_URLLC") as err:
                 call()
             assert err.value.field == "config"
 
@@ -1036,7 +1036,7 @@ class TestDensityRoute:
         (lambda cfg: density_search(cfg, hi_per_km2=math.inf), "hi_per_km2", "inf"),
         (lambda cfg: density_search(cfg, lo_per_km2=math.nan), "lo_per_km2", "nan"),
         (lambda cfg: density_search(preset(TestEnvironment.RURAL_EMBB, "A"), n_drops=2),
-         "config", "FullBuffer"),
+         "config", "Rural_eMBB"),
         (lambda cfg: density_search(cfg, lo_per_km2=4e7, hi_per_km2=2e5, n_drops=2),
          "hi_per_km2", "200000.0"),
         (lambda cfg: density_search(cfg, steps=-1, n_drops=2), "steps", "-1"),

@@ -68,17 +68,23 @@ _REF_PINNED_EVERYWHERE = [
     "antenna.bs.element_spacing_v", "antenna.bs.bearing_deg",
     "antenna.ue.m", "antenna.ue.n", "antenna.ue.mp", "antenna.ue.element_spacing_h",
     "antenna.ue.element_spacing_v", "antenna.ue.bearing_deg", "antenna.ue.downtilt_deg",
-    "antenna.ue.isotropic",
+    "antenna.ue.isotropic", "traffic.kind",
 ]
 _REF_HARQ = ["link.harq_max_transmissions", "link.harq_tx_time_s", "link.harq_combining_gain_db"]
+_REF_NO_DOWNLINK = ["link.mu_layers_dl", "link.se_max_dl"]
+_REF_MESSAGE = ["traffic.pdu_size_bytes", "traffic.rate_per_s", "traffic.w_user_hz",
+                "traffic.eval_bandwidth_hz", "traffic.overhead_s"]
+_REF_EMBB = _REF_PINNED_EVERYWHERE + _REF_HARQ + _REF_MESSAGE + [
+    "link.bler_sinr_50_db", "link.bler_slope_db", "link.bler_floor"]
 REFERENCE_PINNED = {
-    TestEnvironment.INDOOR_HOTSPOT_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ + [
+    TestEnvironment.INDOOR_HOTSPOT_EMBB: _REF_EMBB + [
         "isd", "indoor_fraction", "high_loss_fraction", "antenna.bs.downtilt_deg",
         "antenna.bs.h_3db", "antenna.bs.v_3db", "antenna.bs.front_back", "antenna.bs.sidelobe"],
-    TestEnvironment.DENSE_URBAN_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ,
-    TestEnvironment.RURAL_EMBB: _REF_PINNED_EVERYWHERE + _REF_HARQ,
-    TestEnvironment.URBAN_MACRO_MMTC: _REF_PINNED_EVERYWHERE + _REF_HARQ + ["link.mu_layers_dl"],
-    TestEnvironment.URBAN_MACRO_URLLC: _REF_PINNED_EVERYWHERE + ["link.mu_layers_dl"],
+    TestEnvironment.DENSE_URBAN_EMBB: _REF_EMBB,
+    TestEnvironment.RURAL_EMBB: _REF_EMBB,
+    TestEnvironment.URBAN_MACRO_MMTC: _REF_PINNED_EVERYWHERE + _REF_HARQ + _REF_NO_DOWNLINK
+    + ["link.mu_layers_ul"],
+    TestEnvironment.URBAN_MACRO_URLLC: _REF_PINNED_EVERYWHERE + _REF_NO_DOWNLINK + _REF_MESSAGE,
 }
 
 REFERENCE_KEYS = {
@@ -289,6 +295,13 @@ def with_leaf(config: EvaluationConfig, name: str, value) -> EvaluationConfig:
     return replace(config, **{owner: replace(getattr(config, owner), **{attr: value})})
 
 
+def _link_base(key: str) -> EvaluationConfig:
+    """URLLC A, whose HARQ and BLER keys are live, or Rural A for ``se_max_dl``,
+    which only a scheduled downlink row reads."""
+    env = TestEnvironment.RURAL_EMBB if key == "se_max_dl" else TestEnvironment.URBAN_MACRO_URLLC
+    return preset(env, "A")
+
+
 def _outcome(load):
     try:
         return load(), None
@@ -428,8 +441,8 @@ class TestValidation:
         ("link", "bler_floor", "-1e-9", "outside [0.0, 0.9999999999999999]"),
         ("link", "harq_max_transmissions", "0", "outside [1, inf]"),
         ("link", "harq_tx_time_s", "0", "outside [5e-324, inf]"),
-        ("antenna.bs", "mg", "0", "array count mg"),
-        ("antenna.bs", "p", "3", "polarization count"),
+        ("antenna.bs", "mg", "0", "outside [1, inf]"),
+        ("antenna.bs", "p", "3", "outside [1, 2]"),
         ("antenna.bs", "mp", "9", "port grid"),
         ("antenna.ue", "np", "3", "port grid"),
         ("antenna.bs", "mp", "3", "port grid"),
@@ -438,7 +451,7 @@ class TestValidation:
         ("antenna.bs", "element_spacing_v", "0", "only the small-scale generator reads it"),
     ])
     def test_bad_leaf_rejected_naming_its_key(self, section, key, raw, reason):
-        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")  # its HARQ keys are live
+        c = _link_base(key)
         name = f"{section}.{key}"
         with pytest.raises(ConfigInvalid) as err:
             validate(with_leaf(c, name, _ref_convert(section, key, raw)))
@@ -455,7 +468,7 @@ class TestValidation:
         ("harq_max_transmissions", "1"), ("harq_tx_time_s", "5e-324"),
     ])
     def test_link_range_ends_are_accepted(self, key, raw):
-        c = preset(TestEnvironment.URBAN_MACRO_URLLC, "A")
+        c = _link_base(key)
         got = load_config(text=f"[link]\n{key} = {raw}\n", base=c)
         assert getattr(got.link, key) == _ref_convert("link", key, raw)
 
@@ -628,13 +641,13 @@ def _walk_preset(env, variant):
 
 def _results(config) -> str:
     """Every figure of one calibrated run: the calibrated P0, mean IoT and
-    warnings, each KPI, each CDF's samples and, on messaging traffic, the
+    warnings, each KPI, each CDF's samples and, on UrbanMacro_mMTC, the
     99th-percentile delay of one drop at 1e6 devices/km^2."""
     run = engine.run(config)
     found = [run.config.link.ul_p0_dbm, run.mean_iot_db, run.warnings,
              [(k.metric, k.direction, k.speed_kmh, k.value) for k in run.kpis],
              [(name, cdf.samples.tobytes()) for name, cdf in sorted(run.cdfs.items())]]
-    if config.traffic.kind is TrafficKind.POISSON_MESSAGING:
+    if config.environment is TestEnvironment.URBAN_MACRO_MMTC:
         found.append(engine.evaluate_p99_delay(
             engine.MessageService(run.config, run.layout, 1), 1e6))
     return repr(found)
@@ -679,7 +692,7 @@ LIVE = {
     "antenna.bs.front_back": (_RURAL, "10"), "antenna.bs.sidelobe": (_RURAL, "1"),
     "antenna.ue.p": (_RURAL, "2"), "antenna.ue.mg": (_RURAL, "2"),
     "antenna.ue.ng": (_RURAL, "2"), "antenna.ue.np": (_RURAL, "1"),
-    "traffic.kind": (_RURAL, "PoissonMessaging"), "traffic.pdu_size_bytes": (_MMTC, "200"),
+    "traffic.pdu_size_bytes": (_MMTC, "200"),
     "traffic.rate_per_s": (_MMTC, "0.01"), "traffic.w_user_hz": (_MMTC, "30000"),
     "traffic.eval_bandwidth_hz": (_MMTC, "360000"), "traffic.overhead_s": (_MMTC, "1"),
     "drops": (_RURAL, "2"), "master_seed": (_RURAL, "12"), "duration_t": (_RURAL, "0.05"),
@@ -706,6 +719,10 @@ PINNED_VALUES = {
     "antenna.ue.downtilt_deg": 12.0, "antenna.ue.isotropic": False,
     "link.harq_max_transmissions": 1, "link.harq_tx_time_s": 1e-3,
     "link.harq_combining_gain_db": 3.0, "link.mu_layers_dl": 1,
+    "traffic.pdu_size_bytes": 200, "traffic.rate_per_s": 0.01, "traffic.w_user_hz": 30000.0,
+    "traffic.eval_bandwidth_hz": 360000.0, "traffic.overhead_s": 1.0,
+    "link.bler_sinr_50_db": 0.0, "link.bler_slope_db": 4.0, "link.bler_floor": 0.9,
+    "link.se_max_dl": 2.0, "link.mu_layers_ul": 1,
 }
 
 
@@ -718,6 +735,8 @@ def _other(name: str, base: EvaluationConfig):
         return "B" if base.config_variant == "A" else "A"
     if name == "antenna.ue.mp":
         return 2  # no port count but 1 divides the pinned m = 1
+    if name == "traffic.kind":
+        return next(kind for kind in TrafficKind if kind is not base.traffic.kind)
     return PINNED_VALUES[name]
 
 
@@ -756,7 +775,7 @@ class TestKeyWalk:
     def test_pinned_keys_change_no_result(self, env, variant):
         base = _walk_preset(env, variant)
         names = set(_pinned(env)) - {"antenna.ue.mp"}
-        values = {(section, key): PINNED_VALUES[_ref_name(section, key)]
+        values = {(section, key): _other(_ref_name(section, key), base)
                   for section, key, *_ in scenario._LEAVES if _ref_name(section, key) in names}
         changed = base
         for (section, key), value in values.items():
