@@ -18,7 +18,6 @@ from dataclasses import replace
 from . import engine, report
 from .channel.profiles import get_profile, profile_to_text
 from .errors import ImtEvalError
-from .geometry import export_layout_csv
 from .scenario import (
     UPLINK,
     TestEnvironment,
@@ -85,27 +84,22 @@ def _overrides_to_text(pairs) -> str:
 
 def _cmd_run(args) -> int:
     if args.dump_packets and not args.non_full_buffer:
-        print("error: --dump-packets needs --non-full-buffer", file=sys.stderr)
-        return 2
+        raise ImtEvalError("--dump-packets needs --non-full-buffer")
     if args.workers < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
-        return 2
+        raise ImtEvalError(f"--workers must be at least 1, got {args.workers}")
     if not (args.scenario or args.config):
-        print("error: need --scenario or --config", file=sys.stderr)
-        return 2
+        raise ImtEvalError("need --scenario or --config")
     config = preset(TestEnvironment.parse(args.scenario), args.variant) if args.scenario else None
     if args.config:
         config = load_config(args.config, base=config)
     if args.set:
-        text = _overrides_to_text(args.set)
-        config = load_config(text=text, base=config)
+        config = load_config(text=_overrides_to_text(args.set), base=config)
     # the flags override any --set run.* value and are range-checked alike
     flags = {"drops": args.drops, "master_seed": args.seed}
     config = validate(replace(config, **{k: v for k, v in flags.items() if v is not None}))
     if args.non_full_buffer and config.environment is not TestEnvironment.URBAN_MACRO_MMTC:
-        print(f"error: --non-full-buffer needs {TestEnvironment.URBAN_MACRO_MMTC.value}, "
-              f"not {config.environment.value}", file=sys.stderr)
-        return 2
+        raise ImtEvalError(f"--non-full-buffer needs {TestEnvironment.URBAN_MACRO_MMTC.value}, "
+                           f"not {config.environment.value}")
 
     reqs = builtin_requirements()
     result = engine.run(config, workers=args.workers, sinr_only=args.sinr_only,
@@ -115,8 +109,6 @@ def _cmd_run(args) -> int:
     # result.config carries the calibrated uplink P0 the run used
     config, layout = result.config, result.layout
 
-    dumps = args.dump_geometry or args.dump_sinr
-    drop0 = engine.run_drop(config, layout, 0, sinr_only=True) if dumps else None
     if args.non_full_buffer:
         search, _ = engine.density_search(config, layout=layout)
         density = engine.KpiValue("connection_density", UPLINK, search.density_per_km2, "/km^2")
@@ -132,18 +124,14 @@ def _cmd_run(args) -> int:
             engine.evaluate_p99_delay(engine.MessageService(config, layout, 1), req.value,
                                       record_sink=records)
             path = f"{args.out}/packets.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("drop,cell,arrival_s,service_start_s,completion_s,"
-                         "transmissions,delivered\n")
-                for row in records:
-                    fh.write(",".join(str(x) for x in row) + "\n")
+            _dump_packets(records, path)
             print(f"wrote {path} ({len(records)} messages at {req.value:,.0f} /km^2)")
 
     if args.dump_geometry:
-        export_layout_csv(layout, f"{args.out}/geometry_trxp.csv")
-        _dump_ues(drop0, f"{args.out}/geometry_ues_drop0.csv")
+        _dump_layout(layout, f"{args.out}/geometry_trxp.csv")
+        _dump_ues(result.drop0, f"{args.out}/geometry_ues_drop0.csv")
     if args.dump_sinr:
-        _dump_sinr(drop0, f"{args.out}/sinr_drop0.csv")
+        _dump_sinr(result.drop0, f"{args.out}/sinr_drop0.csv")
 
     for kpi in result.kpis:
         speed = f" @{kpi.speed_kmh:g} km/h" if kpi.speed_kmh is not None else ""
@@ -155,25 +143,44 @@ def _cmd_run(args) -> int:
     return 0 if compliance.all_pass else 1
 
 
-def _dump_ues(drop, path):
+def _dump_layout(layout, path):
+    """One row per TRxP: its site, position, boresight azimuth and layer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("trxp_id,site_id,x_m,y_m,z_m,azimuth_deg,is_micro\n")
+        for k, s in enumerate(layout.trxp_site):
+            x, y = layout.site_positions[s]
+            fh.write(f"{k},{s},{x:.3f},{y:.3f},{layout.site_height[s]:.3f},"
+                     f"{layout.trxp_boresight_deg[k]:.1f},{int(layout.site_is_micro[s])}\n")
+
+
+def _dump_ues(drop0, path):
+    """One row per UE of the run's drop 0: position, indoor flag and serving TRxP."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("drop,ue_id,x_m,y_m,z_m,indoor,serving_trxp\n")
-        for i, pos in enumerate(drop.ue_positions):
-            fh.write(f"{drop.drop_index},{i},{pos[0]:.3f},{pos[1]:.3f},{pos[2]:.3f},"
-                     f"{int(drop.ue_indoor[i])},{drop.serving[i]}\n")
+        for i, pos in enumerate(drop0.ue_positions):
+            fh.write(f"0,{i},{pos[0]:.3f},{pos[1]:.3f},{pos[2]:.3f},"
+                     f"{int(drop0.ue_indoor[i])},{drop0.serving[i]}\n")
 
 
-def _dump_sinr(drop, path):
+def _dump_sinr(drop0, path):
+    """Per UE and direction of the run's drop 0: its SINR and the dBm figures behind it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ue_id,direction,signal_dbm,interference_dbm,noise_dbm,sinr_db\n")
         for direction, signal, interference, noise, sinr in (
-                ("downlink", drop.dl_signal_dbm, drop.dl_interf_dbm, drop.dl_noise_dbm,
-                 drop.dl_sinr_db),
-                ("uplink", drop.ul_signal_dbm, drop.ul_interf_dbm, drop.ul_noise_dbm,
-                 drop.ul_sinr_db)):
+                ("downlink", drop0.dl_signal_dbm, drop0.dl_interf_dbm, drop0.dl_noise_dbm,
+                 drop0.dl_sinr_db),
+                ("uplink", drop0.ul_signal_dbm, drop0.ul_interf_dbm, drop0.ul_noise_dbm,
+                 drop0.ul_sinr_db)):
             for i, (sig, itf, snr) in enumerate(zip(signal.tolist(), interference.tolist(),
                                                     sinr.tolist())):
                 fh.write(f"{i},{direction},{sig!r},{itf!r},{float(noise)!r},{snr!r}\n")
+
+
+def _dump_packets(records, path):
+    """Drop 0's logged messages, from a one-drop service: fewer served than the search's."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("drop,cell,arrival_s,service_start_s,completion_s,transmissions,delivered\n")
+        fh.writelines(",".join(str(x) for x in row) + "\n" for row in records)
 
 
 def _cmd_list(_args) -> int:

@@ -178,7 +178,6 @@ def compute_coupling(config: EvaluationConfig, layout: NetworkLayout, ues: UeDro
 
 @dataclass
 class DropResult:
-    drop_index: int
     serving: np.ndarray
     dl_signal_dbm: np.ndarray
     dl_interf_dbm: np.ndarray
@@ -281,7 +280,6 @@ def run_drop(config: EvaluationConfig, layout: NetworkLayout, drop_index: int,
     dl_sinr = dl_serving_mw / (dl_interf_mw + float(db_to_lin(dl_noise_dbm)))
 
     result = DropResult(
-        drop_index=drop_index,
         serving=serving,
         dl_signal_dbm=lin_to_db(dl_serving_mw),
         dl_interf_dbm=lin_to_db(dl_interf_mw),
@@ -397,6 +395,8 @@ class KpiValue:
 
 @dataclass
 class RunResult:
+    """One ``run``'s results. ``drop0`` is the first ``DropResult`` its loop folded:
+    drop 0 for any worker count, with or without early stop; the CLI dumps it."""
     config: EvaluationConfig  # as run: after uplink power calibration
     layout: NetworkLayout
     drops_executed: int
@@ -406,6 +406,7 @@ class RunResult:
     per_drop_mean_ul_sinr: np.ndarray
     mean_iot_db: float
     warnings: list
+    drop0: DropResult
 
 
 _WORKER_STATE: dict = {}
@@ -448,7 +449,8 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     """Execute the drop loop and compute every KPI defined for the
     environment. Results are identical for any worker count. Raises
     DomainError naming the first argument out of its domain before any set-up."""
-    DomainError.require_counts(1, workers=workers, convergence_window=convergence_window)
+    DomainError.require_counts(1, workers=workers, convergence_window=convergence_window,
+                               drops=config.drops)
     DomainError.require_positive(convergence_tol=convergence_tol)
     layout = build_layout(config)
     warnings = []
@@ -474,6 +476,8 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
     with contextlib.closing(_drops(config, layout, range(config.drops), sinr_only,
                                    workers)) as drops:
         for drop in drops:
+            if not n:
+                drop0 = drop
             if n == per_drop.shape[1]:
                 per_drop = np.concatenate([per_drop, np.empty_like(per_drop)], axis=1)
             mean_ul = float(np.mean(drop.ul_sinr_db))
@@ -503,8 +507,9 @@ def run(config: EvaluationConfig, workers: int = 1, sinr_only: bool = False,
                             per_drop[2], b_pool, sinr_only),
         cdfs=cdfs,
         per_drop_mean_ul_sinr=per_drop[0],
-        mean_iot_db=float(np.mean(per_drop[1])) if n else math.nan,
+        mean_iot_db=float(np.mean(per_drop[1])),
         warnings=warnings,
+        drop0=drop0,
     )
 
 

@@ -4,7 +4,7 @@ The test environment fixes one of three layout families: the 19-site /
 57-sector hexagonal macro grid with toroidal wrap-around, the 12-point
 indoor floor (no wrap-around), and the dense-urban two-layer variant that
 adds 3 randomly dropped micro points per macro sector. Sector boresights
-are 30/150/270 degrees from east.
+are 30/150/270 degrees from east. No file I/O: ``cli`` writes the layout dump.
 """
 
 from __future__ import annotations
@@ -317,15 +317,3 @@ def _sample_positions(layout: NetworkLayout, n: int, rng: np.random.Generator) -
         return np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
     uv = rng.uniform(size=(n, 2))
     return layout.drop_origin[None, :] + uv @ layout.drop_basis.T
-
-
-def export_layout_csv(layout: NetworkLayout, path) -> None:
-    """CSV of (trxp_id, x, y, z, azimuth_deg, is_micro)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trxp_id,site_id,x_m,y_m,z_m,azimuth_deg,is_micro\n")
-        for k, s in enumerate(layout.trxp_site):
-            x, y = layout.site_positions[s]
-            fh.write(
-                f"{k},{s},{x:.3f},{y:.3f},{layout.site_height[s]:.3f},"
-                f"{layout.trxp_boresight_deg[k]:.1f},{int(layout.site_is_micro[s])}\n"
-            )

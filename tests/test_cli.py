@@ -1,5 +1,6 @@
 """Command-line surface: run, list-scenarios, check, dump-profile."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+from record_golden_bundles import cases
 
 from imteval import cli, engine, geometry
 from imteval.channel.profiles import builtin_profiles, load_profiles
@@ -101,6 +103,28 @@ class TestRun:
                                  ("interference_dbm", drop.ul_interf_dbm),
                                  ("sinr_db", drop.ul_sinr_db)):
             assert [float(row[column]) for row in rows] == expected.tolist()
+
+    @pytest.mark.parametrize("argv, mapped", [
+        (["run", "--scenario", "DenseUrban_eMBB", "--drops", "1", "--sinr-only",
+          "--dump-geometry", "--dump-sinr"], {0: 1}),
+        # the run's two drops, the search's three and the packet log's one
+        (dict(cases())["UrbanMacro_mMTC/A/non_full_buffer/seed7"], {0: 3, 1: 2, 2: 1}),
+    ])
+    def test_dumps_write_the_runs_own_drop_0(self, tmp_path, monkeypatch, argv, mapped):
+        """``--dump-geometry`` and ``--dump-sinr`` map no drop of their own:
+        each drop is mapped once by each of the run, the density search's
+        service and the packet log's service that holds it. Calibration
+        probes are not counted."""
+        link_stage = engine._link_stage
+        counts = collections.Counter()
+
+        def counting_link_stage(config, layout, drop_index, work):
+            counts[drop_index] += 1
+            return link_stage(config, layout, drop_index, work)
+
+        monkeypatch.setattr(engine, "_link_stage", counting_link_stage)
+        assert main(argv + ["--out", str(tmp_path / "results")]) in (0, 1)
+        assert {d: n for d, n in counts.items() if d < engine._CALIBRATION_DROP_BASE} == mapped
 
     def test_non_full_buffer_packets_reuse_the_runs_layout_and_calibration(
             self, tmp_path, capsys, monkeypatch):

@@ -433,9 +433,22 @@ class TestRun:
         indices = range(n_drops)
         drops = list(engine._drops(cfg, layout, indices, sinr_only=True, workers=workers))
         assert sizes == processes
-        assert [drop.drop_index for drop in drops] == list(indices)
-        for drop in drops:
-            _assert_same_drop(drop, run_drop(cfg, layout, drop.drop_index, sinr_only=True))
+        assert len(drops) == n_drops
+        for d, drop in zip(indices, drops):
+            _assert_same_drop(drop, run_drop(cfg, layout, d, sinr_only=True))
+
+    @pytest.mark.parametrize("workers, sinr_only, early_stop", [
+        (1, False, False), (2, True, False), (1, True, True), (2, False, True)])
+    def test_drop0_is_the_runs_drop_0(self, workers, sinr_only, early_stop):
+        """``RunResult.drop0`` is drop 0 as the run computed it, field for
+        field, on the calibrated config and whichever process ran it."""
+        kw = dict(convergence_window=5, convergence_tol=0.05) if early_stop else {}
+        result = run(small(MMTC_A, drops=40 if early_stop else 3), workers=workers,
+                     sinr_only=sinr_only, early_stop=early_stop, **kw)
+        assert result.convergence_status == ("converged" if early_stop else "capped")
+        assert result.config.link.ul_p0_dbm != MMTC_A.link.ul_p0_dbm
+        _assert_same_drop(result.drop0, run_drop(result.config, result.layout, 0, sinr_only))
+        assert (result.drop0.ul_bits is None) == sinr_only
 
     def test_default_drop_count_is_10000(self):
         assert preset(TestEnvironment.URBAN_MACRO_MMTC, "A").drops == 10_000
@@ -1049,6 +1062,7 @@ class TestDensityRoute:
         (lambda cfg: calibrate_ul_power(cfg, None, probes=True), "probes", "True"),
         (lambda cfg: calibrate_ul_power(cfg, None, max_iterations=2.0), "max_iterations", "2.0"),
         (lambda cfg: run(cfg, workers=0), "workers", "0"),
+        (lambda cfg: run(small(cfg, drops=0)), "drops", "0"),
         (lambda cfg: run(cfg, workers=True), "workers", "True"),
         (lambda cfg: run(cfg, workers=2.5), "workers", "2.5"),
         (lambda cfg: run(cfg, early_stop=True, convergence_window=-1), "convergence_window", "-1"),
@@ -1067,7 +1081,8 @@ class TestDensityRoute:
         counted as 1 (``n_drops=True`` searched one drop, ``horizon_s=True``
         served a one-second horizon). ``run`` ran serially on ``workers=0`` or
         ``True``, failed in the pool on 2.5, in ``IndexError`` on a negative
-        window, and never converged on a NaN tolerance. Now the bad argument
+        window, never converged on a NaN tolerance, and returned an empty
+        result on ``drops=0``. Now the bad argument
         and its value are named before any layout or drop is made (the
         probes' service and layout are None here)."""
         def no_work(*args, **kwargs):
